@@ -95,42 +95,35 @@ def _rule_value(expr: kernel.KernelExpr, n: int, p: int,
     return total if exact else total % 3
 
 
-def splitting_exact(n_lo: int = 2, n_hi: int = 8, p_max: int = 27) -> CheckResult:
-    """The nine c-family splitting identities as integer equalities."""
-    name = "splitting-identities-exact"
+def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
+               p_max: int) -> CheckResult:
+    """The nine splitting identities of one stream against the oracle."""
+    name = "splitting-identities-" + ("exact" if exact else "mod3")
+    kind = "gamma" if stream == "G" else "delta"
+    rules = [(i, j, rule) for (i, j, sym), rule in sorted(kernel.SPLIT_RULES.items())
+             if sym == stream]
     cache = _DetCache()
     for n in range(n_lo, n_hi + 1):
         for p in range(p_max + 1):
-            for (i, j, sym), rule in sorted(kernel.SPLIT_RULES.items()):
-                if sym != "G":
-                    continue
-                lhs = cache.get("gamma", 3 * p + j, 3 * n + i, True)
-                rhs = _rule_value(rule, n, p, cache, exact=True)
+            for i, j, rule in rules:
+                lhs = cache.get(kind, 3 * p + j, 3 * n + i, exact)
+                rhs = _rule_value(rule, n, p, cache, exact)
                 if lhs != rhs:
                     return CheckResult(
                         name, False,
                         f"rule ({i},{j}) fails at n={n} p={p}: {lhs} != {rhs}")
     return CheckResult(
         name, True, f"9 identities, {n_lo} <= n <= {n_hi}, 0 <= p <= {p_max}")
+
+
+def splitting_exact(n_lo: int = 2, n_hi: int = 8, p_max: int = 27) -> CheckResult:
+    """The nine c-family splitting identities as integer equalities."""
+    return _splitting("G", True, n_lo, n_hi, p_max)
 
 
 def splitting_mod3(n_lo: int = 2, n_hi: int = 8, p_max: int = 27) -> CheckResult:
     """The nine d-family splitting identities mod 3."""
-    name = "splitting-identities-mod3"
-    cache = _DetCache()
-    for n in range(n_lo, n_hi + 1):
-        for p in range(p_max + 1):
-            for (i, j, sym), rule in sorted(kernel.SPLIT_RULES.items()):
-                if sym != "D":
-                    continue
-                lhs = cache.get("delta", 3 * p + j, 3 * n + i, False)
-                rhs = _rule_value(rule, n, p, cache, exact=False)
-                if lhs != rhs:
-                    return CheckResult(
-                        name, False,
-                        f"rule ({i},{j}) fails at n={n} p={p}: {lhs} != {rhs}")
-    return CheckResult(
-        name, True, f"9 identities, {n_lo} <= n <= {n_hi}, 0 <= p <= {p_max}")
+    return _splitting("D", False, n_lo, n_hi, p_max)
 
 
 def closed_forms(n_max: int = 2000) -> CheckResult:
@@ -243,18 +236,29 @@ def functional_equation(degree: int = 3000) -> CheckResult:
     return CheckResult(name, True, f"through degree {degree}")
 
 
-def default_suite() -> list[CheckResult]:
-    """The identity suite behind the verify subcommand, fixed windows."""
-    return [
-        oracle_equivalence(20, 27),
-        structure_identities(4, 4),
-        splitting_exact(2, 5, 8),
-        splitting_mod3(2, 5, 8),
-        closed_forms(2000),
-        series_identities(),
-        period_bounds((0, 1, 2)),
-        kernel_soundness(8),
-        dfao_grid(96, 127),
-        pade_error_law(8),
-        functional_equation(600),
-    ]
+# The verify report: its groups in print order, each a list of checks
+# named by function with the window they run over.
+VERIFY_GROUPS: dict[str, tuple[tuple[str, tuple], ...]] = {
+    "oracle": (("oracle_equivalence", (20, 27)),),
+    "structure": (("structure_identities", (4, 4)),),
+    "recurrences": (("splitting_exact", (2, 5, 8)),
+                    ("splitting_mod3", (2, 5, 8))),
+    "closed-forms": (("closed_forms", (2000,)),),
+    "series": (("series_identities", ()),),
+    "periods": (("period_bounds", ((0, 1, 2),)),),
+    "kernel": (("kernel_soundness", (8,)),),
+    "dfao": (("dfao_grid", (96, 127)),),
+    "pade": (("pade_error_law", (8,)),),
+    "feq": (("functional_equation", (600,)),),
+}
+
+
+def run_group(group: str, windows: dict[str, tuple] | None = None) -> list[CheckResult]:
+    """Run one verify group; windows replaces the window of a check by name.
+
+    Checks are looked up in this module when they run, not when the
+    table is built.
+    """
+    windows = windows or {}
+    return [globals()[check](*windows.get(check, window))
+            for check, window in VERIFY_GROUPS[group]]

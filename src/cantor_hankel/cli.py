@@ -24,8 +24,7 @@ from .sequences import sequence_slice
 PPM_COLORS = {0: (0, 0, 255), 1: (0, 200, 0), 2: (255, 0, 0)}
 ASCII_GLYPHS = {0: ".", 1: "#", 2: "x"}
 
-VERIFY_ORDER = ("oracle", "structure", "recurrences", "closed-forms",
-                "series", "periods", "kernel", "dfao", "pade", "feq")
+VERIFY_ORDER = tuple(checks.VERIFY_GROUPS)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -161,25 +160,11 @@ def _cmd_eta(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    runners = {
-        "oracle": lambda: [checks.oracle_equivalence(args.n_max, args.p_max)],
-        "structure": lambda: [checks.structure_identities(4, 4)],
-        "recurrences": lambda: [checks.splitting_exact(2, 5, 8),
-                                checks.splitting_mod3(2, 5, 8)],
-        "closed-forms": lambda: [checks.closed_forms(2000)],
-        "series": lambda: [checks.series_identities()],
-        "periods": lambda: [checks.period_bounds((0, 1, 2))],
-        "kernel": lambda: [checks.kernel_soundness(8)],
-        "dfao": lambda: [checks.dfao_grid(96, 127)],
-        "pade": lambda: [checks.pade_error_law(8)],
-        "feq": lambda: [checks.functional_equation(600)],
-    }
     selected = [name for name in VERIFY_ORDER if getattr(args, name.replace("-", "_"))]
-    if not selected:
-        selected = list(VERIFY_ORDER)
+    windows = {"oracle_equivalence": (args.n_max, args.p_max)}
     all_ok = True
-    for name in selected:
-        for result in runners[name]():
+    for name in selected or VERIFY_ORDER:
+        for result in checks.run_group(name, windows):
             print(result.line())
             all_ok = all_ok and result.ok
     return 0 if all_ok else 1
@@ -273,10 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in VERIFY_ORDER:
         p.add_argument(f"--{name}", action="store_true",
                        help=f"include the {name} checks")
-    p.add_argument("--n-max", type=int, default=20,
-                   help="oracle sweep row bound (default 20)")
-    p.add_argument("--p-max", type=int, default=27,
-                   help="oracle sweep column bound (default 27)")
+    _, (n_max, p_max) = checks.VERIFY_GROUPS["oracle"][0]
+    p.add_argument("--n-max", type=int, default=n_max,
+                   help=f"oracle sweep row bound (default {n_max})")
+    p.add_argument("--p-max", type=int, default=p_max,
+                   help=f"oracle sweep column bound (default {p_max})")
     p.set_defaults(func=_cmd_verify)
 
     return parser

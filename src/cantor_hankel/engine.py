@@ -3,9 +3,9 @@
 gamma_mod3(n, p) and delta_mod3(n, p) return the determinants of the
 order-n, offset-p Hankel matrices of c and d reduced mod 3, computed
 without any elimination: both n and p are split into base-3 quotient
-and remainder and the eighteen splitting identities rewrite the cell in
-terms of cells with quotient indices.  Rows n in {-1, 0, 1} anchor the
-recursion:
+and remainder and the eighteen splitting identities of SPLIT_RULES
+rewrite the cell in terms of cells with quotient indices.  Rows n in
+{-1, 0, 1} anchor the recursion:
 
 * gamma at n = 0 is 2 for p = 0 and 1 otherwise (the n = 0 value is a
   convention chosen to make the identities hold at the boundary, not
@@ -28,9 +28,64 @@ from .sequences import cantor_term, diff_term
 DEFAULT_GRID_CELL_CAP = 4_000_000
 
 
-def _sign(m: int) -> int:
-    """(-1)**m as a mod-3 residue."""
-    return 1 if m % 2 == 0 else 2
+Factor = tuple[str, int, int, int]
+Rule = tuple[tuple[int, tuple[Factor, ...]], ...]
+
+# The eighteen splitting identities, keyed by (i, j, stream) with stream
+# "G" (gamma) or "D" (delta): the stream at (3m + i, 3q + j) is the sum
+# over the terms (shift, factors) of (-1)**(m + shift) times the product
+# of the factors (stream', a, b, e), each stream' read at (m + a, q + b)
+# and raised to e.  The nine G rules hold over the integers, the nine D
+# rules mod 3.
+SPLIT_RULES: dict[tuple[int, int, str], Rule] = {
+    (0, 0, "G"): ((0, (("G", 0, 0, 2), ("D", 0, 0, 1))),
+                  (1, (("G", 0, 0, 1), ("G", 1, 0, 1), ("D", -1, 0, 1)))),
+    (0, 1, "G"): ((0, (("G", 0, 0, 1), ("G", 0, 1, 1), ("D", 0, 0, 1))),
+                  (1, (("G", 0, 1, 1), ("G", 1, 0, 1), ("D", -1, 0, 1)))),
+    (0, 2, "G"): ((0, (("G", 0, 1, 2), ("D", 0, 0, 1))),),
+    (1, 0, "G"): ((0, (("G", 0, 0, 1), ("G", 1, 0, 1), ("D", 0, 0, 1))),
+                  (1, (("G", 1, 0, 2), ("D", -1, 0, 1)))),
+    (1, 1, "G"): ((1, (("G", 1, 0, 2), ("D", -1, 1, 1))),),
+    (1, 2, "G"): ((0, (("G", 0, 1, 1), ("G", 1, 0, 1), ("D", 0, 1, 1))),
+                  (1, (("G", 1, 0, 1), ("G", 1, 1, 1), ("D", -1, 1, 1)))),
+    (2, 0, "G"): ((0, (("G", 1, 0, 2), ("D", 0, 0, 1))),),
+    (2, 1, "G"): ((1, (("G", 1, 0, 2), ("D", 0, 1, 1))),),
+    (2, 2, "G"): ((1, (("G", 1, 1, 2), ("D", 0, 0, 1))),),
+    (0, 0, "D"): ((0, (("G", 0, 0, 1), ("D", 0, 0, 2))),
+                  (1, (("G", 1, 0, 1), ("D", -1, 0, 1), ("D", 0, 0, 1)))),
+    (0, 1, "D"): ((0, (("G", 0, 1, 1), ("D", 0, 0, 2))),),
+    (0, 2, "D"): ((0, (("G", 0, 1, 1), ("D", 0, 0, 1), ("D", 0, 1, 1))),
+                  (1, (("G", 1, 1, 1), ("D", 0, 0, 1), ("D", -1, 1, 1)))),
+    (1, 0, "D"): ((1, (("G", 1, 0, 1), ("D", 0, 0, 2))),),
+    (1, 1, "D"): ((0, (("G", 1, 1, 1), ("D", 0, 0, 2))),),
+    (1, 2, "D"): ((0, (("G", 1, 0, 1), ("D", 0, 1, 2))),),
+    (2, 0, "D"): ((0, (("G", 2, 0, 1), ("D", 0, 0, 2))),
+                  (1, (("G", 1, 0, 1), ("D", 0, 0, 1), ("D", 1, 0, 1)))),
+    (2, 1, "D"): ((0, (("G", 2, 0, 1), ("D", 0, 0, 1), ("D", 0, 1, 1))),
+                  (1, (("G", 1, 0, 1), ("D", 0, 1, 1), ("D", 1, 0, 1)))),
+    (2, 2, "D"): ((0, (("G", 2, 0, 1), ("D", 0, 1, 2))),),
+}
+
+
+def _split(stream: str, n: int, p: int) -> int:
+    """The stream at (n, p), n >= 2, by its splitting identity mod 3.
+
+    A term is dropped at its first zero factor, so the cells behind
+    its remaining factors are never computed.
+    """
+    m, i = divmod(n, 3)
+    q, j = divmod(p, 3)
+    total = 0
+    for shift, factors in SPLIT_RULES[i, j, stream]:
+        term = 1 if (m + shift) % 2 == 0 else 2
+        for sym, a, b, e in factors:
+            value = (gamma_mod3 if sym == "G" else delta_mod3)(m + a, q + b)
+            if not value:
+                break
+            term *= value ** e
+        else:
+            total += term
+    return total % 3
 
 
 # lru_cache makes the memo; its locking is enough for concurrent use and
@@ -44,31 +99,7 @@ def gamma_mod3(n: int, p: int) -> int:
         return 2 if p == 0 else 1
     if n == 1:
         return cantor_term(p)
-    m, r = divmod(n, 3)
-    q, s = divmod(p, 3)
-    pos, neg = _sign(m), _sign(m + 1)
-    G, D = gamma_mod3, delta_mod3
-    if r == 0:
-        if s == 0:
-            return (pos * G(m, q) ** 2 * D(m, q)
-                    + neg * G(m, q) * G(m + 1, q) * D(m - 1, q)) % 3
-        if s == 1:
-            return (pos * G(m, q) * G(m, q + 1) * D(m, q)
-                    + neg * G(m, q + 1) * G(m + 1, q) * D(m - 1, q)) % 3
-        return pos * G(m, q + 1) ** 2 * D(m, q) % 3
-    if r == 1:
-        if s == 0:
-            return (pos * G(m, q) * G(m + 1, q) * D(m, q)
-                    + neg * G(m + 1, q) ** 2 * D(m - 1, q)) % 3
-        if s == 1:
-            return neg * G(m + 1, q) ** 2 * D(m - 1, q + 1) % 3
-        return (pos * G(m, q + 1) * G(m + 1, q) * D(m, q + 1)
-                + neg * G(m + 1, q) * G(m + 1, q + 1) * D(m - 1, q + 1)) % 3
-    if s == 0:
-        return pos * G(m + 1, q) ** 2 * D(m, q) % 3
-    if s == 1:
-        return neg * G(m + 1, q) ** 2 * D(m, q + 1) % 3
-    return neg * G(m + 1, q + 1) ** 2 * D(m, q) % 3
+    return _split("G", n, p)
 
 
 @lru_cache(maxsize=None)
@@ -85,31 +116,7 @@ def delta_mod3(n: int, p: int) -> int:
         return 1
     if n == 1:
         return diff_term(p) % 3
-    m, r = divmod(n, 3)
-    q, s = divmod(p, 3)
-    pos, neg = _sign(m), _sign(m + 1)
-    G, D = gamma_mod3, delta_mod3
-    if r == 0:
-        if s == 0:
-            return (pos * G(m, q) * D(m, q) ** 2
-                    + neg * G(m + 1, q) * D(m - 1, q) * D(m, q)) % 3
-        if s == 1:
-            return pos * G(m, q + 1) * D(m, q) ** 2 % 3
-        return (pos * G(m, q + 1) * D(m, q) * D(m, q + 1)
-                + neg * G(m + 1, q + 1) * D(m, q) * D(m - 1, q + 1)) % 3
-    if r == 1:
-        if s == 0:
-            return neg * G(m + 1, q) * D(m, q) ** 2 % 3
-        if s == 1:
-            return pos * G(m + 1, q + 1) * D(m, q) ** 2 % 3
-        return pos * G(m + 1, q) * D(m, q + 1) ** 2 % 3
-    if s == 0:
-        return (pos * G(m + 2, q) * D(m, q) ** 2
-                + neg * G(m + 1, q) * D(m, q) * D(m + 1, q)) % 3
-    if s == 1:
-        return (pos * G(m + 2, q) * D(m, q) * D(m, q + 1)
-                + neg * G(m + 1, q) * D(m, q + 1) * D(m + 1, q)) % 3
-    return pos * G(m + 2, q) * D(m, q + 1) ** 2 % 3
+    return _split("D", n, p)
 
 
 def closed_form_p0(n: int) -> tuple[int, int]:
@@ -132,6 +139,12 @@ def closed_form_p1(n: int) -> int:
     return (1, 0, 2, 0)[n % 4]
 
 
+def _table(kind: str):
+    if kind not in ("gamma", "delta"):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    return gamma_mod3 if kind == "gamma" else delta_mod3
+
+
 def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
          kind: str = "gamma", max_cells: int = DEFAULT_GRID_CELL_CAP) -> list[list[int]]:
     """Rectangular table of mod-3 values, rows n_lo..n_hi, columns p_lo..p_hi."""
@@ -140,9 +153,7 @@ def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     cells = (n_hi - n_lo + 1) * (p_hi - p_lo + 1)
     if cells > max_cells:
         raise ValueError(f"grid of {cells} cells exceeds the cap {max_cells}")
-    value = gamma_mod3 if kind == "gamma" else delta_mod3
-    if kind not in ("gamma", "delta"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
+    value = _table(kind)
     return [[value(n, p) for p in range(p_lo, p_hi + 1)]
             for n in range(n_lo, n_hi + 1)]
 
@@ -152,28 +163,35 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
-    """Minimal period of the column sequence n -> value(n, p), n >= 1.
+def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
+    """Column p of a table read over three candidate periods from n = first.
 
-    The candidate period 12 * 3**k (k the least exponent with
+    The candidate period is 12 * 3**k, k the least exponent with
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
-    window) is first confirmed on a window of three full candidate
-    periods; failure there would falsify the periodicity bound and
-    raises.  The returned minimal period always divides the candidate.
+    window.  Returns the window and the candidate once the window
+    repeats with it; failure there would falsify the periodicity bound
+    and raises.
     """
-    if p < 0 or k_hint < 0:
-        raise ValueError("need p >= 0 and k_hint >= 0")
-    value = gamma_mod3 if kind == "gamma" else delta_mod3
-    if kind not in ("gamma", "delta"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
     k = k_hint
     while p > 3 ** (k + 1):
         k += 1
     candidate = 12 * 3 ** k
-    window = [value(n, p) for n in range(1, 3 * candidate + 1)]
+    window = [value(n, p) for n in range(first, first + 3 * candidate)]
     if any(window[i] != window[i + candidate] for i in range(2 * candidate)):
         raise RuntimeError(
             f"column {p} is not {candidate}-periodic on the scanned window")
+    return window, candidate
+
+
+def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
+    """Minimal period of the column sequence n -> value(n, p), n >= 1.
+
+    The candidate period from column_window is confirmed on three full
+    periods first; the returned minimal period always divides it.
+    """
+    if p < 0 or k_hint < 0:
+        raise ValueError("need p >= 0 and k_hint >= 0")
+    window, candidate = column_window(_table(kind), p, 1, k_hint)
     for t in _divisors(candidate):
         if all(window[i] == window[i + t] for i in range(len(window) - t)):
             return t

@@ -204,9 +204,15 @@ def permutation_matrix(n: int) -> IntMatrix:
 
 
 def conjugate_by_permutation(m: IntMatrix) -> IntMatrix:
-    """P^t M P for the sorting permutation P of matching order."""
-    p = permutation_matrix(m.rows)
-    return p.transpose() @ m @ p
+    """P^t M P for the sorting permutation P of matching order.
+
+    Column j of P is the basis vector t_j of t = permutation_p, so entry
+    (i, j) of the product is entry (t_i, t_j) of M.
+    """
+    if m.rows != m.cols:
+        raise ValueError("shape mismatch")
+    order = [t - 1 for t in permutation_p(m.rows)]
+    return IntMatrix(tuple(tuple(m.entries[i][j] for j in order) for i in order))
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,12 @@ def state_cap_from_env(default: int = DEFAULT_STATE_CAP) -> int:
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return default
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"{STATE_CAP_ENV} must be a positive integer")
+        raise ValueError(f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -130,63 +133,20 @@ GAMMA = generator_expr("G")
 DELTA = generator_expr("D")
 
 
-def _mono(*gens: Generator) -> Monomial:
-    powers: dict[Generator, int] = {}
-    for g in gens:
-        powers[g] = powers.get(g, 0) + 1
-    return tuple(sorted((g, _cap_exponent(e)) for g, e in powers.items()))
-
-
-def _poly(*monos: Monomial) -> KernelExpr:
+def _rule_expr(rule: engine.Rule) -> KernelExpr:
+    # Signs ride along as F factors, so every monomial has coefficient 1.
     counter: dict[Monomial, int] = {}
-    for m in monos:
-        counter[m] = counter.get(m, 0) + 1
+    for shift, factors in rule:
+        mono = tuple(sorted([(_norm_generator("F", shift, 0), 1)] + [
+            (_norm_generator(sym, a, b), e) for sym, a, b, e in factors]))
+        counter[mono] = counter.get(mono, 0) + 1
     return _make_expr(counter)
 
 
-def _g(a: int = 0, b: int = 0) -> Generator:
-    return ("G", a, b)
-
-
-def _d(a: int = 0, b: int = 0) -> Generator:
-    return ("D", a, b)
-
-
-# (-1)**n and (-1)**(n+1) as generators.
-_F0 = ("F", 0, 0)
-_F1 = ("F", 1, 0)
-
-# The eighteen splitting identities, keyed by (i, j, stream): the stream
-# at (3n + i, 3p + j) equals the polynomial evaluated at (n, p).  Signs
-# ride along as F factors so every monomial has coefficient 1.
+# The eighteen splitting identities of engine.SPLIT_RULES as polynomials:
+# the stream at (3n + i, 3p + j) equals SPLIT_RULES[i, j, stream] at (n, p).
 SPLIT_RULES: dict[tuple[int, int, str], KernelExpr] = {
-    (0, 0, "G"): _poly(_mono(_F0, _g(), _g(), _d()),
-                       _mono(_F1, _g(), _g(1), _d(-1))),
-    (1, 0, "G"): _poly(_mono(_F0, _g(), _g(1), _d()),
-                       _mono(_F1, _g(1), _g(1), _d(-1))),
-    (2, 0, "G"): _poly(_mono(_F0, _g(1), _g(1), _d())),
-    (0, 1, "G"): _poly(_mono(_F0, _g(), _g(0, 1), _d()),
-                       _mono(_F1, _g(0, 1), _g(1), _d(-1))),
-    (1, 1, "G"): _poly(_mono(_F1, _g(1), _g(1), _d(-1, 1))),
-    (2, 1, "G"): _poly(_mono(_F1, _g(1), _g(1), _d(0, 1))),
-    (0, 2, "G"): _poly(_mono(_F0, _g(0, 1), _g(0, 1), _d())),
-    (1, 2, "G"): _poly(_mono(_F0, _g(0, 1), _g(1), _d(0, 1)),
-                       _mono(_F1, _g(1), _g(1, 1), _d(-1, 1))),
-    (2, 2, "G"): _poly(_mono(_F1, _g(1, 1), _g(1, 1), _d())),
-    (0, 0, "D"): _poly(_mono(_F0, _g(), _d(), _d()),
-                       _mono(_F1, _g(1), _d(-1), _d())),
-    (1, 0, "D"): _poly(_mono(_F1, _g(1), _d(), _d())),
-    (2, 0, "D"): _poly(_mono(_F0, _g(2), _d(), _d()),
-                       _mono(_F1, _g(1), _d(), _d(1))),
-    (0, 1, "D"): _poly(_mono(_F0, _g(0, 1), _d(), _d())),
-    (1, 1, "D"): _poly(_mono(_F0, _g(1, 1), _d(), _d())),
-    (2, 1, "D"): _poly(_mono(_F0, _g(2), _d(), _d(0, 1)),
-                       _mono(_F1, _g(1), _d(0, 1), _d(1))),
-    (0, 2, "D"): _poly(_mono(_F0, _g(0, 1), _d(), _d(0, 1)),
-                       _mono(_F1, _g(1, 1), _d(), _d(-1, 1))),
-    (1, 2, "D"): _poly(_mono(_F0, _g(1), _d(0, 1), _d(0, 1))),
-    (2, 2, "D"): _poly(_mono(_F0, _g(2), _d(0, 1), _d(0, 1))),
-}
+    key: _rule_expr(rule) for key, rule in engine.SPLIT_RULES.items()}
 
 
 def apply_s(a: int, b: int, expr: KernelExpr) -> KernelExpr:
@@ -295,6 +255,8 @@ def kernel_closure(start: str = "gamma", cap: int | None = None) -> Closure:
     steps; raises if more than cap states appear."""
     if cap is None:
         cap = state_cap_from_env()
+    if cap < 1:
+        raise ValueError(f"the state cap must be a positive integer, got {cap}")
     return _closure_cached(start, cap)
 
 

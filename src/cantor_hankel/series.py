@@ -149,14 +149,7 @@ ZERO = PeriodicSeries((0,))
 
 
 def _column(value_fn, p: int) -> PeriodicSeries:
-    k = 0
-    while p > 3 ** (k + 1):
-        k += 1
-    candidate = 12 * 3 ** k
-    window = [value_fn(n, p) for n in range(3 * candidate)]
-    if any(window[i] != window[i + candidate] for i in range(2 * candidate)):
-        raise RuntimeError(
-            f"column {p} is not {candidate}-periodic on the scanned window")
+    window, candidate = engine.column_window(value_fn, p, 0)
     return PeriodicSeries(tuple(window[:candidate]))
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cantor_hankel import checks, cli
+from cantor_hankel import checks, cli, kernel
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 
 
@@ -116,6 +116,24 @@ def test_kernel_summary(capsys):
     code, out = run(capsys, "kernel", "--start", "gamma")
     assert code == 0
     assert out == "start gamma\nstates 1632\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_kernel_nonpositive_cap_is_usage_error(capsys, cap):
+    code = cli.main(["kernel", "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "positive integer" in captured.err
+
+
+def test_kernel_cap_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv(kernel.STATE_CAP_ENV, "abc")
+    code = cli.main(["kernel"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert kernel.STATE_CAP_ENV in err
+    assert "invalid literal" not in err
 
 
 def test_dfao_table_round_trip(capsys):

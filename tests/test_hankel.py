@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_hankel.hankel import (IntMatrix, block_matrix, det_exact,
+from cantor_hankel.hankel import (IntMatrix, block_matrix,
+                                  conjugate_by_permutation, det_exact,
                                   det_mod3, hankel_matrix,
                                   permutation_matrix, permutation_p,
                                   stride3_matrix, verify_structure)
@@ -139,6 +140,16 @@ def test_sorting_permutation():
         p = permutation_matrix(n)
         identity = IntMatrix.from_fn(n, n, lambda i, j: int(i == j))
         assert (p.transpose() @ p).entries == identity.entries
+
+
+def test_conjugation_by_index_reordering_matches_matmul():
+    for kind in ("gamma", "delta"):
+        for n in range(13):
+            p = permutation_matrix(n)
+            for offset in range(4):
+                m = hankel_matrix(kind, offset, n)
+                assert conjugate_by_permutation(m) == p.transpose() @ m @ p, \
+                    (kind, n, offset)
 
 
 def test_structure_report_small():

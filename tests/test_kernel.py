@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -123,6 +124,20 @@ def test_dfao_delta_start():
     for n in range(16):
         for p in range(16):
             assert dfao.evaluate(n, p) == engine.delta_mod3(n, p)
+
+
+# SHA-256 of the table export, pinned so that any change to the splitting
+# rules that alters a single transition or output shows here.
+TABLE_DIGESTS = {
+    "gamma": "a65014e9facabaa342b97fcaaaaec6efb8129fb2f927184fe8ef4452f157033d",
+    "delta": "75477925921e14fc011b142982e22aee76487c72a081d9f5b595a1c1362a4314",
+}
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_table_export_digest(start):
+    table = export_dfao(build_dfao(start), "table")
+    assert hashlib.sha256(table.encode()).hexdigest() == TABLE_DIGESTS[start]
 
 
 def test_export_table_round_trip():
