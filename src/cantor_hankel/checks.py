@@ -48,6 +48,11 @@ class _DetCache:
 def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     """Engine values against eliminated determinants, both families."""
     name = "oracle-equivalence"
+    # An empty window would pass without comparing a single cell.
+    if n_max < 1:
+        raise ValueError(f"the oracle window needs n_max >= 1, got {n_max}")
+    if p_max < 0:
+        raise ValueError(f"the oracle window needs p_max >= 0, got {p_max}")
     for n in range(1, n_max + 1):
         for p in range(p_max + 1):
             for kind, value in (("gamma", engine.gamma_mod3),

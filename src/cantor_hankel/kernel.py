@@ -16,7 +16,8 @@ apply_t(i, j, e) rewrites "evaluate e at (3n + i, 3p + j)" as another
 polynomial in shifted streams, using the eighteen splitting identities
 for G and D plus a composition table that commutes a pending shift
 through the index splitting.  Monomial exponents are capped with
-x**3 = x, which every GF(3)-valued stream satisfies pointwise.
+x**3 = x, which every GF(3)-valued stream satisfies pointwise.  The
+arithmetic runs on packed monomials, two bitmasks over the generators.
 
 Iterating apply_t from a single stream and collecting distinct normal
 forms gives a finite closure: the states of a deterministic automaton
@@ -29,6 +30,7 @@ a stable on-disk form.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -99,36 +101,11 @@ def _make_expr(counter: dict[Monomial, int]) -> KernelExpr:
         (mono, c % 3) for mono, c in counter.items() if c % 3)))
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    powers: dict[Generator, int] = {}
-    for g, e in m1 + m2:
-        powers[g] = powers.get(g, 0) + e
-    return tuple(sorted((g, _cap_exponent(e)) for g, e in powers.items()))
-
-
-def expr_add(e1: KernelExpr, e2: KernelExpr) -> KernelExpr:
-    counter: dict[Monomial, int] = dict(e1.terms)
-    for mono, c in e2.terms:
-        counter[mono] = counter.get(mono, 0) + c
-    return _make_expr(counter)
-
-
-def expr_mul(e1: KernelExpr, e2: KernelExpr) -> KernelExpr:
-    counter: dict[Monomial, int] = {}
-    for m1, c1 in e1.terms:
-        for m2, c2 in e2.terms:
-            mono = _mono_mul(m1, m2)
-            counter[mono] = counter.get(mono, 0) + c1 * c2
-    return _make_expr(counter)
-
-
 def generator_expr(sym: str, a: int = 0, b: int = 0) -> KernelExpr:
     mono: Monomial = ((_norm_generator(sym, a, b), 1),)
     return KernelExpr(((mono, 1),))
 
 
-EXPR_ZERO = KernelExpr(())
-EXPR_ONE = KernelExpr((((), 1),))
 GAMMA = generator_expr("G")
 DELTA = generator_expr("D")
 
@@ -192,21 +169,120 @@ def _split_generator(i: int, j: int, gen: Generator) -> KernelExpr:
     return apply_s(outer_a, outer_b, base)
 
 
+_DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
+
+
+# Packed polynomials.  The 26 generators, in sorted order, number the
+# bits of a packed monomial, an int holding two masks: bit k says that
+# generator k has exponent 1, bit k + 26 that it has exponent 2.  A packed
+# polynomial is the sorted tuple of its (monomial, coefficient) pairs, with
+# coefficients nonzero mod 3, so equal polynomials are equal tuples.
+_GENERATORS: tuple[Generator, ...] = tuple(sorted(
+    [(sym, a, b) for sym in ("G", "D") for a in range(-1, 3) for b in range(3)]
+    + [("F", 0, 0), ("F", 1, 0)]))
+_WIDTH = len(_GENERATORS)
+_LOW = (1 << _WIDTH) - 1
+_BIT = {g: k for k, g in enumerate(_GENERATORS)}
+
+Packed = tuple[tuple[int, int], ...]
+_ONE: Packed = ((0, 1),)
+
+
+def _mono_product(x: int, y: int) -> int:
+    # With x**3 = x an exponent sum is 1 exactly when it is odd, and any
+    # other nonzero sum folds to 2.
+    odd = (x ^ y) & _LOW
+    present = (x | y | ((x | y) >> _WIDTH)) & _LOW
+    return odd | ((present & ~odd) << _WIDTH)
+
+
+def _reduce(counter: dict[int, int]) -> Packed:
+    return tuple(sorted((m, c % 3) for m, c in counter.items() if c % 3))
+
+
+def _poly_mul(p: Packed, q: Packed) -> Packed:
+    counter: dict[int, int] = {}
+    for x, c in p:
+        for y, d in q:
+            m = _mono_product(x, y)
+            counter[m] = counter.get(m, 0) + c * d
+    return _reduce(counter)
+
+
+def _pack(expr: KernelExpr) -> Packed:
+    counter: dict[int, int] = {}
+    for mono, coeff in expr.terms:
+        key = 0
+        for g, e in mono:
+            key = _mono_product(key, 1 << (_BIT[g] + (_cap_exponent(e) - 1) * _WIDTH))
+        counter[key] = counter.get(key, 0) + coeff
+    return _reduce(counter)
+
+
+def _unpack(poly: Packed) -> KernelExpr:
+    return KernelExpr(tuple(sorted(
+        (tuple((g, 1 if key >> k & 1 else 2) for k, g in enumerate(_GENERATORS)
+               if key >> k & 1 or key >> (k + _WIDTH) & 1), coeff)
+        for key, coeff in poly)))
+
+
+class _DigitStep:
+    """The nine digit steps on packed polynomials.
+
+    A digit step is a ring homomorphism, so the image of a monomial is
+    the product of the images of its generators.  Each digit pair has two
+    tables, filled on first use and kept as long as this object: the
+    images of one generator or its square (one-bit monomials, read off
+    _split_generator), and the images of whole monomials.
+    """
+
+    def __init__(self) -> None:
+        self._factors: list[dict[int, Packed]] = [{} for _ in _DIGIT_PAIRS]
+        self._monomials: list[dict[int, Packed]] = [{} for _ in _DIGIT_PAIRS]
+
+    @property
+    def memoised(self) -> int:
+        return sum(len(memo) for memo in self._monomials)
+
+    def _factor(self, d: int, bit: int) -> Packed:
+        image = self._factors[d].get(bit)
+        if image is None:
+            if bit <= _LOW:
+                i, j = _DIGIT_PAIRS[d]
+                image = _pack(_split_generator(i, j, _GENERATORS[bit.bit_length() - 1]))
+            else:
+                root = self._factor(d, bit >> _WIDTH)
+                image = _poly_mul(root, root)
+            self._factors[d][bit] = image
+        return image
+
+    def _image(self, d: int, key: int) -> Packed:
+        memo = self._monomials[d]
+        image = memo.get(key)
+        if image is None:
+            image = _ONE
+            rest = key
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                image = _poly_mul(image, self._factor(d, bit))
+            memo[key] = image
+        return image
+
+    def step(self, d: int, poly: Packed) -> Packed:
+        """apply_t with the d-th digit pair of _DIGIT_PAIRS."""
+        counter: dict[int, int] = {}
+        for key, coeff in poly:
+            for m, c in self._image(d, key):
+                counter[m] = counter.get(m, 0) + coeff * c
+        return _reduce(counter)
+
+
 def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     """The digit step: rewrite expr read at (3n + i, 3p + j) over (n, p)."""
     if not (0 <= i <= 2 and 0 <= j <= 2):
         raise ValueError("digits must lie in {0, 1, 2}")
-    out = EXPR_ZERO
-    for mono, coeff in expr.terms:
-        prod = EXPR_ONE
-        for gen, e in mono:
-            factor = _split_generator(i, j, gen)
-            if e == 2:
-                factor = expr_mul(factor, factor)
-            prod = expr_mul(prod, factor)
-        scaled = _make_expr({m: c * coeff for m, c in prod.terms})
-        out = expr_add(out, scaled)
-    return out
+    return _unpack(_DigitStep().step(3 * i + j, _pack(expr)))
 
 
 def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
@@ -227,9 +303,6 @@ def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
             value = value * gen_value(gen) ** e % 3
         total += value
     return total % 3
-
-
-_DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
 
 
 @dataclass(frozen=True)
@@ -260,14 +333,18 @@ def kernel_closure(start: str = "gamma", cap: int | None = None) -> Closure:
     return _closure_cached(start, cap)
 
 
-# Closures are immutable and take seconds to build, so cache per process.
+# Closures are immutable and take a while to build, so cache per process.
+# The search runs on packed polynomials; its memos go when it returns.
 @lru_cache(maxsize=8)
 def _closure_cached(start: str, cap: int) -> Closure:
     root = {"gamma": GAMMA, "delta": DELTA}.get(start)
     if root is None:
         raise ValueError(f"unknown start stream {start!r}")
-    index: dict[KernelExpr, int] = {root: 0}
-    states = [root]
+    began = time.perf_counter()
+    digit_step = _DigitStep()
+    packed_root = _pack(root)
+    index: dict[Packed, int] = {packed_root: 0}
+    states = [packed_root]
     witnesses = [(0, 0, 0)]
     rows: list[tuple[int, ...]] = []
     frontier = 0
@@ -275,8 +352,8 @@ def _closure_cached(start: str, cap: int) -> Closure:
         state = states[frontier]
         m, r, s = witnesses[frontier]
         row = []
-        for i, j in _DIGIT_PAIRS:
-            nxt = apply_t(i, j, state)
+        for d, (i, j) in enumerate(_DIGIT_PAIRS):
+            nxt = digit_step.step(d, state)
             k = index.get(nxt)
             if k is None:
                 k = len(states)
@@ -288,7 +365,15 @@ def _closure_cached(start: str, cap: int) -> Closure:
             row.append(k)
         rows.append(tuple(row))
         frontier += 1
-    return Closure(root, tuple(states), tuple(witnesses), tuple(rows))
+    closure = Closure(root, tuple(_unpack(state) for state in states),
+                      tuple(witnesses), tuple(rows))
+    # Imported here: logging adds about 5 ms to importing the package,
+    # and only a build writes a record.
+    import logging
+    logging.getLogger(__name__).debug(
+        "closure from %s: %d states, %d monomial images memoised, %.3f s",
+        start, len(states), digit_step.memoised, time.perf_counter() - began)
+    return closure
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,8 @@ ZERO = PeriodicSeries((0,))
 
 
 def _column(value_fn, p: int) -> PeriodicSeries:
+    if p < 0:
+        raise ValueError("need p >= 0")
     window, candidate = engine.column_window(value_fn, p, 0)
     return PeriodicSeries(tuple(window[:candidate]))
 

@@ -112,6 +112,15 @@ def test_series_coeffs(capsys):
     assert (code, out) == (0, "1,1,1,1,0,0,2,2,2,2,0,0\n")
 
 
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+def test_series_negative_p_names_p(capsys, kind):
+    code = cli.main(["series", "--kind", kind, "-p", "-2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need p >= 0\n"
+
+
 def test_kernel_summary(capsys):
     code, out = run(capsys, "kernel", "--start", "gamma")
     assert code == 0
@@ -194,6 +203,19 @@ def test_verify_oracle_selection(capsys):
     code, out = run(capsys, "verify", "--oracle", "--n-max", "6", "--p-max", "6")
     assert code == 0
     assert out == "ok   oracle-equivalence: 1 <= n <= 6, 0 <= p <= 6, both families\n"
+
+
+@pytest.mark.parametrize("bounds, named", [
+    (("--n-max", "-1", "--p-max", "2"), "n_max >= 1, got -1"),
+    (("--n-max", "0", "--p-max", "2"), "n_max >= 1, got 0"),
+    (("--n-max", "3", "--p-max", "-1"), "p_max >= 0, got -1"),
+], ids=["n_max=-1", "n_max=0", "p_max=-1"])
+def test_verify_oracle_empty_window_is_usage_error(capsys, bounds, named):
+    code = cli.main(["verify", "--oracle", *bounds])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_verify_selection_is_deterministic(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import logging
 
 import pytest
 
@@ -92,6 +93,76 @@ def test_closure_witnesses_sample():
             for p in range(3):
                 assert evaluate_expr(state, n, p) == \
                     engine.gamma_mod3(step * n + r, step * p + s)
+
+
+def _reference_apply_t(i, j, expr):
+    """apply_t by term-by-term expansion: split every generator, multiply
+    the factors out with exponents capped, and collect like monomials."""
+
+    def mono_mul(m1, m2):
+        powers = {}
+        for g, e in m1 + m2:
+            powers[g] = powers.get(g, 0) + e
+        return tuple(sorted((g, kernel._cap_exponent(e)) for g, e in powers.items()))
+
+    def mul(terms1, terms2):
+        counter = {}
+        for m1, c1 in terms1:
+            for m2, c2 in terms2:
+                mono = mono_mul(m1, m2)
+                counter[mono] = counter.get(mono, 0) + c1 * c2
+        return list(counter.items())
+
+    out = {}
+    for mono, coeff in expr.terms:
+        prod = [((), 1)]
+        for gen, e in mono:
+            factor = kernel._split_generator(i, j, gen).terms
+            if e == 2:
+                factor = mul(factor, factor)
+            prod = mul(prod, factor)
+        for m, c in prod:
+            out[m] = out.get(m, 0) + c * coeff
+    return kernel._make_expr(out)
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_packed_step_matches_term_by_term_expansion(start):
+    states = kernel_closure(start).states
+    for idx in range(0, CLOSURE_STATES, 40):
+        for i, j in itertools.product(range(3), range(3)):
+            assert apply_t(i, j, states[idx]) == \
+                _reference_apply_t(i, j, states[idx]), (start, idx, i, j)
+
+
+# SHA-256 of the closure states printed one to a line in discovery order,
+# pinned from the term-by-term build: with TABLE_DIGESTS below this holds
+# the closure identical state for state.
+STATE_DIGESTS = {
+    "gamma": "0530b36b5b89a7d27854b5b0778847ea0a4291339582735d7ce65255277d1c08",
+    "delta": "1fa228658408dd7e2056fee47ed53060901279da4679fb4ba1a903f8bcb455c7",
+}
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_closure_state_digest(start):
+    text = "\n".join(str(s) for s in kernel_closure(start).states) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == STATE_DIGESTS[start]
+
+
+def test_closure_build_logs_one_debug_record(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="cantor_hankel.kernel")
+    # Past the per-process cache, so the build really runs.
+    kernel._closure_cached.__wrapped__("delta", 2000)
+    records = [r for r in caplog.records if r.name == "cantor_hankel.kernel"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    start, states, memoised, seconds = record.args
+    assert (start, states) == ("delta", CLOSURE_STATES)
+    assert memoised > 0 and seconds >= 0
+    assert "delta" in record.getMessage()
+    assert capsys.readouterr().out == ""
 
 
 def test_closure_cap_enforced():
