@@ -147,21 +147,12 @@ def closed_forms(n_max: int = 2000) -> CheckResult:
     return CheckResult(name, True, f"columns 0 and 1, n <= {n_max}")
 
 
-# The four printed column fractions: numerator coefficients and period.
-PRINTED_COLUMNS = {
-    ("gamma", 0): ((2, 1, 1, 2), 4),
-    ("gamma", 1): ((1, 0, 2, 0), 4),
-    ("delta", 0): ((1, 2, 2, 1), 4),
-    ("delta", 1): ((1, 0, 2, 0), 4),
-}
-
-
 def series_identities() -> CheckResult:
     """Printed fractions at p = 0, 1 and the column-2 reconstruction."""
     name = "series-identities"
-    for (kind, p), (coeffs, period) in sorted(PRINTED_COLUMNS.items()):
+    for (kind, p), coeffs in sorted(engine.PRINTED_COLUMNS.items()):
         built = series.series_gamma(p) if kind == "gamma" else series.series_delta(p)
-        if built.coeffs != coeffs or built.period != period:
+        if built.coeffs != coeffs:
             return CheckResult(
                 name, False, f"{kind} column {p} is {built.coeffs}, not {coeffs}")
     if series.assemble_gamma2() != series.series_gamma(2):
@@ -186,12 +177,12 @@ def period_bounds(k_values: tuple[int, ...] = (0, 1, 2)) -> CheckResult:
     return CheckResult(name, True, f"offset bands {bands}")
 
 
-def kernel_soundness(window: int = 8, cap: int | None = None) -> CheckResult:
+def kernel_soundness(window: int = 8) -> CheckResult:
     """Closure elements against the engine subsequences they stand for."""
     name = "kernel-soundness"
     sizes = {}
     for start, base in (("gamma", engine.gamma_mod3), ("delta", engine.delta_mod3)):
-        closure = kernel.kernel_closure(start, cap)
+        closure = kernel.kernel_closure(start)
         sizes[start] = len(closure.states)
         for state, (m, r, s) in zip(closure.states, closure.witnesses):
             step = 3 ** m

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 from .sequences import cantor_term, diff_term
 
-# Cells per call to grid(); guards against accidentally huge tables.
+# Cells per call to grid() or per column scan; guards against
+# accidentally huge tables.
 DEFAULT_GRID_CELL_CAP = 4_000_000
 
 
@@ -119,24 +120,28 @@ def delta_mod3(n: int, p: int) -> int:
     return _split("D", n, p)
 
 
-def closed_form_p0(n: int) -> tuple[int, int]:
-    """(gamma, delta) mod 3 in column p = 0, by residue of n mod 4.
+# The printed columns: one period of each column stream at p = 0 and
+# p = 1, read from n = 0.  As series they are numerator / (1 - x^4).
+PRINTED_COLUMNS: dict[tuple[str, int], tuple[int, ...]] = {
+    ("gamma", 0): (2, 1, 1, 2),
+    ("gamma", 1): (1, 0, 2, 0),
+    ("delta", 0): (1, 2, 2, 1),
+    ("delta", 1): (1, 0, 2, 0),
+}
 
-    Residues 1 and 2 give (1, 2); residues 3 and 0 give (2, 1).
-    """
+
+def closed_form_p0(n: int) -> tuple[int, int]:
+    """(gamma, delta) mod 3 in column p = 0: the printed columns at n mod 4."""
     if n < 1:
         raise ValueError("closed forms cover n >= 1")
-    return (1, 2) if n % 4 in (1, 2) else (2, 1)
+    return (PRINTED_COLUMNS["gamma", 0][n % 4], PRINTED_COLUMNS["delta", 0][n % 4])
 
 
 def closed_form_p1(n: int) -> int:
-    """The common value of gamma and delta mod 3 in column p = 1.
-
-    Zero for odd n, 2 for n = 2 mod 4, and 1 for n = 0 mod 4.
-    """
+    """The common value of gamma and delta mod 3 in column p = 1, at n mod 4."""
     if n < 1:
         raise ValueError("closed forms cover n >= 1")
-    return (1, 0, 2, 0)[n % 4]
+    return PRINTED_COLUMNS["gamma", 1][n % 4]
 
 
 def _table(kind: str):
@@ -158,9 +163,13 @@ def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
             for n in range(n_lo, n_hi + 1)]
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest prefix of coeffs whose repetition is coeffs."""
+    n = len(coeffs)
+    for t in range(1, n + 1):
+        if n % t == 0 and coeffs == coeffs[:t] * (n // t):
+            return coeffs[:t]
+    raise AssertionError("unreachable: the full tuple is its own period")
 
 
 def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
@@ -170,12 +179,18 @@ def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int]
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
     window.  Returns the window and the candidate once the window
     repeats with it; failure there would falsify the periodicity bound
-    and raises.
+    and raises.  A window of more than DEFAULT_GRID_CELL_CAP cells is
+    refused before any cell is computed, so without k_hint the largest
+    p scanned is 3**11.
     """
     k = k_hint
     while p > 3 ** (k + 1):
         k += 1
     candidate = 12 * 3 ** k
+    if 3 * candidate > DEFAULT_GRID_CELL_CAP:
+        raise ValueError(
+            f"column p = {p} needs a scan of {3 * candidate} cells, over the "
+            f"cap {DEFAULT_GRID_CELL_CAP}")
     window = [value(n, p) for n in range(first, first + 3 * candidate)]
     if any(window[i] != window[i + candidate] for i in range(2 * candidate)):
         raise RuntimeError(
@@ -192,10 +207,7 @@ def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
     if p < 0 or k_hint < 0:
         raise ValueError("need p >= 0 and k_hint >= 0")
     window, candidate = column_window(_table(kind), p, 1, k_hint)
-    for t in _divisors(candidate):
-        if all(window[i] == window[i + t] for i in range(len(window) - t)):
-            return t
-    raise AssertionError("unreachable: candidate itself is a period")
+    return len(minimal_period(tuple(window[:candidate])))
 
 
 def clear_caches() -> None:

@@ -409,10 +409,10 @@ class Dfao2D:
         return self.outputs[state]
 
 
-def build_dfao(start: str = "gamma", cap: int | None = None) -> Dfao2D:
+def build_dfao(start: str = "gamma") -> Dfao2D:
     """Automaton whose state set is the digit-step closure and whose
     outputs are the state polynomials evaluated at (0, 0)."""
-    closure = kernel_closure(start, cap)
+    closure = kernel_closure(start)
     outputs = tuple(evaluate_expr(e, 0, 0) for e in closure.states)
     return Dfao2D(0, outputs, closure.transitions, closure.states)
 

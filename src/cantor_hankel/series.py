@@ -22,14 +22,6 @@ from math import lcm
 from . import engine
 
 
-def _minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(coeffs)
-    for t in range(1, n + 1):
-        if n % t == 0 and coeffs == coeffs[:t] * (n // t):
-            return coeffs[:t]
-    raise AssertionError("unreachable: the full tuple is its own period")
-
-
 @dataclass(frozen=True)
 class PeriodicSeries:
     """One minimal period of a purely periodic GF(3) coefficient stream."""
@@ -41,11 +33,7 @@ class PeriodicSeries:
             raise ValueError("a periodic stream needs at least one coefficient")
         if any(c not in (0, 1, 2) for c in self.coeffs):
             raise ValueError("coefficients must be mod-3 residues")
-        object.__setattr__(self, "coeffs", _minimal_period(tuple(self.coeffs)))
-
-    @classmethod
-    def constant(cls, value: int) -> "PeriodicSeries":
-        return cls((value,))
+        object.__setattr__(self, "coeffs", engine.minimal_period(tuple(self.coeffs)))
 
     @property
     def period(self) -> int:
@@ -170,44 +158,42 @@ def series_delta(p: int) -> PeriodicSeries:
     return _column(engine.delta_mod3, p)
 
 
-def _product(*factors: PeriodicSeries) -> PeriodicSeries:
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.hadamard(f)
-    return out
+def _reassemble(stream: str, p: int) -> PeriodicSeries:
+    """Column p of stream "G" or "D" rebuilt by its splitting identities.
+
+    With p = 3q + j, branch i is the column read at n = 3m + i as a
+    series in m.  Each term of SPLIT_RULES[i, j, stream] contributes its
+    sign stream times the Hadamard product of its factors: column q + b
+    read from row m + a (a = -1 prepends the boundary row of delta) and
+    raised to its exponent.  The three branches are interleaved.
+    """
+    q, j = divmod(p, 3)
+    branches = []
+    for i in range(3):
+        branch = ZERO
+        for shift, factors in engine.SPLIT_RULES[i, j, stream]:
+            term = SIGNS_ODD if shift % 2 else SIGNS_EVEN
+            for sym, a, b, e in factors:
+                column = (series_gamma if sym == "G" else series_delta)(q + b)
+                if a < 0:
+                    column = column.shift_bar(engine.delta_mod3(-1, q + b))
+                else:
+                    column = column.shift_hat(a)
+                for _ in range(e):
+                    term = term.hadamard(column)
+            branch = branch + term
+        branches.append(branch)
+    return interleave3(*branches)
 
 
 def assemble_gamma2() -> PeriodicSeries:
     """Rebuild the gamma column at p = 2 from columns at p = 0 and 1.
 
-    The three residue classes of n feed three branch streams (products
-    of lower columns against sign streams, via the splitting
-    identities), each branch is cubed by transporting x -> x^3, and the
-    results are interleaved.  Equality with series_gamma(2) is what the
-    verification suite checks.
+    Equality with series_gamma(2) is what the verification suite checks.
     """
-    f0, f1 = series_gamma(0), series_gamma(1)
-    g0, g1 = series_delta(0), series_delta(1)
-    f0_next = f0.shift_hat(1)
-    f1_next = f1.shift_hat(1)
-    g1_prev = g1.shift_bar(engine.delta_mod3(-1, 1))
-    branch0 = _product(SIGNS_EVEN, f1, f1, g0)
-    branch1 = (_product(SIGNS_EVEN, f1, f0_next, g1)
-               + _product(SIGNS_ODD, f0_next, f1_next, g1_prev))
-    branch2 = _product(SIGNS_ODD, f1_next, f1_next, g0)
-    return interleave3(branch0, branch1, branch2)
+    return _reassemble("G", 2)
 
 
 def assemble_delta2() -> PeriodicSeries:
     """Rebuild the delta column at p = 2 from columns at p = 0 and 1."""
-    f0, f1 = series_gamma(0), series_gamma(1)
-    g0, g1 = series_delta(0), series_delta(1)
-    f0_next = f0.shift_hat(1)
-    f0_next2 = f0.shift_hat(2)
-    f1_next = f1.shift_hat(1)
-    g1_prev = g1.shift_bar(engine.delta_mod3(-1, 1))
-    branch0 = (_product(SIGNS_EVEN, f1, g0, g1)
-               + _product(SIGNS_ODD, f1_next, g0, g1_prev))
-    branch1 = _product(SIGNS_EVEN, f0_next, g1, g1)
-    branch2 = _product(SIGNS_EVEN, f0_next2, g1, g1)
-    return interleave3(branch0, branch1, branch2)
+    return _reassemble("D", 2)

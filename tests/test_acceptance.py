@@ -7,6 +7,7 @@ tests cover the same ground on smaller windows.
 """
 
 import math
+from pathlib import Path
 
 from cantor_hankel import checks, cli, series
 from cantor_hankel.hankel import det_mod3, hankel_matrix
@@ -125,4 +126,6 @@ def test_criterion_10_verify_determinism(capsys):
     assert first_code == 0 and second_code == 0
     assert first == second
     assert len(first.splitlines()) == 11
-    print("ok   two verify runs byte-identical")
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
+    assert first == expected.read_text()
+    print("ok   two verify runs byte-identical and equal to the expected report")

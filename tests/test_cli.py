@@ -121,6 +121,16 @@ def test_series_negative_p_names_p(capsys, kind):
     assert captured.err == "error: need p >= 0\n"
 
 
+@pytest.mark.parametrize("command", ["period", "series"])
+@pytest.mark.parametrize("p", [3 ** 11 + 1, 3 ** 40])
+def test_column_scan_over_the_cap_names_p(capsys, command, p):
+    code = cli.main([command, "-p", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: column p = {p} needs a scan of ")
+
+
 def test_kernel_summary(capsys):
     code, out = run(capsys, "kernel", "--start", "gamma")
     assert code == 0

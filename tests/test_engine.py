@@ -119,6 +119,17 @@ def test_column_period_is_a_period():
             assert engine.gamma_mod3(n, p) == engine.gamma_mod3(n + t, p)
 
 
+def test_column_window_refuses_before_computing_a_cell():
+    def value(n, p):
+        raise AssertionError("a cell was computed")
+    with pytest.raises(ValueError, match="p = 177148"):
+        engine.column_window(value, 3 ** 11 + 1, 0)
+    with pytest.raises(ValueError, match=f"p = {3 ** 40}"):
+        engine.column_window(value, 3 ** 40, 1)
+    with pytest.raises(ValueError, match="p = 2"):
+        engine.column_window(value, 2, 1, k_hint=11)
+
+
 def test_grid_shape_and_cap():
     rows = engine.grid(1, 3, 0, 4)
     assert len(rows) == 3 and all(len(r) == 5 for r in rows)

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from cantor_hankel import engine
 from cantor_hankel.hankel import det_mod3, hankel_matrix
-from cantor_hankel.series import (ALL_ONES, PeriodicSeries, assemble_delta2,
-                                  assemble_gamma2, interleave3, series_delta,
-                                  series_gamma)
+from cantor_hankel.series import (ALL_ONES, PeriodicSeries, _reassemble,
+                                  assemble_delta2, assemble_gamma2, interleave3,
+                                  series_delta, series_gamma)
 
 st_series = st.lists(st.integers(min_value=0, max_value=2),
                      min_size=1, max_size=9).map(
@@ -130,3 +130,14 @@ def test_column2_delta_certificates():
 def test_column2_reassembly():
     assert assemble_gamma2() == series_gamma(2)
     assert assemble_delta2() == series_delta(2)
+
+
+@pytest.mark.parametrize("stream,kind,scan", [("G", "gamma", series_gamma),
+                                              ("D", "delta", series_delta)])
+def test_table_driven_reassembly_beyond_column2(stream, kind, scan):
+    """Every column p <= 40 rebuilt from SPLIT_RULES equals its scan, and
+    the scan's period (n >= 0) is the engine's minimal period (n >= 1)."""
+    for p in range(41):
+        built = scan(p)
+        assert _reassemble(stream, p) == built, p
+        assert engine.column_period(p, kind=kind) == built.period, p
