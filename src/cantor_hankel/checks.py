@@ -77,25 +77,19 @@ def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 
 
-def _rule_value(expr: kernel.KernelExpr, n: int, p: int,
+def _rule_value(rule: engine.Rule, n: int, p: int,
                 cache: _DetCache, exact: bool) -> int:
     """Evaluate a splitting identity's right side with oracle determinants.
 
-    With exact=True the F generators contribute literal signs and the
-    result is an integer; otherwise everything is reduced mod 3.
+    With exact=True each term's sign (-1)**(n + shift) is a literal sign
+    and the result is an integer; otherwise everything is reduced mod 3.
     """
     total = 0
-    for mono, coeff in expr.terms:
-        if exact and coeff != 1:
-            raise AssertionError("splitting identities carry unit coefficients")
-        value = coeff
-        for (sym, a, b), e in mono:
-            if sym == "F":
-                base = 1 if (n + a) % 2 == 0 else (-1 if exact else 2)
-            else:
-                kind = "gamma" if sym == "G" else "delta"
-                base = cache.get(kind, p + b, n + a, exact)
-            value *= base ** e
+    for shift, factors in rule:
+        value = 1 if (n + shift) % 2 == 0 else (-1 if exact else 2)
+        for sym, a, b, e in factors:
+            kind = "gamma" if sym == "G" else "delta"
+            value *= cache.get(kind, p + b, n + a, exact) ** e
         total += value
     return total if exact else total % 3
 
@@ -105,7 +99,7 @@ def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
     """The nine splitting identities of one stream against the oracle."""
     name = "splitting-identities-" + ("exact" if exact else "mod3")
     kind = "gamma" if stream == "G" else "delta"
-    rules = [(i, j, rule) for (i, j, sym), rule in sorted(kernel.SPLIT_RULES.items())
+    rules = [(i, j, rule) for (i, j, sym), rule in sorted(engine.SPLIT_RULES.items())
              if sym == stream]
     cache = _DetCache()
     for n in range(n_lo, n_hi + 1):

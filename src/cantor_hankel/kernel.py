@@ -16,8 +16,9 @@ apply_t(i, j, e) rewrites "evaluate e at (3n + i, 3p + j)" as another
 polynomial in shifted streams, using the eighteen splitting identities
 for G and D plus a composition table that commutes a pending shift
 through the index splitting.  Monomial exponents are capped with
-x**3 = x, which every GF(3)-valued stream satisfies pointwise.  The
-arithmetic runs on packed monomials, two bitmasks over the generators.
+x**3 = x, which every GF(3)-valued stream satisfies pointwise.  Every
+polynomial, closure states included, is held packed: each monomial is
+two bitmasks over the generators.
 
 Iterating apply_t from a single stream and collecting distinct normal
 forms gives a finite closure: the states of a deterministic automaton
@@ -31,14 +32,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import engine
 
 Generator = tuple[str, int, int]
 Monomial = tuple[tuple[Generator, int], ...]
-Terms = tuple[tuple[Monomial, int], ...]
 
 # Largest closure the breadth-first search will accept before giving up.
 DEFAULT_STATE_CAP = 1_000_000
@@ -66,110 +66,6 @@ def _norm_generator(sym: str, a: int, b: int) -> Generator:
     if not (-1 <= a <= 2 and 0 <= b <= 2):
         raise ValueError(f"shift ({a}, {b}) leaves the closed generator family")
     return (sym, a, b)
-
-
-def _cap_exponent(e: int) -> int:
-    # x**3 = x pointwise for GF(3) values, so exponents live in {1, 2}.
-    return e if e <= 2 else 2 - (e % 2)
-
-
-@dataclass(frozen=True)
-class KernelExpr:
-    """Canonical polynomial over shifted streams; hashable, so usable as
-    an automaton state."""
-
-    terms: Terms
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def gen_str(g: Generator, e: int) -> str:
-            sym, a, b = g
-            core = sym if (a, b) == (0, 0) else f"S[{a},{b}]{sym}"
-            return core if e == 1 else f"{core}^{e}"
-
-        parts = []
-        for mono, coeff in self.terms:
-            body = "*".join(gen_str(g, e) for g, e in mono) or "1"
-            parts.append(body if coeff == 1 else f"{coeff}*{body}")
-        return " + ".join(parts)
-
-
-def _make_expr(counter: dict[Monomial, int]) -> KernelExpr:
-    return KernelExpr(tuple(sorted(
-        (mono, c % 3) for mono, c in counter.items() if c % 3)))
-
-
-def generator_expr(sym: str, a: int = 0, b: int = 0) -> KernelExpr:
-    mono: Monomial = ((_norm_generator(sym, a, b), 1),)
-    return KernelExpr(((mono, 1),))
-
-
-GAMMA = generator_expr("G")
-DELTA = generator_expr("D")
-
-
-def _rule_expr(rule: engine.Rule) -> KernelExpr:
-    # Signs ride along as F factors, so every monomial has coefficient 1.
-    counter: dict[Monomial, int] = {}
-    for shift, factors in rule:
-        mono = tuple(sorted([(_norm_generator("F", shift, 0), 1)] + [
-            (_norm_generator(sym, a, b), e) for sym, a, b, e in factors]))
-        counter[mono] = counter.get(mono, 0) + 1
-    return _make_expr(counter)
-
-
-# The eighteen splitting identities of engine.SPLIT_RULES as polynomials:
-# the stream at (3n + i, 3p + j) equals SPLIT_RULES[i, j, stream] at (n, p).
-SPLIT_RULES: dict[tuple[int, int, str], KernelExpr] = {
-    key: _rule_expr(rule) for key, rule in engine.SPLIT_RULES.items()}
-
-
-def apply_s(a: int, b: int, expr: KernelExpr) -> KernelExpr:
-    """Shift every generator by (a, b): reading the expression at
-    (n + a, p + b) instead of (n, p)."""
-    counter: dict[Monomial, int] = {}
-    for mono, coeff in expr.terms:
-        powers: dict[Generator, int] = {}
-        for (sym, ga, gb), e in mono:
-            g = _norm_generator(sym, ga + a, gb + b)
-            powers[g] = powers.get(g, 0) + e
-        shifted = tuple(sorted((g, _cap_exponent(e)) for g, e in powers.items()))
-        counter[shifted] = counter.get(shifted, 0) + coeff
-    return _make_expr(counter)
-
-
-def _split_generator(i: int, j: int, gen: Generator) -> KernelExpr:
-    """Rewrite one generator read at (3n + i, 3p + j) over (n, p).
-
-    Composing the split with the generator's own shift (a, b) first
-    normalizes to an outer shift and an inner split with digits in
-    range, then expands the inner split through SPLIT_RULES.
-    """
-    sym, a, b = gen
-    row = i + a
-    col = j + b
-    inner_col = col if col <= 2 else col - 3
-    outer_b = 0 if col <= 2 else 1
-    if row == -1:
-        outer_a, inner_row = -1, 2
-    elif row <= 2:
-        outer_a, inner_row = 0, row
-    else:
-        outer_a, inner_row = 1, row - 3
-    if sym == "F":
-        # Splitting n -> 3n + digit keeps parity for digits 0 and 2 and
-        # flips it for 1; the outer shift then adds its own parity.
-        parity = (inner_row % 2 + outer_a) % 2
-        return generator_expr("F", parity, 0)
-    base = SPLIT_RULES[inner_row, inner_col, sym]
-    if (outer_a, outer_b) == (0, 0):
-        return base
-    return apply_s(outer_a, outer_b, base)
-
-
-_DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
 
 
 # Packed polynomials.  The 26 generators, in sorted order, number the
@@ -209,21 +105,115 @@ def _poly_mul(p: Packed, q: Packed) -> Packed:
     return _reduce(counter)
 
 
-def _pack(expr: KernelExpr) -> Packed:
+def _generator_of(bit: int) -> tuple[Generator, int]:
+    """The generator behind a one-bit monomial, and its exponent."""
+    high, k = divmod(bit.bit_length() - 1, _WIDTH)
+    return _GENERATORS[k], high + 1
+
+
+@dataclass(frozen=True)
+class KernelExpr:
+    """Canonical polynomial over shifted streams, held packed; hashable,
+    so usable as an automaton state."""
+
+    poly: Packed
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, int], ...]:
+        """The polynomial as sorted ((generator, exponent), ...) monomials
+        with their coefficients."""
+        return tuple(sorted(
+            (tuple((g, 1 if key >> k & 1 else 2) for k, g in enumerate(_GENERATORS)
+                   if key >> k & 1 or key >> (k + _WIDTH) & 1), coeff)
+            for key, coeff in self.poly))
+
+    def __str__(self) -> str:
+        def gen_str(g: Generator, e: int) -> str:
+            sym, a, b = g
+            core = sym if (a, b) == (0, 0) else f"S[{a},{b}]{sym}"
+            return core if e == 1 else f"{core}^{e}"
+
+        parts = []
+        for mono, coeff in self.terms:
+            body = "*".join(gen_str(g, e) for g, e in mono) or "1"
+            parts.append(body if coeff == 1 else f"{coeff}*{body}")
+        return " + ".join(parts) or "0"
+
+
+def generator_expr(sym: str, a: int = 0, b: int = 0) -> KernelExpr:
+    return KernelExpr(((1 << _BIT[_norm_generator(sym, a, b)], 1),))
+
+
+GAMMA = generator_expr("G")
+DELTA = generator_expr("D")
+
+
+def _rule_expr(rule: engine.Rule) -> KernelExpr:
+    # Signs ride along as F factors, so every monomial has coefficient 1.
     counter: dict[int, int] = {}
-    for mono, coeff in expr.terms:
-        key = 0
-        for g, e in mono:
-            key = _mono_product(key, 1 << (_BIT[g] + (_cap_exponent(e) - 1) * _WIDTH))
-        counter[key] = counter.get(key, 0) + coeff
-    return _reduce(counter)
+    for shift, factors in rule:
+        key = 1 << _BIT[_norm_generator("F", shift, 0)]
+        for sym, a, b, e in factors:
+            bit = 1 << _BIT[_norm_generator(sym, a, b)]
+            for _ in range(e):
+                key = _mono_product(key, bit)
+        counter[key] = counter.get(key, 0) + 1
+    return KernelExpr(_reduce(counter))
 
 
-def _unpack(poly: Packed) -> KernelExpr:
-    return KernelExpr(tuple(sorted(
-        (tuple((g, 1 if key >> k & 1 else 2) for k, g in enumerate(_GENERATORS)
-               if key >> k & 1 or key >> (k + _WIDTH) & 1), coeff)
-        for key, coeff in poly)))
+# The eighteen splitting identities of engine.SPLIT_RULES as polynomials:
+# the stream at (3n + i, 3p + j) equals SPLIT_RULES[i, j, stream] at (n, p).
+SPLIT_RULES: dict[tuple[int, int, str], KernelExpr] = {
+    key: _rule_expr(rule) for key, rule in engine.SPLIT_RULES.items()}
+
+
+def _shift(a: int, b: int, poly: Packed) -> Packed:
+    """Shift every generator by (a, b): reading the polynomial at
+    (n + a, p + b) instead of (n, p).  A shift maps generators one to
+    one, so relabelling the bits merges no two monomials."""
+    moved = []
+    for key, coeff in poly:
+        out = 0
+        rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            (sym, ga, gb), e = _generator_of(bit)
+            out |= 1 << (_BIT[_norm_generator(sym, ga + a, gb + b)] + (e - 1) * _WIDTH)
+        moved.append((out, coeff))
+    return tuple(sorted(moved))
+
+
+def _split_generator(i: int, j: int, gen: Generator) -> Packed:
+    """Rewrite one generator read at (3n + i, 3p + j) over (n, p).
+
+    Composing the split with the generator's own shift (a, b) first
+    normalizes to an outer shift and an inner split with digits in
+    range, then expands the inner split through SPLIT_RULES.
+    """
+    sym, a, b = gen
+    row = i + a
+    col = j + b
+    inner_col = col if col <= 2 else col - 3
+    outer_b = 0 if col <= 2 else 1
+    if row == -1:
+        outer_a, inner_row = -1, 2
+    elif row <= 2:
+        outer_a, inner_row = 0, row
+    else:
+        outer_a, inner_row = 1, row - 3
+    if sym == "F":
+        # Splitting n -> 3n + digit keeps parity for digits 0 and 2 and
+        # flips it for 1; the outer shift then adds its own parity.
+        parity = (inner_row % 2 + outer_a) % 2
+        return generator_expr("F", parity, 0).poly
+    base = SPLIT_RULES[inner_row, inner_col, sym].poly
+    if (outer_a, outer_b) == (0, 0):
+        return base
+    return _shift(outer_a, outer_b, base)
+
+
+_DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
 
 
 class _DigitStep:
@@ -249,7 +239,7 @@ class _DigitStep:
         if image is None:
             if bit <= _LOW:
                 i, j = _DIGIT_PAIRS[d]
-                image = _pack(_split_generator(i, j, _GENERATORS[bit.bit_length() - 1]))
+                image = _split_generator(i, j, _GENERATORS[bit.bit_length() - 1])
             else:
                 root = self._factor(d, bit >> _WIDTH)
                 image = _poly_mul(root, root)
@@ -282,26 +272,37 @@ def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     """The digit step: rewrite expr read at (3n + i, 3p + j) over (n, p)."""
     if not (0 <= i <= 2 and 0 <= j <= 2):
         raise ValueError("digits must lie in {0, 1, 2}")
-    return _unpack(_DigitStep().step(3 * i + j, _pack(expr)))
+    return KernelExpr(_DigitStep().step(3 * i + j, expr.poly))
 
 
 def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
-    """Value of the polynomial at (n, p), mod 3."""
+    """Value of the polynomial at (n, p), mod 3.
 
-    def gen_value(gen: Generator) -> int:
-        sym, a, b = gen
-        if sym == "F":
-            return 1 if (n + a) % 2 == 0 else 2
-        if sym == "G":
-            return engine.gamma_mod3(n + a, p + b)
-        return engine.delta_mod3(n + a, p + b)
-
+    Each generator power is read once per call, keyed by its bit, and a
+    monomial stops at its first zero factor.
+    """
+    powers: dict[int, int] = {}
     total = 0
-    for mono, coeff in expr.terms:
+    for key, coeff in expr.poly:
         value = coeff
-        for gen, e in mono:
-            value = value * gen_value(gen) ** e % 3
-        total += value
+        rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            power = powers.get(bit)
+            if power is None:
+                (sym, a, b), e = _generator_of(bit)
+                if sym == "F":
+                    base = 1 if (n + a) % 2 == 0 else 2
+                else:
+                    value_at = engine.gamma_mod3 if sym == "G" else engine.delta_mod3
+                    base = value_at(n + a, p + b)
+                power = powers[bit] = base ** e % 3
+            if not power:
+                break
+            value *= power
+        else:
+            total += value
     return total % 3
 
 
@@ -342,9 +343,8 @@ def _closure_cached(start: str, cap: int) -> Closure:
         raise ValueError(f"unknown start stream {start!r}")
     began = time.perf_counter()
     digit_step = _DigitStep()
-    packed_root = _pack(root)
-    index: dict[Packed, int] = {packed_root: 0}
-    states = [packed_root]
+    index: dict[Packed, int] = {root.poly: 0}
+    states = [root.poly]
     witnesses = [(0, 0, 0)]
     rows: list[tuple[int, ...]] = []
     frontier = 0
@@ -365,7 +365,7 @@ def _closure_cached(start: str, cap: int) -> Closure:
             row.append(k)
         rows.append(tuple(row))
         frontier += 1
-    closure = Closure(root, tuple(_unpack(state) for state in states),
+    closure = Closure(root, tuple(KernelExpr(state) for state in states),
                       tuple(witnesses), tuple(rows))
     # Imported here: logging adds about 5 ms to importing the package,
     # and only a build writes a record.
@@ -382,14 +382,12 @@ class Dfao2D:
 
     evaluate(n, p) feeds the digits of n and p least significant first
     (the shorter number padded with zeros) and returns the output of
-    the final state.  Equality ignores the optional symbolic state
-    annotations, so a parsed export compares equal to its source.
+    the final state.  A parsed export compares equal to its source.
     """
 
     start: int
     outputs: tuple[int, ...]
     transitions: tuple[tuple[int, ...], ...]
-    exprs: tuple[KernelExpr, ...] | None = field(default=None, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -414,7 +412,7 @@ def build_dfao(start: str = "gamma") -> Dfao2D:
     outputs are the state polynomials evaluated at (0, 0)."""
     closure = kernel_closure(start)
     outputs = tuple(evaluate_expr(e, 0, 0) for e in closure.states)
-    return Dfao2D(0, outputs, closure.transitions, closure.states)
+    return Dfao2D(0, outputs, closure.transitions)
 
 
 def export_dfao(dfao: Dfao2D, fmt: str = "table") -> str:
@@ -445,8 +443,7 @@ def export_dfao(dfao: Dfao2D, fmt: str = "table") -> str:
 
 
 def parse_dfao_table(text: str) -> Dfao2D:
-    """Inverse of export_dfao(..., "table"); symbolic annotations are not
-    serialized, so the result carries none."""
+    """Inverse of export_dfao(..., "table")."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["dfao2d", "base3", "lsd-first"]:
         raise ValueError("not a dfao2d table export")
@@ -497,12 +494,11 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
 
     States are pairs (2-D state, digits of n consumed so far); once the
     digits of n are exhausted the n-track pads with zeros, so the
-    second component saturates.  The output of a pair must be the value
-    with the unconsumed part of n still applied, which needs the
-    symbolic states, hence build_dfao input (not a parsed export).
+    second component saturates.  The output of a pair is the state's
+    value at (n // 3**consumed, 0): the automaton run from the state over
+    the unconsumed digits of n, each paired with 0.  Only the automaton
+    is read, so a parsed export projects too.
     """
-    if dfao.exprs is None:
-        raise ValueError("projection needs the symbolic state annotations")
     if n < 0:
         raise ValueError("need n >= 0")
     digits = []
@@ -533,7 +529,9 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
         rows.append(tuple(
             intern((dfao.step(state, dn, dp), nxt_consumed)) for dp in range(3)))
         frontier += 1
-    outputs = tuple(
-        evaluate_expr(dfao.exprs[state], n // 3 ** consumed, 0)
-        for state, consumed in pairs)
-    return Dfao1D(0, outputs, tuple(rows))
+    outputs = []
+    for state, consumed in pairs:
+        for dn in digits[consumed:]:
+            state = dfao.step(state, dn, 0)
+        outputs.append(dfao.outputs[state])
+    return Dfao1D(0, tuple(outputs), tuple(rows))

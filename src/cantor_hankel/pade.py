@@ -282,6 +282,9 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     """
     if b < 2:
         raise ValueError("base must be at least 2")
+    # No order at all would be an empty, vacuous report.
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     out: list[ApproximationExponent] = []
     seen: dict[Fraction, int] = {}
     x = Fraction(1, b)

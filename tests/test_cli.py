@@ -203,6 +203,15 @@ def test_irr_json(capsys):
     assert rows[1]["q"] == 3
 
 
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_irr_empty_window_is_usage_error(capsys, n_max):
+    code = cli.main(["irr", "-b", "2", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"max_order must be at least 1, got {n_max}" in captured.err
+
+
 def test_eta(capsys):
     code, out = run(capsys, "eta", "-b", "2", "--depth", "20")
     assert code == 0

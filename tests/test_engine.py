@@ -2,7 +2,6 @@ import pytest
 
 from cantor_hankel import checks, engine
 from cantor_hankel.hankel import det_mod3, hankel_matrix
-from cantor_hankel.kernel import SPLIT_RULES, KernelExpr
 from cantor_hankel.sequences import cantor_term, diff_term
 
 
@@ -66,22 +65,19 @@ def test_closed_form_pattern_literals():
     assert [engine.closed_form_p1(n) for n in (1, 2, 3, 4)] == [0, 2, 0, 1]
 
 
-def _variant_second_factor(rule: KernelExpr) -> KernelExpr:
+def _variant_second_factor(rule: engine.Rule) -> engine.Rule:
     """The same splitting rule with the squared factor read one index up."""
-    terms = []
-    for mono, coeff in rule.terms:
-        new_mono = tuple(
-            ((("G", 2, 0), e) if gen == ("G", 1, 0) and e == 2 else (gen, e))
-            for gen, e in mono)
-        terms.append((new_mono, coeff))
-    return KernelExpr(tuple(terms))
+    return tuple(
+        (shift, tuple(("G", 2, 0, 2) if factor == ("G", 1, 0, 2) else factor
+                      for factor in factors))
+        for shift, factors in rule)
 
 
 def test_split_rule_variant_adjudication():
     """Two near-identical readings of one splitting rule differ in whether
     the squared factor sits at index m+1 or m+2; only the first survives
     against the determinant oracle."""
-    rule = SPLIT_RULES[(1, 0, "G")]
+    rule = engine.SPLIT_RULES[(1, 0, "G")]
     variant = _variant_second_factor(rule)
     assert variant != rule
     cache = checks._DetCache()

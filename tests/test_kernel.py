@@ -27,11 +27,22 @@ def test_generator_bounds():
 
 
 def test_exponent_cap_is_odd_even_folding():
-    # x**3 = x over GF(3), so exponents fold to parity above 2.
-    assert [kernel._cap_exponent(e) for e in range(1, 7)] == [1, 2, 1, 2, 1, 2]
+    # x**3 = x over GF(3), so exponents fold to parity above 2: a power
+    # of a generator bit x is x itself when odd and x's square bit,
+    # x << _WIDTH, when even.
+    for k in range(kernel._WIDTH):
+        x = 1 << k
+        powers = [x]
+        for _ in range(5):
+            powers.append(kernel._mono_product(powers[-1], x))
+        assert powers[2] == powers[4] == x
+        assert powers[1] == powers[3] == powers[5] == x << kernel._WIDTH
+        # x**4 also as the square of x**2, which reads the high mask.
+        assert kernel._mono_product(powers[1], powers[1]) == powers[3]
     for v in (0, 1, 2):
         for e in range(1, 7):
-            assert v ** e % 3 == v ** kernel._cap_exponent(e) % 3
+            folded = 1 if e % 2 else 2
+            assert v ** e % 3 == v ** folded % 3
 
 
 def test_split_rules_cover_all_targets():
@@ -42,7 +53,7 @@ def test_split_rules_cover_all_targets():
 
 def test_split_rules_against_oracle():
     cache = _DetCache()
-    for (i, j, sym), rule in SPLIT_RULES.items():
+    for (i, j, sym), rule in engine.SPLIT_RULES.items():
         kind, exact = ("gamma", True) if sym == "G" else ("delta", False)
         for n in range(2, 5):
             for p in range(6):
@@ -103,7 +114,8 @@ def _reference_apply_t(i, j, expr):
         powers = {}
         for g, e in m1 + m2:
             powers[g] = powers.get(g, 0) + e
-        return tuple(sorted((g, kernel._cap_exponent(e)) for g, e in powers.items()))
+        # x**3 = x: exponents above 2 fold to 1 when odd, 2 when even.
+        return tuple(sorted((g, e if e <= 2 else 2 - e % 2) for g, e in powers.items()))
 
     def mul(terms1, terms2):
         counter = {}
@@ -117,13 +129,13 @@ def _reference_apply_t(i, j, expr):
     for mono, coeff in expr.terms:
         prod = [((), 1)]
         for gen, e in mono:
-            factor = kernel._split_generator(i, j, gen).terms
+            factor = kernel.KernelExpr(kernel._split_generator(i, j, gen)).terms
             if e == 2:
                 factor = mul(factor, factor)
             prod = mul(prod, factor)
         for m, c in prod:
             out[m] = out.get(m, 0) + c * coeff
-    return kernel._make_expr(out)
+    return tuple(sorted((m, c % 3) for m, c in out.items() if c % 3))
 
 
 @pytest.mark.parametrize("start", ["gamma", "delta"])
@@ -131,7 +143,7 @@ def test_packed_step_matches_term_by_term_expansion(start):
     states = kernel_closure(start).states
     for idx in range(0, CLOSURE_STATES, 40):
         for i, j in itertools.product(range(3), range(3)):
-            assert apply_t(i, j, states[idx]) == \
+            assert apply_t(i, j, states[idx]).terms == \
                 _reference_apply_t(i, j, states[idx]), (start, idx, i, j)
 
 
@@ -232,3 +244,16 @@ def test_projected_row_automaton():
         row = project_row(dfao, n)
         for p in range(41):
             assert row.evaluate(p) == engine.gamma_mod3(n, p)
+
+
+@pytest.mark.parametrize("start, base", [("gamma", engine.gamma_mod3),
+                                         ("delta", engine.delta_mod3)],
+                         ids=["gamma", "delta"])
+def test_projected_row_from_parsed_export(start, base):
+    # A parsed export carries no symbolic states: the projection runs on
+    # the automaton alone.
+    parsed = parse_dfao_table(export_dfao(build_dfao(start), "table"))
+    for n in (0, 1, 2, 5, 13, 40, 81, 100, 242):
+        row = project_row(parsed, n)
+        for p in range(41):
+            assert row.evaluate(p) == base(n, p), (start, n, p)

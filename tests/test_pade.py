@@ -119,6 +119,13 @@ def test_irrationality_estimates_base2():
         assert row.exponent_hi - row.exponent_lo < 0.01
 
 
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_irrationality_estimates_rejects_empty_window(max_order):
+    # No order would make an empty report, not a passing one.
+    with pytest.raises(ValueError, match=f"max_order must be at least 1, got {max_order}"):
+        irrationality_estimates(2, max_order)
+
+
 def test_irrationality_known_windows():
     rows = irrationality_estimates(2, 3)
     assert rows[1].exponent_lo <= 2.50502 <= rows[1].exponent_hi
