@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import checks, engine, kernel, series
 from .hankel import det_exact, det_mod3, hankel_matrix
@@ -164,9 +165,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     windows = {"oracle_equivalence": (args.n_max, args.p_max)}
     all_ok = True
     for name in selected or VERIFY_ORDER:
+        began = time.perf_counter()
         for result in checks.run_group(name, windows):
             print(result.line())
+            if args.timings:
+                print(f"timing {result.name} {time.perf_counter() - began:.3f} s",
+                      file=sys.stderr)
             all_ok = all_ok and result.ok
+            began = time.perf_counter()
     return 0 if all_ok else 1
 
 
@@ -263,6 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"oracle sweep row bound (default {n_max})")
     p.add_argument("--p-max", type=int, default=p_max,
                    help=f"oracle sweep column bound (default {p_max})")
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's wall time to stderr")
     p.set_defaults(func=_cmd_verify)
 
     return parser

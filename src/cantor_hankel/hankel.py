@@ -23,6 +23,11 @@ import numpy as np
 
 from .sequences import cantor_term, diff_term
 
+# Largest order hankel_matrix builds, a bound on the cubic elimination
+# that follows (det_mod3 takes about 0.5 s at order 500 on a 2-core VM);
+# the package's own callers stay at or below order 150.
+MAX_HANKEL_ORDER = 500
+
 
 def _term(kind: str, i: int) -> int:
     if kind == "gamma":
@@ -110,6 +115,8 @@ def hankel_matrix(kind: str, p: int, n: int) -> IntMatrix:
     """
     if p < 0 or n < 0:
         raise ValueError("offset and order must be nonnegative")
+    if n > MAX_HANKEL_ORDER:
+        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
     return IntMatrix.from_fn(n, n, lambda i, j: _term(kind, p + i + j))
 
 

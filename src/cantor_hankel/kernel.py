@@ -32,8 +32,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import engine
 
@@ -275,35 +278,54 @@ def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     return KernelExpr(_DigitStep().step(3 * i + j, expr.poly))
 
 
-def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
-    """Value of the polynomial at (n, p), mod 3.
+def _generator_value(gen: Generator, n: int, p: int) -> int:
+    sym, a, b = gen
+    if sym == "F":
+        return 1 if (n + a) % 2 == 0 else 2
+    return (engine.gamma_mod3 if sym == "G" else engine.delta_mod3)(n + a, p + b)
 
-    Each generator power is read once per call, keyed by its bit, and a
-    monomial stops at its first zero factor.
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each 32-bit entry, by xor folding."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
+def evaluate_states(states: Sequence[KernelExpr],
+                    points: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Values mod 3 of every state at every point (n, p), as an int8
+    array with one row per state and one column per point.
+
+    Each generator that occurs in some state is read once per point.
+    A monomial vanishes where one of its generators is 0; elsewhere a
+    square is 1 and a first power is 1 or 2 = -1, so the monomial is its
+    coefficient times 2 to the parity of its first powers equal to 2.
     """
-    powers: dict[int, int] = {}
-    total = 0
-    for key, coeff in expr.poly:
-        value = coeff
-        rest = key
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            power = powers.get(bit)
-            if power is None:
-                (sym, a, b), e = _generator_of(bit)
-                if sym == "F":
-                    base = 1 if (n + a) % 2 == 0 else 2
-                else:
-                    value_at = engine.gamma_mod3 if sym == "G" else engine.delta_mod3
-                    base = value_at(n + a, p + b)
-                power = powers[bit] = base ** e % 3
-            if not power:
-                break
-            value *= power
-        else:
-            total += value
-    return total % 3
+    owner = np.repeat(np.arange(len(states)), [len(s.poly) for s in states])
+    keys = [key for s in states for key, _ in s.poly]
+    coeffs = np.array([c for s in states for _, c in s.poly], dtype=np.int8)
+    low = np.array([key & _LOW for key in keys], dtype=np.uint32)
+    present = low | np.array([key >> _WIDTH for key in keys], dtype=np.uint32)
+    occurring = int(np.bitwise_or.reduce(present))
+    used = [(1 << k, gen) for k, gen in enumerate(_GENERATORS) if occurring >> k & 1]
+    out = np.empty((len(states), len(points)), dtype=np.int8)
+    for col, (n, p) in enumerate(points):
+        zero = neg = 0
+        for bit, gen in used:
+            value = _generator_value(gen, n, p)
+            if value == 0:
+                zero |= bit
+            elif value == 2:
+                neg |= bit
+        terms = np.where(present & zero, 0, coeffs * (1 + _parity(low & neg)))
+        out[:, col] = np.bincount(owner, weights=terms, minlength=len(states)) % 3
+    return out
+
+
+def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
+    """Value of the polynomial at (n, p), mod 3."""
+    return int(evaluate_states([expr], [(n, p)])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -411,7 +433,7 @@ def build_dfao(start: str = "gamma") -> Dfao2D:
     """Automaton whose state set is the digit-step closure and whose
     outputs are the state polynomials evaluated at (0, 0)."""
     closure = kernel_closure(start)
-    outputs = tuple(evaluate_expr(e, 0, 0) for e in closure.states)
+    outputs = tuple(evaluate_states(closure.states, [(0, 0)])[:, 0].tolist())
     return Dfao2D(0, outputs, closure.transitions)
 
 

@@ -27,6 +27,10 @@ _STEP = {
 # Resource guard for substitution_word; 3**16 letters is ~43 MB.
 DEFAULT_WORD_CAP = 3 ** 16
 
+# Resource guard for sequence_slice: a million terms is a list of about
+# 8 MB built in about a second on a 2-core VM.
+MAX_SLICE_COUNT = 10 ** 6
+
 
 def cantor_term(n: int) -> int:
     """c_n via the index recurrence c_3n = c_n, c_3n+1 = 0, c_3n+2 = c_n.
@@ -85,6 +89,8 @@ def sequence_slice(kind: str, start: int, count: int) -> list[int]:
         raise ValueError(f"unknown sequence kind {kind!r}")
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
+    if count > MAX_SLICE_COUNT:
+        raise ValueError(f"count {count} is over the cap of {MAX_SLICE_COUNT}")
     return [term(start + i) for i in range(count)]
 
 

@@ -1,9 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cantor_hankel
 from cantor_hankel import checks, cli, kernel
+from cantor_hankel.hankel import MAX_HANKEL_ORDER
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
+from cantor_hankel.sequences import MAX_SLICE_COUNT
+
+EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
 
 
 def run(capsys, *argv):
@@ -244,6 +254,18 @@ def test_verify_selection_is_deterministic(capsys):
     assert first.count("\n") == 2
 
 
+def test_verify_timings_go_to_stderr(capsys):
+    code = cli.main(["verify", "--timings"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == EXPECTED_VERIFY.read_text()
+    names = [line.split(":")[0].split()[1] for line in captured.out.splitlines()]
+    timings = captured.err.splitlines()
+    assert len(timings) == len(names) == 11
+    for name, line in zip(names, timings):
+        assert re.fullmatch(rf"timing {name} \d+\.\d{{3}} s", line), line
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         checks, "closed_forms",
@@ -285,3 +307,21 @@ def test_domain_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["det", "-p", "0", "-n", str(MAX_HANKEL_ORDER + 1)],
+     f"order n = {MAX_HANKEL_ORDER + 1} is over the cap"),
+    (["seq", "--kind", "c", "--count", str(MAX_SLICE_COUNT + 1)],
+     f"count {MAX_SLICE_COUNT + 1} is over the cap"),
+], ids=["det-n", "seq-count"])
+def test_caps_refuse_before_any_work(argv, named):
+    # A separate process under a timeout: past the cap the command must
+    # exit 2 at once, not start the work.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cantor_hankel.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cantor_hankel.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert named in done.stderr

@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import logging
 
+import numpy as np
 import pytest
 
-from cantor_hankel import engine, kernel
+from cantor_hankel import checks, engine, kernel
 from cantor_hankel.checks import _DetCache, _rule_value
 from cantor_hankel.kernel import (DELTA, GAMMA, SPLIT_RULES, apply_t,
-                                  build_dfao, evaluate_expr, export_dfao,
-                                  generator_expr, kernel_closure,
+                                  build_dfao, evaluate_expr, evaluate_states,
+                                  export_dfao, generator_expr, kernel_closure,
                                   parse_dfao_table, project_row,
                                   state_cap_from_env)
 
@@ -145,6 +146,80 @@ def test_packed_step_matches_term_by_term_expansion(start):
         for i, j in itertools.product(range(3), range(3)):
             assert apply_t(i, j, states[idx]).terms == \
                 _reference_apply_t(i, j, states[idx]), (start, idx, i, j)
+
+
+def _reference_evaluate(expr, n, p):
+    """The scalar evaluator the batch one replaced: walk the set bits of
+    each monomial, read each generator power once per call, and stop a
+    monomial at its first zero factor."""
+    powers = {}
+    total = 0
+    for key, coeff in expr.poly:
+        value = coeff
+        rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            power = powers.get(bit)
+            if power is None:
+                (sym, a, b), e = kernel._generator_of(bit)
+                if sym == "F":
+                    base = 1 if (n + a) % 2 == 0 else 2
+                else:
+                    value_at = engine.gamma_mod3 if sym == "G" else engine.delta_mod3
+                    base = value_at(n + a, p + b)
+                power = powers[bit] = base ** e % 3
+            if not power:
+                break
+            value *= power
+        else:
+            total += value
+    return total % 3
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_batch_evaluation_matches_reference(start):
+    states = kernel_closure(start).states
+    near = [(n, p) for n in range(5) for p in range(5)]
+    got = evaluate_states(states, near)
+    assert got.dtype == np.int8 and got.shape == (CLOSURE_STATES, len(near))
+    assert got.tolist() == [[_reference_evaluate(s, n, p) for n, p in near]
+                            for s in states]
+    far = [(100, 242), (242, 100), (729, 728)]
+    sample = states[::40]
+    assert evaluate_states(sample, far).tolist() == \
+        [[_reference_evaluate(s, n, p) for n, p in far] for s in sample]
+
+
+# A state swapped with its successor, chosen so that the first mismatch
+# lies off the row n = 0 and the column p = 0.
+SWAPPED_STATE = {"gamma": 28, "delta": 19}
+
+
+@pytest.mark.parametrize("start, base", [("gamma", engine.gamma_mod3),
+                                         ("delta", engine.delta_mod3)],
+                         ids=["gamma", "delta"])
+def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, base):
+    real = kernel.kernel_closure
+    closure = real(start)
+    states = list(closure.states)
+    k = SWAPPED_STATE[start]
+    states[k], states[k + 1] = states[k + 1], states[k]
+    broken = kernel.Closure(closure.start, tuple(states), closure.witnesses,
+                            closure.transitions)
+    monkeypatch.setattr(kernel, "kernel_closure",
+                        lambda s, cap=None: broken if s == start else real(s, cap))
+
+    window = 8
+    mismatches = (
+        f"{start} state with witness ({m},{r},{s}) disagrees at n={n} p={p}"
+        for state, (m, r, s) in zip(states, closure.witnesses)
+        for n in range(window + 1) for p in range(window + 1)
+        if _reference_evaluate(state, n, p) != base(3 ** m * n + r, 3 ** m * p + s))
+    expected = next(mismatches)
+    result = checks.kernel_soundness(window)
+    assert not result.ok
+    assert result.line() == f"FAIL kernel-soundness: {expected}"
 
 
 # SHA-256 of the closure states printed one to a line in discovery order,
