@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="size of the digit-step closure")
     p.add_argument("--start", choices=("gamma", "delta"), default="gamma")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=kernel.DEFAULT_STATE_CAP)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("dfao", help="export the two-dimensional automaton")

@@ -250,29 +250,17 @@ def _expected_stride3(kind: str, q: int, n: int) -> IntMatrix:
 
 
 def _block_layout(kind: str, p: int, n: int, r: int) -> IntMatrix:
-    """The predicted block form of P^t H_{3n+r}^p P built from stride-3 blocks."""
-    def K(q: int, order: int) -> IntMatrix:
-        return stride3_matrix(kind, q, order)
+    """The predicted block form of P^t H_{3n+r}^p P built from stride-3 blocks.
 
-    if r == 0:
-        return block_matrix([
-            [K(p, n), K(p + 1, n), K(p + 2, n)],
-            [K(p + 1, n), K(p + 2, n), K(p + 3, n)],
-            [K(p + 2, n), K(p + 3, n), K(p + 4, n)],
-        ])
-    if r == 1:
-        w = n + 1
-        return block_matrix([
-            [K(p, w), K(p + 1, w).delete_col(w), K(p + 2, w).delete_col(w)],
-            [K(p + 1, w).delete_row(w), K(p + 2, n), K(p + 3, n)],
-            [K(p + 2, w).delete_row(w), K(p + 3, n), K(p + 4, n)],
-        ])
-    w = n + 1
-    return block_matrix([
-        [K(p, w), K(p + 1, w), K(p + 2, w).delete_col(w)],
-        [K(p + 1, w), K(p + 2, w), K(p + 3, w).delete_col(w)],
-        [K(p + 2, w).delete_row(w), K(p + 3, w).delete_row(w), K(p + 4, n)],
-    ])
+    Block (I, J) is the stride-3 matrix at offset p + I + J cut to
+    n + [I < r] rows and n + [J < r] columns.
+    """
+    def block(I: int, J: int) -> IntMatrix:
+        rows, cols = n + (I < r), n + (J < r)
+        full = stride3_matrix(kind, p + I + J, max(rows, cols))
+        return IntMatrix(tuple(row[:cols] for row in full.entries[:rows]))
+
+    return block_matrix([[block(I, J) for J in range(3)] for I in range(3)])
 
 
 def verify_structure(p: int, n: int) -> StructureReport:

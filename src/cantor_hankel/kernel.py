@@ -14,8 +14,8 @@ normalize to a in {0, 1}.
 
 apply_t(i, j, e) rewrites "evaluate e at (3n + i, 3p + j)" as another
 polynomial in shifted streams, using the eighteen splitting identities
-for G and D plus a composition table that commutes a pending shift
-through the index splitting.  Monomial exponents are capped with
+for G and D; a shifted generator splits by one of them read at an
+offset.  Monomial exponents are capped with
 x**3 = x, which every GF(3)-valued stream satisfies pointwise.  Every
 polynomial, closure states included, is held packed: each monomial is
 two bitmasks over the generators.
@@ -30,11 +30,11 @@ a stable on-disk form.
 
 from __future__ import annotations
 
-import os
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TypeVar
 
 import numpy as np
 
@@ -45,20 +45,6 @@ Monomial = tuple[tuple[Generator, int], ...]
 
 # Largest closure the breadth-first search will accept before giving up.
 DEFAULT_STATE_CAP = 1_000_000
-STATE_CAP_ENV = "CANTOR_HANKEL_KERNEL_CAP"
-
-
-def state_cap_from_env(default: int = DEFAULT_STATE_CAP) -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _norm_generator(sym: str, a: int, b: int) -> Generator:
@@ -108,12 +94,6 @@ def _poly_mul(p: Packed, q: Packed) -> Packed:
     return _reduce(counter)
 
 
-def _generator_of(bit: int) -> tuple[Generator, int]:
-    """The generator behind a one-bit monomial, and its exponent."""
-    high, k = divmod(bit.bit_length() - 1, _WIDTH)
-    return _GENERATORS[k], high + 1
-
-
 @dataclass(frozen=True)
 class KernelExpr:
     """Canonical polynomial over shifted streams, held packed; hashable,
@@ -151,69 +131,37 @@ GAMMA = generator_expr("G")
 DELTA = generator_expr("D")
 
 
-def _rule_expr(rule: engine.Rule) -> KernelExpr:
-    # Signs ride along as F factors, so every monomial has coefficient 1.
+def _rule_poly(rule: engine.Rule, da: int = 0, db: int = 0) -> Packed:
+    """A splitting identity read at (n + da, p + db), packed.
+
+    Signs ride along as F factors, so every monomial has coefficient 1
+    before like monomials are collected.
+    """
     counter: dict[int, int] = {}
     for shift, factors in rule:
-        key = 1 << _BIT[_norm_generator("F", shift, 0)]
+        key = 1 << _BIT[_norm_generator("F", shift + da, 0)]
         for sym, a, b, e in factors:
-            bit = 1 << _BIT[_norm_generator(sym, a, b)]
+            bit = 1 << _BIT[_norm_generator(sym, a + da, b + db)]
             for _ in range(e):
                 key = _mono_product(key, bit)
         counter[key] = counter.get(key, 0) + 1
-    return KernelExpr(_reduce(counter))
-
-
-# The eighteen splitting identities of engine.SPLIT_RULES as polynomials:
-# the stream at (3n + i, 3p + j) equals SPLIT_RULES[i, j, stream] at (n, p).
-SPLIT_RULES: dict[tuple[int, int, str], KernelExpr] = {
-    key: _rule_expr(rule) for key, rule in engine.SPLIT_RULES.items()}
-
-
-def _shift(a: int, b: int, poly: Packed) -> Packed:
-    """Shift every generator by (a, b): reading the polynomial at
-    (n + a, p + b) instead of (n, p).  A shift maps generators one to
-    one, so relabelling the bits merges no two monomials."""
-    moved = []
-    for key, coeff in poly:
-        out = 0
-        rest = key
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            (sym, ga, gb), e = _generator_of(bit)
-            out |= 1 << (_BIT[_norm_generator(sym, ga + a, gb + b)] + (e - 1) * _WIDTH)
-        moved.append((out, coeff))
-    return tuple(sorted(moved))
+    return _reduce(counter)
 
 
 def _split_generator(i: int, j: int, gen: Generator) -> Packed:
     """Rewrite one generator read at (3n + i, 3p + j) over (n, p).
 
-    Composing the split with the generator's own shift (a, b) first
-    normalizes to an outer shift and an inner split with digits in
-    range, then expands the inner split through SPLIT_RULES.
+    S[a,b]J there is J at (3(n + da) + di, 3(p + db) + dj), where
+    (da, di) = divmod(i + a, 3) and (db, dj) = divmod(j + b, 3): the
+    splitting identity (di, dj, J) read at (n + da, p + db).  F keeps
+    only the parity of its row, n + da + di.
     """
     sym, a, b = gen
-    row = i + a
-    col = j + b
-    inner_col = col if col <= 2 else col - 3
-    outer_b = 0 if col <= 2 else 1
-    if row == -1:
-        outer_a, inner_row = -1, 2
-    elif row <= 2:
-        outer_a, inner_row = 0, row
-    else:
-        outer_a, inner_row = 1, row - 3
+    da, di = divmod(i + a, 3)
+    db, dj = divmod(j + b, 3)
     if sym == "F":
-        # Splitting n -> 3n + digit keeps parity for digits 0 and 2 and
-        # flips it for 1; the outer shift then adds its own parity.
-        parity = (inner_row % 2 + outer_a) % 2
-        return generator_expr("F", parity, 0).poly
-    base = SPLIT_RULES[inner_row, inner_col, sym].poly
-    if (outer_a, outer_b) == (0, 0):
-        return base
-    return _shift(outer_a, outer_b, base)
+        return generator_expr("F", da + di, 0).poly
+    return _rule_poly(engine.SPLIT_RULES[di, dj, sym], da, db)
 
 
 _DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
@@ -346,11 +294,39 @@ class Closure:
     transitions: tuple[tuple[int, ...], ...]
 
 
-def kernel_closure(start: str = "gamma", cap: int | None = None) -> Closure:
+_State = TypeVar("_State", bound=Hashable)
+
+
+def _explore(root: _State, successors: Callable[[_State], Iterable[_State]],
+             cap: int) -> tuple[list[_State], list[tuple[int, ...]]]:
+    """Breadth-first search from root.
+
+    Returns the states in discovery order and, for each, the indices of
+    its successors in the order successors(state) yields them.  Raises
+    once more than cap states appear.
+    """
+    index = {root: 0}
+    states = [root]
+    rows: list[tuple[int, ...]] = []
+    # The loop also visits the states appended while it runs.
+    for state in states:
+        row = []
+        for nxt in successors(state):
+            k = index.get(nxt)
+            if k is None:
+                k = len(states)
+                if k >= cap:
+                    raise RuntimeError(f"closure exceeded the cap of {cap} states")
+                index[nxt] = k
+                states.append(nxt)
+            row.append(k)
+        rows.append(tuple(row))
+    return states, rows
+
+
+def kernel_closure(start: str = "gamma", cap: int = DEFAULT_STATE_CAP) -> Closure:
     """Breadth-first closure from "gamma" or "delta" under all nine digit
     steps; raises if more than cap states appear."""
-    if cap is None:
-        cap = state_cap_from_env()
     if cap < 1:
         raise ValueError(f"the state cap must be a positive integer, got {cap}")
     return _closure_cached(start, cap)
@@ -365,28 +341,16 @@ def _closure_cached(start: str, cap: int) -> Closure:
         raise ValueError(f"unknown start stream {start!r}")
     began = time.perf_counter()
     digit_step = _DigitStep()
-    index: dict[Packed, int] = {root.poly: 0}
-    states = [root.poly]
+    states, rows = _explore(
+        root.poly, lambda poly: [digit_step.step(d, poly) for d in range(9)], cap)
+    # A state is first reached from the first row that names it, by the
+    # digit pair at its first place there.
     witnesses = [(0, 0, 0)]
-    rows: list[tuple[int, ...]] = []
-    frontier = 0
-    while frontier < len(states):
-        state = states[frontier]
-        m, r, s = witnesses[frontier]
-        row = []
-        for d, (i, j) in enumerate(_DIGIT_PAIRS):
-            nxt = digit_step.step(d, state)
-            k = index.get(nxt)
-            if k is None:
-                k = len(states)
-                if k >= cap:
-                    raise RuntimeError(f"closure exceeded the cap of {cap} states")
-                index[nxt] = k
-                states.append(nxt)
+    for parent, row in enumerate(rows):
+        m, r, s = witnesses[parent]
+        for (i, j), k in zip(_DIGIT_PAIRS, row):
+            if k == len(witnesses):
                 witnesses.append((m + 1, r + 3 ** m * i, s + 3 ** m * j))
-            row.append(k)
-        rows.append(tuple(row))
-        frontier += 1
     closure = Closure(root, tuple(KernelExpr(state) for state in states),
                       tuple(witnesses), tuple(rows))
     # Imported here: logging adds about 5 ms to importing the package,
@@ -530,27 +494,14 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
         digits.append(d)
     depth = len(digits)
 
-    index: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
-
-    def intern(pair: tuple[int, int]) -> int:
-        k = index.get(pair)
-        if k is None:
-            k = len(pairs)
-            index[pair] = k
-            pairs.append(pair)
-        return k
-
-    intern((dfao.start, 0))
-    rows: list[tuple[int, int, int]] = []
-    frontier = 0
-    while frontier < len(pairs):
-        state, consumed = pairs[frontier]
+    def successors(pair: tuple[int, int]) -> list[tuple[int, int]]:
+        state, consumed = pair
         dn = digits[consumed] if consumed < depth else 0
         nxt_consumed = min(consumed + 1, depth)
-        rows.append(tuple(
-            intern((dfao.step(state, dn, dp), nxt_consumed)) for dp in range(3)))
-        frontier += 1
+        return [(dfao.step(state, dn, dp), nxt_consumed) for dp in range(3)]
+
+    # There are at most n_states * (depth + 1) pairs, so the cap never bites.
+    pairs, rows = _explore((dfao.start, 0), successors, dfao.n_states * (depth + 1))
     outputs = []
     for state, consumed in pairs:
         for dn in digits[consumed:]:

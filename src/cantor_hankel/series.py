@@ -132,7 +132,6 @@ def interleave3(a: PeriodicSeries, b: PeriodicSeries, c: PeriodicSeries) -> Peri
 # Alternating sign streams: (-1)^n and (-1)^(n+1) as mod-3 residues.
 SIGNS_EVEN = PeriodicSeries((1, 2))
 SIGNS_ODD = PeriodicSeries((2, 1))
-ALL_ONES = PeriodicSeries((1,))
 ZERO = PeriodicSeries((0,))
 
 

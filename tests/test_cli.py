@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cantor_hankel
-from cantor_hankel import checks, cli, kernel
+from cantor_hankel import checks, cli, engine
 from cantor_hankel.hankel import MAX_HANKEL_ORDER
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 from cantor_hankel.sequences import MAX_SLICE_COUNT
@@ -156,15 +156,6 @@ def test_kernel_nonpositive_cap_is_usage_error(capsys, cap):
     assert "positive integer" in captured.err
 
 
-def test_kernel_cap_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv(kernel.STATE_CAP_ENV, "abc")
-    code = cli.main(["kernel"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert kernel.STATE_CAP_ENV in err
-    assert "invalid literal" not in err
-
-
 def test_dfao_table_round_trip(capsys):
     code, out = run(capsys, "dfao", "--export", "table")
     assert code == 0
@@ -247,6 +238,21 @@ def test_verify_oracle_empty_window_is_usage_error(capsys, bounds, named):
     assert named in captured.err
 
 
+@pytest.mark.parametrize("check, window, named", [
+    ("kernel_soundness", (-1,), "window >= 0, got -1"),
+    ("dfao_grid", (0, -5), "n_max >= 1, got 0"),
+    ("structure_identities", (0, 0), "n_max >= 1, got 0"),
+    ("splitting_exact", (5, 2, 3), "n_hi >= 5, got 2"),
+    ("closed_forms", (0,), "n_max >= 1, got 0"),
+    ("period_bounds", ((),), "len(k_values) >= 1, got 0"),
+    ("pade_error_law", (0,), "max_order >= 1, got 0"),
+])
+def test_check_refuses_empty_window(check, window, named):
+    # Each of these windows would pass without comparing anything.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        getattr(checks, check)(*window)
+
+
 def test_verify_selection_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--closed-forms", "--series")
     _, second = run(capsys, "verify", "--closed-forms", "--series")
@@ -273,6 +279,25 @@ def test_verify_reports_failure(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--closed-forms")
     assert code == 1
     assert out == "FAIL closed-forms: forced\n"
+
+
+def test_verify_reports_aperiodic_column(capsys, monkeypatch):
+    # A column that is not 12 * 3**k-periodic fails its check by name,
+    # and the groups after it still run.
+    real = engine.column_period
+
+    def broken(p, k_hint=0, kind="gamma"):
+        if p == 5:
+            raise RuntimeError("column 5 is not 36-periodic on the scanned window")
+        return real(p, k_hint, kind)
+
+    monkeypatch.setattr(engine, "column_period", broken)
+    code, out = run(capsys, "verify", "--periods", "--feq")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL period-bounds: column 5 is not 36-periodic on the scanned window",
+        "ok   functional-equation: through degree 600",
+    ]
 
 
 def test_eta_failure_exit(capsys, monkeypatch):

@@ -7,11 +7,10 @@ import pytest
 
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.checks import _DetCache, _rule_value
-from cantor_hankel.kernel import (DELTA, GAMMA, SPLIT_RULES, apply_t,
+from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, apply_t,
                                   build_dfao, evaluate_expr, evaluate_states,
                                   export_dfao, generator_expr, kernel_closure,
-                                  parse_dfao_table, project_row,
-                                  state_cap_from_env)
+                                  parse_dfao_table, project_row)
 
 CLOSURE_STATES = 1632
 
@@ -47,9 +46,9 @@ def test_exponent_cap_is_odd_even_folding():
 
 
 def test_split_rules_cover_all_targets():
-    assert set(SPLIT_RULES) == {(i, j, sym)
-                                for i in range(3) for j in range(3)
-                                for sym in ("G", "D")}
+    assert set(engine.SPLIT_RULES) == {(i, j, sym)
+                                       for i in range(3) for j in range(3)
+                                       for sym in ("G", "D")}
 
 
 def test_split_rules_against_oracle():
@@ -69,6 +68,26 @@ def test_single_digit_steps_match_engine():
             for n in range(6):
                 for p in range(6):
                     assert evaluate_expr(stepped, n, p) == base(3 * n + i, 3 * p + j)
+
+
+def _read_generator(gen, n, p):
+    sym, a, b = gen
+    if sym == "F":
+        return 1 if (n + a) % 2 == 0 else 2
+    return (engine.gamma_mod3 if sym == "G" else engine.delta_mod3)(n + a, p + b)
+
+
+def test_every_generator_split_matches_engine():
+    # Every generator under every digit pair, the shifted ones included;
+    # n starts at 1 so that no row -1 of gamma is read.
+    points = [(n, p) for n in range(1, 5) for p in range(5)]
+    assert len(kernel._GENERATORS) == 26
+    for gen in kernel._GENERATORS:
+        for i, j in itertools.product(range(3), range(3)):
+            split = KernelExpr(kernel._split_generator(i, j, gen))
+            got = evaluate_states([split], points)[0].tolist()
+            want = [_read_generator(gen, 3 * n + i, 3 * p + j) for n, p in points]
+            assert got == want, (gen, i, j)
 
 
 def test_two_digit_chains_match_engine():
@@ -162,13 +181,9 @@ def _reference_evaluate(expr, n, p):
             rest ^= bit
             power = powers.get(bit)
             if power is None:
-                (sym, a, b), e = kernel._generator_of(bit)
-                if sym == "F":
-                    base = 1 if (n + a) % 2 == 0 else 2
-                else:
-                    value_at = engine.gamma_mod3 if sym == "G" else engine.delta_mod3
-                    base = value_at(n + a, p + b)
-                power = powers[bit] = base ** e % 3
+                high, k = divmod(bit.bit_length() - 1, kernel._WIDTH)
+                base = _read_generator(kernel._GENERATORS[k], n, p)
+                power = powers[bit] = base ** (high + 1) % 3
             if not power:
                 break
             value *= power
@@ -208,7 +223,8 @@ def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, base):
     broken = kernel.Closure(closure.start, tuple(states), closure.witnesses,
                             closure.transitions)
     monkeypatch.setattr(kernel, "kernel_closure",
-                        lambda s, cap=None: broken if s == start else real(s, cap))
+                        lambda s, cap=kernel.DEFAULT_STATE_CAP:
+                        broken if s == start else real(s, cap))
 
     window = 8
     mismatches = (
@@ -237,6 +253,20 @@ def test_closure_state_digest(start):
     assert hashlib.sha256(text.encode()).hexdigest() == STATE_DIGESTS[start]
 
 
+# SHA-256 of the closure witnesses "m r s", one to a line in state order,
+# pinned from the build that recorded each witness as its state appeared.
+WITNESS_DIGESTS = {
+    "gamma": "34903d9aec04e8d3925e0c929acb5bd729d782a39d83e66348d859d18561f967",
+    "delta": "ed4e712cc2b3494b8bbabbdee4eddf142b437d9e7d89d72cd921662e38b3f3d0",
+}
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_closure_witness_digest(start):
+    text = "".join(f"{m} {r} {s}\n" for m, r, s in kernel_closure(start).witnesses)
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGESTS[start]
+
+
 def test_closure_build_logs_one_debug_record(caplog, capsys):
     caplog.set_level(logging.DEBUG, logger="cantor_hankel.kernel")
     # Past the per-process cache, so the build really runs.
@@ -257,16 +287,6 @@ def test_closure_cap_enforced():
         kernel_closure("gamma", cap=100)
     with pytest.raises(ValueError):
         kernel_closure("omega")
-
-
-def test_state_cap_env(monkeypatch):
-    monkeypatch.delenv(kernel.STATE_CAP_ENV, raising=False)
-    assert state_cap_from_env() == kernel.DEFAULT_STATE_CAP
-    monkeypatch.setenv(kernel.STATE_CAP_ENV, "4321")
-    assert state_cap_from_env() == 4321
-    monkeypatch.setenv(kernel.STATE_CAP_ENV, "0")
-    with pytest.raises(ValueError):
-        state_cap_from_env()
 
 
 def test_dfao_against_engine_window():

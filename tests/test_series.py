@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cantor_hankel import engine
 from cantor_hankel.hankel import det_mod3, hankel_matrix
-from cantor_hankel.series import (ALL_ONES, PeriodicSeries, _reassemble,
+from cantor_hankel.series import (PeriodicSeries, _reassemble,
                                   assemble_delta2, assemble_gamma2, interleave3,
                                   series_delta, series_gamma)
 
@@ -73,7 +73,7 @@ def test_frobenius_cube_transports_to_cubed_indices(s):
 
 
 def test_frobenius_cube_of_ones():
-    assert ALL_ONES.frobenius_cube().coeffs == (1, 0, 0)
+    assert PeriodicSeries((1,)).frobenius_cube().coeffs == (1, 0, 0)
 
 
 @given(st_series, st_series, st_series)
