@@ -12,10 +12,9 @@ the oracle on one side.
 
 from .engine import (clear_caches, closed_form_p0, closed_form_p1,
                      column_period, delta_mod3, gamma_mod3, grid)
-from .hankel import (IntMatrix, StructureReport, block_matrix,
-                     conjugate_by_permutation, det_exact, det_mod3,
-                     hankel_matrix, permutation_matrix, permutation_p,
-                     stride3_matrix, verify_structure)
+from .hankel import (StructureReport, conjugate_by_permutation, det_exact,
+                     det_mod3, hankel_matrix, permutation_matrix,
+                     permutation_p, stride3_matrix, verify_structure)
 from .kernel import (Closure, Dfao1D, Dfao2D, KernelExpr, build_dfao,
                      export_dfao, kernel_closure, parse_dfao_table,
                      project_row)
@@ -33,10 +32,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproximationExponent", "Closure", "Dfao1D", "Dfao2D", "EtaReport",
-    "IntMatrix", "KernelExpr", "PadeApproximant", "PadeErrorReport",
+    "KernelExpr", "PadeApproximant", "PadeErrorReport",
     "PeriodicSeries", "RationalForm", "RationalInterval",
     "StructureReport", "assemble_delta2", "assemble_gamma2",
-    "block_matrix", "build_dfao", "cantor_number", "cantor_term",
+    "build_dfao", "cantor_number", "cantor_term",
     "cantor_via_automaton", "clear_caches", "closed_form_p0",
     "closed_form_p1", "column_period", "conjugate_by_permutation",
     "delta_mod3", "det_exact", "det_mod3", "diff_term",

@@ -106,6 +106,8 @@ def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
                p_max: int) -> CheckResult:
     """The nine splitting identities of one stream against the oracle."""
     name = "splitting-identities-" + ("exact" if exact else "mod3")
+    # Row n reads factors of order n + a with a >= -1.
+    _need("splitting", "n_lo", n_lo, 1)
     _need("splitting", "n_hi", n_hi, n_lo)
     _need("splitting", "p_max", p_max, 0)
     kind = "gamma" if stream == "G" else "delta"
@@ -176,6 +178,8 @@ def period_bounds(k_values: tuple[int, ...] = (0, 1, 2)) -> CheckResult:
     """
     name = "period-bounds"
     _need("period", "len(k_values)", len(k_values), 1)
+    for k in k_values:
+        _need("period", "k", k, 0)
     for k in k_values:
         for p in range(3 ** k + 1, 3 ** (k + 1) + 1):
             try:

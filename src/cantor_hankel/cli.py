@@ -90,7 +90,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    closure = kernel.kernel_closure(args.start, args.cap)
+    try:
+        closure = kernel.kernel_closure(args.start, args.cap)
+    except RuntimeError as exc:
+        # A closure over the cap is a refused request (exit 2), not a
+        # falsified identity (exit 1).
+        raise ValueError(str(exc)) from exc
     print(f"start {args.start}")
     print(f"states {len(closure.states)}")
     return 0

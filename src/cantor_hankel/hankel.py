@@ -6,6 +6,9 @@ elimination over GF(3) for the fast residue path.  No recurrence from
 the rest of the package is used, which is what makes these functions
 usable as oracles against those recurrences.
 
+Matrices are 2-D int64 numpy arrays; the determinants and the
+conjugation accept any square array-like and leave it unchanged.
+
 Matrix families, with u one of c, d and all indices starting at 1:
 
 * hankel_matrix(kind, p, n): the n x n matrix (u_{p+i+j-2}), kind
@@ -23,122 +26,63 @@ import numpy as np
 
 from .sequences import cantor_term, diff_term
 
-# Largest order hankel_matrix builds, a bound on the cubic elimination
-# that follows (det_mod3 takes about 0.5 s at order 500 on a 2-core VM);
-# the package's own callers stay at or below order 150.
+# Largest order of any matrix built here, a bound on the cubic
+# elimination that follows (det_mod3 takes about 0.5 s at order 500 on a
+# 2-core VM); the package's own callers stay at or below order 150.
 MAX_HANKEL_ORDER = 500
 
-
-def _term(kind: str, i: int) -> int:
-    if kind == "gamma":
-        return cantor_term(i)
-    if kind == "delta":
-        return diff_term(i)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+_TERMS = {"gamma": cantor_term, "delta": diff_term}
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; entries are row-major tuples."""
+def _hankel(kind: str, first: int, step: int, n: int) -> np.ndarray:
+    """The n x n matrix (u_{first+step(i+j)}), 0-based i, j.
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_fn(cls, rows: int, cols: int, fn) -> "IntMatrix":
-        return cls(tuple(tuple(fn(i, j) for j in range(cols)) for i in range(rows)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def delete_row(self, i: int) -> "IntMatrix":
-        """Drop 1-based row i."""
-        if not 1 <= i <= self.rows:
-            raise IndexError("row out of range")
-        return IntMatrix(self.entries[: i - 1] + self.entries[i:])
-
-    def delete_col(self, j: int) -> "IntMatrix":
-        """Drop 1-based column j."""
-        if not 1 <= j <= self.cols:
-            raise IndexError("column out of range")
-        return IntMatrix(tuple(row[: j - 1] + row[j:] for row in self.entries))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
-
-    def scaled(self, factor: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(factor * a for a in row) for row in self.entries))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        ))
+    Only 2n - 1 distinct terms occur, so they are computed once and the
+    matrix reads them at i + j.
+    """
+    if kind not in _TERMS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    if first < 0 or n < 0:
+        raise ValueError("offset and order must be nonnegative")
+    if n > MAX_HANKEL_ORDER:
+        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
+    term = _TERMS[kind]
+    terms = np.array([term(first + step * k) for k in range(2 * n - 1)], dtype=np.int64)
+    i = np.arange(n)
+    return terms[i[:, None] + i[None, :]]
 
 
-def block_matrix(grid: list[list[IntMatrix]]) -> IntMatrix:
-    """Assemble a matrix from a rectangular grid of blocks."""
-    rows: list[tuple[int, ...]] = []
-    for band in grid:
-        height = band[0].rows
-        if any(b.rows != height for b in band):
-            raise ValueError("block heights differ within a band")
-        for i in range(height):
-            rows.append(tuple(x for block in band for x in block.entries[i]))
-    return IntMatrix(tuple(rows))
-
-
-def hankel_matrix(kind: str, p: int, n: int) -> IntMatrix:
+def hankel_matrix(kind: str, p: int, n: int) -> np.ndarray:
     """Order-n Hankel matrix of c (kind "gamma") or d ("delta") at offset p.
 
     n = 0 yields the empty matrix, whose determinant is 1.
     """
-    if p < 0 or n < 0:
-        raise ValueError("offset and order must be nonnegative")
-    if n > MAX_HANKEL_ORDER:
-        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
-    return IntMatrix.from_fn(n, n, lambda i, j: _term(kind, p + i + j))
+    return _hankel(kind, p, 1, n)
 
 
-def stride3_matrix(kind: str, q: int, n: int) -> IntMatrix:
+def stride3_matrix(kind: str, q: int, n: int) -> np.ndarray:
     """Order-n matrix (u_{q+3(i+j-2)}): a Hankel matrix sampled in steps of 3."""
-    if q < 0 or n < 0:
-        raise ValueError("offset and order must be nonnegative")
-    return IntMatrix.from_fn(n, n, lambda i, j: _term(kind, q + 3 * (i + j)))
+    return _hankel(kind, q, 3, n)
 
 
-def det_exact(m: IntMatrix) -> int:
+def _square(m) -> np.ndarray:
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def det_exact(m) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
     Intermediate entries are minors of the input, so all divisions are
-    exact and sizes stay polynomially bounded.
+    exact and sizes stay polynomially bounded.  The elimination runs on
+    Python ints: minors of order-150 Hankel matrices overflow int64.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+    a = _square(m).tolist()
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(row) for row in m.entries]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -160,18 +104,16 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_mod3(m: IntMatrix) -> int:
+def det_mod3(m) -> int:
     """Determinant mod 3 by Gaussian elimination over GF(3).
 
     Uses numpy row operations; every nonzero residue is its own inverse
     in GF(3), so no inverse table is needed.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+    a = _square(np.asarray(m, dtype=np.int64)) % 3
+    n = len(a)
     if n == 0:
         return 1
-    a = np.array(m.entries, dtype=np.int64) % 3
     det = 1
     for k in range(n):
         nonzero = np.nonzero(a[k:, k])[0]
@@ -204,22 +146,20 @@ def permutation_p(n: int) -> list[int]:
             + [3 * i + 3 for i in range(n3)])
 
 
-def permutation_matrix(n: int) -> IntMatrix:
+def permutation_matrix(n: int) -> np.ndarray:
     """The permutation of permutation_p(n) as an n x n 0/1 matrix."""
-    targets = permutation_p(n)
-    return IntMatrix.from_fn(n, n, lambda i, j: 1 if targets[j] == i + 1 else 0)
+    return np.eye(n, dtype=np.int64)[:, [t - 1 for t in permutation_p(n)]]
 
 
-def conjugate_by_permutation(m: IntMatrix) -> IntMatrix:
+def conjugate_by_permutation(m) -> np.ndarray:
     """P^t M P for the sorting permutation P of matching order.
 
     Column j of P is the basis vector t_j of t = permutation_p, so entry
     (i, j) of the product is entry (t_i, t_j) of M.
     """
-    if m.rows != m.cols:
-        raise ValueError("shape mismatch")
-    order = [t - 1 for t in permutation_p(m.rows)]
-    return IntMatrix(tuple(tuple(m.entries[i][j] for j in order) for i in order))
+    m = _square(m)
+    order = [t - 1 for t in permutation_p(len(m))]
+    return m[np.ix_(order, order)]
 
 
 @dataclass(frozen=True)
@@ -233,34 +173,33 @@ class StructureReport:
     failed: str | None = None
 
 
-def _expected_stride3(kind: str, q: int, n: int) -> IntMatrix:
+def _expected_stride3(kind: str, q: int, n: int) -> np.ndarray:
     """What the stride-3 block must equal, given how c and d split mod 3."""
     base, residue = divmod(q, 3)
     if kind == "gamma":
         if residue == 0:
             return hankel_matrix("gamma", base, n)
         if residue == 1:
-            return IntMatrix.from_fn(n, n, lambda i, j: 0)
+            return np.zeros((n, n), dtype=np.int64)
         return hankel_matrix("gamma", base, n)
     if residue == 0:
-        return hankel_matrix("gamma", base, n).scaled(2)
+        return 2 * hankel_matrix("gamma", base, n)
     if residue == 1:
         return hankel_matrix("gamma", base + 1, n)
     return hankel_matrix("gamma", base, n)
 
 
-def _block_layout(kind: str, p: int, n: int, r: int) -> IntMatrix:
+def _block_layout(kind: str, p: int, n: int, r: int) -> np.ndarray:
     """The predicted block form of P^t H_{3n+r}^p P built from stride-3 blocks.
 
     Block (I, J) is the stride-3 matrix at offset p + I + J cut to
     n + [I < r] rows and n + [J < r] columns.
     """
-    def block(I: int, J: int) -> IntMatrix:
+    def block(I: int, J: int) -> np.ndarray:
         rows, cols = n + (I < r), n + (J < r)
-        full = stride3_matrix(kind, p + I + J, max(rows, cols))
-        return IntMatrix(tuple(row[:cols] for row in full.entries[:rows]))
+        return stride3_matrix(kind, p + I + J, max(rows, cols))[:rows, :cols]
 
-    return block_matrix([[block(I, J) for J in range(3)] for I in range(3)])
+    return np.block([[block(I, J) for J in range(3)] for I in range(3)])
 
 
 def verify_structure(p: int, n: int) -> StructureReport:
@@ -290,7 +229,7 @@ def verify_structure(p: int, n: int) -> StructureReport:
     name = "difference-split"
     g0 = hankel_matrix("gamma", p, n)
     g2 = hankel_matrix("gamma", p + 2, n)
-    if hankel_matrix("delta", p, n) != g0 + g2:
+    if not np.array_equal(hankel_matrix("delta", p, n), g0 + g2):
         return fail(name)
     checked.append(name)
 
@@ -298,20 +237,21 @@ def verify_structure(p: int, n: int) -> StructureReport:
         for r in range(3):
             name = f"block-form-{kind}-r{r}"
             h = hankel_matrix(kind, p, 3 * n + r)
-            if conjugate_by_permutation(h) != _block_layout(kind, p, n, r):
+            if not np.array_equal(conjugate_by_permutation(h), _block_layout(kind, p, n, r)):
                 return fail(name)
             checked.append(name)
         for q in range(p, p + 5):
             for order in (n, n + 1):
                 name = f"stride3-collapse-{kind}-q{q}-n{order}"
-                if stride3_matrix(kind, q, order) != _expected_stride3(kind, q, order):
+                if not np.array_equal(stride3_matrix(kind, q, order),
+                                      _expected_stride3(kind, q, order)):
                     return fail(name)
                 checked.append(name)
 
     if n >= 2:
         name = "paired-determinant-split"
         g1 = hankel_matrix("gamma", p + 1, n)
-        paired = block_matrix([[g0, g1], [g1, g0.scaled(-1)]])
+        paired = np.block([[g0, g1], [g1, -g0]])
         sign = (-1) ** n
         rhs = (sign * det_exact(g0) * det_exact(hankel_matrix("delta", p, n))
                - sign * det_exact(hankel_matrix("gamma", p, n + 1))

@@ -156,6 +156,15 @@ def test_kernel_nonpositive_cap_is_usage_error(capsys, cap):
     assert "positive integer" in captured.err
 
 
+def test_kernel_over_the_cap_is_usage_error(capsys):
+    # A refused closure falsifies nothing, so it is not exit 1.
+    code = cli.main(["kernel", "--cap", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cap of 100 states" in captured.err
+
+
 def test_dfao_table_round_trip(capsys):
     code, out = run(capsys, "dfao", "--export", "table")
     assert code == 0
@@ -246,6 +255,9 @@ def test_verify_oracle_empty_window_is_usage_error(capsys, bounds, named):
     ("closed_forms", (0,), "n_max >= 1, got 0"),
     ("period_bounds", ((),), "len(k_values) >= 1, got 0"),
     ("pade_error_law", (0,), "max_order >= 1, got 0"),
+    ("period_bounds", ((-1,),), "k >= 0, got -1"),
+    ("splitting_exact", (0, 1, 1), "n_lo >= 1, got 0"),
+    ("splitting_mod3", (0, 1, 1), "n_lo >= 1, got 0"),
 ])
 def test_check_refuses_empty_window(check, window, named):
     # Each of these windows would pass without comparing anything.

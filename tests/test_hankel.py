@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_hankel.hankel import (IntMatrix, block_matrix,
-                                  conjugate_by_permutation, det_exact,
+from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
                                   det_mod3, hankel_matrix,
                                   permutation_matrix, permutation_p,
                                   stride3_matrix, verify_structure)
@@ -16,59 +17,70 @@ st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
         min_size=n, max_size=n))
 
 
-def test_matrix_basics():
-    m = IntMatrix(((1, 2, 3), (4, 5, 6)))
-    assert (m.rows, m.cols) == (2, 3)
-    assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
-    assert m.delete_row(1).entries == ((4, 5, 6),)
-    assert m.delete_col(2).entries == ((1, 3), (4, 6))
-    with pytest.raises(IndexError):
-        m.delete_row(3)
-    with pytest.raises(ValueError):
-        IntMatrix(((1, 2), (3,)))
-
-
-def test_matrix_arithmetic():
-    a = IntMatrix(((1, 2), (3, 4)))
-    b = IntMatrix(((0, 1), (1, 0)))
-    assert (a + b).entries == ((1, 3), (4, 4))
-    assert a.scaled(-2).entries == ((-2, -4), (-6, -8))
-    assert (a @ b).entries == ((2, 1), (4, 3))
-    with pytest.raises(ValueError):
-        a @ IntMatrix(((1, 2, 3),))
-
-
-def test_block_matrix():
-    a = IntMatrix(((1,),))
-    b = IntMatrix(((2, 3),))
-    c = IntMatrix(((4,), (5,)))
-    d = IntMatrix(((6, 7), (8, 9)))
-    assembled = block_matrix([[a, b], [c, d]])
-    assert assembled.entries == ((1, 2, 3), (4, 6, 7), (5, 8, 9))
-    with pytest.raises(ValueError):
-        block_matrix([[a, c]])
-
-
 def test_hankel_entries():
     m = hankel_matrix("gamma", 2, 4)
     for i in range(4):
         for j in range(4):
-            assert m.entries[i][j] == cantor_term(2 + i + j)
+            assert m[i, j] == cantor_term(2 + i + j)
     d = hankel_matrix("delta", 1, 3)
     for i in range(3):
         for j in range(3):
-            assert d.entries[i][j] == diff_term(1 + i + j)
+            assert d[i, j] == diff_term(1 + i + j)
     with pytest.raises(ValueError):
         hankel_matrix("gamma", -1, 2)
     with pytest.raises(ValueError):
         hankel_matrix("theta", 0, 2)
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        stride3_matrix("theta", 0, 0)
 
 
 def test_stride3_entries():
     m = stride3_matrix("gamma", 2, 3)
     for i in range(3):
         for j in range(3):
-            assert m.entries[i][j] == cantor_term(2 + 3 * (i + j))
+            assert m[i, j] == cantor_term(2 + 3 * (i + j))
+    with pytest.raises(ValueError, match="order n = 501"):
+        stride3_matrix("gamma", 0, 501)
+
+
+@pytest.mark.parametrize("kind, term", [("gamma", cantor_term), ("delta", diff_term)])
+@pytest.mark.parametrize("p", [0, 7, 3 ** 8])
+@pytest.mark.parametrize("n", [0, 1, 150])
+def test_builders_match_entrywise_definition(kind, term, p, n):
+    for build, step in ((hankel_matrix, 1), (stride3_matrix, 3)):
+        m = build(kind, p, n)
+        assert m.shape == (n, n) and m.dtype == np.int64
+        expected = [[term(p + step * (i + j)) for j in range(n)] for i in range(n)]
+        assert m.tolist() == expected, (build.__name__, kind, p, n)
+
+
+@pytest.mark.parametrize("m", [hankel_matrix("gamma", 1, 7),
+                               5 * hankel_matrix("delta", 1, 7) - 4],
+                         ids=["hankel", "residues-off-0-1-2"])
+def test_oracles_leave_their_input_unchanged(m):
+    # Row 0 of both starts with a zero pivot, so elimination swaps rows.
+    before = m.copy()
+    det_mod3(m)
+    det_exact(m)
+    conjugated = conjugate_by_permutation(m)
+    assert np.array_equal(m, before)
+    assert not np.shares_memory(conjugated, m)
+
+
+# SHA-256 of the lines "kind p n det" for both kinds, p in DIGEST_OFFSETS
+# and 0 <= n <= 60, computed when matrices were tuples of Python ints, so
+# the int64 arrays must reproduce every determinant.
+DIGEST_OFFSETS = (0, 1, 5, 27)
+DET_DIGEST = "e56769a450958d398f1dec8ad90249802226b3ac387c5df2a47c32f7fbbad1b9"
+
+
+def test_exact_determinants_digest():
+    h = hashlib.sha256()
+    for kind in ("gamma", "delta"):
+        for p in DIGEST_OFFSETS:
+            for n in range(61):
+                h.update(f"{kind} {p} {n} {det_exact(hankel_matrix(kind, p, n))}\n".encode())
+    assert h.hexdigest() == DET_DIGEST
 
 
 def test_empty_matrix_determinant():
@@ -97,7 +109,7 @@ def test_exact_determinants_column0():
     for n, value in GAMMA_COL0.items():
         m = hankel_matrix("gamma", 0, n)
         assert det_exact(m) == value
-        assert _cofactor_det([list(r) for r in m.entries]) == value
+        assert _cofactor_det(m.tolist()) == value
 
 
 def test_bareiss_matches_cofactor_on_hankel_families():
@@ -105,14 +117,13 @@ def test_bareiss_matches_cofactor_on_hankel_families():
         for n in range(7):
             for p in range(7):
                 m = hankel_matrix(kind, p, n)
-                entries = [list(r) for r in m.entries]
-                assert det_exact(m) == _cofactor_det(entries)
+                assert det_exact(m) == _cofactor_det(m.tolist())
 
 
 @given(st_small_matrix)
 @settings(max_examples=120)
 def test_bareiss_matches_float_determinant(rows):
-    m = IntMatrix(tuple(tuple(r) for r in rows))
+    m = np.array(rows)
     expected = round(float(np.linalg.det(np.array(rows, dtype=float))))
     assert det_exact(m) == expected
 
@@ -120,7 +131,7 @@ def test_bareiss_matches_float_determinant(rows):
 @given(st_small_matrix)
 @settings(max_examples=120)
 def test_mod3_matches_exact(rows):
-    m = IntMatrix(tuple(tuple(r) for r in rows))
+    m = np.array(rows)
     assert det_mod3(m) == det_exact(m) % 3
 
 
@@ -138,8 +149,7 @@ def test_sorting_permutation():
     for n in range(1, 12):
         assert sorted(permutation_p(n)) == list(range(1, n + 1))
         p = permutation_matrix(n)
-        identity = IntMatrix.from_fn(n, n, lambda i, j: int(i == j))
-        assert (p.transpose() @ p).entries == identity.entries
+        assert np.array_equal(p.T @ p, np.eye(n, dtype=int))
 
 
 def test_conjugation_by_index_reordering_matches_matmul():
@@ -148,7 +158,7 @@ def test_conjugation_by_index_reordering_matches_matmul():
             p = permutation_matrix(n)
             for offset in range(4):
                 m = hankel_matrix(kind, offset, n)
-                assert conjugate_by_permutation(m) == p.transpose() @ m @ p, \
+                assert np.array_equal(conjugate_by_permutation(m), p.T @ m @ p), \
                     (kind, n, offset)
 
 
