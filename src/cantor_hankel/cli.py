@@ -24,6 +24,13 @@ from .sequences import sequence_slice
 # Color coding for the PPM grid renderer: blue, green, red for 0, 1, 2.
 PPM_COLORS = {0: (0, 0, 255), 1: (0, 200, 0), 2: (255, 0, 0)}
 ASCII_GLYPHS = {0: ".", 1: "#", 2: "x"}
+# The cell separator and the text of the values 0, 1, 2 in each text
+# format of `grid`.
+GRID_CELLS = {
+    "csv": (",", ("0", "1", "2")),
+    "ascii": ("", tuple(ASCII_GLYPHS[v] for v in range(3))),
+    "ppm": (" ", tuple(" ".join(map(str, PPM_COLORS[v])) for v in range(3))),
+}
 
 VERIFY_ORDER = tuple(checks.VERIFY_GROUPS)
 
@@ -56,22 +63,16 @@ def _cmd_cell(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     rows = engine.grid(1, args.n_max, 0, args.p_max, args.kind)
-    if args.format == "csv":
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    elif args.format == "json":
+    if args.format == "json":
         print(json.dumps({"kind": args.kind, "n_max": args.n_max,
-                          "p_max": args.p_max, "rows": [list(r) for r in rows]},
-                         sort_keys=True))
-    elif args.format == "ascii":
-        for row in rows:
-            print("".join(ASCII_GLYPHS[v] for v in row))
-    else:
-        print("P3")
-        print(f"{args.p_max + 1} {args.n_max}")
-        print("255")
-        for row in rows:
-            print(" ".join(" ".join(str(c) for c in PPM_COLORS[v]) for v in row))
+                          "p_max": args.p_max, "rows": rows}, sort_keys=True))
+        return 0
+    # Each cell is one lookup, and the table is printed in one piece.
+    sep, lut = GRID_CELLS[args.format]
+    lines = [sep.join(map(lut.__getitem__, row)) for row in rows]
+    if args.format == "ppm":
+        lines[:0] = ["P3", f"{args.p_max + 1} {args.n_max}", "255"]
+    print("\n".join(lines))
     return 0
 
 

@@ -16,17 +16,38 @@ rewrite the cell in terms of cells with quotient indices.  Rows n in
 
 Each recursive call reduces n except for finitely many small cells, so
 evaluation costs O(log n + log p) new cells on top of the memo.
+
+tables() builds whole rectangles of both streams the same way, one
+level at a time: a rectangle is rebuilt from the rectangle about a
+third as wide and as tall one level down, one array pass per
+splitting identity, and no cell is memoised.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .sequences import cantor_term, diff_term
 
 # Cells per call to grid() or per column scan; guards against
 # accidentally huge tables.
 DEFAULT_GRID_CELL_CAP = 4_000_000
+
+# Base-3 digits allowed in n and in p.  The scalar recursion spends about
+# three stack frames per digit and overflows Python's default limit of
+# 1000 frames between 300 and 340 digits, so 200 leaves room for the
+# callers.
+MAX_INDEX_DIGITS = 200
+_INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
+
+# The table kinds in the order tables() returns them.
+KINDS = ("gamma", "delta")
+
+# Rectangles of at most this many cells are read cell by cell: below it
+# the eighteen array passes of a level cost more than the cells.
+_CELLWISE_AREA = 32
 
 
 Factor = tuple[str, int, int, int]
@@ -68,6 +89,25 @@ SPLIT_RULES: dict[tuple[int, int, str], Rule] = {
 }
 
 
+def _check_digits(n: int, p: int) -> None:
+    if n >= _INDEX_BOUND or p >= _INDEX_BOUND:
+        name = "n" if n >= _INDEX_BOUND else "p"
+        raise ValueError(
+            f"{name} has more than {MAX_INDEX_DIGITS} base-3 digits, over the cap")
+
+
+def _anchor(stream: str, n: int, p: int) -> int:
+    """The stream at an anchor row n in {-1, 0, 1}.
+
+    Gamma has no row -1; tables() keeps a 0 there, which no identity reads.
+    """
+    if n == 1:
+        return cantor_term(p) if stream == "G" else diff_term(p) % 3
+    if n == 0:
+        return (2 if p == 0 else 1) if stream == "G" else 1
+    return int(stream == "D" and p == 0)
+
+
 def _split(stream: str, n: int, p: int) -> int:
     """The stream at (n, p), n >= 2, by its splitting identity mod 3.
 
@@ -96,11 +136,8 @@ def gamma_mod3(n: int, p: int) -> int:
     """Determinant mod 3 of the order-n Hankel matrix of c at offset p."""
     if n < 0 or p < 0:
         raise ValueError("need n >= 0 and p >= 0")
-    if n == 0:
-        return 2 if p == 0 else 1
-    if n == 1:
-        return cantor_term(p)
-    return _split("G", n, p)
+    _check_digits(n, p)
+    return _anchor("G", n, p) if n <= 1 else _split("G", n, p)
 
 
 @lru_cache(maxsize=None)
@@ -111,13 +148,8 @@ def delta_mod3(n: int, p: int) -> int:
     """
     if n < -1 or p < 0:
         raise ValueError("need n >= -1 and p >= 0")
-    if n == -1:
-        return 1 if p == 0 else 0
-    if n == 0:
-        return 1
-    if n == 1:
-        return diff_term(p) % 3
-    return _split("D", n, p)
+    _check_digits(n, p)
+    return _anchor("D", n, p) if n <= 1 else _split("D", n, p)
 
 
 # The printed columns: one period of each column stream at p = 0 and
@@ -144,23 +176,98 @@ def closed_form_p1(n: int) -> int:
     return PRINTED_COLUMNS["gamma", 1][n % 4]
 
 
-def _table(kind: str):
-    if kind not in ("gamma", "delta"):
+def _kind_index(kind: str) -> int:
+    if kind not in KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    return gamma_mod3 if kind == "gamma" else delta_mod3
+    return KINDS.index(kind)
+
+
+def _cell(stream: str, n: int, p: int) -> int:
+    if n <= 1:
+        return _anchor(stream, n, p)
+    return (gamma_mod3 if stream == "G" else delta_mod3)(n, p)
+
+
+def _cellwise(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
+    shape = (n_hi - n_lo + 1, p_hi - p_lo + 1)
+    return {stream: np.array([_cell(stream, n, p)
+                              for n in range(n_lo, n_hi + 1)
+                              for p in range(p_lo, p_hi + 1)],
+                             dtype=np.int8).reshape(shape)
+            for stream in "GD"}
+
+
+def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
+    """Both streams over a rectangle, keyed "G" and "D"; see tables()."""
+    if n_hi <= 3 or (n_hi - n_lo + 1) * (p_hi - p_lo + 1) <= _CELLWISE_AREA:
+        # Rows [-1, 3] x columns [0, 1] map to themselves one level
+        # down, so the recursion ends here.
+        return _cellwise(n_lo, n_hi, p_lo, p_hi)
+    out = {s: np.empty((n_hi - n_lo + 1, p_hi - p_lo + 1), np.int8) for s in "GD"}
+    if n_lo <= 1:
+        for stream, anchors in _cellwise(n_lo, 1, p_lo, p_hi).items():
+            out[stream][:len(anchors)] = anchors
+    r_lo = max(n_lo, 2)
+    # Row n = 3m + i reads rows m - 1 .. m + 2 and column p = 3q + j
+    # reads columns q .. q + 1 of the level below, each stream also
+    # squared mod 3.
+    m_lo, q_lo = r_lo // 3 - 1, p_lo // 3
+    below = {}
+    for stream, table in _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1).items():
+        below[stream, 1], below[stream, 2] = table, table * table % 3
+    for (i, j, stream), rule in SPLIT_RULES.items():
+        n0 = r_lo + (i - r_lo) % 3
+        p0 = p_lo + (j - p_lo) % 3
+        rows, cols = len(range(n0, n_hi + 1, 3)), len(range(p0, p_hi + 1, 3))
+        if not rows or not cols:
+            continue
+        m0, q0 = n0 // 3 - m_lo, p0 // 3 - q_lo
+        # Every product lies in [-8, 8] and every sum in [-16, 16],
+        # inside int8.
+        total = 0
+        for shift, factors in rule:
+            term = -1 if shift % 2 else 1
+            for sym, a, b, e in factors:
+                term = term * below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
+            total = total + term
+        total[(n0 // 3 + 1) % 2::2] *= -1  # (-1)**m: negate the rows of odd m
+        out[stream][n0 - n_lo::3, p0 - p_lo::3] = total % 3
+    return out
+
+
+def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
+           max_cells: int = DEFAULT_GRID_CELL_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and delta mod 3 over rows n_lo..n_hi and columns p_lo..p_hi.
+
+    Returns two int8 arrays indexed [n - n_lo, p - p_lo], in the order of
+    KINDS.  Rows n >= 2 come from the rectangle one level down, rows
+    n_lo // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1:
+    each entry (i, j, stream) of SPLIT_RULES fills the rows n = i and the
+    columns p = j mod 3 at once, every factor a contiguous slice of that
+    rectangle.  Anchor rows, and rectangles with all rows at most 3 or
+    with very few cells, are read cell by cell.  Gamma has no row -1;
+    its row there holds 0.  A rectangle of more than max_cells cells is
+    refused before any cell is computed.
+    """
+    if n_hi < n_lo or p_hi < p_lo:
+        raise ValueError("empty table range")
+    cells = (n_hi - n_lo + 1) * (p_hi - p_lo + 1)
+    if cells > max_cells:
+        raise ValueError(f"table of {cells} cells exceeds the cap {max_cells}")
+    if n_lo < -1 or p_lo < 0:
+        raise ValueError("need n >= -1 and p >= 0")
+    _check_digits(n_hi, p_hi)
+    out = _level(n_lo, n_hi, p_lo, p_hi)
+    return out["G"], out["D"]
 
 
 def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
          kind: str = "gamma", max_cells: int = DEFAULT_GRID_CELL_CAP) -> list[list[int]]:
     """Rectangular table of mod-3 values, rows n_lo..n_hi, columns p_lo..p_hi."""
-    if n_hi < n_lo or p_hi < p_lo:
-        raise ValueError("empty grid range")
-    cells = (n_hi - n_lo + 1) * (p_hi - p_lo + 1)
-    if cells > max_cells:
-        raise ValueError(f"grid of {cells} cells exceeds the cap {max_cells}")
-    value = _table(kind)
-    return [[value(n, p) for p in range(p_lo, p_hi + 1)]
-            for n in range(n_lo, n_hi + 1)]
+    index = _kind_index(kind)
+    if kind == "gamma" and n_lo < 0:
+        raise ValueError("need n >= 0 and p >= 0")
+    return tables(n_lo, n_hi, p_lo, p_hi, max_cells)[index].tolist()
 
 
 def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -172,8 +279,8 @@ def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     raise AssertionError("unreachable: the full tuple is its own period")
 
 
-def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
-    """Column p of a table read over three candidate periods from n = first.
+def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
+    """Column p of a table kind read over three candidate periods from n = first.
 
     The candidate period is 12 * 3**k, k the least exponent with
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
@@ -183,6 +290,7 @@ def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int]
     refused before any cell is computed, so without k_hint the largest
     p scanned is 3**11.
     """
+    index = _kind_index(kind)
     k = k_hint
     while p > 3 ** (k + 1):
         k += 1
@@ -191,11 +299,11 @@ def column_window(value, p: int, first: int, k_hint: int = 0) -> tuple[list[int]
         raise ValueError(
             f"column p = {p} needs a scan of {3 * candidate} cells, over the "
             f"cap {DEFAULT_GRID_CELL_CAP}")
-    window = [value(n, p) for n in range(first, first + 3 * candidate)]
-    if any(window[i] != window[i + candidate] for i in range(2 * candidate)):
+    window = tables(first, first + 3 * candidate - 1, p, p)[index][:, 0]
+    if not np.array_equal(window[:2 * candidate], window[candidate:]):
         raise RuntimeError(
             f"column {p} is not {candidate}-periodic on the scanned window")
-    return window, candidate
+    return window.tolist(), candidate
 
 
 def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
@@ -206,7 +314,7 @@ def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
     """
     if p < 0 or k_hint < 0:
         raise ValueError("need p >= 0 and k_hint >= 0")
-    window, candidate = column_window(_table(kind), p, 1, k_hint)
+    window, candidate = column_window(kind, p, 1, k_hint)
     return len(minimal_period(tuple(window[:candidate])))
 
 

@@ -21,6 +21,15 @@ from .sequences import cantor_term, diff_term
 # Fallback ceiling for the adaptive tail-depth search.
 MAX_TAIL_DEPTH = 1 << 20
 
+# Resource guards, checked before any work.  Times on a 2-core VM:
+# pade(200) about 1 s, irrationality_estimates(2, 100) about 5 s,
+# verify_functional_equation(10**6) about 1 s, eta_identity_check(6,
+# 10**4) under 0.1 s.
+MAX_PADE_ORDER = 200
+MAX_IRR_ORDER = 100
+MAX_FEQ_DEGREE = 10 ** 6
+MAX_ETA_DEPTH = 10 ** 4
+
 
 def cantor_coefficients(count: int) -> list[int]:
     """The first count coefficients of f(x) = sum of c_n x^n."""
@@ -97,6 +106,8 @@ def pade(order: int) -> PadeApproximant:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    if order > MAX_PADE_ORDER:
+        raise ValueError(f"order n = {order} is over the cap of {MAX_PADE_ORDER}")
     c = cantor_coefficients(2 * order)
     matrix = [[Fraction(c[order + i - j - 1]) for j in range(order)]
               for i in range(order)]
@@ -174,6 +185,8 @@ def verify_functional_equation(degree: int) -> FunctionalEquationReport:
     """Check f(x) = (1 + x^2) f(x^3) coefficientwise through degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if degree > MAX_FEQ_DEGREE:
+        raise ValueError(f"degree {degree} is over the cap of {MAX_FEQ_DEGREE}")
     c = cantor_coefficients(degree + 1)
     cube = [c[k // 3] if k % 3 == 0 else 0 for k in range(degree + 1)]
     rhs = [cube[k] + (cube[k - 2] if k >= 2 else 0) for k in range(degree + 1)]
@@ -285,6 +298,8 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     # No order at all would be an empty, vacuous report.
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
+    if max_order > MAX_IRR_ORDER:
+        raise ValueError(f"max_order {max_order} is over the cap of {MAX_IRR_ORDER}")
     out: list[ApproximationExponent] = []
     seen: dict[Fraction, int] = {}
     x = Fraction(1, b)
@@ -351,6 +366,8 @@ def eta_identity_check(b: int, depth: int) -> EtaReport:
         raise ValueError("base must be at least 2")
     if depth < 3:
         raise ValueError("depth must be at least 3")
+    if depth > MAX_ETA_DEPTH:
+        raise ValueError(f"depth {depth} is over the cap of {MAX_ETA_DEPTH}")
     # A few terms beyond depth keep the combined width strictly below
     # the b**(2 - depth) budget; at exactly depth terms the d-side tail
     # bound alone already equals the budget when b = 2.

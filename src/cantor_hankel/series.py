@@ -135,10 +135,10 @@ SIGNS_ODD = PeriodicSeries((2, 1))
 ZERO = PeriodicSeries((0,))
 
 
-def _column(value_fn, p: int) -> PeriodicSeries:
+def _column(kind: str, p: int) -> PeriodicSeries:
     if p < 0:
         raise ValueError("need p >= 0")
-    window, candidate = engine.column_window(value_fn, p, 0)
+    window, candidate = engine.column_window(kind, p, 0)
     return PeriodicSeries(tuple(window[:candidate]))
 
 
@@ -149,12 +149,12 @@ def series_gamma(p: int) -> PeriodicSeries:
     candidate periods before trusting it; the constructor then reduces
     to the minimal period.
     """
-    return _column(engine.gamma_mod3, p)
+    return _column("gamma", p)
 
 
 def series_delta(p: int) -> PeriodicSeries:
     """The stream n -> delta_mod3(n, p), n >= 0, as a periodic series."""
-    return _column(engine.delta_mod3, p)
+    return _column("delta", p)
 
 
 def _reassemble(stream: str, p: int) -> PeriodicSeries:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,8 @@ import pytest
 import cantor_hankel
 from cantor_hankel import checks, cli, engine
 from cantor_hankel.hankel import MAX_HANKEL_ORDER
+from cantor_hankel.pade import (MAX_ETA_DEPTH, MAX_FEQ_DEGREE, MAX_IRR_ORDER,
+                                MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 from cantor_hankel.sequences import MAX_SLICE_COUNT
 
@@ -104,6 +107,28 @@ def test_grid_ppm_window_dimensions(capsys):
     assert lines[1] == "128 96"
     assert len(lines) == 3 + 96
     assert all(len(line.split()) == 3 * 128 for line in lines[3:])
+
+
+# SHA-256 of `grid --n-max 300 --p-max 299` stdout, pinned from the
+# cell-by-cell engine and formatter that the table engine replaced.
+GRID_300_DIGESTS = {
+    ("gamma", "ascii"): "ff4d2e79060cadc582410c518ae952feed8b02d8e5ed2314ae06a913ec9c5124",
+    ("gamma", "csv"): "a18faeba7f368f25840db43d0a1f0b72baa3e801192ee03e76d2ef482a33fea9",
+    ("gamma", "json"): "c773cddd8dc3edb82496f48f7db3545f07f120e04197d46171ed51571d9e5465",
+    ("gamma", "ppm"): "bcbaffb6a31f5536fcf4c765fbb1f5ea73d2a4545fabdb9875c7a910e71c9294",
+    ("delta", "ascii"): "ff4d64879886d4f0f6d359d6b551729e33b5df7dfc6306aea1c4c9df2c57f450",
+    ("delta", "csv"): "7aad94481e5a05d71368d59cea0d763c4d098a8361b607e2b7a573ec2c5770f5",
+    ("delta", "json"): "7fc1b1c98d5a9051b6878fd9858cc07499fec3ee8aabc37ea94ae0942245e854",
+    ("delta", "ppm"): "0e91f8dc5180441af4d063a938f82e874d2cb1aa0ccd834006aab18c8dab72ac",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GRID_300_DIGESTS))
+def test_grid_output_is_pinned(capsys, kind, fmt):
+    code, out = run(capsys, "grid", "--kind", kind, "--n-max", "300", "--p-max", "299",
+                    "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_300_DIGESTS[kind, fmt]
 
 
 def test_period(capsys):
@@ -351,14 +376,40 @@ def test_help_exits_zero(capsys):
      f"order n = {MAX_HANKEL_ORDER + 1} is over the cap"),
     (["seq", "--kind", "c", "--count", str(MAX_SLICE_COUNT + 1)],
      f"count {MAX_SLICE_COUNT + 1} is over the cap"),
-], ids=["det-n", "seq-count"])
+    (["pade", "-n", str(MAX_PADE_ORDER + 1)],
+     f"order n = {MAX_PADE_ORDER + 1} is over the cap"),
+    (["irr", "-b", "2", "--n-max", str(MAX_IRR_ORDER + 1)],
+     f"max_order {MAX_IRR_ORDER + 1} is over the cap"),
+    (["feq", "--deg", str(MAX_FEQ_DEGREE + 1)],
+     f"degree {MAX_FEQ_DEGREE + 1} is over the cap"),
+    (["eta", "-b", "2", "--depth", str(MAX_ETA_DEPTH + 1)],
+     f"depth {MAX_ETA_DEPTH + 1} is over the cap"),
+    (["cell", "-n", str(3 ** engine.MAX_INDEX_DIGITS), "-p", "5"],
+     f"n has more than {engine.MAX_INDEX_DIGITS} base-3 digits"),
+    (["cell", "--kind", "delta", "-n", "5", "-p", str(3 ** engine.MAX_INDEX_DIGITS)],
+     f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits"),
+], ids=["det-n", "seq-count", "pade-n", "irr-n-max", "feq-deg", "eta-depth",
+        "cell-n", "cell-p"])
 def test_caps_refuse_before_any_work(argv, named):
     # A separate process under a timeout: past the cap the command must
     # exit 2 at once, not start the work.
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cantor_hankel.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "cantor_hankel.cli", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+    done = _run_cli(argv)
     assert done.returncode == 2
     assert done.stdout == ""
     assert named in done.stderr
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+def test_cell_just_under_the_digit_cap_returns_a_value(kind):
+    # A fresh process, so the scalar recursion runs cold to its full depth.
+    largest = str(3 ** engine.MAX_INDEX_DIGITS - 1)
+    done = _run_cli(["cell", "--kind", kind, "-n", largest, "-p", largest])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout in ("0\n", "1\n", "2\n")
+
+
+def _run_cli(argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cantor_hankel.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "cantor_hankel.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)

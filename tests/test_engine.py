@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cantor_hankel import checks, engine
@@ -115,15 +117,92 @@ def test_column_period_is_a_period():
             assert engine.gamma_mod3(n, p) == engine.gamma_mod3(n + t, p)
 
 
-def test_column_window_refuses_before_computing_a_cell():
-    def value(n, p):
+def test_column_window_refuses_before_computing_a_cell(monkeypatch):
+    def tables(*args, **kwargs):
         raise AssertionError("a cell was computed")
+    monkeypatch.setattr(engine, "tables", tables)
     with pytest.raises(ValueError, match="p = 177148"):
-        engine.column_window(value, 3 ** 11 + 1, 0)
+        engine.column_window("gamma", 3 ** 11 + 1, 0)
     with pytest.raises(ValueError, match=f"p = {3 ** 40}"):
-        engine.column_window(value, 3 ** 40, 1)
+        engine.column_window("delta", 3 ** 40, 1)
     with pytest.raises(ValueError, match="p = 2"):
-        engine.column_window(value, 2, 1, k_hint=11)
+        engine.column_window("gamma", 2, 1, k_hint=11)
+
+
+def _assert_tables_match_scalar(n_lo, n_hi, p_lo, p_hi):
+    """tables() against the scalar engine, cell by cell; gamma's row -1 is 0."""
+    gamma, delta = engine.tables(n_lo, n_hi, p_lo, p_hi)
+    assert gamma.shape == delta.shape == (n_hi - n_lo + 1, p_hi - p_lo + 1)
+    for n in range(n_lo, n_hi + 1):
+        for p in range(p_lo, p_hi + 1):
+            cell = (n - n_lo, p - p_lo)
+            want = engine.gamma_mod3(n, p) if n >= 0 else 0
+            assert gamma[cell] == want, ("gamma", n, p)
+            assert delta[cell] == engine.delta_mod3(n, p), ("delta", n, p)
+
+
+def _random_rectangles(seed):
+    """(n_lo, p_lo, height, width): small corners, mid-sized indices, and
+    scattered blocks with 13 base-3 digits in n and p.
+
+    Scattered 13-digit blocks are nearly all zero, so one more block sits
+    at n = 3**12, where that table is not.
+    """
+    rng = random.Random(seed)
+    out = [(rng.randrange(2, 100), rng.randrange(0, 100), rng.randint(30, 60),
+            rng.randint(30, 60)) for _ in range(3)]
+    out += [(rng.randrange(3 ** 6, 3 ** 8), rng.randrange(0, 3 ** 5), rng.randint(20, 40),
+             rng.randint(20, 40)) for _ in range(2)]
+    out += [(rng.randrange(3 ** 12, 3 ** 13), rng.randrange(3 ** 12, 3 ** 13), 40, 40)
+            for _ in range(2)]
+    return out + [(3 ** 12, 3 ** 12 + rng.randrange(3 ** 11), 90, 90)]
+
+
+def test_tables_match_the_cold_scalar_engine():
+    for n_lo, p_lo, height, width in _random_rectangles(2024):
+        engine.clear_caches()
+        _assert_tables_match_scalar(n_lo, n_lo + height - 1, p_lo, p_lo + width - 1)
+
+
+def test_tables_match_the_scalar_engine_from_the_boundary_rows():
+    _assert_tables_match_scalar(-1, 60, 0, 60)
+    _assert_tables_match_scalar(-1, 1, 3 ** 9, 3 ** 9 + 200)
+    for p in (0, 1, 2, 5, 13, 40, 122, 3 ** 8 + 1):
+        _assert_tables_match_scalar(-1, 300, p, p)
+    _assert_tables_match_scalar(3 ** 9 - 5, 3 ** 9 + 5, 0, 400)
+
+
+def test_tables_match_elimination_over_the_oracle_window():
+    tables = dict(zip(engine.KINDS, engine.tables(1, 40, 0, 81)))
+    for kind, table in tables.items():
+        for n in range(1, 41):
+            for p in range(82):
+                assert table[n - 1, p] == det_mod3(hankel_matrix(kind, p, n)), (kind, n, p)
+
+
+def test_grid_leaves_the_memo_small():
+    engine.clear_caches()
+    rows = engine.grid(1, 1000, 0, 999, "delta")
+    assert engine.gamma_mod3.cache_info().currsize < 5000
+    assert engine.delta_mod3.cache_info().currsize < 5000
+    rng = random.Random(10)
+    for _ in range(300):
+        n, p = rng.randint(1, 1000), rng.randrange(1000)
+        assert rows[n - 1][p] == engine.delta_mod3(n, p), (n, p)
+
+
+def test_tables_refuse_bad_ranges_before_any_work():
+    with pytest.raises(ValueError, match="empty table range"):
+        engine.tables(5, 4, 0, 0)
+    with pytest.raises(ValueError, match="need n >= -1"):
+        engine.tables(-2, 4, 0, 0)
+    with pytest.raises(ValueError, match="exceeds the cap 50"):
+        engine.tables(1, 100, 0, 100, max_cells=50)
+    with pytest.raises(ValueError, match="p has more than"):
+        engine.tables(1, 2, 3 ** engine.MAX_INDEX_DIGITS, 3 ** engine.MAX_INDEX_DIGITS)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        engine.grid(-1, 3, 0, 3, "gamma")
+    assert engine.grid(-1, 0, 0, 1, "delta") == [[1, 0], [1, 1]]
 
 
 def test_grid_shape_and_cap():
