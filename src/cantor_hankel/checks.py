@@ -193,22 +193,19 @@ def period_bounds(k_values: tuple[int, ...] = (0, 1, 2)) -> CheckResult:
 def kernel_soundness(window: int = 8) -> CheckResult:
     """Closure elements against the engine subsequences they stand for.
 
-    Every state is evaluated at every point at once; the first mismatch
-    in state order, then n, then p, is the one reported.
+    Every state is evaluated at every point at once, against the
+    lattices engine.witness_lattices builds for the witnesses; the first
+    mismatch in state order, then n, then p, is the one reported.
     """
     name = "kernel-soundness"
     _need("kernel", "window", window, 0)
     points = [(n, p) for n in range(window + 1) for p in range(window + 1)]
-    sizes = {}
-    for start, base in (("gamma", engine.gamma_mod3), ("delta", engine.delta_mod3)):
-        closure = kernel.kernel_closure(start)
-        sizes[start] = len(closure.states)
+    closures = {start: kernel.kernel_closure(start) for start in engine.KINDS}
+    expected = engine.witness_lattices(
+        {start: closure.witnesses for start, closure in closures.items()}, window)
+    for start, closure in closures.items():
         got = kernel.evaluate_states(closure.states, points)
-        expected = np.fromiter(
-            (base(3 ** m * n + r, 3 ** m * p + s)
-             for m, r, s in closure.witnesses for n, p in points),
-            dtype=np.int8, count=got.size).reshape(got.shape)
-        wrong = np.flatnonzero(got != expected)
+        wrong = np.flatnonzero(got != expected[start])
         if wrong.size:
             k, col = divmod(int(wrong[0]), len(points))
             m, r, s = closure.witnesses[k]
@@ -218,8 +215,8 @@ def kernel_soundness(window: int = 8) -> CheckResult:
                 f"{start} state with witness ({m},{r},{s}) disagrees at n={n} p={p}")
     return CheckResult(
         name, True,
-        f"closures gamma={sizes['gamma']} delta={sizes['delta']} states, "
-        f"pointwise n,p <= {window}")
+        f"closures gamma={len(closures['gamma'].states)} "
+        f"delta={len(closures['delta'].states)} states, pointwise n,p <= {window}")
 
 
 def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:

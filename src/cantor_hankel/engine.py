@@ -20,12 +20,17 @@ evaluation costs O(log n + log p) new cells on top of the memo.
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
 third as wide and as tall one level down, one array pass per
-splitting identity, and no cell is memoised.
+splitting identity, and no cell is memoised.  witness_lattices() does
+the same for the lattices (3**m n + r, 3**m p + s) that kernel closure
+states stand for: one splitting identity rebuilds a whole lattice from
+lattices one level down.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import time
+from collections.abc import Callable, Sequence
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,6 +113,51 @@ def _anchor(stream: str, n: int, p: int) -> int:
     return int(stream == "D" and p == 0)
 
 
+# c over one block of 3**5 indices: the product of the Cantor indicator
+# [1, 0, 1] over each of five base-3 digits.
+_CANTOR_BLOCK = reduce(np.kron, [np.array([True, False, True])] * 5)
+
+
+def _cantor_run(q: int, count: int) -> np.ndarray:
+    """c_p for p = q .. q + count - 1, any q >= 0, as a bool array.
+
+    p = hi * B + lo with B = len(_CANTOR_BLOCK) splits the digits:
+    c_p = c_hi * c_lo, c_lo read from _CANTOR_BLOCK and the c_hi a run
+    about B times shorter, so p may have all MAX_INDEX_DIGITS digits.
+    """
+    if count <= 2:
+        return np.array([cantor_term(q + k) for k in range(count)], dtype=bool)
+    block = len(_CANTOR_BLOCK)
+    hi, lo = divmod(q, block)
+    high = _cantor_run(hi, (lo + count - 1) // block + 1)
+    return (high[:, None] & _CANTOR_BLOCK).ravel()[lo:lo + count]
+
+
+def _anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
+    """Rows n = -1, 0, 1 of both streams at the columns p_lo + step * k,
+    k < count, keyed "G" and "D": int8 arrays of shape (3, count).
+
+    step must be a power of 3.  Then p_lo = step * q + u with u < step
+    puts the digits of u below those of q + k, so c there is c_u times
+    c_(q + k).  Row 1 of delta is d_p = c_p + c_(p + 2), and p + 2 splits
+    the same way with a quotient at most 2 past q, so one run of c
+    serves both.  Gamma has no row -1; it holds 0.
+    """
+    q, u = divmod(p_lo, step)
+    q2, u2 = divmod(p_lo + 2, step)
+    run = _cantor_run(q, count + q2 - q)
+    rows = np.zeros((2, 3, count), dtype=np.int8)
+    rows[:, 1] = 1
+    if p_lo == 0:
+        rows[0, 1, 0] = 2
+        rows[1, 0, 0] = 1
+    if cantor_term(u):
+        rows[:, 2] = run[:count]
+    if cantor_term(u2):
+        rows[1, 2] += run[q2 - q:]
+    return {"G": rows[0], "D": rows[1]}
+
+
 def _split(stream: str, n: int, p: int) -> int:
     """The stream at (n, p), n >= 2, by its splitting identity mod 3.
 
@@ -182,32 +232,43 @@ def _kind_index(kind: str) -> int:
     return KINDS.index(kind)
 
 
-def _cell(stream: str, n: int, p: int) -> int:
-    if n <= 1:
-        return _anchor(stream, n, p)
-    return (gamma_mod3 if stream == "G" else delta_mod3)(n, p)
+def _rule_sum(rule: Rule, factor: Callable[[str, int, int, int], np.ndarray],
+              odd_from: int) -> np.ndarray:
+    """A splitting identity evaluated on arrays, reduced mod 3.
 
-
-def _cellwise(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
-    shape = (n_hi - n_lo + 1, p_hi - p_lo + 1)
-    return {stream: np.array([_cell(stream, n, p)
-                              for n in range(n_lo, n_hi + 1)
-                              for p in range(p_lo, p_hi + 1)],
-                             dtype=np.int8).reshape(shape)
-            for stream in "GD"}
+    factor(stream, a, b, e) is the array of that factor, already raised
+    to e.  The (-1)**m part of each term's sign, m the quotient row
+    index, is applied by negating every other row from row odd_from.
+    Every product lies in [-8, 8] and every sum in [-16, 16], inside
+    int8.
+    """
+    total = 0
+    for shift, factors in rule:
+        term = -1 if shift % 2 else 1
+        for sym, a, b, e in factors:
+            term = term * factor(sym, a, b, e)
+        total = total + term
+    total[odd_from::2] *= -1
+    return total % 3
 
 
 def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
     """Both streams over a rectangle, keyed "G" and "D"; see tables()."""
-    if n_hi <= 3 or (n_hi - n_lo + 1) * (p_hi - p_lo + 1) <= _CELLWISE_AREA:
+    width = p_hi - p_lo + 1
+    out = {s: np.empty((n_hi - n_lo + 1, width), np.int8) for s in "GD"}
+    if n_lo <= 1:
+        for stream, anchors in _anchor_rows(p_lo, width).items():
+            out[stream][:2 - n_lo] = anchors[n_lo + 1:n_hi + 2]
+    r_lo = max(n_lo, 2)
+    if r_lo > n_hi:
+        return out
+    if n_hi <= 3 or (n_hi - n_lo + 1) * width <= _CELLWISE_AREA:
         # Rows [-1, 3] x columns [0, 1] map to themselves one level
         # down, so the recursion ends here.
-        return _cellwise(n_lo, n_hi, p_lo, p_hi)
-    out = {s: np.empty((n_hi - n_lo + 1, p_hi - p_lo + 1), np.int8) for s in "GD"}
-    if n_lo <= 1:
-        for stream, anchors in _cellwise(n_lo, 1, p_lo, p_hi).items():
-            out[stream][:len(anchors)] = anchors
-    r_lo = max(n_lo, 2)
+        for stream, value in (("G", gamma_mod3), ("D", delta_mod3)):
+            out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
+                                         for n in range(r_lo, n_hi + 1)]
+        return out
     # Row n = 3m + i reads rows m - 1 .. m + 2 and column p = 3q + j
     # reads columns q .. q + 1 of the level below, each stream also
     # squared mod 3.
@@ -222,16 +283,12 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
         if not rows or not cols:
             continue
         m0, q0 = n0 // 3 - m_lo, p0 // 3 - q_lo
-        # Every product lies in [-8, 8] and every sum in [-16, 16],
-        # inside int8.
-        total = 0
-        for shift, factors in rule:
-            term = -1 if shift % 2 else 1
-            for sym, a, b, e in factors:
-                term = term * below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
-            total = total + term
-        total[(n0 // 3 + 1) % 2::2] *= -1  # (-1)**m: negate the rows of odd m
-        out[stream][n0 - n_lo::3, p0 - p_lo::3] = total % 3
+
+        def factor(sym: str, a: int, b: int, e: int) -> np.ndarray:
+            return below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
+
+        # Row k of this slice has m = n0 // 3 + k: negate the rows of odd m.
+        out[stream][n0 - n_lo::3, p0 - p_lo::3] = _rule_sum(rule, factor, (n0 // 3 + 1) % 2)
     return out
 
 
@@ -244,8 +301,9 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     n_lo // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1:
     each entry (i, j, stream) of SPLIT_RULES fills the rows n = i and the
     columns p = j mod 3 at once, every factor a contiguous slice of that
-    rectangle.  Anchor rows, and rectangles with all rows at most 3 or
-    with very few cells, are read cell by cell.  Gamma has no row -1;
+    rectangle.  Anchor rows come from one numpy pass over the columns;
+    the other rows of rectangles with all rows at most 3 or with very
+    few cells are read cell by cell.  Gamma has no row -1;
     its row there holds 0.  A rectangle of more than max_cells cells is
     refused before any cell is computed.
     """
@@ -259,6 +317,72 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     _check_digits(n_hi, p_hi)
     out = _level(n_lo, n_hi, p_lo, p_hi)
     return out["G"], out["D"]
+
+
+def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
+                     window: int) -> dict[str, np.ndarray]:
+    """Each stream kind on the lattice of each of its witnesses (m, r, s).
+
+    witnesses maps kinds to witness lists.  For each kind the result is
+    an int8 array with one row per witness and one column per point
+    (n, p), n and p in 0..window, n-major: the stream at
+    (3**m * n + r, 3**m * p + s).  A witness needs 0 <= r, s < 3**m.
+
+    Every point of a lattice with m >= 1 has the residues (r mod 3,
+    s mod 3), so one entry of SPLIT_RULES rewrites the whole lattice
+    from the lattices (m - 1, r // 3 + a, s // 3 + b), and its sign
+    (-1)**(3**(m - 1) * n + r // 3 + shift) is a parity in n.  Row
+    n = 0 of a lattice with r <= 1 is an anchor row, read rather than
+    split.  A lattice read at level k has r in -1 .. 3**k + 2 and s in
+    0 .. 3**k + 1, so at level 0 every lattice is a slice of the one
+    tables() rectangle over rows -1 .. window + 3 and columns
+    0 .. window + 3.  Lattices are memoised for this call only, shared
+    between the kinds.
+    """
+    if window < 0:
+        raise ValueError(f"need window >= 0, got {window}")
+    streams = {kind: "GD"[_kind_index(kind)] for kind in witnesses}
+    for triples in witnesses.values():
+        for m, r, s in triples:
+            if m < 0 or not (0 <= r < 3 ** m and 0 <= s < 3 ** m):
+                raise ValueError(f"witness ({m},{r},{s}) needs 0 <= r, s < 3**m")
+            _check_digits(3 ** m * window + r, 3 ** m * window + s)
+    began = time.perf_counter()
+    size = window + 1
+    base = dict(zip("GD", tables(-1, window + 3, 0, window + 3)))
+    memo: dict[tuple[str, int, int, int], np.ndarray] = {}
+
+    def lattice(sym: str, m: int, r: int, s: int) -> np.ndarray:
+        key = (sym, m, r, s)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if m == 0:
+            got = base[sym][r + 1:r + 1 + size, s:s + size]
+        else:
+            q, i = divmod(r, 3)
+            t, j = divmod(s, 3)
+
+            def factor(f_sym: str, a: int, b: int, e: int) -> np.ndarray:
+                value = lattice(f_sym, m - 1, q + a, t + b)
+                return value if e == 1 else value * value % 3
+
+            # Row n has the sign of (-1)**(n + r // 3).
+            got = _rule_sum(SPLIT_RULES[i, j, sym], factor, (q + 1) % 2)
+            if r <= 1:
+                got[0] = _anchor_rows(s, size, 3 ** m)[sym][r + 1]
+        memo[key] = got
+        return got
+
+    out = {kind: np.array([lattice(streams[kind], *w).ravel() for w in triples],
+                          dtype=np.int8).reshape(len(triples), size * size)
+           for kind, triples in witnesses.items()}
+    # Imported here, as in kernel: only a sweep writes a record.
+    import logging
+    logging.getLogger(__name__).debug(
+        "witness lattices at window %d: %d built, %.3f s",
+        window, len(memo), time.perf_counter() - began)
+    return out
 
 
 def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,

@@ -1,8 +1,10 @@
+import logging
 import random
 
+import numpy as np
 import pytest
 
-from cantor_hankel import checks, engine
+from cantor_hankel import checks, engine, kernel
 from cantor_hankel.hankel import det_mod3, hankel_matrix
 from cantor_hankel.sequences import cantor_term, diff_term
 
@@ -189,6 +191,93 @@ def test_grid_leaves_the_memo_small():
     for _ in range(300):
         n, p = rng.randint(1, 1000), rng.randrange(1000)
         assert rows[n - 1][p] == engine.delta_mod3(n, p), (n, p)
+
+
+def _assert_anchor_rows_match_scalar(p_lo, count, step=1):
+    rows = engine._anchor_rows(p_lo, count, step)
+    for stream, table in rows.items():
+        assert table.shape == (3, count) and table.dtype == np.int8
+        for n in (-1, 0, 1):
+            want = [engine._anchor(stream, n, p_lo + step * k) for k in range(count)]
+            assert table[n + 1].tolist() == want, (stream, n, p_lo, step)
+
+
+def test_anchor_rows_match_the_scalar_anchors():
+    _assert_anchor_rows_match_scalar(0, 3 ** 8 + 1)
+    for p_lo in (1, 2, 3 ** 5 - 4, 3 ** 8):
+        _assert_anchor_rows_match_scalar(p_lo, 40)
+    # Past int64, across the carry into the 200th digit.
+    for p_lo in (3 ** 199 - 60, 2 * 3 ** 198 - 7, 3 ** 199 + 3 ** 40 - 30):
+        _assert_anchor_rows_match_scalar(p_lo, 90)
+    # The lattice engine's rows: columns 3**m * k + s, s up to 3**m + 1.
+    for m, s in ((1, 0), (1, 4), (3, 26), (4, 83), (6, 3 ** 6 + 1), (150, 3 ** 149 + 2)):
+        _assert_anchor_rows_match_scalar(s, 21, 3 ** m)
+
+
+def _assert_lattices_match_scalar(witnesses, window):
+    """witness_lattices() against the scalar engine, point by point."""
+    points = [(n, p) for n in range(window + 1) for p in range(window + 1)]
+    got = engine.witness_lattices(witnesses, window)
+    for kind, triples in witnesses.items():
+        value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
+        want = [[value(3 ** m * n + r, 3 ** m * p + s) for n, p in points]
+                for m, r, s in triples]
+        assert got[kind].tolist() == want, kind
+
+
+def test_lattices_match_the_scalar_engine_at_every_witness():
+    _assert_lattices_match_scalar(
+        {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}, 3)
+
+
+def test_lattices_match_the_scalar_engine_near_the_lattice_edge():
+    # r and s near 3**m, so a factor lattice one level down has
+    # r // 3 + 2 >= 3**(m - 1), past the witness range.
+    rng = random.Random(11)
+    witnesses = {kind: [] for kind in engine.KINDS}
+    for _ in range(24):
+        m = rng.randint(1, 10)
+        r = 3 ** m - rng.randint(1, min(3 ** m, 5))
+        s = rng.choice((3 ** m - rng.randint(1, min(3 ** m, 5)), rng.randrange(3 ** m)))
+        witnesses[rng.choice(engine.KINDS)].append((m, r, s))
+    witnesses["gamma"] += [(0, 0, 0), (2, 0, 1), (3, 1, 0)]
+    witnesses["delta"] += [(0, 0, 0), (2, 1, 1), (3, 0, 26)]
+    _assert_lattices_match_scalar(witnesses, 5)
+
+
+def test_lattices_refuse_witnesses_off_the_lattice():
+    with pytest.raises(ValueError, match=r"witness \(2,9,0\)"):
+        engine.witness_lattices({"gamma": [(2, 9, 0)]}, 3)
+    with pytest.raises(ValueError, match=r"witness \(0,0,1\)"):
+        engine.witness_lattices({"delta": [(0, 0, 1)]}, 3)
+    with pytest.raises(ValueError, match="window >= 0, got -1"):
+        engine.witness_lattices({"delta": [(0, 0, 0)]}, -1)
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        engine.witness_lattices({"omega": [(0, 0, 0)]}, 3)
+    with pytest.raises(ValueError, match="n has more than"):
+        engine.witness_lattices({"gamma": [(engine.MAX_INDEX_DIGITS, 0, 0)]}, 1)
+
+
+def test_kernel_soundness_leaves_the_memo_small():
+    engine.clear_caches()
+    assert checks.kernel_soundness(20).ok
+    assert engine.gamma_mod3.cache_info().currsize < 5000
+    assert engine.delta_mod3.cache_info().currsize < 5000
+
+
+def test_lattice_sweep_logs_one_debug_record(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="cantor_hankel.engine")
+    engine.witness_lattices({"gamma": [(0, 0, 0), (1, 2, 1)], "delta": [(1, 2, 1)]}, 4)
+    records = [r for r in caplog.records if r.name == "cantor_hankel.engine"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    window, built, seconds = record.args
+    # The three requested lattices and the five at m = 0 that rules
+    # (2, 1, G) and (2, 1, D) read: G at (1, 0) and (2, 0), D at (0, 1),
+    # (0, 0) and (1, 0).
+    assert (window, built) == (4, 8) and seconds >= 0
+    assert capsys.readouterr().out == ""
 
 
 def test_tables_refuse_bad_ranges_before_any_work():
