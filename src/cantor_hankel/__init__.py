@@ -21,7 +21,8 @@ from .kernel import (Closure, Dfao1D, Dfao2D, KernelExpr, build_dfao,
 from .pade import (ApproximationExponent, EtaReport, PadeApproximant,
                    PadeErrorReport, RationalInterval, cantor_number,
                    eta_identity_check, irrationality_estimates, pade,
-                   verify_functional_equation, verify_pade_error)
+                   pade_diagonal, verify_functional_equation,
+                   verify_pade_error)
 from .sequences import (cantor_term, cantor_via_automaton, diff_term,
                         sequence_slice, substitution_word)
 from .series import (PeriodicSeries, RationalForm, assemble_delta2,
@@ -41,9 +42,9 @@ __all__ = [
     "delta_mod3", "det_exact", "det_mod3", "diff_term",
     "eta_identity_check", "export_dfao", "gamma_mod3", "grid",
     "hankel_matrix", "interleave3", "irrationality_estimates",
-    "kernel_closure", "pade", "parse_dfao_table", "permutation_matrix",
-    "permutation_p", "project_row", "sequence_slice", "series_delta",
-    "series_gamma", "stride3_matrix", "substitution_word",
+    "kernel_closure", "pade", "pade_diagonal", "parse_dfao_table",
+    "permutation_matrix", "permutation_p", "project_row", "sequence_slice",
+    "series_delta", "series_gamma", "stride3_matrix", "substitution_word",
     "verify_functional_equation", "verify_pade_error",
     "verify_structure", "__version__",
 ]

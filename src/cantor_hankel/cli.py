@@ -114,8 +114,17 @@ def _cmd_dfao_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_approximant(exc: ArithmeticError) -> RuntimeError:
+    # A missing approximant means a zero Hankel determinant of c, a
+    # falsified identity (exit 1), not a refused request.
+    return RuntimeError(f"no Pade approximant: {exc}")
+
+
 def _cmd_pade(args: argparse.Namespace) -> int:
-    approx = pade_approximant(args.n)
+    try:
+        approx = pade_approximant(args.n)
+    except ArithmeticError as exc:
+        raise _no_approximant(exc) from exc
     print(f"order {approx.order}")
     print("numerator " + ",".join(str(c) for c in approx.numerator))
     print("denominator " + ",".join(str(c) for c in approx.denominator))
@@ -141,7 +150,10 @@ def _cmd_feq(args: argparse.Namespace) -> int:
 
 
 def _cmd_irr(args: argparse.Namespace) -> int:
-    rows = irrationality_estimates(args.b, args.n_max)
+    try:
+        rows = irrationality_estimates(args.b, args.n_max)
+    except ArithmeticError as exc:
+        raise _no_approximant(exc) from exc
     if args.format == "json":
         payload = [{"order": r.order, "p": r.p, "q": r.q,
                     "mu_lo": r.exponent_lo, "mu_hi": r.exponent_hi,

@@ -1,14 +1,17 @@
 """Exact Pade approximants of the Cantor power series and interval
 certificates for how well their values approximate the Cantor numbers.
 
-Everything rational is a fractions.Fraction; the only floating point in
-the module is the final log-quotient enclosure, which goes through
-mpmath's interval context so rounding is outward and the reported
-exponent windows are genuine enclosures.
+Everything rational is exact, a fractions.Fraction or an integer
+polynomial standing for a rational multiple of itself; the only floating
+point in the module is the final log-quotient enclosure, which goes
+through mpmath's interval context so rounding is outward and the
+reported exponent windows are genuine enclosures.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,7 +25,8 @@ from .sequences import cantor_term, diff_term
 MAX_TAIL_DEPTH = 1 << 20
 
 # Resource guards, checked before any work.  Times on a 2-core VM:
-# pade(200) about 1 s, irrationality_estimates(2, 100) about 5 s,
+# pade(200) about 1 s, pade_diagonal(200) about 0.04 s,
+# irrationality_estimates(2, 100) about 0.11 s,
 # verify_functional_equation(10**6) about 1 s, eta_identity_check(6,
 # 10**4) under 0.1 s.
 MAX_PADE_ORDER = 200
@@ -94,6 +98,26 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _normalised(order: int, p: list, q: list) -> PadeApproximant:
+    """The approximant P/Q as integer polynomials of content 1 with a
+    positive leading denominator coefficient.
+
+    p and q are the coefficients of r*P and r*Q for one rational r != 0,
+    as Fractions or ints.
+    """
+    scale = lcm(*(x.denominator for x in p + q))
+    p_int = [int(x * scale) for x in p]
+    q_int = [int(x * scale) for x in q]
+    content = gcd(*p_int, *q_int)
+    p_int = [x // content for x in p_int]
+    q_int = [x // content for x in q_int]
+    q_trimmed = _trim(q_int)
+    if q_trimmed[-1] < 0:
+        p_int = [-x for x in p_int]
+        q_trimmed = tuple(-x for x in q_trimmed)
+    return PadeApproximant(order, _trim(p_int), q_trimmed)
+
+
 def pade(order: int) -> PadeApproximant:
     """Solve for the [order-1 / order] approximant exactly.
 
@@ -103,6 +127,7 @@ def pade(order: int) -> PadeApproximant:
     system being solvable at every order is equivalent to the mod-3
     table having no zero in its first column, so a singular system here
     would falsify the arithmetic elsewhere in the package; it raises.
+    This is the elimination oracle that pade_diagonal is tested against.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -116,17 +141,84 @@ def pade(order: int) -> PadeApproximant:
     q = [Fraction(1)] + tail
     p = [sum((q[j] * c[k - j] for j in range(min(k, order) + 1)), Fraction(0))
          for k in range(order)]
-    scale = lcm(*(x.denominator for x in p + q)) if p + q else 1
-    p_int = [int(x * scale) for x in p]
-    q_int = [int(x * scale) for x in q]
-    content = gcd(*(abs(x) for x in p_int + q_int))
-    p_int = [x // content for x in p_int]
-    q_int = [x // content for x in q_int]
-    q_trimmed = _trim(q_int)
-    if q_trimmed[-1] < 0:
-        p_int = [-x for x in p_int]
-        q_trimmed = tuple(-x for x in q_trimmed)
-    return PadeApproximant(order, _trim(p_int), q_trimmed)
+    return _normalised(order, p, q)
+
+
+def _j_fraction(max_order: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """Yield (P_n, Q_n, e_n) for n = 1, 2, ..., max_order.
+
+    P_n/Q_n is the [n-1 / n] approximant, scaled to integer
+    coefficients, and e_n = f*Q_n - P_n is its error series listed from
+    degree 2n through degree 2*max_order + 1.  So e_n[0] / Q_n[0] is
+    the leading error coefficient eps_n of the approximant with
+    Q_n(0) = 1, and e_n[1] / Q_n[0] the next one, eps'_n.
+
+    The approximants are the convergents of the J-fraction of f:
+
+        Q_(n+1) = (1 - a_n x) Q_n - b_n x**2 Q_(n-1), the same for P, e,
+        b_n = eps_n / eps_(n-1),  a_n = (eps'_n - b_n eps'_(n-1)) / eps_n,
+
+    which cancels e_(n+1) at degrees 2n and 2n + 1.  Multiplied through
+    by eps_(n-1) eps_n it runs on the scaled integer triples, which are
+    divided by the content of P and Q after each step.  It needs
+    eps_n != 0, that is H_(n+1) != 0 for the column-0 Hankel
+    determinants of c; a zero would falsify the paper's theorem, so it
+    raises.
+    """
+    c = cantor_coefficients(2 * max_order + 2)
+    if c[0] == 0:
+        raise ArithmeticError("eps_0 = c_0 = 0 at order 1")
+    # (P_0, Q_0, e_0) = (0, 1, f), and (P_1, Q_1, e_1) with P_1 = c_0 and
+    # Q_1 = 1 - (c_1 / c_0) x, times c_0.
+    prev = ([], [1], c)
+    cur = ([c[0]], [c[0], -c[1]],
+           [c[0] * c[k] - c[1] * c[k - 1] for k in range(2, len(c))])
+    for n in range(1, max_order + 1):
+        yield cur
+        if n == max_order:
+            return
+        (p0, q0, e0), (p1, q1, e1) = prev, cur
+        if e1[0] == 0:
+            raise ArithmeticError(f"eps_{n} = 0 (H_{n + 1} = 0) at order {n + 1}")
+        # The multipliers of triple n, of x times it and of x**2 times
+        # triple n - 1.
+        s0 = e0[0] * e1[0]
+        s1 = e1[1] * e0[0] - e1[0] * e0[1]
+        s2 = e1[0] * e1[0]
+
+        def step(y, xy, xxy):
+            return [s0 * u - s1 * v - s2 * w for u, v, w in zip(y, xy, xxy)]
+
+        p = step(p1 + [0], [0] + p1, [0, 0] + p0)
+        q = step(q1 + [0], [0] + q1, [0, 0] + q0)
+        e = step(e1[2:], e1[1:], e0[2:])
+        # f is an integer series, so the content of P and Q divides e too.
+        content = gcd(*p, *q)
+        prev, cur = cur, ([x // content for x in p], [x // content for x in q],
+                          [x // content for x in e])
+
+
+def pade_diagonal(max_order: int) -> list[PadeApproximant]:
+    """The approximants of orders 1..max_order from one J-fraction pass.
+
+    Entry n - 1 equals pade(n) field for field; all orders together cost
+    O(max_order**2) integer operations where pade costs O(order**3)
+    rational ones per order.  Raises ArithmeticError, without returning
+    a shorter list, where an approximant does not exist.
+    """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    if max_order > MAX_PADE_ORDER:
+        raise ValueError(f"max_order {max_order} is over the cap of {MAX_PADE_ORDER}")
+    began = time.perf_counter()
+    out = [_normalised(n, p, q)
+           for n, (p, q, _) in enumerate(_j_fraction(max_order), 1)]
+    # Imported here, as in engine and kernel: only a pass writes a record.
+    import logging
+    logging.getLogger(__name__).debug(
+        "pade diagonal through order %d: %.3f s",
+        max_order, time.perf_counter() - began)
+    return out
 
 
 @dataclass(frozen=True)
@@ -288,10 +380,12 @@ class ApproximationExponent:
 def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponent]:
     """Evaluate each approximant at 1/b against the Cantor number.
 
-    The distance |xi - p/q| is enclosed with exact rational arithmetic
-    at a tail depth that adapts until the enclosure is positive and
-    narrower than a thousandth of itself; only the final log quotient
-    leaves exact arithmetic, through outward-rounded interval logs.
+    The approximants of orders 1..max_order come from one pade_diagonal
+    pass.  The distance |xi - p/q| is enclosed with exact rational
+    arithmetic at a tail depth that adapts until the enclosure is
+    positive and narrower than a thousandth of itself; only the final
+    log quotient leaves exact arithmetic, through outward-rounded
+    interval logs.
     """
     if b < 2:
         raise ValueError("base must be at least 2")
@@ -303,8 +397,9 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     out: list[ApproximationExponent] = []
     seen: dict[Fraction, int] = {}
     x = Fraction(1, b)
-    for order in range(1, max_order + 1):
-        value = pade(order).value_at(x)
+    for approx in pade_diagonal(max_order):
+        order = approx.order
+        value = approx.value_at(x)
         previous = seen.get(value)
         seen.setdefault(value, order)
         q = value.denominator

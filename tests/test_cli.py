@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -236,6 +237,42 @@ def test_irr_json(capsys):
     rows = json.loads(out)
     assert rows[0]["degenerate"] is True
     assert rows[1]["q"] == 3
+
+
+# SHA-256 of `irr` stdout, pinned from the per-order elimination that
+# the J-fraction pass replaced.
+IRR_DIGESTS = {
+    ("-b", "2", "--n-max", "100"):
+        "4380f3b66da645570e071e31aa042e1c35410f0e4b247f928fa0923d1c467c05",
+    ("-b", "3", "--n-max", "60"):
+        "e48395d6297eec009b6a685a1e27128983091c41ef0f8b7c6253b7761e726434",
+    ("-b", "2", "--n-max", "50", "--format", "json"):
+        "72ac5d338320e1f4eea8700598569f1e7717fcc67d657d36a19eb28720f930ce",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(IRR_DIGESTS),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_irr_output_is_pinned(capsys, argv):
+    code, out = run(capsys, "irr", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IRR_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [["pade", "-n", "2"], ["pade", "-n", "3", "--verify"],
+                                  ["irr", "-b", "2", "--n-max", "4"]],
+                         ids=["pade", "pade-verify", "irr"])
+def test_missing_approximant_fails_cleanly(capsys, monkeypatch, argv):
+    # f = 1 has H_2 = 0, so no approximant of order 2 exists.
+    pade_module = importlib.import_module("cantor_hankel.pade")
+    monkeypatch.setattr(pade_module, "cantor_coefficients",
+                        lambda count: [1] + [0] * (count - 1))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: no Pade approximant: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n_max", ["0", "-1"])

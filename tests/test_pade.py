@@ -1,3 +1,5 @@
+import importlib
+import logging
 from fractions import Fraction
 
 import pytest
@@ -5,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel.hankel import det_exact, hankel_matrix
-from cantor_hankel.pade import (PadeApproximant, RationalInterval,
+from cantor_hankel.pade import (MAX_PADE_ORDER, PadeApproximant,
+                                RationalInterval, _j_fraction,
                                 cantor_coefficients, cantor_number,
                                 eta_identity_check, irrationality_estimates,
-                                pade, verify_functional_equation,
-                                verify_pade_error)
+                                pade, pade_diagonal,
+                                verify_functional_equation, verify_pade_error)
+
+# The module itself: the package rebinds the name pade to the function.
+pade_module = importlib.import_module("cantor_hankel.pade")
 
 # Low-order approximants, solved by hand from the 2n coefficient
 # equations (the order-2 system is 1 + 0*q1 + q2 = 0, 0 + q1 + 0 = 0).
@@ -33,6 +39,90 @@ def test_order_validation():
         pade(0)
     with pytest.raises(ValueError):
         PadeApproximant(2, (1,), (0, 1))
+
+
+def test_diagonal_pass_equals_elimination():
+    diagonal = pade_diagonal(60)
+    assert len(diagonal) == 60
+    for order in range(1, 61):
+        assert diagonal[order - 1] == pade(order), order
+
+
+def _catalan(count):
+    out = [1]
+    for k in range(1, count):
+        out.append(out[-1] * 2 * (2 * k - 1) // (k + 1))
+    return out
+
+
+def test_diagonal_pass_equals_elimination_on_a_series_not_even(monkeypatch):
+    # c is even in x, so every eps'_n and a_n of its J-fraction is 0.  The
+    # Catalan numbers have every Hankel determinant 1 and a_n = 2 for n >= 1.
+    monkeypatch.setattr(pade_module, "cantor_coefficients", _catalan)
+    assert [e[1] for _, _, e in _j_fraction(5)] != [0] * 5
+    diagonal = pade_diagonal(12)
+    for order in range(1, 13):
+        assert diagonal[order - 1] == pade(order), order
+
+
+def test_j_fraction_leading_error_is_determinant_ratio():
+    # eps_n, read with Q_n(0) = 1, is the expected_leading of
+    # verify_pade_error: H_(n+1) / H_n in column 0 of gamma.
+    for n, (_, q, e) in enumerate(_j_fraction(40), 1):
+        top = det_exact(hankel_matrix("gamma", 0, n + 1))
+        bottom = det_exact(hankel_matrix("gamma", 0, n))
+        assert Fraction(e[0], q[0]) == Fraction(top, bottom), n
+
+
+@pytest.mark.parametrize("max_order, named", [
+    (0, "max_order must be at least 1, got 0"),
+    (-1, "max_order must be at least 1, got -1"),
+    (MAX_PADE_ORDER + 1, f"max_order {MAX_PADE_ORDER + 1} is over the cap"),
+])
+def test_diagonal_pass_refuses_before_any_work(monkeypatch, max_order, named):
+    def no_work(count):
+        raise AssertionError("coefficients read before the bounds check")
+
+    monkeypatch.setattr(pade_module, "cantor_coefficients", no_work)
+    with pytest.raises(ValueError, match=named):
+        pade_diagonal(max_order)
+
+
+def _series_one(count):
+    # f = 1: eps_1 = 0, and the order-2 system is singular.
+    return [1] + [0] * (count - 1)
+
+
+def test_zero_leading_error_raises_and_never_skips(monkeypatch):
+    monkeypatch.setattr(pade_module, "cantor_coefficients", _series_one)
+    assert pade_diagonal(1) == [pade(1)] == [PadeApproximant(1, (1,), (1,))]
+    for max_order in (2, 5):
+        with pytest.raises(ArithmeticError, match="eps_1 = 0"):
+            pade_diagonal(max_order)
+    with pytest.raises(ArithmeticError):
+        pade(2)
+
+
+def test_zero_constant_term_raises(monkeypatch):
+    # c_0 = 0 is eps_0 = H_1 = 0: not even the order-1 approximant exists.
+    monkeypatch.setattr(pade_module, "cantor_coefficients",
+                        lambda count: [0, 1] + [0] * (count - 2))
+    with pytest.raises(ArithmeticError, match="eps_0"):
+        pade_diagonal(3)
+    with pytest.raises(ArithmeticError):
+        pade(1)
+
+
+def test_diagonal_pass_logs_one_debug_record(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="cantor_hankel.pade")
+    pade_diagonal(12)
+    records = [r for r in caplog.records if r.name == "cantor_hankel.pade"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    max_order, seconds = record.args
+    assert max_order == 12 and seconds >= 0
+    assert capsys.readouterr().out == ""
 
 
 def test_coefficients_prefix():
