@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, kernel, series
-from .hankel import det_exact, det_mod3, hankel_matrix, verify_structure
+from .hankel import (MAX_HANKEL_ORDER, det_exact, det_mod3, det_mod3_stack,
+                     hankel_matrix, hankel_stack, verify_structure)
 from .pade import verify_functional_equation as _feq_report
 from .pade import verify_pade_error
 
@@ -48,6 +49,16 @@ class _DetCache:
         return value
 
 
+# The budget of one stack the oracle sweep eliminates at once, in matrix
+# entries: each entry is an int8 residue, and each matrix also carries
+# about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot row
+# and liveness), which dominates at small orders.  An elimination step
+# peaks at a few times the budget, about 260 KiB at every order up to
+# 362 on a 64-bit build.
+STACK_ENTRIES = 1 << 17
+STACK_OVERHEAD = 64
+
+
 def _need(window: str, bound: str, value: int, least: int) -> None:
     """Refuse an empty window: it would pass without comparing anything."""
     if value < least:
@@ -55,20 +66,33 @@ def _need(window: str, bound: str, value: int, least: int) -> None:
 
 
 def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
-    """Engine values against eliminated determinants, both families."""
+    """Engine values against eliminated determinants, both families.
+
+    For each order n the matrices at every offset are eliminated as a
+    few stacks within the STACK_ENTRIES budget, so the sweep's extra
+    memory is bounded for any p_max.  Every engine value is a scalar
+    engine read, compared in the order n, then p, gamma before delta.
+    """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
     _need("oracle", "p_max", p_max, 0)
+    if n_max > MAX_HANKEL_ORDER:
+        raise ValueError(
+            f"the oracle window needs n_max <= {MAX_HANKEL_ORDER}, got {n_max}")
+    engines = (engine.gamma_mod3, engine.delta_mod3)
     for n in range(1, n_max + 1):
-        for p in range(p_max + 1):
-            for kind, value in (("gamma", engine.gamma_mod3),
-                                ("delta", engine.delta_mod3)):
-                expected = det_mod3(hankel_matrix(kind, p, n))
-                if value(n, p) != expected:
-                    return CheckResult(
-                        name, False,
-                        f"first mismatch {kind} at n={n} p={p}: engine "
-                        f"{value(n, p)}, determinant {expected}")
+        chunk = max(1, STACK_ENTRIES // (n * n + STACK_OVERHEAD))
+        for p_lo in range(0, p_max + 1, chunk):
+            count = min(chunk, p_max + 1 - p_lo)
+            dets = [det_mod3_stack(hankel_stack(kind, p_lo, n, count)).tolist()
+                    for kind in engine.KINDS]
+            for p, expect in enumerate(zip(*dets), p_lo):
+                for kind, value, expected in zip(engine.KINDS, engines, expect):
+                    if value(n, p) != expected:
+                        return CheckResult(
+                            name, False,
+                            f"first mismatch {kind} at n={n} p={p}: engine "
+                            f"{value(n, p)}, determinant {expected}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}, both families")
 
 

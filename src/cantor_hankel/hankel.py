@@ -2,17 +2,24 @@
 
 Everything here is computed directly from matrix entries: fraction-free
 elimination over the integers for exact determinants and Gaussian
-elimination over GF(3) for the fast residue path.  No recurrence from
-the rest of the package is used, which is what makes these functions
-usable as oracles against those recurrences.
+elimination over GF(3) for the fast residue path, one matrix at a time
+(det_mod3) or a whole stack at once (det_mod3_stack).  No recurrence
+from the rest of the package is used, which is what makes these
+functions usable as oracles against those recurrences.
 
 Matrices are 2-D int64 numpy arrays; the determinants and the
-conjugation accept any square array-like and leave it unchanged.
+conjugation accept any square array-like of integers, of any size, and
+leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
+before they narrow it to int8, and every oracle refuses a non-integer
+entry.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
 * hankel_matrix(kind, p, n): the n x n matrix (u_{p+i+j-2}), kind
   "gamma" for u = c and "delta" for u = d.
+* hankel_stack(kind, p, n, count): the count matrices hankel_matrix(kind,
+  p + o, n), 0 <= o < count, as one read-only (count, n, n) view of
+  their terms, the input det_mod3_stack eliminates in one pass.
 * stride3_matrix(kind, q, n): the n x n matrix (u_{q+3(i+j-2)}), the
   blocks that appear after conjugating a Hankel matrix by the mod-3
   row/column sorting permutation.
@@ -20,9 +27,11 @@ Matrix families, with u one of c, d and all indices starting at 1:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .sequences import cantor_term, diff_term
 
@@ -34,22 +43,25 @@ MAX_HANKEL_ORDER = 500
 _TERMS = {"gamma": cantor_term, "delta": diff_term}
 
 
-def _hankel(kind: str, first: int, step: int, n: int) -> np.ndarray:
-    """The n x n matrix (u_{first+step(i+j)}), 0-based i, j.
+def _hankel(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndarray:
+    """The count n x n matrices (u_{first+step(o+i+j)}), 0 <= o < count.
 
-    Only 2n - 1 distinct terms occur, so they are computed once and the
-    matrix reads them at i + j.
+    Consecutive matrices share all but two of their terms, so the
+    count + 2n - 2 distinct terms are computed once and the result is a
+    read-only (count, n, n) view of them: entry (o, i, j) reads term
+    o + i + j.
     """
     if kind not in _TERMS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    if first < 0 or n < 0:
-        raise ValueError("offset and order must be nonnegative")
+    if first < 0 or n < 0 or count < 0:
+        raise ValueError("offset, order and count must be nonnegative")
     if n > MAX_HANKEL_ORDER:
         raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
     term = _TERMS[kind]
-    terms = np.array([term(first + step * k) for k in range(2 * n - 1)], dtype=np.int64)
-    i = np.arange(n)
-    return terms[i[:, None] + i[None, :]]
+    size = max(count + 2 * n - 2, 0)
+    terms = np.fromiter((term(first + step * k) for k in range(size)), np.int64, size)
+    stride = terms.strides[0]
+    return as_strided(terms, (count, n, n), (stride,) * 3, writeable=False)
 
 
 def hankel_matrix(kind: str, p: int, n: int) -> np.ndarray:
@@ -57,19 +69,50 @@ def hankel_matrix(kind: str, p: int, n: int) -> np.ndarray:
 
     n = 0 yields the empty matrix, whose determinant is 1.
     """
-    return _hankel(kind, p, 1, n)
+    return _hankel(kind, p, 1, n)[0].copy()
+
+
+def hankel_stack(kind: str, p: int, n: int, count: int) -> np.ndarray:
+    """The order-n Hankel matrices at offsets p, p + 1, ..., p + count - 1.
+
+    A read-only (count, n, n) int64 view of their count + 2n - 2 terms,
+    so it costs no more memory than those terms; det_mod3_stack
+    eliminates it in one pass.
+    """
+    return _hankel(kind, p, 1, n, count)
 
 
 def stride3_matrix(kind: str, q: int, n: int) -> np.ndarray:
     """Order-n matrix (u_{q+3(i+j-2)}): a Hankel matrix sampled in steps of 3."""
-    return _hankel(kind, q, 3, n)
+    return _hankel(kind, q, 3, n)[0].copy()
 
 
-def _square(m) -> np.ndarray:
+def _square(m, ndim: int = 2) -> np.ndarray:
+    """m as an array of ndim axes, the last two equal, with integer entries."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "square matrix" if ndim == 2 else "stack of square matrices"
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
+    if a.dtype == object:
+        # Python ints too large for int64, or anything.  Each integer
+        # becomes a Python int, so no numpy scalar among them can wrap.
+        if not all(isinstance(x, numbers.Integral) for x in a.flat):
+            raise ValueError("expected integer entries, got a non-integer object")
+        return np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
+    if a.size and a.dtype.kind not in "biu":
+        raise ValueError(f"expected integer entries, got {a.dtype} entries")
     return a
+
+
+def _residues(m, ndim: int) -> np.ndarray:
+    """A fresh int8 copy of m reduced mod 3.
+
+    The remainder is taken in m's own integer type (Python ints for an
+    object array), and only the residues 0, 1, 2 are narrowed to int8:
+    200 narrowed first would wrap to -56, which has another residue.
+    """
+    a = _square(m, ndim)
+    return np.remainder(a, 3, out=np.empty(a.shape, np.int8), casting="unsafe")
 
 
 def det_exact(m) -> int:
@@ -107,28 +150,63 @@ def det_exact(m) -> int:
 def det_mod3(m) -> int:
     """Determinant mod 3 by Gaussian elimination over GF(3).
 
-    Uses numpy row operations; every nonzero residue is its own inverse
-    in GF(3), so no inverse table is needed.
+    Uses numpy row operations on the int8 residues; every nonzero
+    residue is its own inverse in GF(3), so no inverse table is needed.
     """
-    a = _square(np.asarray(m, dtype=np.int64)) % 3
+    a = _residues(m, 2)
     n = len(a)
-    if n == 0:
-        return 1
     det = 1
     for k in range(n):
-        nonzero = np.nonzero(a[k:, k])[0]
+        nonzero = np.flatnonzero(a[k:, k])
         if nonzero.size == 0:
             return 0
         i = k + int(nonzero[0])
         if i != k:
             a[[k, i]] = a[[i, k]]
-            det = -det % 3
+            det = -det
         pivot = int(a[k, k])
         det = det * pivot % 3
-        a[k] = a[k] * pivot % 3  # pivot row now starts with 1
         if k + 1 < n:
-            a[k + 1:] = (a[k + 1:] - np.outer(a[k + 1:, k], a[k])) % 3
+            # pivot times the column clears it below the pivot.
+            below = a[k + 1:]
+            below -= (a[k + 1:, k] * pivot)[:, None] * a[k]
+            below %= 3
     return det % 3
+
+
+def det_mod3_stack(a) -> np.ndarray:
+    """Determinants mod 3 of an (s, n, n) stack, as an int8 array of s residues.
+
+    All s matrices are eliminated over GF(3) together: at step k each
+    takes its own pivot row, the first row at or below k with a nonzero
+    entry in column k, and a matrix with no pivot left is singular, 0.
+    Entry t equals det_mod3(a[t]).  An (s, 0, 0) stack gives s ones.
+    """
+    a = _residues(a, 3)
+    s, n = a.shape[:2]
+    out = np.zeros(s, np.int8)
+    live = np.arange(s)  # the input matrix held in each row of a
+    det = np.ones(s, np.int8)
+    for k in range(n):
+        rows = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        pivot = a[np.arange(len(rows)), rows, k]
+        if not pivot.all():
+            keep = np.flatnonzero(pivot)
+            if keep.size == 0:
+                return out
+            a, live, det = a[keep], live[keep], det[keep]
+            rows, pivot = rows[keep], pivot[keep]
+        swap = np.flatnonzero(rows != k)
+        if swap.size:
+            a[swap, k], a[swap, rows[swap]] = a[swap, rows[swap]], a[swap, k]
+            det[swap] = 3 - det[swap]  # a row swap negates the determinant
+        det = det * pivot % 3
+        if k + 1 < n:
+            below = a[:, k + 1:]
+            below -= (a[:, k + 1:, k] * pivot[:, None])[:, :, None] * a[:, k, None]
+            below %= 3
+    out[live] = det
+    return out
 
 
 def permutation_p(n: int) -> list[int]:

@@ -237,25 +237,30 @@ class PadeErrorReport:
     expected_leading: Fraction
 
 
-def verify_pade_error(order: int) -> PadeErrorReport:
-    """Expand f - P/Q as an exact rational series through degree 2*order."""
-    approx = pade(order)
+def verify_pade_error(order: int, approx: PadeApproximant | None = None) -> PadeErrorReport:
+    """Expand f - P/Q as an exact rational series through degree 2*order.
+
+    approx is pade(order), solved here unless the caller passes the one
+    it already has.
+    """
+    if approx is None:
+        approx = pade(order)
+    elif approx.order != order:
+        raise ValueError(f"approximant of order {approx.order} given for order {order}")
     depth = 2 * order + 1
     c = cantor_coefficients(depth)
     q = approx.denominator
     p = approx.numerator
-    fq_minus_p = []
-    for k in range(depth):
-        acc = sum((Fraction(q[j] * c[k - j]) for j in range(min(k, len(q) - 1) + 1)),
-                  Fraction(0))
-        if k < len(p):
-            acc -= p[k]
-        fq_minus_p.append(acc)
+    # P, Q and c are integer, so f*Q - P is too; only the division by Q
+    # below leaves the integers.
+    fq_minus_p = [sum(q[j] * c[k - j] for j in range(min(k, len(q) - 1) + 1))
+                  - (p[k] if k < len(p) else 0)
+                  for k in range(depth)]
     # divide by Q as a power series; Q(0) != 0 by construction
     error = []
-    q0 = Fraction(q[0])
+    q0 = q[0]
     for k in range(depth):
-        acc = fq_minus_p[k]
+        acc = Fraction(fq_minus_p[k])
         for j in range(1, min(k, len(q) - 1) + 1):
             acc -= q[j] * error[k - j]
         error.append(acc / q0)

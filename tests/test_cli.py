@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -294,6 +296,86 @@ def test_verify_oracle_selection(capsys):
     code, out = run(capsys, "verify", "--oracle", "--n-max", "6", "--p-max", "6")
     assert code == 0
     assert out == "ok   oracle-equivalence: 1 <= n <= 6, 0 <= p <= 6, both families\n"
+
+
+def test_verify_oracle_over_the_order_cap_refuses_before_any_cell(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a cell or a determinant was computed")
+
+    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
+                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+        monkeypatch.setattr(target, name, no_work)
+    code = cli.main(["verify", "--oracle", "--n-max", str(MAX_HANKEL_ORDER + 1),
+                     "--p-max", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: the oracle window needs n_max <= {MAX_HANKEL_ORDER}, "
+                            f"got {MAX_HANKEL_ORDER + 1}\n")
+
+
+def _engine_wrong_at(cells):
+    """An engine stand-in for checks that is off by one at (kind, n, p) in cells."""
+    def stream(kind):
+        true = getattr(engine, f"{kind}_mod3")
+        return lambda n, p: (true(n, p) + ((kind, n, p) in cells)) % 3
+
+    return SimpleNamespace(KINDS=engine.KINDS, gamma_mod3=stream("gamma"),
+                           delta_mod3=stream("delta"))
+
+
+# The default budget, and one small enough that every order of the
+# window below takes three to six matrices at a time.
+STACK_BUDGETS = (checks.STACK_ENTRIES, 400)
+
+
+@pytest.mark.parametrize("stack_entries", STACK_BUDGETS)
+@pytest.mark.parametrize("cells, first", [
+    ({("delta", 7, 33)}, ("delta", 7, 33)),
+    # Gamma before delta at one (n, p), p before a later p at that n, and
+    # n before p: (5, 0) comes after every cell of row 4.
+    ({("delta", 4, 10), ("gamma", 4, 10), ("gamma", 4, 30), ("delta", 5, 0)},
+     ("gamma", 4, 10)),
+], ids=["one-cell", "order-of-cells"])
+def test_oracle_check_names_its_first_mismatch(monkeypatch, stack_entries, cells, first):
+    monkeypatch.setattr(checks, "STACK_ENTRIES", stack_entries)
+    kind, n, p = first
+    true = getattr(engine, f"{kind}_mod3")(n, p)
+    monkeypatch.setattr(checks, "engine", _engine_wrong_at(cells))
+    result = checks.oracle_equivalence(8, 40)
+    assert result.line() == (f"FAIL oracle-equivalence: first mismatch {kind} at n={n} "
+                             f"p={p}: engine {(true + 1) % 3}, determinant {true}")
+
+
+def test_oracle_check_stacks_stay_within_their_budget(monkeypatch):
+    shapes = []
+    stack_det = checks.det_mod3_stack
+
+    def recorded(stack):
+        shapes.append(stack.shape)
+        return stack_det(stack)
+
+    monkeypatch.setattr(checks, "det_mod3_stack", recorded)
+    monkeypatch.setattr(checks, "STACK_ENTRIES", 400)
+    result = checks.oracle_equivalence(8, 40)
+    assert result.line() == "ok   oracle-equivalence: 1 <= n <= 8, 0 <= p <= 40, both families"
+    for count, n, _ in shapes:
+        assert count * (n * n + checks.STACK_OVERHEAD) <= 400, (count, n)
+    assert sum(count for count, _, _ in shapes) == 2 * 8 * 41
+    assert len(shapes) > 2 * 8 * 6
+
+
+def test_oracle_check_stack_memory_is_bounded_at_every_order():
+    # The budget holds whatever p_max is: one stack at a time is live.
+    for n in (1, 10, 40, 362):
+        count = max(1, checks.STACK_ENTRIES // (n * n + checks.STACK_OVERHEAD))
+        tracemalloc.start()
+        try:
+            checks.det_mod3_stack(checks.hankel_stack("delta", 12345, n, count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, (n, count, peak)
 
 
 @pytest.mark.parametrize("bounds, named", [

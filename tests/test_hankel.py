@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
-                                  det_mod3, hankel_matrix,
-                                  permutation_matrix, permutation_p,
-                                  stride3_matrix, verify_structure)
+                                  det_mod3, det_mod3_stack, hankel_matrix,
+                                  hankel_stack, permutation_matrix,
+                                  permutation_p, stride3_matrix,
+                                  verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
         min_size=n, max_size=n))
+
+# Stacks of s n x n integer matrices, s and n from 0; entries run past
+# 0..2 on both sides, so the oracles must reduce them.
+st_stack = st.tuples(st.integers(min_value=0, max_value=4),
+                     st.integers(min_value=0, max_value=6)).flatmap(
+    lambda sn: st.lists(st.integers(min_value=-9, max_value=9),
+                        min_size=sn[0] * sn[1] ** 2, max_size=sn[0] * sn[1] ** 2).map(
+        lambda flat: np.array(flat, dtype=np.int64).reshape(sn[0], sn[1], sn[1])))
 
 
 def test_hankel_entries():
@@ -52,6 +62,20 @@ def test_builders_match_entrywise_definition(kind, term, p, n):
         assert m.shape == (n, n) and m.dtype == np.int64
         expected = [[term(p + step * (i + j)) for j in range(n)] for i in range(n)]
         assert m.tolist() == expected, (build.__name__, kind, p, n)
+    stack = hankel_stack(kind, p, n, 3)
+    assert stack.shape == (3, n, n) and not stack.flags.writeable
+    for o in range(3):
+        assert stack[o].tolist() == hankel_matrix(kind, p + o, n).tolist(), (kind, p, n, o)
+
+
+def test_stack_builder_refuses_what_the_matrix_builder_refuses():
+    assert hankel_stack("delta", 4, 3, 0).shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        hankel_stack("theta", 0, 2, 2)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        hankel_stack("gamma", 0, 2, -1)
+    with pytest.raises(ValueError, match="order n = 501"):
+        hankel_stack("gamma", 0, 501, 1)
 
 
 @pytest.mark.parametrize("m", [hankel_matrix("gamma", 1, 7),
@@ -65,6 +89,63 @@ def test_oracles_leave_their_input_unchanged(m):
     conjugated = conjugate_by_permutation(m)
     assert np.array_equal(m, before)
     assert not np.shares_memory(conjugated, m)
+    stack = np.stack([m, m.T, 3 * m, np.eye(len(m), dtype=np.int64)])
+    stack_before = stack.copy()
+    det_mod3_stack(stack)
+    assert np.array_equal(stack, stack_before)
+
+
+@given(st_stack)
+@settings(max_examples=150)
+def test_stack_matches_one_matrix_oracles(a):
+    # Column 0 times 3 makes each member singular mod 3 but not, as a
+    # rule, over the integers.
+    singular = a.copy()
+    singular[:, :, :1] *= 3
+    stack = np.concatenate([a, singular])
+    got = det_mod3_stack(stack)
+    assert got.dtype == np.int8 and got.shape == (len(stack),)
+    assert got.tolist() == [det_mod3(m) for m in stack]
+    assert got.tolist() == [det_exact(m) % 3 for m in stack]
+    if a.shape[1]:
+        assert not got[len(a):].any()
+
+
+def test_stack_edge_shapes():
+    assert det_mod3_stack(np.zeros((0, 4, 4), dtype=np.int64)).tolist() == []
+    assert det_mod3_stack(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+    # Every member singular: the elimination stops early, all zeros.
+    assert det_mod3_stack(np.full((5, 6, 6), 3)).tolist() == [0] * 5
+    assert det_mod3_stack([[[2]], [[4]], [[-1]]]).tolist() == [2, 1, 2]
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        det_mod3_stack(np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        det_mod3_stack(np.zeros((2, 3, 4), dtype=np.int64))
+
+
+def test_oracles_reduce_integers_of_any_size_exactly():
+    big = [[2 ** 70, 1], [1, 1]]
+    assert det_exact(big) == 2 ** 70 - 1
+    assert det_mod3(big) == 0
+    assert det_mod3_stack([big, [[-2 ** 80, 1], [0, 1]]]).tolist() == [0, 2]
+    # numpy scalars among Python ints must not wrap at 2**63 either.
+    wide = np.array([[np.int64(2 ** 62), 1], [1, np.int64(2 ** 62)]], dtype=object)
+    assert det_exact(wide) == 2 ** 124 - 1
+    assert det_mod3(wide) == det_mod3_stack([wide]).tolist()[0] == (2 ** 124 - 1) % 3
+    # 200 narrowed to int8 first would be -56, which is 1 mod 3, not 2.
+    for dtype in (np.int64, np.uint8, object):
+        assert det_mod3(np.array([[200]], dtype=dtype)) == 2
+        assert det_mod3_stack(np.array([[[200]]], dtype=dtype)).tolist() == [2]
+
+
+@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: det_mod3_stack([m])],
+                         ids=["det_exact", "det_mod3", "det_mod3_stack"])
+@pytest.mark.parametrize("m", [[[1.5, 1], [1, 1]], [[2.0, 1], [1, 1]],
+                               [[Fraction(1, 2), 1], [1, 1]], [[2 ** 70, 0.5], [1, 1]]],
+                         ids=["float", "integral-float", "fraction", "big-int-and-float"])
+def test_oracles_refuse_non_integer_entries(oracle, m):
+    with pytest.raises(ValueError, match="expected integer entries"):
+        oracle(m)
 
 
 # SHA-256 of the lines "kind p n det" for both kinds, p in DIGEST_OFFSETS
@@ -138,9 +219,27 @@ def test_mod3_matches_exact(rows):
 def test_mod3_matches_exact_on_hankel_families():
     for kind in ("gamma", "delta"):
         for n in range(1, 11):
+            stacked = det_mod3_stack(hankel_stack(kind, 0, n, 13)).tolist()
             for p in range(13):
                 m = hankel_matrix(kind, p, n)
-                assert det_mod3(m) == det_exact(m) % 3
+                assert det_mod3(m) == det_exact(m) % 3 == stacked[p], (kind, n, p)
+
+
+# Offsets of the oracle window (p <= 81) where the stack is held to the
+# one-matrix oracles at every order n <= 40; det_exact, about 2 ms at
+# order 40, is held to it for n <= 24.
+ORACLE_WINDOW_SAMPLE = (0, 1, 2, 13, 40, 80, 81)
+
+
+def test_stack_matches_one_matrix_oracles_over_the_oracle_window():
+    for kind in ("gamma", "delta"):
+        for n in range(1, 41):
+            stacked = det_mod3_stack(hankel_stack(kind, 0, n, 82))
+            for p in ORACLE_WINDOW_SAMPLE:
+                m = hankel_matrix(kind, p, n)
+                assert stacked[p] == det_mod3(m), (kind, n, p)
+                if n <= 24:
+                    assert stacked[p] == det_exact(m) % 3, (kind, n, p)
 
 
 def test_sorting_permutation():

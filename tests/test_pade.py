@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantor_hankel import cli
 from cantor_hankel.hankel import det_exact, hankel_matrix
 from cantor_hankel.pade import (MAX_PADE_ORDER, PadeApproximant,
                                 RationalInterval, _j_fraction,
@@ -138,6 +139,43 @@ def test_contact_order():
         top = det_exact(hankel_matrix("gamma", 0, order + 1))
         bottom = det_exact(hankel_matrix("gamma", 0, order))
         assert report.expected_leading == Fraction(top, bottom)
+
+
+def test_verify_with_the_approximant_in_hand_equals_solving_it():
+    for order, approx in enumerate(pade_diagonal(40), 1):
+        assert verify_pade_error(order, approx) == verify_pade_error(order), order
+
+
+def test_verify_with_the_approximant_in_hand_on_a_failing_series(monkeypatch):
+    # The Catalan series has every Hankel determinant 1, so its leading
+    # error 1 misses the Cantor determinant ratio wherever that is not 1.
+    monkeypatch.setattr(pade_module, "cantor_coefficients", _catalan)
+    reports = [verify_pade_error(order, pade(order)) for order in range(1, 7)]
+    assert reports == [verify_pade_error(order) for order in range(1, 7)]
+    assert [r.ok for r in reports] == [True, False, True, False, False, False]
+    assert (reports[3].leading, reports[3].expected_leading) == (1, 2)
+
+
+def test_pade_verify_output_on_a_failing_series(capsys, monkeypatch):
+    # Pinned from the command when it solved the system twice.
+    monkeypatch.setattr(pade_module, "cantor_coefficients", _catalan)
+    assert cli.main(["pade", "-n", "4", "--verify"]) == 1
+    assert capsys.readouterr().out == (
+        "order 4\nnumerator 1,-6,10,-4\ndenominator 1,-7,15,-10,1\n"
+        "error-law FAIL: first mismatch at degree None, leading 1 expected 2\n")
+
+
+def test_verify_names_the_first_degree_an_approximant_misses():
+    approx = pade(6)
+    for degree in range(len(approx.numerator)):
+        numerator = list(approx.numerator)
+        numerator[degree] += 1
+        bent = PadeApproximant(6, tuple(numerator), approx.denominator)
+        report = verify_pade_error(6, bent)
+        assert not report.ok
+        assert report.first_mismatch == degree
+    with pytest.raises(ValueError, match="order 6 given for order 5"):
+        verify_pade_error(5, approx)
 
 
 def test_error_leading_literals():
