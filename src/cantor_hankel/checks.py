@@ -244,14 +244,14 @@ def kernel_soundness(window: int = 8) -> CheckResult:
 
 
 def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
-    """The emitted automaton against the engine over the display window."""
+    """The emitted automaton against one engine table over the display window."""
     name = "dfao-grid"
     _need("dfao", "n_max", n_max, 1)
     _need("dfao", "p_max", p_max, 0)
     dfao = kernel.build_dfao("gamma")
-    for n in range(1, n_max + 1):
-        for p in range(p_max + 1):
-            if dfao.evaluate(n, p) != engine.gamma_mod3(n, p):
+    for n, row in enumerate(engine.grid(1, n_max, 0, p_max), 1):
+        for p, expected in enumerate(row):
+            if dfao.evaluate(n, p) != expected:
                 return CheckResult(name, False, f"mismatch at n={n} p={p}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 

@@ -130,7 +130,7 @@ def _cmd_pade(args: argparse.Namespace) -> int:
     print("denominator " + ",".join(str(c) for c in approx.denominator))
     if not args.verify:
         return 0
-    report = verify_pade_error(args.n, approx)
+    report = verify_pade_error(args.n)
     if report.ok:
         print(f"error-law ok: first nonzero coefficient {report.leading} "
               f"at degree {2 * args.n}")

@@ -292,8 +292,7 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
     return out
 
 
-def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
-           max_cells: int = DEFAULT_GRID_CELL_CAP) -> tuple[np.ndarray, np.ndarray]:
+def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta mod 3 over rows n_lo..n_hi and columns p_lo..p_hi.
 
     Returns two int8 arrays indexed [n - n_lo, p - p_lo], in the order of
@@ -304,14 +303,14 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     rectangle.  Anchor rows come from one numpy pass over the columns;
     the other rows of rectangles with all rows at most 3 or with very
     few cells are read cell by cell.  Gamma has no row -1;
-    its row there holds 0.  A rectangle of more than max_cells cells is
-    refused before any cell is computed.
+    its row there holds 0.  A rectangle of more than
+    DEFAULT_GRID_CELL_CAP cells is refused before any cell is computed.
     """
     if n_hi < n_lo or p_hi < p_lo:
         raise ValueError("empty table range")
     cells = (n_hi - n_lo + 1) * (p_hi - p_lo + 1)
-    if cells > max_cells:
-        raise ValueError(f"table of {cells} cells exceeds the cap {max_cells}")
+    if cells > DEFAULT_GRID_CELL_CAP:
+        raise ValueError(f"table of {cells} cells exceeds the cap {DEFAULT_GRID_CELL_CAP}")
     if n_lo < -1 or p_lo < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n_hi, p_hi)
@@ -385,13 +384,12 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     return out
 
 
-def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
-         kind: str = "gamma", max_cells: int = DEFAULT_GRID_CELL_CAP) -> list[list[int]]:
+def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int, kind: str = "gamma") -> list[list[int]]:
     """Rectangular table of mod-3 values, rows n_lo..n_hi, columns p_lo..p_hi."""
     index = _kind_index(kind)
     if kind == "gamma" and n_lo < 0:
         raise ValueError("need n >= 0 and p >= 0")
-    return tables(n_lo, n_hi, p_lo, p_hi, max_cells)[index].tolist()
+    return tables(n_lo, n_hi, p_lo, p_hi)[index].tolist()
 
 
 def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:

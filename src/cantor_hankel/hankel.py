@@ -254,17 +254,11 @@ class StructureReport:
 def _expected_stride3(kind: str, q: int, n: int) -> np.ndarray:
     """What the stride-3 block must equal, given how c and d split mod 3."""
     base, residue = divmod(q, 3)
-    if kind == "gamma":
-        if residue == 0:
-            return hankel_matrix("gamma", base, n)
-        if residue == 1:
-            return np.zeros((n, n), dtype=np.int64)
-        return hankel_matrix("gamma", base, n)
-    if residue == 0:
-        return 2 * hankel_matrix("gamma", base, n)
     if residue == 1:
-        return hankel_matrix("gamma", base + 1, n)
-    return hankel_matrix("gamma", base, n)
+        # c_(3m+1) = 0 and d_(3m+1) = c_(m+1).
+        return hankel_matrix("gamma", base + 1, n) * (kind == "delta")
+    # c_3m = c_(3m+2) = d_(3m+2) = c_m and d_3m = 2 c_m.
+    return hankel_matrix("gamma", base, n) * (2 if kind == "delta" and residue == 0 else 1)
 
 
 def _block_layout(kind: str, p: int, n: int, r: int) -> np.ndarray:

@@ -429,32 +429,50 @@ def export_dfao(dfao: Dfao2D, fmt: str = "table") -> str:
 
 
 def parse_dfao_table(text: str) -> Dfao2D:
-    """Inverse of export_dfao(..., "table")."""
+    """Inverse of export_dfao(..., "table").
+
+    Raises ValueError, naming the line, on an entry that is not an
+    integer, out of range or repeated, and on a missing line.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["dfao2d", "base3", "lsd-first"]:
         raise ValueError("not a dfao2d table export")
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, list[int] | None]] = {}
     body = []
     for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        if key in ("states", "start", "outputs"):
-            header[key] = rest
-        elif key == "trans":
-            body.append(rest)
+        key, *tokens = ln.split()
+        numeric = all(t.removeprefix("-").isdecimal() for t in tokens)
+        entry = (ln, [int(t) for t in tokens] if numeric else None)
+        if key == "trans":
+            body.append(entry)
+        elif key in ("states", "start", "outputs") and key not in header:
+            header[key] = entry
         else:
-            raise ValueError(f"unexpected line {ln!r}")
-    n_states = int(header["states"])
-    start = int(header["start"])
-    outputs = tuple(int(tok) for tok in header["outputs"].split())
-    if len(outputs) != n_states:
-        raise ValueError("output count disagrees with the state count")
+            raise ValueError(f"unexpected or repeated line {ln!r}")
+
+    def field(key: str, valid: Callable[[list[int]], bool]) -> list[int]:
+        if key not in header:
+            raise ValueError(f"no {key} line")
+        ln, values = header[key]
+        if values is None or not valid(values):
+            raise ValueError(f"malformed or out-of-range line {ln!r}")
+        return values
+
+    (n_states,) = field("states", lambda v: len(v) == 1 and v[0] >= 1)
+    (start,) = field("start", lambda v: len(v) == 1 and 0 <= v[0] < n_states)
+    outputs = field("outputs", lambda v: len(v) == n_states and all(0 <= o < 3 for o in v))
+    bounds = (n_states, 3, 3, n_states)
     grid = [[-1] * 9 for _ in range(n_states)]
-    for rest in body:
-        state, i, j, target = (int(tok) for tok in rest.split())
+    for ln, v in body:
+        if v is None or len(v) != 4 or not all(0 <= x < b for x, b in zip(v, bounds)):
+            raise ValueError(f"malformed or out-of-range line {ln!r}")
+        state, i, j, target = v
+        if grid[state][3 * i + j] >= 0:
+            raise ValueError(f"repeated transition in line {ln!r}")
         grid[state][3 * i + j] = target
-    if any(t < 0 or t >= n_states for row in grid for t in row):
-        raise ValueError("transition table is incomplete or out of range")
-    return Dfao2D(start, outputs, tuple(tuple(row) for row in grid))
+    if any(-1 in row for row in grid):
+        raise ValueError("transition table is incomplete")
+    return Dfao2D(start, tuple(outputs), tuple(tuple(row) for row in grid))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Exact Pade approximants of the Cantor power series and interval
 certificates for how well their values approximate the Cantor numbers.
 
+Every approximant comes from one J-fraction pass, pade_diagonal.
 Everything rational is exact, a fractions.Fraction or an integer
 polynomial standing for a rational multiple of itself; the only floating
 point in the module is the final log-quotient enclosure, which goes
@@ -25,14 +26,15 @@ from .sequences import cantor_term, diff_term
 MAX_TAIL_DEPTH = 1 << 20
 
 # Resource guards, checked before any work.  Times on a 2-core VM:
-# pade(200) about 1 s, pade_diagonal(200) about 0.04 s,
-# irrationality_estimates(2, 100) about 0.11 s,
-# verify_functional_equation(10**6) about 1 s, eta_identity_check(6,
-# 10**4) under 0.1 s.
+# pade(200) 0.02 s, verify_pade_error(200) 0.4 s,
+# verify_functional_equation(10**6) 0.3 s, and at b = 2**32
+# irrationality_estimates(b, 100) 0.13 s and eta_identity_check(b, 10**4)
+# 1.2 s; both grow with the digits of b, eta past a minute at 10**100.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6
 MAX_ETA_DEPTH = 10 ** 4
+MAX_BASE = 2 ** 32
 
 
 def cantor_coefficients(count: int) -> list[int]:
@@ -70,28 +72,6 @@ def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
     return acc
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; raises on a singular system."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise ArithmeticError("singular linear system")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                for j in range(k, n + 1):
-                    a[i][j] -= factor * a[k][j]
-    out = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n] - sum((a[k][j] * out[j] for j in range(k + 1, n)), Fraction(0))
-        out[k] = acc / a[k][k]
-    return out
-
-
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -119,25 +99,43 @@ def _normalised(order: int, p: list, q: list) -> PadeApproximant:
 
 
 def pade(order: int) -> PadeApproximant:
-    """Solve for the [order-1 / order] approximant exactly.
+    """The [order-1 / order] approximant: the last of one pade_diagonal pass.
 
-    The denominator is normalized to Q(0) = 1 while solving; the linear
-    system forces coefficients order..2*order-1 of f*Q to vanish, and
-    the numerator is the truncation of f*Q below degree order.  The
-    system being solvable at every order is equivalent to the mod-3
-    table having no zero in its first column, so a singular system here
-    would falsify the arithmetic elsewhere in the package; it raises.
-    This is the elimination oracle that pade_diagonal is tested against.
-    """
+    Raises ArithmeticError where it does not exist, that is where a
+    column-0 Hankel determinant of c, which the paper proves nonzero,
+    vanishes."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > MAX_PADE_ORDER:
         raise ValueError(f"order n = {order} is over the cap of {MAX_PADE_ORDER}")
+    return pade_diagonal(order)[-1]
+
+
+def _pade_by_elimination(order: int) -> PadeApproximant:
+    """The [order-1 / order] approximant by Gaussian elimination over Q.
+
+    The tests' oracle for pade_diagonal; no production path calls it.
+    With Q(0) = 1 the unknowns q_1..q_order make coefficients
+    order..2*order-1 of f*Q vanish, and the numerator is the truncation
+    of f*Q below degree order.  A singular system raises ArithmeticError."""
     c = cantor_coefficients(2 * order)
-    matrix = [[Fraction(c[order + i - j - 1]) for j in range(order)]
-              for i in range(order)]
-    rhs = [Fraction(-c[order + i]) for i in range(order)]
-    tail = _solve_linear(matrix, rhs)
+    # Row i, augmented: sum over j of c_(order+i-j-1) q_(j+1) = -c_(order+i).
+    a = [[Fraction(c[order + i - j - 1]) for j in range(order)] + [Fraction(-c[order + i])]
+         for i in range(order)]
+    for k in range(order):
+        pivot_row = next((i for i in range(k, order) if a[i][k] != 0), None)
+        if pivot_row is None:
+            raise ArithmeticError("singular linear system")
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        for i in range(k + 1, order):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                for j in range(k, order + 1):
+                    a[i][j] -= factor * a[k][j]
+    tail = [Fraction(0)] * order
+    for k in range(order - 1, -1, -1):
+        acc = a[k][order] - sum((a[k][j] * tail[j] for j in range(k + 1, order)), Fraction(0))
+        tail[k] = acc / a[k][k]
     q = [Fraction(1)] + tail
     p = [sum((q[j] * c[k - j] for j in range(min(k, order) + 1)), Fraction(0))
          for k in range(order)]
@@ -201,10 +199,11 @@ def _j_fraction(max_order: int) -> Iterator[tuple[list[int], list[int], list[int
 def pade_diagonal(max_order: int) -> list[PadeApproximant]:
     """The approximants of orders 1..max_order from one J-fraction pass.
 
-    Entry n - 1 equals pade(n) field for field; all orders together cost
-    O(max_order**2) integer operations where pade costs O(order**3)
-    rational ones per order.  Raises ArithmeticError, without returning
-    a shorter list, where an approximant does not exist.
+    Entry n - 1 equals _pade_by_elimination(n) field for field; all
+    orders together cost O(max_order**2) integer operations where the
+    elimination costs O(order**3) rational ones per order.  Raises
+    ArithmeticError, without returning a shorter list, where an
+    approximant does not exist.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -237,16 +236,10 @@ class PadeErrorReport:
     expected_leading: Fraction
 
 
-def verify_pade_error(order: int, approx: PadeApproximant | None = None) -> PadeErrorReport:
-    """Expand f - P/Q as an exact rational series through degree 2*order.
-
-    approx is pade(order), solved here unless the caller passes the one
-    it already has.
-    """
-    if approx is None:
-        approx = pade(order)
-    elif approx.order != order:
-        raise ValueError(f"approximant of order {approx.order} given for order {order}")
+def verify_pade_error(order: int) -> PadeErrorReport:
+    """Expand f - P/Q, P/Q = pade(order), as an exact rational series
+    through degree 2*order."""
+    approx = pade(order)
     depth = 2 * order + 1
     c = cantor_coefficients(depth)
     q = approx.denominator
@@ -314,6 +307,13 @@ class RationalInterval:
 
     def overlaps(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
+
+
+def _check_base(b: int) -> None:
+    if b < 2:
+        raise ValueError("base must be at least 2")
+    if b > MAX_BASE:
+        raise ValueError(f"base b = {b} is over the cap of {MAX_BASE}")
 
 
 def _geometric_tail(b: int, start: int) -> Fraction:
@@ -392,8 +392,7 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     log quotient leaves exact arithmetic, through outward-rounded
     interval logs.
     """
-    if b < 2:
-        raise ValueError("base must be at least 2")
+    _check_base(b)
     # No order at all would be an empty, vacuous report.
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -462,8 +461,7 @@ class EtaReport:
 
 
 def eta_identity_check(b: int, depth: int) -> EtaReport:
-    if b < 2:
-        raise ValueError("base must be at least 2")
+    _check_base(b)
     if depth < 3:
         raise ValueError("depth must be at least 3")
     if depth > MAX_ETA_DEPTH:

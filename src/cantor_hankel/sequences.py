@@ -57,17 +57,17 @@ def cantor_via_automaton(n: int) -> int:
     return 1 if state == "a" else 0
 
 
-def substitution_word(k: int, max_len: int = DEFAULT_WORD_CAP) -> str:
+def substitution_word(k: int) -> str:
     """The k-th iterate of the substitution on "a", a word of 3**k letters.
 
-    Rejects k whose word would exceed max_len; the iterates are prefixes
-    of each other, so a capped call never loses information that a
-    smaller k would have produced.
+    Rejects k whose word would exceed DEFAULT_WORD_CAP; the iterates are
+    prefixes of each other, so a capped call never loses information
+    that a smaller k would have produced.
     """
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    if 3 ** k > max_len:
-        raise ValueError(f"word of length 3**{k} exceeds the cap {max_len}")
+    if 3 ** k > DEFAULT_WORD_CAP:
+        raise ValueError(f"word of length 3**{k} exceeds the cap {DEFAULT_WORD_CAP}")
     word = "a"
     for _ in range(k):
         word = "".join(_SUBSTITUTION[letter] for letter in word)

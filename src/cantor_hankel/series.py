@@ -81,10 +81,7 @@ class PeriodicSeries:
         Coefficients move from index n to 3n and zeros fill the gaps,
         so the period triples before minimization.
         """
-        out = [0] * (3 * self.period)
-        for i, c in enumerate(self.coeffs):
-            out[3 * i] = c
-        return PeriodicSeries(tuple(out))
+        return PeriodicSeries(tuple(v for c in self.coeffs for v in (c, 0, 0)))
 
     def to_rational(self) -> "RationalForm":
         return RationalForm(self.coeffs, self.period)
@@ -121,12 +118,7 @@ def interleave3(a: PeriodicSeries, b: PeriodicSeries, c: PeriodicSeries) -> Peri
     output at 3n + r is operand r at n.
     """
     t = lcm(a.period, b.period, c.period)
-    out = [0] * (3 * t)
-    for i in range(t):
-        out[3 * i] = a.at(i)
-        out[3 * i + 1] = b.at(i)
-        out[3 * i + 2] = c.at(i)
-    return PeriodicSeries(tuple(out))
+    return PeriodicSeries(tuple(s.at(i) for i in range(t) for s in (a, b, c)))
 
 
 # Alternating sign streams: (-1)^n and (-1)^(n+1) as mod-3 residues.

@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import pytest
 
 import cantor_hankel
-from cantor_hankel import checks, cli, engine
+from cantor_hankel import checks, cli, engine, kernel
 from cantor_hankel.hankel import MAX_HANKEL_ORDER
-from cantor_hankel.pade import (MAX_ETA_DEPTH, MAX_FEQ_DEGREE, MAX_IRR_ORDER,
-                                MAX_PADE_ORDER)
+from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
+                                MAX_IRR_ORDER, MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 from cantor_hankel.sequences import MAX_SLICE_COUNT
 
@@ -217,6 +217,25 @@ def test_pade_verify(capsys):
     assert "error-law ok" in out
 
 
+# SHA-256 of `pade` stdout, pinned from the per-order elimination that
+# the J-fraction pass replaced.
+PADE_DIGESTS = {
+    ("-n", "60"): "e5eebce7a45ff916492cdd2fa0bbfdbfc5772b2582ddb4aec74788c9976f49e8",
+    ("-n", "120"): "f5763cc42a2402d1ab0ad6aa3a50d2ec1089ee84b1bf918967a75b99bea73ae6",
+    ("-n", "200"): "2f02539dc767f3e8017ee91ee6220fe9243f750e1b0513b9512538b867b6b82d",
+    ("-n", "40", "--verify"):
+        "ec17b5504c3b6aa2b08c15747a51f4e260a3531d45e7a0a255c860af3bb0ccb4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PADE_DIGESTS),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_pade_output_is_pinned(capsys, argv):
+    code, out = run(capsys, "pade", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PADE_DIGESTS[argv]
+
+
 def test_feq(capsys):
     code, out = run(capsys, "feq", "--deg", "200")
     assert (code, out) == (0, "ok functional equation through degree 200\n")
@@ -409,6 +428,31 @@ def test_check_refuses_empty_window(check, window, named):
         getattr(checks, check)(*window)
 
 
+def test_dfao_check_reads_the_engine_as_one_table():
+    engine.clear_caches()
+    assert checks.dfao_grid().ok
+    # A scalar read per cell would leave about 13,000 memo entries.
+    memo = engine.gamma_mod3.cache_info().currsize + engine.delta_mod3.cache_info().currsize
+    assert memo < 100
+
+
+def test_dfao_check_names_the_first_cell_of_a_flipped_output(monkeypatch):
+    dfao = build_dfao("gamma")
+    # With outputs 0, 1, 2, ... the automaton returns the state it ends in.
+    final_state = kernel.Dfao2D(dfao.start, tuple(range(dfao.n_states)),
+                                dfao.transitions).evaluate
+    flipped = final_state(7, 11)
+    first = next((n, p) for n in range(1, 17) for p in range(17)
+                 if final_state(n, p) == flipped)
+    outputs = list(dfao.outputs)
+    outputs[flipped] = (outputs[flipped] + 1) % 3
+    monkeypatch.setattr(kernel, "build_dfao", lambda start: kernel.Dfao2D(
+        dfao.start, tuple(outputs), dfao.transitions))
+    result = checks.dfao_grid(16, 16)
+    assert not result.ok
+    assert result.detail == "mismatch at n={} p={}".format(*first)
+
+
 def test_verify_selection_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--closed-forms", "--series")
     _, second = run(capsys, "verify", "--closed-forms", "--series")
@@ -503,12 +547,16 @@ def test_help_exits_zero(capsys):
      f"degree {MAX_FEQ_DEGREE + 1} is over the cap"),
     (["eta", "-b", "2", "--depth", str(MAX_ETA_DEPTH + 1)],
      f"depth {MAX_ETA_DEPTH + 1} is over the cap"),
+    (["irr", "-b", str(MAX_BASE + 1), "--n-max", str(MAX_IRR_ORDER)],
+     f"base b = {MAX_BASE + 1} is over the cap"),
+    (["eta", "-b", str(MAX_BASE + 1), "--depth", str(MAX_ETA_DEPTH)],
+     f"base b = {MAX_BASE + 1} is over the cap"),
     (["cell", "-n", str(3 ** engine.MAX_INDEX_DIGITS), "-p", "5"],
      f"n has more than {engine.MAX_INDEX_DIGITS} base-3 digits"),
     (["cell", "--kind", "delta", "-n", "5", "-p", str(3 ** engine.MAX_INDEX_DIGITS)],
      f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits"),
 ], ids=["det-n", "seq-count", "pade-n", "irr-n-max", "feq-deg", "eta-depth",
-        "cell-n", "cell-p"])
+        "irr-b", "eta-b", "cell-n", "cell-p"])
 def test_caps_refuse_before_any_work(argv, named):
     # A separate process under a timeout: past the cap the command must
     # exit 2 at once, not start the work.

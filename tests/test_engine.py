@@ -279,13 +279,15 @@ def test_lattice_sweep_logs_one_debug_record(caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_tables_refuse_bad_ranges_before_any_work():
+def test_tables_refuse_bad_ranges_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="empty table range"):
         engine.tables(5, 4, 0, 0)
     with pytest.raises(ValueError, match="need n >= -1"):
         engine.tables(-2, 4, 0, 0)
-    with pytest.raises(ValueError, match="exceeds the cap 50"):
-        engine.tables(1, 100, 0, 100, max_cells=50)
+    monkeypatch.setattr(engine, "DEFAULT_GRID_CELL_CAP", 50)
+    with pytest.raises(ValueError, match="table of 10100 cells exceeds the cap 50"):
+        engine.tables(1, 100, 0, 100)
+    assert len(engine.tables(1, 5, 0, 9)[0]) == 5
     with pytest.raises(ValueError, match="p has more than"):
         engine.tables(1, 2, 3 ** engine.MAX_INDEX_DIGITS, 3 ** engine.MAX_INDEX_DIGITS)
     with pytest.raises(ValueError, match="need n >= 0"):
@@ -293,12 +295,13 @@ def test_tables_refuse_bad_ranges_before_any_work():
     assert engine.grid(-1, 0, 0, 1, "delta") == [[1, 0], [1, 1]]
 
 
-def test_grid_shape_and_cap():
+def test_grid_shape_and_cap(monkeypatch):
     rows = engine.grid(1, 3, 0, 4)
     assert len(rows) == 3 and all(len(r) == 5 for r in rows)
     assert rows[0] == [engine.gamma_mod3(1, p) for p in range(5)]
-    with pytest.raises(ValueError):
-        engine.grid(1, 100, 0, 100, max_cells=50)
+    monkeypatch.setattr(engine, "DEFAULT_GRID_CELL_CAP", 50)
+    with pytest.raises(ValueError, match="exceeds the cap 50"):
+        engine.grid(1, 100, 0, 100)
     with pytest.raises(ValueError):
         engine.grid(2, 1, 0, 0)
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ def test_table_export_digest(start):
 def test_export_table_round_trip():
     dfao = build_dfao("gamma")
     assert parse_dfao_table(export_dfao(dfao, "table")) == dfao
+
+
+# A 2-state automaton whose table has every transition target 0 and 1.
+SMALL_DFAO = kernel.Dfao2D(0, (1, 2), ((0, 1, 0, 1, 0, 1, 0, 1, 1),
+                                       (1, 1, 0, 0, 1, 0, 1, 1, 0)))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (("trans 0 2 2 1", "trans 0 0 8 1"), "line 'trans 0 0 8 1'"),
+    (("trans 1 2 2 0", "trans 1 2 2 0\ntrans -1 0 0 0"), "line 'trans -1 0 0 0'"),
+    (("trans 0 1 1 0", "trans 0 1 1 0\ntrans 0 1 1 1"),
+     "repeated transition in line 'trans 0 1 1 1'"),
+    (("start 0", "start 7"), "line 'start 7'"),
+    (("outputs 1 2", "outputs 1 5"), "line 'outputs 1 5'"),
+    (("outputs 1 2\n", ""), "no outputs line"),
+    (("trans 0 1 1 0", "trans 0 1 x 0"), "line 'trans 0 1 x 0'"),
+    (("trans 1 0 0 1\n", ""), "transition table is incomplete"),
+    (("states 2", "states 2\nstates 3"), "repeated line 'states 3'"),
+], ids=["digit-8", "state-minus-1", "repeated-trans", "start-7", "output-5",
+        "no-outputs", "non-integer", "missing-trans", "repeated-states"])
+def test_parse_refuses_a_corrupt_table(edit, named):
+    text = export_dfao(SMALL_DFAO, "table")
+    assert parse_dfao_table(text) == SMALL_DFAO
+    old, new = edit
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        parse_dfao_table(text.replace(old, new))
 
 
 def test_export_dot_shape():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from cantor_hankel import cli
 from cantor_hankel.hankel import det_exact, hankel_matrix
-from cantor_hankel.pade import (MAX_PADE_ORDER, PadeApproximant,
+from cantor_hankel.pade import (MAX_BASE, MAX_PADE_ORDER, PadeApproximant,
                                 RationalInterval, _j_fraction,
+                                _pade_by_elimination,
                                 cantor_coefficients, cantor_number,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
@@ -30,9 +31,9 @@ KNOWN_APPROXIMANTS = {
 
 def test_low_order_approximants():
     for order, (num, den) in KNOWN_APPROXIMANTS.items():
-        approx = pade(order)
-        assert approx.order == order
-        assert (approx.numerator, approx.denominator) == (num, den)
+        for approx in (pade(order), _pade_by_elimination(order)):
+            assert approx.order == order
+            assert (approx.numerator, approx.denominator) == (num, den)
 
 
 def test_order_validation():
@@ -46,7 +47,7 @@ def test_diagonal_pass_equals_elimination():
     diagonal = pade_diagonal(60)
     assert len(diagonal) == 60
     for order in range(1, 61):
-        assert diagonal[order - 1] == pade(order), order
+        assert diagonal[order - 1] == _pade_by_elimination(order), order
 
 
 def _catalan(count):
@@ -63,7 +64,7 @@ def test_diagonal_pass_equals_elimination_on_a_series_not_even(monkeypatch):
     assert [e[1] for _, _, e in _j_fraction(5)] != [0] * 5
     diagonal = pade_diagonal(12)
     for order in range(1, 13):
-        assert diagonal[order - 1] == pade(order), order
+        assert diagonal[order - 1] == _pade_by_elimination(order), order
 
 
 def test_j_fraction_leading_error_is_determinant_ratio():
@@ -96,12 +97,15 @@ def _series_one(count):
 
 def test_zero_leading_error_raises_and_never_skips(monkeypatch):
     monkeypatch.setattr(pade_module, "cantor_coefficients", _series_one)
-    assert pade_diagonal(1) == [pade(1)] == [PadeApproximant(1, (1,), (1,))]
+    assert pade_diagonal(1) == [pade(1)] == [_pade_by_elimination(1)] \
+        == [PadeApproximant(1, (1,), (1,))]
     for max_order in (2, 5):
         with pytest.raises(ArithmeticError, match="eps_1 = 0"):
             pade_diagonal(max_order)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="eps_1 = 0"):
         pade(2)
+    with pytest.raises(ArithmeticError, match="singular"):
+        _pade_by_elimination(2)
 
 
 def test_zero_constant_term_raises(monkeypatch):
@@ -110,8 +114,10 @@ def test_zero_constant_term_raises(monkeypatch):
                         lambda count: [0, 1] + [0] * (count - 2))
     with pytest.raises(ArithmeticError, match="eps_0"):
         pade_diagonal(3)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="eps_0"):
         pade(1)
+    with pytest.raises(ArithmeticError, match="singular"):
+        _pade_by_elimination(1)
 
 
 def test_diagonal_pass_logs_one_debug_record(caplog, capsys):
@@ -141,23 +147,18 @@ def test_contact_order():
         assert report.expected_leading == Fraction(top, bottom)
 
 
-def test_verify_with_the_approximant_in_hand_equals_solving_it():
-    for order, approx in enumerate(pade_diagonal(40), 1):
-        assert verify_pade_error(order, approx) == verify_pade_error(order), order
-
-
-def test_verify_with_the_approximant_in_hand_on_a_failing_series(monkeypatch):
+def test_verify_on_a_failing_series(monkeypatch):
     # The Catalan series has every Hankel determinant 1, so its leading
     # error 1 misses the Cantor determinant ratio wherever that is not 1.
     monkeypatch.setattr(pade_module, "cantor_coefficients", _catalan)
-    reports = [verify_pade_error(order, pade(order)) for order in range(1, 7)]
-    assert reports == [verify_pade_error(order) for order in range(1, 7)]
+    reports = [verify_pade_error(order) for order in range(1, 7)]
     assert [r.ok for r in reports] == [True, False, True, False, False, False]
+    assert all(r.first_mismatch is None and r.leading == 1 for r in reports)
     assert (reports[3].leading, reports[3].expected_leading) == (1, 2)
 
 
 def test_pade_verify_output_on_a_failing_series(capsys, monkeypatch):
-    # Pinned from the command when it solved the system twice.
+    # Pinned from the command when it solved the system by elimination.
     monkeypatch.setattr(pade_module, "cantor_coefficients", _catalan)
     assert cli.main(["pade", "-n", "4", "--verify"]) == 1
     assert capsys.readouterr().out == (
@@ -165,17 +166,16 @@ def test_pade_verify_output_on_a_failing_series(capsys, monkeypatch):
         "error-law FAIL: first mismatch at degree None, leading 1 expected 2\n")
 
 
-def test_verify_names_the_first_degree_an_approximant_misses():
+def test_verify_names_the_first_degree_an_approximant_misses(monkeypatch):
     approx = pade(6)
     for degree in range(len(approx.numerator)):
         numerator = list(approx.numerator)
         numerator[degree] += 1
         bent = PadeApproximant(6, tuple(numerator), approx.denominator)
-        report = verify_pade_error(6, bent)
+        monkeypatch.setattr(pade_module, "pade", lambda order, bent=bent: bent)
+        report = verify_pade_error(6)
         assert not report.ok
         assert report.first_mismatch == degree
-    with pytest.raises(ValueError, match="order 6 given for order 5"):
-        verify_pade_error(5, approx)
 
 
 def test_error_leading_literals():
@@ -290,3 +290,22 @@ def test_eta_validation():
         eta_identity_check(1, 30)
     with pytest.raises(ValueError):
         eta_identity_check(2, 2)
+
+
+def test_base_cap_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the base check")
+
+    monkeypatch.setattr(pade_module, "pade_diagonal", no_work)
+    monkeypatch.setattr(pade_module, "cantor_number", no_work)
+    named = f"base b = {MAX_BASE + 1} is over the cap of {MAX_BASE}"
+    with pytest.raises(ValueError, match=named):
+        irrationality_estimates(MAX_BASE + 1, 3)
+    with pytest.raises(ValueError, match=named):
+        eta_identity_check(MAX_BASE + 1, 30)
+
+
+def test_base_at_the_cap_is_accepted():
+    assert eta_identity_check(MAX_BASE, 30).ok
+    rows = irrationality_estimates(MAX_BASE, 3)
+    assert [r.order for r in rows] == [1, 2, 3]

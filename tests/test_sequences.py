@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantor_hankel import sequences
 from cantor_hankel.sequences import (DEFAULT_WORD_CAP, cantor_term,
                                      cantor_via_automaton, diff_term,
                                      sequence_slice, substitution_word)
@@ -62,9 +63,13 @@ def test_substitution_word_spells_the_sequence():
         assert cantor_term(n) == (1 if letter == "a" else 0)
 
 
-def test_substitution_word_cap():
-    with pytest.raises(ValueError):
-        substitution_word(17, max_len=DEFAULT_WORD_CAP)
+def test_substitution_word_cap(monkeypatch):
+    with pytest.raises(ValueError, match=f"exceeds the cap {DEFAULT_WORD_CAP}"):
+        substitution_word(17)
+    monkeypatch.setattr(sequences, "DEFAULT_WORD_CAP", 3 ** 4)
+    assert len(substitution_word(4)) == 81
+    with pytest.raises(ValueError, match="word of length 3\\*\\*5 exceeds the cap 81"):
+        substitution_word(5)
 
 
 def test_sequence_slice():
