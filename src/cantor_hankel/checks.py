@@ -244,7 +244,14 @@ def kernel_soundness(window: int = 8) -> CheckResult:
 
 
 def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
-    """The emitted automaton against one engine table over the display window."""
+    """The emitted automaton against the engine, over the display window
+    and at every state.
+
+    The window is one engine table.  A state the window never ends in
+    would go unchecked there, so each output is also compared with the
+    engine at the state's witness point (r, s), which is what the
+    state's polynomial at (0, 0) stands for.
+    """
     name = "dfao-grid"
     _need("dfao", "n_max", n_max, 1)
     _need("dfao", "p_max", p_max, 0)
@@ -253,6 +260,16 @@ def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
         for p, expected in enumerate(row):
             if dfao.evaluate(n, p) != expected:
                 return CheckResult(name, False, f"mismatch at n={n} p={p}")
+    witnesses = kernel.kernel_closure("gamma").witnesses
+    expected = engine.witness_lattices({"gamma": witnesses}, 0)["gamma"][:, 0]
+    wrong = np.flatnonzero(np.array(dfao.outputs) != expected)
+    if wrong.size:
+        k = int(wrong[0])
+        m, r, s = witnesses[k]
+        return CheckResult(
+            name, False,
+            f"state {k} with witness ({m},{r},{s}) outputs {dfao.outputs[k]}, "
+            f"engine {expected[k]}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 
 

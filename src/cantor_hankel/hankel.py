@@ -1,11 +1,13 @@
 """Exact Hankel matrices of c and d, and brute-force determinant oracles.
 
 Everything here is computed directly from matrix entries: fraction-free
-elimination over the integers for exact determinants and Gaussian
-elimination over GF(3) for the fast residue path, one matrix at a time
-(det_mod3) or a whole stack at once (det_mod3_stack).  No recurrence
-from the rest of the package is used, which is what makes these
-functions usable as oracles against those recurrences.
+elimination over the integers for exact determinants (det_exact, on
+int64 blocks while a bound proves the products fit, on Python ints
+after) and Gaussian elimination over GF(3) for the fast residue path,
+one matrix at a time (det_mod3) or a whole stack at once
+(det_mod3_stack).  No recurrence from the rest of the package is used,
+which is what makes these functions usable as oracles against those
+recurrences.
 
 Matrices are 2-D int64 numpy arrays; the determinants and the
 conjugation accept any square array-like of integers, of any size, and
@@ -115,36 +117,64 @@ def _residues(m, ndim: int) -> np.ndarray:
     return np.remainder(a, 3, out=np.empty(a.shape, np.int8), casting="unsafe")
 
 
+def _peak(block: np.ndarray) -> int:
+    """The largest |entry| of an int64 block, as a Python int.
+
+    Exact at -2**63 too, whose negation does not fit int64.
+    """
+    return max(int(block.max()), -int(block.min()))
+
+
 def det_exact(m) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
-    Intermediate entries are minors of the input, so all divisions are
-    exact and sizes stay polynomially bounded.  The elimination runs on
-    Python ints: minors of order-150 Hankel matrices overflow int64.
+    Each step replaces the trailing block by the next, one row and one
+    column smaller: new = block[1:, 1:] * pivot - block[1:, 0] (x)
+    block[0, 1:], divided exactly by the previous pivot.  Every entry
+    of every block is a minor of the input, so the divisions are exact
+    and sizes stay polynomially bounded.
+
+    The blocks are int64 while a bound peak on |entry|, kept in Python
+    ints, proves the next step's products fit: peak * (|pivot| + peak)
+    < 2**63.  After a step peak is that product over |previous pivot|;
+    it is measured afresh from the block only when the check fails, as
+    a reduction at every step would cost more than the step itself at
+    small orders.  Once the measured peak fails too, the rest of the
+    elimination runs on Python ints.  For the order-150 Hankel matrices
+    of c and d at offsets below 243 that happens at step 43 to 131, or
+    never where a zero column ends the elimination first, so most of
+    the n**3 / 3 work is int64.  Object and uint64 input, which may not
+    fit int64, run on Python ints from the first step.
     """
-    a = _square(m).tolist()
-    n = len(a)
-    if n == 0:
+    a = _square(m)
+    if len(a) == 0:
         return 1
+    on_int64 = np.can_cast(a.dtype, np.int64)
+    block = a.astype(np.int64 if on_int64 else object)
+    peak = _peak(block) if on_int64 else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+    while len(block) > 1:
+        if block[0, 0] == 0:
+            below = np.flatnonzero(block[:, 0])
+            if below.size == 0:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            i = int(below[0])
+            block[[0, i]] = block[[i, 0]]
+            sign = -sign
+        pivot = int(block[0, 0])
+        if on_int64:
+            bound = peak * (abs(pivot) + peak)
+            if bound >= 1 << 63:
+                peak = _peak(block)
+                bound = peak * (abs(pivot) + peak)
+                if bound >= 1 << 63:
+                    on_int64 = False
+                    block = block.astype(object)
+            peak = bound // abs(prev)
+        block = (block[1:, 1:] * pivot - block[1:, :1] * block[:1, 1:]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * int(block[0, 0])
 
 
 def det_mod3(m) -> int:

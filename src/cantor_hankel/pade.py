@@ -26,10 +26,11 @@ from .sequences import cantor_term, diff_term
 MAX_TAIL_DEPTH = 1 << 20
 
 # Resource guards, checked before any work.  Times on a 2-core VM:
-# pade(200) 0.02 s, verify_pade_error(200) 0.4 s,
-# verify_functional_equation(10**6) 0.3 s, and at b = 2**32
-# irrationality_estimates(b, 100) 0.13 s and eta_identity_check(b, 10**4)
-# 1.2 s; both grow with the digits of b, eta past a minute at 10**100.
+# pade(200) 0.02 s, verify_pade_error(200) 0.2 s (0.1 s of it its two
+# order-200 det_exact calls), verify_functional_equation(10**6) 0.3 s,
+# and at b = 2**32 irrationality_estimates(b, 100) 0.13 s and
+# eta_identity_check(b, 10**4) 1.2 s; both grow with the digits of b, eta
+# past a minute at 10**100.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6

@@ -10,6 +10,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cantor_hankel
 from cantor_hankel import checks, cli, engine, kernel
@@ -55,6 +57,27 @@ def test_det_exact_and_mod3(capsys):
     code, out = run(capsys, "det", "--kind", "gamma", "-p", "0", "-n", "4",
                     "--mod3")
     assert (code, out) == (0, "2\n")
+
+
+@given(n=st.one_of(st.integers(-3, 60), st.sampled_from([MAX_HANKEL_ORDER, MAX_HANKEL_ORDER + 1])),
+       p=st.one_of(st.integers(-3 ** 40, 3 ** 40), st.integers(-3, 30)),
+       kind=st.sampled_from(["gamma", "delta"]), mod3=st.booleans())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_det_arguments_exit_0_or_2(capsys, n, p, kind, mod3):
+    argv = ["det", "--kind", kind, "-p", str(p), "-n", str(n)] + ["--mod3"] * mod3
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if n < 0 or p < 0 or n > MAX_HANKEL_ORDER:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+    else:
+        assert (code, err) == (0, ""), argv
+        assert out == f"{int(out)}\n", argv
+        assert not mod3 or out in ("0\n", "1\n", "2\n"), argv
 
 
 def test_det_mode_conflict(capsys):
@@ -451,6 +474,19 @@ def test_dfao_check_names_the_first_cell_of_a_flipped_output(monkeypatch):
     result = checks.dfao_grid(16, 16)
     assert not result.ok
     assert result.detail == "mismatch at n={} p={}".format(*first)
+
+
+def test_verify_dfao_checks_states_the_window_never_ends_in(monkeypatch, capsys):
+    # No cell of the window ends in state 100; its witness is (3, 0, 12).
+    dfao = build_dfao("gamma")
+    outputs = list(dfao.outputs)
+    outputs[100] = (outputs[100] + 1) % 3
+    monkeypatch.setattr(kernel, "build_dfao", lambda start: kernel.Dfao2D(
+        dfao.start, tuple(outputs), dfao.transitions))
+    code, out = run(capsys, "verify", "--dfao")
+    assert code == 1
+    assert out == (f"FAIL dfao-grid: state 100 with witness (3,0,12) outputs "
+                   f"{outputs[100]}, engine {dfao.outputs[100]}\n")
 
 
 def test_verify_selection_is_deterministic(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
@@ -164,6 +164,33 @@ def test_exact_determinants_digest():
     assert h.hexdigest() == DET_DIGEST
 
 
+# The same lines for p in HIGH_DIGEST_OFFSETS and 61 <= n <= 150, where
+# the elimination leaves int64 part way, at step 48 to 131 for these
+# offsets (every determinant at p = 6560 is 0, found on int64).
+# Computed with the row-by-row Python-int elimination that the block
+# elimination replaced.
+HIGH_DIGEST_OFFSETS = (0, 1, 5, 27, 6560)
+HIGH_DET_DIGEST = "345e7a4660f77102b56cefa93cac300ce6dc685350ae9a713dc5f9037181a699"
+
+
+def test_exact_determinants_digest_past_int64():
+    h = hashlib.sha256()
+    for kind in ("gamma", "delta"):
+        for p in HIGH_DIGEST_OFFSETS:
+            for n in range(61, 151):
+                h.update(f"{kind} {p} {n} {det_exact(hankel_matrix(kind, p, n))}\n".encode())
+    assert h.hexdigest() == HIGH_DET_DIGEST
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+@pytest.mark.parametrize("p", [0, 27])
+def test_int64_blocks_match_python_int_elimination(kind, p):
+    # Object input is eliminated on Python ints from the first step.
+    for n in range(1, 151):
+        m = hankel_matrix(kind, p, n)
+        assert det_exact(m) == det_exact(m.astype(object)), (kind, p, n)
+
+
 def test_empty_matrix_determinant():
     assert det_exact(hankel_matrix("gamma", 0, 0)) == 1
     assert det_mod3(hankel_matrix("delta", 5, 0)) == 1
@@ -207,6 +234,35 @@ def test_bareiss_matches_float_determinant(rows):
     m = np.array(rows)
     expected = round(float(np.linalg.det(np.array(rows, dtype=float))))
     assert det_exact(m) == expected
+
+
+# Entries that put the int64 bound on trial: small ones, ones whose
+# products fit for a step or two, ones whose squares straddle 2**63
+# (isqrt(2**63) = 3037000499), ones near +-2**62, and the int64 ends.
+_ENTRY = st.one_of(st.integers(-9, 9),
+                   st.integers(-2 ** 32, 2 ** 32),
+                   st.integers(3037000499 - 2 ** 10, 3037000499 + 2 ** 10),
+                   st.integers(2 ** 62 - 2 ** 10, 2 ** 62 + 2 ** 10),
+                   st.integers(-2 ** 62 - 2 ** 10, -2 ** 62 + 2 ** 10),
+                   st.sampled_from([-2 ** 63, 2 ** 63 - 1]))
+_MATRIX = {
+    np.int64: _ENTRY,
+    np.uint64: st.one_of(st.integers(0, 9), st.integers(2 ** 63, 2 ** 64 - 1)),
+    np.bool_: st.booleans(),
+}
+
+
+@given(st.sampled_from(list(_MATRIX)).flatmap(
+    lambda dtype: st.integers(1, 6).flatmap(
+        lambda n: st.lists(_MATRIX[dtype], min_size=n * n, max_size=n * n).map(
+            lambda flat: np.array(flat, dtype=dtype).reshape(n, n)))))
+@example(np.array([[1, 3037000500], [3037000500, 0]]))  # -x**2 < -2**63
+@settings(max_examples=300, deadline=None)
+def test_bareiss_at_the_int64_edges(m):
+    entries = [[int(x) for x in row] for row in m.tolist()]
+    expected = _cofactor_det(entries)
+    assert det_exact(m) == expected
+    assert det_exact(m.astype(object)) == expected
 
 
 @given(st_small_matrix)
