@@ -217,23 +217,22 @@ def period_bounds(k_values: tuple[int, ...] = (0, 1, 2)) -> CheckResult:
 def kernel_soundness(window: int = 8) -> CheckResult:
     """Closure elements against the engine subsequences they stand for.
 
-    Every state is evaluated at every point at once, against the
+    Every state is evaluated over the whole window at once, against the
     lattices engine.witness_lattices builds for the witnesses; the first
     mismatch in state order, then n, then p, is the one reported.
     """
     name = "kernel-soundness"
     _need("kernel", "window", window, 0)
-    points = [(n, p) for n in range(window + 1) for p in range(window + 1)]
     closures = {start: kernel.kernel_closure(start) for start in engine.KINDS}
     expected = engine.witness_lattices(
         {start: closure.witnesses for start, closure in closures.items()}, window)
     for start, closure in closures.items():
-        got = kernel.evaluate_states(closure.states, points)
+        got = kernel.evaluate_states(closure.states, window)
         wrong = np.flatnonzero(got != expected[start])
         if wrong.size:
-            k, col = divmod(int(wrong[0]), len(points))
+            k, col = divmod(int(wrong[0]), got.shape[1])
             m, r, s = closure.witnesses[k]
-            n, p = points[col]
+            n, p = divmod(col, window + 1)
             return CheckResult(
                 name, False,
                 f"{start} state with witness ({m},{r},{s}) disagrees at n={n} p={p}")

@@ -434,8 +434,10 @@ def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
     The candidate period from column_window is confirmed on three full
     periods first; the returned minimal period always divides it.
     """
-    if p < 0 or k_hint < 0:
-        raise ValueError("need p >= 0 and k_hint >= 0")
+    if p < 0:
+        raise ValueError("need p >= 0")
+    if k_hint < 0:
+        raise ValueError(f"need k_hint >= 0, got {k_hint}")
     window, candidate = column_window(kind, p, 1, k_hint)
     return len(minimal_period(tuple(window[:candidate])))
 

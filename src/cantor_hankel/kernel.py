@@ -226,13 +226,6 @@ def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     return KernelExpr(_DigitStep().step(3 * i + j, expr.poly))
 
 
-def _generator_value(gen: Generator, n: int, p: int) -> int:
-    sym, a, b = gen
-    if sym == "F":
-        return 1 if (n + a) % 2 == 0 else 2
-    return (engine.gamma_mod3 if sym == "G" else engine.delta_mod3)(n + a, p + b)
-
-
 def _parity(x: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each 32-bit entry, by xor folding."""
     for shift in (16, 8, 4, 2, 1):
@@ -240,40 +233,47 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
-def evaluate_states(states: Sequence[KernelExpr],
-                    points: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Values mod 3 of every state at every point (n, p), as an int8
-    array with one row per state and one column per point.
+def evaluate_states(states: Sequence[KernelExpr], window: int) -> np.ndarray:
+    """Values mod 3 of every state at every point (n, p), n and p in
+    0..window, as an int8 array with one row per state and one column
+    per point, n-major: the layout of engine.witness_lattices.
 
-    Each generator that occurs in some state is read once per point.
-    A monomial vanishes where one of its generators is 0; elsewhere a
-    square is 1 and a first power is 1 or 2 = -1, so the monomial is its
+    Each G or D generator that occurs in some state is a slice of one
+    engine.tables rectangle over rows -1 .. window + 2 and columns
+    0 .. window + 2, and F is read off the parity of n.  A monomial
+    vanishes where one of its generators is 0; elsewhere a square is 1
+    and a first power is 1 or 2 = -1, so the monomial is its
     coefficient times 2 to the parity of its first powers equal to 2.
+    Gamma has no row -1, so a state that reads S[-1,b]G is refused.
     """
+    if window < 0:
+        raise ValueError(f"need window >= 0, got {window}")
     owner = np.repeat(np.arange(len(states)), [len(s.poly) for s in states])
     keys = [key for s in states for key, _ in s.poly]
     coeffs = np.array([c for s in states for _, c in s.poly], dtype=np.int8)
     low = np.array([key & _LOW for key in keys], dtype=np.uint32)
     present = low | np.array([key >> _WIDTH for key in keys], dtype=np.uint32)
     occurring = int(np.bitwise_or.reduce(present))
-    used = [(1 << k, gen) for k, gen in enumerate(_GENERATORS) if occurring >> k & 1]
-    out = np.empty((len(states), len(points)), dtype=np.int8)
-    for col, (n, p) in enumerate(points):
-        zero = neg = 0
-        for bit, gen in used:
-            value = _generator_value(gen, n, p)
-            if value == 0:
-                zero |= bit
-            elif value == 2:
-                neg |= bit
-        terms = np.where(present & zero, 0, coeffs * (1 + _parity(low & neg)))
+    size = window + 1
+    base = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
+    zero = np.zeros((size, size), dtype=np.uint32)
+    neg = np.zeros((size, size), dtype=np.uint32)
+    for k, (sym, a, b) in enumerate(_GENERATORS):
+        if not occurring >> k & 1:
+            continue
+        if sym == "F":
+            values = 1 + (np.arange(size)[:, None] + a) % 2
+        elif sym == "G" and a < 0:
+            raise ValueError(f"S[{a},{b}]G reads gamma at row -1, which does not exist")
+        else:
+            values = base[sym][a + 1:a + 1 + size, b:b + size]
+        zero |= (values == 0).astype(np.uint32) << k
+        neg |= (values == 2).astype(np.uint32) << k
+    out = np.empty((len(states), size * size), dtype=np.int8)
+    for col, (z, g) in enumerate(zip(zero.ravel().tolist(), neg.ravel().tolist())):
+        terms = np.where(present & z, 0, coeffs * (1 + _parity(low & g)))
         out[:, col] = np.bincount(owner, weights=terms, minlength=len(states)) % 3
     return out
-
-
-def evaluate_expr(expr: KernelExpr, n: int, p: int) -> int:
-    """Value of the polynomial at (n, p), mod 3."""
-    return int(evaluate_states([expr], [(n, p)])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -397,7 +397,7 @@ def build_dfao(start: str = "gamma") -> Dfao2D:
     """Automaton whose state set is the digit-step closure and whose
     outputs are the state polynomials evaluated at (0, 0)."""
     closure = kernel_closure(start)
-    outputs = tuple(evaluate_states(closure.states, [(0, 0)])[:, 0].tolist())
+    outputs = tuple(evaluate_states(closure.states, 0)[:, 0].tolist())
     return Dfao2D(0, outputs, closure.transitions)
 
 

@@ -112,37 +112,6 @@ def pade(order: int) -> PadeApproximant:
     return pade_diagonal(order)[-1]
 
 
-def _pade_by_elimination(order: int) -> PadeApproximant:
-    """The [order-1 / order] approximant by Gaussian elimination over Q.
-
-    The tests' oracle for pade_diagonal; no production path calls it.
-    With Q(0) = 1 the unknowns q_1..q_order make coefficients
-    order..2*order-1 of f*Q vanish, and the numerator is the truncation
-    of f*Q below degree order.  A singular system raises ArithmeticError."""
-    c = cantor_coefficients(2 * order)
-    # Row i, augmented: sum over j of c_(order+i-j-1) q_(j+1) = -c_(order+i).
-    a = [[Fraction(c[order + i - j - 1]) for j in range(order)] + [Fraction(-c[order + i])]
-         for i in range(order)]
-    for k in range(order):
-        pivot_row = next((i for i in range(k, order) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise ArithmeticError("singular linear system")
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        for i in range(k + 1, order):
-            factor = a[i][k] / a[k][k]
-            if factor:
-                for j in range(k, order + 1):
-                    a[i][j] -= factor * a[k][j]
-    tail = [Fraction(0)] * order
-    for k in range(order - 1, -1, -1):
-        acc = a[k][order] - sum((a[k][j] * tail[j] for j in range(k + 1, order)), Fraction(0))
-        tail[k] = acc / a[k][k]
-    q = [Fraction(1)] + tail
-    p = [sum((q[j] * c[k - j] for j in range(min(k, order) + 1)), Fraction(0))
-         for k in range(order)]
-    return _normalised(order, p, q)
-
-
 def _j_fraction(max_order: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """Yield (P_n, Q_n, e_n) for n = 1, 2, ..., max_order.
 
@@ -200,7 +169,8 @@ def _j_fraction(max_order: int) -> Iterator[tuple[list[int], list[int], list[int
 def pade_diagonal(max_order: int) -> list[PadeApproximant]:
     """The approximants of orders 1..max_order from one J-fraction pass.
 
-    Entry n - 1 equals _pade_by_elimination(n) field for field; all
+    Entry n - 1 is the [n-1 / n] approximant that Gaussian elimination
+    over Q gives field for field (the tests hold the two together); all
     orders together cost O(max_order**2) integer operations where the
     elimination costs O(order**3) rational ones per order.  Raises
     ArithmeticError, without returning a shorter list, where an
@@ -299,9 +269,6 @@ class RationalInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def encloses(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi

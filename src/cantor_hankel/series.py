@@ -6,8 +6,7 @@ power series it is P(x) / (1 - x^t) with P the first-period polynomial.
 The columns of the mod-3 Hankel determinant tables are streams of this
 shape, and the operations here are exactly the ones needed to rebuild
 a column of the table from columns with smaller offset: coefficientwise
-(Hadamard) product, the two reindexing shifts, coefficient transport
-x -> x^3 (which is cubing in characteristic 3), and base-3 interleaving.
+(Hadamard) product, the two reindexing shifts, and base-3 interleaving.
 
 The type never represents a preperiodic stream.  Any operation that
 would create one (prepending a value that disagrees with the periodic
@@ -74,14 +73,6 @@ class PeriodicSeries:
                 f"prepending {prepend} to a stream whose extension has "
                 f"{self.coeffs[-1]} at index -1 would break pure periodicity")
         return PeriodicSeries((prepend,) + self.coeffs[:-1])
-
-    def frobenius_cube(self) -> "PeriodicSeries":
-        """The series cubed: in characteristic 3, a(x)**3 = a(x**3).
-
-        Coefficients move from index n to 3n and zeros fill the gaps,
-        so the period triples before minimization.
-        """
-        return PeriodicSeries(tuple(v for c in self.coeffs for v in (c, 0, 0)))
 
     def to_rational(self) -> "RationalForm":
         return RationalForm(self.coeffs, self.period)
@@ -167,7 +158,7 @@ def _reassemble(stream: str, p: int) -> PeriodicSeries:
             for sym, a, b, e in factors:
                 column = (series_gamma if sym == "G" else series_delta)(q + b)
                 if a < 0:
-                    column = column.shift_bar(engine.delta_mod3(-1, q + b))
+                    column = column.shift_bar(engine._anchor("D", -1, q + b))
                 else:
                     column = column.shift_hat(a)
                 for _ in range(e):

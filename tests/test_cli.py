@@ -175,11 +175,13 @@ def test_series_coeffs(capsys):
 
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 def test_series_negative_p_names_p(capsys, kind):
-    code = cli.main(["series", "--kind", kind, "-p", "-2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: need p >= 0\n"
+    # period reads the same column scan as series, and names only p too.
+    for command in ("period", "series"):
+        code = cli.main([command, "--kind", kind, "-p", "-2"])
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert captured.out == "", command
+        assert captured.err == "error: need p >= 0\n", command
 
 
 @pytest.mark.parametrize("command", ["period", "series"])
@@ -226,6 +228,62 @@ def test_dfao_eval(capsys):
     for n, p, want in ((1, 0, "1"), (3, 0, "2"), (0, 0, "2")):
         code, out = run(capsys, "dfao-eval", "-n", str(n), "-p", str(p))
         assert (code, out) == (0, want + "\n")
+
+
+# Hostile arguments: an integer of any sign and size, or any short text.
+# Each command may exit 0, 1 or 2, never with a traceback; a refusal
+# prints nothing on stdout and one error or usage message on stderr.
+HOSTILE_ARG = st.one_of(st.integers(-3 ** 40, 3 ** 40).map(str), st.integers(-5, 100).map(str),
+                        st.text(max_size=6))
+HOSTILE_SETTINGS = settings(max_examples=25, deadline=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _run_hostile(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "" and out.endswith("\n"), argv
+    else:
+        assert out == "", argv
+        assert err.startswith(("error: ", "usage: ")), argv
+    return code, out
+
+
+@given(start=st.sampled_from(["gamma", "delta", "omega", ""]),
+       export=st.sampled_from(["table", "dot", "svg", ""]))
+@HOSTILE_SETTINGS
+def test_hostile_dfao_arguments(capsys, start, export):
+    code, out = _run_hostile(capsys, ["dfao", "--start", start, "--export", export])
+    assert code == (0 if start in ("gamma", "delta") and export in ("table", "dot") else 2)
+
+
+@given(start=st.sampled_from(["gamma", "delta", "omega"]), n=HOSTILE_ARG, p=HOSTILE_ARG)
+@HOSTILE_SETTINGS
+def test_hostile_dfao_eval_arguments(capsys, start, n, p):
+    code, out = _run_hostile(capsys, ["dfao-eval", "--start", start, "-n", n, "-p", p])
+    if code == 0:
+        value = engine.gamma_mod3 if start == "gamma" else engine.delta_mod3
+        assert out == f"{value(int(n), int(p))}\n", (start, n, p)
+
+
+@given(kind=st.sampled_from(["gamma", "delta", "omega"]), p=HOSTILE_ARG)
+@HOSTILE_SETTINGS
+def test_hostile_period_arguments(capsys, kind, p):
+    code, out = _run_hostile(capsys, ["period", "--kind", kind, "-p", p])
+    if code == 0:
+        assert (12 * 3 ** 11) % int(out) == 0, (kind, p)
+
+
+@given(kind=st.sampled_from(["gamma", "delta", "omega"]), p=HOSTILE_ARG,
+       fmt=st.sampled_from(["rational", "coeffs", "latex"]))
+@HOSTILE_SETTINGS
+def test_hostile_series_arguments(capsys, kind, p, fmt):
+    code, out = _run_hostile(capsys, ["series", "--kind", kind, "-p", p, "--format", fmt])
+    assert code != 1, (kind, p, fmt)
+    if code == 0:
+        assert out.count("\n") == 1, (kind, p, fmt)
 
 
 def test_pade_output(capsys):

@@ -9,9 +9,10 @@ import pytest
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.checks import _DetCache, _rule_value
 from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, apply_t,
-                                  build_dfao, evaluate_expr, evaluate_states,
-                                  export_dfao, generator_expr, kernel_closure,
+                                  build_dfao, evaluate_states, export_dfao,
+                                  generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
+from slow_paths import evaluate_states_at_points, generator_value, window_points
 
 CLOSURE_STATES = 1632
 
@@ -62,45 +63,42 @@ def test_split_rules_against_oracle():
                 assert lhs == _rule_value(rule, n, p, cache, exact), (i, j, sym, n, p)
 
 
+DIGIT_PAIRS = list(itertools.product(range(3), range(3)))
+
+
 def test_single_digit_steps_match_engine():
     for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
-        for i, j in itertools.product(range(3), range(3)):
-            stepped = apply_t(i, j, start)
-            for n in range(6):
-                for p in range(6):
-                    assert evaluate_expr(stepped, n, p) == base(3 * n + i, 3 * p + j)
-
-
-def _read_generator(gen, n, p):
-    sym, a, b = gen
-    if sym == "F":
-        return 1 if (n + a) % 2 == 0 else 2
-    return (engine.gamma_mod3 if sym == "G" else engine.delta_mod3)(n + a, p + b)
+        stepped = [apply_t(i, j, start) for i, j in DIGIT_PAIRS]
+        want = [[base(3 * n + i, 3 * p + j) for n, p in window_points(5)]
+                for i, j in DIGIT_PAIRS]
+        assert evaluate_states(stepped, 5).tolist() == want
 
 
 def test_every_generator_split_matches_engine():
-    # Every generator under every digit pair, the shifted ones included;
-    # n starts at 1 so that no row -1 of gamma is read.
-    points = [(n, p) for n in range(1, 5) for p in range(5)]
+    # Every generator under every digit pair, the shifted ones included.
+    # No split reads gamma at row -1, but S[-1,b]G itself does at
+    # n = 0 with i = 0; there the engine has no value to compare.
     assert len(kernel._GENERATORS) == 26
-    for gen in kernel._GENERATORS:
-        for i, j in itertools.product(range(3), range(3)):
-            split = KernelExpr(kernel._split_generator(i, j, gen))
-            got = evaluate_states([split], points)[0].tolist()
-            want = [_read_generator(gen, 3 * n + i, 3 * p + j) for n, p in points]
-            assert got == want, (gen, i, j)
+    splits = [(gen, i, j) for gen in kernel._GENERATORS for i, j in DIGIT_PAIRS]
+    got = evaluate_states(
+        [KernelExpr(kernel._split_generator(i, j, gen)) for gen, i, j in splits], 4)
+    for row, (gen, i, j) in zip(got.tolist(), splits):
+        sym, a, _ = gen
+        defined = [(k, n, p) for k, (n, p) in enumerate(window_points(4))
+                   if sym != "G" or 3 * n + i + a >= 0]
+        assert [row[k] for k, _, _ in defined] == \
+            [generator_value(gen, 3 * n + i, 3 * p + j) for _, n, p in defined], (gen, i, j)
 
 
 def test_two_digit_chains_match_engine():
     # T acts least significant digit first: chaining (i1,j1) then (i2,j2)
     # reads the subsequence at (9n + 3*i2 + i1, 9p + 3*j2 + j1).
     for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
-        for i1, j1, i2, j2 in itertools.product(range(3), repeat=4):
-            chained = apply_t(i2, j2, apply_t(i1, j1, start))
-            for n in range(3):
-                for p in range(3):
-                    assert evaluate_expr(chained, n, p) == \
-                        base(9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1)
+        chains = list(itertools.product(range(3), repeat=4))
+        chained = [apply_t(i2, j2, apply_t(i1, j1, start)) for i1, j1, i2, j2 in chains]
+        want = [[base(9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1) for n, p in window_points(2)]
+                for i1, j1, i2, j2 in chains]
+        assert evaluate_states(chained, 2).tolist() == want
 
 
 @pytest.mark.parametrize("start", ["gamma", "delta"])
@@ -117,14 +115,10 @@ def test_closure_size_and_shape(start):
 def test_closure_witnesses_sample():
     closure = kernel_closure("gamma")
     # Every 40th state; the acceptance sweep covers all of them.
-    for idx in range(0, CLOSURE_STATES, 40):
-        state = closure.states[idx]
-        m, r, s = closure.witnesses[idx]
-        step = 3 ** m
-        for n in range(3):
-            for p in range(3):
-                assert evaluate_expr(state, n, p) == \
-                    engine.gamma_mod3(step * n + r, step * p + s)
+    got = evaluate_states(closure.states[::40], 2).tolist()
+    want = [[engine.gamma_mod3(3 ** m * n + r, 3 ** m * p + s) for n, p in window_points(2)]
+            for m, r, s in closure.witnesses[::40]]
+    assert got == want
 
 
 def _reference_apply_t(i, j, expr):
@@ -183,7 +177,7 @@ def _reference_evaluate(expr, n, p):
             power = powers.get(bit)
             if power is None:
                 high, k = divmod(bit.bit_length() - 1, kernel._WIDTH)
-                base = _read_generator(kernel._GENERATORS[k], n, p)
+                base = generator_value(kernel._GENERATORS[k], n, p)
                 power = powers[bit] = base ** (high + 1) % 3
             if not power:
                 break
@@ -196,15 +190,34 @@ def _reference_evaluate(expr, n, p):
 @pytest.mark.parametrize("start", ["gamma", "delta"])
 def test_batch_evaluation_matches_reference(start):
     states = kernel_closure(start).states
-    near = [(n, p) for n in range(5) for p in range(5)]
-    got = evaluate_states(states, near)
-    assert got.dtype == np.int8 and got.shape == (CLOSURE_STATES, len(near))
-    assert got.tolist() == [[_reference_evaluate(s, n, p) for n, p in near]
+    got = evaluate_states(states, 4)
+    assert got.dtype == np.int8 and got.shape == (CLOSURE_STATES, 25)
+    assert got.tolist() == [[_reference_evaluate(s, n, p) for n, p in window_points(4)]
                             for s in states]
-    far = [(100, 242), (242, 100), (729, 728)]
-    sample = states[::40]
-    assert evaluate_states(sample, far).tolist() == \
-        [[_reference_evaluate(s, n, p) for n, p in far] for s in sample]
+
+
+@pytest.mark.parametrize("window", [0, 8, 20])
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_window_evaluation_matches_the_per_point_evaluator(start, window):
+    # The table read against the evaluator it replaced, which reads
+    # every generator through the scalar engine, state for state.
+    states = kernel_closure(start).states
+    got = evaluate_states(states, window)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, evaluate_states_at_points(states, window_points(window)))
+
+
+def test_window_evaluation_refuses_gamma_row_minus_one():
+    # tables() holds a placeholder 0 at gamma's row -1; the scalar
+    # engine has no value there, and neither may the evaluator.
+    with pytest.raises(ValueError, match="need n >= 0"):
+        evaluate_states_at_points([generator_expr("G", -1, 2)], [(0, 0)])
+    for window in (0, 3):
+        with pytest.raises(ValueError, match=r"S\[-1,2\]G reads gamma at row -1"):
+            evaluate_states([GAMMA, generator_expr("G", -1, 2)], window)
+    with pytest.raises(ValueError, match="need window >= 0, got -1"):
+        evaluate_states([GAMMA], -1)
+    assert evaluate_states([generator_expr("D", -1, 0)], 1).tolist() == [[1, 0, 1, 1]]
 
 
 # A state swapped with its successor, chosen so that the first mismatch

@@ -62,20 +62,6 @@ def test_shift_bar_prepends_one_term():
         s.shift_bar(0)
 
 
-@given(st_series)
-@settings(max_examples=60)
-def test_frobenius_cube_transports_to_cubed_indices(s):
-    cubed = s.frobenius_cube()
-    for i in range(3 * s.period):
-        assert cubed.at(3 * i) == s.at(i)
-        assert cubed.at(3 * i + 1) == 0
-        assert cubed.at(3 * i + 2) == 0
-
-
-def test_frobenius_cube_of_ones():
-    assert PeriodicSeries((1,)).frobenius_cube().coeffs == (1, 0, 0)
-
-
 @given(st_series, st_series, st_series)
 @settings(max_examples=40)
 def test_interleave_reads_residue_classes(a, b, c):
