@@ -6,12 +6,16 @@ returns a CheckResult whose detail string is deterministic, so the
 assembled report is byte-stable run over run.  The sweeps deliberately
 avoid the recurrence engine wherever the engine itself is on trial:
 exact and mod-3 determinants always come from the elimination oracles.
+The splitting replays read the rule table through the engine's reader,
+engine.split_value, but feed it oracle values only, never an engine
+cell, so the eliminated left side still catches a misread rule.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,22 +37,6 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-class _DetCache:
-    """Memo for oracle determinants keyed by (kind, p, n, exact flag)."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple[str, int, int, bool], int] = {}
-
-    def get(self, kind: str, p: int, n: int, exact: bool) -> int:
-        key = (kind, p, n, exact)
-        value = self._store.get(key)
-        if value is None:
-            m = hankel_matrix(kind, p, n)
-            value = det_exact(m) if exact else det_mod3(m)
-            self._store[key] = value
-        return value
-
-
 # The budget of one stack the oracle sweep eliminates at once, in matrix
 # entries: each entry is an int8 residue, and each matrix also carries
 # about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot row
@@ -57,6 +45,13 @@ class _DetCache:
 # 362 on a 64-bit build.
 STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
+
+
+# The most engine reads, 2 * n_max * (p_max + 1), of one oracle sweep.
+# Each leaves about one scalar memo entry; at the cap a sweep peaks near
+# 62 MB RSS (33 MB before it), in 0.7 s at n_max = 2 and 6.9 s at n_max =
+# 40 on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
+ORACLE_READ_CAP = 250_000
 
 
 def _need(window: str, bound: str, value: int, least: int) -> None:
@@ -69,9 +64,10 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     """Engine values against eliminated determinants, both families.
 
     For each order n the matrices at every offset are eliminated as a
-    few stacks within the STACK_ENTRIES budget, so the sweep's extra
-    memory is bounded for any p_max.  Every engine value is a scalar
-    engine read, compared in the order n, then p, gamma before delta.
+    few stacks within the STACK_ENTRIES budget.  Every engine value is a
+    scalar engine read, compared in the order n, then p, gamma before
+    delta; the reads stay in the engine's memo, so a window of more than
+    ORACLE_READ_CAP reads is refused before any read or elimination.
     """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
@@ -79,6 +75,11 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     if n_max > MAX_HANKEL_ORDER:
         raise ValueError(
             f"the oracle window needs n_max <= {MAX_HANKEL_ORDER}, got {n_max}")
+    reads = 2 * n_max * (p_max + 1)
+    if reads > ORACLE_READ_CAP:
+        raise ValueError(
+            f"the oracle window makes {reads} engine reads, over the cap of "
+            f"{ORACLE_READ_CAP}")
     engines = (engine.gamma_mod3, engine.delta_mod3)
     for n in range(1, n_max + 1):
         chunk = max(1, STACK_ENTRIES // (n * n + STACK_OVERHEAD))
@@ -109,21 +110,12 @@ def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 
 
-def _rule_value(rule: engine.Rule, n: int, p: int,
-                cache: _DetCache, exact: bool) -> int:
-    """Evaluate a splitting identity's right side with oracle determinants.
-
-    With exact=True each term's sign (-1)**(n + shift) is a literal sign
-    and the result is an integer; otherwise everything is reduced mod 3.
-    """
-    total = 0
-    for shift, factors in rule:
-        value = 1 if (n + shift) % 2 == 0 else (-1 if exact else 2)
-        for sym, a, b, e in factors:
-            kind = "gamma" if sym == "G" else "delta"
-            value *= cache.get(kind, p + b, n + a, exact) ** e
-        total += value
-    return total if exact else total % 3
+def _oracle_reads(exact: bool) -> dict[str, Callable[[int, int], int]]:
+    """Eliminated determinants by (order, offset), keyed by stream as
+    engine.split_value reads them; each is eliminated once per reader."""
+    det = det_exact if exact else det_mod3
+    return {sym: cache(lambda n, p, kind=kind: det(hankel_matrix(kind, p, n)))
+            for sym, kind in zip("GD", engine.KINDS)}
 
 
 def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
@@ -134,15 +126,16 @@ def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
     _need("splitting", "n_lo", n_lo, 1)
     _need("splitting", "n_hi", n_hi, n_lo)
     _need("splitting", "p_max", p_max, 0)
-    kind = "gamma" if stream == "G" else "delta"
+    reads = _oracle_reads(exact)
     rules = [(i, j, rule) for (i, j, sym), rule in sorted(engine.SPLIT_RULES.items())
              if sym == stream]
-    cache = _DetCache()
     for n in range(n_lo, n_hi + 1):
         for p in range(p_max + 1):
             for i, j, rule in rules:
-                lhs = cache.get(kind, 3 * p + j, 3 * n + i, exact)
-                rhs = _rule_value(rule, n, p, cache, exact)
+                lhs = reads[stream](3 * n + i, 3 * p + j)
+                rhs = engine.split_value(rule, 3 * n + i, 3 * p + j, reads)
+                if not exact:
+                    rhs %= 3
                 if lhs != rhs:
                     return CheckResult(
                         name, False,

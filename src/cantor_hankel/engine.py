@@ -29,7 +29,7 @@ lattices one level down.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -40,10 +40,11 @@ from .sequences import cantor_term, diff_term
 # accidentally huge tables.
 DEFAULT_GRID_CELL_CAP = 4_000_000
 
-# Base-3 digits allowed in n and in p.  The scalar recursion spends about
-# three stack frames per digit and overflows Python's default limit of
-# 1000 frames between 300 and 340 digits, so 200 leaves room for the
-# callers.
+# Base-3 digits allowed in n and in p.  The scalar recursion spends three
+# stack frames per digit (the memo wrapper, the cell and split_value): a
+# cold cell at 200 digits needs a recursion limit of 606 to 609, and the
+# recursion overflows Python's default limit of 1000 frames between 330
+# and 340 digits, so 200 leaves room for the callers.
 MAX_INDEX_DIGITS = 200
 _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 
@@ -158,25 +159,26 @@ def _anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
     return {"G": rows[0], "D": rows[1]}
 
 
-def _split(stream: str, n: int, p: int) -> int:
-    """The stream at (n, p), n >= 2, by its splitting identity mod 3.
+def split_value(rule: Rule, n: int, p: int,
+                reads: Mapping[str, Callable[[int, int], int]]) -> int:
+    """The right side of the splitting identity rule at (n, p), an integer.
 
-    A term is dropped at its first zero factor, so the cells behind
-    its remaining factors are never computed.
+    reads maps "G" and "D" to the values each factor reads at
+    (n // 3 + a, p // 3 + b).  A term is dropped at its first zero
+    factor, so the cells behind its other factors are never read.
     """
-    m, i = divmod(n, 3)
-    q, j = divmod(p, 3)
+    m, q = n // 3, p // 3
     total = 0
-    for shift, factors in SPLIT_RULES[i, j, stream]:
-        term = 1 if (m + shift) % 2 == 0 else 2
+    for shift, factors in rule:
+        term = -1 if (m + shift) % 2 else 1
         for sym, a, b, e in factors:
-            value = (gamma_mod3 if sym == "G" else delta_mod3)(m + a, q + b)
+            value = reads[sym](m + a, q + b)
             if not value:
                 break
             term *= value ** e
         else:
             total += term
-    return total % 3
+    return total
 
 
 # lru_cache makes the memo; its locking is enough for concurrent use and
@@ -187,7 +189,8 @@ def gamma_mod3(n: int, p: int) -> int:
     if n < 0 or p < 0:
         raise ValueError("need n >= 0 and p >= 0")
     _check_digits(n, p)
-    return _anchor("G", n, p) if n <= 1 else _split("G", n, p)
+    return (_anchor("G", n, p) if n <= 1
+            else split_value(SPLIT_RULES[n % 3, p % 3, "G"], n, p, _CELLS) % 3)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +202,12 @@ def delta_mod3(n: int, p: int) -> int:
     if n < -1 or p < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n, p)
-    return _anchor("D", n, p) if n <= 1 else _split("D", n, p)
+    return (_anchor("D", n, p) if n <= 1
+            else split_value(SPLIT_RULES[n % 3, p % 3, "D"], n, p, _CELLS) % 3)
+
+
+# The scalar engine's cells, keyed by stream as split_value reads them.
+_CELLS = {"G": gamma_mod3, "D": delta_mod3}
 
 
 # The printed columns: one period of each column stream at p = 0 and
@@ -265,7 +273,7 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
     if n_hi <= 3 or (n_hi - n_lo + 1) * width <= _CELLWISE_AREA:
         # Rows [-1, 3] x columns [0, 1] map to themselves one level
         # down, so the recursion ends here.
-        for stream, value in (("G", gamma_mod3), ("D", delta_mod3)):
+        for stream, value in _CELLS.items():
             out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
                                          for n in range(r_lo, n_hi + 1)]
         return out

@@ -270,9 +270,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def encloses(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

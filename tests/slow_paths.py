@@ -26,7 +26,7 @@ def generator_value(gen: kernel.Generator, n: int, p: int) -> int:
     sym, a, b = gen
     if sym == "F":
         return 1 if (n + a) % 2 == 0 else 2
-    return (engine.gamma_mod3 if sym == "G" else engine.delta_mod3)(n + a, p + b)
+    return engine._CELLS[sym](n + a, p + b)
 
 
 def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],

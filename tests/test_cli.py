@@ -268,6 +268,24 @@ def test_hostile_dfao_eval_arguments(capsys, start, n, p):
         assert out == f"{value(int(n), int(p))}\n", (start, n, p)
 
 
+# Index arguments at the edges of the cell's domain: the digit cap and
+# the rows below 0 (delta has a boundary row at n = -1, gamma none).
+CELL_INDEX = st.one_of(HOSTILE_ARG, st.sampled_from(
+    [str(3 ** engine.MAX_INDEX_DIGITS + k) for k in (-1, 0, 1)] + ["-1", "-2"]))
+
+
+@given(kind=st.sampled_from(["gamma", "delta", "omega"]), n=CELL_INDEX, p=CELL_INDEX)
+@HOSTILE_SETTINGS
+def test_hostile_cell_arguments(capsys, kind, n, p):
+    code, out = _run_hostile(capsys, ["cell", "--kind", kind, "-n", n, "-p", p])
+    assert code in (0, 2), (kind, n, p)
+    if code == 0 and int(n) >= 0:
+        assert out == f"{build_dfao(kind).evaluate(int(n), int(p))}\n", (kind, n, p)
+    elif code == 0:
+        # The boundary row of delta: 1 at p = 0, else 0.
+        assert (kind, int(n), out) == ("delta", -1, f"{int(int(p) == 0)}\n"), p
+
+
 @given(kind=st.sampled_from(["gamma", "delta", "omega"]), p=HOSTILE_ARG)
 @HOSTILE_SETTINGS
 def test_hostile_period_arguments(capsys, kind, p):
@@ -412,6 +430,39 @@ def test_verify_oracle_over_the_order_cap_refuses_before_any_cell(capsys, monkey
     assert captured.out == ""
     assert captured.err == (f"error: the oracle window needs n_max <= {MAX_HANKEL_ORDER}, "
                             f"got {MAX_HANKEL_ORDER + 1}\n")
+
+
+@given(n_max=st.integers(-2, 4), p_max=st.integers(-2, 40))
+@HOSTILE_SETTINGS
+def test_verify_oracle_window_flags(capsys, n_max, p_max):
+    code, out = _run_hostile(capsys, ["verify", "--oracle", "--n-max", str(n_max),
+                                      "--p-max", str(p_max)])
+    if n_max >= 1 and p_max >= 0:
+        assert (code, out) == (0, f"ok   oracle-equivalence: 1 <= n <= {n_max}, "
+                                  f"0 <= p <= {p_max}, both families\n")
+    else:
+        assert code == 2
+
+
+# p_max from ORACLE_READ_CAP // 2 makes more than ORACLE_READ_CAP reads
+# at every n_max >= 1.
+@given(n_max=st.integers(1, 4),
+       p_max=st.one_of(st.integers(checks.ORACLE_READ_CAP // 2, 10 ** 6),
+                       st.integers(10 ** 6, 10 ** 30)))
+@HOSTILE_SETTINGS
+def test_verify_oracle_over_the_read_cap_refuses_before_any_work(capsys, monkeypatch,
+                                                                 n_max, p_max):
+    def no_work(*args):
+        raise AssertionError("a cell or a determinant was computed")
+
+    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
+                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+        monkeypatch.setattr(target, name, no_work)
+    code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: the oracle window makes {2 * n_max * (p_max + 1)} "
+                            f"engine reads, over the cap of {checks.ORACLE_READ_CAP}\n")
 
 
 def _engine_wrong_at(cells):
@@ -662,15 +713,19 @@ def test_caps_refuse_before_any_work(argv, named):
 
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 def test_cell_just_under_the_digit_cap_returns_a_value(kind):
-    # A fresh process, so the scalar recursion runs cold to its full depth.
+    # A fresh process, so the scalar recursion runs cold to its full depth:
+    # three frames per base-3 digit need a recursion limit of about 608
+    # at 200 digits, and one more frame per digit would need about 808.
     largest = str(3 ** engine.MAX_INDEX_DIGITS - 1)
-    done = _run_cli(["cell", "--kind", kind, "-n", largest, "-p", largest])
+    code = ("import sys; from cantor_hankel import cli; sys.setrecursionlimit(700); "
+            "raise SystemExit(cli.main(sys.argv[1:]))")
+    done = _run_cli(["cell", "--kind", kind, "-n", largest, "-p", largest], ["-c", code])
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout in ("0\n", "1\n", "2\n")
 
 
-def _run_cli(argv):
+def _run_cli(argv, entry=("-m", "cantor_hankel.cli")):
     env = dict(os.environ,
                PYTHONPATH=str(Path(cantor_hankel.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "cantor_hankel.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, timeout=30, env=env)

@@ -83,17 +83,30 @@ def test_split_rule_variant_adjudication():
     rule = engine.SPLIT_RULES[(1, 0, "G")]
     variant = _variant_second_factor(rule)
     assert variant != rule
-    cache = checks._DetCache()
+    reads = checks._oracle_reads(exact=True)
     implemented_bad = variant_bad = 0
     for n in range(2, 7):
         for p in range(8):
-            lhs = cache.get("gamma", 3 * p, 3 * n + 1, True)
-            if lhs != checks._rule_value(rule, n, p, cache, exact=True):
+            lhs = reads["G"](3 * n + 1, 3 * p)
+            if lhs != engine.split_value(rule, 3 * n + 1, 3 * p, reads):
                 implemented_bad += 1
-            if lhs != checks._rule_value(variant, n, p, cache, exact=True):
+            if lhs != engine.split_value(variant, 3 * n + 1, 3 * p, reads):
                 variant_bad += 1
     assert implemented_bad == 0
     assert variant_bad > 0
+
+
+def test_splitting_replays_read_no_engine_cell(monkeypatch):
+    # The replays share engine.split_value but feed it oracle values
+    # only, so their left side still catches a misread rule table.
+    def no_cell(*args):
+        raise AssertionError("an engine cell was read")
+
+    monkeypatch.setattr(engine, "gamma_mod3", no_cell)
+    monkeypatch.setattr(engine, "delta_mod3", no_cell)
+    monkeypatch.setattr(engine, "_CELLS", {"G": no_cell, "D": no_cell})
+    assert checks.splitting_exact().ok
+    assert checks.splitting_mod3().ok
 
 
 def test_deep_indices_stay_within_recursion_limit():

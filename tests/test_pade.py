@@ -202,9 +202,7 @@ def test_interval_helpers():
     b = RationalInterval(Fraction(3, 2), Fraction(7, 4))
     assert a.width == 1
     assert a.lo <= Fraction(3, 2) <= a.hi
-    assert a.encloses(b)
     assert a.overlaps(b)
-    assert not b.encloses(a)
     with pytest.raises(ValueError):
         RationalInterval(Fraction(2), Fraction(1))
 
@@ -223,7 +221,7 @@ def test_cantor_number_literals():
 def test_cantor_number_enclosures_are_nested(b, terms):
     outer = cantor_number(b, terms)
     inner = cantor_number(b, terms + 1)
-    assert outer.encloses(inner)
+    assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_cantor_number_validation():
