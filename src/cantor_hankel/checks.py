@@ -53,6 +53,13 @@ STACK_OVERHEAD = 64
 # 40 on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
 ORACLE_READ_CAP = 250_000
 
+# The most elimination work, the sum over n <= n_max of n**3 * 2 *
+# (p_max + 1), of one oracle sweep.  A 2-core VM eliminates about
+# 3.1-3.7 ns per unit at the largest orders, so windows near the cap
+# take 9-11 s: (277, 0) 10.6 s, (233, 1) 10.9 s, (100, 57) 9.1 s.  The
+# largest window in use, (40, 81), is 1.1e8.
+ORACLE_WORK_CAP = 3_000_000_000
+
 
 def _need(window: str, bound: str, value: int, least: int) -> None:
     """Refuse an empty window: it would pass without comparing anything."""
@@ -66,8 +73,10 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     For each order n the matrices at every offset are eliminated as a
     few stacks within the STACK_ENTRIES budget.  Every engine value is a
     scalar engine read, compared in the order n, then p, gamma before
-    delta; the reads stay in the engine's memo, so a window of more than
-    ORACLE_READ_CAP reads is refused before any read or elimination.
+    delta.  The reads stay in the engine's memo and elimination grows as
+    n_max**4 * p_max, so a window of more than ORACLE_READ_CAP reads or
+    ORACLE_WORK_CAP units of elimination work is refused before any read
+    or elimination.
     """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
@@ -80,6 +89,12 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
         raise ValueError(
             f"the oracle window makes {reads} engine reads, over the cap of "
             f"{ORACLE_READ_CAP}")
+    # The sum of n**3 over n <= n_max is (n_max * (n_max + 1) / 2)**2.
+    work = 2 * (p_max + 1) * (n_max * (n_max + 1) // 2) ** 2
+    if work > ORACLE_WORK_CAP:
+        raise ValueError(
+            f"the oracle window takes {work} units of elimination work, over the "
+            f"cap of {ORACLE_WORK_CAP}")
     engines = (engine.gamma_mod3, engine.delta_mod3)
     for n in range(1, n_max + 1):
         chunk = max(1, STACK_ENTRIES // (n * n + STACK_OVERHEAD))

@@ -22,8 +22,8 @@ level at a time: a rectangle is rebuilt from the rectangle about a
 third as wide and as tall one level down, one array pass per
 splitting identity, and no cell is memoised.  witness_lattices() does
 the same for the lattices (3**m n + r, 3**m p + s) that kernel closure
-states stand for: one splitting identity rebuilds a whole lattice from
-lattices one level down.
+states stand for: one splitting identity rebuilds a whole stack of
+lattices from the stack one level down.
 """
 
 from __future__ import annotations
@@ -245,8 +245,9 @@ def _rule_sum(rule: Rule, factor: Callable[[str, int, int, int], np.ndarray],
     """A splitting identity evaluated on arrays, reduced mod 3.
 
     factor(stream, a, b, e) is the array of that factor, already raised
-    to e.  The (-1)**m part of each term's sign, m the quotient row
-    index, is applied by negating every other row from row odd_from.
+    to e, with rows on its second-last axis.  The (-1)**m part of each
+    term's sign, m the quotient row index, is applied by negating every
+    other row from row odd_from.
     Every product lies in [-8, 8] and every sum in [-16, 16], inside
     int8.
     """
@@ -256,7 +257,7 @@ def _rule_sum(rule: Rule, factor: Callable[[str, int, int, int], np.ndarray],
         for sym, a, b, e in factors:
             term = term * factor(sym, a, b, e)
         total = total + term
-    total[odd_from::2] *= -1
+    total[..., odd_from::2, :] *= -1
     return total % 3
 
 
@@ -343,8 +344,13 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     split.  A lattice read at level k has r in -1 .. 3**k + 2 and s in
     0 .. 3**k + 1, so at level 0 every lattice is a slice of the one
     tables() rectangle over rows -1 .. window + 3 and columns
-    0 .. window + 3.  Lattices are memoised for this call only, shared
-    between the kinds.
+    0 .. window + 3.
+
+    The lattices each level needs are collected top down, shared
+    between the kinds, and each level is then built bottom up as one
+    (lattices, window + 1, window + 1) stack: one _rule_sum per entry of
+    SPLIT_RULES and parity of r // 3, its factors fancy-indexed out of
+    the stack one level down.  The stacks live for this call only.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
@@ -356,39 +362,63 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
             _check_digits(3 ** m * window + r, 3 ** m * window + s)
     began = time.perf_counter()
     size = window + 1
+    # The lattices (stream, r, s) each level m needs, collected top down:
+    # level m - 1 holds the factors of the rules of level m.
+    top = max((m for triples in witnesses.values() for m, _, _ in triples), default=0)
+    levels: list[set[tuple[str, int, int]]] = [set() for _ in range(top + 1)]
+    for kind, triples in witnesses.items():
+        for m, r, s in triples:
+            levels[m].add((streams[kind], r, s))
+    for m in range(top, 0, -1):
+        for sym, r, s in levels[m]:
+            for _, factors in SPLIT_RULES[r % 3, s % 3, sym]:
+                levels[m - 1].update((f_sym, r // 3 + a, s // 3 + b)
+                                     for f_sym, a, b, _ in factors)
+    # Built bottom up, each level one int8 stack (lattices, n, p) with an
+    # index by key.
     base = dict(zip("GD", tables(-1, window + 3, 0, window + 3)))
-    memo: dict[tuple[str, int, int, int], np.ndarray] = {}
-
-    def lattice(sym: str, m: int, r: int, s: int) -> np.ndarray:
-        key = (sym, m, r, s)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if m == 0:
-            got = base[sym][r + 1:r + 1 + size, s:s + size]
-        else:
-            q, i = divmod(r, 3)
-            t, j = divmod(s, 3)
+    keys = sorted(levels[0])
+    stack = np.array([base[sym][r + 1:r + 1 + size, s:s + size] for sym, r, s in keys],
+                     dtype=np.int8).reshape(len(keys), size, size)
+    built = [(dict(zip(keys, range(len(keys)))), stack)]
+    for m in range(1, top + 1):
+        index_below, below = built[-1]
+        powers = {1: below, 2: below * below % 3}
+        # Lattices of one rule whose r // 3 has one parity share every
+        # sign, so each such group is one _rule_sum over a stack.
+        groups: dict[tuple[int, int, str, int], list[tuple[str, int, int]]] = {}
+        for key in sorted(levels[m]):
+            sym, r, s = key
+            groups.setdefault((r % 3, s % 3, sym, r // 3 % 2), []).append(key)
+        index: dict[tuple[str, int, int], int] = {}
+        stack = np.empty((len(levels[m]), size, size), dtype=np.int8)
+        for (i, j, sym, odd), group in groups.items():
 
             def factor(f_sym: str, a: int, b: int, e: int) -> np.ndarray:
-                value = lattice(f_sym, m - 1, q + a, t + b)
-                return value if e == 1 else value * value % 3
+                return powers[e][[index_below[f_sym, r // 3 + a, s // 3 + b]
+                                  for _, r, s in group]]
 
             # Row n has the sign of (-1)**(n + r // 3).
-            got = _rule_sum(SPLIT_RULES[i, j, sym], factor, (q + 1) % 2)
+            lo = len(index)
+            stack[lo:lo + len(group)] = _rule_sum(SPLIT_RULES[i, j, sym], factor, 1 - odd)
+            index.update(zip(group, range(lo, lo + len(group))))
+        # Row n = 0 of a lattice with r <= 1 is an anchor row.
+        anchors: dict[int, dict[str, np.ndarray]] = {}
+        for (sym, r, s), k in index.items():
             if r <= 1:
-                got[0] = _anchor_rows(s, size, 3 ** m)[sym][r + 1]
-        memo[key] = got
-        return got
+                if s not in anchors:
+                    anchors[s] = _anchor_rows(s, size, 3 ** m)
+                stack[k, 0] = anchors[s][sym][r + 1]
+        built.append((index, stack))
 
-    out = {kind: np.array([lattice(streams[kind], *w).ravel() for w in triples],
+    out = {kind: np.array([built[m][1][built[m][0][streams[kind], r, s]] for m, r, s in triples],
                           dtype=np.int8).reshape(len(triples), size * size)
            for kind, triples in witnesses.items()}
     # Imported here, as in kernel: only a sweep writes a record.
     import logging
     logging.getLogger(__name__).debug(
         "witness lattices at window %d: %d built, %.3f s",
-        window, len(memo), time.perf_counter() - began)
+        window, sum(map(len, levels)), time.perf_counter() - began)
     return out
 
 

@@ -18,7 +18,9 @@ for G and D; a shifted generator splits by one of them read at an
 offset.  Monomial exponents are capped with
 x**3 = x, which every GF(3)-valued stream satisfies pointwise.  Every
 polynomial, closure states included, is held packed: each monomial is
-two bitmasks over the generators.
+two bitmasks over the generators.  The closure takes all nine digit
+steps of a state in one pass, reading the nine images of each monomial
+as the products of the memoised images of its G part and its D/F part.
 
 Iterating apply_t from a single stream and collecting distinct normal
 forms gives a finite closure: the states of a deterministic automaton
@@ -167,63 +169,70 @@ def _split_generator(i: int, j: int, gen: Generator) -> Packed:
 _DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
 
 
+# The bits of the G generators in both masks.  A monomial splits into its
+# G part and its D/F part, and monomials share parts: the 756 monomials
+# of the gamma closure have 70 G parts and 175 D/F parts.
+_G_BITS = sum(1 << _BIT[g] for g in _GENERATORS if g[0] == "G") * (1 | 1 << _WIDTH)
+
+
 class _DigitStep:
-    """The nine digit steps on packed polynomials.
+    """The nine digit steps on packed polynomials, taken together.
 
     A digit step is a ring homomorphism, so the image of a monomial is
-    the product of the images of its generators.  Each digit pair has two
-    tables, filled on first use and kept as long as this object: the
-    images of one generator or its square (one-bit monomials, read off
-    _split_generator), and the images of whole monomials.
+    the product of the images of its generators.  _images(key) gives the
+    nine images of a monomial at once, as the products of the images of
+    its G part and of its D/F part.  A part's images are those of the
+    part without its lowest bit times those of that bit: a generator's,
+    read off _split_generator, or their squares.  Parts and monomials are
+    memoised as long as this object.
     """
 
     def __init__(self) -> None:
-        self._factors: list[dict[int, Packed]] = [{} for _ in _DIGIT_PAIRS]
-        self._monomials: list[dict[int, Packed]] = [{} for _ in _DIGIT_PAIRS]
+        self._parts: dict[int, tuple[Packed, ...]] = {0: (_ONE,) * len(_DIGIT_PAIRS)}
+        self._monomials: dict[int, tuple[Packed, ...]] = {}
 
     @property
     def memoised(self) -> int:
-        return sum(len(memo) for memo in self._monomials)
+        """Monomial images memoised, one per monomial and digit pair."""
+        return len(_DIGIT_PAIRS) * len(self._monomials)
 
-    def _factor(self, d: int, bit: int) -> Packed:
-        image = self._factors[d].get(bit)
-        if image is None:
-            if bit <= _LOW:
-                i, j = _DIGIT_PAIRS[d]
-                image = _split_generator(i, j, _GENERATORS[bit.bit_length() - 1])
+    def _part(self, key: int) -> tuple[Packed, ...]:
+        images = self._parts.get(key)
+        if images is None:
+            bit = key & -key
+            if bit != key:
+                images = tuple(map(_poly_mul, self._part(key ^ bit), self._part(bit)))
+            elif bit <= _LOW:
+                gen = _GENERATORS[bit.bit_length() - 1]
+                images = tuple(_split_generator(i, j, gen) for i, j in _DIGIT_PAIRS)
             else:
-                root = self._factor(d, bit >> _WIDTH)
-                image = _poly_mul(root, root)
-            self._factors[d][bit] = image
-        return image
+                images = tuple(_poly_mul(x, x) for x in self._part(bit >> _WIDTH))
+            self._parts[key] = images
+        return images
 
-    def _image(self, d: int, key: int) -> Packed:
-        memo = self._monomials[d]
-        image = memo.get(key)
-        if image is None:
-            image = _ONE
-            rest = key
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                image = _poly_mul(image, self._factor(d, bit))
-            memo[key] = image
-        return image
+    def _images(self, key: int) -> tuple[Packed, ...]:
+        images = self._monomials.get(key)
+        if images is None:
+            images = tuple(map(_poly_mul, self._part(key & _G_BITS),
+                               self._part(key & ~_G_BITS)))
+            self._monomials[key] = images
+        return images
 
-    def step(self, d: int, poly: Packed) -> Packed:
-        """apply_t with the d-th digit pair of _DIGIT_PAIRS."""
-        counter: dict[int, int] = {}
+    def successors(self, poly: Packed) -> list[Packed]:
+        """apply_t with each digit pair, in the order of _DIGIT_PAIRS."""
+        counters: list[dict[int, int]] = [{} for _ in _DIGIT_PAIRS]
         for key, coeff in poly:
-            for m, c in self._image(d, key):
-                counter[m] = counter.get(m, 0) + coeff * c
-        return _reduce(counter)
+            for counter, image in zip(counters, self._images(key)):
+                for m, c in image:
+                    counter[m] = counter.get(m, 0) + coeff * c
+        return [_reduce(counter) for counter in counters]
 
 
 def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     """The digit step: rewrite expr read at (3n + i, 3p + j) over (n, p)."""
     if not (0 <= i <= 2 and 0 <= j <= 2):
         raise ValueError("digits must lie in {0, 1, 2}")
-    return KernelExpr(_DigitStep().step(3 * i + j, expr.poly))
+    return KernelExpr(_DigitStep().successors(expr.poly)[3 * i + j])
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -341,8 +350,7 @@ def _closure_cached(start: str, cap: int) -> Closure:
         raise ValueError(f"unknown start stream {start!r}")
     began = time.perf_counter()
     digit_step = _DigitStep()
-    states, rows = _explore(
-        root.poly, lambda poly: [digit_step.step(d, poly) for d in range(9)], cap)
+    states, rows = _explore(root.poly, digit_step.successors, cap)
     # A state is first reached from the first row that names it, by the
     # digit pair at its first place there.
     witnesses = [(0, 0, 0)]

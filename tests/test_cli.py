@@ -259,6 +259,23 @@ def test_hostile_dfao_arguments(capsys, start, export):
     assert code == (0 if start in ("gamma", "delta") and export in ("table", "dot") else 2)
 
 
+# Each distinct cap from the closure size up builds the closure again
+# (about 0.2 s), so the draws stay few.
+@given(start=st.sampled_from(["gamma", "delta"]),
+       cap=st.one_of(HOSTILE_ARG, st.sampled_from(["1631", "1632"])))
+@settings(HOSTILE_SETTINGS, max_examples=15)
+def test_hostile_kernel_arguments(capsys, start, cap):
+    code, out = _run_hostile(capsys, ["kernel", "--start", start, "--cap", cap])
+    try:
+        value = int(cap)  # as argparse reads it
+    except ValueError:
+        value = None
+    if value is not None and value >= 1632:
+        assert (code, out) == (0, f"start {start}\nstates 1632\n"), (start, cap)
+    else:
+        assert code == 2, (start, cap)
+
+
 @given(start=st.sampled_from(["gamma", "delta", "omega"]), n=HOSTILE_ARG, p=HOSTILE_ARG)
 @HOSTILE_SETTINGS
 def test_hostile_dfao_eval_arguments(capsys, start, n, p):
@@ -463,6 +480,40 @@ def test_verify_oracle_over_the_read_cap_refuses_before_any_work(capsys, monkeyp
     assert (code, captured.out) == (2, "")
     assert captured.err == (f"error: the oracle window makes {2 * n_max * (p_max + 1)} "
                             f"engine reads, over the cap of {checks.ORACLE_READ_CAP}\n")
+
+
+def _oracle_work(n_max, p_max):
+    return sum(n ** 3 for n in range(1, n_max + 1)) * 2 * (p_max + 1)
+
+
+# Orders from 278, where p_max = 0 already passes ORACLE_WORK_CAP, and
+# p_max under the read cap, so the work cap is what refuses.
+@given(st.integers(278, MAX_HANKEL_ORDER).flatmap(
+    lambda n_max: st.tuples(st.just(n_max),
+                            st.integers(0, checks.ORACLE_READ_CAP // (2 * n_max) - 1))))
+@HOSTILE_SETTINGS
+def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeypatch, window):
+    def no_work(*args):
+        raise AssertionError("a cell or a determinant was computed")
+
+    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
+                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+        monkeypatch.setattr(target, name, no_work)
+    n_max, p_max = window
+    code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: the oracle window takes {_oracle_work(n_max, p_max)} "
+                            f"units of elimination work, over the cap of "
+                            f"{checks.ORACLE_WORK_CAP}\n")
+
+
+def test_oracle_work_cap_admits_the_windows_in_use():
+    # The verify default, CI's acceptance window and the benchmark's
+    # sweeps, next to the smallest refused order at p_max = 0.
+    for window in ((20, 27), (40, 81), (5, 10), (8, 27), (10, 27), (12, 20), (6, 81)):
+        assert _oracle_work(*window) <= checks.ORACLE_WORK_CAP, window
+    assert _oracle_work(277, 0) <= checks.ORACLE_WORK_CAP < _oracle_work(278, 0)
 
 
 def _engine_wrong_at(cells):

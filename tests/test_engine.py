@@ -7,6 +7,7 @@ import pytest
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.hankel import det_mod3, det_mod3_stack, hankel_matrix, hankel_stack
 from cantor_hankel.sequences import cantor_term, diff_term
+from slow_paths import lattices_by_memo
 
 
 def test_gamma_base_cases():
@@ -242,9 +243,9 @@ def test_lattices_match_the_scalar_engine_at_every_witness():
         {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}, 3)
 
 
-def test_lattices_match_the_scalar_engine_near_the_lattice_edge():
-    # r and s near 3**m, so a factor lattice one level down has
-    # r // 3 + 2 >= 3**(m - 1), past the witness range.
+def _near_edge_witnesses():
+    """Witnesses with r and s near 3**m, so a factor lattice one level
+    down has r // 3 + 2 >= 3**(m - 1), past the witness range."""
     rng = random.Random(11)
     witnesses = {kind: [] for kind in engine.KINDS}
     for _ in range(24):
@@ -254,7 +255,27 @@ def test_lattices_match_the_scalar_engine_near_the_lattice_edge():
         witnesses[rng.choice(engine.KINDS)].append((m, r, s))
     witnesses["gamma"] += [(0, 0, 0), (2, 0, 1), (3, 1, 0)]
     witnesses["delta"] += [(0, 0, 0), (2, 1, 1), (3, 0, 26)]
-    _assert_lattices_match_scalar(witnesses, 5)
+    return witnesses
+
+
+def test_lattices_match_the_scalar_engine_near_the_lattice_edge():
+    _assert_lattices_match_scalar(_near_edge_witnesses(), 5)
+
+
+@pytest.mark.parametrize("witnesses, window", [
+    ("closure", 0), ("closure", 8), ("near-edge", 5)])
+def test_lattices_match_the_per_lattice_recursion(witnesses, window):
+    # The level-by-level stacks against the memoised recursion they
+    # replaced, array for array.
+    if witnesses == "closure":
+        witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
+    else:
+        witnesses = _near_edge_witnesses()
+    got = engine.witness_lattices(witnesses, window)
+    want = lattices_by_memo(witnesses, window)
+    assert got.keys() == want.keys()
+    for kind in want:
+        assert got[kind].dtype == np.int8 and np.array_equal(got[kind], want[kind]), kind
 
 
 def test_lattices_refuse_witnesses_off_the_lattice():

@@ -11,7 +11,8 @@ from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, apply_t,
                                   build_dfao, evaluate_states, export_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
-from slow_paths import evaluate_states_at_points, generator_value, window_points
+from slow_paths import (closure_by_monomial_chains, evaluate_states_at_points,
+                        generator_value, window_points)
 
 CLOSURE_STATES = 1632
 
@@ -111,6 +112,18 @@ def test_closure_size_and_shape(start):
     for row in closure.transitions:
         assert len(row) == 9
         assert all(0 <= t < CLOSURE_STATES for t in row)
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_closure_matches_the_monomial_chain_build(start):
+    # The stepper that builds images from memoised G and D/F parts
+    # against the per-digit chain of generator products it replaced:
+    # states, transitions and witnesses identical state for state.
+    got, want = kernel_closure(start), closure_by_monomial_chains(start)
+    assert got.start == want.start
+    assert got.states == want.states
+    assert got.transitions == want.transitions
+    assert got.witnesses == want.witnesses
 
 
 def test_closure_witnesses_sample():
