@@ -9,10 +9,14 @@ formatting, exit codes, and nothing else.  Exit status is 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterator
+
+import numpy as np
 
 from . import checks, engine, kernel, series
 from .hankel import det_exact, det_mod3, hankel_matrix
@@ -31,6 +35,27 @@ GRID_CELLS = {
     "ascii": ("", tuple(ASCII_GLYPHS[v] for v in range(3))),
     "ppm": (" ", tuple(" ".join(map(str, PPM_COLORS[v])) for v in range(3))),
 }
+# `grid` text is written in blocks of whole rows of about this many
+# bytes, so a table at the cell cap is never held as text all at once.
+GRID_BLOCK_BYTES = 1 << 18
+
+
+def _cell_lut(sep: str, texts: tuple[str, ...]) -> np.ndarray:
+    """The text of each value followed by sep, as one fixed-width byte
+    array indexed by value.
+
+    Every row is then one lookup per cell with its last separator turned
+    into a newline, so every cell must have the same width and sep must
+    be at most one byte; raises ValueError otherwise.
+    """
+    cells = [(text + sep).encode("ascii") for text in texts]
+    if len(sep) > 1 or len(set(map(len, cells))) != 1:
+        raise ValueError(f"grid cells {cells} differ in width or have a separator "
+                         "longer than one byte")
+    return np.frombuffer(b"".join(cells), dtype=f"V{len(cells[0])}")
+
+
+_GRID_LUTS = {fmt: _cell_lut(sep, texts) for fmt, (sep, texts) in GRID_CELLS.items()}
 
 VERIFY_ORDER = tuple(checks.VERIFY_GROUPS)
 
@@ -61,18 +86,36 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_text(table: np.ndarray, fmt: str) -> Iterator[str]:
+    """The text of a table of values 0, 1, 2 in a GRID_CELLS format, in
+    blocks of whole rows of about GRID_BLOCK_BYTES; a ppm image gets its
+    P3 header first."""
+    sep, lut = GRID_CELLS[fmt][0], _GRID_LUTS[fmt]
+    rows, cols = table.shape
+    if fmt == "ppm":
+        yield f"P3\n{cols} {rows}\n255\n"
+    cell_bytes = cols * lut.itemsize
+    line = cell_bytes + 1 - len(sep)
+    step = max(1, GRID_BLOCK_BYTES // line)
+    for lo in range(0, rows, step):
+        block = table[lo:lo + step]
+        out = np.empty((len(block), line), np.uint8)
+        # The values are 0, 1, 2, so "clip" never clips; it spares take
+        # a bounds-checked copy.
+        np.take(lut, block, out=out[:, :cell_bytes].view(lut.dtype), mode="clip")
+        out[:, -1] = ord("\n")
+        yield str(out, "ascii")
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
-    rows = engine.grid(1, args.n_max, 0, args.p_max, args.kind)
     if args.format == "json":
+        rows = engine.grid(1, args.n_max, 0, args.p_max, args.kind)
         print(json.dumps({"kind": args.kind, "n_max": args.n_max,
                           "p_max": args.p_max, "rows": rows}, sort_keys=True))
         return 0
-    # Each cell is one lookup, and the table is printed in one piece.
-    sep, lut = GRID_CELLS[args.format]
-    lines = [sep.join(map(lut.__getitem__, row)) for row in rows]
-    if args.format == "ppm":
-        lines[:0] = ["P3", f"{args.p_max + 1} {args.n_max}", "255"]
-    print("\n".join(lines))
+    table = engine.tables(1, args.n_max, 0, args.p_max)[engine.KINDS.index(args.kind)]
+    for text in _grid_text(table, args.format):
+        sys.stdout.write(text)
     return 0
 
 
@@ -194,6 +237,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+# Every option is a scalar or store_true and parse_args returns a fresh
+# Namespace, so one parser serves every call in a process.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantor-hankel",

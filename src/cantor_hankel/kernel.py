@@ -35,7 +35,6 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TypeVar
 
 import numpy as np
@@ -333,18 +332,30 @@ def _explore(root: _State, successors: Callable[[_State], Iterable[_State]],
     return states, rows
 
 
+_CLOSURES: dict[str, Closure] = {}
+
+
 def kernel_closure(start: str = "gamma", cap: int = DEFAULT_STATE_CAP) -> Closure:
     """Breadth-first closure from "gamma" or "delta" under all nine digit
-    steps; raises if more than cap states appear."""
+    steps; raises if more than cap states appear.
+
+    Closures are immutable and take a while to build, so each start's
+    closure is built once per process: a later cap reads it if it holds
+    every state.  A build stops at its cap, so the cap bounds the work.
+    """
     if cap < 1:
         raise ValueError(f"the state cap must be a positive integer, got {cap}")
-    return _closure_cached(start, cap)
+    closure = _CLOSURES.get(start)
+    if closure is None:
+        # Racing builds of one start yield equal closures.
+        closure = _CLOSURES[start] = _build_closure(start, cap)
+    elif len(closure.states) > cap:
+        raise RuntimeError(f"closure exceeded the cap of {cap} states")
+    return closure
 
 
-# Closures are immutable and take a while to build, so cache per process.
 # The search runs on packed polynomials; its memos go when it returns.
-@lru_cache(maxsize=8)
-def _closure_cached(start: str, cap: int) -> Closure:
+def _build_closure(start: str, cap: int) -> Closure:
     root = {"gamma": GAMMA, "delta": DELTA}.get(start)
     if root is None:
         raise ValueError(f"unknown start stream {start!r}")

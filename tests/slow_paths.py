@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cantor_hankel import engine, kernel
+from cantor_hankel import cli, engine, kernel
 from cantor_hankel.pade import PadeApproximant
 
 # The module itself: the package rebinds the name pade to the function.
@@ -167,6 +167,18 @@ def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     return {kind: np.array([lattice("GD"[engine.KINDS.index(kind)], *w).ravel()
                             for w in triples], dtype=np.int8).reshape(len(triples), size * size)
             for kind, triples in witnesses.items()}
+
+
+def grid_text_by_cells(rows: Sequence[Sequence[int]], fmt: str) -> str:
+    """The `grid` text of rows of values 0, 1, 2 in a cli.GRID_CELLS
+    format, as cli._grid_text replaced it: one lookup per cell, the
+    cells of a row joined by the separator, a ppm image with its P3
+    header first, and the whole table one string."""
+    sep, lut = cli.GRID_CELLS[fmt]
+    lines = [sep.join(map(lut.__getitem__, row)) for row in rows]
+    if fmt == "ppm":
+        lines[:0] = ["P3", f"{len(rows[0])} {len(rows)}", "255"]
+    return "\n".join(lines) + "\n"
 
 
 def window_points(window: int) -> list[tuple[int, int]]:

@@ -9,9 +9,11 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cantor_hankel
 from cantor_hankel import checks, cli, engine, kernel
@@ -20,6 +22,7 @@ from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 from cantor_hankel.sequences import MAX_SLICE_COUNT
+from slow_paths import grid_text_by_cells
 
 EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
 
@@ -157,6 +160,45 @@ def test_grid_output_is_pinned(capsys, kind, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_300_DIGESTS[kind, fmt]
 
 
+# One grid format and a random table of values 0, 1, 2, each side 1 to
+# 40 cells with whole rows or columns of one cell drawn often.
+GRID_SIDE = st.one_of(st.just(1), st.integers(1, 40))
+GRID_TABLES = st.tuples(GRID_SIDE, GRID_SIDE).flatmap(
+    lambda shape: arrays(np.int8, shape, elements=st.integers(0, 2)))
+
+
+@given(fmt=st.sampled_from(sorted(cli.GRID_CELLS)), table=GRID_TABLES,
+       block=st.integers(1, 400))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_grid_text_matches_per_cell_formatter(monkeypatch, fmt, table, block):
+    # A small block size puts row-block boundaries inside these tables.
+    monkeypatch.setattr(cli, "GRID_BLOCK_BYTES", block)
+    assert "".join(cli._grid_text(table, fmt)) == grid_text_by_cells(table.tolist(), fmt)
+
+
+@pytest.mark.parametrize("fmt", sorted(cli.GRID_CELLS))
+def test_grid_text_crosses_the_row_block_boundary(fmt):
+    sep, texts = cli.GRID_CELLS[fmt]
+    cols = 300
+    per_block = cli.GRID_BLOCK_BYTES // (cols * len(texts[0] + sep) + 1 - len(sep))
+    table = np.random.default_rng(19).integers(0, 3, (2 * per_block + 1, cols), dtype=np.int8)
+    blocks = list(cli._grid_text(table, fmt))
+    assert len(blocks) == 3 + (fmt == "ppm")
+    assert "".join(blocks) == grid_text_by_cells(table.tolist(), fmt)
+
+
+def test_grid_cells_share_one_width():
+    for fmt, (sep, texts) in cli.GRID_CELLS.items():
+        assert {len(text + sep) for text in texts} == {cli._GRID_LUTS[fmt].itemsize}, fmt
+    # A darker blue is one digit short, so its cells could not be
+    # looked up at a fixed width.
+    with pytest.raises(ValueError, match="width"):
+        cli._cell_lut(" ", ("0 0 25", "0 200 0", "255 0 0"))
+    with pytest.raises(ValueError, match="separator"):
+        cli._cell_lut(", ", ("0", "1", "2"))
+
+
 def test_period(capsys):
     code, out = run(capsys, "period", "-p", "2")
     assert (code, out) == (0, "12\n")
@@ -230,6 +272,34 @@ def test_dfao_eval(capsys):
         assert (code, out) == (0, want + "\n")
 
 
+# Calls in an order that would show state one call leaves in the parser:
+# a refused call before a valid one, options given then left to their
+# defaults, formats alternating, a refused cap then the default.
+PARSER_SCRIPT = (
+    ("grid", "--n-max", "x", "--p-max", "3"),
+    ("grid", "--n-max", "3", "--p-max", "3"),
+    ("verify", "--oracle", "--n-max", "3", "--p-max", "4"),
+    ("verify", "--oracle"),
+    ("grid", "--n-max", "4", "--p-max", "2", "--format", "ppm"),
+    ("grid", "--n-max", "4", "--p-max", "2"),
+    ("grid", "--kind", "delta", "--n-max", "4", "--p-max", "2", "--format", "csv"),
+    ("grid", "--n-max", "4", "--p-max", "2", "--format", "json"),
+    ("grid", "--n-max", "4", "--p-max", "2"),
+    ("kernel", "--cap", "5"),
+    ("kernel",),
+)
+
+
+def test_cached_parser_leaks_no_state(capsys, monkeypatch):
+    cached = [run(capsys, *argv) for argv in PARSER_SCRIPT]
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _ in cached] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+    _, (n_max, p_max) = checks.VERIFY_GROUPS["oracle"][0]
+    assert f"n <= {n_max}, 0 <= p <= {p_max}," in cached[3][1]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in PARSER_SCRIPT] == cached
+
+
 # Hostile arguments: an integer of any sign and size, or any short text.
 # Each command may exit 0, 1 or 2, never with a traceback; a refusal
 # prints nothing on stdout and one error or usage message on stderr.
@@ -259,11 +329,9 @@ def test_hostile_dfao_arguments(capsys, start, export):
     assert code == (0 if start in ("gamma", "delta") and export in ("table", "dot") else 2)
 
 
-# Each distinct cap from the closure size up builds the closure again
-# (about 0.2 s), so the draws stay few.
 @given(start=st.sampled_from(["gamma", "delta"]),
        cap=st.one_of(HOSTILE_ARG, st.sampled_from(["1631", "1632"])))
-@settings(HOSTILE_SETTINGS, max_examples=15)
+@HOSTILE_SETTINGS
 def test_hostile_kernel_arguments(capsys, start, cap):
     code, out = _run_hostile(capsys, ["kernel", "--start", start, "--cap", cap])
     try:
@@ -283,6 +351,23 @@ def test_hostile_dfao_eval_arguments(capsys, start, n, p):
     if code == 0:
         value = engine.gamma_mod3 if start == "gamma" else engine.delta_mod3
         assert out == f"{value(int(n), int(p))}\n", (start, n, p)
+
+
+@given(kind=st.sampled_from(["gamma", "delta", "omega"]), n_max=HOSTILE_ARG, p_max=HOSTILE_ARG,
+       fmt=st.sampled_from(["ppm", "csv", "ascii", "json"]))
+@HOSTILE_SETTINGS
+def test_hostile_grid_arguments(capsys, kind, n_max, p_max, fmt):
+    code, out = _run_hostile(capsys, ["grid", "--kind", kind, "--n-max", n_max,
+                                      "--p-max", p_max, "--format", fmt])
+    assert code in (0, 2), (kind, n_max, p_max, fmt)
+    if code == 0:
+        rows = engine.grid(1, int(n_max), 0, int(p_max), kind)
+        if fmt == "json":
+            want = json.dumps({"kind": kind, "n_max": int(n_max), "p_max": int(p_max),
+                               "rows": rows}, sort_keys=True) + "\n"
+        else:
+            want = grid_text_by_cells(rows, fmt)
+        assert out == want, (kind, n_max, p_max, fmt)
 
 
 # Index arguments at the edges of the cell's domain: the digit cap and

@@ -298,7 +298,7 @@ def test_closure_witness_digest(start):
 def test_closure_build_logs_one_debug_record(caplog, capsys):
     caplog.set_level(logging.DEBUG, logger="cantor_hankel.kernel")
     # Past the per-process cache, so the build really runs.
-    kernel._closure_cached.__wrapped__("delta", 2000)
+    kernel._build_closure("delta", 2000)
     records = [r for r in caplog.records if r.name == "cantor_hankel.kernel"]
     assert len(records) == 1
     record = records[0]
@@ -308,6 +308,38 @@ def test_closure_build_logs_one_debug_record(caplog, capsys):
     assert memoised > 0 and seconds >= 0
     assert "delta" in record.getMessage()
     assert capsys.readouterr().out == ""
+
+
+def test_closure_cache_is_per_start(caplog):
+    caplog.set_level(logging.DEBUG, logger="cantor_hankel.kernel")
+    build_dfao("gamma")
+    closure = kernel_closure("gamma")
+    for cap in range(2000, 2008):
+        assert kernel_closure("gamma", cap) is closure
+    caplog.clear()
+    build_dfao("gamma")
+    assert [r for r in caplog.records if r.name == "cantor_hankel.kernel"] == []
+    # A cap under the cached closure's size is refused as a cold build
+    # over it is.
+    assert kernel_closure("gamma", CLOSURE_STATES) is closure
+    with pytest.raises(RuntimeError, match=f"cap of {CLOSURE_STATES - 1} states"):
+        kernel_closure("gamma", CLOSURE_STATES - 1)
+
+
+def test_cold_closure_build_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "_CLOSURES", {})
+    expanded = []
+    successors = kernel._DigitStep.successors
+
+    def counted(self, poly):
+        expanded.append(poly)
+        return successors(self, poly)
+
+    monkeypatch.setattr(kernel._DigitStep, "successors", counted)
+    with pytest.raises(RuntimeError, match="cap of 100 states"):
+        kernel_closure("gamma", 100)
+    assert 0 < len(expanded) <= 100
+    assert kernel._CLOSURES == {}
 
 
 def test_closure_cap_enforced():
