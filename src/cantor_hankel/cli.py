@@ -35,8 +35,9 @@ GRID_CELLS = {
     "ascii": ("", tuple(ASCII_GLYPHS[v] for v in range(3))),
     "ppm": (" ", tuple(" ".join(map(str, PPM_COLORS[v])) for v in range(3))),
 }
-# `grid` text is written in blocks of whole rows of about this many
-# bytes, so a table at the cell cap is never held as text all at once.
+# `grid` text is written in blocks of about this many bytes, of whole
+# rows or of the cells of one wide row, so a table at the cell cap is
+# never held as text all at once.
 GRID_BLOCK_BYTES = 1 << 18
 
 
@@ -56,6 +57,9 @@ def _cell_lut(sep: str, texts: tuple[str, ...]) -> np.ndarray:
 
 
 _GRID_LUTS = {fmt: _cell_lut(sep, texts) for fmt, (sep, texts) in GRID_CELLS.items()}
+# A `grid --format json` row is "[", then each value with ", ", the last
+# ", " turned into "]"; rows are joined by ", ".
+_JSON_LUT = _cell_lut("", ("0, ", "1, ", "2, "))
 
 VERIFY_ORDER = tuple(checks.VERIFY_GROUPS)
 
@@ -86,35 +90,68 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row_blocks(table: np.ndarray, lut: np.ndarray, head: str, cut: int,
+                tail: str) -> Iterator[str]:
+    """The rows of a table of values 0, 1, 2 as text: each row is head,
+    then the lut cell of each value, the last cell's final cut bytes
+    replaced by tail (at least cut bytes long).
+
+    Blocks are of whole rows of about GRID_BLOCK_BYTES, or, where one row
+    is wider than that, of the cells of one row.
+    """
+    rows, cols = table.shape
+    span = max(1, min(cols, GRID_BLOCK_BYTES // lut.itemsize))
+    line = len(head) + cols * lut.itemsize - cut + len(tail)
+    step = max(1, GRID_BLOCK_BYTES // line) if span == cols else 1
+    for lo in range(0, rows, step):
+        for left in range(0, cols, span):
+            cells = table[lo:lo + step, left:left + span]
+            lead = head if left == 0 else ""
+            end = tail if left + span >= cols else ""
+            width = cells.shape[1] * lut.itemsize
+            stop = len(lead) + width + (len(end) - cut if end else 0)
+            out = np.empty((len(cells), stop), np.uint8)
+            out[:, :len(lead)] = np.frombuffer(lead.encode(), np.uint8)
+            # The values are 0, 1, 2, so "clip" never clips; it spares take
+            # a bounds-checked copy.
+            np.take(lut, cells, out=out[:, len(lead):len(lead) + width].view(lut.dtype),
+                    mode="clip")
+            out[:, stop - len(end):] = np.frombuffer(end.encode(), np.uint8)
+            yield str(out, "ascii")
+
+
 def _grid_text(table: np.ndarray, fmt: str) -> Iterator[str]:
     """The text of a table of values 0, 1, 2 in a GRID_CELLS format, in
-    blocks of whole rows of about GRID_BLOCK_BYTES; a ppm image gets its
-    P3 header first."""
-    sep, lut = GRID_CELLS[fmt][0], _GRID_LUTS[fmt]
-    rows, cols = table.shape
+    blocks of about GRID_BLOCK_BYTES; a ppm image gets its P3 header
+    first."""
     if fmt == "ppm":
-        yield f"P3\n{cols} {rows}\n255\n"
-    cell_bytes = cols * lut.itemsize
-    line = cell_bytes + 1 - len(sep)
-    step = max(1, GRID_BLOCK_BYTES // line)
-    for lo in range(0, rows, step):
-        block = table[lo:lo + step]
-        out = np.empty((len(block), line), np.uint8)
-        # The values are 0, 1, 2, so "clip" never clips; it spares take
-        # a bounds-checked copy.
-        np.take(lut, block, out=out[:, :cell_bytes].view(lut.dtype), mode="clip")
-        out[:, -1] = ord("\n")
-        yield str(out, "ascii")
+        yield f"P3\n{table.shape[1]} {table.shape[0]}\n255\n"
+    yield from _row_blocks(table, _GRID_LUTS[fmt], "", len(GRID_CELLS[fmt][0]), "\n")
+
+
+def _grid_json(table: np.ndarray, kind: str) -> Iterator[str]:
+    """json.dumps of the `grid` object of a table of rows n = 1, 2, ...
+    and columns p = 0, 1, ..., keys sorted, and a newline, in blocks of
+    about GRID_BLOCK_BYTES."""
+    # "rows" sorts last, so the object is this text around the rows.
+    frame = json.dumps({"kind": kind, "n_max": table.shape[0],
+                        "p_max": table.shape[1] - 1, "rows": []}, sort_keys=True)
+    opening, closing = frame.rsplit("[]", 1)
+    text = opening + "["
+    for block in _row_blocks(table, _JSON_LUT, "[", 2, "], "):
+        yield text
+        text = block
+    # The last row is not followed by ", ".
+    yield text[:-2] + "]" + closing + "\n"
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        rows = engine.grid(1, args.n_max, 0, args.p_max, args.kind)
-        print(json.dumps({"kind": args.kind, "n_max": args.n_max,
-                          "p_max": args.p_max, "rows": rows}, sort_keys=True))
-        return 0
     table = engine.tables(1, args.n_max, 0, args.p_max)[engine.KINDS.index(args.kind)]
-    for text in _grid_text(table, args.format):
+    if args.format == "json":
+        blocks = _grid_json(table, args.kind)
+    else:
+        blocks = _grid_text(table, args.format)
+    for text in blocks:
         sys.stdout.write(text)
     return 0
 

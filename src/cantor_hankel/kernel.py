@@ -18,9 +18,14 @@ for G and D; a shifted generator splits by one of them read at an
 offset.  Monomial exponents are capped with
 x**3 = x, which every GF(3)-valued stream satisfies pointwise.  Every
 polynomial, closure states included, is held packed: each monomial is
-two bitmasks over the generators.  The closure takes all nine digit
-steps of a state in one pass, reading the nine images of each monomial
-as the products of the memoised images of its G part and its D/F part.
+two bitmasks over the generators.
+
+The nine digit steps together are one sparse linear map over GF(3) on
+monomials, and the closure applies it to a whole breadth-first level at
+a time with numpy: monomials get dense ids, the nine images of each are
+rows of one store, built in batches as products of the images of its G
+part and its D/F part, and the successors of a chunk of states are one
+gather of image rows reduced by one sort.
 
 Iterating apply_t from a single stream and collecting distinct normal
 forms gives a finite closure: the states of a deterministic automaton
@@ -32,6 +37,7 @@ a stable on-disk form.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -84,15 +90,6 @@ def _mono_product(x: int, y: int) -> int:
 
 def _reduce(counter: dict[int, int]) -> Packed:
     return tuple(sorted((m, c % 3) for m, c in counter.items() if c % 3))
-
-
-def _poly_mul(p: Packed, q: Packed) -> Packed:
-    counter: dict[int, int] = {}
-    for x, c in p:
-        for y, d in q:
-            m = _mono_product(x, y)
-            counter[m] = counter.get(m, 0) + c * d
-    return _reduce(counter)
 
 
 @dataclass(frozen=True)
@@ -173,65 +170,232 @@ _DIGIT_PAIRS = [(i, j) for i in range(3) for j in range(3)]
 # of the gamma closure have 70 G parts and 175 D/F parts.
 _G_BITS = sum(1 << _BIT[g] for g in _GENERATORS if g[0] == "G") * (1 | 1 << _WIDTH)
 
+# Frontier states expanded together hold about this many monomials, so
+# the arrays of one batch of successors stay a few hundred kilobytes.
+_CHUNK_TERMS = 256
 
-class _DigitStep:
-    """The nine digit steps on packed polynomials, taken together.
 
-    A digit step is a ring homomorphism, so the image of a monomial is
-    the product of the images of its generators.  _images(key) gives the
-    nine images of a monomial at once, as the products of the images of
-    its G part and of its D/F part.  A part's images are those of the
-    part without its lowest bit times those of that bit: a generator's,
-    read off _split_generator, or their squares.  Parts and monomials are
-    memoised as long as this object.
+def _nine(slots: np.ndarray) -> np.ndarray:
+    """Rows 9 * slot + d of a store, d over the nine digit pairs."""
+    return (9 * slots[:, None] + np.arange(9)).ravel()
+
+
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the slices [starts[k], starts[k] + lens[k]), concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Polynomials over dense monomial ids, one per row, stored CSR: row k
+    has ids[indptr[k]:indptr[k + 1]], ascending, with coefficients 1 or 2
+    in coeffs at the same places."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: np.ndarray | list[int]) -> _Rows:
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        picked = _ragged(starts, lens)
+        return _Rows(np.concatenate(([0], np.cumsum(lens))), self.ids[picked],
+                     self.coeffs[picked])
+
+    def forms(self) -> list[bytes]:
+        """Each row as bytes, each id with its coefficient as id * 4 +
+        coefficient: equal rows, and only they, give equal bytes."""
+        packed = (self.ids * 4 + self.coeffs).astype(np.int64).tobytes()
+        bounds = (self.indptr * 8).tolist()
+        return list(map(packed.__getitem__, map(slice, bounds, bounds[1:])))
+
+    @staticmethod
+    def concat(blocks: Sequence[_Rows]) -> _Rows:
+        ends = np.cumsum([len(b.ids) for b in blocks])
+        return _Rows(np.concatenate([[0]] + [b.indptr[1:] + end - len(b.ids)
+                                             for b, end in zip(blocks, ends)]),
+                     np.concatenate([b.ids for b in blocks]),
+                     np.concatenate([b.coeffs for b in blocks]))
+
+
+_NO_ROWS = _Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                 np.zeros(0, dtype=np.int8))
+
+
+class _Stepper:
+    """The nine digit steps, taken together, as a sparse linear map over
+    GF(3) on monomials.
+
+    Monomials get dense ids in order of discovery; keys[id] is the packed
+    monomial.  A digit step is a ring homomorphism, so the image of a
+    monomial is the product of the images of its G part and its D/F part,
+    and a part's image is that of the part without its lowest bit times
+    that bit's: a generator's, read off _split_generator, or its square.
+    Parts and monomials keep their nine images, rows 9 * slot + d of one
+    store each, for as long as this object.  Every batch of products is
+    one ragged cartesian product over the keys, reduced by one sort.
+    Keys use 52 bits, so they are int64 like ids and sort keys, and no
+    array mixes signed and unsigned integers.
     """
 
     def __init__(self) -> None:
-        self._parts: dict[int, tuple[Packed, ...]] = {0: (_ONE,) * len(_DIGIT_PAIRS)}
-        self._monomials: dict[int, tuple[Packed, ...]] = {}
+        self.keys = np.zeros(0, dtype=np.int64)
+        # The keys in ascending order, and the id of each.
+        self._sorted = self.keys
+        self._sorted_ids = np.zeros(0, dtype=np.int64)
+        # Image slot of each monomial id, -1 until its images are built.
+        self._slot = np.zeros(0, dtype=np.int64)
+        self._images = _NO_ROWS
+        self._part_slot: dict[int, int] = {}
+        self._parts = _NO_ROWS
+        self._add_parts([0], self.to_rows([_ONE] * len(_DIGIT_PAIRS)))
 
     @property
     def memoised(self) -> int:
         """Monomial images memoised, one per monomial and digit pair."""
-        return len(_DIGIT_PAIRS) * len(self._monomials)
+        return len(self._images)
 
-    def _part(self, key: int) -> tuple[Packed, ...]:
-        images = self._parts.get(key)
-        if images is None:
-            bit = key & -key
-            if bit != key:
-                images = tuple(map(_poly_mul, self._part(key ^ bit), self._part(bit)))
-            elif bit <= _LOW:
-                gen = _GENERATORS[bit.bit_length() - 1]
-                images = tuple(_split_generator(i, j, gen) for i, j in _DIGIT_PAIRS)
+    def _intern(self, keys: np.ndarray) -> np.ndarray:
+        """The ids of packed monomials; new ones are numbered in key order."""
+        ordered = np.sort(keys)
+        unique = ordered[np.diff(ordered, prepend=-1) != 0]
+        at = np.searchsorted(self._sorted, unique)
+        new = at == len(self._sorted)
+        new[~new] = self._sorted[at[~new]] != unique[~new]
+        ids = np.empty(len(unique), dtype=np.int64)
+        ids[~new] = self._sorted_ids[at[~new]]
+        ids[new] = np.arange(new.sum()) + len(self.keys)
+        self._sorted = np.insert(self._sorted, at[new], unique[new])
+        self._sorted_ids = np.insert(self._sorted_ids, at[new], ids[new])
+        self.keys = np.concatenate((self.keys, unique[new]))
+        return ids[np.searchsorted(unique, keys)]
+
+    def _collect(self, rows: np.ndarray, ids: np.ndarray, coeffs: np.ndarray,
+                 n_rows: int) -> _Rows:
+        """Sum the terms (row, id, coefficient) of n_rows polynomials mod 3."""
+        size = len(self.keys)
+        order = np.sort((rows.astype(np.int64) * size + ids) * 4 + coeffs)
+        first = np.flatnonzero(np.diff(order >> 2, prepend=-1))
+        sums = np.add.reduceat(order & 3, first) % 3 if len(order) else order
+        cells = (order[first] >> 2)[sums != 0]
+        return _Rows(np.searchsorted(cells // size, np.arange(n_rows + 1)), cells % size,
+                     sums[sums != 0].astype(np.int8))
+
+    def to_rows(self, polys: Sequence[Packed]) -> _Rows:
+        """Packed polynomials as rows, numbering their new monomials."""
+        keys = np.array([key for poly in polys for key, _ in poly], dtype=np.int64)
+        coeffs = np.array([c for poly in polys for _, c in poly], dtype=np.int64)
+        owner = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
+        return self._collect(owner, self._intern(keys), coeffs, len(polys))
+
+    def to_packed(self, polys: _Rows) -> list[Packed]:
+        """Rows as packed polynomials."""
+        owner = np.repeat(np.arange(len(polys)), np.diff(polys.indptr))
+        keys = self.keys[polys.ids]
+        order = np.lexsort((keys, owner))
+        terms = list(zip(keys[order].tolist(), polys.coeffs[order].tolist()))
+        bounds = polys.indptr.tolist()
+        return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _products(self, left: _Rows, lrows: np.ndarray, right: _Rows,
+                  rrows: np.ndarray) -> _Rows:
+        """Row k is row lrows[k] of left times row rrows[k] of right."""
+        lstart, rstart = left.indptr[lrows], right.indptr[rrows]
+        rlen = right.indptr[rrows + 1] - rstart
+        sizes = (left.indptr[lrows + 1] - lstart) * rlen
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        at = _ragged(np.zeros_like(sizes), sizes)
+        width = rlen[owner]
+        x = lstart[owner] + at // width
+        y = rstart[owner] + at % width
+        keys = _mono_product(self.keys[left.ids[x]], self.keys[right.ids[y]])
+        coeffs = left.coeffs[x].astype(np.int64) * right.coeffs[y] % 3
+        return self._collect(owner, self._intern(keys), coeffs, len(sizes))
+
+    def _add_parts(self, parts: list[int], images: _Rows) -> None:
+        for part in parts:
+            self._part_slot[part] = len(self._part_slot)
+        self._parts = _Rows.concat([self._parts, images])
+
+    def _part_rows(self, parts: list[int]) -> np.ndarray:
+        """The store rows of the nine images of each part.
+
+        Missing parts are built a popcount at a time, each as the part
+        without its lowest bit times that bit; a generator's images are
+        read off _split_generator, and a square's are theirs squared.
+        """
+        factors: dict[int, tuple[int, int] | None] = {}
+        todo = list(parts)
+        while todo:
+            part = todo.pop()
+            if part in self._part_slot or part in factors:
+                continue
+            bit = part & -part
+            if bit != part:
+                factors[part] = (part ^ bit, bit)
+            elif bit > _LOW:
+                factors[part] = (bit >> _WIDTH, bit >> _WIDTH)
             else:
-                images = tuple(_poly_mul(x, x) for x in self._part(bit >> _WIDTH))
-            self._parts[key] = images
-        return images
+                factors[part] = None
+            todo.extend(factors[part] or ())
+        gens = [part for part, pair in factors.items() if pair is None]
+        if gens:
+            self._add_parts(gens, self.to_rows([
+                _split_generator(i, j, _GENERATORS[part.bit_length() - 1])
+                for part in gens for i, j in _DIGIT_PAIRS]))
+        for count in sorted({part.bit_count() for part, pair in factors.items() if pair}):
+            batch = [part for part, pair in factors.items() if pair and part.bit_count() == count]
+            lefts = self._slot_rows([factors[part][0] for part in batch])
+            rights = self._slot_rows([factors[part][1] for part in batch])
+            self._add_parts(batch, self._products(self._parts, lefts, self._parts, rights))
+        return self._slot_rows(parts)
 
-    def _images(self, key: int) -> tuple[Packed, ...]:
-        images = self._monomials.get(key)
-        if images is None:
-            images = tuple(map(_poly_mul, self._part(key & _G_BITS),
-                               self._part(key & ~_G_BITS)))
-            self._monomials[key] = images
-        return images
+    def _slot_rows(self, parts: list[int]) -> np.ndarray:
+        return _nine(np.array([self._part_slot[part] for part in parts], dtype=np.int64))
 
-    def successors(self, poly: Packed) -> list[Packed]:
-        """apply_t with each digit pair, in the order of _DIGIT_PAIRS."""
-        counters: list[dict[int, int]] = [{} for _ in _DIGIT_PAIRS]
-        for key, coeff in poly:
-            for counter, image in zip(counters, self._images(key)):
-                for m, c in image:
-                    counter[m] = counter.get(m, 0) + coeff * c
-        return [_reduce(counter) for counter in counters]
+    def image_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The store rows of the nine images of each monomial, building
+        those missing in one batch."""
+        if len(self._slot) < len(self.keys):
+            self._slot = np.concatenate(
+                (self._slot, np.full(len(self.keys) - len(self._slot), -1, dtype=np.int64)))
+        unique = np.unique(ids)
+        missing = unique[self._slot[unique] < 0]
+        if len(missing):
+            keys = self.keys[missing]
+            parts = self._part_rows((keys & _G_BITS).tolist() + (keys & ~_G_BITS).tolist())
+            half = len(parts) // 2
+            images = self._products(self._parts, parts[:half], self._parts, parts[half:])
+            self._slot[missing] = np.arange(len(missing)) + len(self._images) // 9
+            self._images = _Rows.concat([self._images, images])
+        return _nine(self._slot[ids])
+
+    def successors(self, states: _Rows) -> _Rows:
+        """apply_t with every digit pair: row 9 * k + d is the image of
+        state k under the d-th pair of _DIGIT_PAIRS."""
+        rows = self.image_rows(states.ids)
+        starts = self._images.indptr[rows]
+        lens = self._images.indptr[rows + 1] - starts
+        at = _ragged(starts, lens)
+        owner = np.repeat(np.arange(len(states)), np.diff(states.indptr))
+        targets = np.repeat(_nine(owner), lens)
+        coeffs = (np.repeat(np.repeat(states.coeffs.astype(np.int64), 9), lens)
+                  * self._images.coeffs[at] % 3)
+        return self._collect(targets, self._images.ids[at], coeffs, 9 * len(states))
 
 
 def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
     """The digit step: rewrite expr read at (3n + i, 3p + j) over (n, p)."""
     if not (0 <= i <= 2 and 0 <= j <= 2):
         raise ValueError("digits must lie in {0, 1, 2}")
-    return KernelExpr(_DigitStep().successors(expr.poly)[3 * i + j])
+    stepper = _Stepper()
+    image = stepper.successors(stepper.to_rows([expr.poly])).take([3 * i + j])
+    return KernelExpr(stepper.to_packed(image)[0])
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -354,30 +518,62 @@ def kernel_closure(start: str = "gamma", cap: int = DEFAULT_STATE_CAP) -> Closur
     return closure
 
 
-# The search runs on packed polynomials; its memos go when it returns.
 def _build_closure(start: str, cap: int) -> Closure:
+    """The breadth-first closure, one level at a time.
+
+    Each chunk of a level is stepped in one batch, and its successors
+    are numbered in (parent, digit pair) order, so states, transitions
+    and witnesses come out as a state-by-state search makes them.  A
+    state is known by the bytes of its row, each id with its coefficient
+    as id * 4 + coefficient, and becomes a packed tuple only at the end.
+    """
     root = {"gamma": GAMMA, "delta": DELTA}.get(start)
     if root is None:
         raise ValueError(f"unknown start stream {start!r}")
     began = time.perf_counter()
-    digit_step = _DigitStep()
-    states, rows = _explore(root.poly, digit_step.successors, cap)
-    # A state is first reached from the first row that names it, by the
-    # digit pair at its first place there.
+    stepper = _Stepper()
+    frontier = stepper.to_rows([root.poly])
+    levels = [frontier]
+    index = {frontier.forms()[0]: 0}
     witnesses = [(0, 0, 0)]
-    for parent, row in enumerate(rows):
-        m, r, s = witnesses[parent]
-        for (i, j), k in zip(_DIGIT_PAIRS, row):
-            if k == len(witnesses):
+    rows: list[tuple[int, ...]] = []
+
+    def number(nexts: _Rows) -> _Rows:
+        """Number the successors of the next parents; return the new states."""
+        forms = nexts.forms()
+        targets = np.array(list(map(index.get, forms, itertools.repeat(-1))))
+        fresh = []
+        for at in np.flatnonzero(targets < 0).tolist():
+            target = targets[at] = index.setdefault(forms[at], len(index))
+            if target == len(witnesses):
+                if target >= cap:
+                    raise RuntimeError(f"closure exceeded the cap of {cap} states")
+                m, r, s = witnesses[len(rows) + at // 9]
+                i, j = _DIGIT_PAIRS[at % 9]
                 witnesses.append((m + 1, r + 3 ** m * i, s + 3 ** m * j))
-    closure = Closure(root, tuple(KernelExpr(state) for state in states),
-                      tuple(witnesses), tuple(rows))
+                fresh.append(at)
+        rows.extend(zip(*[iter(targets.tolist())] * 9))
+        return nexts.take(fresh)
+
+    while len(frontier):
+        # The images of the level's monomials, built in one batch.
+        stepper.image_rows(frontier.ids)
+        # Each chunk holds about _CHUNK_TERMS monomials, each of which
+        # gathers nine image rows.
+        ends = np.searchsorted(frontier.indptr, np.arange(
+            _CHUNK_TERMS, frontier.indptr[-1], _CHUNK_TERMS))
+        chunks = [chunk for chunk in np.split(np.arange(len(frontier)), ends) if len(chunk)]
+        frontier = _Rows.concat([number(stepper.successors(frontier.take(chunk)))
+                                 for chunk in chunks])
+        levels.append(frontier)
+    states = stepper.to_packed(_Rows.concat(levels))
+    closure = Closure(root, tuple(map(KernelExpr, states)), tuple(witnesses), tuple(rows))
     # Imported here: logging adds about 5 ms to importing the package,
     # and only a build writes a record.
     import logging
     logging.getLogger(__name__).debug(
         "closure from %s: %d states, %d monomial images memoised, %.3f s",
-        start, len(states), digit_step.memoised, time.perf_counter() - began)
+        start, len(states), stepper.memoised, time.perf_counter() - began)
     return closure
 
 

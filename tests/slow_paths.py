@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from cantor_hankel import cli, engine, kernel
+from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
+                                  Packed, _mono_product, _reduce, _split_generator)
 from cantor_hankel.pade import PadeApproximant
 
 # The module itself: the package rebinds the name pade to the function.
@@ -60,8 +62,87 @@ def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
     return out
 
 
+def _poly_mul(p: Packed, q: Packed) -> Packed:
+    counter: dict[int, int] = {}
+    for x, c in p:
+        for y, d in q:
+            m = _mono_product(x, y)
+            counter[m] = counter.get(m, 0) + c * d
+    return _reduce(counter)
+
+
+class _DigitStep:
+    """The nine digit steps on packed polynomials, taken together.
+
+    A digit step is a ring homomorphism, so the image of a monomial is
+    the product of the images of its generators.  _images(key) gives the
+    nine images of a monomial at once, as the products of the images of
+    its G part and of its D/F part.  A part's images are those of the
+    part without its lowest bit times those of that bit: a generator's,
+    read off _split_generator, or their squares.  Parts and monomials are
+    memoised as long as this object.
+    """
+
+    def __init__(self) -> None:
+        self._parts: dict[int, tuple[Packed, ...]] = {0: (_ONE,) * len(_DIGIT_PAIRS)}
+        self._monomials: dict[int, tuple[Packed, ...]] = {}
+
+    @property
+    def memoised(self) -> int:
+        """Monomial images memoised, one per monomial and digit pair."""
+        return len(_DIGIT_PAIRS) * len(self._monomials)
+
+    def _part(self, key: int) -> tuple[Packed, ...]:
+        images = self._parts.get(key)
+        if images is None:
+            bit = key & -key
+            if bit != key:
+                images = tuple(map(_poly_mul, self._part(key ^ bit), self._part(bit)))
+            elif bit <= _LOW:
+                gen = _GENERATORS[bit.bit_length() - 1]
+                images = tuple(_split_generator(i, j, gen) for i, j in _DIGIT_PAIRS)
+            else:
+                images = tuple(_poly_mul(x, x) for x in self._part(bit >> _WIDTH))
+            self._parts[key] = images
+        return images
+
+    def _images(self, key: int) -> tuple[Packed, ...]:
+        images = self._monomials.get(key)
+        if images is None:
+            images = tuple(map(_poly_mul, self._part(key & _G_BITS),
+                               self._part(key & ~_G_BITS)))
+            self._monomials[key] = images
+        return images
+
+    def successors(self, poly: Packed) -> list[Packed]:
+        """apply_t with each digit pair, in the order of _DIGIT_PAIRS."""
+        counters: list[dict[int, int]] = [{} for _ in _DIGIT_PAIRS]
+        for key, coeff in poly:
+            for counter, image in zip(counters, self._images(key)):
+                for m, c in image:
+                    counter[m] = counter.get(m, 0) + coeff * c
+        return [_reduce(counter) for counter in counters]
+
+
+def closure_by_part_memo(start: str) -> kernel.Closure:
+    """The closure from "gamma" or "delta" as _DigitStep and
+    kernel._explore build it, one state at a time; a state is first
+    reached from the first row that names it, by the digit pair at its
+    first place there."""
+    root = {"gamma": kernel.GAMMA, "delta": kernel.DELTA}[start]
+    states, rows = kernel._explore(root.poly, _DigitStep().successors, kernel.DEFAULT_STATE_CAP)
+    witnesses = [(0, 0, 0)]
+    for parent, row in enumerate(rows):
+        m, r, s = witnesses[parent]
+        for (i, j), k in zip(_DIGIT_PAIRS, row):
+            if k == len(witnesses):
+                witnesses.append((m + 1, r + 3 ** m * i, s + 3 ** m * j))
+    return kernel.Closure(root, tuple(map(kernel.KernelExpr, states)), tuple(witnesses),
+                          tuple(rows))
+
+
 class MonomialChainStep:
-    """The per-digit stepper kernel._DigitStep replaced.
+    """The per-digit stepper _DigitStep replaced.
 
     Each digit pair has its own two memos: the images of one generator
     or its square, and the images of whole monomials, each built as a
@@ -80,7 +161,7 @@ class MonomialChainStep:
                 image = kernel._split_generator(i, j, kernel._GENERATORS[bit.bit_length() - 1])
             else:
                 root = self._factor(d, bit >> kernel._WIDTH)
-                image = kernel._poly_mul(root, root)
+                image = _poly_mul(root, root)
             self._factors[d][bit] = image
         return image
 
@@ -93,7 +174,7 @@ class MonomialChainStep:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                image = kernel._poly_mul(image, self._factor(d, bit))
+                image = _poly_mul(image, self._factor(d, bit))
             memo[key] = image
         return image
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,7 @@ from cantor_hankel.hankel import MAX_HANKEL_ORDER
 from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
-from cantor_hankel.sequences import MAX_SLICE_COUNT
+from cantor_hankel.sequences import MAX_SLICE_COUNT, sequence_slice
 from slow_paths import grid_text_by_cells
 
 EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
@@ -186,6 +186,40 @@ def test_grid_text_crosses_the_row_block_boundary(fmt):
     blocks = list(cli._grid_text(table, fmt))
     assert len(blocks) == 3 + (fmt == "ppm")
     assert "".join(blocks) == grid_text_by_cells(table.tolist(), fmt)
+
+
+@pytest.mark.parametrize("fmt", sorted(cli.GRID_CELLS))
+def test_grid_text_splits_a_wide_row(fmt):
+    # One row of two and a half blocks of cells at the real block size:
+    # three blocks, the newline only after the last.
+    per_block = cli.GRID_BLOCK_BYTES // cli._GRID_LUTS[fmt].itemsize
+    table = np.random.default_rng(43).integers(0, 3, (1, 5 * per_block // 2), dtype=np.int8)
+    blocks = list(cli._grid_text(table, fmt))
+    assert len(blocks) == 3 + (fmt == "ppm")
+    assert [block.count("\n") for block in blocks[-3:]] == [0, 0, 1]
+    assert "".join(blocks) == grid_text_by_cells(table.tolist(), fmt)
+
+
+@given(kind=st.sampled_from(["gamma", "delta"]), table=GRID_TABLES, block=st.integers(1, 400))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_grid_json_matches_json_dumps(monkeypatch, kind, table, block):
+    # A small block size puts row-block boundaries, and cuts inside a
+    # row, in these tables.
+    monkeypatch.setattr(cli, "GRID_BLOCK_BYTES", block)
+    rows, cols = table.shape
+    want = json.dumps({"kind": kind, "n_max": rows, "p_max": cols - 1, "rows": table.tolist()},
+                      sort_keys=True) + "\n"
+    assert "".join(cli._grid_json(table, kind)) == want
+
+
+def test_grid_json_crosses_the_row_block_boundary():
+    rows = 2 * (cli.GRID_BLOCK_BYTES // (3 * 300 + 2)) + 1
+    table = np.random.default_rng(42).integers(0, 3, (rows, 300), dtype=np.int8)
+    blocks = list(cli._grid_json(table, "delta"))
+    assert len(blocks) == 4
+    assert "".join(blocks) == json.dumps({"kind": "delta", "n_max": rows, "p_max": 299,
+                                          "rows": table.tolist()}, sort_keys=True) + "\n"
 
 
 def test_grid_cells_share_one_width():
@@ -404,6 +438,75 @@ def test_hostile_series_arguments(capsys, kind, p, fmt):
     assert code != 1, (kind, p, fmt)
     if code == 0:
         assert out.count("\n") == 1, (kind, p, fmt)
+
+
+@given(kind=st.sampled_from(["c", "d", "e"]), start=HOSTILE_ARG, count=HOSTILE_ARG,
+       fmt=st.sampled_from(["raw", "csv", "json", "xml"]))
+@example(kind="c", start="0", count=str(MAX_SLICE_COUNT + 1), fmt="raw")
+@example(kind="d", start=str(3 ** 40), count="5", fmt="json")
+@HOSTILE_SETTINGS
+def test_hostile_seq_arguments(capsys, kind, start, count, fmt):
+    code, out = _run_hostile(capsys, ["seq", "--kind", kind, "--start", start,
+                                      "--count", count, "--format", fmt])
+    assert code in (0, 2), (kind, start, count, fmt)
+    if code == 0:
+        values = sequence_slice(kind, int(start), int(count))
+        if fmt == "raw":
+            assert out == " ".join(map(str, values)) + "\n", (kind, start, count)
+        elif fmt == "csv":
+            assert out.count("\n") == 1 + len(values), (kind, start, count)
+        else:
+            assert json.loads(out)["values"] == values, (kind, start, count)
+
+
+@given(n=HOSTILE_ARG, verify=st.booleans())
+@example(n=str(MAX_PADE_ORDER), verify=False)
+@example(n=str(MAX_PADE_ORDER + 1), verify=True)
+@HOSTILE_SETTINGS
+def test_hostile_pade_arguments(capsys, n, verify):
+    code, out = _run_hostile(capsys, ["pade", "-n", n] + ["--verify"] * verify)
+    assert code in (0, 2), (n, verify)
+    if code == 0:
+        lines = out.splitlines()
+        assert lines[0] == f"order {int(n)}" and len(lines) == 3 + verify, (n, verify)
+        assert not verify or lines[3].startswith("error-law ok"), n
+
+
+@given(deg=HOSTILE_ARG)
+@example(deg=str(MAX_FEQ_DEGREE))
+@example(deg=str(MAX_FEQ_DEGREE + 1))
+@HOSTILE_SETTINGS
+def test_hostile_feq_arguments(capsys, deg):
+    code, out = _run_hostile(capsys, ["feq", "--deg", deg])
+    assert code in (0, 2), deg
+    if code == 0:
+        assert out == f"ok functional equation through degree {int(deg)}\n", deg
+
+
+@given(b=HOSTILE_ARG, n_max=HOSTILE_ARG, fmt=st.sampled_from(["table", "json", "csv"]))
+@example(b="2", n_max=str(MAX_IRR_ORDER), fmt="table")
+@example(b=str(MAX_BASE), n_max=str(MAX_IRR_ORDER), fmt="json")
+@example(b=str(MAX_BASE + 1), n_max="3", fmt="table")
+@HOSTILE_SETTINGS
+def test_hostile_irr_arguments(capsys, b, n_max, fmt):
+    code, out = _run_hostile(capsys, ["irr", "-b", b, "--n-max", n_max, "--format", fmt])
+    assert code in (0, 2), (b, n_max, fmt)
+    if code == 0 and fmt == "table":
+        assert out.count("\n") == 1 + int(n_max), (b, n_max)
+    elif code == 0:
+        assert [row["order"] for row in json.loads(out)] == list(range(1, int(n_max) + 1))
+
+
+@given(b=HOSTILE_ARG, depth=HOSTILE_ARG)
+@example(b="2", depth=str(MAX_ETA_DEPTH))
+@example(b=str(MAX_BASE), depth="30")
+@example(b=str(MAX_BASE + 1), depth="30")
+@HOSTILE_SETTINGS
+def test_hostile_eta_arguments(capsys, b, depth):
+    code, out = _run_hostile(capsys, ["eta", "-b", b, "--depth", depth])
+    assert code in (0, 2), (b, depth)
+    if code == 0:
+        assert out.splitlines()[-1] == "ok" and out.count("\n") == 3, (b, depth)
 
 
 def test_pade_output(capsys):

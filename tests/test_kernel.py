@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, apply_t,
                                   build_dfao, evaluate_states, export_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
-from slow_paths import (closure_by_monomial_chains, evaluate_states_at_points,
-                        generator_value, window_points)
+from slow_paths import (closure_by_monomial_chains, closure_by_part_memo,
+                        evaluate_states_at_points, generator_value, window_points)
 
 CLOSURE_STATES = 1632
 
@@ -120,6 +121,18 @@ def test_closure_matches_the_monomial_chain_build(start):
     # against the per-digit chain of generator products it replaced:
     # states, transitions and witnesses identical state for state.
     got, want = kernel_closure(start), closure_by_monomial_chains(start)
+    assert got.start == want.start
+    assert got.states == want.states
+    assert got.transitions == want.transitions
+    assert got.witnesses == want.witnesses
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_closure_matches_the_part_memo_build(start):
+    # The level-at-a-time batched build against the state-by-state search
+    # over memoised part images it replaced: states, transitions and
+    # witnesses identical state for state.
+    got, want = kernel_closure(start), closure_by_part_memo(start)
     assert got.start == want.start
     assert got.states == want.states
     assert got.transitions == want.transitions
@@ -329,17 +342,36 @@ def test_closure_cache_is_per_start(caplog):
 def test_cold_closure_build_stops_at_its_cap(monkeypatch):
     monkeypatch.setattr(kernel, "_CLOSURES", {})
     expanded = []
-    successors = kernel._DigitStep.successors
+    successors = kernel._Stepper.successors
 
-    def counted(self, poly):
-        expanded.append(poly)
-        return successors(self, poly)
+    def counted(self, states):
+        expanded.append(len(states))
+        return successors(self, states)
 
-    monkeypatch.setattr(kernel._DigitStep, "successors", counted)
+    monkeypatch.setattr(kernel._Stepper, "successors", counted)
     with pytest.raises(RuntimeError, match="cap of 100 states"):
         kernel_closure("gamma", 100)
-    assert 0 < len(expanded) <= 100
+    assert 0 < sum(expanded) <= 100
     assert kernel._CLOSURES == {}
+
+
+# The state-by-state build over memoised part images peaked at 4.1 MB
+# (tracemalloc, gamma) in a fresh process and at 3.2 MB with its imports
+# warm; the level-at-a-time build peaks at about 2.1 MB warm, most of it
+# the closure itself.  The budget sits under the old peak.
+CLOSURE_PEAK_BUDGET = 3_000_000
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_cold_closure_build_peaks_under_budget(start):
+    kernel._build_closure(start, kernel.DEFAULT_STATE_CAP)
+    tracemalloc.start()
+    try:
+        kernel._build_closure(start, kernel.DEFAULT_STATE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CLOSURE_PEAK_BUDGET
 
 
 def test_closure_cap_enforced():
