@@ -12,10 +12,10 @@ A generator is S[a,b]J, the stream J read at (n + a, p + b); a stays in
 splitting produces.  F only depends on the parity of a, so its shifts
 normalize to a in {0, 1}.
 
-apply_t(i, j, e) rewrites "evaluate e at (3n + i, 3p + j)" as another
-polynomial in shifted streams, using the eighteen splitting identities
-for G and D; a shifted generator splits by one of them read at an
-offset.  Monomial exponents are capped with
+The digit step (i, j) rewrites "evaluate e at (3n + i, 3p + j)" as
+another polynomial in shifted streams, using the eighteen splitting
+identities for G and D; a shifted generator splits by one of them read
+at an offset.  Monomial exponents are capped with
 x**3 = x, which every GF(3)-valued stream satisfies pointwise.  Every
 polynomial, closure states included, is held packed: each monomial is
 two bitmasks over the generators.
@@ -27,11 +27,11 @@ rows of one store, built in batches as products of the images of its G
 part and its D/F part, and the successors of a chunk of states are one
 gather of image rows reduced by one sort.
 
-Iterating apply_t from a single stream and collecting distinct normal
-forms gives a finite closure: the states of a deterministic automaton
-with output that reads the base-3 digits of n and p in parallel, least
-significant first, and lands on a state whose value at (0, 0) is the
-table entry.  build_dfao packages that automaton; export/parse give it
+Iterating the digit steps from a single stream and collecting distinct
+normal forms gives a finite closure: the states of a deterministic
+automaton with output that reads the base-3 digits of n and p in
+parallel, least significant first, and lands on a state whose value at
+(0, 0) is the table entry.  build_dfao packages that automaton; export/parse give it
 a stable on-disk form.
 """
 
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
@@ -376,8 +375,8 @@ class _Stepper:
         return _nine(self._slot[ids])
 
     def successors(self, states: _Rows) -> _Rows:
-        """apply_t with every digit pair: row 9 * k + d is the image of
-        state k under the d-th pair of _DIGIT_PAIRS."""
+        """The nine digit steps of each state: row 9 * k + d is state k
+        read at (3n + i, 3p + j), (i, j) the d-th pair of _DIGIT_PAIRS."""
         rows = self.image_rows(states.ids)
         starts = self._images.indptr[rows]
         lens = self._images.indptr[rows + 1] - starts
@@ -387,15 +386,6 @@ class _Stepper:
         coeffs = (np.repeat(np.repeat(states.coeffs.astype(np.int64), 9), lens)
                   * self._images.coeffs[at] % 3)
         return self._collect(targets, self._images.ids[at], coeffs, 9 * len(states))
-
-
-def apply_t(i: int, j: int, expr: KernelExpr) -> KernelExpr:
-    """The digit step: rewrite expr read at (3n + i, 3p + j) over (n, p)."""
-    if not (0 <= i <= 2 and 0 <= j <= 2):
-        raise ValueError("digits must lie in {0, 1, 2}")
-    stepper = _Stepper()
-    image = stepper.successors(stepper.to_rows([expr.poly])).take([3 * i + j])
-    return KernelExpr(stepper.to_packed(image)[0])
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -464,36 +454,6 @@ class Closure:
     states: tuple[KernelExpr, ...]
     witnesses: tuple[tuple[int, int, int], ...]
     transitions: tuple[tuple[int, ...], ...]
-
-
-_State = TypeVar("_State", bound=Hashable)
-
-
-def _explore(root: _State, successors: Callable[[_State], Iterable[_State]],
-             cap: int) -> tuple[list[_State], list[tuple[int, ...]]]:
-    """Breadth-first search from root.
-
-    Returns the states in discovery order and, for each, the indices of
-    its successors in the order successors(state) yields them.  Raises
-    once more than cap states appear.
-    """
-    index = {root: 0}
-    states = [root]
-    rows: list[tuple[int, ...]] = []
-    # The loop also visits the states appended while it runs.
-    for state in states:
-        row = []
-        for nxt in successors(state):
-            k = index.get(nxt)
-            if k is None:
-                k = len(states)
-                if k >= cap:
-                    raise RuntimeError(f"closure exceeded the cap of {cap} states")
-                index[nxt] = k
-                states.append(nxt)
-            row.append(k)
-        rows.append(tuple(row))
-    return states, rows
 
 
 _CLOSURES: dict[str, Closure] = {}
@@ -716,25 +676,33 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
     second component saturates.  The output of a pair is the state's
     value at (n // 3**consumed, 0): the automaton run from the state over
     the unconsumed digits of n, each paired with 0.  Only the automaton
-    is read, so a parsed export projects too.
+    is read, so a parsed export projects too.  That walk makes the work
+    grow with the square of the digits of n, so n may have at most
+    engine.MAX_INDEX_DIGITS of them, as for a cell.
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    engine._check_digits(n, 0)
     digits = []
     rest = n
     while rest:
         rest, d = divmod(rest, 3)
         digits.append(d)
     depth = len(digits)
-
-    def successors(pair: tuple[int, int]) -> list[tuple[int, int]]:
-        state, consumed = pair
+    index = {(dfao.start, 0): 0}
+    pairs = [(dfao.start, 0)]
+    rows: list[tuple[int, ...]] = []
+    # The loop also visits the pairs appended while it runs.
+    for state, consumed in pairs:
         dn = digits[consumed] if consumed < depth else 0
-        nxt_consumed = min(consumed + 1, depth)
-        return [(dfao.step(state, dn, dp), nxt_consumed) for dp in range(3)]
-
-    # There are at most n_states * (depth + 1) pairs, so the cap never bites.
-    pairs, rows = _explore((dfao.start, 0), successors, dfao.n_states * (depth + 1))
+        row = []
+        for dp in range(3):
+            nxt = (dfao.step(state, dn, dp), min(consumed + 1, depth))
+            if nxt not in index:
+                index[nxt] = len(pairs)
+                pairs.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
     outputs = []
     for state, consumed in pairs:
         for dn in digits[consumed:]:

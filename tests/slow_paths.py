@@ -9,7 +9,7 @@ them.  Import them from a test module as ``from slow_paths import ...``
 from __future__ import annotations
 
 import importlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -87,11 +87,6 @@ class _DigitStep:
         self._parts: dict[int, tuple[Packed, ...]] = {0: (_ONE,) * len(_DIGIT_PAIRS)}
         self._monomials: dict[int, tuple[Packed, ...]] = {}
 
-    @property
-    def memoised(self) -> int:
-        """Monomial images memoised, one per monomial and digit pair."""
-        return len(_DIGIT_PAIRS) * len(self._monomials)
-
     def _part(self, key: int) -> tuple[Packed, ...]:
         images = self._parts.get(key)
         if images is None:
@@ -115,7 +110,7 @@ class _DigitStep:
         return images
 
     def successors(self, poly: Packed) -> list[Packed]:
-        """apply_t with each digit pair, in the order of _DIGIT_PAIRS."""
+        """The nine digit steps of poly, in the order of _DIGIT_PAIRS."""
         counters: list[dict[int, int]] = [{} for _ in _DIGIT_PAIRS]
         for key, coeff in poly:
             for counter, image in zip(counters, self._images(key)):
@@ -124,21 +119,32 @@ class _DigitStep:
         return [_reduce(counter) for counter in counters]
 
 
-def closure_by_part_memo(start: str) -> kernel.Closure:
-    """The closure from "gamma" or "delta" as _DigitStep and
-    kernel._explore build it, one state at a time; a state is first
-    reached from the first row that names it, by the digit pair at its
-    first place there."""
-    root = {"gamma": kernel.GAMMA, "delta": kernel.DELTA}[start]
-    states, rows = kernel._explore(root.poly, _DigitStep().successors, kernel.DEFAULT_STATE_CAP)
-    witnesses = [(0, 0, 0)]
-    for parent, row in enumerate(rows):
-        m, r, s = witnesses[parent]
-        for (i, j), k in zip(_DIGIT_PAIRS, row):
-            if k == len(witnesses):
+def _closure_state_by_state(start: str,
+                            successors: Callable[[Packed], list[Packed]]) -> kernel.Closure:
+    """The closure from "gamma" or "delta", breadth first, one state at a
+    time: successors(state) gives its nine images in the order of
+    _DIGIT_PAIRS, and each witness is recorded as its state appears."""
+    root = {"gamma": kernel.GAMMA, "delta": kernel.DELTA}[start].poly
+    index = {root: 0}
+    states, witnesses, rows = [root], [(0, 0, 0)], []
+    # The loop also visits the states appended while it runs.
+    for state, (m, r, s) in zip(states, witnesses):
+        row = []
+        for (i, j), nxt in zip(_DIGIT_PAIRS, successors(state)):
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
                 witnesses.append((m + 1, r + 3 ** m * i, s + 3 ** m * j))
-    return kernel.Closure(root, tuple(map(kernel.KernelExpr, states)), tuple(witnesses),
-                          tuple(rows))
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return kernel.Closure(kernel.KernelExpr(root), tuple(map(kernel.KernelExpr, states)),
+                          tuple(witnesses), tuple(rows))
+
+
+def closure_by_part_memo(start: str) -> kernel.Closure:
+    """The closure from "gamma" or "delta" as _DigitStep builds it, one
+    state at a time."""
+    return _closure_state_by_state(start, _DigitStep().successors)
 
 
 class MonomialChainStep:
@@ -178,36 +184,23 @@ class MonomialChainStep:
             memo[key] = image
         return image
 
-    def step(self, d: int, poly: kernel.Packed) -> kernel.Packed:
-        """apply_t with the d-th digit pair of kernel._DIGIT_PAIRS."""
-        counter: dict[int, int] = {}
-        for key, coeff in poly:
-            for m, c in self._image(d, key):
-                counter[m] = counter.get(m, 0) + coeff * c
-        return kernel._reduce(counter)
+    def successors(self, poly: kernel.Packed) -> list[kernel.Packed]:
+        """The nine digit steps of poly, one pair at a time, in the order
+        of kernel._DIGIT_PAIRS."""
+        images = []
+        for d in range(len(kernel._DIGIT_PAIRS)):
+            counter: dict[int, int] = {}
+            for key, coeff in poly:
+                for m, c in self._image(d, key):
+                    counter[m] = counter.get(m, 0) + coeff * c
+            images.append(kernel._reduce(counter))
+        return images
 
 
 def closure_by_monomial_chains(start: str) -> kernel.Closure:
-    """The closure from "gamma" or "delta" as MonomialChainStep builds it:
-    breadth first, digit pairs in order, each witness recorded as its
-    state appears."""
-    root = {"gamma": kernel.GAMMA, "delta": kernel.DELTA}[start].poly
-    stepper = MonomialChainStep()
-    index = {root: 0}
-    states, witnesses, rows = [root], [(0, 0, 0)], []
-    # The loop also visits the states appended while it runs.
-    for state, (m, r, s) in zip(states, witnesses):
-        row = []
-        for d, (i, j) in enumerate(kernel._DIGIT_PAIRS):
-            nxt = stepper.step(d, state)
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                witnesses.append((m + 1, r + 3 ** m * i, s + 3 ** m * j))
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return kernel.Closure(kernel.KernelExpr(root), tuple(map(kernel.KernelExpr, states)),
-                          tuple(witnesses), tuple(rows))
+    """The closure from "gamma" or "delta" as MonomialChainStep builds it,
+    one state at a time."""
+    return _closure_state_by_state(start, MonomialChainStep().successors)
 
 
 def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cantor_hankel import checks, engine, kernel
-from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, apply_t,
-                                  build_dfao, evaluate_states, export_dfao,
+from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, build_dfao,
+                                  evaluate_states, export_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
 from slow_paths import (closure_by_monomial_chains, closure_by_part_memo,
@@ -68,10 +68,21 @@ def test_split_rules_against_oracle():
 
 DIGIT_PAIRS = list(itertools.product(range(3), range(3)))
 
+# One stepper for the module: its images, memoised as it steps, serve
+# every test that steps states.
+STEPPER = kernel._Stepper()
+
+
+def step_all(exprs):
+    """The nine digit steps of each expression: entry 9k + d is exprs[k]
+    read at (3n + i, 3p + j), (i, j) = DIGIT_PAIRS[d]."""
+    rows = STEPPER.successors(STEPPER.to_rows([expr.poly for expr in exprs]))
+    return [KernelExpr(poly) for poly in STEPPER.to_packed(rows)]
+
 
 def test_single_digit_steps_match_engine():
     for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
-        stepped = [apply_t(i, j, start) for i, j in DIGIT_PAIRS]
+        stepped = step_all([start])
         want = [[base(3 * n + i, 3 * p + j) for n, p in window_points(5)]
                 for i, j in DIGIT_PAIRS]
         assert evaluate_states(stepped, 5).tolist() == want
@@ -98,7 +109,7 @@ def test_two_digit_chains_match_engine():
     # reads the subsequence at (9n + 3*i2 + i1, 9p + 3*j2 + j1).
     for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
         chains = list(itertools.product(range(3), repeat=4))
-        chained = [apply_t(i2, j2, apply_t(i1, j1, start)) for i1, j1, i2, j2 in chains]
+        chained = step_all(step_all([start]))
         want = [[base(9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1) for n, p in window_points(2)]
                 for i1, j1, i2, j2 in chains]
         assert evaluate_states(chained, 2).tolist() == want
@@ -148,9 +159,10 @@ def test_closure_witnesses_sample():
     assert got == want
 
 
-def _reference_apply_t(i, j, expr):
-    """apply_t by term-by-term expansion: split every generator, multiply
-    the factors out with exponents capped, and collect like monomials."""
+def _reference_step(i, j, expr):
+    """The digit step (i, j) by term-by-term expansion: split every
+    generator, multiply the factors out with exponents capped, and
+    collect like monomials."""
 
     def mono_mul(m1, m2):
         powers = {}
@@ -182,11 +194,13 @@ def _reference_apply_t(i, j, expr):
 
 @pytest.mark.parametrize("start", ["gamma", "delta"])
 def test_packed_step_matches_term_by_term_expansion(start):
-    states = kernel_closure(start).states
-    for idx in range(0, CLOSURE_STATES, 40):
-        for i, j in itertools.product(range(3), range(3)):
-            assert apply_t(i, j, states[idx]).terms == \
-                _reference_apply_t(i, j, states[idx]), (start, idx, i, j)
+    states = kernel_closure(start).states[::40]
+    stepped = step_all(states)
+    assert len(stepped) == 369
+    for k, state in enumerate(states):
+        for d, (i, j) in enumerate(DIGIT_PAIRS):
+            assert stepped[9 * k + d].terms == _reference_step(i, j, state), \
+                (start, 40 * k, i, j)
 
 
 def _reference_evaluate(expr, n, p):
@@ -471,3 +485,28 @@ def test_projected_row_from_parsed_export(start, base):
         row = project_row(parsed, n)
         for p in range(41):
             assert row.evaluate(p) == base(n, p), (start, n, p)
+
+
+def test_projected_row_digest():
+    # Every field of each projection, so a renumbering of its pairs fails
+    # here even where every value a row reads stays right.
+    digest = hashlib.sha256()
+    for start in ("gamma", "delta"):
+        dfao = build_dfao(start)
+        for n in (0, 1, 2, 5, 13, 40, 81, 100, 242, 3 ** 20 - 1):
+            row = project_row(dfao, n)
+            digest.update(repr((row.start, row.outputs, row.transitions)).encode())
+    assert digest.hexdigest() == \
+        "323cbb02e60ab6d2c68fc280684ac9cb79cd6355ae6d6ed667475e29461c9bb0"
+
+
+def test_projected_row_caps_the_digits_of_n(monkeypatch):
+    dfao = build_dfao("gamma")
+    n = 3 ** engine.MAX_INDEX_DIGITS - 1
+    row = project_row(dfao, n)
+    assert [row.evaluate(p) for p in range(4)] == [engine.gamma_mod3(n, p) for p in range(4)]
+    steps = []
+    monkeypatch.setattr(kernel.Dfao2D, "step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="more than 200 base-3 digits"):
+        project_row(dfao, 3 ** engine.MAX_INDEX_DIGITS)
+    assert steps == []
