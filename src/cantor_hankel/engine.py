@@ -51,8 +51,8 @@ _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 # The table kinds in the order tables() returns them.
 KINDS = ("gamma", "delta")
 
-# Rectangles of at most this many cells are read cell by cell: below it
-# the eighteen array passes of a level cost more than the cells.
+# Rectangles of at most this many cells, and no others, are read cell by
+# cell: below it the eighteen array passes of a level cost more than the cells.
 _CELLWISE_AREA = 32
 
 
@@ -271,9 +271,9 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
     r_lo = max(n_lo, 2)
     if r_lo > n_hi:
         return out
-    if n_hi <= 3 or (n_hi - n_lo + 1) * width <= _CELLWISE_AREA:
-        # Rows [-1, 3] x columns [0, 1] map to themselves one level
-        # down, so the recursion ends here.
+    if (n_hi - n_lo + 1) * width <= _CELLWISE_AREA:
+        # A level down is about a third as tall and as wide, and rows
+        # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
         for stream, value in _CELLS.items():
             out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
                                          for n in range(r_lo, n_hi + 1)]
@@ -309,10 +309,9 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     n_lo // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1:
     each entry (i, j, stream) of SPLIT_RULES fills the rows n = i and the
     columns p = j mod 3 at once, every factor a contiguous slice of that
-    rectangle.  Anchor rows come from one numpy pass over the columns;
-    the other rows of rectangles with all rows at most 3 or with very
-    few cells are read cell by cell.  Gamma has no row -1;
-    its row there holds 0.  A rectangle of more than
+    rectangle.  Anchor rows come from one numpy pass over the columns,
+    and rectangles of at most _CELLWISE_AREA cells are read cell by
+    cell.  Gamma's row -1 holds 0.  A rectangle of more than
     DEFAULT_GRID_CELL_CAP cells is refused before any cell is computed.
     """
     if n_hi < n_lo or p_hi < p_lo:
@@ -446,19 +445,19 @@ def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
     window.  Returns the window and the candidate once the window
     repeats with it; failure there would falsify the periodicity bound
-    and raises.  A window of more than DEFAULT_GRID_CELL_CAP cells is
-    refused before any cell is computed, so without k_hint the largest
-    p scanned is 3**11.
+    and raises.  A window of more than DEFAULT_GRID_CELL_CAP cells, or a
+    k past the cap's bit length, is refused before any cell or larger
+    power is computed, so without k_hint the largest p scanned is 3**11.
     """
     index = _kind_index(kind)
-    k = k_hint
-    while p > 3 ** (k + 1):
+    k, k_max = k_hint, DEFAULT_GRID_CELL_CAP.bit_length()
+    while k < k_max and p > 3 ** (k + 1):
         k += 1
-    candidate = 12 * 3 ** k
+    candidate = 12 * 3 ** min(k, k_max)
     if 3 * candidate > DEFAULT_GRID_CELL_CAP:
         raise ValueError(
-            f"column p = {p} needs a scan of {3 * candidate} cells, over the "
-            f"cap {DEFAULT_GRID_CELL_CAP}")
+            f"column p = {p} needs a scan of more than {DEFAULT_GRID_CELL_CAP} "
+            "cells, over the cap")
     window = tables(first, first + 3 * candidate - 1, p, p)[index][:, 0]
     if not np.array_equal(window[:2 * candidate], window[candidate:]):
         raise RuntimeError(

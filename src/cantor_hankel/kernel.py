@@ -301,19 +301,19 @@ class _Stepper:
         bounds = polys.indptr.tolist()
         return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def _products(self, left: _Rows, lrows: np.ndarray, right: _Rows,
-                  rrows: np.ndarray) -> _Rows:
-        """Row k is row lrows[k] of left times row rrows[k] of right."""
-        lstart, rstart = left.indptr[lrows], right.indptr[rrows]
-        rlen = right.indptr[rrows + 1] - rstart
-        sizes = (left.indptr[lrows + 1] - lstart) * rlen
+    def _products(self, lrows: np.ndarray, rrows: np.ndarray) -> _Rows:
+        """Row k is row lrows[k] of the part store times its row rrows[k]."""
+        parts = self._parts
+        lstart, rstart = parts.indptr[lrows], parts.indptr[rrows]
+        rlen = parts.indptr[rrows + 1] - rstart
+        sizes = (parts.indptr[lrows + 1] - lstart) * rlen
         owner = np.repeat(np.arange(len(sizes)), sizes)
         at = _ragged(np.zeros_like(sizes), sizes)
         width = rlen[owner]
         x = lstart[owner] + at // width
         y = rstart[owner] + at % width
-        keys = _mono_product(self.keys[left.ids[x]], self.keys[right.ids[y]])
-        coeffs = left.coeffs[x].astype(np.int64) * right.coeffs[y] % 3
+        keys = _mono_product(self.keys[parts.ids[x]], self.keys[parts.ids[y]])
+        coeffs = parts.coeffs[x].astype(np.int64) * parts.coeffs[y] % 3
         return self._collect(owner, self._intern(keys), coeffs, len(sizes))
 
     def _add_parts(self, parts: list[int], images: _Rows) -> None:
@@ -351,7 +351,7 @@ class _Stepper:
             batch = [part for part, pair in factors.items() if pair and part.bit_count() == count]
             lefts = self._slot_rows([factors[part][0] for part in batch])
             rights = self._slot_rows([factors[part][1] for part in batch])
-            self._add_parts(batch, self._products(self._parts, lefts, self._parts, rights))
+            self._add_parts(batch, self._products(lefts, rights))
         return self._slot_rows(parts)
 
     def _slot_rows(self, parts: list[int]) -> np.ndarray:
@@ -369,7 +369,7 @@ class _Stepper:
             keys = self.keys[missing]
             parts = self._part_rows((keys & _G_BITS).tolist() + (keys & ~_G_BITS).tolist())
             half = len(parts) // 2
-            images = self._products(self._parts, parts[:half], self._parts, parts[half:])
+            images = self._products(parts[:half], parts[half:])
             self._slot[missing] = np.arange(len(missing)) + len(self._images) // 9
             self._images = _Rows.concat([self._images, images])
         return _nine(self._slot[ids])

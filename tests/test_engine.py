@@ -140,8 +140,16 @@ def test_column_window_refuses_before_computing_a_cell(monkeypatch):
         engine.column_window("gamma", 3 ** 11 + 1, 0)
     with pytest.raises(ValueError, match=f"p = {3 ** 40}"):
         engine.column_window("delta", 3 ** 40, 1)
-    with pytest.raises(ValueError, match="p = 2"):
-        engine.column_window("gamma", 2, 1, k_hint=11)
+    # A large k_hint is refused by the same message, with no power of 3
+    # past the cap computed or printed.
+    message = (f"column p = 2 needs a scan of more than {engine.DEFAULT_GRID_CELL_CAP} "
+               "cells, over the cap")
+    for k_hint in (11, 22, 3000, 10 ** 4, 3 * 10 ** 6):
+        with pytest.raises(ValueError) as refused:
+            engine.column_window("gamma", 2, 1, k_hint)
+        assert str(refused.value) == message, k_hint
+    with pytest.raises(ValueError, match="^column p = 1 needs a scan of more than"):
+        engine.column_period(1, 3 * 10 ** 6)
 
 
 def _assert_tables_match_scalar(n_lo, n_hi, p_lo, p_hi):
@@ -185,25 +193,34 @@ def test_tables_match_the_scalar_engine_from_the_boundary_rows():
     for p in (0, 1, 2, 5, 13, 40, 122, 3 ** 8 + 1):
         _assert_tables_match_scalar(-1, 300, p, p)
     _assert_tables_match_scalar(3 ** 9 - 5, 3 ** 9 + 5, 0, 400)
+    # Short wide rectangles, built by array passes down to a few cells.
+    _assert_tables_match_scalar(1, 3, 0, 2000)
+    _assert_tables_match_scalar(-1, 3, 7, 1500)
+    _assert_tables_match_scalar(2, 5, 3 ** 9, 3 ** 9 + 400)
+    _assert_tables_match_scalar(2, 2, 3 ** 12 - 100, 3 ** 12 + 300)
 
 
 def test_tables_match_elimination_over_the_oracle_window():
-    tables = dict(zip(engine.KINDS, engine.tables(1, 40, 0, 81)))
-    for kind, table in tables.items():
-        for n in range(1, 41):
-            dets = det_mod3_stack(hankel_stack(kind, 0, n, 82))
-            assert np.array_equal(table[n - 1], dets), (kind, n)
+    # The oracle window, and a short wide table built by array passes.
+    for n_max, p_max in ((40, 81), (3, 2000)):
+        tables = dict(zip(engine.KINDS, engine.tables(1, n_max, 0, p_max)))
+        for kind, table in tables.items():
+            for n in range(1, n_max + 1):
+                dets = det_mod3_stack(hankel_stack(kind, 0, n, p_max + 1))
+                assert np.array_equal(table[n - 1], dets), (kind, n, p_max)
 
 
 def test_grid_leaves_the_memo_small():
-    engine.clear_caches()
-    rows = engine.grid(1, 1000, 0, 999, "delta")
-    assert engine.gamma_mod3.cache_info().currsize < 5000
-    assert engine.delta_mod3.cache_info().currsize < 5000
-    rng = random.Random(10)
-    for _ in range(300):
-        n, p = rng.randint(1, 1000), rng.randrange(1000)
-        assert rows[n - 1][p] == engine.delta_mod3(n, p), (n, p)
+    for n_hi, p_hi, kind in ((2, 99_999, "gamma"), (1000, 999, "delta")):
+        engine.clear_caches()
+        rows = engine.grid(1, n_hi, 0, p_hi, kind)
+        assert engine.gamma_mod3.cache_info().currsize < 5000, (n_hi, p_hi)
+        assert engine.delta_mod3.cache_info().currsize < 5000, (n_hi, p_hi)
+        value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
+        rng = random.Random(10)
+        for _ in range(300):
+            n, p = rng.randint(1, n_hi), rng.randrange(p_hi + 1)
+            assert rows[n - 1][p] == value(n, p), (kind, n, p)
 
 
 def _assert_anchor_rows_match_scalar(p_lo, count, step=1):
