@@ -38,11 +38,11 @@ class CheckResult:
 
 
 # The budget of one stack the oracle sweep eliminates at once, in matrix
-# entries: each entry is an int8 residue, and each matrix also carries
+# entries: each entry is an int16 residue, and each matrix also carries
 # about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot row
 # and liveness), which dominates at small orders.  An elimination step
-# peaks at a few times the budget, about 260 KiB at every order up to
-# 362 on a 64-bit build.
+# peaks at a few times the budget, at most about 385 KiB at every order
+# up to 362 on a 64-bit build.
 STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
 
@@ -55,8 +55,8 @@ ORACLE_READ_CAP = 250_000
 
 # The most elimination work, the sum over n <= n_max of n**3 * 2 *
 # (p_max + 1), of one oracle sweep.  A 2-core VM eliminates about
-# 3.1-3.7 ns per unit at the largest orders, so windows near the cap
-# take 9-11 s: (277, 0) 10.6 s, (233, 1) 10.9 s, (100, 57) 9.1 s.  The
+# 1.2-1.8 ns per unit at the largest orders, so windows near the cap
+# take 3-6 s: (277, 0) 5.3 s, (233, 1) 3.8 s, (100, 57) 3.4 s.  The
 # largest window in use, (40, 81), is 1.1e8.
 ORACLE_WORK_CAP = 3_000_000_000
 

@@ -445,11 +445,13 @@ def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
     window.  Returns the window and the candidate once the window
     repeats with it; failure there would falsify the periodicity bound
-    and raises.  A window of more than DEFAULT_GRID_CELL_CAP cells, or a
-    k past the cap's bit length, is refused before any cell or larger
-    power is computed, so without k_hint the largest p scanned is 3**11.
+    and raises.  A p of more than MAX_INDEX_DIGITS base-3 digits, a
+    window of more than DEFAULT_GRID_CELL_CAP cells, or a k past the
+    cap's bit length, is refused before any cell or larger power is
+    computed, so without k_hint the largest p scanned is 3**11.
     """
     index = _kind_index(kind)
+    _check_digits(0, p)
     k, k_max = k_hint, DEFAULT_GRID_CELL_CAP.bit_length()
     while k < k_max and p > 3 ** (k + 1):
         k += 1

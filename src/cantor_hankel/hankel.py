@@ -12,8 +12,9 @@ recurrences.
 Matrices are 2-D int64 numpy arrays; the determinants and the
 conjugation accept any square array-like of integers, of any size, and
 leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
-before they narrow it to int8, and every oracle refuses a non-integer
-entry.
+before they narrow it to int16 (int32 past order LAZY_INT16_ORDER), then
+eliminate with lazy reduction: each step reduces only its pivot column
+and row.  Every oracle refuses a non-integer entry.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
@@ -39,10 +40,18 @@ from .sequences import cantor_term, diff_term
 
 # Largest order of any matrix built here, a bound on the cubic
 # elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
-# numpy 2.4) det_mod3 takes about 0.11 s and det_exact 1.4-1.8 s, most of
-# the latter on Python ints once the minors outgrow int64.  The
-# package's own callers stay at or below order 150.
+# numpy 2.4), at offsets up to 27, det_mod3 takes 0.03-0.05 s and
+# det_exact 2-5 s, most of the latter on Python ints once the minors
+# outgrow int64.  The package's own callers stay at or below order 150.
 MAX_HANKEL_ORDER = 500
+
+# Largest order the GF(3) oracles eliminate on int16.  They start from
+# residues 0..2 and reduce only the pivot column and row at each step,
+# so a step moves an entry of the trailing block by at most a product of
+# three residues, 2 * 2 * 2 = 8.  An order-n matrix takes n - 1 such
+# steps, and 2 + 8 * 4095 < 2**15.  Past this order they use int32,
+# whose bound holds for any order that fits in memory.
+LAZY_INT16_ORDER = 4096
 
 _TERMS = {"gamma": cantor_term, "delta": diff_term}
 
@@ -109,14 +118,16 @@ def _square(m, ndim: int = 2) -> np.ndarray:
 
 
 def _residues(m, ndim: int) -> np.ndarray:
-    """A fresh int8 copy of m reduced mod 3.
+    """A fresh copy of m reduced mod 3, int16 up to order LAZY_INT16_ORDER
+    and int32 past it.
 
     The remainder is taken in m's own integer type (Python ints for an
-    object array), and only the residues 0, 1, 2 are narrowed to int8:
-    200 narrowed first would wrap to -56, which has another residue.
+    object array), and only the residues 0, 1, 2 are narrowed: 200
+    narrowed to int8 first would wrap to -56, which has another residue.
     """
     a = _square(m, ndim)
-    return np.remainder(a, 3, out=np.empty(a.shape, np.int8), casting="unsafe")
+    dtype = np.int16 if a.shape[-1] <= LAZY_INT16_ORDER else np.int32
+    return np.remainder(a, 3, out=np.empty(a.shape, dtype), casting="unsafe")
 
 
 def _peak(block: np.ndarray) -> int:
@@ -182,37 +193,51 @@ def det_exact(m) -> int:
 def det_mod3(m) -> int:
     """Determinant mod 3 by Gaussian elimination over GF(3).
 
-    Uses numpy row operations on the int8 residues; every nonzero
-    residue is its own inverse in GF(3), so no inverse table is needed.
+    Uses numpy row operations on integer representatives of the
+    residues (see _residues), reduced lazily: each step reduces only
+    the pivot column and the pivot row, and updates the trailing block
+    without reducing it.  Every nonzero residue is its own inverse in
+    GF(3), so no inverse table is needed.
     """
     a = _residues(m, 2)
     n = len(a)
     det = 1
     for k in range(n):
-        nonzero = np.flatnonzero(a[k:, k])
-        if nonzero.size == 0:
+        col = a[k:, k] % 3
+        i = int(col.argmax())
+        pivot = int(col[i])
+        if pivot == 0:
             return 0
-        i = k + int(nonzero[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            det = -det
-        pivot = int(a[k, k])
         det = det * pivot % 3
         if k + 1 < n:
-            # pivot times the column clears it below the pivot.
-            below = a[k + 1:]
-            below -= (a[k + 1:, k] * pivot)[:, None] * a[k]
-            below %= 3
+            row = a[k + i, k + 1:] % 3
+            if i:
+                # Row k takes the pivot row's place; only its trailing
+                # part is read again.
+                a[k + i, k + 1:] = a[k, k + 1:]
+                col[i] = col[0]
+                det = -det
+            # Entry j of the column times pivot (its own inverse) clears
+            # it, and -2 is 1 mod 3, so the step subtracts or adds
+            # col[j] * row, at most 4, within LAZY_INT16_ORDER's bound.
+            update = np.multiply.outer(col[1:], row)
+            block = a[k + 1:, k + 1:]
+            if pivot == 1:
+                block -= update
+            else:
+                block += update
     return det % 3
 
 
 def det_mod3_stack(a) -> np.ndarray:
     """Determinants mod 3 of an (s, n, n) stack, as an int8 array of s residues.
 
-    All s matrices are eliminated over GF(3) together: at step k each
-    takes its own pivot row, the first row at or below k with a nonzero
-    entry in column k, and a matrix with no pivot left is singular, 0.
-    Entry t equals det_mod3(a[t]).  An (s, 0, 0) stack gives s ones.
+    All s matrices are eliminated over GF(3) together, each step reducing
+    only the pivot columns and rows, as in det_mod3: at step k each
+    matrix takes its own pivot row, the first row at or below k whose
+    entry in column k is a largest residue, and a matrix with no nonzero
+    residue left there is singular, 0.  Entry t equals det_mod3(a[t]).
+    An (s, 0, 0) stack gives s ones.
     """
     a = _residues(a, 3)
     s, n = a.shape[:2]
@@ -220,23 +245,25 @@ def det_mod3_stack(a) -> np.ndarray:
     live = np.arange(s)  # the input matrix held in each row of a
     det = np.ones(s, np.int8)
     for k in range(n):
-        rows = k + np.argmax(a[:, k:, k] != 0, axis=1)
-        pivot = a[np.arange(len(rows)), rows, k]
+        col = a[:, k:, k] % 3
+        rows = col.argmax(axis=1)
+        pivot = col.max(axis=1)
         if not pivot.all():
             keep = np.flatnonzero(pivot)
             if keep.size == 0:
                 return out
             a, live, det = a[keep], live[keep], det[keep]
-            rows, pivot = rows[keep], pivot[keep]
-        swap = np.flatnonzero(rows != k)
-        if swap.size:
-            a[swap, k], a[swap, rows[swap]] = a[swap, rows[swap]], a[swap, k]
-            det[swap] = 3 - det[swap]  # a row swap negates the determinant
+            col, rows, pivot = col[keep], rows[keep], pivot[keep]
         det = det * pivot % 3
         if k + 1 < n:
-            below = a[:, k + 1:]
-            below -= (a[:, k + 1:, k] * pivot[:, None])[:, :, None] * a[:, k, None]
-            below %= 3
+            row = a[np.arange(len(rows)), k + rows, k + 1:] % 3
+            swap = np.flatnonzero(rows)
+            if swap.size:
+                a[swap, k + rows[swap], k + 1:] = a[swap, k, k + 1:]
+                col[swap, rows[swap]] = col[swap, 0]
+                det[swap] = 3 - det[swap]  # a row swap negates the determinant
+            # At most 2 * 2 * 2 = 8 off each entry: LAZY_INT16_ORDER.
+            a[:, k + 1:, k + 1:] -= (col[:, 1:] * pivot[:, None])[:, :, None] * row[:, None]
     out[live] = det
     return out
 

@@ -63,13 +63,24 @@ class PadeApproximant:
             raise ValueError("denominator vanishes at 0")
 
     def value_at(self, x: Fraction) -> Fraction:
-        return _poly_eval(self.numerator, x) / _poly_eval(self.denominator, x)
+        """P(x) / Q(x), exactly; ZeroDivisionError where Q(x) = 0.
+
+        With x = u/v in lowest terms both values are scaled by v**(d-1),
+        d the longer coefficient count, so each is an integer and only
+        the one Fraction at the end takes a gcd.
+        """
+        u, v = x.numerator, x.denominator
+        d = max(len(self.numerator), len(self.denominator))
+        return Fraction(_homogeneous(self.numerator, u, v, d),
+                        _homogeneous(self.denominator, u, v, d))
 
 
-def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _homogeneous(coeffs: tuple[int, ...], u: int, v: int, d: int) -> int:
+    """The sum of coeffs[k] * u**k * v**(d-1-k), by Horner's rule."""
+    acc, scale = 0, v ** (d - len(coeffs))
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * u + c * scale
+        scale *= v
     return acc
 
 

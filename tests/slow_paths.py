@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from cantor_hankel import cli, engine, kernel
+from cantor_hankel.hankel import _square
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
 from cantor_hankel.pade import PadeApproximant
@@ -291,3 +292,80 @@ def pade_by_elimination(order: int) -> PadeApproximant:
     p = [sum((q[j] * c[k - j] for j in range(min(k, order) + 1)), Fraction(0))
          for k in range(order)]
     return pade_module._normalised(order, p, q)
+
+
+def pade_value_by_fraction_horner(approximant: PadeApproximant, x: Fraction) -> Fraction:
+    """PadeApproximant.value_at as Horner's rule in Fractions, a gcd at
+    every step, which the integer Horner of value_at replaced."""
+    def poly_eval(coeffs: tuple[int, ...]) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    return poly_eval(approximant.numerator) / poly_eval(approximant.denominator)
+
+
+def _residues(m, ndim: int) -> np.ndarray:
+    """A fresh int8 copy of m reduced mod 3.
+
+    The remainder is taken in m's own integer type (Python ints for an
+    object array), and only the residues 0, 1, 2 are narrowed to int8:
+    200 narrowed first would wrap to -56, which has another residue.
+    """
+    a = _square(m, ndim)
+    return np.remainder(a, 3, out=np.empty(a.shape, np.int8), casting="unsafe")
+
+
+def det_mod3_by_full_reduction(m) -> int:
+    """hankel.det_mod3 as it reduced the whole trailing block mod 3 at
+    every step, on int8 residues."""
+    a = _residues(m, 2)
+    n = len(a)
+    det = 1
+    for k in range(n):
+        nonzero = np.flatnonzero(a[k:, k])
+        if nonzero.size == 0:
+            return 0
+        i = k + int(nonzero[0])
+        if i != k:
+            a[[k, i]] = a[[i, k]]
+            det = -det
+        pivot = int(a[k, k])
+        det = det * pivot % 3
+        if k + 1 < n:
+            # pivot times the column clears it below the pivot.
+            below = a[k + 1:]
+            below -= (a[k + 1:, k] * pivot)[:, None] * a[k]
+            below %= 3
+    return det % 3
+
+
+def det_mod3_stack_by_full_reduction(a) -> np.ndarray:
+    """hankel.det_mod3_stack as it reduced the whole trailing blocks mod 3
+    at every step, on int8 residues."""
+    a = _residues(a, 3)
+    s, n = a.shape[:2]
+    out = np.zeros(s, np.int8)
+    live = np.arange(s)  # the input matrix held in each row of a
+    det = np.ones(s, np.int8)
+    for k in range(n):
+        rows = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        pivot = a[np.arange(len(rows)), rows, k]
+        if not pivot.all():
+            keep = np.flatnonzero(pivot)
+            if keep.size == 0:
+                return out
+            a, live, det = a[keep], live[keep], det[keep]
+            rows, pivot = rows[keep], pivot[keep]
+        swap = np.flatnonzero(rows != k)
+        if swap.size:
+            a[swap, k], a[swap, rows[swap]] = a[swap, rows[swap]], a[swap, k]
+            det[swap] = 3 - det[swap]  # a row swap negates the determinant
+        det = det * pivot % 3
+        if k + 1 < n:
+            below = a[:, k + 1:]
+            below -= (a[:, k + 1:, k] * pivot[:, None])[:, :, None] * a[:, k, None]
+            below %= 3
+    out[live] = det
+    return out

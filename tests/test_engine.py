@@ -152,6 +152,24 @@ def test_column_window_refuses_before_computing_a_cell(monkeypatch):
         engine.column_period(1, 3 * 10 ** 6)
 
 
+@pytest.mark.parametrize("p", [3 ** 200, 3 ** 300, 10 ** 5000],
+                         ids=["3^200", "3^300", "10^5000"])
+def test_column_window_refuses_a_p_over_the_digit_cap(monkeypatch, p):
+    # Checked before the scan cap, whose message prints p: 10**5000 has
+    # too many decimal digits to print at all.
+    def tables(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+    monkeypatch.setattr(engine, "tables", tables)
+    message = f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits, over the cap"
+    for scan in (lambda: engine.column_window("gamma", p, 0),
+                 lambda: engine.column_period(p, 0, "delta")):
+        with pytest.raises(ValueError) as refused:
+            scan()
+        assert str(refused.value) == message
+    with pytest.raises(ValueError, match=f"^column p = {3 ** 200 - 1} needs a scan"):
+        engine.column_window("gamma", 3 ** 200 - 1, 0)
+
+
 def _assert_tables_match_scalar(n_lo, n_hi, p_lo, p_hi):
     """tables() against the scalar engine, cell by cell; gamma's row -1 is 0."""
     gamma, delta = engine.tables(n_lo, n_hi, p_lo, p_hi)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cantor_hankel import hankel
 from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
                                   det_mod3, det_mod3_stack, hankel_matrix,
                                   hankel_stack, permutation_matrix,
                                   permutation_p, stride3_matrix,
                                   verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
+from slow_paths import det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -296,6 +298,68 @@ def test_stack_matches_one_matrix_oracles_over_the_oracle_window():
                 assert stacked[p] == det_mod3(m), (kind, n, p)
                 if n <= 24:
                     assert stacked[p] == det_exact(m) % 3, (kind, n, p)
+
+
+# Stacks of s n x n matrices of one dtype: small entries of both signs,
+# entries past 2**63 (object only), and the ends of uint8.  The last row
+# of the second half repeats the first, so those members are singular
+# over the integers, found only at the last step.
+_LAZY_ENTRY = {
+    np.int64: st.one_of(st.integers(-9, 9), st.integers(-2 ** 63, 2 ** 63 - 1)),
+    np.uint8: st.one_of(st.integers(0, 9), st.integers(200, 255)),
+    object: st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, -2 ** 63),
+                      st.integers(2 ** 63, 2 ** 80)),
+}
+
+
+@st.composite
+def st_lazy_stack(draw):
+    dtype = draw(st.sampled_from(list(_LAZY_ENTRY)))
+    s, n = draw(st.integers(0, 4)), draw(st.integers(0, 7))
+    flat = draw(st.lists(_LAZY_ENTRY[dtype], min_size=s * n * n, max_size=s * n * n))
+    a = np.array(flat, dtype=dtype).reshape(s, n, n)
+    singular = a.copy()
+    if n >= 2:
+        singular[:, -1] = singular[:, 0]
+    return np.concatenate([a, singular])
+
+
+@given(st_lazy_stack())
+@settings(max_examples=150, deadline=None)
+def test_lazy_reduction_matches_full_reduction(stack):
+    expected = det_mod3_stack_by_full_reduction(stack).tolist()
+    got = det_mod3_stack(stack)
+    assert got.dtype == np.int8 and got.tolist() == expected
+    assert [det_mod3(m) for m in stack] == expected
+    assert [det_mod3_by_full_reduction(m) for m in stack] == expected
+    if stack.shape[1] >= 2:
+        assert not got[len(stack) // 2:].any()
+
+
+@pytest.mark.parametrize("n", [150, 300, 500])
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+def test_lazy_reduction_matches_full_reduction_at_high_orders(kind, n):
+    # Order 500 is MAX_HANKEL_ORDER, the widest matrix built here.
+    stacked = det_mod3_stack(hankel_stack(kind, 0, n, 6)).tolist()
+    for p in (0, 1, 2, 5):
+        m = hankel_matrix(kind, p, n)
+        assert stacked[p] == det_mod3(m) == det_mod3_by_full_reduction(m), (kind, n, p)
+
+
+def test_int32_past_the_int16_order(monkeypatch):
+    # The bound of the comment at LAZY_INT16_ORDER.
+    assert 2 + 8 * (hankel.LAZY_INT16_ORDER - 1) <= np.iinfo(np.int16).max
+    m = hankel_matrix("delta", 2, 8)
+    assert hankel._residues(m, 2).dtype == np.int16
+    monkeypatch.setattr(hankel, "LAZY_INT16_ORDER", 3)
+    assert hankel._residues(m, 2).dtype == np.int32
+    assert hankel._residues(m[:3, :3], 2).dtype == np.int16
+    for kind in ("gamma", "delta"):
+        for n in range(1, 31):
+            stack = hankel_stack(kind, 0, n, 13)
+            expected = det_mod3_stack_by_full_reduction(stack).tolist()
+            assert det_mod3_stack(stack).tolist() == expected, (kind, n)
+            assert [det_mod3(m) for m in stack] == expected, (kind, n)
 
 
 def test_sorting_permutation():

@@ -14,7 +14,7 @@ from cantor_hankel.pade import (MAX_BASE, MAX_PADE_ORDER, PadeApproximant,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
-from slow_paths import pade_by_elimination
+from slow_paths import pade_by_elimination, pade_value_by_fraction_horner
 
 # The module itself: the package rebinds the name pade to the function.
 pade_module = importlib.import_module("cantor_hankel.pade")
@@ -187,6 +187,25 @@ def test_error_leading_literals():
 def test_value_at():
     assert pade(3).value_at(Fraction(1, 2)) == Fraction(5, 4)
     assert pade(2).value_at(Fraction(1, 2)) == Fraction(4, 3)
+
+
+def test_value_at_matches_fraction_horner():
+    points = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-3, 5),
+              Fraction(1, 2 ** 32), Fraction(5), Fraction(0)]
+    for approx in pade_diagonal(80):
+        for x in points:
+            assert approx.value_at(x) == pade_value_by_fraction_horner(approx, x), \
+                (approx.order, x)
+
+
+def test_value_at_a_root_of_the_denominator():
+    # Q(x) = (1 - 2x)(1 + x**2) vanishes at 1/2, and the common scale
+    # has to reach the denominator's degree, past the numerator's.
+    approx = PadeApproximant(3, (1, 1), (1, -2, 1, -2))
+    for value_at in (approx.value_at, lambda x: pade_value_by_fraction_horner(approx, x)):
+        with pytest.raises(ZeroDivisionError):
+            value_at(Fraction(1, 2))
+    assert approx.value_at(Fraction(-1, 3)) == Fraction(2, 3) / Fraction(50, 27)
 
 
 def test_functional_equation():
