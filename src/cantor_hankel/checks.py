@@ -20,8 +20,8 @@ from functools import cache
 import numpy as np
 
 from . import engine, kernel, series
-from .hankel import (MAX_HANKEL_ORDER, det_exact, det_mod3, det_mod3_stack,
-                     hankel_matrix, hankel_stack, verify_structure)
+from .hankel import (MAX_HANKEL_ORDER, det_exact, det_mod3, hankel_matrix,
+                     hankel_stack, minors_mod3_stack, verify_structure)
 from .pade import verify_functional_equation as _feq_report
 from .pade import verify_pade_error
 
@@ -39,10 +39,9 @@ class CheckResult:
 
 # The budget of one stack the oracle sweep eliminates at once, in matrix
 # entries: each entry is an int16 residue, and each matrix also carries
-# about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot row
-# and liveness), which dominates at small orders.  An elimination step
-# peaks at a few times the budget, at most about 385 KiB at every order
-# up to 362 on a 64-bit build.
+# about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot
+# rows and minors), which dominates at small orders.  A step peaks at
+# about 390 KiB at every order up to 362 on a 64-bit build.
 STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
 
@@ -54,10 +53,10 @@ STACK_OVERHEAD = 64
 ORACLE_READ_CAP = 250_000
 
 # The most elimination work, the sum over n <= n_max of n**3 * 2 *
-# (p_max + 1), of one oracle sweep.  A 2-core VM eliminates about
-# 1.2-1.8 ns per unit at the largest orders, so windows near the cap
-# take 3-6 s: (277, 0) 5.3 s, (233, 1) 3.8 s, (100, 57) 3.4 s.  The
-# largest window in use, (40, 81), is 1.1e8.
+# (p_max + 1), of one oracle sweep, as if each order were eliminated on
+# its own; only order n_max is.  Cold in process on a 2-core VM, (277, 0)
+# and (233, 1) take 0.04 s and (100, 57) 0.11 s, against 3.0-4.3 s one
+# order at a time.  (40, 81), the largest window in use, is 1.1e8.
 ORACLE_WORK_CAP = 3_000_000_000
 
 
@@ -70,13 +69,12 @@ def _need(window: str, bound: str, value: int, least: int) -> None:
 def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     """Engine values against eliminated determinants, both families.
 
-    For each order n the matrices at every offset are eliminated as a
-    few stacks within the STACK_ENTRIES budget.  Every engine value is a
-    scalar engine read, compared in the order n, then p, gamma before
-    delta.  The reads stay in the engine's memo and elimination grows as
-    n_max**4 * p_max, so a window of more than ORACLE_READ_CAP reads or
-    ORACLE_WORK_CAP units of elimination work is refused before any read
-    or elimination.
+    The order-n_max matrices at all offsets are eliminated as a few
+    stacks within STACK_ENTRIES, whose leading minors give every order.
+    Every engine value is a scalar read, compared in the order n, then
+    p, gamma before delta.  The reads stay in the engine's memo, so a
+    window of more than ORACLE_READ_CAP reads or ORACLE_WORK_CAP units
+    of elimination work is refused before any read or elimination.
     """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
@@ -95,20 +93,20 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
         raise ValueError(
             f"the oracle window takes {work} units of elimination work, over the "
             f"cap of {ORACLE_WORK_CAP}")
+    chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
+    # Row n - 1 of each table: the order-n determinants at every offset.
+    tables = [np.concatenate([
+        minors_mod3_stack(hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p)))
+        for p in range(0, p_max + 1, chunk)]).T.tolist() for kind in engine.KINDS]
     engines = (engine.gamma_mod3, engine.delta_mod3)
     for n in range(1, n_max + 1):
-        chunk = max(1, STACK_ENTRIES // (n * n + STACK_OVERHEAD))
-        for p_lo in range(0, p_max + 1, chunk):
-            count = min(chunk, p_max + 1 - p_lo)
-            dets = [det_mod3_stack(hankel_stack(kind, p_lo, n, count)).tolist()
-                    for kind in engine.KINDS]
-            for p, expect in enumerate(zip(*dets), p_lo):
-                for kind, value, expected in zip(engine.KINDS, engines, expect):
-                    if value(n, p) != expected:
-                        return CheckResult(
-                            name, False,
-                            f"first mismatch {kind} at n={n} p={p}: engine "
-                            f"{value(n, p)}, determinant {expected}")
+        for p, expect in enumerate(zip(*(rows[n - 1] for rows in tables))):
+            for kind, value, expected in zip(engine.KINDS, engines, expect):
+                if value(n, p) != expected:
+                    return CheckResult(
+                        name, False,
+                        f"first mismatch {kind} at n={n} p={p}: engine "
+                        f"{value(n, p)}, determinant {expected}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}, both families")
 
 

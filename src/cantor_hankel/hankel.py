@@ -4,10 +4,10 @@ Everything here is computed directly from matrix entries: fraction-free
 elimination over the integers for exact determinants (det_exact, on
 int64 blocks while a bound proves the products fit, on Python ints
 after) and Gaussian elimination over GF(3) for the fast residue path,
-one matrix at a time (det_mod3) or a whole stack at once
-(det_mod3_stack).  No recurrence from the rest of the package is used,
-which is what makes these functions usable as oracles against those
-recurrences.
+one matrix at a time (det_mod3) or every leading minor of a whole stack
+at once (minors_mod3_stack).  No recurrence from the rest of the
+package is used, which is what makes these functions usable as oracles
+against those recurrences.
 
 Matrices are 2-D int64 numpy arrays; the determinants and the
 conjugation accept any square array-like of integers, of any size, and
@@ -22,7 +22,7 @@ Matrix families, with u one of c, d and all indices starting at 1:
   "gamma" for u = c and "delta" for u = d.
 * hankel_stack(kind, p, n, count): the count matrices hankel_matrix(kind,
   p + o, n), 0 <= o < count, as one read-only (count, n, n) view of
-  their terms, the input det_mod3_stack eliminates in one pass.
+  their terms, the input minors_mod3_stack eliminates in one pass.
 * stride3_matrix(kind, q, n): the n x n matrix (u_{q+3(i+j-2)}), the
   blocks that appear after conjugating a Hankel matrix by the mod-3
   row/column sorting permutation.
@@ -89,7 +89,7 @@ def hankel_stack(kind: str, p: int, n: int, count: int) -> np.ndarray:
     """The order-n Hankel matrices at offsets p, p + 1, ..., p + count - 1.
 
     A read-only (count, n, n) int64 view of their count + 2n - 2 terms,
-    so it costs no more memory than those terms; det_mod3_stack
+    so it costs no more memory than those terms; minors_mod3_stack
     eliminates it in one pass.
     """
     return _hankel(kind, p, 1, n, count)
@@ -229,43 +229,54 @@ def det_mod3(m) -> int:
     return det % 3
 
 
-def det_mod3_stack(a) -> np.ndarray:
-    """Determinants mod 3 of an (s, n, n) stack, as an int8 array of s residues.
+def minors_mod3_stack(a) -> np.ndarray:
+    """Leading minors mod 3 of an (s, n, n) stack, as an (s, n) int8 array.
 
-    All s matrices are eliminated over GF(3) together, each step reducing
-    only the pivot columns and rows, as in det_mod3: at step k each
-    matrix takes its own pivot row, the first row at or below k whose
-    entry in column k is a largest residue, and a matrix with no nonzero
-    residue left there is singular, 0.  Entry t equals det_mod3(a[t]).
-    An (s, 0, 0) stack gives s ones.
+    Entry (t, k - 1) is det(a[t][:k, :k]) mod 3, from one lazily reduced
+    pass over GF(3).  In each column, a matrix's topmost unused row with
+    a nonzero residue is its pivot and clears the later rows (a unit
+    lower-triangular L); adding the earlier pivot columns, one nonzero
+    entry each, zeroes the used rows (a unit upper-triangular U).  So
+    L a U is a scaled partial permutation with a's leading minors: that
+    of order k is nonzero exactly when columns 0..k-1 have pivots in
+    rows 0..k-1, and then (-1) ** (inversions + pivots equal to 2).
     """
     a = _residues(a, 3)
     s, n = a.shape[:2]
-    out = np.zeros(s, np.int8)
+    out = np.zeros((s, n), np.int8)
     live = np.arange(s)  # the input matrix held in each row of a
-    det = np.ones(s, np.int8)
+    pivots = np.zeros((s, n), np.intp)  # the pivot row of each column so far
+    det = np.ones(s, np.int16)  # the sign times the product of the pivots
     for k in range(n):
-        col = a[:, k:, k] % 3
-        rows = col.argmax(axis=1)
-        pivot = col.max(axis=1)
-        if not pivot.all():
-            keep = np.flatnonzero(pivot)
-            if keep.size == 0:
-                return out
-            a, live, det = a[keep], live[keep], det[keep]
-            col, rows, pivot = col[keep], rows[keep], pivot[keep]
-        det = det * pivot % 3
-        if k + 1 < n:
-            row = a[np.arange(len(rows)), k + rows, k + 1:] % 3
-            swap = np.flatnonzero(rows)
-            if swap.size:
-                a[swap, k + rows[swap], k + 1:] = a[swap, k, k + 1:]
-                col[swap, rows[swap]] = col[swap, 0]
-                det[swap] = 3 - det[swap]  # a row swap negates the determinant
-            # At most 2 * 2 * 2 = 8 off each entry: LAZY_INT16_ORDER.
-            a[:, k + 1:, k + 1:] -= (col[:, 1:] * pivot[:, None])[:, :, None] * row[:, None]
-    out[live] = det
+        col = a[:, :, 0] % 3  # a keeps only columns k and on
+        top = (col != 0).argmax(axis=1)
+        pivot = col[np.arange(len(top)), top]
+        keep = np.flatnonzero(pivot)
+        if keep.size == 0:
+            return out
+        if keep.size < len(pivot):  # every later minor of these is 0
+            a, live, pivots, det = a[keep], live[keep], pivots[keep], det[keep]
+            col, top, pivot = col[keep], top[keep], pivot[keep]
+        pivots[:, k] = top
+        # Earlier pivot rows below this one are inversions; -1 is 2 mod 3.
+        inversions = (pivots[:, :k] > top[:, None]).sum(axis=1)
+        det = det * pivot * (1 + inversions % 2) % 3
+        out[live, k] = np.where(pivots[:, :k + 1].max(axis=1) <= k, det, 0)
+        # Rows above the highest pivot have no residue in column k.  The
+        # pivot row's factor, pivot * pivot = 1 mod 3, leaves it zero (U).
+        # At most 2 * 2 * 2 = 8 off each entry, in int8: LAZY_INT16_ORDER.
+        lo = top.min()
+        row = (a[np.arange(len(top)), top, 1:] % 3).astype(np.int8)
+        factor = (col[:, lo:] * pivot[:, None]).astype(np.int8)
+        a = a[:, :, 1:]
+        a[:, lo:] -= factor[:, :, None] * row[:, None]
     return out
+
+
+def det_mod3_stack(a) -> np.ndarray:
+    """Determinants mod 3 of a stack: minors_mod3_stack(a)[:, -1], or 1s at n = 0."""
+    minors = minors_mod3_stack(a)
+    return minors[:, -1].copy() if minors.shape[1] else np.ones(len(minors), np.int8)
 
 
 def permutation_p(n: int) -> list[int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cantor_hankel import cli, engine, kernel
+from cantor_hankel import cli, engine, hankel, kernel
 from cantor_hankel.hankel import _square
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
@@ -367,5 +367,43 @@ def det_mod3_stack_by_full_reduction(a) -> np.ndarray:
             below = a[:, k + 1:]
             below -= (a[:, k + 1:, k] * pivot[:, None])[:, :, None] * a[:, k, None]
             below %= 3
+    out[live] = det
+    return out
+
+
+def det_mod3_stack_by_row_swaps(a) -> np.ndarray:
+    """hankel.det_mod3_stack as it eliminated one order at a time, with
+    row swaps and lazy reduction.
+
+    At step k each matrix takes its own pivot row, the first row at or
+    below k whose entry in column k is a largest residue, and a matrix
+    with no nonzero residue left there is singular, 0.  Each step
+    reduces only the pivot columns and rows (hankel._residues, int16 up
+    to hankel.LAZY_INT16_ORDER).
+    """
+    a = hankel._residues(a, 3)
+    s, n = a.shape[:2]
+    out = np.zeros(s, np.int8)
+    live = np.arange(s)  # the input matrix held in each row of a
+    det = np.ones(s, np.int8)
+    for k in range(n):
+        col = a[:, k:, k] % 3
+        rows = col.argmax(axis=1)
+        pivot = col.max(axis=1)
+        if not pivot.all():
+            keep = np.flatnonzero(pivot)
+            if keep.size == 0:
+                return out
+            a, live, det = a[keep], live[keep], det[keep]
+            col, rows, pivot = col[keep], rows[keep], pivot[keep]
+        det = det * pivot % 3
+        if k + 1 < n:
+            row = a[np.arange(len(rows)), k + rows, k + 1:] % 3
+            swap = np.flatnonzero(rows)
+            if swap.size:
+                a[swap, k + rows[swap], k + 1:] = a[swap, k, k + 1:]
+                col[swap, rows[swap]] = col[swap, 0]
+                det[swap] = 3 - det[swap]  # a row swap negates the determinant
+            a[:, k + 1:, k + 1:] -= (col[:, 1:] * pivot[:, None])[:, :, None] * row[:, None]
     out[live] = det
     return out

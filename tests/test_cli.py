@@ -626,7 +626,7 @@ def test_verify_oracle_over_the_order_cap_refuses_before_any_cell(capsys, monkey
         raise AssertionError("a cell or a determinant was computed")
 
     for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
-                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+                         (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
         monkeypatch.setattr(target, name, no_work)
     code = cli.main(["verify", "--oracle", "--n-max", str(MAX_HANKEL_ORDER + 1),
                      "--p-max", "0"])
@@ -661,7 +661,7 @@ def test_verify_oracle_over_the_read_cap_refuses_before_any_work(capsys, monkeyp
         raise AssertionError("a cell or a determinant was computed")
 
     for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
-                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+                         (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
         monkeypatch.setattr(target, name, no_work)
     code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
     captured = capsys.readouterr()
@@ -685,7 +685,7 @@ def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeyp
         raise AssertionError("a cell or a determinant was computed")
 
     for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
-                         (checks, "det_mod3_stack"), (checks, "hankel_stack")):
+                         (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
         monkeypatch.setattr(target, name, no_work)
     n_max, p_max = window
     code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
@@ -739,20 +739,21 @@ def test_oracle_check_names_its_first_mismatch(monkeypatch, stack_entries, cells
 
 def test_oracle_check_stacks_stay_within_their_budget(monkeypatch):
     shapes = []
-    stack_det = checks.det_mod3_stack
+    minors = checks.minors_mod3_stack
 
     def recorded(stack):
         shapes.append(stack.shape)
-        return stack_det(stack)
+        return minors(stack)
 
-    monkeypatch.setattr(checks, "det_mod3_stack", recorded)
+    monkeypatch.setattr(checks, "minors_mod3_stack", recorded)
     monkeypatch.setattr(checks, "STACK_ENTRIES", 400)
     result = checks.oracle_equivalence(8, 40)
     assert result.line() == "ok   oracle-equivalence: 1 <= n <= 8, 0 <= p <= 40, both families"
+    # Only order 8 is eliminated, three offsets at a time.
     for count, n, _ in shapes:
-        assert count * (n * n + checks.STACK_OVERHEAD) <= 400, (count, n)
-    assert sum(count for count, _, _ in shapes) == 2 * 8 * 41
-    assert len(shapes) > 2 * 8 * 6
+        assert n == 8 and count * (n * n + checks.STACK_OVERHEAD) <= 400, (count, n)
+    assert sum(count for count, _, _ in shapes) == 2 * 41
+    assert len(shapes) == 2 * 14
 
 
 def test_oracle_check_stack_memory_is_bounded_at_every_order():
@@ -761,7 +762,7 @@ def test_oracle_check_stack_memory_is_bounded_at_every_order():
         count = max(1, checks.STACK_ENTRIES // (n * n + checks.STACK_OVERHEAD))
         tracemalloc.start()
         try:
-            checks.det_mod3_stack(checks.hankel_stack("delta", 12345, n, count))
+            checks.minors_mod3_stack(checks.hankel_stack("delta", 12345, n, count))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

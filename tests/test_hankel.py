@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from cantor_hankel import hankel
 from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
                                   det_mod3, det_mod3_stack, hankel_matrix,
-                                  hankel_stack, permutation_matrix,
-                                  permutation_p, stride3_matrix,
-                                  verify_structure)
+                                  hankel_stack, minors_mod3_stack,
+                                  permutation_matrix, permutation_p,
+                                  stride3_matrix, verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
-from slow_paths import det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction
+from slow_paths import (det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction,
+                        det_mod3_stack_by_row_swaps)
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -140,8 +141,9 @@ def test_oracles_reduce_integers_of_any_size_exactly():
         assert det_mod3_stack(np.array([[[200]]], dtype=dtype)).tolist() == [2]
 
 
-@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: det_mod3_stack([m])],
-                         ids=["det_exact", "det_mod3", "det_mod3_stack"])
+@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: det_mod3_stack([m]),
+                                    lambda m: minors_mod3_stack([m])],
+                         ids=["det_exact", "det_mod3", "det_mod3_stack", "minors_mod3_stack"])
 @pytest.mark.parametrize("m", [[[1.5, 1], [1, 1]], [[2.0, 1], [1, 1]],
                                [[Fraction(1, 2), 1], [1, 1]], [[2 ** 70, 0.5], [1, 1]]],
                          ids=["float", "integral-float", "fraction", "big-int-and-float"])
@@ -330,6 +332,7 @@ def test_lazy_reduction_matches_full_reduction(stack):
     expected = det_mod3_stack_by_full_reduction(stack).tolist()
     got = det_mod3_stack(stack)
     assert got.dtype == np.int8 and got.tolist() == expected
+    assert det_mod3_stack_by_row_swaps(stack).tolist() == expected
     assert [det_mod3(m) for m in stack] == expected
     assert [det_mod3_by_full_reduction(m) for m in stack] == expected
     if stack.shape[1] >= 2:
@@ -355,11 +358,71 @@ def test_int32_past_the_int16_order(monkeypatch):
     assert hankel._residues(m, 2).dtype == np.int32
     assert hankel._residues(m[:3, :3], 2).dtype == np.int16
     for kind in ("gamma", "delta"):
+        minors = minors_mod3_stack(hankel_stack(kind, 0, 30, 13))
         for n in range(1, 31):
             stack = hankel_stack(kind, 0, n, 13)
             expected = det_mod3_stack_by_full_reduction(stack).tolist()
             assert det_mod3_stack(stack).tolist() == expected, (kind, n)
+            assert det_mod3_stack_by_row_swaps(stack).tolist() == expected, (kind, n)
+            assert minors[:, n - 1].tolist() == expected, (kind, n)
             assert [det_mod3(m) for m in stack] == expected, (kind, n)
+
+
+# Stacks of s n x n matrices of one dtype, followed by members whose
+# leading minors vanish in other ways: each matrix made upper
+# unitriangular with its rows in one drawn order, invertible but with a
+# singular leading block until rows 0..k-1 are all in place; each with
+# one drawn column zeroed, so every minor from that order on is 0; and
+# the zero matrix.
+@st.composite
+def st_minor_stack(draw):
+    dtype = draw(st.sampled_from(list(_LAZY_ENTRY)))
+    s, n = draw(st.integers(0, 3)), draw(st.integers(0, 7))
+    flat = draw(st.lists(_LAZY_ENTRY[dtype], min_size=s * n * n, max_size=s * n * n))
+    a = np.array(flat, dtype=dtype).reshape(s, n, n)
+    order = draw(st.permutations(range(n)))
+    unitriangular = (np.triu(a, 1) + np.eye(n, dtype=dtype))[:, order]
+    zero_column = a.copy()
+    if n:
+        zero_column[:, :, draw(st.integers(0, n - 1))] = 0
+    return np.concatenate([a, unitriangular, zero_column, np.zeros((1, n, n), dtype)])
+
+
+@given(st_minor_stack())
+@settings(max_examples=150, deadline=None)
+def test_minors_match_one_matrix_oracle_at_every_order(stack):
+    got = minors_mod3_stack(stack)
+    assert got.dtype == np.int8 and got.shape == stack.shape[:2]
+    for m, minors in zip(stack, got.tolist()):
+        assert minors == [det_mod3(m[:k, :k]) for k in range(1, len(m) + 1)], m.tolist()
+    assert det_mod3_stack(stack).tolist() == [det_mod3(m) for m in stack]
+
+
+def test_minors_edge_cases():
+    # Each leading block singular but the matrix not: det = -1.
+    assert minors_mod3_stack([[[0, 1], [1, 0]]]).tolist() == [[0, 2]]
+    # Three inversions, so det = -1 again, and 2**3 * -1 is 1 mod 3; six
+    # inversions at order 4, so det = 1.
+    reverse = np.eye(3, dtype=np.int64)[::-1]
+    assert minors_mod3_stack([reverse, 2 * reverse]).tolist() == [[0, 0, 2], [0, 0, 1]]
+    assert minors_mod3_stack([np.eye(4, dtype=np.int64)[::-1]]).tolist() == [[0, 0, 0, 1]]
+    assert minors_mod3_stack([[[1, 0, 2], [2, 0, 1], [1, 0, 1]]]).tolist() == [[1, 0, 0]]
+    assert minors_mod3_stack(np.zeros((2, 3, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
+    assert minors_mod3_stack(np.zeros((2, 0, 0), dtype=np.int64)).shape == (2, 0)
+    assert minors_mod3_stack(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0, 3)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        minors_mod3_stack(np.zeros((2, 3, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [40, 150, 300])
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+def test_minors_match_the_stack_order_by_order(kind, n):
+    # Every order up to 40, then a sample, at offsets 0..count-1.
+    count = {40: 82, 150: 6, 300: 3}[n]
+    minors = minors_mod3_stack(hankel_stack(kind, 0, n, count))
+    for k in [*range(1, min(n, 40) + 1), *range(41, n, 13), n]:
+        expected = det_mod3_stack_by_row_swaps(hankel_stack(kind, 0, k, count))
+        assert minors[:, k - 1].tolist() == expected.tolist(), (kind, n, k)
 
 
 def test_sorting_permutation():
