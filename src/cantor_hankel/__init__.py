@@ -24,8 +24,8 @@ from .pade import (ApproximationExponent, EtaReport, PadeApproximant,
                    eta_identity_check, irrationality_estimates, pade,
                    pade_diagonal, verify_functional_equation,
                    verify_pade_error)
-from .sequences import (cantor_term, cantor_via_automaton, diff_term,
-                        sequence_slice, substitution_word)
+from .sequences import (cantor_run, cantor_term, cantor_via_automaton,
+                        diff_run, diff_term, sequence_slice, substitution_word)
 from .series import (PeriodicSeries, RationalForm, assemble_delta2,
                      assemble_gamma2, interleave3, series_delta,
                      series_gamma)
@@ -37,11 +37,11 @@ __all__ = [
     "KernelExpr", "PadeApproximant", "PadeErrorReport",
     "PeriodicSeries", "RationalForm", "RationalInterval",
     "StructureReport", "assemble_delta2", "assemble_gamma2",
-    "build_dfao", "cantor_number", "cantor_term",
+    "build_dfao", "cantor_number", "cantor_run", "cantor_term",
     "cantor_via_automaton", "clear_caches", "closed_form_p0",
     "closed_form_p1", "column_period", "conjugate_by_permutation",
-    "delta_mod3", "det_exact", "det_mod3", "det_mod3_stack", "diff_term",
-    "eta_identity_check", "export_dfao", "gamma_mod3", "grid",
+    "delta_mod3", "det_exact", "det_mod3", "det_mod3_stack", "diff_run",
+    "diff_term", "eta_identity_check", "export_dfao", "gamma_mod3", "grid",
     "hankel_matrix", "hankel_stack", "interleave3", "irrationality_estimates",
     "kernel_closure", "minors_mod3_stack", "pade", "pade_diagonal",
     "parse_dfao_table",

@@ -52,11 +52,11 @@ STACK_OVERHEAD = 64
 # 40 on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
 ORACLE_READ_CAP = 250_000
 
-# The most elimination work, the sum over n <= n_max of n**3 * 2 *
-# (p_max + 1), of one oracle sweep, as if each order were eliminated on
-# its own; only order n_max is.  Cold in process on a 2-core VM, (277, 0)
-# and (233, 1) take 0.04 s and (100, 57) 0.11 s, against 3.0-4.3 s one
-# order at a time.  (40, 81), the largest window in use, is 1.1e8.
+# The most elimination work, 2 * (p_max + 1) * n_max**3, of one oracle
+# sweep: it eliminates the order-n_max matrix at each offset of both
+# families.  Cold in process on a 2-core VM, the largest windows under
+# it take 1.4 s at (500, 11), 2.1 s at (200, 186) and 2.3 s at (120, 867),
+# and (277, 0) 0.05 s.  (40, 81), the largest window in use, is 1.0e7.
 ORACLE_WORK_CAP = 3_000_000_000
 
 
@@ -73,8 +73,8 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     stacks within STACK_ENTRIES, whose leading minors give every order.
     Every engine value is a scalar read, compared in the order n, then
     p, gamma before delta.  The reads stay in the engine's memo, so a
-    window of more than ORACLE_READ_CAP reads or ORACLE_WORK_CAP units
-    of elimination work is refused before any read or elimination.
+    window of more than ORACLE_READ_CAP reads or ORACLE_WORK_CAP units of
+    work, 2 * (p_max + 1) * n_max**3, is refused before any of either.
     """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
@@ -87,8 +87,7 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
         raise ValueError(
             f"the oracle window makes {reads} engine reads, over the cap of "
             f"{ORACLE_READ_CAP}")
-    # The sum of n**3 over n <= n_max is (n_max * (n_max + 1) / 2)**2.
-    work = 2 * (p_max + 1) * (n_max * (n_max + 1) // 2) ** 2
+    work = 2 * (p_max + 1) * n_max ** 3
     if work > ORACLE_WORK_CAP:
         raise ValueError(
             f"the oracle window takes {work} units of elimination work, over the "

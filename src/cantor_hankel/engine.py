@@ -23,18 +23,19 @@ third as wide and as tall one level down, one array pass per
 splitting identity, and no cell is memoised.  witness_lattices() does
 the same for the lattices (3**m n + r, 3**m p + s) that kernel closure
 states stand for: one splitting identity rebuilds a whole stack of
-lattices from the stack one level down.
+lattices from the stack one level down.  Their anchor row n = 1 reads
+c from sequences.cantor_run, as the hankel oracles' matrices do.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .sequences import cantor_term, diff_term
+from .sequences import cantor_run, cantor_term, diff_term
 
 # Cells per call to grid() or per column scan; guards against
 # accidentally huge tables.
@@ -114,26 +115,6 @@ def _anchor(stream: str, n: int, p: int) -> int:
     return int(stream == "D" and p == 0)
 
 
-# c over one block of 3**5 indices: the product of the Cantor indicator
-# [1, 0, 1] over each of five base-3 digits.
-_CANTOR_BLOCK = reduce(np.kron, [np.array([True, False, True])] * 5)
-
-
-def _cantor_run(q: int, count: int) -> np.ndarray:
-    """c_p for p = q .. q + count - 1, any q >= 0, as a bool array.
-
-    p = hi * B + lo with B = len(_CANTOR_BLOCK) splits the digits:
-    c_p = c_hi * c_lo, c_lo read from _CANTOR_BLOCK and the c_hi a run
-    about B times shorter, so p may have all MAX_INDEX_DIGITS digits.
-    """
-    if count <= 2:
-        return np.array([cantor_term(q + k) for k in range(count)], dtype=bool)
-    block = len(_CANTOR_BLOCK)
-    hi, lo = divmod(q, block)
-    high = _cantor_run(hi, (lo + count - 1) // block + 1)
-    return (high[:, None] & _CANTOR_BLOCK).ravel()[lo:lo + count]
-
-
 def _anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
     """Rows n = -1, 0, 1 of both streams at the columns p_lo + step * k,
     k < count, keyed "G" and "D": int8 arrays of shape (3, count).
@@ -146,7 +127,7 @@ def _anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
     """
     q, u = divmod(p_lo, step)
     q2, u2 = divmod(p_lo + 2, step)
-    run = _cantor_run(q, count + q2 - q)
+    run = cantor_run(q, count + q2 - q)
     rows = np.zeros((2, 3, count), dtype=np.int8)
     rows[:, 1] = 1
     if p_lo == 0:

@@ -9,6 +9,10 @@ at once (minors_mod3_stack).  No recurrence from the rest of the
 package is used, which is what makes these functions usable as oracles
 against those recurrences.
 
+Terms come from sequences.cantor_run and diff_run, which the engine's
+anchor rows read too, so the oracle sweep does not cross-check two
+generators of c; the tests hold the runs to cantor_term instead.
+
 Matrices are 2-D int64 numpy arrays; the determinants and the
 conjugation accept any square array-like of integers, of any size, and
 leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .sequences import cantor_term, diff_term
+from .sequences import cantor_run, diff_run
 
 # Largest order of any matrix built here, a bound on the cubic
 # elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
@@ -53,26 +57,25 @@ MAX_HANKEL_ORDER = 500
 # whose bound holds for any order that fits in memory.
 LAZY_INT16_ORDER = 4096
 
-_TERMS = {"gamma": cantor_term, "delta": diff_term}
+_RUNS = {"gamma": cantor_run, "delta": diff_run}
 
 
 def _hankel(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndarray:
     """The count n x n matrices (u_{first+step(o+i+j)}), 0 <= o < count.
 
     Consecutive matrices share all but two of their terms, so the
-    count + 2n - 2 distinct terms are computed once and the result is a
-    read-only (count, n, n) view of them: entry (o, i, j) reads term
-    o + i + j.
+    count + 2n - 2 distinct terms are read once, every step-th term of
+    one run, and the result is a read-only (count, n, n) view of them:
+    entry (o, i, j) reads term o + i + j.
     """
-    if kind not in _TERMS:
+    if kind not in _RUNS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     if first < 0 or n < 0 or count < 0:
         raise ValueError("offset, order and count must be nonnegative")
     if n > MAX_HANKEL_ORDER:
         raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
-    term = _TERMS[kind]
     size = max(count + 2 * n - 2, 0)
-    terms = np.fromiter((term(first + step * k) for k in range(size)), np.int64, size)
+    terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
     stride = terms.strides[0]
     return as_strided(terms, (count, n, n), (stride,) * 3, writeable=False)
 

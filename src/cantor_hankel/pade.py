@@ -1,7 +1,7 @@
 """Exact Pade approximants of the Cantor power series and interval
 certificates for how well their values approximate the Cantor numbers.
 
-Every approximant comes from one J-fraction pass, pade_diagonal.
+Every approximant comes from one J-fraction pass, _j_fraction.
 Everything rational is exact, a fractions.Fraction or an integer
 polynomial standing for a rational multiple of itself; the only floating
 point in the module is the final log-quotient enclosure, which goes
@@ -20,17 +20,17 @@ from math import gcd, lcm
 from mpmath import iv
 
 from .hankel import det_exact, hankel_matrix
-from .sequences import cantor_term, diff_term
+from .sequences import cantor_run, diff_run
 
 # Fallback ceiling for the adaptive tail-depth search.
 MAX_TAIL_DEPTH = 1 << 20
 
 # Resource guards, checked before any work.  Times on a 2-core VM:
-# pade(200) 0.02 s, verify_pade_error(200) 0.2 s (0.1 s of it its two
-# order-200 det_exact calls), verify_functional_equation(10**6) 0.3 s,
-# and at b = 2**32 irrationality_estimates(b, 100) 0.13 s and
-# eta_identity_check(b, 10**4) 1.2 s; both grow with the digits of b, eta
-# past a minute at 10**100.
+# pade(200) 0.02 s, verify_pade_error(200) 0.26 s (0.24 s of it its
+# order-200 and order-201 det_exact calls),
+# verify_functional_equation(10**6) 0.3 s, and at b = 2**32
+# irrationality_estimates(b, 100) 0.1 s and eta_identity_check(b, 10**4)
+# 1.2-1.5 s; both grow with the digits of b, eta past a minute at 10**100.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6
@@ -40,7 +40,7 @@ MAX_BASE = 2 ** 32
 
 def cantor_coefficients(count: int) -> list[int]:
     """The first count coefficients of f(x) = sum of c_n x^n."""
-    return [cantor_term(k) for k in range(count)]
+    return cantor_run(0, count).tolist()
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _normalised(order: int, p: list, q: list) -> PadeApproximant:
 
 
 def pade(order: int) -> PadeApproximant:
-    """The [order-1 / order] approximant: the last of one pade_diagonal pass.
+    """The [order-1 / order] approximant: the last of one J-fraction pass.
 
     Raises ArithmeticError where it does not exist, that is where a
     column-0 Hankel determinant of c, which the paper proves nonzero,
@@ -120,7 +120,9 @@ def pade(order: int) -> PadeApproximant:
         raise ValueError("order must be at least 1")
     if order > MAX_PADE_ORDER:
         raise ValueError(f"order n = {order} is over the cap of {MAX_PADE_ORDER}")
-    return pade_diagonal(order)[-1]
+    for p, q, _ in _j_fraction(order):
+        pass
+    return _normalised(order, p, q)
 
 
 def _j_fraction(max_order: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
@@ -220,30 +222,27 @@ class PadeErrorReport:
 
 def verify_pade_error(order: int) -> PadeErrorReport:
     """Expand f - P/Q, P/Q = pade(order), as an exact rational series
-    through degree 2*order."""
+    through degree 2*order, on the integers: e_k q0**(k+1) = E_k =
+    r_k q0**k - sum over j >= 1 of q_j E_(k-j) q0**(j-1), r = f*Q - P."""
     approx = pade(order)
     depth = 2 * order + 1
     c = cantor_coefficients(depth)
     q = approx.denominator
     p = approx.numerator
-    # P, Q and c are integer, so f*Q - P is too; only the division by Q
-    # below leaves the integers.
-    fq_minus_p = [sum(q[j] * c[k - j] for j in range(min(k, len(q) - 1) + 1))
-                  - (p[k] if k < len(p) else 0)
-                  for k in range(depth)]
-    # divide by Q as a power series; Q(0) != 0 by construction
-    error = []
     q0 = q[0]
+    # The nonzero q_j, most of Q's being 0, and those past q0 times q0**(j-1).
+    terms = [(j, qj) for j, qj in enumerate(q) if qj]
+    scaled = [(j, qj * q0 ** (j - 1)) for j, qj in terms[1:]]
+    error: list[int] = []
     for k in range(depth):
-        acc = Fraction(fq_minus_p[k])
-        for j in range(1, min(k, len(q) - 1) + 1):
-            acc -= q[j] * error[k - j]
-        error.append(acc / q0)
+        r = sum(qj * c[k - j] for j, qj in terms if j <= k) - (p[k] if k < len(p) else 0)
+        error.append(r * q0 ** k - sum(s * error[k - j] for j, s in scaled if j <= k))
     first_mismatch = next((k for k in range(2 * order) if error[k] != 0), None)
     expected = Fraction(det_exact(hankel_matrix("gamma", 0, order + 1)),
                         det_exact(hankel_matrix("gamma", 0, order)))
-    ok = first_mismatch is None and error[2 * order] == expected
-    return PadeErrorReport(order, ok, first_mismatch, error[2 * order], expected)
+    leading = Fraction(error[2 * order], q0 ** depth)
+    ok = first_mismatch is None and leading == expected
+    return PadeErrorReport(order, ok, first_mismatch, leading, expected)
 
 
 @dataclass(frozen=True)
@@ -308,8 +307,8 @@ def cantor_number(b: int, terms: int) -> RationalInterval:
     if terms < 1:
         raise ValueError("need at least one term")
     numerator = 0
-    for k in range(terms):
-        numerator = numerator * b + cantor_term(k)
+    for term in cantor_run(0, terms).tolist():
+        numerator = numerator * b + term
     partial = Fraction(numerator, b ** (terms - 1))
     return RationalInterval(partial, partial + _geometric_tail(b, terms))
 
@@ -447,8 +446,8 @@ def eta_identity_check(b: int, depth: int) -> EtaReport:
     # bound alone already equals the budget when b = 2.
     cut = depth + 3
     numerator = 0
-    for k in range(cut):
-        numerator = numerator * b + diff_term(k)
+    for term in diff_run(0, cut).tolist():
+        numerator = numerator * b + term
     partial = Fraction(numerator, b ** (cut - 1))
     lhs = RationalInterval(partial, partial + 2 * _geometric_tail(b, cut))
     xi = cantor_number(b ** 3, depth // 3 + 3)

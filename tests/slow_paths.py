@@ -15,10 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from cantor_hankel import cli, engine, hankel, kernel
-from cantor_hankel.hankel import _square
+from cantor_hankel.hankel import MAX_HANKEL_ORDER, _square, det_exact
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
-from cantor_hankel.pade import PadeApproximant
+from cantor_hankel.pade import PadeApproximant, PadeErrorReport
+from cantor_hankel.sequences import cantor_term, diff_term
 
 # The module itself: the package rebinds the name pade to the function.
 pade_module = importlib.import_module("cantor_hankel.pade")
@@ -407,3 +408,47 @@ def det_mod3_stack_by_row_swaps(a) -> np.ndarray:
             a[:, k + 1:, k + 1:] -= (col[:, 1:] * pivot[:, None])[:, :, None] * row[:, None]
     out[live] = det
     return out
+
+
+def hankel_by_terms(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndarray:
+    """hankel._hankel as it read each term through cantor_term or
+    diff_term, one index recurrence per term, with the same checks in
+    the same order."""
+    terms = {"gamma": cantor_term, "delta": diff_term}
+    if kind not in terms:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    if first < 0 or n < 0 or count < 0:
+        raise ValueError("offset, order and count must be nonnegative")
+    if n > MAX_HANKEL_ORDER:
+        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
+    term = terms[kind]
+    size = max(count + 2 * n - 2, 0)
+    values = np.fromiter((term(first + step * k) for k in range(size)), np.int64, size)
+    stride = values.strides[0]
+    return np.lib.stride_tricks.as_strided(values, (count, n, n), (stride,) * 3,
+                                           writeable=False)
+
+
+def verify_pade_error_by_fractions(order: int) -> PadeErrorReport:
+    """pade.verify_pade_error as it divided f*Q - P by Q one Fraction at
+    a time.  pade and cantor_coefficients are read through the pade
+    module, so a test that patches either patches both sides."""
+    approx = pade_module.pade(order)
+    depth = 2 * order + 1
+    c = pade_module.cantor_coefficients(depth)
+    q = approx.denominator
+    p = approx.numerator
+    fq_minus_p = [sum(q[j] * c[k - j] for j in range(min(k, len(q) - 1) + 1))
+                  - (p[k] if k < len(p) else 0)
+                  for k in range(depth)]
+    error = []
+    for k in range(depth):
+        acc = Fraction(fq_minus_p[k])
+        for j in range(1, min(k, len(q) - 1) + 1):
+            acc -= q[j] * error[k - j]
+        error.append(acc / q[0])
+    first_mismatch = next((k for k in range(2 * order) if error[k] != 0), None)
+    expected = Fraction(det_exact(hankel_by_terms("gamma", 0, 1, order + 1)[0]),
+                        det_exact(hankel_by_terms("gamma", 0, 1, order)[0]))
+    ok = first_mismatch is None and error[2 * order] == expected
+    return PadeErrorReport(order, ok, first_mismatch, error[2 * order], expected)

@@ -17,12 +17,12 @@ from hypothesis.extra.numpy import arrays
 
 import cantor_hankel
 from cantor_hankel import checks, cli, engine, kernel
-from cantor_hankel.hankel import MAX_HANKEL_ORDER
+from cantor_hankel.hankel import MAX_HANKEL_ORDER, det_exact, det_mod3
 from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
-from cantor_hankel.sequences import MAX_SLICE_COUNT, sequence_slice
-from slow_paths import grid_text_by_cells
+from cantor_hankel.sequences import MAX_SLICE_COUNT, diff_term, sequence_slice
+from slow_paths import grid_text_by_cells, hankel_by_terms
 
 EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
 
@@ -459,6 +459,29 @@ def test_hostile_seq_arguments(capsys, kind, start, count, fmt):
             assert json.loads(out)["values"] == values, (kind, start, count)
 
 
+# An offset of 4,000 decimal digits, about the most an argument may have
+# (Python parses at most 4,300), base-3 digits 2 and 0 alternating.
+HUGE_OFFSET = 6 * (9 ** 4191 - 1) // 8
+
+
+def test_seq_at_a_4000_digit_start(capsys):
+    assert len(str(HUGE_OFFSET)) == 4000
+    code, out = _run_hostile(capsys, ["seq", "--kind", "d", "--start", str(HUGE_OFFSET),
+                                      "--count", "50"])
+    values = [diff_term(HUGE_OFFSET + k) for k in range(50)]
+    assert any(values)
+    assert (code, out) == (0, " ".join(map(str, values)) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+@pytest.mark.parametrize("mod3", [False, True])
+def test_det_at_a_4000_digit_offset(capsys, kind, mod3):
+    code, out = _run_hostile(capsys, ["det", "--kind", kind, "-p", str(HUGE_OFFSET),
+                                      "-n", "20"] + ["--mod3"] * mod3)
+    m = hankel_by_terms(kind, HUGE_OFFSET, 1, 20)[0]
+    assert (code, out) == (0, f"{det_mod3(m) if mod3 else det_exact(m)}\n")
+
+
 @given(n=HOSTILE_ARG, verify=st.booleans())
 @example(n=str(MAX_PADE_ORDER), verify=False)
 @example(n=str(MAX_PADE_ORDER + 1), verify=True)
@@ -671,14 +694,19 @@ def test_verify_oracle_over_the_read_cap_refuses_before_any_work(capsys, monkeyp
 
 
 def _oracle_work(n_max, p_max):
-    return sum(n ** 3 for n in range(1, n_max + 1)) * 2 * (p_max + 1)
+    # The order-n_max matrix at each offset, both families.
+    return 2 * (p_max + 1) * n_max ** 3
 
 
-# Orders from 278, where p_max = 0 already passes ORACLE_WORK_CAP, and
-# p_max under the read cap, so the work cap is what refuses.
-@given(st.integers(278, MAX_HANKEL_ORDER).flatmap(
+# Below n_max = 110 every window under the read cap is under the work cap
+# too.  From there, p_max from the work cap's boundary to just under the
+# read cap, so the work cap is what refuses.
+@given(st.integers(110, MAX_HANKEL_ORDER).flatmap(
     lambda n_max: st.tuples(st.just(n_max),
-                            st.integers(0, checks.ORACLE_READ_CAP // (2 * n_max) - 1))))
+                            st.integers(checks.ORACLE_WORK_CAP // (2 * n_max ** 3),
+                                        checks.ORACLE_READ_CAP // (2 * n_max) - 1))))
+@example(window=(110, 1126))
+@example(window=(MAX_HANKEL_ORDER, 12))
 @HOSTILE_SETTINGS
 def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeypatch, window):
     def no_work(*args):
@@ -688,6 +716,7 @@ def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeyp
                          (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
         monkeypatch.setattr(target, name, no_work)
     n_max, p_max = window
+    assert 2 * n_max * (p_max + 1) <= checks.ORACLE_READ_CAP
     code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -698,10 +727,16 @@ def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeyp
 
 def test_oracle_work_cap_admits_the_windows_in_use():
     # The verify default, CI's acceptance window and the benchmark's
-    # sweeps, next to the smallest refused order at p_max = 0.
-    for window in ((20, 27), (40, 81), (5, 10), (8, 27), (10, 27), (12, 20), (6, 81)):
+    # sweeps; every order at p_max = 0; and the largest windows under the
+    # cap at three orders, next to the smallest refused ones.
+    for window in ((20, 27), (40, 81), (5, 10), (8, 27), (10, 27), (12, 20), (6, 81),
+                   (MAX_HANKEL_ORDER, 0)):
         assert _oracle_work(*window) <= checks.ORACLE_WORK_CAP, window
-    assert _oracle_work(277, 0) <= checks.ORACLE_WORK_CAP < _oracle_work(278, 0)
+    for n_max, p_max in ((500, 11), (200, 186), (120, 867)):
+        assert _oracle_work(n_max, p_max) <= checks.ORACLE_WORK_CAP \
+            < _oracle_work(n_max, p_max + 1), n_max
+    assert all(_oracle_work(109, p_max) <= checks.ORACLE_WORK_CAP
+               for p_max in range(checks.ORACLE_READ_CAP // (2 * 109)))
 
 
 def _engine_wrong_at(cells):

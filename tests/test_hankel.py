@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
                                   stride3_matrix, verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction,
-                        det_mod3_stack_by_row_swaps)
+                        det_mod3_stack_by_row_swaps, hankel_by_terms)
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -69,6 +70,40 @@ def test_builders_match_entrywise_definition(kind, term, p, n):
     assert stack.shape == (3, n, n) and not stack.flags.writeable
     for o in range(3):
         assert stack[o].tolist() == hankel_matrix(kind, p + o, n).tolist(), (kind, p, n, o)
+
+
+def _assert_same_array(got, expected, what):
+    assert got.shape == expected.shape and got.dtype == expected.dtype, what
+    assert got.flags.writeable == expected.flags.writeable, what
+    assert np.array_equal(got, expected), what
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+@pytest.mark.parametrize("p", [0, 1, 5, 27, 6560, 2 * 3 ** 40 + 7, 6 * (9 ** 100 - 1) // 8 - 3],
+                         ids=["0", "1", "5", "27", "6560", "2*3^40+7", "near-3^200"])
+def test_builders_match_the_per_term_build(kind, p):
+    # The runs against one index recurrence per term, at every order to
+    # 60 and every stack of up to five matrices.  The two largest offsets
+    # have base-3 digits 2 and 0 above the run, so its terms are not all 0.
+    for n in range(61):
+        _assert_same_array(hankel_matrix(kind, p, n), hankel_by_terms(kind, p, 1, n)[0].copy(),
+                           ("hankel_matrix", kind, p, n))
+        _assert_same_array(stride3_matrix(kind, p, n), hankel_by_terms(kind, p, 3, n)[0].copy(),
+                           ("stride3_matrix", kind, p, n))
+        for count in range(6):
+            _assert_same_array(hankel_stack(kind, p, n, count),
+                               hankel_by_terms(kind, p, 1, n, count),
+                               ("hankel_stack", kind, p, n, count))
+
+
+@pytest.mark.parametrize("args", [("theta", -1, 1, 2, -1), ("gamma", -1, 1, 501, 1),
+                                  ("delta", 0, 3, -1, 1), ("gamma", 0, 1, 501, -1),
+                                  ("delta", 0, 1, 501, 1)])
+def test_builders_refuse_as_the_per_term_build_did(args):
+    with pytest.raises(ValueError) as slow:
+        hankel_by_terms(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(slow.value))}$"):
+        hankel._hankel(*args)
 
 
 def test_stack_builder_refuses_what_the_matrix_builder_refuses():

@@ -14,7 +14,8 @@ from cantor_hankel.pade import (MAX_BASE, MAX_PADE_ORDER, PadeApproximant,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
-from slow_paths import pade_by_elimination, pade_value_by_fraction_horner
+from slow_paths import (pade_by_elimination, pade_value_by_fraction_horner,
+                        verify_pade_error_by_fractions)
 
 # The module itself: the package rebinds the name pade to the function.
 pade_module = importlib.import_module("cantor_hankel.pade")
@@ -48,6 +49,13 @@ def test_diagonal_pass_equals_elimination():
     assert len(diagonal) == 60
     for order in range(1, 61):
         assert diagonal[order - 1] == pade_by_elimination(order), order
+
+
+def test_pade_normalises_the_last_triple_of_the_pass():
+    diagonal = pade_diagonal(60)
+    for order in range(1, 61):
+        assert pade(order) == diagonal[order - 1], order
+    assert pade(MAX_PADE_ORDER) == pade_diagonal(MAX_PADE_ORDER)[-1]
 
 
 def _catalan(count):
@@ -176,6 +184,54 @@ def test_verify_names_the_first_degree_an_approximant_misses(monkeypatch):
         report = verify_pade_error(6)
         assert not report.ok
         assert report.first_mismatch == degree
+
+
+def _report_or_error(verify, order):
+    try:
+        return verify(order)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_error_law_on_integers_equals_fraction_division():
+    for order in range(1, 61):
+        assert verify_pade_error(order) == verify_pade_error_by_fractions(order), order
+
+
+@pytest.mark.parametrize("series", [_catalan, _series_one])
+def test_error_law_on_integers_equals_fraction_division_on_patched_series(monkeypatch,
+                                                                          series):
+    monkeypatch.setattr(pade_module, "cantor_coefficients", series)
+    for order in range(1, 9):
+        assert _report_or_error(verify_pade_error, order) \
+            == _report_or_error(verify_pade_error_by_fractions, order), order
+
+
+def _bent_order6():
+    """The order-6 approximant with one coefficient moved: each numerator
+    coefficient up by 1, then each denominator coefficient one further
+    from 0, so a q0 of -1 becomes -2."""
+    approx = pade(6)
+    for degree in range(len(approx.numerator)):
+        numerator = list(approx.numerator)
+        numerator[degree] += 1
+        yield PadeApproximant(6, tuple(numerator), approx.denominator)
+    for degree, coeff in enumerate(approx.denominator):
+        denominator = list(approx.denominator)
+        denominator[degree] += 1 if coeff >= 0 else -1
+        yield PadeApproximant(6, approx.numerator, tuple(denominator))
+
+
+def test_error_law_on_integers_equals_fraction_division_when_bent(monkeypatch):
+    reports = []
+    for bent in _bent_order6():
+        monkeypatch.setattr(pade_module, "pade", lambda order, bent=bent: bent)
+        report = verify_pade_error(6)
+        assert report == verify_pade_error_by_fractions(6), bent
+        reports.append(report)
+    assert not any(r.ok for r in reports)
+    # A q0 of -2 leaves the leading error a proper fraction.
+    assert any(r.leading.denominator > 1 for r in reports)
 
 
 def test_error_leading_literals():

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel import sequences
-from cantor_hankel.sequences import (DEFAULT_WORD_CAP, cantor_term,
-                                     cantor_via_automaton, diff_term,
+from cantor_hankel.sequences import (DEFAULT_WORD_CAP, cantor_run, cantor_term,
+                                     cantor_via_automaton, diff_run, diff_term,
                                      sequence_slice, substitution_word)
 
 # First 27 terms straight from the digit criterion.
@@ -13,6 +14,10 @@ CANTOR_PREFIX = (1, 0, 1, 0, 0, 0, 1, 0, 1,
                  1, 0, 1, 0, 0, 0, 1, 0, 1)
 
 DIFF_PREFIX = (2, 0, 1, 0, 1, 0, 2, 0, 1)
+
+# A start of 4,000 decimal digits, base-3 digits 2 and 0 alternating, so
+# c is 1 there and a run from it holds ones as well as zeros.
+HUGE_START = 6 * (9 ** 4191 - 1) // 8
 
 
 def test_cantor_prefix():
@@ -79,3 +84,48 @@ def test_sequence_slice():
         sequence_slice("e", 0, 3)
     with pytest.raises(ValueError):
         sequence_slice("c", -1, 3)
+
+
+def _assert_runs_match_terms(start, count, every_generator=True):
+    """cantor_run and diff_run against cantor_term, and, if
+    every_generator, against cantor_via_automaton and diff_term too."""
+    run, diff = cantor_run(start, count), diff_run(start, count)
+    assert run.dtype == diff.dtype == np.int8
+    terms = [cantor_term(start + k) for k in range(count + 2)]
+    assert run.tolist() == terms[:count], (start, count)
+    assert diff.tolist() == [a + b for a, b in zip(terms, terms[2:])], (start, count)
+    if every_generator:
+        assert terms == [cantor_via_automaton(start + k) for k in range(count + 2)]
+        assert diff.tolist() == [diff_term(start + k) for k in range(count)]
+
+
+@given(start=st.one_of(st.integers(0, 3 ** 200), st.integers(0, 3 ** 12)),
+       count=st.integers(0, 800))
+@example(start=0, count=800)
+@example(start=3 ** 200 - 2, count=3)
+@example(start=3 ** 5 - 1, count=2)
+@settings(max_examples=60, deadline=None)
+def test_runs_match_the_term_generators(start, count):
+    _assert_runs_match_terms(start, count)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 800])
+@pytest.mark.parametrize("shift", [0, 3 ** 6 - 4])
+def test_runs_match_the_term_generators_at_a_4000_digit_start(count, shift):
+    # Each term that is 1 costs cantor_term and the automaton a pass over
+    # all 8,384 digits, so the two slower generators read short runs only.
+    assert len(str(HUGE_START)) == 4000
+    _assert_runs_match_terms(HUGE_START + shift, count, every_generator=count <= 3)
+
+
+def test_runs_refuse_a_negative_start():
+    for run in (cantor_run, diff_run):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(-1, 3)
+
+
+def test_slice_far_from_0():
+    start = 2 * 3 ** 60 + 5
+    assert sequence_slice("c", start, 300) == [cantor_term(start + k) for k in range(300)]
+    assert sequence_slice("d", start, 300) == [diff_term(start + k) for k in range(300)]
+    assert any(sequence_slice("c", start, 300))
