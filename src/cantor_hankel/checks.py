@@ -48,8 +48,8 @@ STACK_OVERHEAD = 64
 
 # The most engine reads, 2 * n_max * (p_max + 1), of one oracle sweep.
 # Each leaves about one scalar memo entry; at the cap a sweep peaks near
-# 62 MB RSS (33 MB before it), in 0.7 s at n_max = 2 and 6.9 s at n_max =
-# 40 on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
+# 62 MB RSS, in 0.7-1.2 s at n_max = 40 and 0.5-0.8 s at n_max = 2 in
+# process on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
 ORACLE_READ_CAP = 250_000
 
 # The most elimination work, 2 * (p_max + 1) * n_max**3, of one oracle
@@ -248,32 +248,32 @@ def kernel_soundness(window: int = 8) -> CheckResult:
 
 
 def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
-    """The emitted automaton against the engine, over the display window
-    and at every state.
+    """Both emitted automata against the engine, gamma then delta.
 
-    The window is one engine table.  A state the window never ends in
-    would go unchecked there, so each output is also compared with the
-    engine at the state's witness point (r, s), which is what the
-    state's polynomial at (0, 0) stands for.
+    Each walks the display window as arrays against one engine table and
+    reports its first mismatch in n, then p.  A state the window never
+    ends in would go unchecked there, so each output is also compared with
+    the lattice engine at the state's witness point (r, s), never with a
+    cell, which may one day walk an automaton.
     """
     name = "dfao-grid"
     _need("dfao", "n_max", n_max, 1)
     _need("dfao", "p_max", p_max, 0)
-    dfao = kernel.build_dfao("gamma")
-    for n, row in enumerate(engine.grid(1, n_max, 0, p_max), 1):
-        for p, expected in enumerate(row):
-            if dfao.evaluate(n, p) != expected:
-                return CheckResult(name, False, f"mismatch at n={n} p={p}")
-    witnesses = kernel.kernel_closure("gamma").witnesses
-    expected = engine.witness_lattices({"gamma": witnesses}, 0)["gamma"][:, 0]
-    wrong = np.flatnonzero(np.array(dfao.outputs) != expected)
-    if wrong.size:
-        k = int(wrong[0])
-        m, r, s = witnesses[k]
-        return CheckResult(
-            name, False,
-            f"state {k} with witness ({m},{r},{s}) outputs {dfao.outputs[k]}, "
-            f"engine {expected[k]}")
+    witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
+    at_witnesses = engine.witness_lattices(witnesses, 0)
+    n, p = np.indices((n_max, p_max + 1))
+    for start, table in zip(engine.KINDS, engine.tables(1, n_max, 0, p_max)):
+        dfao = kernel.build_dfao(start)
+        wrong = np.argwhere(dfao.evaluate(n + 1, p) != table)
+        if wrong.size:
+            return CheckResult(name, False, f"mismatch at n={wrong[0, 0] + 1} p={wrong[0, 1]}")
+        expected = at_witnesses[start][:, 0]
+        wrong = np.flatnonzero(np.array(dfao.outputs) != expected)
+        if wrong.size:
+            k = int(wrong[0])
+            m, r, s = witnesses[start][k]
+            return CheckResult(name, False, f"state {k} with witness ({m},{r},{s}) outputs "
+                               f"{dfao.outputs[k]}, engine {expected[k]}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 
 

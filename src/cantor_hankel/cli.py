@@ -23,7 +23,7 @@ from .hankel import det_exact, det_mod3, hankel_matrix
 from .pade import (eta_identity_check, irrationality_estimates,
                    pade as pade_approximant, verify_functional_equation,
                    verify_pade_error)
-from .sequences import sequence_slice
+from .sequences import sequence_run
 
 # Color coding for the PPM grid renderer: blue, green, red for 0, 1, 2.
 PPM_COLORS = {0: (0, 0, 255), 1: (0, 200, 0), 2: (255, 0, 0)}
@@ -35,9 +35,9 @@ GRID_CELLS = {
     "ascii": ("", tuple(ASCII_GLYPHS[v] for v in range(3))),
     "ppm": (" ", tuple(" ".join(map(str, PPM_COLORS[v])) for v in range(3))),
 }
-# `grid` text is written in blocks of about this many bytes, of whole
-# rows or of the cells of one wide row, so a table at the cell cap is
-# never held as text all at once.
+# `grid` and `seq` text is written in blocks of about this many bytes,
+# of whole rows or of the cells of one wide row, so a table at the cell
+# cap or a slice at the count cap is never held as text all at once.
 GRID_BLOCK_BYTES = 1 << 18
 
 
@@ -60,21 +60,52 @@ _GRID_LUTS = {fmt: _cell_lut(sep, texts) for fmt, (sep, texts) in GRID_CELLS.ite
 # A `grid --format json` row is "[", then each value with ", ", the last
 # ", " turned into "]"; rows are joined by ", ".
 _JSON_LUT = _cell_lut("", ("0, ", "1, ", "2, "))
+# A `seq --format raw` line is each term with " ", the last " " turned
+# into a newline.
+_SEQ_LUT = _cell_lut(" ", ("0", "1", "2"))
 
 VERIFY_ORDER = tuple(checks.VERIFY_GROUPS)
 
 
+def _seq_csv(start: int, values: np.ndarray) -> Iterator[str]:
+    """The `seq --format csv` text of the terms values from index start,
+    in blocks of about GRID_BLOCK_BYTES.
+
+    An index is written as its high decimal digits, converted once for
+    each run of indices that shares them, then its low digits, counted.
+    The low part has one digit more than the count, so the high digits
+    change at most once, and a start of thousands of digits costs the
+    bytes of its lines rather than one conversion a line.
+    """
+    yield "n,value\n"
+    width = len(str(len(values))) + 1
+    high, low = divmod(start, 10 ** width)
+    done = 0
+    while done < len(values):
+        # Indices done .. end - 1 share the high digits.
+        end = min(len(values), done + 10 ** width - low)
+        head, spec = (str(high), f"0{width}d") if high else ("", "d")
+        lines = max(1, GRID_BLOCK_BYTES // (len(head) + width + 3))
+        for first in range(done, end, lines):
+            terms = values[first:min(end, first + lines)].tolist()
+            yield "".join(f"{head}{k:{spec}},{v}\n"
+                          for k, v in enumerate(terms, low + first - done))
+        done, high, low = end, high + 1, 0
+
+
 def _cmd_seq(args: argparse.Namespace) -> int:
-    values = sequence_slice(args.kind, args.start, args.count)
-    if args.format == "raw":
-        print(" ".join(str(v) for v in values))
+    values = sequence_run(args.kind, args.start, args.count)
+    if args.format == "json":
+        blocks = [json.dumps({"kind": args.kind, "start": args.start,
+                              "values": values.tolist()}, sort_keys=True) + "\n"]
     elif args.format == "csv":
-        print("n,value")
-        for i, v in enumerate(values):
-            print(f"{args.start + i},{v}")
+        blocks = _seq_csv(args.start, values)
+    elif len(values):
+        blocks = _row_blocks(values[None], _SEQ_LUT, "", 1, "\n")
     else:
-        print(json.dumps({"kind": args.kind, "start": args.start,
-                          "values": list(values)}, sort_keys=True))
+        blocks = ["\n"]
+    for text in blocks:
+        sys.stdout.write(text)
     return 0
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -349,11 +349,12 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     for kind, triples in witnesses.items():
         for m, r, s in triples:
             levels[m].add((streams[kind], r, s))
+    factors_of = {key: {(f_sym, a, b) for _, factors in rule for f_sym, a, b, _ in factors}
+                  for key, rule in SPLIT_RULES.items()}
     for m in range(top, 0, -1):
         for sym, r, s in levels[m]:
-            for _, factors in SPLIT_RULES[r % 3, s % 3, sym]:
-                levels[m - 1].update((f_sym, r // 3 + a, s // 3 + b)
-                                     for f_sym, a, b, _ in factors)
+            levels[m - 1].update((f_sym, r // 3 + a, s // 3 + b)
+                                 for f_sym, a, b in factors_of[r % 3, s % 3, sym])
     # Built bottom up, each level one int8 stack (lattices, n, p) with an
     # index by key.
     base = dict(zip("GD", tables(-1, window + 3, 0, window + 3)))
@@ -383,12 +384,10 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
             stack[lo:lo + len(group)] = _rule_sum(SPLIT_RULES[i, j, sym], factor, 1 - odd)
             index.update(zip(group, range(lo, lo + len(group))))
         # Row n = 0 of a lattice with r <= 1 is an anchor row.
-        anchors: dict[int, dict[str, np.ndarray]] = {}
+        anchors = cache(lambda s: _anchor_rows(s, size, 3 ** m))
         for (sym, r, s), k in index.items():
             if r <= 1:
-                if s not in anchors:
-                    anchors[s] = _anchor_rows(s, size, 3 ** m)
-                stack[k, 0] = anchors[s][sym][r + 1]
+                stack[k, 0] = anchors(s)[sym][r + 1]
         built.append((index, stack))
 
     out = {kind: np.array([built[m][1][built[m][0][streams[kind], r, s]] for m, r, s in triples],

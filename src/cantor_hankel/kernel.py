@@ -41,6 +41,7 @@ import itertools
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -542,8 +543,8 @@ class Dfao2D:
     """Deterministic automaton with output over paired base-3 digits.
 
     evaluate(n, p) feeds the digits of n and p least significant first
-    (the shorter number padded with zeros) and returns the output of
-    the final state.  A parsed export compares equal to its source.
+    (the shorter number padded with zeros) and returns the final state's
+    output, elementwise on arrays.  A parsed export equals its source.
     """
 
     start: int
@@ -554,18 +555,27 @@ class Dfao2D:
     def n_states(self) -> int:
         return len(self.outputs)
 
-    def step(self, state: int, digit_n: int, digit_p: int) -> int:
-        return self.transitions[state][3 * digit_n + digit_p]
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.transitions, np.intp), np.array(self.outputs)
 
-    def evaluate(self, n: int, p: int) -> int:
-        if n < 0 or p < 0:
+    def evaluate(self, n, p):
+        shape, p_shape = np.shape(n), np.shape(p)
+        # 1-d: numpy turns 0-d object arithmetic (past int64) into ints.
+        n, p = np.array(n, ndmin=1).ravel(), np.array(p, ndmin=1).ravel()
+        if shape != p_shape or not {n.dtype.kind, p.dtype.kind} <= set("iuO"):
+            raise ValueError("need integer n and p of one shape")
+        if (n < 0).any() or (p < 0).any():
             raise ValueError("need n >= 0 and p >= 0")
-        state = self.start
-        while n or p:
-            n, dn = divmod(n, 3)
-            p, dp = divmod(p, 3)
-            state = self.step(state, dn, dp)
-        return self.outputs[state]
+        table, outputs = self._arrays
+        state, live = np.full(n.size, self.start, np.intp), np.arange(n.size)
+        # One gather per digit level over the entries with digits left.
+        while live.size:
+            more = (n != 0) | (p != 0)
+            live, n, p = live[more], n[more], p[more]
+            state[live] = table[state[live], (3 * (n % 3) + p % 3).astype(np.intp)]
+            n, p = n // 3, p // 3
+        return outputs[state].reshape(shape) if shape else int(outputs[state[0]])
 
 
 def build_dfao(start: str = "gamma") -> Dfao2D:
@@ -683,11 +693,7 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
     if n < 0:
         raise ValueError("need n >= 0")
     engine._check_digits(n, 0)
-    digits = []
-    rest = n
-    while rest:
-        rest, d = divmod(rest, 3)
-        digits.append(d)
+    digits = [int(d) for d in reversed(np.base_repr(n, 3))] if n else []
     depth = len(digits)
     index = {(dfao.start, 0): 0}
     pairs = [(dfao.start, 0)]
@@ -697,7 +703,7 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
         dn = digits[consumed] if consumed < depth else 0
         row = []
         for dp in range(3):
-            nxt = (dfao.step(state, dn, dp), min(consumed + 1, depth))
+            nxt = (dfao.transitions[state][3 * dn + dp], min(consumed + 1, depth))
             if nxt not in index:
                 index[nxt] = len(pairs)
                 pairs.append(nxt)
@@ -706,6 +712,6 @@ def project_row(dfao: Dfao2D, n: int) -> Dfao1D:
     outputs = []
     for state, consumed in pairs:
         for dn in digits[consumed:]:
-            state = dfao.step(state, dn, 0)
+            state = dfao.transitions[state][3 * dn]
         outputs.append(dfao.outputs[state])
     return Dfao1D(0, tuple(outputs), tuple(rows))

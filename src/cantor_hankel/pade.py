@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from mpmath import iv
-
 from .hankel import det_exact, hankel_matrix
 from .sequences import cantor_run, diff_run
 
@@ -314,6 +312,9 @@ def cantor_number(b: int, terms: int) -> RationalInterval:
 
 
 def _log_fraction(x: Fraction):
+    # Imported here, as in _exponent_interval: mpmath adds tens of
+    # milliseconds to importing the package, and only irr reads it.
+    from mpmath import iv
     return iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
 
 
@@ -322,6 +323,7 @@ def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, f
 
     Outward-rounded interval logs at doubling precision until the
     window is narrower than 0.01."""
+    from mpmath import iv
     prec = 64
     while True:
         old = iv.prec

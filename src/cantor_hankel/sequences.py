@@ -113,8 +113,8 @@ def diff_run(start: int, count: int) -> np.ndarray:
     return run[:-2] + run[2:]
 
 
-def sequence_slice(kind: str, start: int, count: int) -> list[int]:
-    """count consecutive terms of c or d beginning at index start."""
+def sequence_run(kind: str, start: int, count: int) -> np.ndarray:
+    """count consecutive terms of c or d beginning at index start, as int8."""
     if kind == "c":
         run = cantor_run
     elif kind == "d":
@@ -125,7 +125,12 @@ def sequence_slice(kind: str, start: int, count: int) -> list[int]:
         raise ValueError("start and count must be nonnegative")
     if count > MAX_SLICE_COUNT:
         raise ValueError(f"count {count} is over the cap of {MAX_SLICE_COUNT}")
-    return run(start, count).tolist()
+    return run(start, count)
+
+
+def sequence_slice(kind: str, start: int, count: int) -> list[int]:
+    """count consecutive terms of c or d beginning at index start."""
+    return sequence_run(kind, start, count).tolist()
 
 
 def _digits_msd_first(n: int) -> list[int]:

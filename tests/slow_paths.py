@@ -257,6 +257,19 @@ def grid_text_by_cells(rows: Sequence[Sequence[int]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def walk_by_cells(dfao: kernel.Dfao2D, n: int, p: int) -> int:
+    """The output of dfao at (n, p), one Python step per digit pair: the
+    scalar walk that Dfao2D.evaluate's array walk replaced."""
+    if n < 0 or p < 0:
+        raise ValueError("need n >= 0 and p >= 0")
+    state = dfao.start
+    while n or p:
+        n, dn = divmod(n, 3)
+        p, dp = divmod(p, 3)
+        state = dfao.transitions[state][3 * dn + dp]
+    return dfao.outputs[state]
+
+
 def window_points(window: int) -> list[tuple[int, int]]:
     """The points (n, p), n and p in 0..window, n-major."""
     return [(n, p) for n in range(window + 1) for p in range(window + 1)]

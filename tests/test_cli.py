@@ -473,6 +473,84 @@ def test_seq_at_a_4000_digit_start(capsys):
     assert (code, out) == (0, " ".join(map(str, values)) + "\n")
 
 
+class _DigestSink:
+    """A stdout that keeps only a digest and a byte count of its text."""
+
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_seq_raw_writes_a_million_terms_in_blocks(monkeypatch):
+    # Joining a million str objects peaked at about 65 MB traced (113 MB
+    # RSS in a fresh process); blocks of cells leave about 3 MB.
+    want = " ".join(map(str, sequence_slice("d", 5, MAX_SLICE_COUNT))) + "\n"
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["seq", "--kind", "d", "--start", "5",
+                         "--count", str(MAX_SLICE_COUNT)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.size, sink.digest.hexdigest()) == \
+        (len(want), hashlib.sha256(want.encode()).hexdigest())
+    assert peak < 6 * 2 ** 20, peak
+
+
+def _seq_csv_by_lines(start, values):
+    return "n,value\n" + "".join(f"{start + i},{v}\n" for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("start, count", [
+    (0, 0), (0, 1), (95, 20), (999_995, 10), (999_995, 1000), (10 ** 50 - 3, 30),
+    (10 ** 6 - 1, 9), (HUGE_OFFSET, 3), (HUGE_OFFSET - 10 ** 20 + 7, 2000)])
+def test_seq_csv_counts_in_the_low_digits(capsys, start, count):
+    # Empty and one-line slices, and starts whose low digits carry into
+    # the high ones within the slice, from a start of 0 or 4,000 digits.
+    code, out = run(capsys, "seq", "--kind", "d", "--start", str(start),
+                    "--count", str(count), "--format", "csv")
+    assert (code, out) == (0, _seq_csv_by_lines(start, sequence_slice("d", start, count)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="needs the int to str conversion limit")
+def test_seq_csv_converts_the_start_once(monkeypatch):
+    # Under a limit of 640 digits, a 645-digit index cannot be written as
+    # one number, but its 640 high digits can: csv lines must be built
+    # from the high digits and a count in the low ones, not one
+    # conversion of the whole index a line.
+    start = 10 ** 644 + 123_456_789
+    args = cli._build_parser().parse_args(
+        ["seq", "--kind", "c", "--start", str(start), "--count", "2000", "--format", "csv"])
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    want = _seq_csv_by_lines(start, sequence_slice("c", start, 2000)).encode()
+    assert (code, sink.digest.hexdigest()) == (0, hashlib.sha256(want).hexdigest())
+
+
+def test_import_reads_mpmath_only_for_irr():
+    code = ("import sys, cantor_hankel.cli; assert 'mpmath' not in sys.modules; "
+            "from cantor_hankel import cli; cli.main(['irr', '-b', '2', '--n-max', '3']); "
+            "assert 'mpmath' in sys.modules")
+    done = _run_cli([], ["-c", code])
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 @pytest.mark.parametrize("mod3", [False, True])
 def test_det_at_a_4000_digit_offset(capsys, kind, mod3):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import logging
@@ -13,7 +14,8 @@ from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, build_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
 from slow_paths import (closure_by_monomial_chains, closure_by_part_memo,
-                        evaluate_states_at_points, generator_value, window_points)
+                        evaluate_states_at_points, generator_value, walk_by_cells,
+                        window_points)
 
 CLOSURE_STATES = 1632
 
@@ -500,13 +502,101 @@ def test_projected_row_digest():
         "323cbb02e60ab6d2c68fc280684ac9cb79cd6355ae6d6ed667475e29461c9bb0"
 
 
-def test_projected_row_caps_the_digits_of_n(monkeypatch):
+class _RecordedRows(tuple):
+    """A transition table that records each row read."""
+
+    def __new__(cls, rows, reads):
+        table = super().__new__(cls, rows)
+        table.reads = reads
+        return table
+
+    def __getitem__(self, state):
+        self.reads.append(state)
+        return super().__getitem__(state)
+
+
+def test_projected_row_caps_the_digits_of_n():
     dfao = build_dfao("gamma")
     n = 3 ** engine.MAX_INDEX_DIGITS - 1
     row = project_row(dfao, n)
     assert [row.evaluate(p) for p in range(4)] == [engine.gamma_mod3(n, p) for p in range(4)]
-    steps = []
-    monkeypatch.setattr(kernel.Dfao2D, "step", lambda *args: steps.append(args))
+    reads = []
+    recorded = dataclasses.replace(dfao, transitions=_RecordedRows(dfao.transitions, reads))
+    assert project_row(recorded, 5) == project_row(dfao, 5) and reads
+    reads.clear()
     with pytest.raises(ValueError, match="more than 200 base-3 digits"):
-        project_row(dfao, 3 ** engine.MAX_INDEX_DIGITS)
-    assert steps == []
+        project_row(recorded, 3 ** engine.MAX_INDEX_DIGITS)
+    assert reads == []
+
+
+# Points where the array walk meets its edge cases: the origin, ints past
+# 2**64 in both arguments, and past int64 beside a small index.
+WALK_POINTS = [(0, 0), (0, 1), (1, 0), (3 ** 45 + 7, 2 ** 70 + 5),
+               (2 ** 64 + 1, 3 ** 41), (2 ** 63 + 5, 1), (2, 2 ** 64 - 1)]
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_array_walk_matches_the_cell_walk(start):
+    dfao = build_dfao(start)
+    rng = np.random.default_rng(26)
+    for hi in (5, 3 ** 6, 3 ** 20, 2 ** 62):
+        n, p = rng.integers(0, hi, (2, 7, 9), dtype=np.int64)
+        want = [[walk_by_cells(dfao, a, b) for a, b in zip(*rows)]
+                for rows in zip(n.tolist(), p.tolist())]
+        assert dfao.evaluate(n, p).tolist() == want, (start, hi)
+    for a, b in WALK_POINTS:
+        got = dfao.evaluate(a, b)
+        assert type(got) is int and got == walk_by_cells(dfao, a, b), (start, a, b)
+    # Arrays of Python ints past int64 walk as object arrays, and uint64
+    # arrays as they are.
+    n, p = zip(*WALK_POINTS)
+    want = [walk_by_cells(dfao, a, b) for a, b in WALK_POINTS]
+    assert dfao.evaluate(np.array(n, dtype=object), np.array(p, dtype=object)).tolist() == want
+    assert dfao.evaluate(np.array([2 ** 64 - 1, 4], np.uint64),
+                         np.array([3, 2 ** 63], np.uint64)).tolist() == \
+        [walk_by_cells(dfao, 2 ** 64 - 1, 3), walk_by_cells(dfao, 4, 2 ** 63)]
+    empty = dfao.evaluate(np.zeros((0, 3), np.int64), np.zeros((0, 3), np.int64))
+    assert empty.shape == (0, 3)
+
+
+@pytest.mark.parametrize("n, p", [(-1, 0), (0, -1), (-2 ** 70, 5),
+                                  (np.array([3, -1]), np.array([0, 0]))])
+def test_array_walk_refuses_a_negative_index(n, p):
+    with pytest.raises(ValueError, match="need n >= 0 and p >= 0"):
+        build_dfao("delta").evaluate(n, p)
+
+
+def test_array_walk_refuses_unequal_shapes_and_floats():
+    dfao = build_dfao("gamma")
+    with pytest.raises(ValueError, match="of one shape"):
+        dfao.evaluate(np.arange(3), np.arange(4))
+    with pytest.raises(ValueError, match="integer n and p"):
+        dfao.evaluate(np.array([2.0 ** 70]), np.array([1.0]))
+
+
+# Values the scalar walk gave, past int64 and past 2**64.
+@pytest.mark.parametrize("start, n, p, value", [
+    ("gamma", 656513934792560939660, 218837978263024718436, 2),
+    ("delta", 72945992757828357212, 218837978263024718420, 2),
+    ("gamma", 9223372036854775813, 0, 1),
+    ("delta", 12157665459056928801, 1, 0),
+])
+def test_array_walk_past_int64(start, n, p, value):
+    assert build_dfao(start).evaluate(n, p) == value
+
+
+def test_swapped_delta_transition_fails_the_dfao_check(monkeypatch):
+    # Digit pairs (0, 0) and (0, 1) of delta state 5 lead to states 46
+    # and 47; swapped, the delta automaton is wrong at n = 1, p = 4.
+    closure = kernel_closure("delta")
+    rows = list(closure.transitions)
+    assert rows[5][:2] == (46, 47)
+    rows[5] = (rows[5][1], rows[5][0]) + rows[5][2:]
+    monkeypatch.setitem(kernel._CLOSURES, "delta",
+                        dataclasses.replace(closure, transitions=tuple(rows)))
+    result = checks.dfao_grid()
+    assert (result.ok, result.detail) == (False, "mismatch at n=1 p=4")
+    # kernel_soundness reads the closure's states, not its transitions,
+    # so a swapped transition still passes it: checking every transition
+    # is the roadmap's open item 4(b).
+    assert checks.kernel_soundness().ok
