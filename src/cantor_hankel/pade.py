@@ -3,10 +3,12 @@ certificates for how well their values approximate the Cantor numbers.
 
 Every approximant comes from one J-fraction pass, _j_fraction.
 Everything rational is exact, a fractions.Fraction or an integer
-polynomial standing for a rational multiple of itself; the only floating
-point in the module is the final log-quotient enclosure, which goes
-through mpmath's interval context so rounding is outward and the
-reported exponent windows are genuine enclosures.
+polynomial standing for a rational multiple of itself; the distances
+behind the irrationality windows are integers over one common
+denominator.  The only floating point in the module is the final
+log-quotient enclosure, computed on raw mpmath.libmp interval tuples
+with every endpoint rounded outward, the reported floats included, so
+the exponent windows are genuine enclosures.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ MAX_TAIL_DEPTH = 1 << 20
 # pade(200) 0.02 s, verify_pade_error(200) 0.26 s (0.24 s of it its
 # order-200 and order-201 det_exact calls),
 # verify_functional_equation(10**6) 0.3 s, and at b = 2**32
-# irrationality_estimates(b, 100) 0.1 s and eta_identity_check(b, 10**4)
+# irrationality_estimates(b, 100) 0.04 s and eta_identity_check(b, 10**4)
 # 1.2-1.5 s; both grow with the digits of b, eta past a minute at 10**100.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
@@ -294,6 +296,36 @@ def _geometric_tail(b: int, start: int) -> Fraction:
     return Fraction(b, b - 1) / Fraction(b) ** start
 
 
+class _XiEnclosures:
+    """Integer enclosures of xi = sum of c_k b^-k from one growing run of c.
+
+    Called at depth D it returns (lo, m) with xi in [lo/m, (lo + 1)/m]:
+    m = (b-1) b**(D-1) and lo = (b-1) N_D, N_D = sum over k < D of
+    c_k b**(D-1-k), so the lower end is the partial sum and the upper
+    end adds the whole geometric tail b**(1-D) / (b-1).  Enclosures at
+    growing depth are nested.  N grows with the deepest depth read, by
+    Horner's rule over the new terms only; a shallower N_D is its
+    leading base-b digits, since every c_k < b.
+    """
+
+    def __init__(self, b: int) -> None:
+        self.b = b
+        self._depth = 0
+        self._numerator = 0
+
+    def __call__(self, depth: int) -> tuple[int, int]:
+        b = self.b
+        if depth > self._depth:
+            numerator = self._numerator
+            for term in cantor_run(self._depth, depth - self._depth).tolist():
+                numerator = numerator * b + term
+            self._depth, self._numerator = depth, numerator
+        numerator = self._numerator
+        if depth < self._depth:
+            numerator //= b ** (self._depth - depth)
+        return (b - 1) * numerator, (b - 1) * b ** (depth - 1)
+
+
 def cantor_number(b: int, terms: int) -> RationalInterval:
     """Enclosure of xi = sum of c_k b^-k from the first terms terms.
 
@@ -304,38 +336,37 @@ def cantor_number(b: int, terms: int) -> RationalInterval:
         raise ValueError("base must be at least 2")
     if terms < 1:
         raise ValueError("need at least one term")
-    numerator = 0
-    for term in cantor_run(0, terms).tolist():
-        numerator = numerator * b + term
-    partial = Fraction(numerator, b ** (terms - 1))
-    return RationalInterval(partial, partial + _geometric_tail(b, terms))
-
-
-def _log_fraction(x: Fraction):
-    # Imported here, as in _exponent_interval: mpmath adds tens of
-    # milliseconds to importing the package, and only irr reads it.
-    from mpmath import iv
-    return iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
+    lo, m = _XiEnclosures(b)(terms)
+    return RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
 
 
 def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, float]:
     """Enclosure of -log(distance)/log(q) over the distance interval.
 
     Outward-rounded interval logs at doubling precision until the
-    window is narrower than 0.01."""
-    from mpmath import iv
+    window is narrower than 0.01.  Each step is the libmp primitive
+    that mpmath's iv context would call at the same precision, so the
+    endpoints carry the same bits; the low end is rounded down to a
+    float and the high end up.
+    """
+    # Imported here: mpmath adds tens of milliseconds to importing the
+    # package, and only irr reads it.
+    from mpmath.libmp import (from_int, mpi_div, mpi_log, mpi_neg, round_ceiling,
+                              round_floor, to_float)
+
+    def log_of(x: Fraction | int, prec: int):
+        u, v = x.numerator, x.denominator
+        return mpi_log(mpi_div((from_int(u, prec, round_floor), from_int(u, prec, round_ceiling)),
+                               (from_int(v, prec, round_floor), from_int(v, prec, round_ceiling)),
+                               prec), prec)
+
     prec = 64
     while True:
-        old = iv.prec
-        try:
-            iv.prec = prec
-            log_q = _log_fraction(Fraction(q))
-            lo_iv = -_log_fraction(d_hi) / log_q
-            hi_iv = -_log_fraction(d_lo) / log_q
-            lo = float(iv.mpf(lo_iv.a).a)
-            hi = float(iv.mpf(hi_iv.b).b)
-        finally:
-            iv.prec = old
+        log_q = log_of(q, prec)
+        lo = to_float(mpi_div(mpi_neg(log_of(d_hi, prec), prec), log_q, prec)[0],
+                      rnd=round_floor)
+        hi = to_float(mpi_div(mpi_neg(log_of(d_lo, prec), prec), log_q, prec)[1],
+                      rnd=round_ceiling)
         if hi - lo < 0.01:
             return lo, hi
         if prec > 1 << 16:
@@ -363,11 +394,11 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     """Evaluate each approximant at 1/b against the Cantor number.
 
     The approximants of orders 1..max_order come from one pade_diagonal
-    pass.  The distance |xi - p/q| is enclosed with exact rational
-    arithmetic at a tail depth that adapts until the enclosure is
-    positive and narrower than a thousandth of itself; only the final
-    log quotient leaves exact arithmetic, through outward-rounded
-    interval logs.
+    pass.  The distance |xi - p/q| is enclosed exactly, in integers over
+    a common denominator, at a tail depth that adapts until the
+    enclosure is positive and narrower than a thousandth of itself; only
+    the final log quotient leaves exact arithmetic, through
+    outward-rounded interval logs.
     """
     _check_base(b)
     # No order at all would be an empty, vacuous report.
@@ -378,6 +409,7 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
     out: list[ApproximationExponent] = []
     seen: dict[Fraction, int] = {}
     x = Fraction(1, b)
+    xi = _XiEnclosures(b)
     for approx in pade_diagonal(max_order):
         order = approx.order
         value = approx.value_at(x)
@@ -394,22 +426,22 @@ def irrationality_estimates(b: int, max_order: int) -> list[ApproximationExponen
             out.append(ApproximationExponent(
                 order, p, q, None, None, True, "integer value"))
             continue
+        # Over the common denominator m*q, xi lies in [xi_lo*q, xi_lo*q + q]
+        # and p/q is p*m.  gap is the distance from p/q to the nearer end
+        # (not positive when p/q lies inside), and the enclosure is kept
+        # once gap is over 1000 of its widths q.
         depth = 2 * order + 8
         while True:
-            xi = cantor_number(b, depth)
-            if value < xi.lo:
-                d_lo, d_hi = xi.lo - value, xi.hi - value
-            elif value > xi.hi:
-                d_lo, d_hi = value - xi.hi, value - xi.lo
-            else:
-                d_lo = Fraction(0)
-                d_hi = max(xi.hi - value, value - xi.lo)
-            if d_lo > 0 and (d_hi - d_lo) * 1000 < d_lo:
+            xi_lo, m = xi(depth)
+            below = xi_lo * q - p * m
+            gap = below if below > 0 else -below - q
+            if gap > 1000 * q:
                 break
             depth *= 2
             if depth > MAX_TAIL_DEPTH:
                 raise RuntimeError(
                     f"distance enclosure failed to separate at order {order}")
+        d_lo, d_hi = Fraction(gap, m * q), Fraction(gap + q, m * q)
         lo, hi = _exponent_interval(d_lo, d_hi, q)
         out.append(ApproximationExponent(order, p, q, lo, hi, False, ""))
     return out

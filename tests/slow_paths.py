@@ -18,7 +18,8 @@ from cantor_hankel import cli, engine, hankel, kernel
 from cantor_hankel.hankel import MAX_HANKEL_ORDER, _square, det_exact
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
-from cantor_hankel.pade import PadeApproximant, PadeErrorReport
+from cantor_hankel.pade import (ApproximationExponent, PadeApproximant, PadeErrorReport,
+                                RationalInterval)
 from cantor_hankel.sequences import cantor_term, diff_term
 
 # The module itself: the package rebinds the name pade to the function.
@@ -465,3 +466,78 @@ def verify_pade_error_by_fractions(order: int) -> PadeErrorReport:
                         det_exact(hankel_by_terms("gamma", 0, 1, order)[0]))
     ok = first_mismatch is None and error[2 * order] == expected
     return PadeErrorReport(order, ok, first_mismatch, error[2 * order], expected)
+
+
+def cantor_number_by_fractions(b: int, terms: int) -> RationalInterval:
+    """pade.cantor_number as a Fraction partial sum, term by term through
+    cantor_term, plus the geometric tail b/(b-1) * b**-terms."""
+    partial = sum((Fraction(cantor_term(k), b ** k) for k in range(terms)), Fraction(0))
+    return RationalInterval(partial, partial + Fraction(b, b - 1) / Fraction(b) ** terms)
+
+
+def exponent_interval_by_iv(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, float]:
+    """pade._exponent_interval through mpmath's iv context, the low end
+    rounded down to a float and the high end up."""
+    from mpmath import iv
+    from mpmath.libmp import round_ceiling, round_floor, to_float
+
+    def log_of(x: Fraction):
+        return iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
+
+    prec = 64
+    while True:
+        old = iv.prec
+        try:
+            iv.prec = prec
+            log_q = log_of(Fraction(q))
+            lo_iv = -log_of(d_hi) / log_q
+            hi_iv = -log_of(d_lo) / log_q
+            lo = to_float(lo_iv.a._mpi_[0], rnd=round_floor)
+            hi = to_float(hi_iv.b._mpi_[1], rnd=round_ceiling)
+        finally:
+            iv.prec = old
+        if hi - lo < 0.01:
+            return lo, hi
+        if prec > 1 << 16:
+            raise RuntimeError("exponent interval failed to narrow")
+        prec *= 2
+
+
+def irrationality_estimates_by_fractions(b: int, max_order: int) -> list[ApproximationExponent]:
+    """pade.irrationality_estimates as it rebuilt xi's enclosure as
+    Fractions at every depth it tried, compared Fractions, and took the
+    logs through mpmath's iv context."""
+    out: list[ApproximationExponent] = []
+    seen: dict[Fraction, int] = {}
+    x = Fraction(1, b)
+    for approx in pade_module.pade_diagonal(max_order):
+        order = approx.order
+        value = approx.value_at(x)
+        previous = seen.get(value)
+        seen.setdefault(value, order)
+        q, p = value.denominator, value.numerator
+        if previous is not None:
+            out.append(ApproximationExponent(order, p, q, None, None, True,
+                                             f"value repeats order {previous}"))
+            continue
+        if q == 1:
+            out.append(ApproximationExponent(order, p, q, None, None, True, "integer value"))
+            continue
+        depth = 2 * order + 8
+        while True:
+            xi = cantor_number_by_fractions(b, depth)
+            if value < xi.lo:
+                d_lo, d_hi = xi.lo - value, xi.hi - value
+            elif value > xi.hi:
+                d_lo, d_hi = value - xi.hi, value - xi.lo
+            else:
+                d_lo = Fraction(0)
+                d_hi = max(xi.hi - value, value - xi.lo)
+            if d_lo > 0 and (d_hi - d_lo) * 1000 < d_lo:
+                break
+            depth *= 2
+            if depth > pade_module.MAX_TAIL_DEPTH:
+                raise RuntimeError(f"distance enclosure failed to separate at order {order}")
+        lo, hi = exponent_interval_by_iv(d_lo, d_hi, q)
+        out.append(ApproximationExponent(order, p, q, lo, hi, False, ""))
+    return out

@@ -14,7 +14,8 @@ from cantor_hankel.pade import (MAX_BASE, MAX_PADE_ORDER, PadeApproximant,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
-from slow_paths import (pade_by_elimination, pade_value_by_fraction_horner,
+from slow_paths import (cantor_number_by_fractions, irrationality_estimates_by_fractions,
+                        pade_by_elimination, pade_value_by_fraction_horner,
                         verify_pade_error_by_fractions)
 
 # The module itself: the package rebinds the name pade to the function.
@@ -339,6 +340,64 @@ def test_irrationality_envelope():
             if row.degenerate:
                 continue
             assert 1.5 <= row.exponent_lo <= row.exponent_hi <= 3.5
+
+
+@pytest.mark.parametrize("b, max_order",
+                         [(b, 60) for b in [*range(2, 13), 97, 2 ** 31 - 1, 2 ** 32]]
+                         + [(2, 100), (3, 100), (2 ** 32, 100)])
+def test_irrationality_estimates_match_the_fraction_path(b, max_order):
+    assert (irrationality_estimates(b, max_order)
+            == irrationality_estimates_by_fractions(b, max_order))
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 2 ** 32])
+def test_xi_enclosures_read_by_irr_equal_cantor_number(monkeypatch, b):
+    read = []
+    enclose = pade_module._XiEnclosures.__call__
+
+    def recording(self, depth):
+        lo, m = enclose(self, depth)
+        read.append((depth, lo, m))
+        return lo, m
+
+    monkeypatch.setattr(pade_module._XiEnclosures, "__call__", recording)
+    irrationality_estimates(b, 60)
+    # cantor_number builds enclosures of its own, unrecorded.
+    monkeypatch.undo()
+    assert len({depth for depth, _, _ in read}) > 50
+    for depth, lo, m in read:
+        enclosure = RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
+        assert enclosure == cantor_number(b, depth)
+    for depth, _, _ in read[::10]:
+        assert cantor_number(b, depth) == cantor_number_by_fractions(b, depth)
+
+
+@pytest.mark.parametrize("b, max_order", [(2, 100), (3, 60), (2 ** 32, 100)])
+def test_exponent_windows_enclose_the_log_quotient(monkeypatch, b, max_order):
+    # Every window must hold -log(d)/log(q) for every distance d in
+    # [d_lo, d_hi]; checked at its ends at 256 bits, far past the ulp by
+    # which a float endpoint rounded inward would miss.
+    import mpmath
+
+    windows = []
+    exponent_interval = pade_module._exponent_interval
+
+    def recording(d_lo, d_hi, q):
+        lo, hi = exponent_interval(d_lo, d_hi, q)
+        windows.append((d_lo, d_hi, q, lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(pade_module, "_exponent_interval", recording)
+    irrationality_estimates(b, max_order)
+    assert len(windows) > max_order // 2
+    mp = mpmath.mp
+    with mp.workprec(256):
+        def exponent(d, q):
+            return -mp.log(mp.mpf(d.numerator) / d.denominator) / mp.log(q)
+
+        for d_lo, d_hi, q, lo, hi in windows:
+            assert mp.mpf(lo) <= exponent(d_hi, q)
+            assert exponent(d_lo, q) <= mp.mpf(hi)
 
 
 def test_eta_identity_intervals():
