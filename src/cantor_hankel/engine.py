@@ -19,12 +19,15 @@ evaluation costs O(log n + log p) new cells on top of the memo.
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
-third as wide and as tall one level down, one array pass per
-splitting identity, and no cell is memoised.  witness_lattices() does
-the same for the lattices (3**m n + r, 3**m p + s) that kernel closure
-states stand for: one splitting identity rebuilds a whole stack of
-lattices from the stack one level down.  Their anchor row n = 1 reads
-c from sequences.cantor_run, as the hankel oracles' matrices do.
+third as wide and as tall one level down, and no cell is memoised.
+SPLIT_RULES is compiled once, at import, into index arrays
+(CompiledRules), so each level reads every factor of every identity
+with one gather over windows of the level below, in blocks of bounded
+size.  witness_lattices() does the same for the lattices (3**m n + r,
+3**m p + s) that kernel closure states stand for: one splitting
+identity rebuilds a whole stack of lattices from the stack one level
+down.  Their anchor row n = 1 reads c from sequences.cantor_run, as the
+hankel oracles' matrices do.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Mapping, Sequence
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +57,13 @@ _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 KINDS = ("gamma", "delta")
 
 # Rectangles of at most this many cells, and no others, are read cell by
-# cell: below it the eighteen array passes of a level cost more than the cells.
+# cell: below it the array work of a level costs more than the cells.
 _CELLWISE_AREA = 32
+
+# The factors one block of a tables() level gathers at once, one byte
+# each: a block of quotient cells then peaks at under 1 MiB of
+# temporaries, however large the rectangle.
+_GATHER_BYTES = 1 << 19
 
 
 Factor = tuple[str, int, int, int]
@@ -94,6 +103,56 @@ SPLIT_RULES: dict[tuple[int, int, str], Rule] = {
                   (1, (("G", 1, 0, 1), ("D", 0, 1, 1), ("D", 1, 0, 1)))),
     (2, 2, "D"): ((0, (("G", 2, 0, 1), ("D", 0, 1, 2))),),
 }
+
+
+# The factor planes a compiled rule reads, keyed (stream, exponent), in
+# the order _split_level stacks them; plane 4 is all ones and pads short
+# terms.  The squares are x != 0, since x**2 = [x != 0] mod 3.
+_FACTOR_PLANES = {("G", 1): 0, ("G", 2): 1, ("D", 1): 2, ("D", 2): 3}
+_ONES_PLANE = 4
+
+
+class CompiledRules(NamedTuple):
+    """The eighteen splitting identities as index arrays of shape
+    (2 streams, 3 i, 3 j, 2 terms, 3 factors): rule (i, j, stream) sits
+    at ["GD".index(stream), i, j].
+
+    Factor f of term t reads the plane plane[..., t, f] (of
+    _FACTOR_PLANES, or the ones plane when the term has fewer factors)
+    at row shift row[..., t, f] = a + 1 and column shift col[..., t, f]
+    = b.  weight[..., t] is the term's sign (-1)**shift as 1 or 2 mod 3,
+    and 0 for a missing term; its two trailing axes of length 1
+    broadcast over a block of quotient cells.
+    """
+
+    plane: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
+
+
+def compile_rules(rules: Mapping[tuple[int, int, str], Rule]) -> CompiledRules:
+    """rules, keyed as SPLIT_RULES, as the index arrays tables() gathers by."""
+    shape = (2, 3, 3, 2, 3)
+    plane = np.full(shape, _ONES_PLANE, np.intp)
+    row, col = np.zeros(shape, np.intp), np.zeros(shape, np.intp)
+    weight = np.zeros(shape[:4] + (1, 1), np.int8)
+    for (i, j, stream), rule in rules.items():
+        at = ("GD".index(stream), i, j)
+        if len(rule) > 2 or any(len(factors) > 3 for _, factors in rule):
+            raise ValueError(f"rule {(i, j, stream)} has more than 2 terms or 3 factors a term")
+        for t, (shift, factors) in enumerate(rule):
+            weight[at + (t,)] = 2 if shift % 2 else 1
+            for f, (sym, a, b, e) in enumerate(factors):
+                if (sym, e) not in _FACTOR_PLANES or not (-1 <= a <= 2 and 0 <= b <= 1):
+                    raise ValueError(
+                        f"rule {(i, j, stream)} reads {(sym, a, b, e)}, outside the windows")
+                plane[at + (t, f)], row[at + (t, f)] = _FACTOR_PLANES[sym, e], a + 1
+                col[at + (t, f)] = b
+    return CompiledRules(plane, row, col, weight)
+
+
+_COMPILED_RULES = compile_rules(SPLIT_RULES)
 
 
 def _check_digits(n: int, p: int) -> None:
@@ -242,57 +301,150 @@ def _rule_sum(rule: Rule, factor: Callable[[str, int, int, int], np.ndarray],
     return total % 3
 
 
-def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
-    """Both streams over a rectangle, keyed "G" and "D"; see tables()."""
+def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and delta over a rectangle, two int8 arrays; see tables()."""
     width = p_hi - p_lo + 1
-    out = {s: np.empty((n_hi - n_lo + 1, width), np.int8) for s in "GD"}
-    if n_lo <= 1:
-        for stream, anchors in _anchor_rows(p_lo, width).items():
-            out[stream][:2 - n_lo] = anchors[n_lo + 1:n_hi + 2]
     r_lo = max(n_lo, 2)
-    if r_lo > n_hi:
-        return out
-    if (n_hi - n_lo + 1) * width <= _CELLWISE_AREA:
+    if r_lo <= n_hi and (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
+        out = _split_level(n_lo, n_hi, p_lo, p_hi)
+    else:
+        out = (np.empty((n_hi - n_lo + 1, width), np.int8),
+               np.empty((n_hi - n_lo + 1, width), np.int8))
         # A level down is about a third as tall and as wide, and rows
         # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
-        for stream, value in _CELLS.items():
-            out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
-                                         for n in range(r_lo, n_hi + 1)]
-        return out
-    # Row n = 3m + i reads rows m - 1 .. m + 2 and column p = 3q + j
-    # reads columns q .. q + 1 of the level below, each stream also
-    # squared mod 3.
-    m_lo, q_lo = r_lo // 3 - 1, p_lo // 3
-    below = {}
-    for stream, table in _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1).items():
-        below[stream, 1], below[stream, 2] = table, table * table % 3
-    for (i, j, stream), rule in SPLIT_RULES.items():
-        n0 = r_lo + (i - r_lo) % 3
-        p0 = p_lo + (j - p_lo) % 3
-        rows, cols = len(range(n0, n_hi + 1, 3)), len(range(p0, p_hi + 1, 3))
-        if not rows or not cols:
-            continue
-        m0, q0 = n0 // 3 - m_lo, p0 // 3 - q_lo
-
-        def factor(sym: str, a: int, b: int, e: int) -> np.ndarray:
-            return below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
-
-        # Row k of this slice has m = n0 // 3 + k: negate the rows of odd m.
-        out[stream][n0 - n_lo::3, p0 - p_lo::3] = _rule_sum(rule, factor, (n0 // 3 + 1) % 2)
+        if r_lo <= n_hi:
+            for table, value in zip(out, _CELLS.values()):
+                table[r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
+                                       for n in range(r_lo, n_hi + 1)]
+    if n_lo <= 1:
+        anchors = _anchor_rows(p_lo, width)
+        for table, stream in zip(out, "GD"):
+            table[:2 - n_lo] = anchors[stream][n_lo + 1:n_hi + 2]
     return out
+
+
+def _residues(lo: int, hi: int) -> slice:
+    """The residues mod 3 of lo..hi as a slice of range(3): 0:3 for three
+    or more, else one of 0:1, 1:2, 2:3, 0:2, 1:3 or 0:3:2."""
+    if hi - lo >= 2:
+        return slice(0, 3, 1)
+    a, b = sorted((lo % 3, hi % 3))
+    return slice(a, b + 1, max(b - a, 1))
+
+
+def _block_residues(block: np.ndarray, plane: np.ndarray, outer: np.ndarray, inner: np.ndarray,
+                    weight: np.ndarray, odd: tuple) -> np.ndarray:
+    """The compiled rules over a block of windows, as int8 residues mod
+    3 with axes (stream, outer residue, inner residue, outer quotient,
+    inner quotient).
+
+    plane and weight are as in CompiledRules, outer and inner the shifts
+    along the block's two window axes; odd indexes the cells of odd
+    quotient row m, whose signs flip.
+    """
+    factors = block[plane, :, :, outer, inner]
+    # Products of at most 8, weighted by the term signs as 1 or 2 (-1 mod
+    # 3): every sum lies in [0, 32].
+    terms = factors[:, :, :, :, 0] * factors[:, :, :, :, 1]
+    terms *= factors[:, :, :, :, 2]
+    terms *= weight
+    total = terms[:, :, :, 0] + terms[:, :, :, 1]
+    # Times 2, -1 mod 3: at most 64.
+    total[odd] *= 2
+    # x mod 3 as x - 3 * (x // 3): numpy divides integers by a scalar
+    # several times faster than it takes their remainder.
+    third = total // 3
+    third *= 3
+    total -= third
+    return total
+
+
+def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and delta over a rectangle, split by _COMPILED_RULES from the
+    rectangle one level down; rows n < 2 are left for the anchors.
+
+    Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
+    of the level below: one (4, 2) window of the factor planes per
+    quotient cell (m, q).  Blocks of quotient cells, at most
+    _GATHER_BYTES factors each, gather every factor of the rules whose i
+    and j occur in the rectangle at once, and fill the cells (3m + i,
+    3q + j) of those i and j over each quotient cell.  The tables hold
+    just those cells (and row n = -1 if asked for), so at most two rows
+    and two columns past each side of the rectangle, a view of them.
+
+    Every array op runs along the longer quotient axis, the inner one of
+    the layout: a rectangle taller than wide is built transposed, its
+    tables and planes indexed [p, n] and the rules' i and j axes swapped.
+    """
+    m_lo, q_lo = max(n_lo, 2) // 3 - 1, p_lo // 3
+    below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1)
+    # Rows n = 0 and 1, which the anchors fill, share the quotient row
+    # m = 0 with n = 2, so their residues are kept too.
+    at = (slice(None), _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
+    plane, outer, inner, weight = (index[at] for index in _COMPILED_RULES)
+    rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
+    # Row n = -1, if asked for, precedes the quotient rows.
+    extra = int(n_lo < 0)
+    shape = (extra + rows * len(range(3)[at[1]]), cols * len(range(3)[at[2]]))
+    tall = rows > cols
+    if tall:
+        below = (below[0].T, below[1].T)
+        plane, outer, inner, weight = (a.swapaxes(1, 2) for a in (plane, inner, outer, weight))
+    planes = np.empty((5,) + below[0].shape, np.int8)
+    planes[0:4:2] = below
+    del below
+    np.not_equal(planes[0:4:2], 0, out=planes[1:4:2].view(bool))
+    planes[4] = 1
+    if tall:
+        layout = tuple(np.empty(shape[::-1], np.int8) for _ in "GD")
+        full, origin = tuple(table.T for table in layout), (0, extra)
+    else:
+        full = layout = tuple(np.empty(shape, np.int8) for _ in "GD")
+        origin = (extra, 0)
+    # sliding_window_view(planes, (4, 2) or (2, 4), axis=(1, 2)), built
+    # directly: that call costs about as much as the rest of a small level.
+    window = (2, 4) if tall else (4, 2)
+    count = (planes.shape[1] - window[0] + 1, planes.shape[2] - window[1] + 1)
+    windows = np.ndarray((5,) + count + window, np.int8, planes,
+                         strides=planes.strides + planes.strides[1:])
+    block_inner = min(count[1], max(1, _GATHER_BYTES // plane.size))
+    block_outer = max(1, _GATHER_BYTES // (plane.size * block_inner))
+    for u in range(0, count[0], block_outer):
+        for v in range(0, count[1], block_inner):
+            # The cells of odd quotient row m, the inner or the outer axis.
+            m = slice((m_lo + (v if tall else u)) % 2, None, 2)
+            total = _block_residues(windows[:, u:u + block_outer, v:v + block_inner],
+                                    plane, outer, inner, weight,
+                                    (..., m) if tall else (..., m, slice(None)))
+            # Axes (outer residue, inner residue, outer quotient, inner
+            # quotient) to the layout's rows and columns of each stream.
+            ka, kb, a, b = total.shape[1:]
+            x, y = origin[0] + ka * u, origin[1] + kb * v
+            for table, cells in zip(layout, total):
+                region = table[x:x + ka * a, y:y + kb * b].reshape(a, ka, b, kb)
+                for k in range(kb):
+                    region[..., k] = cells[:, k].transpose(1, 0, 2)
+    # Row n_lo >= 0 and column p_lo are in the first quotient row and column.
+    n0 = 0 if extra else (n_lo % 3 - at[1].start) // at[1].step
+    p0 = (p_lo % 3 - at[2].start) // at[2].step
+    return (full[0][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1],
+            full[1][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1])
 
 
 def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta mod 3 over rows n_lo..n_hi and columns p_lo..p_hi.
 
     Returns two int8 arrays indexed [n - n_lo, p - p_lo], in the order of
-    KINDS.  Rows n >= 2 come from the rectangle one level down, rows
-    n_lo // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1:
-    each entry (i, j, stream) of SPLIT_RULES fills the rows n = i and the
-    columns p = j mod 3 at once, every factor a contiguous slice of that
-    rectangle.  Anchor rows come from one numpy pass over the columns,
-    and rectangles of at most _CELLWISE_AREA cells are read cell by
-    cell.  Gamma's row -1 holds 0.  A rectangle of more than
+    KINDS; they share no memory, and each may be a view of a table with
+    up to two more rows and columns on each side.  Rows n >= 2 come from
+    the rectangle one level down, rows n_lo // 3 - 1 .. n_hi // 3 + 2 by
+    columns p_lo // 3 .. p_hi // 3 + 1: blocks of quotient cells (m, q)
+    gather the factors of the compiled splitting identities from (4, 2)
+    windows of that rectangle at once and fill the cells (3m + i,
+    3q + j) of every i and j the rectangle has (see _split_level).
+    Anchor rows come from one numpy pass over the columns, and
+    rectangles of at most _CELLWISE_AREA cells are read cell by cell.
+    Gamma's row -1 holds 0.  A rectangle of more than
     DEFAULT_GRID_CELL_CAP cells is refused before any cell is computed.
     """
     if n_hi < n_lo or p_hi < p_lo:
@@ -303,8 +455,7 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     if n_lo < -1 or p_lo < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n_hi, p_hi)
-    out = _level(n_lo, n_hi, p_lo, p_hi)
-    return out["G"], out["D"]
+    return _level(n_lo, n_hi, p_lo, p_hi)
 
 
 def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],

@@ -19,6 +19,11 @@ import numpy as np
 # with a = 1 and b = 0.
 _SUBSTITUTION = {"a": "aba", "b": "bbb"}
 
+# The image of each letter under sigma, by its byte code: row ord(x) of
+# this table spells _SUBSTITUTION[x].
+_IMAGES = np.zeros((256, 3), dtype=np.uint8)
+_IMAGES[list(map(ord, _SUBSTITUTION))] = [list(image.encode()) for image in _SUBSTITUTION.values()]
+
 # Two-state output automaton over base-3 digits, most significant digit
 # first.  State "a" outputs 1, state "b" outputs 0; digit 1 is an
 # absorbing jump to "b".
@@ -71,10 +76,11 @@ def substitution_word(k: int) -> str:
         raise ValueError("iteration count must be nonnegative")
     if 3 ** k > DEFAULT_WORD_CAP:
         raise ValueError(f"word of length 3**{k} exceeds the cap {DEFAULT_WORD_CAP}")
-    word = "a"
+    # Each iteration is one gather of the images of the word's byte codes.
+    word = np.frombuffer(b"a", dtype=np.uint8)
     for _ in range(k):
-        word = "".join(_SUBSTITUTION[letter] for letter in word)
-    return word
+        word = np.take(_IMAGES, word, axis=0).ravel()
+    return word.tobytes().decode()
 
 
 def diff_term(n: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cantor_hankel import cli, engine, hankel, kernel
+from cantor_hankel import cli, engine, hankel, kernel, sequences
 from cantor_hankel.hankel import MAX_HANKEL_ORDER, _square, det_exact
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
@@ -244,6 +244,62 @@ def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     return {kind: np.array([lattice("GD"[engine.KINDS.index(kind)], *w).ravel()
                             for w in triples], dtype=np.int8).reshape(len(triples), size * size)
             for kind, triples in witnesses.items()}
+
+
+def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
+                          p_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """engine.tables as it built each level: one engine._rule_sum per
+    entry of SPLIT_RULES, filling the rows n = i and the columns p = j
+    mod 3 at once, every factor a contiguous slice of the rectangle one
+    level down.  Anchor rows and rectangles of at most
+    engine._CELLWISE_AREA cells are read as engine.tables reads them."""
+
+    def level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
+        width = p_hi - p_lo + 1
+        out = {s: np.empty((n_hi - n_lo + 1, width), np.int8) for s in "GD"}
+        if n_lo <= 1:
+            for stream, anchors in engine._anchor_rows(p_lo, width).items():
+                out[stream][:2 - n_lo] = anchors[n_lo + 1:n_hi + 2]
+        r_lo = max(n_lo, 2)
+        if r_lo > n_hi:
+            return out
+        if (n_hi - n_lo + 1) * width <= engine._CELLWISE_AREA:
+            for stream, value in engine._CELLS.items():
+                out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
+                                             for n in range(r_lo, n_hi + 1)]
+            return out
+        m_lo, q_lo = r_lo // 3 - 1, p_lo // 3
+        below = {}
+        for stream, table in level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1).items():
+            below[stream, 1], below[stream, 2] = table, table * table % 3
+        for (i, j, stream), rule in engine.SPLIT_RULES.items():
+            n0 = r_lo + (i - r_lo) % 3
+            p0 = p_lo + (j - p_lo) % 3
+            rows, cols = len(range(n0, n_hi + 1, 3)), len(range(p0, p_hi + 1, 3))
+            if not rows or not cols:
+                continue
+            m0, q0 = n0 // 3 - m_lo, p0 // 3 - q_lo
+
+            def factor(sym: str, a: int, b: int, e: int) -> np.ndarray:
+                return below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
+
+            # Row k of this slice has m = n0 // 3 + k: negate the rows of odd m.
+            out[stream][n0 - n_lo::3, p0 - p_lo::3] = engine._rule_sum(
+                rule, factor, (n0 // 3 + 1) % 2)
+        return out
+
+    out = level(n_lo, n_hi, p_lo, p_hi)
+    return out["G"], out["D"]
+
+
+def substitution_word_by_joins(k: int) -> str:
+    """The k-th iterate of the substitution on "a", one string join of
+    letter images per iteration: what sequences.substitution_word's
+    table gather replaced."""
+    word = "a"
+    for _ in range(k):
+        word = "".join(sequences._SUBSTITUTION[letter] for letter in word)
+    return word
 
 
 def grid_text_by_cells(rows: Sequence[Sequence[int]], fmt: str) -> str:

@@ -1,5 +1,6 @@
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.hankel import det_mod3, det_mod3_stack, hankel_matrix, hankel_stack
 from cantor_hankel.sequences import cantor_term, diff_term
-from slow_paths import lattices_by_memo
+from slow_paths import lattices_by_memo, tables_by_rule_passes
 
 
 def test_gamma_base_cases():
@@ -216,6 +217,122 @@ def test_tables_match_the_scalar_engine_from_the_boundary_rows():
     _assert_tables_match_scalar(-1, 3, 7, 1500)
     _assert_tables_match_scalar(2, 5, 3 ** 9, 3 ** 9 + 400)
     _assert_tables_match_scalar(2, 2, 3 ** 12 - 100, 3 ** 12 + 300)
+
+
+def _rule_pass_rectangles(seed):
+    """(n_lo, n_hi, p_lo, p_hi) for the compiled levels against the rule
+    passes: the boundary rows, either side of _CELLWISE_AREA, single rows
+    and columns, offsets past 2**63 and near 3**200, and widths of more
+    than one block of quotient columns."""
+    rng = random.Random(seed)
+    out = []
+    for n_lo in (-1, 0, 1, 2):
+        for height, width in ((4, 8), (8, 4), (3, 11), (11, 3), (1, 40), (40, 1), (33, 1),
+                              (1, 33), (rng.randint(2, 70), rng.randint(2, 70))):
+            p_lo = rng.choice((0, 1, rng.randrange(3 ** 9)))
+            out.append((n_lo, n_lo + height - 1, p_lo, p_lo + width - 1))
+    for lo in (2 ** 63 - 7, 2 ** 64 + 5, 3 ** 199 + 11, 3 ** 200 - 90):
+        for height, width in ((4, 8), (1, 60), (60, 1), (33, 33)):
+            n_lo = lo - rng.randrange(3 ** 5) if rng.random() < 0.5 else rng.randrange(3 ** 8)
+            out.append((n_lo, n_lo + height - 1, lo, min(lo + width - 1, 3 ** 200 - 1)))
+    # A block holds _GATHER_BYTES // 108 quotient columns when every rule
+    # is read, so the first width fits one block and the others span two.
+    wide = 3 * engine._GATHER_BYTES // 108
+    out += [(1, 5, 0, wide - 10), (1, 5, 5, wide + 400), (-1, 7, 3 ** 20, 3 ** 20 + wide + 3)]
+    return out
+
+
+def _assert_tables_match_rule_passes(n_lo, n_hi, p_lo, p_hi):
+    got = engine.tables(n_lo, n_hi, p_lo, p_hi)
+    want = tables_by_rule_passes(n_lo, n_hi, p_lo, p_hi)
+    for kind, table, expected in zip(engine.KINDS, got, want):
+        assert table.dtype == np.int8 and table.shape == expected.shape, (kind, n_lo, p_lo)
+        assert np.array_equal(table, expected), (kind, n_lo, n_hi, p_lo, p_hi)
+
+
+def test_tables_match_the_rule_passes():
+    for rectangle in _rule_pass_rectangles(28):
+        _assert_tables_match_rule_passes(*rectangle)
+
+
+def test_tables_match_the_rule_passes_block_by_block(monkeypatch):
+    # Blocks of seven quotient cells: every level of these rectangles is
+    # split into many blocks along both axes, wide and tall.
+    monkeypatch.setattr(engine, "_GATHER_BYTES", 7 * 108)
+    for rectangle in ((-1, 60, 0, 60), (1, 300, 4, 9), (5, 11, 3 ** 12, 3 ** 12 + 200),
+                      (0, 400, 3 ** 30, 3 ** 30)):
+        _assert_tables_match_rule_passes(*rectangle)
+
+
+def test_compiled_rules_decode_to_split_rules():
+    plane, row, col, weight = engine._COMPILED_RULES
+    assert plane.shape == row.shape == col.shape == (2, 3, 3, 2, 3)
+    assert weight.shape == (2, 3, 3, 2, 1, 1)
+    planes = {index: key for key, index in engine._FACTOR_PLANES.items()}
+    decoded = {}
+    for (s, i, j), _ in np.ndenumerate(plane[..., 0, 0]):
+        terms = []
+        for t in range(2):
+            sign = int(weight[s, i, j, t, 0, 0])
+            at = [(s, i, j, t, f) for f in range(3)]
+            if sign == 0:
+                assert all(plane[k] == engine._ONES_PLANE for k in at)
+                continue
+            factors = tuple((sym, int(row[k]) - 1, int(col[k]), e)
+                            for k in at if plane[k] != engine._ONES_PLANE
+                            for sym, e in [planes[plane[k]]])
+            terms.append(({1: 0, 2: 1}[sign], factors))
+        decoded[i, j, "GD"[s]] = tuple(terms)
+    assert decoded == engine.SPLIT_RULES
+
+
+def test_an_edited_rule_changes_the_table(monkeypatch):
+    # The second term of (1, 0, "G") with its sign flipped, compiled and
+    # read by tables() alone: the cell-by-cell path keeps the true rules.
+    rules = dict(engine.SPLIT_RULES)
+    (shift, factors), second = rules[1, 0, "G"]
+    rules[1, 0, "G"] = ((shift, factors), (1 - second[0], second[1]))
+    monkeypatch.setattr(engine, "_COMPILED_RULES", engine.compile_rules(rules))
+    gamma, delta = engine.tables(1, 60, 0, 60)
+    want_gamma, want_delta = tables_by_rule_passes(1, 60, 0, 60)
+    # Rows n = 1, 2, 3 read no (1, 0, "G"); n = 4 is the first it writes.
+    assert np.array_equal(gamma[:3], want_gamma[:3])
+    assert not np.array_equal(gamma[3], want_gamma[3])
+    assert np.array_equal(delta[:4], want_delta[:4])
+
+
+def test_compile_rules_refuses_rules_outside_the_windows():
+    for key, rule, message in (
+            ((0, 0, "G"), ((0, (("G", 0, 0, 1),)),) * 3, "more than 2 terms"),
+            ((0, 0, "G"), ((0, (("G", 0, 0, 1),) * 4),), "3 factors"),
+            ((1, 2, "D"), ((0, (("D", -2, 0, 1),)),), r"reads \('D', -2, 0, 1\)"),
+            ((1, 2, "D"), ((0, (("D", 0, 2, 1),)),), "outside the windows"),
+            ((2, 2, "G"), ((0, (("F", 0, 0, 1),)),), "outside the windows"),
+            ((2, 2, "G"), ((0, (("G", 0, 0, 3),)),), "outside the windows")):
+        with pytest.raises(ValueError, match=message):
+            engine.compile_rules({**engine.SPLIT_RULES, key: rule})
+
+
+def test_tables_return_two_unshared_arrays():
+    for rectangle in ((1, 5, 0, 9), (-1, 60, 0, 60), (1, 300, 7, 7), (2, 3, 0, 5000)):
+        gamma, delta = engine.tables(*rectangle)
+        assert not np.shares_memory(gamma, delta), rectangle
+
+
+def test_tables_peak_memory_stays_near_the_output():
+    # The output is two int8 tables of 2000 x 2000 cells.  The rest of
+    # the peak is the five factor planes of the level below (about 0.28
+    # of the output) and one block's temporaries: 1.40 of the output in
+    # six fresh processes, as for the per-rule build, and 1.51 with
+    # blocks of 1 MiB (CHANGES.md has the derivation).
+    engine.tables(1, 50, 0, 49)
+    tracemalloc.start()
+    try:
+        gamma, delta = engine.tables(1, 2000, 0, 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (gamma.nbytes + delta.nbytes)
 
 
 def test_tables_match_elimination_over_the_oracle_window():

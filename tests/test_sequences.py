@@ -7,6 +7,7 @@ from cantor_hankel import sequences
 from cantor_hankel.sequences import (DEFAULT_WORD_CAP, cantor_run, cantor_term,
                                      cantor_via_automaton, diff_run, diff_term,
                                      sequence_slice, substitution_word)
+from slow_paths import substitution_word_by_joins
 
 # First 27 terms straight from the digit criterion.
 CANTOR_PREFIX = (1, 0, 1, 0, 0, 0, 1, 0, 1,
@@ -66,6 +67,11 @@ def test_substitution_word_spells_the_sequence():
     word = substitution_word(7)
     for n, letter in enumerate(word):
         assert cantor_term(n) == (1 if letter == "a" else 0)
+
+
+def test_substitution_word_matches_the_string_joins():
+    for k in range(13):
+        assert substitution_word(k) == substitution_word_by_joins(k), k
 
 
 def test_substitution_word_cap(monkeypatch):
