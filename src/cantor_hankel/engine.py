@@ -23,18 +23,18 @@ third as wide and as tall one level down, and no cell is memoised.
 SPLIT_RULES is compiled once, at import, into index arrays
 (CompiledRules), so each level reads every factor of every identity
 with one gather over windows of the level below, in blocks of bounded
-size.  witness_lattices() does the same for the lattices (3**m n + r,
-3**m p + s) that kernel closure states stand for: one splitting
-identity rebuilds a whole stack of lattices from the stack one level
-down.  Their anchor row n = 1 reads c from sequences.cantor_run, as the
-hankel oracles' matrices do.
+size.  witness_lattices() gathers by the same compiled rules for the
+lattices (3**m n + r, 3**m p + s) that kernel closure states stand for,
+a whole level of them from the stack one level down per block.  Their
+anchor row n = 1 reads c from sequences.cantor_run, as the hankel
+oracles' matrices do.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -280,27 +280,6 @@ def _kind_index(kind: str) -> int:
     return KINDS.index(kind)
 
 
-def _rule_sum(rule: Rule, factor: Callable[[str, int, int, int], np.ndarray],
-              odd_from: int) -> np.ndarray:
-    """A splitting identity evaluated on arrays, reduced mod 3.
-
-    factor(stream, a, b, e) is the array of that factor, already raised
-    to e, with rows on its second-last axis.  The (-1)**m part of each
-    term's sign, m the quotient row index, is applied by negating every
-    other row from row odd_from.
-    Every product lies in [-8, 8] and every sum in [-16, 16], inside
-    int8.
-    """
-    total = 0
-    for shift, factors in rule:
-        term = -1 if shift % 2 else 1
-        for sym, a, b, e in factors:
-            term = term * factor(sym, a, b, e)
-        total = total + term
-    total[..., odd_from::2, :] *= -1
-    return total % 3
-
-
 def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta over a rectangle, two int8 arrays; see tables()."""
     width = p_hi - p_lo + 1
@@ -351,12 +330,15 @@ def _block_residues(block: np.ndarray, plane: np.ndarray, outer: np.ndarray, inn
     total = terms[:, :, :, 0] + terms[:, :, :, 1]
     # Times 2, -1 mod 3: at most 64.
     total[odd] *= 2
-    # x mod 3 as x - 3 * (x // 3): numpy divides integers by a scalar
-    # several times faster than it takes their remainder.
-    third = total // 3
+    return _mod3(total)
+
+
+def _mod3(x: np.ndarray) -> np.ndarray:
+    """x >= 0 mod 3 in place, as x - 3 * (x // 3): several times faster than %."""
+    third = x // 3
     third *= 3
-    total -= third
-    return total
+    x -= third
+    return x
 
 
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,24 +450,25 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     (3**m * n + r, 3**m * p + s).  A witness needs 0 <= r, s < 3**m.
 
     Every point of a lattice with m >= 1 has the residues (r mod 3,
-    s mod 3), so one entry of SPLIT_RULES rewrites the whole lattice
-    from the lattices (m - 1, r // 3 + a, s // 3 + b), and its sign
-    (-1)**(3**(m - 1) * n + r // 3 + shift) is a parity in n.  Row
+    s mod 3), so one compiled splitting identity rewrites the whole
+    lattice from the lattices (m - 1, r // 3 + a, s // 3 + b), and its
+    sign (-1)**(3**(m - 1) * n + r // 3 + shift) is a parity in n.  Row
     n = 0 of a lattice with r <= 1 is an anchor row, read rather than
     split.  A lattice read at level k has r in -1 .. 3**k + 2 and s in
     0 .. 3**k + 1, so at level 0 every lattice is a slice of the one
     tables() rectangle over rows -1 .. window + 3 and columns
     0 .. window + 3.
 
-    The lattices each level needs are collected top down, shared
-    between the kinds, and each level is then built bottom up as one
-    (lattices, window + 1, window + 1) stack: one _rule_sum per entry of
-    SPLIT_RULES and parity of r // 3, its factors fancy-indexed out of
-    the stack one level down.  The stacks live for this call only.
+    Each level's lattices are integer codes (int64 while they fit),
+    collected top down by one np.unique over its witnesses and the
+    factors _COMPILED_RULES names one level up, whose inverse is their
+    gather index.  Bottom up, the level above gathers in blocks of at
+    most _GATHER_BYTES factors from one int8 stack of each level's
+    values, their squares (x != 0) and ones, dropped once read.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
-    streams = {kind: "GD"[_kind_index(kind)] for kind in witnesses}
+    streams = {kind: _kind_index(kind) for kind in witnesses}
     for triples in witnesses.values():
         for m, r, s in triples:
             if m < 0 or not (0 <= r < 3 ** m and 0 <= s < 3 ** m):
@@ -493,62 +476,86 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
             _check_digits(3 ** m * window + r, 3 ** m * window + s)
     began = time.perf_counter()
     size = window + 1
-    # The lattices (stream, r, s) each level m needs, collected top down:
-    # level m - 1 holds the factors of the rules of level m.
+    # Lattice (stream, r, s) of level m has the code
+    # ((r + 1) * (3**m + 2) + s) * 2 + stream, stream 0 for G and 1 for D.
+    wanted = [(kind, np.array([m for m, _, _ in triples], np.intp),
+               np.array([((r + 1) * (3 ** m + 2) + s) * 2 + streams[kind] for m, r, s in triples],
+                        object)) for kind, triples in witnesses.items()]
     top = max((m for triples in witnesses.values() for m, _, _ in triples), default=0)
-    levels: list[set[tuple[str, int, int]]] = [set() for _ in range(top + 1)]
-    for kind, triples in witnesses.items():
-        for m, r, s in triples:
-            levels[m].add((streams[kind], r, s))
-    factors_of = {key: {(f_sym, a, b) for _, factors in rule for f_sym, a, b, _ in factors}
-                  for key, rule in SPLIT_RULES.items()}
-    for m in range(top, 0, -1):
-        for sym, r, s in levels[m]:
-            levels[m - 1].update((f_sym, r // 3 + a, s // 3 + b)
-                                 for f_sym, a, b in factors_of[r % 3, s % 3, sym])
-    # Built bottom up, each level one int8 stack (lattices, n, p) with an
-    # index by key.
-    base = dict(zip("GD", tables(-1, window + 3, 0, window + 3)))
-    keys = sorted(levels[0])
-    stack = np.array([base[sym][r + 1:r + 1 + size, s:s + size] for sym, r, s in keys],
-                     dtype=np.int8).reshape(len(keys), size, size)
-    built = [(dict(zip(keys, range(len(keys)))), stack)]
-    for m in range(1, top + 1):
-        index_below, below = built[-1]
-        powers = {1: below, 2: below * below % 3}
-        # Lattices of one rule whose r // 3 has one parity share every
-        # sign, so each such group is one _rule_sum over a stack.
-        groups: dict[tuple[int, int, str, int], list[tuple[str, int, int]]] = {}
-        for key in sorted(levels[m]):
-            sym, r, s = key
-            groups.setdefault((r % 3, s % 3, sym, r // 3 % 2), []).append(key)
-        index: dict[tuple[str, int, int], int] = {}
-        stack = np.empty((len(levels[m]), size, size), dtype=np.int8)
-        for (i, j, sym, odd), group in groups.items():
+    spans = [3 ** m + 2 for m in range(top + 1)]
+    dtypes = [np.int64 if 2 * (span + 2) * span < 2 ** 63 else object for span in spans]
+    # Top down, levels[m] collects what the build of level m reads, last
+    # the gather index of its factors (plane, real) into the stack below.
+    levels: list[tuple] = [()] * (top + 1)
+    carried, built = np.zeros(0, np.int64), 0
+    for m in range(top, -1, -1):
+        parts = [codes[at == m].astype(dtypes[m]) for _, at, codes in wanted]
+        keys, inverse = np.unique(np.concatenate(parts + [carried.astype(dtypes[m], copy=False)]),
+                                  return_inverse=True)
+        built += len(keys)
+        ends = np.cumsum([0] + [len(part) for part in parts])
+        if m < top:
+            # Rows of the stack below: values, squares, then ones.
+            index = np.full(plane.shape, 2 * len(keys), np.int32)
+            index[real] = inverse[ends[-1]:] + len(keys) * (plane[real] % 2)
+            levels[m + 1] += (index,)
+        levels[m] = ([(kind, np.flatnonzero(at == m), inverse[lo:hi])
+                      for (kind, at, _), lo, hi in zip(wanted, ends, ends[1:])],)
+        stream = (keys % 2).astype(np.intp)
+        row, s = keys // 2 // spans[m], keys // 2 % spans[m]
+        if m == 0:
+            break
+        q = (row - 1) // 3
+        rule = stream * 9 + ((row - 1) % 3 * 3 + s % 3).astype(np.intp)
+        plane, shift, col, weight = (np.take(table.reshape((18,) + table.shape[3:]), rule, axis=0)
+                                     for table in _COMPILED_RULES)
+        real = plane != _ONES_PLANE
+        carried = (((q[:, None, None] + shift) * spans[m - 1] + s[:, None, None] // 3 + col) * 2
+                   + plane // 2)[real]
+        low = np.flatnonzero(row <= 2)
+        levels[m] += (weight, (q % 2).astype(np.int8), low, stream[low],
+                      row[low].astype(np.intp), s[low])
 
-            def factor(f_sym: str, a: int, b: int, e: int) -> np.ndarray:
-                return powers[e][[index_below[f_sym, r // 3 + a, s // 3 + b]
-                                  for _, r, s in group]]
-
-            # Row n has the sign of (-1)**(n + r // 3).
-            lo = len(index)
-            stack[lo:lo + len(group)] = _rule_sum(SPLIT_RULES[i, j, sym], factor, 1 - odd)
-            index.update(zip(group, range(lo, lo + len(group))))
-        # Row n = 0 of a lattice with r <= 1 is an anchor row.
-        anchors = cache(lambda s: _anchor_rows(s, size, 3 ** m))
-        for (sym, r, s), k in index.items():
-            if r <= 1:
-                stack[k, 0] = anchors(s)[sym][r + 1]
-        built.append((index, stack))
-
-    out = {kind: np.array([built[m][1][built[m][0][streams[kind], r, s]] for m, r, s in triples],
-                          dtype=np.int8).reshape(len(triples), size * size)
-           for kind, triples in witnesses.items()}
+    out = {kind: np.empty((len(at), size * size), np.int8) for kind, at, _ in wanted}
+    base = np.lib.stride_tricks.sliding_window_view(
+        np.stack(tables(-1, window + 3, 0, window + 3)), (size, size), axis=(1, 2))
+    values = base[stream, row, s]
+    # Row n has the sign of (-1)**(n + r // 3): signs[r // 3 % 2] doubles.
+    signs = np.ones((2, size, size), np.int8)
+    signs[0, 1::2] = signs[1, ::2] = 2
+    block = max(1, _GATHER_BYTES // (_COMPILED_RULES.plane[0, 0, 0].size * size * size))
+    for m in range(top + 1):
+        (picks, *rest), levels[m] = levels[m], ()
+        if m:
+            weight, odd, low, stream, row, s, index = rest
+            values = np.empty((len(index), size, size), np.int8)
+            for lo in range(0, len(index), block):
+                factors = np.take(below, index[lo:lo + block], axis=0)
+                # Products of at most 8, weighted by 1 or 2 and doubled on
+                # the flipped rows: every sum lies in [0, 64].
+                terms = factors[:, :, 0] * factors[:, :, 1]
+                terms *= factors[:, :, 2]
+                terms *= weight[lo:lo + block]
+                total = np.add(terms[:, 0], terms[:, 1], out=values[lo:lo + len(terms)])
+                total *= np.take(signs, odd[lo:lo + block], axis=0)
+                _mod3(total)
+            del below, factors, terms, total
+            columns, column = np.unique(s, return_inverse=True)
+            anchors = [list(_anchor_rows(p, size, 3 ** m).values()) for p in columns.tolist()]
+            anchors = np.array(anchors, np.int8).reshape(-1, 2, 3, size)
+            values[low, 0] = anchors[column, stream, row]
+        for kind, rows, at in picks:
+            out[kind][rows] = values[at].reshape(len(at), size * size)
+        below = np.empty((2 * len(values) + 1, size, size), np.int8)
+        below[:len(values)] = values
+        np.not_equal(values, 0, out=below[len(values):-1].view(bool))
+        below[-1] = 1
+        del values
     # Imported here, as in kernel: only a sweep writes a record.
     import logging
     logging.getLogger(__name__).debug(
         "witness lattices at window %d: %d built, %.3f s",
-        window, sum(map(len, levels)), time.perf_counter() - began)
+        window, built, time.perf_counter() - began)
     return out
 
 

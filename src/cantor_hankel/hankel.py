@@ -38,7 +38,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .sequences import cantor_run, diff_run
 
@@ -76,8 +75,10 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndar
         raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
     size = max(count + 2 * n - 2, 0)
     terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
-    stride = terms.strides[0]
-    return as_strided(terms, (count, n, n), (stride,) * 3, writeable=False)
+    # Built directly: as_strided costs several times as much a call.
+    view = np.ndarray((count, n, n), terms.dtype, terms, strides=terms.strides * 3)
+    view.flags.writeable = False
+    return view
 
 
 def hankel_matrix(kind: str, p: int, n: int) -> np.ndarray:

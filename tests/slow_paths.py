@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -206,12 +207,107 @@ def closure_by_monomial_chains(start: str) -> kernel.Closure:
     return _closure_state_by_state(start, MonomialChainStep().successors)
 
 
+def rule_sum(rule: engine.Rule, factor: Callable[[str, int, int, int], np.ndarray],
+             odd_from: int) -> np.ndarray:
+    """A splitting identity evaluated on arrays, reduced mod 3: what
+    engine.tables and engine.witness_lattices evaluated each identity
+    with before they gathered by engine._COMPILED_RULES.
+
+    factor(stream, a, b, e) is the array of that factor, already raised
+    to e, with rows on its second-last axis.  The (-1)**m part of each
+    term's sign, m the quotient row index, is applied by negating every
+    other row from row odd_from.
+    Every product lies in [-8, 8] and every sum in [-16, 16], inside
+    int8.
+    """
+    total = 0
+    for shift, factors in rule:
+        term = -1 if shift % 2 else 1
+        for sym, a, b, e in factors:
+            term = term * factor(sym, a, b, e)
+        total = total + term
+    total[..., odd_from::2, :] *= -1
+    return total % 3
+
+
+def lattices_by_rule_groups(witnesses: dict[str, Sequence[tuple[int, int, int]]],
+                            window: int) -> dict[str, np.ndarray]:
+    """engine.witness_lattices as it built each level before the
+    compiled-rule gather: the lattices each level needs collected top
+    down as sets of (stream, r, s), then each level built bottom up as
+    one int8 stack, one rule_sum per entry of SPLIT_RULES and parity of
+    r // 3, its factors fancy-indexed out of the stack one level down.
+    Row n = 0 of a lattice with r <= 1 is read from engine._anchor_rows.
+    """
+    if window < 0:
+        raise ValueError(f"need window >= 0, got {window}")
+    streams = {kind: "GD"[engine._kind_index(kind)] for kind in witnesses}
+    for triples in witnesses.values():
+        for m, r, s in triples:
+            if m < 0 or not (0 <= r < 3 ** m and 0 <= s < 3 ** m):
+                raise ValueError(f"witness ({m},{r},{s}) needs 0 <= r, s < 3**m")
+            engine._check_digits(3 ** m * window + r, 3 ** m * window + s)
+    size = window + 1
+    # The lattices (stream, r, s) each level m needs, collected top down:
+    # level m - 1 holds the factors of the rules of level m.
+    top = max((m for triples in witnesses.values() for m, _, _ in triples), default=0)
+    levels: list[set[tuple[str, int, int]]] = [set() for _ in range(top + 1)]
+    for kind, triples in witnesses.items():
+        for m, r, s in triples:
+            levels[m].add((streams[kind], r, s))
+    factors_of = {key: {(f_sym, a, b) for _, factors in rule for f_sym, a, b, _ in factors}
+                  for key, rule in engine.SPLIT_RULES.items()}
+    for m in range(top, 0, -1):
+        for sym, r, s in levels[m]:
+            levels[m - 1].update((f_sym, r // 3 + a, s // 3 + b)
+                                 for f_sym, a, b in factors_of[r % 3, s % 3, sym])
+    # Built bottom up, each level one int8 stack (lattices, n, p) with an
+    # index by key.
+    base = dict(zip("GD", engine.tables(-1, window + 3, 0, window + 3)))
+    keys = sorted(levels[0])
+    stack = np.array([base[sym][r + 1:r + 1 + size, s:s + size] for sym, r, s in keys],
+                     dtype=np.int8).reshape(len(keys), size, size)
+    built = [(dict(zip(keys, range(len(keys)))), stack)]
+    for m in range(1, top + 1):
+        index_below, below = built[-1]
+        powers = {1: below, 2: below * below % 3}
+        # Lattices of one rule whose r // 3 has one parity share every
+        # sign, so each such group is one rule_sum over a stack.
+        groups: dict[tuple[int, int, str, int], list[tuple[str, int, int]]] = {}
+        for key in sorted(levels[m]):
+            sym, r, s = key
+            groups.setdefault((r % 3, s % 3, sym, r // 3 % 2), []).append(key)
+        index: dict[tuple[str, int, int], int] = {}
+        stack = np.empty((len(levels[m]), size, size), dtype=np.int8)
+        for (i, j, sym, odd), group in groups.items():
+
+            def factor(f_sym: str, a: int, b: int, e: int) -> np.ndarray:
+                return powers[e][[index_below[f_sym, r // 3 + a, s // 3 + b]
+                                  for _, r, s in group]]
+
+            # Row n has the sign of (-1)**(n + r // 3).
+            lo = len(index)
+            stack[lo:lo + len(group)] = rule_sum(engine.SPLIT_RULES[i, j, sym], factor, 1 - odd)
+            index.update(zip(group, range(lo, lo + len(group))))
+        # Row n = 0 of a lattice with r <= 1 is an anchor row.
+        anchors = cache(lambda s: engine._anchor_rows(s, size, 3 ** m))
+        for (sym, r, s), k in index.items():
+            if r <= 1:
+                stack[k, 0] = anchors(s)[sym][r + 1]
+        built.append((index, stack))
+
+    return {kind: np.array([built[m][1][built[m][0][streams[kind], r, s]]
+                            for m, r, s in triples],
+                           dtype=np.int8).reshape(len(triples), size * size)
+            for kind, triples in witnesses.items()}
+
+
 def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
                      window: int) -> dict[str, np.ndarray]:
     """engine.witness_lattices as the per-lattice recursion it replaced.
 
     Each lattice (stream, m, r, s) is memoised for the call and built by
-    one engine._rule_sum over the lattices one level down that its
+    one rule_sum over the lattices one level down that its
     SPLIT_RULES entry reads, its row n = 0 replaced by an anchor row
     when r <= 1; at m = 0 it is a slice of one engine.tables rectangle.
     """
@@ -235,7 +331,7 @@ def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
                 return value if e == 1 else value * value % 3
 
             # Row n has the sign of (-1)**(n + r // 3).
-            got = engine._rule_sum(engine.SPLIT_RULES[i, j, sym], factor, (q + 1) % 2)
+            got = rule_sum(engine.SPLIT_RULES[i, j, sym], factor, (q + 1) % 2)
             if r <= 1:
                 got[0] = engine._anchor_rows(s, size, 3 ** m)[sym][r + 1]
         memo[key] = got
@@ -248,7 +344,7 @@ def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
 
 def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
                           p_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """engine.tables as it built each level: one engine._rule_sum per
+    """engine.tables as it built each level: one rule_sum per
     entry of SPLIT_RULES, filling the rows n = i and the columns p = j
     mod 3 at once, every factor a contiguous slice of the rectangle one
     level down.  Anchor rows and rectangles of at most
@@ -284,7 +380,7 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
                 return below[sym, e][m0 + a:m0 + a + rows, q0 + b:q0 + b + cols]
 
             # Row k of this slice has m = n0 // 3 + k: negate the rows of odd m.
-            out[stream][n0 - n_lo::3, p0 - p_lo::3] = engine._rule_sum(
+            out[stream][n0 - n_lo::3, p0 - p_lo::3] = rule_sum(
                 rule, factor, (n0 // 3 + 1) % 2)
         return out
 

@@ -8,7 +8,7 @@ import pytest
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.hankel import det_mod3, det_mod3_stack, hankel_matrix, hankel_stack
 from cantor_hankel.sequences import cantor_term, diff_term
-from slow_paths import lattices_by_memo, tables_by_rule_passes
+from slow_paths import lattices_by_memo, lattices_by_rule_groups, tables_by_rule_passes
 
 
 def test_gamma_base_cases():
@@ -414,20 +414,41 @@ def test_lattices_match_the_scalar_engine_near_the_lattice_edge():
     _assert_lattices_match_scalar(_near_edge_witnesses(), 5)
 
 
+def _far_witnesses():
+    """Witnesses at m = 20, 21, 40 and 150, whose lattice codes are past
+    int64 down to level 20, near 0 and near 3**m in r and s."""
+    witnesses = {kind: [] for kind in engine.KINDS}
+    for m in (20, 21, 40, 150):
+        top = 3 ** m
+        witnesses["gamma"] += [(m, 0, 0), (m, 1, top - 1), (m, top - 2, 2)]
+        witnesses["delta"] += [(m, 0, 1), (m, top - 1, top - 1), (m, top // 3, top - 3)]
+    return witnesses
+
+
+_WITNESS_SETS = {"near-edge": _near_edge_witnesses, "far": _far_witnesses}
+
+
 @pytest.mark.parametrize("witnesses, window", [
-    ("closure", 0), ("closure", 8), ("near-edge", 5)])
+    ("closure", 0), ("closure", 8), ("closure", 20), ("near-edge", 5),
+    ("far", 0), ("far", 1)])
 def test_lattices_match_the_per_lattice_recursion(witnesses, window):
-    # The level-by-level stacks against the memoised recursion they
-    # replaced, array for array.
+    # The compiled-rule gather against the rule groups it replaced and
+    # the memoised recursion before them, array for array.
     if witnesses == "closure":
         witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
     else:
-        witnesses = _near_edge_witnesses()
+        witnesses = _WITNESS_SETS[witnesses]()
     got = engine.witness_lattices(witnesses, window)
-    want = lattices_by_memo(witnesses, window)
-    assert got.keys() == want.keys()
-    for kind in want:
-        assert got[kind].dtype == np.int8 and np.array_equal(got[kind], want[kind]), kind
+    for slow in (lattices_by_rule_groups, lattices_by_memo):
+        want = slow(witnesses, window)
+        assert got.keys() == want.keys()
+        for kind in want:
+            assert got[kind].dtype == np.int8 and np.array_equal(got[kind], want[kind]), \
+                (slow.__name__, kind)
+
+
+def test_lattices_match_the_scalar_engine_past_int64():
+    _assert_lattices_match_scalar(_far_witnesses(), 1)
 
 
 def test_lattices_refuse_witnesses_off_the_lattice():
@@ -451,6 +472,22 @@ def test_kernel_soundness_leaves_the_memo_small():
     # every generator through the memo).
     assert engine.gamma_mod3.cache_info().currsize <= 18
     assert engine.delta_mod3.cache_info().currsize <= 20
+
+
+def test_lattice_sweep_peak_memory():
+    # Both closures at window 20: 5,937 lattices, the largest level 2,750.
+    # The traced peak read 4.1675 to 4.1678 times the output bytes in six
+    # fresh processes (4.2045 with the rule groups); 4.5 is 8 % over it
+    # (CHANGES.md has the derivation).
+    witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
+    engine.witness_lattices(witnesses, 20)
+    tracemalloc.start()
+    try:
+        out = engine.witness_lattices(witnesses, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * sum(lattices.nbytes for lattices in out.values())
 
 
 def test_lattice_sweep_logs_one_debug_record(caplog, capsys):

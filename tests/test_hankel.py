@@ -96,6 +96,25 @@ def test_builders_match_the_per_term_build(kind, p):
                                ("hankel_stack", kind, p, n, count))
 
 
+@pytest.mark.parametrize("kind, first, step, n, count", [
+    ("gamma", 0, 1, 0, 0), ("delta", 5, 1, 0, 3), ("gamma", 7, 1, 4, 0),
+    ("delta", 2, 3, 5, 1), ("gamma", 3 ** 40 + 1, 3, 6, 4), ("delta", 0, 1, 1, 1)])
+def test_hankel_views_read_one_term_run(kind, first, step, n, count):
+    view = hankel._hankel(kind, first, step, n, count)
+    assert view.shape == (count, n, n) and view.dtype == np.int64
+    assert not view.flags.writeable
+    run = view.base
+    assert run.shape == (max(count + 2 * n - 2, 0),)
+    term = cantor_term if kind == "gamma" else diff_term
+    assert run.tolist() == [term(first + step * k) for k in range(len(run))]
+    o, i, j = np.indices(view.shape)
+    assert np.array_equal(view, run[o + i + j])
+    if view.size:
+        assert np.shares_memory(view, run)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1
+
+
 @pytest.mark.parametrize("args", [("theta", -1, 1, 2, -1), ("gamma", -1, 1, 501, 1),
                                   ("delta", 0, 3, -1, 1), ("gamma", 0, 1, 501, -1),
                                   ("delta", 0, 1, 501, 1)])

@@ -4,6 +4,7 @@ import itertools
 import logging
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -293,6 +294,34 @@ def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, base):
     result = checks.kernel_soundness(window)
     assert not result.ok
     assert result.line() == f"FAIL kernel-soundness: {expected}"
+
+
+def test_kernel_soundness_fails_on_a_flipped_compiled_sign(monkeypatch):
+    # The second term of (1, 0, "G") with its sign flipped in the table
+    # the lattices and tables gather by; the kernel keeps SPLIT_RULES.
+    plane, row, col, weight = engine._COMPILED_RULES
+    weight = weight.copy()
+    weight[0, 1, 0, 1] = 3 - weight[0, 1, 0, 1]
+    monkeypatch.setattr(engine, "_COMPILED_RULES", engine.CompiledRules(plane, row, col, weight))
+    result = checks.kernel_soundness(8)
+    assert (result.ok, result.detail) == (
+        False, "gamma state with witness (1,1,0) disagrees at n=1 p=0")
+
+
+def test_kernel_soundness_fails_on_a_rule_only_the_kernel_reads(monkeypatch):
+    # Factor G[0,1]^2 of (0, 2, "G") read at column shift 0: the closure
+    # is built from the edited SPLIT_RULES, the engine keeps its compiled
+    # table and its cells the true rules.
+    rules = dict(engine.SPLIT_RULES)
+    assert rules[0, 2, "G"] == ((0, (("G", 0, 1, 2), ("D", 0, 0, 1))),)
+    rules[0, 2, "G"] = ((0, (("G", 0, 0, 2), ("D", 0, 0, 1))),)
+    seen_by_kernel = types.SimpleNamespace(**vars(engine))
+    seen_by_kernel.SPLIT_RULES = rules
+    monkeypatch.setattr(kernel, "engine", seen_by_kernel)
+    monkeypatch.setattr(kernel, "_CLOSURES", {})
+    result = checks.kernel_soundness(8)
+    assert (result.ok, result.detail) == (
+        False, "gamma state with witness (1,0,2) disagrees at n=1 p=0")
 
 
 # SHA-256 of the closure states printed one to a line in discovery order,
