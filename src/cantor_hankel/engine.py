@@ -25,9 +25,11 @@ SPLIT_RULES is compiled once, at import, into index arrays
 with one gather over windows of the level below, in blocks of bounded
 size.  witness_lattices() gathers by the same compiled rules for the
 lattices (3**m n + r, 3**m p + s) that kernel closure states stand for,
-a whole level of them from the stack one level down per block.  Their
-anchor row n = 1 reads c from sequences.cantor_run, as the hankel
-oracles' matrices do.
+a whole level of them from the stack one level down per block.  Both
+split rows 0 and 1 like any other, so rows -1, 0 and 1 have one
+definition, _anchor, read at the few cells of the smallest rectangles:
+the engine reads c only through sequences.cantor_term, and the hankel
+oracles' matrices, built from the vectorised runs of c, check it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sequences import cantor_run, cantor_term, diff_term
+from .sequences import cantor_term, diff_term
 
 # Cells per call to grid() or per column scan; guards against
 # accidentally huge tables.
@@ -174,31 +176,6 @@ def _anchor(stream: str, n: int, p: int) -> int:
     return int(stream == "D" and p == 0)
 
 
-def _anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
-    """Rows n = -1, 0, 1 of both streams at the columns p_lo + step * k,
-    k < count, keyed "G" and "D": int8 arrays of shape (3, count).
-
-    step must be a power of 3.  Then p_lo = step * q + u with u < step
-    puts the digits of u below those of q + k, so c there is c_u times
-    c_(q + k).  Row 1 of delta is d_p = c_p + c_(p + 2), and p + 2 splits
-    the same way with a quotient at most 2 past q, so one run of c
-    serves both.  Gamma has no row -1; it holds 0.
-    """
-    q, u = divmod(p_lo, step)
-    q2, u2 = divmod(p_lo + 2, step)
-    run = cantor_run(q, count + q2 - q)
-    rows = np.zeros((2, 3, count), dtype=np.int8)
-    rows[:, 1] = 1
-    if p_lo == 0:
-        rows[0, 1, 0] = 2
-        rows[1, 0, 0] = 1
-    if cantor_term(u):
-        rows[:, 2] = run[:count]
-    if cantor_term(u2):
-        rows[1, 2] += run[q2 - q:]
-    return {"G": rows[0], "D": rows[1]}
-
-
 def split_value(rule: Rule, n: int, p: int,
                 reads: Mapping[str, Callable[[int, int], int]]) -> int:
     """The right side of the splitting identity rule at (n, p), an integer.
@@ -283,22 +260,15 @@ def _kind_index(kind: str) -> int:
 def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta over a rectangle, two int8 arrays; see tables()."""
     width = p_hi - p_lo + 1
-    r_lo = max(n_lo, 2)
-    if r_lo <= n_hi and (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
-        out = _split_level(n_lo, n_hi, p_lo, p_hi)
-    else:
-        out = (np.empty((n_hi - n_lo + 1, width), np.int8),
-               np.empty((n_hi - n_lo + 1, width), np.int8))
-        # A level down is about a third as tall and as wide, and rows
-        # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
-        if r_lo <= n_hi:
-            for table, value in zip(out, _CELLS.values()):
-                table[r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
-                                       for n in range(r_lo, n_hi + 1)]
-    if n_lo <= 1:
-        anchors = _anchor_rows(p_lo, width)
-        for table, stream in zip(out, "GD"):
-            table[:2 - n_lo] = anchors[stream][n_lo + 1:n_hi + 2]
+    # A level down is about a third as tall and as wide, and rows
+    # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
+    if (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
+        return _split_level(n_lo, n_hi, p_lo, p_hi)
+    out = (np.empty((n_hi - n_lo + 1, width), np.int8),
+           np.empty((n_hi - n_lo + 1, width), np.int8))
+    for table, (stream, value) in zip(out, _CELLS.items()):
+        table[:] = [[_anchor(stream, n, p) if n <= 1 else value(n, p)
+                     for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
     return out
 
 
@@ -311,26 +281,16 @@ def _residues(lo: int, hi: int) -> slice:
     return slice(a, b + 1, max(b - a, 1))
 
 
-def _block_residues(block: np.ndarray, plane: np.ndarray, outer: np.ndarray, inner: np.ndarray,
-                    weight: np.ndarray, odd: tuple) -> np.ndarray:
-    """The compiled rules over a block of windows, as int8 residues mod
-    3 with axes (stream, outer residue, inner residue, outer quotient,
-    inner quotient).
-
-    plane and weight are as in CompiledRules, outer and inner the shifts
-    along the block's two window axes; odd indexes the cells of odd
-    quotient row m, whose signs flip.
-    """
-    factors = block[plane, :, :, outer, inner]
-    # Products of at most 8, weighted by the term signs as 1 or 2 (-1 mod
-    # 3): every sum lies in [0, 32].
-    terms = factors[:, :, :, :, 0] * factors[:, :, :, :, 1]
-    terms *= factors[:, :, :, :, 2]
+def _rule_sums(factors: np.ndarray, weight: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The terms of the compiled rules summed, before the sign of m: factors
+    has axes (..., term, factor, x, y) and weight (..., term, 1, 1), as
+    in CompiledRules.  Products of at most 8, weighted by the term signs
+    as 1 or 2 (-1 mod 3): every sum lies in [0, 32]."""
+    terms = factors[..., 0, :, :] * factors[..., 1, :, :]
+    terms *= factors[..., 2, :, :]
     terms *= weight
-    total = terms[:, :, :, 0] + terms[:, :, :, 1]
-    # Times 2, -1 mod 3: at most 64.
-    total[odd] *= 2
-    return _mod3(total)
+    return np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=out)
 
 
 def _mod3(x: np.ndarray) -> np.ndarray:
@@ -343,7 +303,8 @@ def _mod3(x: np.ndarray) -> np.ndarray:
 
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta over a rectangle, split by _COMPILED_RULES from the
-    rectangle one level down; rows n < 2 are left for the anchors.
+    rectangle one level down.  Rows 0 and 1 are split too (see
+    tables()); row -1, if asked for, is not, and is filled from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
@@ -358,10 +319,8 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     the layout: a rectangle taller than wide is built transposed, its
     tables and planes indexed [p, n] and the rules' i and j axes swapped.
     """
-    m_lo, q_lo = max(n_lo, 2) // 3 - 1, p_lo // 3
+    m_lo, q_lo = max(n_lo, 0) // 3 - 1, p_lo // 3
     below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1)
-    # Rows n = 0 and 1, which the anchors fill, share the quotient row
-    # m = 0 with n = 2, so their residues are kept too.
     at = (slice(None), _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
     plane, outer, inner, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
@@ -393,13 +352,15 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     block_outer = max(1, _GATHER_BYTES // (plane.size * block_inner))
     for u in range(0, count[0], block_outer):
         for v in range(0, count[1], block_inner):
-            # The cells of odd quotient row m, the inner or the outer axis.
+            block = windows[:, u:u + block_outer, v:v + block_inner]
+            total = _rule_sums(block[plane, :, :, outer, inner], weight)
+            # Times 2, -1 mod 3, on the cells of odd quotient row m, the
+            # inner or the outer axis: at most 64.
             m = slice((m_lo + (v if tall else u)) % 2, None, 2)
-            total = _block_residues(windows[:, u:u + block_outer, v:v + block_inner],
-                                    plane, outer, inner, weight,
-                                    (..., m) if tall else (..., m, slice(None)))
-            # Axes (outer residue, inner residue, outer quotient, inner
-            # quotient) to the layout's rows and columns of each stream.
+            total[(..., m) if tall else (..., m, slice(None))] *= 2
+            _mod3(total)
+            # Axes (stream, outer residue, inner residue, outer quotient,
+            # inner quotient) to the layout's rows and columns of each stream.
             ka, kb, a, b = total.shape[1:]
             x, y = origin[0] + ka * u, origin[1] + kb * v
             for table, cells in zip(layout, total):
@@ -409,8 +370,14 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     # Row n_lo >= 0 and column p_lo are in the first quotient row and column.
     n0 = 0 if extra else (n_lo % 3 - at[1].start) // at[1].step
     p0 = (p_lo % 3 - at[2].start) // at[2].step
-    return (full[0][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1],
-            full[1][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1])
+    out = (full[0][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1],
+           full[1][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1])
+    if extra:
+        # Row n = -1 is 0 past column p = 0.
+        for table, stream in zip(out, "GD"):
+            table[0] = 0
+            table[0, 0] = _anchor(stream, -1, p_lo)
+    return out
 
 
 def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,16 +385,26 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
 
     Returns two int8 arrays indexed [n - n_lo, p - p_lo], in the order of
     KINDS; they share no memory, and each may be a view of a table with
-    up to two more rows and columns on each side.  Rows n >= 2 come from
-    the rectangle one level down, rows n_lo // 3 - 1 .. n_hi // 3 + 2 by
-    columns p_lo // 3 .. p_hi // 3 + 1: blocks of quotient cells (m, q)
-    gather the factors of the compiled splitting identities from (4, 2)
-    windows of that rectangle at once and fill the cells (3m + i,
-    3q + j) of every i and j the rectangle has (see _split_level).
-    Anchor rows come from one numpy pass over the columns, and
-    rectangles of at most _CELLWISE_AREA cells are read cell by cell.
-    Gamma's row -1 holds 0.  A rectangle of more than
-    DEFAULT_GRID_CELL_CAP cells is refused before any cell is computed.
+    up to two more rows and columns on each side.  Rows n >= 0 come from
+    the rectangle one level down, rows max(n_lo, 0) // 3 - 1 ..
+    n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1: blocks of
+    quotient cells (m, q) gather the factors of the compiled splitting
+    identities from (4, 2) windows of that rectangle at once and fill
+    the cells (3m + i, 3q + j) of every i and j the rectangle has (see
+    _split_level).  Row -1 is filled from _anchor, and rectangles of at
+    most _CELLWISE_AREA cells are read cell by cell: rows n <= 1 from
+    _anchor, rows n >= 2 from the memoised scalar engine.  Gamma's row
+    -1 holds 0.
+
+    Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
+    identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
+    from rows -1 .. 1 at columns q and q + 1, whatever c_q .. c_(q+3)
+    are (tests/test_engine.py checks every pattern).  So by induction
+    over the levels, from the cell-by-cell rectangles up, rows -1 .. 1
+    of every level are those of _anchor.
+
+    A rectangle of more than DEFAULT_GRID_CELL_CAP cells is refused
+    before any cell is computed.
     """
     if n_hi < n_lo or p_hi < p_lo:
         raise ValueError("empty table range")
@@ -453,11 +430,11 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     s mod 3), so one compiled splitting identity rewrites the whole
     lattice from the lattices (m - 1, r // 3 + a, s // 3 + b), and its
     sign (-1)**(3**(m - 1) * n + r // 3 + shift) is a parity in n.  Row
-    n = 0 of a lattice with r <= 1 is an anchor row, read rather than
-    split.  A lattice read at level k has r in -1 .. 3**k + 2 and s in
-    0 .. 3**k + 1, so at level 0 every lattice is a slice of the one
-    tables() rectangle over rows -1 .. window + 3 and columns
-    0 .. window + 3.
+    n = 0 of a lattice with r <= 1 lies on rows 0 and 1, which the
+    identities rebuild as tables() does.  A lattice read at level k has
+    r in -1 .. 3**k + 2 and s in 0 .. 3**k + 1, so at level 0 every
+    lattice is a slice of the one tables() rectangle over rows
+    -1 .. window + 3 and columns 0 .. window + 3.
 
     Each level's lattices are integer codes (int64 while they fit),
     collected top down by one np.unique over its witnesses and the
@@ -512,9 +489,7 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
         real = plane != _ONES_PLANE
         carried = (((q[:, None, None] + shift) * spans[m - 1] + s[:, None, None] // 3 + col) * 2
                    + plane // 2)[real]
-        low = np.flatnonzero(row <= 2)
-        levels[m] += (weight, (q % 2).astype(np.int8), low, stream[low],
-                      row[low].astype(np.intp), s[low])
+        levels[m] += (weight, (q % 2).astype(np.int8))
 
     out = {kind: np.empty((len(at), size * size), np.int8) for kind, at, _ in wanted}
     base = np.lib.stride_tricks.sliding_window_view(
@@ -527,23 +502,15 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     for m in range(top + 1):
         (picks, *rest), levels[m] = levels[m], ()
         if m:
-            weight, odd, low, stream, row, s, index = rest
+            weight, odd, index = rest
             values = np.empty((len(index), size, size), np.int8)
             for lo in range(0, len(index), block):
-                factors = np.take(below, index[lo:lo + block], axis=0)
-                # Products of at most 8, weighted by 1 or 2 and doubled on
-                # the flipped rows: every sum lies in [0, 64].
-                terms = factors[:, :, 0] * factors[:, :, 1]
-                terms *= factors[:, :, 2]
-                terms *= weight[lo:lo + block]
-                total = np.add(terms[:, 0], terms[:, 1], out=values[lo:lo + len(terms)])
+                total = _rule_sums(np.take(below, index[lo:lo + block], axis=0),
+                                   weight[lo:lo + block], values[lo:lo + block])
+                # Doubled on the flipped rows: at most 64.
                 total *= np.take(signs, odd[lo:lo + block], axis=0)
                 _mod3(total)
-            del below, factors, terms, total
-            columns, column = np.unique(s, return_inverse=True)
-            anchors = [list(_anchor_rows(p, size, 3 ** m).values()) for p in columns.tolist()]
-            anchors = np.array(anchors, np.int8).reshape(-1, 2, 3, size)
-            values[low, 0] = anchors[column, stream, row]
+            del below, total
         for kind, rows, at in picks:
             out[kind][rows] = values[at].reshape(len(at), size * size)
         below = np.empty((2 * len(values) + 1, size, size), np.int8)

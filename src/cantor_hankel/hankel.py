@@ -9,9 +9,9 @@ at once (minors_mod3_stack).  No recurrence from the rest of the
 package is used, which is what makes these functions usable as oracles
 against those recurrences.
 
-Terms come from sequences.cantor_run and diff_run, which the engine's
-anchor rows read too, so the oracle sweep does not cross-check two
-generators of c; the tests hold the runs to cantor_term instead.
+Terms come from sequences.cantor_run and diff_run, while the engine
+reads c only through sequences.cantor_term, so the oracle sweep
+cross-checks the two generators of c as well as the recurrences.
 
 Matrices are 2-D int64 numpy arrays; the determinants and the
 conjugation accept any square array-like of integers, of any size, and

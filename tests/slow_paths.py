@@ -207,6 +207,34 @@ def closure_by_monomial_chains(start: str) -> kernel.Closure:
     return _closure_state_by_state(start, MonomialChainStep().successors)
 
 
+def anchor_rows(p_lo: int, count: int, step: int = 1) -> dict[str, np.ndarray]:
+    """Rows n = -1, 0, 1 of both streams at the columns p_lo + step * k,
+    k < count, keyed "G" and "D": int8 arrays of shape (3, count).  The
+    one numpy pass over the columns that filled these rows of every
+    engine.tables level and of the lattices with r <= 1, before both
+    split them by the identities.
+
+    step must be a power of 3.  Then p_lo = step * q + u with u < step
+    puts the digits of u below those of q + k, so c there is c_u times
+    c_(q + k).  Row 1 of delta is d_p = c_p + c_(p + 2), and p + 2 splits
+    the same way with a quotient at most 2 past q, so one run of c
+    serves both.  Gamma has no row -1; it holds 0.
+    """
+    q, u = divmod(p_lo, step)
+    q2, u2 = divmod(p_lo + 2, step)
+    run = sequences.cantor_run(q, count + q2 - q)
+    rows = np.zeros((2, 3, count), dtype=np.int8)
+    rows[:, 1] = 1
+    if p_lo == 0:
+        rows[0, 1, 0] = 2
+        rows[1, 0, 0] = 1
+    if cantor_term(u):
+        rows[:, 2] = run[:count]
+    if cantor_term(u2):
+        rows[1, 2] += run[q2 - q:]
+    return {"G": rows[0], "D": rows[1]}
+
+
 def rule_sum(rule: engine.Rule, factor: Callable[[str, int, int, int], np.ndarray],
              odd_from: int) -> np.ndarray:
     """A splitting identity evaluated on arrays, reduced mod 3: what
@@ -237,7 +265,7 @@ def lattices_by_rule_groups(witnesses: dict[str, Sequence[tuple[int, int, int]]]
     down as sets of (stream, r, s), then each level built bottom up as
     one int8 stack, one rule_sum per entry of SPLIT_RULES and parity of
     r // 3, its factors fancy-indexed out of the stack one level down.
-    Row n = 0 of a lattice with r <= 1 is read from engine._anchor_rows.
+    Row n = 0 of a lattice with r <= 1 is read from anchor_rows.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
@@ -290,7 +318,7 @@ def lattices_by_rule_groups(witnesses: dict[str, Sequence[tuple[int, int, int]]]
             stack[lo:lo + len(group)] = rule_sum(engine.SPLIT_RULES[i, j, sym], factor, 1 - odd)
             index.update(zip(group, range(lo, lo + len(group))))
         # Row n = 0 of a lattice with r <= 1 is an anchor row.
-        anchors = cache(lambda s: engine._anchor_rows(s, size, 3 ** m))
+        anchors = cache(lambda s: anchor_rows(s, size, 3 ** m))
         for (sym, r, s), k in index.items():
             if r <= 1:
                 stack[k, 0] = anchors(s)[sym][r + 1]
@@ -333,7 +361,7 @@ def lattices_by_memo(witnesses: dict[str, Sequence[tuple[int, int, int]]],
             # Row n has the sign of (-1)**(n + r // 3).
             got = rule_sum(engine.SPLIT_RULES[i, j, sym], factor, (q + 1) % 2)
             if r <= 1:
-                got[0] = engine._anchor_rows(s, size, 3 ** m)[sym][r + 1]
+                got[0] = anchor_rows(s, size, 3 ** m)[sym][r + 1]
         memo[key] = got
         return got
 
@@ -347,14 +375,15 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
     """engine.tables as it built each level: one rule_sum per
     entry of SPLIT_RULES, filling the rows n = i and the columns p = j
     mod 3 at once, every factor a contiguous slice of the rectangle one
-    level down.  Anchor rows and rectangles of at most
-    engine._CELLWISE_AREA cells are read as engine.tables reads them."""
+    level down.  Rows n <= 1 are anchor_rows, and rows n >= 2 of
+    rectangles of at most engine._CELLWISE_AREA cells are read cell by
+    cell through the scalar engine."""
 
     def level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
         width = p_hi - p_lo + 1
         out = {s: np.empty((n_hi - n_lo + 1, width), np.int8) for s in "GD"}
         if n_lo <= 1:
-            for stream, anchors in engine._anchor_rows(p_lo, width).items():
+            for stream, anchors in anchor_rows(p_lo, width).items():
                 out[stream][:2 - n_lo] = anchors[n_lo + 1:n_hi + 2]
         r_lo = max(n_lo, 2)
         if r_lo > n_hi:

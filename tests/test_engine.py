@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import tracemalloc
@@ -286,19 +287,65 @@ def test_compiled_rules_decode_to_split_rules():
     assert decoded == engine.SPLIT_RULES
 
 
+def _flip_second_term(rules, key):
+    """rules with the sign of the second term of rules[key] flipped."""
+    rules = dict(rules)
+    first, (shift, factors) = rules[key]
+    rules[key] = (first, (1 - shift, factors))
+    return rules
+
+
 def test_an_edited_rule_changes_the_table(monkeypatch):
     # The second term of (1, 0, "G") with its sign flipped, compiled and
     # read by tables() alone: the cell-by-cell path keeps the true rules.
-    rules = dict(engine.SPLIT_RULES)
-    (shift, factors), second = rules[1, 0, "G"]
-    rules[1, 0, "G"] = ((shift, factors), (1 - second[0], second[1]))
+    rules = _flip_second_term(engine.SPLIT_RULES, (1, 0, "G"))
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.compile_rules(rules))
     gamma, delta = engine.tables(1, 60, 0, 60)
     want_gamma, want_delta = tables_by_rule_passes(1, 60, 0, 60)
-    # Rows n = 1, 2, 3 read no (1, 0, "G"); n = 4 is the first it writes.
-    assert np.array_equal(gamma[:3], want_gamma[:3])
-    assert not np.array_equal(gamma[3], want_gamma[3])
-    assert np.array_equal(delta[:4], want_delta[:4])
+    # Row n = 1 is split by the rules too: at p = 0 the edited rule reads
+    # 2 * 1 * 1 + 1 * 1 = 0 mod 3 in place of c_0 = 1.
+    assert (gamma[0, 0], want_gamma[0, 0], engine.gamma_mod3(1, 0)) == (0, 1, 1)
+    assert not np.array_equal(delta, want_delta)
+
+
+def _boundary_rule_misses(rules):
+    """The (q, c, i, j, stream) at which an identity of rules with i in
+    {0, 1}, read at m = 0, misses rows n = 0 and 1 at p = 3q + j.
+
+    The identity reads rows -1, 0 and 1 at the columns q and q + 1, and
+    for q >= 1 those rows depend only on c = (c_q, c_(q+1), c_(q+2),
+    c_(q+3)): row -1 of delta is 0 there, row 0 is 1, and row 1 is c_p
+    and d_p = c_p + c_(p+2).  Every pattern with q >= 1 stands for all
+    the q that have it, and q = 0 has the pattern (1, 0, 1, 1) with
+    delta 1 at (-1, 0) and gamma 2 at (0, 0).  Rows 0 and 1 at
+    3q .. 3q + 2 follow from c_3q = c_q, c_(3q+1) = 0, c_(3q+2) = c_q.
+    """
+    misses = []
+    patterns = [(1, c) for c in itertools.product((0, 1), repeat=4)] + [(0, (1, 0, 1, 1))]
+    for q, c in patterns:
+        cells = {("D", -1, b): int(q == 0 and b == 0) for b in (0, 1)}
+        for b in (0, 1):
+            cells["G", 0, b], cells["D", 0, b] = 2 if q == 0 and b == 0 else 1, 1
+            cells["G", 1, b], cells["D", 1, b] = c[b], (c[b] + c[b + 2]) % 3
+        reads = {sym: lambda n, p, sym=sym: cells[sym, n, p - q] for sym in "GD"}
+        # c at 3q .. 3q + 4; c_(3q+3) = c_(q+1) and c_(3q+4) = 0.
+        run = (c[0], 0, c[0], c[1], 0)
+        for j in range(3):
+            want = {("G", 0): 2 if q == 0 and j == 0 else 1, ("D", 0): 1,
+                    ("G", 1): run[j], ("D", 1): (run[j] + run[j + 2]) % 3}
+            for (sym, i), value in want.items():
+                if engine.split_value(rules[i, j, sym], i, 3 * q + j, reads) % 3 != value:
+                    misses.append((q, c, i, j, sym))
+    return misses
+
+
+def test_boundary_rows_satisfy_the_splitting_identities():
+    # So tables() may split rows 0 and 1 like any other: at every
+    # column, the twelve identities with i in {0, 1} rebuild them from
+    # rows -1 .. 1 one level down.
+    assert _boundary_rule_misses(engine.SPLIT_RULES) == []
+    assert _boundary_rule_misses(_flip_second_term(engine.SPLIT_RULES, (1, 0, "G"))) == [
+        (0, (1, 0, 1, 1), 1, 0, "G")]
 
 
 def test_compile_rules_refuses_rules_outside_the_windows():
@@ -358,25 +405,31 @@ def test_grid_leaves_the_memo_small():
             assert rows[n - 1][p] == value(n, p), (kind, n, p)
 
 
-def _assert_anchor_rows_match_scalar(p_lo, count, step=1):
-    rows = engine._anchor_rows(p_lo, count, step)
-    for stream, table in rows.items():
-        assert table.shape == (3, count) and table.dtype == np.int8
+def _assert_anchor_rows_match_scalar(p_lo, count):
+    for stream, table in zip("GD", engine.tables(-1, 1, p_lo, p_lo + count - 1)):
         for n in (-1, 0, 1):
-            want = [engine._anchor(stream, n, p_lo + step * k) for k in range(count)]
-            assert table[n + 1].tolist() == want, (stream, n, p_lo, step)
+            want = [engine._anchor(stream, n, p_lo + k) for k in range(count)]
+            assert table[n + 1].tolist() == want, (stream, n, p_lo)
 
 
 def test_anchor_rows_match_the_scalar_anchors():
+    # Rows -1 .. 1 of tables(), split by the identities down to a few
+    # cells read from _anchor, against _anchor at every column.
     _assert_anchor_rows_match_scalar(0, 3 ** 8 + 1)
     for p_lo in (1, 2, 3 ** 5 - 4, 3 ** 8):
         _assert_anchor_rows_match_scalar(p_lo, 40)
     # Past int64, across the carry into the 200th digit.
     for p_lo in (3 ** 199 - 60, 2 * 3 ** 198 - 7, 3 ** 199 + 3 ** 40 - 30):
         _assert_anchor_rows_match_scalar(p_lo, 90)
-    # The lattice engine's rows: columns 3**m * k + s, s up to 3**m + 1.
-    for m, s in ((1, 0), (1, 4), (3, 26), (4, 83), (6, 3 ** 6 + 1), (150, 3 ** 149 + 2)):
-        _assert_anchor_rows_match_scalar(s, 21, 3 ** m)
+    # Row n = 0 of the lattices with r <= 1: the columns 3**m * p + s.
+    witnesses = [(m, r, s) for m, s in ((1, 0), (1, 2), (3, 26), (4, 80), (6, 3 ** 6 - 1),
+                                        (150, 3 ** 149 + 2)) for r in (0, 1)]
+    window = 20
+    lattices = engine.witness_lattices({kind: witnesses for kind in engine.KINDS}, window)
+    for kind, stream in zip(engine.KINDS, "GD"):
+        for (m, r, s), row in zip(witnesses, lattices[kind][:, :window + 1].tolist()):
+            want = [engine._anchor(stream, r, 3 ** m * p + s) for p in range(window + 1)]
+            assert row == want, (kind, m, r, s)
 
 
 def _assert_lattices_match_scalar(witnesses, window):

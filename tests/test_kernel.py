@@ -303,9 +303,28 @@ def test_kernel_soundness_fails_on_a_flipped_compiled_sign(monkeypatch):
     weight = weight.copy()
     weight[0, 1, 0, 1] = 3 - weight[0, 1, 0, 1]
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.CompiledRules(plane, row, col, weight))
-    result = checks.kernel_soundness(8)
-    assert (result.ok, result.detail) == (
-        False, "gamma state with witness (1,1,0) disagrees at n=1 p=0")
+    # Both sides read the edit: the closure states are evaluated on the
+    # rows -1 .. window + 2 of one table, which it reaches from row n = 1
+    # up.  The report is the first mismatch of the per-point evaluator,
+    # reading its generators from that table, against the lattices.
+    window = 8
+    table = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
+    with monkeypatch.context() as edited:
+        edited.setattr(engine, "_CELLS",
+                       {sym: lambda n, p, t=t: int(t[n + 1, p]) for sym, t in table.items()})
+        states = {start: evaluate_states_at_points(kernel_closure(start).states,
+                                                   window_points(window))
+                  for start in engine.KINDS}
+    witnesses = {start: kernel_closure(start).witnesses for start in engine.KINDS}
+    lattices = engine.witness_lattices(witnesses, window)
+    mismatches = (
+        f"{start} state with witness ({m},{r},{s}) disagrees at n={col // (window + 1)} "
+        f"p={col % (window + 1)}"
+        for start in engine.KINDS for k, col in np.argwhere(states[start] != lattices[start])
+        for m, r, s in [witnesses[start][k]])
+    result = checks.kernel_soundness(window)
+    assert (result.ok, result.detail) == (False, next(mismatches))
+    assert not checks.dfao_grid().ok
 
 
 def test_kernel_soundness_fails_on_a_rule_only_the_kernel_reads(monkeypatch):
