@@ -281,7 +281,10 @@ def pade_error_law(max_order: int = 12) -> CheckResult:
     name = "pade-error-law"
     _need("pade", "max_order", max_order, 1)
     for order in range(1, max_order + 1):
-        report = verify_pade_error(order)
+        try:
+            report = verify_pade_error(order)
+        except ArithmeticError as exc:
+            return CheckResult(name, False, f"order {order}: {exc}")
         if not report.ok:
             return CheckResult(
                 name, False,

@@ -35,6 +35,13 @@ def generator_value(gen: kernel.Generator, n: int, p: int) -> int:
     return engine._CELLS[sym](n + a, p + b)
 
 
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each 32-bit entry, by xor folding."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x & 1
+
+
 def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
                               points: Sequence[tuple[int, int]]) -> np.ndarray:
     """Values mod 3 of every state at every point (n, p), as an int8
@@ -43,7 +50,8 @@ def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
     The per-point evaluator that kernel.evaluate_states replaced: each
     generator that occurs in some state is read through the scalar
     engine once per point, then every monomial is evaluated on the
-    packed masks as kernel.evaluate_states does.
+    packed masks, 0 where one of its generators is 0, else its
+    coefficient times 2 to the parity of its first powers equal to 2.
     """
     owner = np.repeat(np.arange(len(states)), [len(s.poly) for s in states])
     keys = [key for s in states for key, _ in s.poly]
@@ -61,7 +69,7 @@ def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
                 zero |= bit
             elif value == 2:
                 neg |= bit
-        terms = np.where(present & zero, 0, coeffs * (1 + kernel._parity(low & neg)))
+        terms = np.where(present & zero, 0, coeffs * (1 + _parity(low & neg)))
         out[:, col] = np.bincount(owner, weights=terms, minlength=len(states)) % 3
     return out
 

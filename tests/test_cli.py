@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cantor_hankel
-from cantor_hankel import checks, cli, engine, kernel
+from cantor_hankel import checks, cli, engine, kernel, sequences
 from cantor_hankel.hankel import MAX_HANKEL_ORDER, det_exact, det_mod3
 from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
@@ -1004,6 +1004,17 @@ def test_verify_reports_aperiodic_column(capsys, monkeypatch):
         "FAIL period-bounds: column 5 is not 36-periodic on the scanned window",
         "ok   functional-equation: through degree 600",
     ]
+
+
+def test_verify_reports_a_missing_approximant(capsys, monkeypatch):
+    # With c_1 flipped to 1, H_2 = c_0 c_2 - c_1^2 = 0, so the J-fraction
+    # stops at order 2: the check fails by name instead of raising.
+    block = sequences._CANTOR_BLOCK.copy()
+    block[1] ^= 1
+    monkeypatch.setattr(sequences, "_CANTOR_BLOCK", block)
+    code, out = run(capsys, "verify", "--pade")
+    assert code == 1
+    assert out == "FAIL pade-error-law: order 2: eps_1 = 0 (H_2 = 0) at order 2\n"
 
 
 def test_eta_failure_exit(capsys, monkeypatch):

@@ -240,7 +240,7 @@ def test_batch_evaluation_matches_reference(start):
                             for s in states]
 
 
-@pytest.mark.parametrize("window", [0, 8, 20])
+@pytest.mark.parametrize("window", [0, 8, 14, 20])
 @pytest.mark.parametrize("start", ["gamma", "delta"])
 def test_window_evaluation_matches_the_per_point_evaluator(start, window):
     # The table read against the evaluator it replaced, which reads
