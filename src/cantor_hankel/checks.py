@@ -5,7 +5,8 @@ Each function runs one family of identities over an explicit window and
 returns a CheckResult whose detail string is deterministic, so the
 assembled report is byte-stable run over run.  The sweeps deliberately
 avoid the recurrence engine wherever the engine itself is on trial:
-exact and mod-3 determinants always come from the elimination oracles.
+exact and mod-3 determinants always come from the elimination oracles,
+and engine values from engine.tables rectangles, never scalar cells.
 The splitting replays read the rule table through the engine's reader,
 engine.split_value, but feed it oracle values only, never an engine
 cell, so the eliminated left side still catches a misread rule.
@@ -46,12 +47,6 @@ STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
 
 
-# The most engine reads, 2 * n_max * (p_max + 1), of one oracle sweep.
-# Each leaves about one scalar memo entry; at the cap a sweep peaks near
-# 62 MB RSS, in 0.7-1.2 s at n_max = 40 and 0.5-0.8 s at n_max = 2 in
-# process on a 2-core VM.  The largest window in use, (40, 81), makes 6,560.
-ORACLE_READ_CAP = 250_000
-
 # The most elimination work, 2 * (p_max + 1) * n_max**3, of one oracle
 # sweep: it eliminates the order-n_max matrix at each offset of both
 # families.  Cold in process on a 2-core VM, the largest windows under
@@ -69,12 +64,14 @@ def _need(window: str, bound: str, value: int, least: int) -> None:
 def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     """Engine values against eliminated determinants, both families.
 
+    A window of more than ORACLE_WORK_CAP units of work,
+    2 * (p_max + 1) * n_max**3, is refused first.  Every engine value then
+    comes from one engine.tables rectangle, read before any elimination,
+    so a window over its cell cap is refused before any cell or matrix.
     The order-n_max matrices at all offsets are eliminated as a few
     stacks within STACK_ENTRIES, whose leading minors give every order.
-    Every engine value is a scalar read, compared in the order n, then
-    p, gamma before delta.  The reads stay in the engine's memo, so a
-    window of more than ORACLE_READ_CAP reads or ORACLE_WORK_CAP units of
-    work, 2 * (p_max + 1) * n_max**3, is refused before any of either.
+    The first mismatch is reported in the order n, then p, gamma before
+    delta.
     """
     name = "oracle-equivalence"
     _need("oracle", "n_max", n_max, 1)
@@ -82,30 +79,24 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     if n_max > MAX_HANKEL_ORDER:
         raise ValueError(
             f"the oracle window needs n_max <= {MAX_HANKEL_ORDER}, got {n_max}")
-    reads = 2 * n_max * (p_max + 1)
-    if reads > ORACLE_READ_CAP:
-        raise ValueError(
-            f"the oracle window makes {reads} engine reads, over the cap of "
-            f"{ORACLE_READ_CAP}")
     work = 2 * (p_max + 1) * n_max ** 3
     if work > ORACLE_WORK_CAP:
         raise ValueError(
             f"the oracle window takes {work} units of elimination work, over the "
             f"cap of {ORACLE_WORK_CAP}")
+    got = np.stack(engine.tables(1, n_max, 0, p_max), axis=-1)  # [n - 1, p, kind]
     chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
-    # Row n - 1 of each table: the order-n determinants at every offset.
-    tables = [np.concatenate([
+    # Column n - 1 of the minors: the order-n determinants at every offset.
+    expected = np.stack([np.concatenate([
         minors_mod3_stack(hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p)))
-        for p in range(0, p_max + 1, chunk)]).T.tolist() for kind in engine.KINDS]
-    engines = (engine.gamma_mod3, engine.delta_mod3)
-    for n in range(1, n_max + 1):
-        for p, expect in enumerate(zip(*(rows[n - 1] for rows in tables))):
-            for kind, value, expected in zip(engine.KINDS, engines, expect):
-                if value(n, p) != expected:
-                    return CheckResult(
-                        name, False,
-                        f"first mismatch {kind} at n={n} p={p}: engine "
-                        f"{value(n, p)}, determinant {expected}")
+        for p in range(0, p_max + 1, chunk)]).T for kind in engine.KINDS], axis=-1)
+    wrong = np.argwhere(got != expected)
+    if wrong.size:
+        n, p, k = wrong[0]
+        return CheckResult(
+            name, False,
+            f"first mismatch {engine.KINDS[k]} at n={n + 1} p={p}: engine "
+            f"{got[n, p, k]}, determinant {expected[n, p, k]}")
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}, both families")
 
 
@@ -167,19 +158,20 @@ def splitting_mod3(n_lo: int = 2, n_hi: int = 8, p_max: int = 27) -> CheckResult
 
 
 def closed_forms(n_max: int = 2000) -> CheckResult:
+    """Columns p = 0 and 1 of one engine.tables rectangle against
+    engine.PRINTED_COLUMNS; the first break is reported in n, column 0
+    before column 1."""
     name = "closed-forms"
     _need("closed-form", "n_max", n_max, 1)
-    for n in range(1, n_max + 1):
-        expected = engine.closed_form_p0(n)
-        got = (engine.gamma_mod3(n, 0), engine.delta_mod3(n, 0))
-        if got != expected:
-            return CheckResult(
-                name, False, f"column 0 pattern breaks at n={n}: {got}")
-        common = engine.closed_form_p1(n)
-        got1 = (engine.gamma_mod3(n, 1), engine.delta_mod3(n, 1))
-        if got1 != (common, common):
-            return CheckResult(
-                name, False, f"column 1 pattern breaks at n={n}: {got1}")
+    got = np.stack(engine.tables(1, n_max, 0, 1), axis=-1)  # [n - 1, p, kind]
+    printed = np.array([[engine.PRINTED_COLUMNS[kind, p] for kind in engine.KINDS]
+                        for p in (0, 1)], np.int8)  # [p, kind, n % 4]
+    expected = np.moveaxis(printed[:, :, np.arange(1, n_max + 1) % 4], -1, 0)
+    wrong = np.argwhere(got != expected)
+    if wrong.size:
+        n, p = wrong[0, :2]
+        return CheckResult(name, False, f"column {p} pattern breaks at n={n + 1}: "
+                                        f"{tuple(got[n, p].tolist())}")
     return CheckResult(name, True, f"columns 0 and 1, n <= {n_max}")
 
 

@@ -331,11 +331,15 @@ def cantor_number(b: int, terms: int) -> RationalInterval:
 
     The lower end is the exact partial sum; the upper end adds the full
     geometric tail bound, so enclosures at growing depth are nested.
+    Its Horner sum is quadratic in terms, so more than MAX_ETA_DEPTH
+    terms, far more than eta reads, are refused before any is read.
     """
     if b < 2:
         raise ValueError("base must be at least 2")
     if terms < 1:
         raise ValueError("need at least one term")
+    if terms > MAX_ETA_DEPTH:
+        raise ValueError(f"terms {terms} is over the cap of {MAX_ETA_DEPTH}")
     lo, m = _XiEnclosures(b)(terms)
     return RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
 

@@ -730,13 +730,19 @@ def test_verify_oracle_selection(capsys):
     assert out == "ok   oracle-equivalence: 1 <= n <= 6, 0 <= p <= 6, both families\n"
 
 
-def test_verify_oracle_over_the_order_cap_refuses_before_any_cell(capsys, monkeypatch):
+def _forbid_work(monkeypatch, table):
+    """Fail on any engine cell, any call of engine.<table> and any
+    elimination by the checks."""
     def no_work(*args):
         raise AssertionError("a cell or a determinant was computed")
 
-    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
+    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"), (engine, table),
                          (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
         monkeypatch.setattr(target, name, no_work)
+
+
+def test_verify_oracle_over_the_order_cap_refuses_before_any_cell(capsys, monkeypatch):
+    _forbid_work(monkeypatch, "tables")
     code = cli.main(["verify", "--oracle", "--n-max", str(MAX_HANKEL_ORDER + 1),
                      "--p-max", "0"])
     captured = capsys.readouterr()
@@ -758,51 +764,47 @@ def test_verify_oracle_window_flags(capsys, n_max, p_max):
         assert code == 2
 
 
-# p_max from ORACLE_READ_CAP // 2 makes more than ORACLE_READ_CAP reads
-# at every n_max >= 1.
-@given(n_max=st.integers(1, 4),
-       p_max=st.one_of(st.integers(checks.ORACLE_READ_CAP // 2, 10 ** 6),
-                       st.integers(10 ** 6, 10 ** 30)))
-@HOSTILE_SETTINGS
-def test_verify_oracle_over_the_read_cap_refuses_before_any_work(capsys, monkeypatch,
-                                                                 n_max, p_max):
-    def no_work(*args):
-        raise AssertionError("a cell or a determinant was computed")
-
-    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
-                         (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
-        monkeypatch.setattr(target, name, no_work)
-    code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == (f"error: the oracle window makes {2 * n_max * (p_max + 1)} "
-                            f"engine reads, over the cap of {checks.ORACLE_READ_CAP}\n")
-
-
 def _oracle_work(n_max, p_max):
     # The order-n_max matrix at each offset, both families.
     return 2 * (p_max + 1) * n_max ** 3
 
 
-# Below n_max = 110 every window under the read cap is under the work cap
-# too.  From there, p_max from the work cap's boundary to just under the
-# read cap, so the work cap is what refuses.
-@given(st.integers(110, MAX_HANKEL_ORDER).flatmap(
+# Up to n_max = 19 a window can be under the work cap but over the table
+# engine's cell cap, n_max * (p_max + 1) cells: p_max from the cell cap's
+# boundary to the work cap's.  The table builder, engine._level, stands
+# in for every cell, so tables' own check is what refuses.
+@given(st.integers(1, 19).flatmap(
+    lambda n_max: st.tuples(st.just(n_max),
+                            st.integers(engine.DEFAULT_GRID_CELL_CAP // n_max,
+                                        checks.ORACLE_WORK_CAP // (2 * n_max ** 3) - 1))))
+@example(window=(1, engine.DEFAULT_GRID_CELL_CAP))
+@example(window=(19, 210526))
+@HOSTILE_SETTINGS
+def test_verify_oracle_over_the_cell_cap_refuses_before_any_work(capsys, monkeypatch, window):
+    _forbid_work(monkeypatch, "_level")
+    n_max, p_max = window
+    assert _oracle_work(n_max, p_max) <= checks.ORACLE_WORK_CAP
+    code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"error: table of {n_max * (p_max + 1)} cells exceeds the cap "
+                            f"{engine.DEFAULT_GRID_CELL_CAP}\n")
+
+
+# p_max from the work cap's boundary up, at every order: the work cap is
+# checked before the table is read, so it refuses windows over the cell
+# cap too.
+@given(st.integers(1, MAX_HANKEL_ORDER).flatmap(
     lambda n_max: st.tuples(st.just(n_max),
                             st.integers(checks.ORACLE_WORK_CAP // (2 * n_max ** 3),
-                                        checks.ORACLE_READ_CAP // (2 * n_max) - 1))))
+                                        10 ** 30))))
 @example(window=(110, 1126))
 @example(window=(MAX_HANKEL_ORDER, 12))
+@example(window=(1, checks.ORACLE_WORK_CAP // 2))
 @HOSTILE_SETTINGS
 def test_verify_oracle_over_the_work_cap_refuses_before_any_work(capsys, monkeypatch, window):
-    def no_work(*args):
-        raise AssertionError("a cell or a determinant was computed")
-
-    for target, name in ((engine, "gamma_mod3"), (engine, "delta_mod3"),
-                         (checks, "minors_mod3_stack"), (checks, "hankel_stack")):
-        monkeypatch.setattr(target, name, no_work)
+    _forbid_work(monkeypatch, "tables")
     n_max, p_max = window
-    assert 2 * n_max * (p_max + 1) <= checks.ORACLE_READ_CAP
     code = cli.main(["verify", "--oracle", "--n-max", str(n_max), "--p-max", str(p_max)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -821,18 +823,27 @@ def test_oracle_work_cap_admits_the_windows_in_use():
     for n_max, p_max in ((500, 11), (200, 186), (120, 867)):
         assert _oracle_work(n_max, p_max) <= checks.ORACLE_WORK_CAP \
             < _oracle_work(n_max, p_max + 1), n_max
-    assert all(_oracle_work(109, p_max) <= checks.ORACLE_WORK_CAP
-               for p_max in range(checks.ORACLE_READ_CAP // (2 * 109)))
+    # Up to n_max = 19 every window under the cell cap is under the work
+    # cap too; from 20 the work cap refuses first.
+    cap = engine.DEFAULT_GRID_CELL_CAP
+    assert all(_oracle_work(n_max, cap // n_max - 1) <= checks.ORACLE_WORK_CAP
+               for n_max in range(1, 20))
+    assert _oracle_work(20, cap // 20 - 1) > checks.ORACLE_WORK_CAP
 
 
 def _engine_wrong_at(cells):
-    """An engine stand-in for checks that is off by one at (kind, n, p) in cells."""
-    def stream(kind):
-        true = getattr(engine, f"{kind}_mod3")
-        return lambda n, p: (true(n, p) + ((kind, n, p) in cells)) % 3
+    """An engine stand-in for checks whose tables are off by one at each
+    (kind, n, p) in cells."""
+    def tables(n_lo, n_hi, p_lo, p_hi):
+        out = engine.tables(n_lo, n_hi, p_lo, p_hi)
+        for kind, n, p in cells:
+            if n_lo <= n <= n_hi and p_lo <= p <= p_hi:
+                table = out[engine.KINDS.index(kind)]
+                table[n - n_lo, p - p_lo] = (table[n - n_lo, p - p_lo] + 1) % 3
+        return out
 
-    return SimpleNamespace(KINDS=engine.KINDS, gamma_mod3=stream("gamma"),
-                           delta_mod3=stream("delta"))
+    return SimpleNamespace(KINDS=engine.KINDS, PRINTED_COLUMNS=engine.PRINTED_COLUMNS,
+                           tables=tables)
 
 
 # The default budget, and one small enough that every order of the
@@ -847,7 +858,9 @@ STACK_BUDGETS = (checks.STACK_ENTRIES, 400)
     # n before p: (5, 0) comes after every cell of row 4.
     ({("delta", 4, 10), ("gamma", 4, 10), ("gamma", 4, 30), ("delta", 5, 0)},
      ("gamma", 4, 10)),
-], ids=["one-cell", "order-of-cells"])
+    # p before the family: delta at an earlier p than gamma in one row.
+    ({("gamma", 6, 20), ("delta", 6, 3), ("gamma", 7, 0)}, ("delta", 6, 3)),
+], ids=["one-cell", "order-of-cells", "p-before-family"])
 def test_oracle_check_names_its_first_mismatch(monkeypatch, stack_entries, cells, first):
     monkeypatch.setattr(checks, "STACK_ENTRIES", stack_entries)
     kind, n, p = first
@@ -856,6 +869,41 @@ def test_oracle_check_names_its_first_mismatch(monkeypatch, stack_entries, cells
     result = checks.oracle_equivalence(8, 40)
     assert result.line() == (f"FAIL oracle-equivalence: first mismatch {kind} at n={n} "
                              f"p={p}: engine {(true + 1) % 3}, determinant {true}")
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({("delta", 9, 1)}, "column 1 pattern breaks at n=9: (0, 1)"),
+    # Column 0 before column 1 at one n, whichever stream breaks, and an
+    # earlier n before a later one.
+    ({("delta", 12, 0), ("gamma", 12, 1), ("gamma", 40, 0)},
+     "column 0 pattern breaks at n=12: (2, 2)"),
+    # n before the column: column 1 at n = 5 before column 0 at n = 30.
+    ({("delta", 30, 0), ("gamma", 5, 1)}, "column 1 pattern breaks at n=5: (1, 0)"),
+], ids=["one-cell", "column-order", "n-order"])
+def test_closed_form_check_names_its_first_break(monkeypatch, cells, message):
+    monkeypatch.setattr(checks, "engine", _engine_wrong_at(cells))
+    assert checks.closed_forms(50).line() == f"FAIL closed-forms: {message}"
+
+
+def test_oracle_and_closed_form_checks_read_no_engine_cell(monkeypatch):
+    # Both read one engine.tables rectangle; tables reads its smallest
+    # rectangles through its own reference to the memo, not these names.
+    def no_cell(*args):
+        raise AssertionError("an engine cell was read")
+
+    monkeypatch.setattr(engine, "gamma_mod3", no_cell)
+    monkeypatch.setattr(engine, "delta_mod3", no_cell)
+    for group in ("oracle", "closed-forms"):
+        assert all(result.ok for result in checks.run_group(group)), group
+
+
+@pytest.mark.parametrize("n_max", [2_000_001, 10 ** 9])
+def test_closed_form_check_over_the_cell_cap_refuses_before_any_cell(monkeypatch, n_max):
+    # Two cells per row: more than half the cell cap in rows is refused.
+    _forbid_work(monkeypatch, "_level")
+    with pytest.raises(ValueError, match=f"table of {2 * n_max} cells exceeds the cap "
+                                         f"{engine.DEFAULT_GRID_CELL_CAP}"):
+        checks.closed_forms(n_max)
 
 
 def test_oracle_check_stacks_stay_within_their_budget(monkeypatch):

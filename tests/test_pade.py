@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cantor_hankel import cli
 from cantor_hankel.hankel import det_exact, hankel_matrix
-from cantor_hankel.pade import (MAX_BASE, MAX_PADE_ORDER, PadeApproximant,
-                                RationalInterval, _j_fraction,
+from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_PADE_ORDER,
+                                PadeApproximant, RationalInterval, _j_fraction,
                                 cantor_coefficients, cantor_number,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
@@ -305,6 +305,23 @@ def test_cantor_number_validation():
         cantor_number(1, 5)
     with pytest.raises(ValueError):
         cantor_number(2, 0)
+
+
+@pytest.mark.parametrize("terms", [MAX_ETA_DEPTH + 1, 2 ** 20, 10 ** 30])
+def test_cantor_number_over_the_term_cap_refuses_before_any_term(monkeypatch, terms):
+    def no_work(*args):
+        raise AssertionError("a term of c was read")
+
+    monkeypatch.setattr(pade_module, "cantor_run", no_work)
+    with pytest.raises(ValueError, match=f"terms {terms} is over the cap of {MAX_ETA_DEPTH}"):
+        cantor_number(2, terms)
+
+
+def test_cantor_number_at_the_term_cap_is_admitted():
+    enclosure = cantor_number(2, MAX_ETA_DEPTH)
+    assert enclosure.width == Fraction(1, 2 ** (MAX_ETA_DEPTH - 1))
+    outer = cantor_number(2, 100)
+    assert outer.lo <= enclosure.lo and enclosure.hi <= outer.hi
 
 
 def test_irrationality_estimates_base2():
