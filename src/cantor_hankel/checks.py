@@ -251,10 +251,11 @@ def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
     name = "dfao-grid"
     _need("dfao", "n_max", n_max, 1)
     _need("dfao", "p_max", p_max, 0)
+    tables = engine.tables(1, n_max, 0, p_max)
     witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
     at_witnesses = engine.witness_lattices(witnesses, 0)
     n, p = np.indices((n_max, p_max + 1))
-    for start, table in zip(engine.KINDS, engine.tables(1, n_max, 0, p_max)):
+    for start, table in zip(engine.KINDS, tables):
         dfao = kernel.build_dfao(start)
         wrong = np.argwhere(dfao.evaluate(n + 1, p) != table)
         if wrong.size:

@@ -164,6 +164,11 @@ def _check_digits(n: int, p: int) -> None:
             f"{name} has more than {MAX_INDEX_DIGITS} base-3 digits, over the cap")
 
 
+def _check_cells(what: str, cells: int) -> None:
+    if cells > DEFAULT_GRID_CELL_CAP:
+        raise ValueError(f"{what} of {cells} cells exceeds the cap {DEFAULT_GRID_CELL_CAP}")
+
+
 def _anchor(stream: str, n: int, p: int) -> int:
     """The stream at an anchor row n in {-1, 0, 1}.
 
@@ -264,8 +269,7 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
     if (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
         return _split_level(n_lo, n_hi, p_lo, p_hi)
-    out = (np.empty((n_hi - n_lo + 1, width), np.int8),
-           np.empty((n_hi - n_lo + 1, width), np.int8))
+    out = tuple(np.empty((n_hi - n_lo + 1, width), np.int8) for _ in KINDS)
     for table, (stream, value) in zip(out, _CELLS.items()):
         table[:] = [[_anchor(stream, n, p) if n <= 1 else value(n, p)
                      for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
@@ -303,8 +307,9 @@ def _mod3(x: np.ndarray) -> np.ndarray:
 
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta over a rectangle, split by _COMPILED_RULES from the
-    rectangle one level down.  Rows 0 and 1 are split too (see
-    tables()); row -1, if asked for, is not, and is filled from _anchor.
+    rectangle one level down, rows max(n_lo, 0) // 3 - 1 .. n_hi // 3 + 2
+    by columns p_lo // 3 .. p_hi // 3 + 1.  Rows 0 and 1 are split too
+    (see tables()); row -1, if asked for, is filled from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
@@ -314,64 +319,43 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     3q + j) of those i and j over each quotient cell.  The tables hold
     just those cells (and row n = -1 if asked for), so at most two rows
     and two columns past each side of the rectangle, a view of them.
-
-    Every array op runs along the longer quotient axis, the inner one of
-    the layout: a rectangle taller than wide is built transposed, its
-    tables and planes indexed [p, n] and the rules' i and j axes swapped.
     """
     m_lo, q_lo = max(n_lo, 0) // 3 - 1, p_lo // 3
     below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1)
     at = (slice(None), _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
-    plane, outer, inner, weight = (index[at] for index in _COMPILED_RULES)
+    plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
-    # Row n = -1, if asked for, precedes the quotient rows.
-    extra = int(n_lo < 0)
-    shape = (extra + rows * len(range(3)[at[1]]), cols * len(range(3)[at[2]]))
-    tall = rows > cols
-    if tall:
-        below = (below[0].T, below[1].T)
-        plane, outer, inner, weight = (a.swapaxes(1, 2) for a in (plane, inner, outer, weight))
     planes = np.empty((5,) + below[0].shape, np.int8)
     planes[0:4:2] = below
     del below
     np.not_equal(planes[0:4:2], 0, out=planes[1:4:2].view(bool))
     planes[4] = 1
-    if tall:
-        layout = tuple(np.empty(shape[::-1], np.int8) for _ in "GD")
-        full, origin = tuple(table.T for table in layout), (0, extra)
-    else:
-        full = layout = tuple(np.empty(shape, np.int8) for _ in "GD")
-        origin = (extra, 0)
-    # sliding_window_view(planes, (4, 2) or (2, 4), axis=(1, 2)), built
-    # directly: that call costs about as much as the rest of a small level.
-    window = (2, 4) if tall else (4, 2)
-    count = (planes.shape[1] - window[0] + 1, planes.shape[2] - window[1] + 1)
-    windows = np.ndarray((5,) + count + window, np.int8, planes,
+    # Row n = -1, if asked for, precedes the quotient rows.
+    extra = int(n_lo < 0)
+    ka, kb = plane.shape[1:3]
+    full = tuple(np.empty((extra + rows * ka, cols * kb), np.int8) for _ in KINDS)
+    # The quotient rows of each table, axes (m, residue i, q, residue j).
+    quotients = tuple(table[extra:].reshape(rows, ka, cols, kb) for table in full)
+    # The (4, 2) windows, built directly: sliding_window_view costs as much as a small level.
+    windows = np.ndarray((5, rows, cols, 4, 2), np.int8, planes,
                          strides=planes.strides + planes.strides[1:])
-    block_inner = min(count[1], max(1, _GATHER_BYTES // plane.size))
-    block_outer = max(1, _GATHER_BYTES // (plane.size * block_inner))
-    for u in range(0, count[0], block_outer):
-        for v in range(0, count[1], block_inner):
-            block = windows[:, u:u + block_outer, v:v + block_inner]
-            total = _rule_sums(block[plane, :, :, outer, inner], weight)
-            # Times 2, -1 mod 3, on the cells of odd quotient row m, the
-            # inner or the outer axis: at most 64.
-            m = slice((m_lo + (v if tall else u)) % 2, None, 2)
-            total[(..., m) if tall else (..., m, slice(None))] *= 2
+    block_cols = min(cols, max(1, _GATHER_BYTES // plane.size))
+    block_rows = max(1, _GATHER_BYTES // (plane.size * block_cols))
+    for u in range(0, rows, block_rows):
+        for v in range(0, cols, block_cols):
+            block = windows[:, u:u + block_rows, v:v + block_cols]
+            total = _rule_sums(block[plane, :, :, row, col], weight)
+            # Times 2, -1 mod 3, on the cells of odd quotient row m: at most 64.
+            total[..., (m_lo + u) % 2::2, :] *= 2
             _mod3(total)
-            # Axes (stream, outer residue, inner residue, outer quotient,
-            # inner quotient) to the layout's rows and columns of each stream.
-            ka, kb, a, b = total.shape[1:]
-            x, y = origin[0] + ka * u, origin[1] + kb * v
-            for table, cells in zip(layout, total):
-                region = table[x:x + ka * a, y:y + kb * b].reshape(a, ka, b, kb)
+            # Axes (stream, residue i, residue j, m, q) of total to the quotients.
+            for table, cells in zip(quotients, total):
                 for k in range(kb):
-                    region[..., k] = cells[:, k].transpose(1, 0, 2)
+                    table[u:u + block_rows, :, v:v + block_cols, k] = cells[:, k].swapaxes(0, 1)
     # Row n_lo >= 0 and column p_lo are in the first quotient row and column.
     n0 = 0 if extra else (n_lo % 3 - at[1].start) // at[1].step
     p0 = (p_lo % 3 - at[2].start) // at[2].step
-    out = (full[0][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1],
-           full[1][n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1])
+    out = tuple(table[n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1] for table in full)
     if extra:
         # Row n = -1 is 0 past column p = 0.
         for table, stream in zip(out, "GD"):
@@ -385,16 +369,11 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
 
     Returns two int8 arrays indexed [n - n_lo, p - p_lo], in the order of
     KINDS; they share no memory, and each may be a view of a table with
-    up to two more rows and columns on each side.  Rows n >= 0 come from
-    the rectangle one level down, rows max(n_lo, 0) // 3 - 1 ..
-    n_hi // 3 + 2 by columns p_lo // 3 .. p_hi // 3 + 1: blocks of
-    quotient cells (m, q) gather the factors of the compiled splitting
-    identities from (4, 2) windows of that rectangle at once and fill
-    the cells (3m + i, 3q + j) of every i and j the rectangle has (see
-    _split_level).  Row -1 is filled from _anchor, and rectangles of at
-    most _CELLWISE_AREA cells are read cell by cell: rows n <= 1 from
-    _anchor, rows n >= 2 from the memoised scalar engine.  Gamma's row
-    -1 holds 0.
+    up to two more rows and columns on each side.  Rows n >= 0 are split
+    from the rectangle one level down (see _split_level), and row -1 is
+    filled from _anchor; rectangles of at most _CELLWISE_AREA cells are
+    read cell by cell: rows n <= 1 from _anchor, rows n >= 2 from the
+    memoised scalar engine.  Gamma's row -1 holds 0.
 
     Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
     identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
@@ -408,9 +387,7 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     """
     if n_hi < n_lo or p_hi < p_lo:
         raise ValueError("empty table range")
-    cells = (n_hi - n_lo + 1) * (p_hi - p_lo + 1)
-    if cells > DEFAULT_GRID_CELL_CAP:
-        raise ValueError(f"table of {cells} cells exceeds the cap {DEFAULT_GRID_CELL_CAP}")
+    _check_cells("table", (n_hi - n_lo + 1) * (p_hi - p_lo + 1))
     if n_lo < -1 or p_lo < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n_hi, p_hi)
@@ -441,10 +418,13 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     factors _COMPILED_RULES names one level up, whose inverse is their
     gather index.  Bottom up, the level above gathers in blocks of at
     most _GATHER_BYTES factors from one int8 stack of each level's
-    values, their squares (x != 0) and ones, dropped once read.
+    values, their squares (x != 0) and ones, dropped once read.  An
+    output of more than DEFAULT_GRID_CELL_CAP cells, witnesses times
+    (window + 1)**2, is refused before any work.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
+    _check_cells("output", sum(map(len, witnesses.values())) * (window + 1) ** 2)
     streams = {kind: _kind_index(kind) for kind in witnesses}
     for triples in witnesses.values():
         for m, r, s in triples:

@@ -395,10 +395,13 @@ def evaluate_states(states: Sequence[KernelExpr], window: int) -> np.ndarray:
     products of the distinct monomials' key bits with the generators'
     masks, exact since they are at most 26.  A state sums its terms one
     position at a time.  Gamma has no row -1, so a state that reads
-    S[-1,b]G is refused.
+    S[-1,b]G is refused.  So is an output of more than
+    engine.DEFAULT_GRID_CELL_CAP cells, states times (window + 1)**2,
+    before any work.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
+    engine._check_cells("output", len(states) * (window + 1) ** 2)
     lens = np.array([len(s.poly) for s in states], dtype=np.int64)
     keys = np.array([key for s in states for key, _ in s.poly], dtype="<i8")
     coeffs = np.array([c for s in states for _, c in s.poly], dtype=np.int64)

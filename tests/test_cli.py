@@ -906,6 +906,11 @@ def test_closed_form_check_over_the_cell_cap_refuses_before_any_cell(monkeypatch
         checks.closed_forms(n_max)
 
 
+def test_closed_form_check_at_the_cell_cap_passes():
+    # The tallest table the cap admits: two columns of 2,000,000 rows.
+    assert checks.closed_forms(2_000_000).ok
+
+
 def test_oracle_check_stacks_stay_within_their_budget(monkeypatch):
     shapes = []
     minors = checks.minors_mod3_stack
@@ -967,6 +972,18 @@ def test_check_refuses_empty_window(check, window, named):
     # Each of these windows would pass without comparing anything.
     with pytest.raises(ValueError, match=re.escape(named)):
         getattr(checks, check)(*window)
+
+
+def test_dfao_check_over_the_cell_cap_refuses_before_any_closure(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a closure, lattice or automaton was built")
+
+    for target, name in ((kernel, "kernel_closure"), (kernel, "build_dfao"),
+                         (engine, "witness_lattices")):
+        monkeypatch.setattr(target, name, no_work)
+    with pytest.raises(ValueError, match=f"table of {2001 * 2000} cells exceeds the cap "
+                                         f"{engine.DEFAULT_GRID_CELL_CAP}"):
+        checks.dfao_grid(2001, 1999)
 
 
 def test_dfao_check_reads_the_engine_as_one_table():

@@ -264,6 +264,42 @@ def test_window_evaluation_refuses_gamma_row_minus_one():
     assert evaluate_states([generator_expr("D", -1, 0)], 1).tolist() == [[1, 0, 1, 1]]
 
 
+def test_lattices_and_state_values_over_the_cell_cap_refuse_before_any_table(monkeypatch):
+    # Output cells are witnesses (or states) times (window + 1)**2: both
+    # closures' witnesses admit window 34 and one closure's states 48.
+    closures = {start: kernel_closure(start) for start in engine.KINDS}
+    witnesses = {start: closure.witnesses for start, closure in closures.items()}
+    states = closures["gamma"].states
+
+    class TableRead(Exception):
+        pass
+
+    def no_table(*args):
+        raise TableRead
+
+    monkeypatch.setattr(engine, "tables", no_table)
+    cap = engine.DEFAULT_GRID_CELL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"output of {2 * CLOSURE_STATES * 36 ** 2} "
+                                             f"cells exceeds the cap {cap}"):
+            checks.kernel_soundness(35)
+        with pytest.raises(ValueError, match=f"output of {CLOSURE_STATES * 50 ** 2} "
+                                             f"cells exceeds the cap {cap}"):
+            evaluate_states(states, 49)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    # The windows in use and the largest admitted ones reach the table.
+    for window in (0, 8, 14, 20, 34):
+        with pytest.raises(TableRead):
+            engine.witness_lattices(witnesses, window)
+    for window in (20, 48):
+        with pytest.raises(TableRead):
+            evaluate_states(states, window)
+
+
 # A state swapped with its successor, chosen so that the first mismatch
 # lies off the row n = 0 and the column p = 0.
 SWAPPED_STATE = {"gamma": 28, "delta": 19}
