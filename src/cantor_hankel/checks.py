@@ -242,11 +242,14 @@ def kernel_soundness(window: int = 8) -> CheckResult:
 def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
     """Both emitted automata against the engine, gamma then delta.
 
-    Each walks the display window as arrays against one engine table and
-    reports its first mismatch in n, then p.  A state the window never
-    ends in would go unchecked there, so each output is also compared with
-    the lattice engine at the state's witness point (r, s), never with a
-    cell, which may one day walk an automaton.
+    Each walks the display window against one engine table, in blocks
+    of the table's cells in n-major order, and reports its first mismatch
+    in n, then p.  A block holds engine._GATHER_BYTES // 8 cells, so each
+    int64 array of the walk stays within _GATHER_BYTES however large the
+    window.  A state the window never ends in would go unchecked there,
+    so each output is also compared with the lattice engine at the
+    state's witness point (r, s), never with a cell, which may one day
+    walk an automaton.
     """
     name = "dfao-grid"
     _need("dfao", "n_max", n_max, 1)
@@ -254,12 +257,16 @@ def dfao_grid(n_max: int = 96, p_max: int = 127) -> CheckResult:
     tables = engine.tables(1, n_max, 0, p_max)
     witnesses = {start: kernel.kernel_closure(start).witnesses for start in engine.KINDS}
     at_witnesses = engine.witness_lattices(witnesses, 0)
-    n, p = np.indices((n_max, p_max + 1))
+    block = engine._GATHER_BYTES // 8
     for start, table in zip(engine.KINDS, tables):
         dfao = kernel.build_dfao(start)
-        wrong = np.argwhere(dfao.evaluate(n + 1, p) != table)
-        if wrong.size:
-            return CheckResult(name, False, f"mismatch at n={wrong[0, 0] + 1} p={wrong[0, 1]}")
+        cells = table.ravel()
+        for lo in range(0, cells.size, block):
+            n, p = np.divmod(np.arange(lo, min(lo + block, cells.size)), p_max + 1)
+            wrong = np.flatnonzero(dfao.evaluate(n + 1, p) != cells[lo:lo + block])
+            if wrong.size:
+                k = int(wrong[0])
+                return CheckResult(name, False, f"mismatch at n={n[k] + 1} p={p[k]}")
         expected = at_witnesses[start][:, 0]
         wrong = np.flatnonzero(np.array(dfao.outputs) != expected)
         if wrong.size:

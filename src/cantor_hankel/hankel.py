@@ -45,7 +45,9 @@ from .sequences import cantor_run, diff_run
 # elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
 # numpy 2.4), at offsets up to 27, det_mod3 takes 0.03-0.05 s and
 # det_exact 2-5 s, most of the latter on Python ints once the minors
-# outgrow int64.  The package's own callers stay at or below order 150.
+# outgrow int64.  The package's own callers reach it: verify --oracle
+# admits orders up to this cap, and verify_pade_error(200) eliminates
+# order 201.
 MAX_HANKEL_ORDER = 500
 
 # Largest order the GF(3) oracles eliminate on int16.  They start from

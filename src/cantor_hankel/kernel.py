@@ -22,13 +22,15 @@ two bitmasks over the generators.
 
 The nine digit steps together are one sparse linear map over GF(3) on
 monomials, and the closure applies it to a whole breadth-first level at
-a time with numpy: monomials get dense ids, the nine images of each are
-rows of one store of part images, a monomial being the product of its G
-part and its D/F part, and the successors of a chunk of states are one
-gather of image rows reduced by one sort.  evaluate_states reads states
-over a window of points through two int8 matrix products of the
-distinct monomials' bits with the generators' zero and -1 masks: both
-closures at window 8 take about 7-10 ms on a 2-core VM.
+a time with numpy: a polynomial is a row of its ascending terms, each
+monomial * 4 + coefficient in one int64, the nine images of each
+monomial are rows of one store of part images, a monomial being the
+product of its G part and its D/F part, and the successors of a chunk
+of states are one gather of image rows reduced by one sort.
+evaluate_states reads states over a window of points through two int8
+matrix products of the distinct monomials' bits with the generators'
+zero and -1 masks: both closures at window 8 take about 7-10 ms on a
+2-core VM.
 
 Iterating the digit steps from a single stream and collecting distinct
 normal forms gives a finite closure: the states of a deterministic
@@ -191,13 +193,12 @@ def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Rows:
-    """Polynomials over dense monomial ids, one per row, stored CSR: row k
-    has ids[indptr[k]:indptr[k + 1]], ascending, with coefficients 1 or 2
-    in coeffs at the same places."""
+    """Packed polynomials, one per row, stored CSR: row k has the terms
+    terms[indptr[k]:indptr[k + 1]], each monomial * 4 + coefficient with
+    coefficient 1 or 2, ascending, so in monomial order."""
 
     indptr: np.ndarray
-    ids: np.ndarray
-    coeffs: np.ndarray
+    terms: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -206,102 +207,79 @@ class _Rows:
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         lens = self.indptr[rows + 1] - starts
-        picked = _ragged(starts, lens)
-        return _Rows(np.concatenate(([0], np.cumsum(lens))), self.ids[picked],
-                     self.coeffs[picked])
+        return _Rows(np.concatenate(([0], np.cumsum(lens))), self.terms[_ragged(starts, lens)])
 
     def forms(self) -> list[bytes]:
-        """Each row as bytes, each id with its coefficient as id * 4 +
-        coefficient: equal rows, and only they, give equal bytes."""
-        packed = (self.ids * 4 + self.coeffs).astype(np.int64).tobytes()
+        """Each row as the bytes of its terms: equal rows, and only they,
+        give equal bytes."""
+        packed = self.terms.tobytes()
         bounds = (self.indptr * 8).tolist()
         return list(map(packed.__getitem__, map(slice, bounds, bounds[1:])))
 
     @staticmethod
     def concat(blocks: Sequence[_Rows]) -> _Rows:
-        ends = np.cumsum([len(b.ids) for b in blocks])
-        return _Rows(np.concatenate([[0]] + [b.indptr[1:] + end - len(b.ids)
+        ends = np.cumsum([len(b.terms) for b in blocks])
+        return _Rows(np.concatenate([[0]] + [b.indptr[1:] + end - len(b.terms)
                                              for b, end in zip(blocks, ends)]),
-                     np.concatenate([b.ids for b in blocks]),
-                     np.concatenate([b.coeffs for b in blocks]))
+                     np.concatenate([b.terms for b in blocks]))
 
 
-_NO_ROWS = _Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                 np.zeros(0, dtype=np.int8))
+_NO_ROWS = _Rows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def _collect(rows: np.ndarray, keys: np.ndarray, coeffs: np.ndarray, n_rows: int) -> _Rows:
+    """Sum the terms (row, packed monomial, coefficient) of n_rows
+    polynomials mod 3: the batch's monomials are ranked, and one sort of
+    (row, rank) * 4 + coefficient brings like terms together."""
+    unique, rank = np.unique(keys, return_inverse=True)
+    size = len(unique)
+    order = np.sort((rows.astype(np.int64) * size + rank) * 4 + coeffs)
+    first = np.flatnonzero(np.diff(order >> 2, prepend=-1))
+    sums = np.add.reduceat(order & 3, first) % 3 if len(order) else order
+    cells = (order[first] >> 2)[sums != 0]
+    return _Rows(np.searchsorted(cells // size, np.arange(n_rows + 1)),
+                 unique[cells % size] * 4 + sums[sums != 0])
+
+
+def _to_rows(polys: Sequence[Packed]) -> _Rows:
+    """Packed polynomials as rows, like monomials summed mod 3."""
+    keys = np.array([key for poly in polys for key, _ in poly], dtype=np.int64)
+    coeffs = np.array([c for poly in polys for _, c in poly], dtype=np.int64)
+    owner = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
+    return _collect(owner, keys, coeffs, len(polys))
+
+
+def _to_packed(polys: _Rows) -> list[Packed]:
+    """Rows as packed polynomials."""
+    terms = list(zip((polys.terms >> 2).tolist(), (polys.terms & 3).tolist()))
+    bounds = polys.indptr.tolist()
+    return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class _Stepper:
     """The nine digit steps, taken together, as a sparse linear map over
     GF(3) on monomials.
 
-    Monomials get dense ids in order of discovery; keys[id] is the packed
-    monomial.  A digit step is a ring homomorphism, so the image of a
-    product is the product of the images.  One store holds the nine
-    images of every part, rows 9 * slot + d, for as long as this object,
-    and a monomial is a part: one with G bits and D/F bits is its G part
-    times its D/F part, and any other is the part without its lowest bit
-    times that bit, a generator, read off _split_generator, or a square.
-    Every batch of products is one ragged cartesian product over the
-    keys, reduced by one sort.
-    Keys use 52 bits, so they are int64 like ids and sort keys, and no
-    array mixes signed and unsigned integers.
+    A digit step is a ring homomorphism, so the image of a product is
+    the product of the images.  One store holds the nine images of every
+    part, rows 9 * slot + d, for as long as this object, and a monomial
+    is a part: one with G bits and D/F bits is its G part times its D/F
+    part, and any other is the part without its lowest bit times that
+    bit, a generator, read off _split_generator, or a square.  Every
+    batch of products is one ragged cartesian product over the terms,
+    reduced by _collect.  A packed monomial uses 52 bits, so a term is
+    one int64, and no array mixes signed and unsigned integers.
     """
 
     def __init__(self) -> None:
-        self.keys = np.zeros(0, dtype=np.int64)
-        # The keys in ascending order, and the id of each.
-        self._sorted = self.keys
-        self._sorted_ids = np.zeros(0, dtype=np.int64)
         self._part_slot: dict[int, int] = {}
         self._parts = _NO_ROWS
-        self._add_parts([0], self.to_rows([_ONE] * len(_DIGIT_PAIRS)))
+        self._add_parts([0], _to_rows([_ONE] * len(_DIGIT_PAIRS)))
 
     @property
     def memoised(self) -> int:
         """Part images memoised, nine per part, monomials included."""
         return len(self._parts)
-
-    def _intern(self, keys: np.ndarray) -> np.ndarray:
-        """The ids of packed monomials; new ones are numbered in key order."""
-        ordered = np.sort(keys)
-        unique = ordered[np.diff(ordered, prepend=-1) != 0]
-        at = np.searchsorted(self._sorted, unique)
-        new = at == len(self._sorted)
-        new[~new] = self._sorted[at[~new]] != unique[~new]
-        ids = np.empty(len(unique), dtype=np.int64)
-        ids[~new] = self._sorted_ids[at[~new]]
-        ids[new] = np.arange(new.sum()) + len(self.keys)
-        self._sorted = np.insert(self._sorted, at[new], unique[new])
-        self._sorted_ids = np.insert(self._sorted_ids, at[new], ids[new])
-        self.keys = np.concatenate((self.keys, unique[new]))
-        return ids[np.searchsorted(unique, keys)]
-
-    def _collect(self, rows: np.ndarray, ids: np.ndarray, coeffs: np.ndarray,
-                 n_rows: int) -> _Rows:
-        """Sum the terms (row, id, coefficient) of n_rows polynomials mod 3."""
-        size = len(self.keys)
-        order = np.sort((rows.astype(np.int64) * size + ids) * 4 + coeffs)
-        first = np.flatnonzero(np.diff(order >> 2, prepend=-1))
-        sums = np.add.reduceat(order & 3, first) % 3 if len(order) else order
-        cells = (order[first] >> 2)[sums != 0]
-        return _Rows(np.searchsorted(cells // size, np.arange(n_rows + 1)), cells % size,
-                     sums[sums != 0].astype(np.int8))
-
-    def to_rows(self, polys: Sequence[Packed]) -> _Rows:
-        """Packed polynomials as rows, numbering their new monomials."""
-        keys = np.array([key for poly in polys for key, _ in poly], dtype=np.int64)
-        coeffs = np.array([c for poly in polys for _, c in poly], dtype=np.int64)
-        owner = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
-        return self._collect(owner, self._intern(keys), coeffs, len(polys))
-
-    def to_packed(self, polys: _Rows) -> list[Packed]:
-        """Rows as packed polynomials."""
-        owner = np.repeat(np.arange(len(polys)), np.diff(polys.indptr))
-        keys = self.keys[polys.ids]
-        order = np.lexsort((keys, owner))
-        terms = list(zip(keys[order].tolist(), polys.coeffs[order].tolist()))
-        bounds = polys.indptr.tolist()
-        return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def _products(self, lrows: np.ndarray, rrows: np.ndarray) -> _Rows:
         """Row k is row lrows[k] of the part store times its row rrows[k]."""
@@ -312,11 +290,9 @@ class _Stepper:
         owner = np.repeat(np.arange(len(sizes)), sizes)
         at = _ragged(np.zeros_like(sizes), sizes)
         width = rlen[owner]
-        x = lstart[owner] + at // width
-        y = rstart[owner] + at % width
-        keys = _mono_product(self.keys[parts.ids[x]], self.keys[parts.ids[y]])
-        coeffs = parts.coeffs[x].astype(np.int64) * parts.coeffs[y] % 3
-        return self._collect(owner, self._intern(keys), coeffs, len(sizes))
+        x = parts.terms[lstart[owner] + at // width]
+        y = parts.terms[rstart[owner] + at % width]
+        return _collect(owner, _mono_product(x >> 2, y >> 2), (x & 3) * (y & 3) % 3, len(sizes))
 
     def _add_parts(self, parts: list[int], images: _Rows) -> None:
         for part in parts:
@@ -349,7 +325,7 @@ class _Stepper:
             todo.extend(factors[part] or ())
         gens = [part for part, pair in factors.items() if pair is None]
         if gens:
-            self._add_parts(gens, self.to_rows([
+            self._add_parts(gens, _to_rows([
                 _split_generator(i, j, _GENERATORS[part.bit_length() - 1])
                 for part in gens for i, j in _DIGIT_PAIRS]))
         for count in sorted({part.bit_count() for part, pair in factors.items() if pair}):
@@ -362,23 +338,22 @@ class _Stepper:
     def _slot_rows(self, parts: list[int]) -> np.ndarray:
         return _nine(np.array([self._part_slot[part] for part in parts], dtype=np.int64))
 
-    def image_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The store rows of the nine images of each monomial, a monomial
-        being a part, building those missing in one batch."""
-        return self._part_rows(self.keys[ids].tolist())
+    def image_rows(self, states: _Rows) -> np.ndarray:
+        """The store rows of the nine images of each monomial of states,
+        a monomial being a part, building those missing in one batch."""
+        return self._part_rows((states.terms >> 2).tolist())
 
     def successors(self, states: _Rows) -> _Rows:
         """The nine digit steps of each state: row 9 * k + d is state k
         read at (3n + i, 3p + j), (i, j) the d-th pair of _DIGIT_PAIRS."""
-        rows = self.image_rows(states.ids)
+        rows = self.image_rows(states)
         starts = self._parts.indptr[rows]
         lens = self._parts.indptr[rows + 1] - starts
-        at = _ragged(starts, lens)
+        images = self._parts.terms[_ragged(starts, lens)]
         owner = np.repeat(np.arange(len(states)), np.diff(states.indptr))
         targets = np.repeat(_nine(owner), lens)
-        coeffs = (np.repeat(np.repeat(states.coeffs.astype(np.int64), 9), lens)
-                  * self._parts.coeffs[at] % 3)
-        return self._collect(targets, self._parts.ids[at], coeffs, 9 * len(states))
+        coeffs = np.repeat(np.repeat(states.terms & 3, 9), lens) * (images & 3) % 3
+        return _collect(targets, images >> 2, coeffs, 9 * len(states))
 
 
 def evaluate_states(states: Sequence[KernelExpr], window: int) -> np.ndarray:
@@ -483,15 +458,15 @@ def _build_closure(start: str, cap: int) -> Closure:
     Each chunk of a level is stepped in one batch, and its successors
     are numbered in (parent, digit pair) order, so states, transitions
     and witnesses come out as a state-by-state search makes them.  A
-    state is known by the bytes of its row, each id with its coefficient
-    as id * 4 + coefficient, and becomes a packed tuple only at the end.
+    state is known by the bytes of its terms, and becomes a packed tuple
+    only at the end.
     """
     root = {"gamma": GAMMA, "delta": DELTA}.get(start)
     if root is None:
         raise ValueError(f"unknown start stream {start!r}")
     began = time.perf_counter()
     stepper = _Stepper()
-    frontier = stepper.to_rows([root.poly])
+    frontier = _to_rows([root.poly])
     levels = [frontier]
     index = {frontier.forms()[0]: 0}
     witnesses = [(0, 0, 0)]
@@ -516,7 +491,7 @@ def _build_closure(start: str, cap: int) -> Closure:
 
     while len(frontier):
         # The images of the level's monomials, built in one batch.
-        stepper.image_rows(frontier.ids)
+        stepper.image_rows(frontier)
         # Each chunk holds about _CHUNK_TERMS monomials, each of which
         # gathers nine image rows.
         ends = np.searchsorted(frontier.indptr, np.arange(
@@ -525,7 +500,7 @@ def _build_closure(start: str, cap: int) -> Closure:
         frontier = _Rows.concat([number(stepper.successors(frontier.take(chunk)))
                                  for chunk in chunks])
         levels.append(frontier)
-    states = stepper.to_packed(_Rows.concat(levels))
+    states = _to_packed(_Rows.concat(levels))
     closure = Closure(root, tuple(map(KernelExpr, states)), tuple(witnesses), tuple(rows))
     # Imported here: logging adds about 5 ms to importing the package,
     # and only a build writes a record.

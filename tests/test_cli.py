@@ -1011,6 +1011,40 @@ def test_dfao_check_names_the_first_cell_of_a_flipped_output(monkeypatch):
     assert result.detail == "mismatch at n={} p={}".format(*first)
 
 
+def test_dfao_check_names_the_first_mismatch_across_blocks(monkeypatch):
+    # Blocks of 37 cells, which split rows, find the mismatch of the
+    # flipped output that one block finds: n=5 p=1, cell 69 of the
+    # 16 x 17 window, in the second block.
+    dfao = build_dfao("gamma")
+    outputs = list(dfao.outputs)
+    flipped = dfao.transitions[dfao.transitions[0][3 * 2 + 1]][3 * 1]
+    outputs[flipped] = (outputs[flipped] + 1) % 3
+    monkeypatch.setattr(kernel, "build_dfao", lambda start: kernel.Dfao2D(
+        dfao.start, tuple(outputs), dfao.transitions))
+    whole = checks.dfao_grid(16, 16)
+    monkeypatch.setattr(engine, "_GATHER_BYTES", 8 * 37)
+    assert not whole.ok
+    assert checks.dfao_grid(16, 16) == whole
+
+
+# dfao_grid(600, 599) walked its 360,000 cells at once and peaked at
+# 27 MB (tracemalloc, closures built); in blocks of
+# engine._GATHER_BYTES // 8 cells it peaks at about 5.7 MB.
+DFAO_GRID_PEAK_BUDGET = 10_000_000
+
+
+def test_dfao_check_memory_is_bounded_by_its_block():
+    assert checks.dfao_grid(1, 0).ok
+    tracemalloc.start()
+    try:
+        result = checks.dfao_grid(600, 599)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < DFAO_GRID_PEAK_BUDGET
+
+
 def test_verify_dfao_checks_states_the_window_never_ends_in(monkeypatch, capsys):
     # No cell of the window ends in state 100; its witness is (3, 0, 12).
     dfao = build_dfao("gamma")

@@ -8,6 +8,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantor_hankel import checks, engine, kernel
 from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, build_dfao,
@@ -79,8 +81,35 @@ STEPPER = kernel._Stepper()
 def step_all(exprs):
     """The nine digit steps of each expression: entry 9k + d is exprs[k]
     read at (3n + i, 3p + j), (i, j) = DIGIT_PAIRS[d]."""
-    rows = STEPPER.successors(STEPPER.to_rows([expr.poly for expr in exprs]))
-    return [KernelExpr(poly) for poly in STEPPER.to_packed(rows)]
+    rows = STEPPER.successors(kernel._to_rows([expr.poly for expr in exprs]))
+    return [KernelExpr(poly) for poly in kernel._to_packed(rows)]
+
+
+# Polynomials whose terms repeat a few packed monomials, 0 and the
+# widest 52-bit key among them, with coefficients 1 and 2, so like terms
+# add up to 0, 1 or 2 mod 3.
+_MONOMIALS = st.sampled_from([0, 1, 5 << 26, (1 << 52) - 1, 3 << 40])
+_POLYS = st.lists(st.lists(st.tuples(_MONOMIALS, st.sampled_from([1, 2])), max_size=8),
+                  max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYS)
+def test_rows_sum_like_terms_and_compare_by_bytes(polys):
+    rows = kernel._to_rows(polys)
+    want = []
+    for poly in polys:
+        counter = {}
+        for key, coeff in poly:
+            counter[key] = counter.get(key, 0) + coeff
+        want.append(kernel._reduce(counter))
+    assert kernel._to_packed(rows) == want
+    forms = rows.forms()
+    for a, b in itertools.product(range(len(polys)), repeat=2):
+        assert (forms[a] == forms[b]) == (want[a] == want[b])
+    # Rows built in other batches give the same bytes: the closure
+    # compares successors of different chunks by them.
+    assert [kernel._to_rows([poly]).forms()[0] for poly in polys] == forms
 
 
 def test_single_digit_steps_match_engine():
