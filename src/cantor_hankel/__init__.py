@@ -14,8 +14,8 @@ from .engine import (clear_caches, closed_form_p0, closed_form_p1,
                      column_period, delta_mod3, gamma_mod3, grid)
 from .hankel import (StructureReport, conjugate_by_permutation, det_exact,
                      det_mod3, det_mod3_stack, hankel_matrix, hankel_stack,
-                     minors_mod3_stack, permutation_matrix, permutation_p,
-                     stride3_matrix, verify_structure)
+                     minors_exact_stack, minors_mod3_stack, permutation_matrix,
+                     permutation_p, stride3_matrix, verify_structure)
 from .kernel import (Closure, Dfao1D, Dfao2D, KernelExpr, build_dfao,
                      export_dfao, kernel_closure, parse_dfao_table,
                      project_row)
@@ -43,8 +43,8 @@ __all__ = [
     "delta_mod3", "det_exact", "det_mod3", "det_mod3_stack", "diff_run",
     "diff_term", "eta_identity_check", "export_dfao", "gamma_mod3", "grid",
     "hankel_matrix", "hankel_stack", "interleave3", "irrationality_estimates",
-    "kernel_closure", "minors_mod3_stack", "pade", "pade_diagonal",
-    "parse_dfao_table",
+    "kernel_closure", "minors_exact_stack", "minors_mod3_stack", "pade",
+    "pade_diagonal", "parse_dfao_table",
     "permutation_matrix", "permutation_p", "project_row", "sequence_slice",
     "series_delta", "series_gamma", "stride3_matrix", "substitution_word",
     "verify_functional_equation", "verify_pade_error",

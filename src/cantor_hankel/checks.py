@@ -9,20 +9,22 @@ exact and mod-3 determinants always come from the elimination oracles,
 and engine values from engine.tables rectangles, never scalar cells.
 The splitting replays read the rule table through the engine's reader,
 engine.split_value, but feed it oracle values only, never an engine
-cell, so the eliminated left side still catches a misread rule.
+cell, so the eliminated left side still catches a misread rule.  They
+read every determinant from one exact table per stream, the leading
+minors of hankel.minors_exact_stack, which the mod-3 replay reduces: so
+it rests on another eliminator than the GF(3) oracle sweep.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import engine, kernel, series
-from .hankel import (MAX_HANKEL_ORDER, det_exact, det_mod3, hankel_matrix,
-                     hankel_stack, minors_mod3_stack, verify_structure)
+from .hankel import (MAX_HANKEL_ORDER, hankel_stack, minors_exact_stack, minors_mod3_stack,
+                     verify_structure)
 from .pade import verify_functional_equation as _feq_report
 from .pade import verify_pade_error
 
@@ -38,11 +40,13 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-# The budget of one stack the oracle sweep eliminates at once, in matrix
-# entries: each entry is an int16 residue, and each matrix also carries
-# about STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot
-# rows and minors), which dominates at small orders.  A step peaks at
-# about 390 KiB at every order up to 362 on a 64-bit build.
+# The budget of one stack the oracle sweep or a splitting replay
+# eliminates at once, in matrix entries: each matrix also carries about
+# STACK_OVERHEAD entries' worth of bookkeeping (its term, pivot rows and
+# minors), which dominates at small orders.  In the sweep each entry is
+# an int16 residue, and a step peaks at about 390 KiB at every order up
+# to 362 on a 64-bit build; in a replay it is an int64, or a Python int
+# once the minors outgrow int64.
 STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
 
@@ -113,12 +117,31 @@ def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}")
 
 
-def _oracle_reads(exact: bool) -> dict[str, Callable[[int, int], int]]:
+def _oracle_reads(exact: bool, windows: Mapping[str, tuple[int, int]]
+                  ) -> dict[str, Callable[[int, int], int]]:
     """Eliminated determinants by (order, offset), keyed by stream as
-    engine.split_value reads them; each is eliminated once per reader."""
-    det = det_exact if exact else det_mod3
-    return {sym: cache(lambda n, p, kind=kind: det(hankel_matrix(kind, p, n)))
-            for sym, kind in zip("GD", engine.KINDS)}
+    engine.split_value reads them, exact or mod 3: stream sym at orders
+    0..n_max and offsets 0..p_max, (n_max, p_max) = windows[sym].
+
+    Each stream's window is one table, the leading minors of its
+    order-n_max matrices at every offset, so each determinant is
+    eliminated once, for all the reads of every rule.  The matrices are
+    eliminated in stacks within STACK_ENTRIES, so the elimination's
+    memory stays bounded whatever p_max is.  The tables are built in the
+    order of windows, and each refuses an order over the cap before it
+    eliminates anything.
+    """
+    reads = {}
+    for sym, (n_max, p_max) in windows.items():
+        kind = engine.KINDS["GD".index(sym)]
+        chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
+        rows = [[1, *row] for p in range(0, p_max + 1, chunk)
+                for row in minors_exact_stack(
+                    hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p))).tolist()]
+        if not exact:
+            rows = [[x % 3 for x in row] for row in rows]
+        reads[sym] = lambda n, p, rows=rows: rows[p][n]
+    return reads
 
 
 def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
@@ -129,7 +152,13 @@ def _splitting(stream: str, exact: bool, n_lo: int, n_hi: int,
     _need("splitting", "n_lo", n_lo, 1)
     _need("splitting", "n_hi", n_hi, n_lo)
     _need("splitting", "p_max", p_max, 0)
-    reads = _oracle_reads(exact)
+    # The left sides reach order 3 * n_hi + 2 at offset 3 * p_max + 2, the
+    # factors order n_hi + 2 at offset p_max + 1.  The replayed stream's
+    # table, the larger, is built first, so a window over the order cap is
+    # refused before any elimination.
+    other = "D" if stream == "G" else "G"
+    reads = _oracle_reads(exact, {stream: (3 * n_hi + 2, 3 * p_max + 2),
+                                  other: (n_hi + 2, p_max + 1)})
     rules = [(i, j, rule) for (i, j, sym), rule in sorted(engine.SPLIT_RULES.items())
              if sym == stream]
     for n in range(n_lo, n_hi + 1):

@@ -1,13 +1,13 @@
 """Exact Hankel matrices of c and d, and brute-force determinant oracles.
 
 Everything here is computed directly from matrix entries: fraction-free
-elimination over the integers for exact determinants (det_exact, on
-int64 blocks while a bound proves the products fit, on Python ints
-after) and Gaussian elimination over GF(3) for the fast residue path,
-one matrix at a time (det_mod3) or every leading minor of a whole stack
-at once (minors_mod3_stack).  No recurrence from the rest of the
-package is used, which is what makes these functions usable as oracles
-against those recurrences.
+elimination over the integers for exact determinants, on int64 while a
+bound proves the products fit and on Python ints after, and Gaussian
+elimination over GF(3) for the fast residue path.  Each comes one matrix
+at a time (det_exact, det_mod3) or as every leading minor of a whole
+stack at once (minors_exact_stack, minors_mod3_stack).  No recurrence
+from the rest of the package is used, which is what makes these
+functions usable as oracles against those recurrences.
 
 Terms come from sequences.cantor_run and diff_run, while the engine
 reads c only through sequences.cantor_term, so the oracle sweep
@@ -26,7 +26,7 @@ Matrix families, with u one of c, d and all indices starting at 1:
   "gamma" for u = c and "delta" for u = d.
 * hankel_stack(kind, p, n, count): the count matrices hankel_matrix(kind,
   p + o, n), 0 <= o < count, as one read-only (count, n, n) view of
-  their terms, the input minors_mod3_stack eliminates in one pass.
+  their terms, the input the two stack oracles eliminate in one pass.
 * stride3_matrix(kind, q, n): the n x n matrix (u_{q+3(i+j-2)}), the
   blocks that appear after conjugating a Hankel matrix by the mod-3
   row/column sorting permutation.
@@ -35,6 +35,7 @@ Matrix families, with u one of c, d and all indices starting at 1:
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,16 @@ LAZY_INT16_ORDER = 4096
 _RUNS = {"gamma": cantor_run, "delta": diff_run}
 
 
-def _hankel(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndarray:
+def _hankel(kind: str, first: int, step: int, n: int, count: int = 1,
+            runs: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
     """The count n x n matrices (u_{first+step(o+i+j)}), 0 <= o < count.
 
     Consecutive matrices share all but two of their terms, so the
     count + 2n - 2 distinct terms are read once, every step-th term of
     one run, and the result is a read-only (count, n, n) view of them:
-    entry (o, i, j) reads term o + i + j.
+    entry (o, i, j) reads term o + i + j.  runs, if given, maps each kind
+    to an int64 run of its terms from index 0 that reaches every term
+    read, and the view is then one of that run.
     """
     if kind not in _RUNS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -76,9 +80,14 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1) -> np.ndar
     if n > MAX_HANKEL_ORDER:
         raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
     size = max(count + 2 * n - 2, 0)
-    terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
+    if runs is None:
+        terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
+        first, step = 0, 1  # terms holds just the terms read, in order
+    else:
+        terms = runs[kind]
     # Built directly: as_strided costs several times as much a call.
-    view = np.ndarray((count, n, n), terms.dtype, terms, strides=terms.strides * 3)
+    view = np.ndarray((count, n, n), terms.dtype, terms, offset=first * terms.itemsize,
+                      strides=(step * terms.itemsize,) * 3)
     view.flags.writeable = False
     return view
 
@@ -95,8 +104,8 @@ def hankel_stack(kind: str, p: int, n: int, count: int) -> np.ndarray:
     """The order-n Hankel matrices at offsets p, p + 1, ..., p + count - 1.
 
     A read-only (count, n, n) int64 view of their count + 2n - 2 terms,
-    so it costs no more memory than those terms; minors_mod3_stack
-    eliminates it in one pass.
+    so it costs no more memory than those terms; minors_exact_stack and
+    minors_mod3_stack eliminate it in one pass.
     """
     return _hankel(kind, p, 1, n, count)
 
@@ -279,6 +288,73 @@ def minors_mod3_stack(a) -> np.ndarray:
     return out
 
 
+def minors_exact_stack(a) -> np.ndarray:
+    """Exact leading minors of an (s, n, n) stack, as an (s, n) array of
+    Python ints.
+
+    Entry (t, k - 1) is det(a[t][:k, :k]), from one fraction-free
+    (Bareiss) pass over the stack.  In each column, a matrix's topmost
+    unused row with a nonzero entry is its pivot, and every row takes the
+    step (row * pivot - entry * pivot row) // previous pivot, which
+    leaves the pivot row and the rows used before it zero.  With the rows
+    taken in pivot order each entry stays a minor of the input, so by
+    Sylvester's identity every division is exact, and the pivot of column
+    k is the minor on the pivot rows of columns 0..k.  The leading minor
+    of order k + 1 is nonzero exactly when those rows are 0..k, and then
+    it is (-1) ** inversions times the pivot.  A matrix with no pivot in
+    a column has every later minor 0 and leaves the pass.
+
+    The pass runs on int64 while det_exact's bound, taken over the whole
+    stack, proves the products fit: peak * (max |pivot| + peak) < 2**63,
+    then divided by the least |previous pivot|.  After that it runs on
+    Python ints.  Object and uint64 input run on Python ints throughout.
+    """
+    a = _square(a, 3)
+    s, n = a.shape[:2]
+    out = np.zeros((s, n), object)
+    if a.size == 0:
+        return out
+    on_int64 = np.can_cast(a.dtype, np.int64)
+    a = a.astype(np.int64 if on_int64 else object)
+    peak = _peak(a) if on_int64 else 0
+    live = np.arange(s)  # the input matrix held in each row of a
+    pivots = np.zeros((s, n), np.intp)  # the pivot row of each column so far
+    odd = np.zeros(s, bool)  # the parity of the pivot rows' inversions
+    prev = np.ones(s, a.dtype)
+    for k in range(n):
+        col = a[:, :, 0]  # a keeps only columns k and on
+        top = (col != 0).argmax(axis=1)
+        pivot = col[np.arange(len(top)), top]
+        keep = np.flatnonzero(pivot)
+        if keep.size == 0:
+            return out
+        if keep.size < len(pivot):  # every later minor of these is 0
+            a, live, pivots, odd, prev = a[keep], live[keep], pivots[keep], odd[keep], prev[keep]
+            col, top, pivot = col[keep], top[keep], pivot[keep]
+        pivots[:, k] = top
+        odd ^= (pivots[:, :k] > top[:, None]).sum(axis=1) % 2 == 1
+        leading = pivots[:, :k + 1].max(axis=1) <= k
+        out[live, k] = np.where(leading, np.where(odd, -pivot, pivot), 0)
+        if k + 1 == n:
+            return out
+        if on_int64:
+            bound = peak * (_peak(pivot) + peak)
+            if bound >= 1 << 63:
+                peak = _peak(a)
+                bound = peak * (_peak(pivot) + peak)
+                if bound >= 1 << 63:
+                    on_int64 = False
+                    a, col, pivot, prev = (x.astype(object) for x in (a, col, pivot, prev))
+            peak = bound // int(np.abs(prev).min())
+        row = a[np.arange(len(top)), top, 1:]
+        a = a[:, :, 1:]
+        a *= pivot[:, None, None]
+        a -= col[:, :, None] * row[:, None]
+        a //= prev[:, None, None]
+        prev = pivot
+    return out
+
+
 def det_mod3_stack(a) -> np.ndarray:
     """Determinants mod 3 of a stack: minors_mod3_stack(a)[:, -1], or 1s at n = 0."""
     minors = minors_mod3_stack(a)
@@ -327,17 +403,19 @@ class StructureReport:
     failed: str | None = None
 
 
-def _expected_stride3(kind: str, q: int, n: int) -> np.ndarray:
+def _expected_stride3(kind: str, q: int, n: int, runs: Mapping[str, np.ndarray]) -> np.ndarray:
     """What the stride-3 block must equal, given how c and d split mod 3."""
     base, residue = divmod(q, 3)
     if residue == 1:
         # c_(3m+1) = 0 and d_(3m+1) = c_(m+1).
-        return hankel_matrix("gamma", base + 1, n) * (kind == "delta")
+        return _hankel("gamma", base + 1, 1, n, runs=runs)[0] * (kind == "delta")
     # c_3m = c_(3m+2) = d_(3m+2) = c_m and d_3m = 2 c_m.
-    return hankel_matrix("gamma", base, n) * (2 if kind == "delta" and residue == 0 else 1)
+    return (_hankel("gamma", base, 1, n, runs=runs)[0]
+            * (2 if kind == "delta" and residue == 0 else 1))
 
 
-def _block_layout(kind: str, p: int, n: int, r: int) -> np.ndarray:
+def _block_layout(kind: str, p: int, n: int, r: int,
+                  runs: Mapping[str, np.ndarray]) -> np.ndarray:
     """The predicted block form of P^t H_{3n+r}^p P built from stride-3 blocks.
 
     Block (I, J) is the stride-3 matrix at offset p + I + J cut to
@@ -345,7 +423,7 @@ def _block_layout(kind: str, p: int, n: int, r: int) -> np.ndarray:
     """
     def block(I: int, J: int) -> np.ndarray:
         rows, cols = n + (I < r), n + (J < r)
-        return stride3_matrix(kind, p + I + J, max(rows, cols))[:rows, :cols]
+        return _hankel(kind, p + I + J, 3, max(rows, cols), runs=runs)[0, :rows, :cols]
 
     return np.block([[block(I, J) for J in range(3)] for I in range(3)])
 
@@ -364,46 +442,52 @@ def verify_structure(p: int, n: int) -> StructureReport:
       det [[G, G'], [G', -G]] = (-1)^n |G_n||D_n| - (-1)^n |G_{n+1}||D_{n-1}|
       with G = c-Hankel at p, G' = c-Hankel at p+1, D = d-Hankel at p.
 
+    Every matrix is a view of one run of c and one of d, read once.
     Checks run in a fixed order; the first failure is named and stops
     the run.
     """
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
+    # The farthest term read is u_(p + 6n + 4), in the stride-3 blocks at
+    # offset p + 4 and order n + 1.
+    runs = {kind: run(0, p + 6 * n + 5).astype(np.int64) for kind, run in _RUNS.items()}
     checked: list[str] = []
+
+    def hankel(kind: str, q: int, order: int) -> np.ndarray:
+        return _hankel(kind, q, 1, order, runs=runs)[0]
 
     def fail(name: str) -> StructureReport:
         return StructureReport(p, n, False, tuple(checked), name)
 
     name = "difference-split"
-    g0 = hankel_matrix("gamma", p, n)
-    g2 = hankel_matrix("gamma", p + 2, n)
-    if not np.array_equal(hankel_matrix("delta", p, n), g0 + g2):
+    g0 = hankel("gamma", p, n)
+    if not np.array_equal(hankel("delta", p, n), g0 + hankel("gamma", p + 2, n)):
         return fail(name)
     checked.append(name)
 
     for kind in ("gamma", "delta"):
         for r in range(3):
             name = f"block-form-{kind}-r{r}"
-            h = hankel_matrix(kind, p, 3 * n + r)
-            if not np.array_equal(conjugate_by_permutation(h), _block_layout(kind, p, n, r)):
+            h = hankel(kind, p, 3 * n + r)
+            if not np.array_equal(conjugate_by_permutation(h), _block_layout(kind, p, n, r, runs)):
                 return fail(name)
             checked.append(name)
         for q in range(p, p + 5):
             for order in (n, n + 1):
                 name = f"stride3-collapse-{kind}-q{q}-n{order}"
-                if not np.array_equal(stride3_matrix(kind, q, order),
-                                      _expected_stride3(kind, q, order)):
+                if not np.array_equal(_hankel(kind, q, 3, order, runs=runs)[0],
+                                      _expected_stride3(kind, q, order, runs)):
                     return fail(name)
                 checked.append(name)
 
     if n >= 2:
         name = "paired-determinant-split"
-        g1 = hankel_matrix("gamma", p + 1, n)
+        g1 = hankel("gamma", p + 1, n)
         paired = np.block([[g0, g1], [g1, -g0]])
         sign = (-1) ** n
-        rhs = (sign * det_exact(g0) * det_exact(hankel_matrix("delta", p, n))
-               - sign * det_exact(hankel_matrix("gamma", p, n + 1))
-               * det_exact(hankel_matrix("delta", p, n - 1)))
+        rhs = (sign * det_exact(g0) * det_exact(hankel("delta", p, n))
+               - sign * det_exact(hankel("gamma", p, n + 1))
+               * det_exact(hankel("delta", p, n - 1)))
         if det_exact(paired) != rhs:
             return fail(name)
         checked.append(name)

@@ -632,6 +632,77 @@ def hankel_by_terms(kind: str, first: int, step: int, n: int, count: int = 1) ->
                                            writeable=False)
 
 
+def oracle_reads_by_matrix(exact: bool) -> dict[str, Callable[[int, int], int]]:
+    """checks._oracle_reads as it eliminated each determinant on its own,
+    once per reader, with det_exact or det_mod3: by (order, offset),
+    keyed by stream as engine.split_value reads them, at any window."""
+    det = det_exact if exact else hankel.det_mod3
+    return {sym: cache(lambda n, p, kind=kind: det(hankel.hankel_matrix(kind, p, n)))
+            for sym, kind in zip("GD", engine.KINDS)}
+
+
+def verify_structure_by_matrix(p: int, n: int) -> hankel.StructureReport:
+    """hankel.verify_structure as it built every matrix from its own run
+    through the public builders, with the same checks in the same order."""
+    hankel_matrix, stride3_matrix = hankel.hankel_matrix, hankel.stride3_matrix
+    if p < 0 or n < 1:
+        raise ValueError("need p >= 0 and n >= 1")
+    checked: list[str] = []
+
+    def fail(name: str) -> hankel.StructureReport:
+        return hankel.StructureReport(p, n, False, tuple(checked), name)
+
+    def expected_stride3(kind: str, q: int, order: int) -> np.ndarray:
+        base, residue = divmod(q, 3)
+        if residue == 1:
+            return hankel_matrix("gamma", base + 1, order) * (kind == "delta")
+        return hankel_matrix("gamma", base, order) * (
+            2 if kind == "delta" and residue == 0 else 1)
+
+    def block_layout(kind: str, r: int) -> np.ndarray:
+        def block(I: int, J: int) -> np.ndarray:
+            rows, cols = n + (I < r), n + (J < r)
+            return stride3_matrix(kind, p + I + J, max(rows, cols))[:rows, :cols]
+
+        return np.block([[block(I, J) for J in range(3)] for I in range(3)])
+
+    name = "difference-split"
+    g0 = hankel_matrix("gamma", p, n)
+    g2 = hankel_matrix("gamma", p + 2, n)
+    if not np.array_equal(hankel_matrix("delta", p, n), g0 + g2):
+        return fail(name)
+    checked.append(name)
+
+    for kind in ("gamma", "delta"):
+        for r in range(3):
+            name = f"block-form-{kind}-r{r}"
+            h = hankel_matrix(kind, p, 3 * n + r)
+            if not np.array_equal(hankel.conjugate_by_permutation(h), block_layout(kind, r)):
+                return fail(name)
+            checked.append(name)
+        for q in range(p, p + 5):
+            for order in (n, n + 1):
+                name = f"stride3-collapse-{kind}-q{q}-n{order}"
+                if not np.array_equal(stride3_matrix(kind, q, order),
+                                      expected_stride3(kind, q, order)):
+                    return fail(name)
+                checked.append(name)
+
+    if n >= 2:
+        name = "paired-determinant-split"
+        g1 = hankel_matrix("gamma", p + 1, n)
+        paired = np.block([[g0, g1], [g1, -g0]])
+        sign = (-1) ** n
+        rhs = (sign * det_exact(g0) * det_exact(hankel_matrix("delta", p, n))
+               - sign * det_exact(hankel_matrix("gamma", p, n + 1))
+               * det_exact(hankel_matrix("delta", p, n - 1)))
+        if det_exact(paired) != rhs:
+            return fail(name)
+        checked.append(name)
+
+    return hankel.StructureReport(p, n, True, tuple(checked))
+
+
 def verify_pade_error_by_fractions(order: int) -> PadeErrorReport:
     """pade.verify_pade_error as it divided f*Q - P by Q one Fraction at
     a time.  pade and cantor_coefficients are read through the pade

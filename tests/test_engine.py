@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cantor_hankel import checks, engine, kernel
+from cantor_hankel import checks, engine, hankel, kernel
 from cantor_hankel.hankel import det_mod3, det_mod3_stack, hankel_matrix, hankel_stack
 from cantor_hankel.sequences import cantor_term, diff_term
-from slow_paths import lattices_by_memo, lattices_by_rule_groups, tables_by_rule_passes
+from slow_paths import (lattices_by_memo, lattices_by_rule_groups, oracle_reads_by_matrix,
+                        tables_by_rule_passes)
 
 
 def test_gamma_base_cases():
@@ -86,7 +87,7 @@ def test_split_rule_variant_adjudication():
     rule = engine.SPLIT_RULES[(1, 0, "G")]
     variant = _variant_second_factor(rule)
     assert variant != rule
-    reads = checks._oracle_reads(exact=True)
+    reads = checks._oracle_reads(True, {"G": (20, 23), "D": (20, 23)})
     implemented_bad = variant_bad = 0
     for n in range(2, 7):
         for p in range(8):
@@ -110,6 +111,63 @@ def test_splitting_replays_read_no_engine_cell(monkeypatch):
     monkeypatch.setattr(engine, "_CELLS", {"G": no_cell, "D": no_cell})
     assert checks.splitting_exact().ok
     assert checks.splitting_mod3().ok
+
+
+@pytest.mark.parametrize("n_hi, p_max, stack_entries", [
+    (5, 8, checks.STACK_ENTRIES), (5, 8, 1000), (8, 27, checks.STACK_ENTRIES)],
+    ids=["verify", "verify-in-chunks-of-2", "criterion-02"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "mod3"])
+def test_windowed_reads_match_the_per_matrix_reads(monkeypatch, exact, n_hi, p_max,
+                                                   stack_entries):
+    # Each replay's two windows, the replayed stream's the larger; a
+    # budget of 1000 entries splits the order-17 window into stacks of 2.
+    monkeypatch.setattr(checks, "STACK_ENTRIES", stack_entries)
+    expected = oracle_reads_by_matrix(exact)
+    for stream, other in ("GD", "DG"):
+        windows = {stream: (3 * n_hi + 2, 3 * p_max + 2), other: (n_hi + 2, p_max + 1)}
+        reads = checks._oracle_reads(exact, windows)
+        for sym, (n_max, p_hi) in windows.items():
+            cells = [(n, p) for n in range(n_max + 1) for p in range(p_hi + 1)]
+            assert [reads[sym](*cell) for cell in cells] == \
+                [expected[sym](*cell) for cell in cells], (stream, sym)
+
+
+def test_replays_refuse_windows_over_the_order_cap_before_any_elimination(monkeypatch):
+    # Left sides of order 3 * 167 + 2 = 503: eliminating every lower order
+    # first ran for more than 20 s before the refusal.
+    def no_elimination(*args):
+        raise AssertionError("a matrix was eliminated")
+
+    for name in ("det_exact", "det_mod3", "det_mod3_stack", "minors_exact_stack",
+                 "minors_mod3_stack"):
+        monkeypatch.setattr(hankel, name, no_elimination)
+        monkeypatch.setattr(checks, name, no_elimination, raising=False)
+    for replay in (checks.splitting_exact, checks.splitting_mod3):
+        with pytest.raises(ValueError, match="order n = 503 is over the cap of 500"):
+            replay(2, 167, 0)
+
+
+# Every term of every splitting identity, by (rule key, term index).
+SPLIT_TERMS = [(key, t) for key, rule in sorted(engine.SPLIT_RULES.items())
+               for t in range(len(rule))]
+
+
+@pytest.mark.parametrize("key, t", SPLIT_TERMS, ids=[f"{i}{j}{sym}-term{t}"
+                                                     for (i, j, sym), t in SPLIT_TERMS])
+def test_replays_catch_every_term_with_its_sign_flipped(monkeypatch, key, t):
+    # One more in a term's shift flips its sign.  The replay of the rule's
+    # stream fails at the verify window, naming the rule, n and p the
+    # per-matrix reads name.
+    assert len(SPLIT_TERMS) == 26
+    rule = engine.SPLIT_RULES[key]
+    monkeypatch.setitem(engine.SPLIT_RULES, key, tuple(
+        (shift + (k == t), factors) for k, (shift, factors) in enumerate(rule)))
+    replay = checks.splitting_exact if key[2] == "G" else checks.splitting_mod3
+    got = replay(2, 5, 8)
+    assert not got.ok and got.detail.startswith(f"rule ({key[0]},{key[1]}) fails at"), got
+    monkeypatch.setattr(checks, "_oracle_reads",
+                        lambda exact, windows: oracle_reads_by_matrix(exact))
+    assert replay(2, 5, 8) == got
 
 
 def test_deep_indices_stay_within_recursion_limit():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from cantor_hankel import hankel
 from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
                                   det_mod3, det_mod3_stack, hankel_matrix,
-                                  hankel_stack, minors_mod3_stack,
+                                  hankel_stack, minors_exact_stack, minors_mod3_stack,
                                   permutation_matrix, permutation_p,
                                   stride3_matrix, verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction,
-                        det_mod3_stack_by_row_swaps, hankel_by_terms)
+                        det_mod3_stack_by_row_swaps, hankel_by_terms, verify_structure_by_matrix)
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -149,6 +149,7 @@ def test_oracles_leave_their_input_unchanged(m):
     stack = np.stack([m, m.T, 3 * m, np.eye(len(m), dtype=np.int64)])
     stack_before = stack.copy()
     det_mod3_stack(stack)
+    minors_exact_stack(stack)
     assert np.array_equal(stack, stack_before)
 
 
@@ -196,8 +197,10 @@ def test_oracles_reduce_integers_of_any_size_exactly():
 
 
 @pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: det_mod3_stack([m]),
-                                    lambda m: minors_mod3_stack([m])],
-                         ids=["det_exact", "det_mod3", "det_mod3_stack", "minors_mod3_stack"])
+                                    lambda m: minors_mod3_stack([m]),
+                                    lambda m: minors_exact_stack([m])],
+                         ids=["det_exact", "det_mod3", "det_mod3_stack", "minors_mod3_stack",
+                              "minors_exact_stack"])
 @pytest.mark.parametrize("m", [[[1.5, 1], [1, 1]], [[2.0, 1], [1, 1]],
                                [[Fraction(1, 2), 1], [1, 1]], [[2 ** 70, 0.5], [1, 1]]],
                          ids=["float", "integral-float", "fraction", "big-int-and-float"])
@@ -429,10 +432,10 @@ def test_int32_past_the_int16_order(monkeypatch):
 # one drawn column zeroed, so every minor from that order on is 0; and
 # the zero matrix.
 @st.composite
-def st_minor_stack(draw):
-    dtype = draw(st.sampled_from(list(_LAZY_ENTRY)))
+def st_minor_stack(draw, entries=_LAZY_ENTRY):
+    dtype = draw(st.sampled_from(list(entries)))
     s, n = draw(st.integers(0, 3)), draw(st.integers(0, 7))
-    flat = draw(st.lists(_LAZY_ENTRY[dtype], min_size=s * n * n, max_size=s * n * n))
+    flat = draw(st.lists(entries[dtype], min_size=s * n * n, max_size=s * n * n))
     a = np.array(flat, dtype=dtype).reshape(s, n, n)
     order = draw(st.permutations(range(n)))
     unitriangular = (np.triu(a, 1) + np.eye(n, dtype=dtype))[:, order]
@@ -466,6 +469,67 @@ def test_minors_edge_cases():
     assert minors_mod3_stack(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0, 3)
     with pytest.raises(ValueError, match="stack of square matrices"):
         minors_mod3_stack(np.zeros((2, 3, 4), dtype=np.int64))
+
+
+# Entries for the exact minors: int64 ones at the edges of det_exact's
+# bound, uint64 ones past int64, and Python ints past it on both sides.
+_EXACT_ENTRY = {np.int64: _ENTRY, np.uint64: _MATRIX[np.uint64], object: _LAZY_ENTRY[object]}
+
+
+@given(st_minor_stack(_EXACT_ENTRY))
+@settings(max_examples=150, deadline=None)
+def test_exact_minors_match_one_matrix_oracle_at_every_order(stack):
+    got = minors_exact_stack(stack)
+    assert got.dtype == object and got.shape == stack.shape[:2]
+    for m, minors in zip(stack, got.tolist()):
+        assert minors == [det_exact(m[:k, :k]) for k in range(1, len(m) + 1)], m.tolist()
+        assert all(type(x) is int for x in minors)
+
+
+def test_exact_minors_edge_cases():
+    # The leading minors of test_minors_edge_cases over the integers.
+    assert minors_exact_stack([[[0, 1], [1, 0]]]).tolist() == [[0, -1]]
+    reverse = np.eye(3, dtype=np.int64)[::-1]
+    assert minors_exact_stack([reverse, 2 * reverse]).tolist() == [[0, 0, -1], [0, 0, -8]]
+    assert minors_exact_stack([np.eye(4, dtype=np.int64)[::-1]]).tolist() == [[0, 0, 0, 1]]
+    assert minors_exact_stack([[[1, 0, 2], [2, 0, 1], [1, 0, 1]]]).tolist() == [[1, 0, 0]]
+    assert minors_exact_stack(np.zeros((2, 3, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
+    assert minors_exact_stack(np.zeros((2, 0, 0), dtype=np.int64)).shape == (2, 0)
+    assert minors_exact_stack(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0, 3)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        minors_exact_stack(np.zeros((2, 3, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta"])
+@pytest.mark.parametrize("p, n, count", [(0, 20, 30), (100, 25, 10), (3 ** 8 - 5, 12, 10)])
+def test_exact_minors_match_det_exact_on_hankel_stacks(kind, p, n, count):
+    # At p = 1 the order-1 minor of both kinds is 0 and the order-2 one
+    # is -1: its first pivot comes from below the diagonal, and only the
+    # inversion's sign tells -1 from 1.
+    minors = minors_exact_stack(hankel_stack(kind, p, n, count)).tolist()
+    for t in range(count):
+        m = hankel_matrix(kind, p + t, n)
+        assert minors[t] == [det_exact(m[:k, :k]) for k in range(1, n + 1)], (kind, p + t)
+
+
+def test_exact_minors_reproduce_the_determinant_digests():
+    # One pass per kind gives every order the digests pin one matrix at a
+    # time.  Past order 60 the minors outgrow int64, so the high pass runs
+    # on Python ints for most of its steps.
+    low, high = hashlib.sha256(), hashlib.sha256()
+    for kind in ("gamma", "delta"):
+        stack = minors_exact_stack(hankel_stack(kind, 0, 60, max(DIGEST_OFFSETS) + 1))
+        for p in DIGEST_OFFSETS:
+            for n, det in enumerate([1, *stack[p].tolist()]):
+                low.update(f"{kind} {p} {n} {det}\n".encode())
+        stack = minors_exact_stack(np.stack([hankel_matrix(kind, p, 150)
+                                             for p in HIGH_DIGEST_OFFSETS]))
+        assert max(abs(x) for x in stack[:, :149].flat) >= 2 ** 64
+        for p, minors in zip(HIGH_DIGEST_OFFSETS, stack.tolist()):
+            for n in range(61, 151):
+                high.update(f"{kind} {p} {n} {minors[n - 1]}\n".encode())
+    assert low.hexdigest() == DET_DIGEST
+    assert high.hexdigest() == HIGH_DET_DIGEST
 
 
 @pytest.mark.parametrize("n", [40, 150, 300])
@@ -510,3 +574,25 @@ def test_structure_sweep():
         for p in range(4):
             report = verify_structure(p, n)
             assert report.ok, (n, p, report.failed)
+
+
+def _flip_term(run, index):
+    """run with term index of its output flipped between 0 and 1."""
+    def flipped(start, count):
+        terms = run(start, count).copy()
+        if start <= index < start + count:
+            terms[index - start] ^= 1
+        return terms
+    return flipped
+
+
+@pytest.mark.parametrize("flip", [None, 7, 20])
+def test_structure_reports_match_the_per_matrix_build(monkeypatch, flip):
+    # With c_7 or c_20 flipped, c no longer splits, and both builds name
+    # the same first failure wherever the flipped term is read.
+    if flip is not None:
+        monkeypatch.setitem(hankel._RUNS, "gamma", _flip_term(hankel._RUNS["gamma"], flip))
+    reports = [(verify_structure(p, n), verify_structure_by_matrix(p, n))
+               for n in (2, 4, 6, 8) for p in range(21)]
+    assert all(got == expected for got, expected in reports)
+    assert all(got.ok for got, _ in reports) == (flip is None)

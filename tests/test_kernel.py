@@ -61,7 +61,9 @@ def test_split_rules_cover_all_targets():
 
 def test_split_rules_against_oracle():
     # The G rules over the integers, the D rules mod 3.
-    readers = {"G": checks._oracle_reads(True), "D": checks._oracle_reads(False)}
+    windows = {"G": (14, 17), "D": (14, 17)}
+    readers = {"G": checks._oracle_reads(True, windows),
+               "D": checks._oracle_reads(False, windows)}
     for (i, j, sym), rule in engine.SPLIT_RULES.items():
         reads = readers[sym]
         for n in range(2, 5):
