@@ -27,9 +27,10 @@ Matrix families, with u one of c, d and all indices starting at 1:
 * hankel_stack(kind, p, n, count): the count matrices hankel_matrix(kind,
   p + o, n), 0 <= o < count, as one read-only (count, n, n) view of
   their terms, the input the two stack oracles eliminate in one pass.
-* stride3_matrix(kind, q, n): the n x n matrix (u_{q+3(i+j-2)}), the
-  blocks that appear after conjugating a Hankel matrix by the mod-3
-  row/column sorting permutation.
+
+verify_structure also reads the stride-3 matrices (u_{q+3(i+j-2)}), the
+blocks that appear after conjugating a Hankel matrix by the mod-3
+row/column sorting permutation, as views of one run of c and one of d.
 """
 
 from __future__ import annotations
@@ -108,11 +109,6 @@ def hankel_stack(kind: str, p: int, n: int, count: int) -> np.ndarray:
     minors_mod3_stack eliminate it in one pass.
     """
     return _hankel(kind, p, 1, n, count)
-
-
-def stride3_matrix(kind: str, q: int, n: int) -> np.ndarray:
-    """Order-n matrix (u_{q+3(i+j-2)}): a Hankel matrix sampled in steps of 3."""
-    return _hankel(kind, q, 3, n)[0].copy()
 
 
 def _square(m, ndim: int = 2) -> np.ndarray:
@@ -355,12 +351,6 @@ def minors_exact_stack(a) -> np.ndarray:
     return out
 
 
-def det_mod3_stack(a) -> np.ndarray:
-    """Determinants mod 3 of a stack: minors_mod3_stack(a)[:, -1], or 1s at n = 0."""
-    minors = minors_mod3_stack(a)
-    return minors[:, -1].copy() if minors.shape[1] else np.ones(len(minors), np.int8)
-
-
 def permutation_p(n: int) -> list[int]:
     """Column targets (1-based) of the mod-3 row/column sorting permutation.
 
@@ -374,11 +364,6 @@ def permutation_p(n: int) -> list[int]:
     return ([3 * i + 1 for i in range(n1)]
             + [3 * i + 2 for i in range(n2)]
             + [3 * i + 3 for i in range(n3)])
-
-
-def permutation_matrix(n: int) -> np.ndarray:
-    """The permutation of permutation_p(n) as an n x n 0/1 matrix."""
-    return np.eye(n, dtype=np.int64)[:, [t - 1 for t in permutation_p(n)]]
 
 
 def conjugate_by_permutation(m) -> np.ndarray:

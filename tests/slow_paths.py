@@ -546,8 +546,9 @@ def det_mod3_by_full_reduction(m) -> int:
 
 
 def det_mod3_stack_by_full_reduction(a) -> np.ndarray:
-    """hankel.det_mod3_stack as it reduced the whole trailing blocks mod 3
-    at every step, on int8 residues."""
+    """The determinants mod 3 of a stack, hankel.minors_mod3_stack(a)[:, -1],
+    from a stacked elimination that reduces the whole trailing blocks
+    mod 3 at every step, on int8 residues."""
     a = _residues(a, 3)
     s, n = a.shape[:2]
     out = np.zeros(s, np.int8)
@@ -576,8 +577,9 @@ def det_mod3_stack_by_full_reduction(a) -> np.ndarray:
 
 
 def det_mod3_stack_by_row_swaps(a) -> np.ndarray:
-    """hankel.det_mod3_stack as it eliminated one order at a time, with
-    row swaps and lazy reduction.
+    """The determinants mod 3 of a stack, hankel.minors_mod3_stack(a)[:, -1],
+    from a stacked elimination of that one order, with row swaps and lazy
+    reduction.
 
     At step k each matrix takes its own pivot row, the first row at or
     below k whose entry in column k is a largest residue, and a matrix
@@ -641,16 +643,26 @@ def oracle_reads_by_matrix(exact: bool) -> dict[str, Callable[[int, int], int]]:
             for sym, kind in zip("GD", engine.KINDS)}
 
 
+def permutation_matrix(n: int) -> np.ndarray:
+    """The permutation of hankel.permutation_p(n) as an n x n 0/1 matrix,
+    for conjugating by matrix products."""
+    return np.eye(n, dtype=np.int64)[:, [t - 1 for t in hankel.permutation_p(n)]]
+
+
 def verify_structure_by_matrix(p: int, n: int) -> hankel.StructureReport:
     """hankel.verify_structure as it built every matrix from its own run
-    through the public builders, with the same checks in the same order."""
-    hankel_matrix, stride3_matrix = hankel.hankel_matrix, hankel.stride3_matrix
+    through hankel_matrix, with the same checks in the same order."""
+    hankel_matrix = hankel.hankel_matrix
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
     checked: list[str] = []
 
     def fail(name: str) -> hankel.StructureReport:
         return hankel.StructureReport(p, n, False, tuple(checked), name)
+
+    def stride3_matrix(kind: str, q: int, order: int) -> np.ndarray:
+        # Every third row and column of the order 3 * order - 2 matrix.
+        return hankel_matrix(kind, q, 3 * order - 2)[::3, ::3]
 
     def expected_stride3(kind: str, q: int, order: int) -> np.ndarray:
         base, residue = divmod(q, 3)

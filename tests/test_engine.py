@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cantor_hankel import checks, engine, hankel, kernel
-from cantor_hankel.hankel import det_mod3, det_mod3_stack, hankel_matrix, hankel_stack
+from cantor_hankel.hankel import det_mod3, hankel_matrix, hankel_stack, minors_mod3_stack
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (lattices_by_memo, lattices_by_rule_groups, oracle_reads_by_matrix,
                         tables_by_rule_passes)
@@ -32,9 +32,9 @@ def test_delta_base_cases():
 
 def test_engine_matches_oracle_dense_window():
     for kind, value in (("gamma", engine.gamma_mod3), ("delta", engine.delta_mod3)):
+        minors = minors_mod3_stack(hankel_stack(kind, 0, 14, 21))
         for n in range(1, 15):
-            dets = det_mod3_stack(hankel_stack(kind, 0, n, 21)).tolist()
-            assert [value(n, p) for p in range(21)] == dets, (kind, n)
+            assert [value(n, p) for p in range(21)] == minors[:, n - 1].tolist(), (kind, n)
 
 
 # Deterministic scatter of larger cells; the acceptance suite sweeps the
@@ -138,8 +138,7 @@ def test_replays_refuse_windows_over_the_order_cap_before_any_elimination(monkey
     def no_elimination(*args):
         raise AssertionError("a matrix was eliminated")
 
-    for name in ("det_exact", "det_mod3", "det_mod3_stack", "minors_exact_stack",
-                 "minors_mod3_stack"):
+    for name in ("det_exact", "det_mod3", "minors_exact_stack", "minors_mod3_stack"):
         monkeypatch.setattr(hankel, name, no_elimination)
         monkeypatch.setattr(checks, name, no_elimination, raising=False)
     for replay in (checks.splitting_exact, checks.splitting_mod3):
@@ -445,9 +444,9 @@ def test_tables_match_elimination_over_the_oracle_window():
     for n_max, p_max in ((40, 81), (3, 2000)):
         tables = dict(zip(engine.KINDS, engine.tables(1, n_max, 0, p_max)))
         for kind, table in tables.items():
+            minors = minors_mod3_stack(hankel_stack(kind, 0, n_max, p_max + 1))
             for n in range(1, n_max + 1):
-                dets = det_mod3_stack(hankel_stack(kind, 0, n, p_max + 1))
-                assert np.array_equal(table[n - 1], dets), (kind, n, p_max)
+                assert np.array_equal(table[n - 1], minors[:, n - 1]), (kind, n, p_max)
 
 
 def test_grid_leaves_the_memo_small():

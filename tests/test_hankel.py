@@ -8,24 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel import hankel
-from cantor_hankel.hankel import (conjugate_by_permutation, det_exact,
-                                  det_mod3, det_mod3_stack, hankel_matrix,
-                                  hankel_stack, minors_exact_stack, minors_mod3_stack,
-                                  permutation_matrix, permutation_p,
-                                  stride3_matrix, verify_structure)
+from cantor_hankel.hankel import (conjugate_by_permutation, det_exact, det_mod3,
+                                  hankel_matrix, hankel_stack, minors_exact_stack,
+                                  minors_mod3_stack, permutation_p, verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction,
-                        det_mod3_stack_by_row_swaps, hankel_by_terms, verify_structure_by_matrix)
+                        det_mod3_stack_by_row_swaps, hankel_by_terms, permutation_matrix,
+                        verify_structure_by_matrix)
 
 st_small_matrix = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
         min_size=n, max_size=n))
 
-# Stacks of s n x n integer matrices, s and n from 0; entries run past
-# 0..2 on both sides, so the oracles must reduce them.
+# Stacks of s n x n integer matrices, s from 0 and n from 1; entries run
+# past 0..2 on both sides, so the oracles must reduce them.
 st_stack = st.tuples(st.integers(min_value=0, max_value=4),
-                     st.integers(min_value=0, max_value=6)).flatmap(
+                     st.integers(min_value=1, max_value=6)).flatmap(
     lambda sn: st.lists(st.integers(min_value=-9, max_value=9),
                         min_size=sn[0] * sn[1] ** 2, max_size=sn[0] * sn[1] ** 2).map(
         lambda flat: np.array(flat, dtype=np.int64).reshape(sn[0], sn[1], sn[1])))
@@ -45,27 +44,18 @@ def test_hankel_entries():
     with pytest.raises(ValueError):
         hankel_matrix("theta", 0, 2)
     with pytest.raises(ValueError, match="unknown matrix kind"):
-        stride3_matrix("theta", 0, 0)
-
-
-def test_stride3_entries():
-    m = stride3_matrix("gamma", 2, 3)
-    for i in range(3):
-        for j in range(3):
-            assert m[i, j] == cantor_term(2 + 3 * (i + j))
-    with pytest.raises(ValueError, match="order n = 501"):
-        stride3_matrix("gamma", 0, 501)
+        hankel_matrix("theta", 0, 0)
 
 
 @pytest.mark.parametrize("kind, term", [("gamma", cantor_term), ("delta", diff_term)])
 @pytest.mark.parametrize("p", [0, 7, 3 ** 8])
 @pytest.mark.parametrize("n", [0, 1, 150])
 def test_builders_match_entrywise_definition(kind, term, p, n):
-    for build, step in ((hankel_matrix, 1), (stride3_matrix, 3)):
-        m = build(kind, p, n)
+    # Step 3 is the stride-3 view verify_structure reads.
+    for step, m in ((1, hankel_matrix(kind, p, n)), (3, hankel._hankel(kind, p, 3, n)[0])):
         assert m.shape == (n, n) and m.dtype == np.int64
         expected = [[term(p + step * (i + j)) for j in range(n)] for i in range(n)]
-        assert m.tolist() == expected, (build.__name__, kind, p, n)
+        assert m.tolist() == expected, (step, kind, p, n)
     stack = hankel_stack(kind, p, n, 3)
     assert stack.shape == (3, n, n) and not stack.flags.writeable
     for o in range(3):
@@ -88,8 +78,8 @@ def test_builders_match_the_per_term_build(kind, p):
     for n in range(61):
         _assert_same_array(hankel_matrix(kind, p, n), hankel_by_terms(kind, p, 1, n)[0].copy(),
                            ("hankel_matrix", kind, p, n))
-        _assert_same_array(stride3_matrix(kind, p, n), hankel_by_terms(kind, p, 3, n)[0].copy(),
-                           ("stride3_matrix", kind, p, n))
+        _assert_same_array(hankel._hankel(kind, p, 3, n), hankel_by_terms(kind, p, 3, n),
+                           ("stride-3 view", kind, p, n))
         for count in range(6):
             _assert_same_array(hankel_stack(kind, p, n, count),
                                hankel_by_terms(kind, p, 1, n, count),
@@ -148,7 +138,7 @@ def test_oracles_leave_their_input_unchanged(m):
     assert not np.shares_memory(conjugated, m)
     stack = np.stack([m, m.T, 3 * m, np.eye(len(m), dtype=np.int64)])
     stack_before = stack.copy()
-    det_mod3_stack(stack)
+    minors_mod3_stack(stack)
     minors_exact_stack(stack)
     assert np.array_equal(stack, stack_before)
 
@@ -161,46 +151,42 @@ def test_stack_matches_one_matrix_oracles(a):
     singular = a.copy()
     singular[:, :, :1] *= 3
     stack = np.concatenate([a, singular])
-    got = det_mod3_stack(stack)
+    got = minors_mod3_stack(stack)[:, -1]
     assert got.dtype == np.int8 and got.shape == (len(stack),)
     assert got.tolist() == [det_mod3(m) for m in stack]
     assert got.tolist() == [det_exact(m) % 3 for m in stack]
-    if a.shape[1]:
-        assert not got[len(a):].any()
+    assert not got[len(a):].any()
 
 
 def test_stack_edge_shapes():
-    assert det_mod3_stack(np.zeros((0, 4, 4), dtype=np.int64)).tolist() == []
-    assert det_mod3_stack(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+    assert minors_mod3_stack(np.zeros((0, 4, 4), dtype=np.int64))[:, -1].tolist() == []
     # Every member singular: the elimination stops early, all zeros.
-    assert det_mod3_stack(np.full((5, 6, 6), 3)).tolist() == [0] * 5
-    assert det_mod3_stack([[[2]], [[4]], [[-1]]]).tolist() == [2, 1, 2]
+    assert minors_mod3_stack(np.full((5, 6, 6), 3))[:, -1].tolist() == [0] * 5
+    assert minors_mod3_stack([[[2]], [[4]], [[-1]]])[:, -1].tolist() == [2, 1, 2]
     with pytest.raises(ValueError, match="stack of square matrices"):
-        det_mod3_stack(np.zeros((3, 3), dtype=np.int64))
+        minors_mod3_stack(np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="stack of square matrices"):
-        det_mod3_stack(np.zeros((2, 3, 4), dtype=np.int64))
+        minors_mod3_stack(np.zeros((2, 3, 4), dtype=np.int64))
 
 
 def test_oracles_reduce_integers_of_any_size_exactly():
     big = [[2 ** 70, 1], [1, 1]]
     assert det_exact(big) == 2 ** 70 - 1
     assert det_mod3(big) == 0
-    assert det_mod3_stack([big, [[-2 ** 80, 1], [0, 1]]]).tolist() == [0, 2]
+    assert minors_mod3_stack([big, [[-2 ** 80, 1], [0, 1]]])[:, -1].tolist() == [0, 2]
     # numpy scalars among Python ints must not wrap at 2**63 either.
     wide = np.array([[np.int64(2 ** 62), 1], [1, np.int64(2 ** 62)]], dtype=object)
     assert det_exact(wide) == 2 ** 124 - 1
-    assert det_mod3(wide) == det_mod3_stack([wide]).tolist()[0] == (2 ** 124 - 1) % 3
+    assert det_mod3(wide) == minors_mod3_stack([wide])[0, -1] == (2 ** 124 - 1) % 3
     # 200 narrowed to int8 first would be -56, which is 1 mod 3, not 2.
     for dtype in (np.int64, np.uint8, object):
         assert det_mod3(np.array([[200]], dtype=dtype)) == 2
-        assert det_mod3_stack(np.array([[[200]]], dtype=dtype)).tolist() == [2]
+        assert minors_mod3_stack(np.array([[[200]]], dtype=dtype)).tolist() == [[2]]
 
 
-@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: det_mod3_stack([m]),
-                                    lambda m: minors_mod3_stack([m]),
+@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: minors_mod3_stack([m]),
                                     lambda m: minors_exact_stack([m])],
-                         ids=["det_exact", "det_mod3", "det_mod3_stack", "minors_mod3_stack",
-                              "minors_exact_stack"])
+                         ids=["det_exact", "det_mod3", "minors_mod3_stack", "minors_exact_stack"])
 @pytest.mark.parametrize("m", [[[1.5, 1], [1, 1]], [[2.0, 1], [1, 1]],
                                [[Fraction(1, 2), 1], [1, 1]], [[2 ** 70, 0.5], [1, 1]]],
                          ids=["float", "integral-float", "fraction", "big-int-and-float"])
@@ -246,10 +232,14 @@ def test_exact_determinants_digest_past_int64():
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 @pytest.mark.parametrize("p", [0, 27])
 def test_int64_blocks_match_python_int_elimination(kind, p):
-    # Object input is eliminated on Python ints from the first step.
+    # Object input is eliminated on Python ints from the first step: one
+    # minors_exact_stack pass gives orders 1-149, and det_exact itself
+    # order 150, so both of its paths still meet.
+    m = hankel_matrix(kind, p, 150)
+    expected = [*minors_exact_stack(m[None].astype(object))[0, :149].tolist(),
+                det_exact(m.astype(object))]
     for n in range(1, 151):
-        m = hankel_matrix(kind, p, n)
-        assert det_exact(m) == det_exact(m.astype(object)), (kind, p, n)
+        assert det_exact(m[:n, :n]) == expected[n - 1], (kind, p, n)
 
 
 def test_empty_matrix_determinant():
@@ -335,31 +325,32 @@ def test_mod3_matches_exact(rows):
 
 def test_mod3_matches_exact_on_hankel_families():
     for kind in ("gamma", "delta"):
+        minors = minors_mod3_stack(hankel_stack(kind, 0, 10, 13))
         for n in range(1, 11):
-            stacked = det_mod3_stack(hankel_stack(kind, 0, n, 13)).tolist()
             for p in range(13):
                 m = hankel_matrix(kind, p, n)
-                assert det_mod3(m) == det_exact(m) % 3 == stacked[p], (kind, n, p)
+                assert det_mod3(m) == det_exact(m) % 3 == minors[p, n - 1], (kind, n, p)
 
 
-# Offsets of the oracle window (p <= 81) where the stack is held to the
+# Offsets of the oracle window (p <= 81) where the leading minors of the
+# order-40 stack, as the oracle sweep reads them, are held to the
 # one-matrix oracles at every order n <= 40; det_exact, about 2 ms at
-# order 40, is held to it for n <= 24.
+# order 40, is held to them for n <= 24.
 ORACLE_WINDOW_SAMPLE = (0, 1, 2, 13, 40, 80, 81)
 
 
 def test_stack_matches_one_matrix_oracles_over_the_oracle_window():
     for kind in ("gamma", "delta"):
+        minors = minors_mod3_stack(hankel_stack(kind, 0, 40, 82))
         for n in range(1, 41):
-            stacked = det_mod3_stack(hankel_stack(kind, 0, n, 82))
             for p in ORACLE_WINDOW_SAMPLE:
                 m = hankel_matrix(kind, p, n)
-                assert stacked[p] == det_mod3(m), (kind, n, p)
+                assert minors[p, n - 1] == det_mod3(m), (kind, n, p)
                 if n <= 24:
-                    assert stacked[p] == det_exact(m) % 3, (kind, n, p)
+                    assert minors[p, n - 1] == det_exact(m) % 3, (kind, n, p)
 
 
-# Stacks of s n x n matrices of one dtype: small entries of both signs,
+# Stacks of s n x n matrices of one dtype, n from 1: small entries of both signs,
 # entries past 2**63 (object only), and the ends of uint8.  The last row
 # of the second half repeats the first, so those members are singular
 # over the integers, found only at the last step.
@@ -374,7 +365,7 @@ _LAZY_ENTRY = {
 @st.composite
 def st_lazy_stack(draw):
     dtype = draw(st.sampled_from(list(_LAZY_ENTRY)))
-    s, n = draw(st.integers(0, 4)), draw(st.integers(0, 7))
+    s, n = draw(st.integers(0, 4)), draw(st.integers(1, 7))
     flat = draw(st.lists(_LAZY_ENTRY[dtype], min_size=s * n * n, max_size=s * n * n))
     a = np.array(flat, dtype=dtype).reshape(s, n, n)
     singular = a.copy()
@@ -387,7 +378,7 @@ def st_lazy_stack(draw):
 @settings(max_examples=150, deadline=None)
 def test_lazy_reduction_matches_full_reduction(stack):
     expected = det_mod3_stack_by_full_reduction(stack).tolist()
-    got = det_mod3_stack(stack)
+    got = minors_mod3_stack(stack)[:, -1]
     assert got.dtype == np.int8 and got.tolist() == expected
     assert det_mod3_stack_by_row_swaps(stack).tolist() == expected
     assert [det_mod3(m) for m in stack] == expected
@@ -400,7 +391,7 @@ def test_lazy_reduction_matches_full_reduction(stack):
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 def test_lazy_reduction_matches_full_reduction_at_high_orders(kind, n):
     # Order 500 is MAX_HANKEL_ORDER, the widest matrix built here.
-    stacked = det_mod3_stack(hankel_stack(kind, 0, n, 6)).tolist()
+    stacked = minors_mod3_stack(hankel_stack(kind, 0, n, 6))[:, -1].tolist()
     for p in (0, 1, 2, 5):
         m = hankel_matrix(kind, p, n)
         assert stacked[p] == det_mod3(m) == det_mod3_by_full_reduction(m), (kind, n, p)
@@ -419,7 +410,6 @@ def test_int32_past_the_int16_order(monkeypatch):
         for n in range(1, 31):
             stack = hankel_stack(kind, 0, n, 13)
             expected = det_mod3_stack_by_full_reduction(stack).tolist()
-            assert det_mod3_stack(stack).tolist() == expected, (kind, n)
             assert det_mod3_stack_by_row_swaps(stack).tolist() == expected, (kind, n)
             assert minors[:, n - 1].tolist() == expected, (kind, n)
             assert [det_mod3(m) for m in stack] == expected, (kind, n)
@@ -452,7 +442,6 @@ def test_minors_match_one_matrix_oracle_at_every_order(stack):
     assert got.dtype == np.int8 and got.shape == stack.shape[:2]
     for m, minors in zip(stack, got.tolist()):
         assert minors == [det_mod3(m[:k, :k]) for k in range(1, len(m) + 1)], m.tolist()
-    assert det_mod3_stack(stack).tolist() == [det_mod3(m) for m in stack]
 
 
 def test_minors_edge_cases():
