@@ -12,9 +12,9 @@ the oracle on one side.
 
 from .engine import (clear_caches, closed_form_p0, closed_form_p1,
                      column_period, delta_mod3, gamma_mod3, grid)
-from .hankel import (StructureReport, conjugate_by_permutation, det_exact,
-                     det_mod3, hankel_matrix, hankel_stack, minors_exact_stack,
-                     minors_mod3_stack, permutation_p, verify_structure)
+from .hankel import (StructureReport, det_exact, det_mod3, hankel_matrix,
+                     hankel_stack, minors_exact_stack, minors_mod3_stack,
+                     verify_structure)
 from .kernel import (Closure, Dfao1D, Dfao2D, KernelExpr, build_dfao,
                      export_dfao, kernel_closure, parse_dfao_table,
                      project_row)
@@ -37,13 +37,13 @@ __all__ = [
     "RationalForm", "RationalInterval", "StructureReport", "assemble_delta2",
     "assemble_gamma2", "build_dfao", "cantor_number", "cantor_run",
     "cantor_term", "cantor_via_automaton", "clear_caches", "closed_form_p0",
-    "closed_form_p1", "column_period", "conjugate_by_permutation",
-    "delta_mod3", "det_exact", "det_mod3", "diff_run", "diff_term",
-    "eta_identity_check", "export_dfao", "gamma_mod3", "grid", "hankel_matrix",
-    "hankel_stack", "interleave3", "irrationality_estimates", "kernel_closure",
-    "minors_exact_stack", "minors_mod3_stack", "pade", "pade_diagonal",
-    "parse_dfao_table", "permutation_p", "project_row", "sequence_slice",
-    "series_delta", "series_gamma", "substitution_word",
-    "verify_functional_equation", "verify_pade_error", "verify_structure",
+    "closed_form_p1", "column_period", "delta_mod3", "det_exact", "det_mod3",
+    "diff_run", "diff_term", "eta_identity_check", "export_dfao", "gamma_mod3",
+    "grid", "hankel_matrix", "hankel_stack", "interleave3",
+    "irrationality_estimates", "kernel_closure", "minors_exact_stack",
+    "minors_mod3_stack", "pade", "pade_diagonal", "parse_dfao_table",
+    "project_row", "sequence_slice", "series_delta", "series_gamma",
+    "substitution_word", "verify_functional_equation", "verify_pade_error",
+    "verify_structure",
     "__version__",
 ]

@@ -108,6 +108,10 @@ def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     name = "structure-identities"
     _need("structure", "n_max", n_max, 1)
     _need("structure", "p_max", p_max, 0)
+    # verify_structure(p, n) builds H_{3n+2}; refused before any elimination.
+    if 3 * n_max + 2 > MAX_HANKEL_ORDER:
+        raise ValueError(f"the structure window reaches order 3 * n_max + 2 = "
+                         f"{3 * n_max + 2}, over the cap of {MAX_HANKEL_ORDER}")
     for n in range(1, n_max + 1):
         for p in range(p_max + 1):
             report = verify_structure(p, n)

@@ -13,12 +13,12 @@ Terms come from sequences.cantor_run and diff_run, while the engine
 reads c only through sequences.cantor_term, so the oracle sweep
 cross-checks the two generators of c as well as the recurrences.
 
-Matrices are 2-D int64 numpy arrays; the determinants and the
-conjugation accept any square array-like of integers, of any size, and
-leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
-before they narrow it to int16 (int32 past order LAZY_INT16_ORDER), then
-eliminate with lazy reduction: each step reduces only its pivot column
-and row.  Every oracle refuses a non-integer entry.
+Matrices are 2-D int64 numpy arrays; the determinants accept any square
+array-like of integers, of any size, and leave it unchanged.  The GF(3)
+oracles reduce every entry mod 3 exactly before they narrow it to int16
+(int32 past order LAZY_INT16_ORDER), then eliminate with lazy reduction:
+each step reduces only its pivot column and row.  Every oracle refuses a
+non-integer entry.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
@@ -29,8 +29,9 @@ Matrix families, with u one of c, d and all indices starting at 1:
   their terms, the input the two stack oracles eliminate in one pass.
 
 verify_structure also reads the stride-3 matrices (u_{q+3(i+j-2)}), the
-blocks that appear after conjugating a Hankel matrix by the mod-3
-row/column sorting permutation, as views of one run of c and one of d.
+blocks of the mod-3 block form it checks, from runs of c and d that
+start at its offset p and of c near p // 3, so its memory is bounded in
+n alone, whatever p is.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1,
     count + 2n - 2 distinct terms are read once, every step-th term of
     one run, and the result is a read-only (count, n, n) view of them:
     entry (o, i, j) reads term o + i + j.  runs, if given, maps each kind
-    to an int64 run of its terms from index 0 that reaches every term
-    read, and the view is then one of that run.
+    to an int64 run of its terms that reaches every term read, and the
+    view is then one of that run, with first counted from its start.
     """
     if kind not in _RUNS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -351,32 +352,6 @@ def minors_exact_stack(a) -> np.ndarray:
     return out
 
 
-def permutation_p(n: int) -> list[int]:
-    """Column targets (1-based) of the mod-3 row/column sorting permutation.
-
-    Position j of the result names which standard basis vector forms
-    column j of the permutation matrix: first the indices congruent to 1
-    mod 3, then 2 mod 3, then 0 mod 3, each in increasing order.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    n1, n2, n3 = (n + 2) // 3, (n + 1) // 3, n // 3
-    return ([3 * i + 1 for i in range(n1)]
-            + [3 * i + 2 for i in range(n2)]
-            + [3 * i + 3 for i in range(n3)])
-
-
-def conjugate_by_permutation(m) -> np.ndarray:
-    """P^t M P for the sorting permutation P of matching order.
-
-    Column j of P is the basis vector t_j of t = permutation_p, so entry
-    (i, j) of the product is entry (t_i, t_j) of M.
-    """
-    m = _square(m)
-    order = [t - 1 for t in permutation_p(len(m))]
-    return m[np.ix_(order, order)]
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Outcome of verify_structure: which identities held at (p, n)."""
@@ -388,29 +363,14 @@ class StructureReport:
     failed: str | None = None
 
 
-def _expected_stride3(kind: str, q: int, n: int, runs: Mapping[str, np.ndarray]) -> np.ndarray:
+def _expected_stride3(kind: str, q: int, n: int) -> np.ndarray:
     """What the stride-3 block must equal, given how c and d split mod 3."""
     base, residue = divmod(q, 3)
     if residue == 1:
         # c_(3m+1) = 0 and d_(3m+1) = c_(m+1).
-        return _hankel("gamma", base + 1, 1, n, runs=runs)[0] * (kind == "delta")
+        return _hankel("gamma", base + 1, 1, n)[0] * (kind == "delta")
     # c_3m = c_(3m+2) = d_(3m+2) = c_m and d_3m = 2 c_m.
-    return (_hankel("gamma", base, 1, n, runs=runs)[0]
-            * (2 if kind == "delta" and residue == 0 else 1))
-
-
-def _block_layout(kind: str, p: int, n: int, r: int,
-                  runs: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The predicted block form of P^t H_{3n+r}^p P built from stride-3 blocks.
-
-    Block (I, J) is the stride-3 matrix at offset p + I + J cut to
-    n + [I < r] rows and n + [J < r] columns.
-    """
-    def block(I: int, J: int) -> np.ndarray:
-        rows, cols = n + (I < r), n + (J < r)
-        return _hankel(kind, p + I + J, 3, max(rows, cols), runs=runs)[0, :rows, :cols]
-
-    return np.block([[block(I, J) for J in range(3)] for I in range(3)])
+    return _hankel("gamma", base, 1, n)[0] * (2 if kind == "delta" and residue == 0 else 1)
 
 
 def verify_structure(p: int, n: int) -> StructureReport:
@@ -419,15 +379,20 @@ def verify_structure(p: int, n: int) -> StructureReport:
     At the given (p, n) this verifies, exactly over the integers:
 
     * the entrywise split d-Hankel = c-Hankel at p plus c-Hankel at p+2;
-    * that conjugating H_{3n+r}^p (r = 0, 1, 2, both families) by the
-      sorting permutation yields the predicted stride-3 block layout;
+    * the block form of H = H_{3n+r}^p (r = 0, 1, 2, both families):
+      with P the permutation that sorts rows and columns by their 0-based
+      index mod 3, block (I, J) of P^t H P is H[I::3, J::3], which must
+      be the stride-3 matrix at offset p + I + J cut to n + [I < r] rows
+      and n + [J < r] columns;
     * that each stride-3 block collapses to a plain Hankel matrix (or a
       scalar multiple, or zero) as dictated by the splitting of c and d;
     * for n >= 2, the two-by-two block determinant identity
       det [[G, G'], [G', -G]] = (-1)^n |G_n||D_n| - (-1)^n |G_{n+1}||D_{n-1}|
       with G = c-Hankel at p, G' = c-Hankel at p+1, D = d-Hankel at p.
 
-    Every matrix is a view of one run of c and one of d, read once.
+    Every matrix at offset p or after is a view of one run of c and one
+    of d from offset p, 6n + 5 terms each, and the collapsed blocks read
+    c from near offset p // 3, so the memory taken does not grow with p.
     Checks run in a fixed order; the first failure is named and stops
     the run.
     """
@@ -435,44 +400,46 @@ def verify_structure(p: int, n: int) -> StructureReport:
         raise ValueError("need p >= 0 and n >= 1")
     # The farthest term read is u_(p + 6n + 4), in the stride-3 blocks at
     # offset p + 4 and order n + 1.
-    runs = {kind: run(0, p + 6 * n + 5).astype(np.int64) for kind, run in _RUNS.items()}
+    runs = {kind: run(p, 6 * n + 5).astype(np.int64) for kind, run in _RUNS.items()}
     checked: list[str] = []
 
-    def hankel(kind: str, q: int, order: int) -> np.ndarray:
-        return _hankel(kind, q, 1, order, runs=runs)[0]
+    def view(kind: str, q: int, order: int, step: int = 1) -> np.ndarray:
+        return _hankel(kind, q - p, step, order, runs=runs)[0]
 
     def fail(name: str) -> StructureReport:
         return StructureReport(p, n, False, tuple(checked), name)
 
     name = "difference-split"
-    g0 = hankel("gamma", p, n)
-    if not np.array_equal(hankel("delta", p, n), g0 + hankel("gamma", p + 2, n)):
+    g0 = view("gamma", p, n)
+    if not np.array_equal(view("delta", p, n), g0 + view("gamma", p + 2, n)):
         return fail(name)
     checked.append(name)
 
     for kind in ("gamma", "delta"):
         for r in range(3):
             name = f"block-form-{kind}-r{r}"
-            h = hankel(kind, p, 3 * n + r)
-            if not np.array_equal(conjugate_by_permutation(h), _block_layout(kind, p, n, r, runs)):
+            h = view(kind, p, 3 * n + r)
+            if not all(np.array_equal(h[I::3, J::3],
+                                      view(kind, p + I + J, n + 1, 3)[:n + (I < r), :n + (J < r)])
+                       for I in range(3) for J in range(3)):
                 return fail(name)
             checked.append(name)
         for q in range(p, p + 5):
             for order in (n, n + 1):
                 name = f"stride3-collapse-{kind}-q{q}-n{order}"
-                if not np.array_equal(_hankel(kind, q, 3, order, runs=runs)[0],
-                                      _expected_stride3(kind, q, order, runs)):
+                if not np.array_equal(view(kind, q, order, 3),
+                                      _expected_stride3(kind, q, order)):
                     return fail(name)
                 checked.append(name)
 
     if n >= 2:
         name = "paired-determinant-split"
-        g1 = hankel("gamma", p + 1, n)
+        g1 = view("gamma", p + 1, n)
         paired = np.block([[g0, g1], [g1, -g0]])
         sign = (-1) ** n
-        rhs = (sign * det_exact(g0) * det_exact(hankel("delta", p, n))
-               - sign * det_exact(hankel("gamma", p, n + 1))
-               * det_exact(hankel("delta", p, n - 1)))
+        rhs = (sign * det_exact(g0) * det_exact(view("delta", p, n))
+               - sign * det_exact(view("gamma", p, n + 1))
+               * det_exact(view("delta", p, n - 1)))
         if det_exact(paired) != rhs:
             return fail(name)
         checked.append(name)

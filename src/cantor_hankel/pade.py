@@ -14,7 +14,7 @@ the exponent windows are genuine enclosures.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -291,25 +291,25 @@ def _check_base(b: int) -> None:
         raise ValueError(f"base b = {b} is over the cap of {MAX_BASE}")
 
 
-def _geometric_tail(b: int, start: int) -> Fraction:
-    # sum over k >= start of b**-k
-    return Fraction(b, b - 1) / Fraction(b) ** start
-
-
 class _XiEnclosures:
-    """Integer enclosures of xi = sum of c_k b^-k from one growing run of c.
+    """Integer enclosures of sum of u_k b^-k from one growing run of u:
+    c (xi) by default, read through cantor_run when called, or the terms
+    of run, diff_run for d (eta).
 
-    Called at depth D it returns (lo, m) with xi in [lo/m, (lo + 1)/m]:
+    Called at depth D it returns (lo, m) with the sum in
+    [lo/m, (lo + top)/m], top the largest term (1 for c, 2 for d):
     m = (b-1) b**(D-1) and lo = (b-1) N_D, N_D = sum over k < D of
-    c_k b**(D-1-k), so the lower end is the partial sum and the upper
-    end adds the whole geometric tail b**(1-D) / (b-1).  Enclosures at
-    growing depth are nested.  N grows with the deepest depth read, by
-    Horner's rule over the new terms only; a shallower N_D is its
-    leading base-b digits, since every c_k < b.
+    u_k b**(D-1-k), so the lower end is the partial sum and the upper
+    end adds top times the whole geometric tail b**(1-D) / (b-1).
+    Enclosures at growing depth are nested.  N grows with the deepest
+    depth read, by Horner's rule over the new terms only.  A shallower
+    N_D is its leading base-b digits only while every term is below b,
+    which d_k = 2 breaks at b = 2: eta reads d at one depth only.
     """
 
-    def __init__(self, b: int) -> None:
+    def __init__(self, b: int, run: Callable | None = None) -> None:
         self.b = b
+        self._run = run
         self._depth = 0
         self._numerator = 0
 
@@ -317,7 +317,7 @@ class _XiEnclosures:
         b = self.b
         if depth > self._depth:
             numerator = self._numerator
-            for term in cantor_run(self._depth, depth - self._depth).tolist():
+            for term in (self._run or cantor_run)(self._depth, depth - self._depth).tolist():
                 numerator = numerator * b + term
             self._depth, self._numerator = depth, numerator
         numerator = self._numerator
@@ -482,12 +482,8 @@ def eta_identity_check(b: int, depth: int) -> EtaReport:
     # A few terms beyond depth keep the combined width strictly below
     # the b**(2 - depth) budget; at exactly depth terms the d-side tail
     # bound alone already equals the budget when b = 2.
-    cut = depth + 3
-    numerator = 0
-    for term in diff_run(0, cut).tolist():
-        numerator = numerator * b + term
-    partial = Fraction(numerator, b ** (cut - 1))
-    lhs = RationalInterval(partial, partial + 2 * _geometric_tail(b, cut))
+    lo, m = _XiEnclosures(b, diff_run)(depth + 3)
+    lhs = RationalInterval(Fraction(lo, m), Fraction(lo + 2, m))
     xi = cantor_number(b ** 3, depth // 3 + 3)
     factor = 2 + Fraction(b) ** 2 + Fraction(1, b) ** 2
     shift = Fraction(b) ** 2

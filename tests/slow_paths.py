@@ -644,14 +644,22 @@ def oracle_reads_by_matrix(exact: bool) -> dict[str, Callable[[int, int], int]]:
 
 
 def permutation_matrix(n: int) -> np.ndarray:
-    """The permutation of hankel.permutation_p(n) as an n x n 0/1 matrix,
-    for conjugating by matrix products."""
-    return np.eye(n, dtype=np.int64)[:, [t - 1 for t in hankel.permutation_p(n)]]
+    """The n x n 0/1 matrix P that sorts the 1-based indices 1..n by
+    residue mod 3, 1 before 2 before 0, each class in increasing order:
+    column j of P is the basis vector of the j-th index in that order."""
+    targets = sorted(range(1, n + 1), key=lambda t: ((t - 1) % 3, t))
+    p = np.zeros((n, n), np.int64)
+    for j, t in enumerate(targets):
+        p[t - 1, j] = 1
+    return p
 
 
 def verify_structure_by_matrix(p: int, n: int) -> hankel.StructureReport:
     """hankel.verify_structure as it built every matrix from its own run
-    through hankel_matrix, with the same checks in the same order."""
+    through hankel_matrix, with the same checks in the same order.  The
+    block form is checked as the paper states it: P^t H P, by matrix
+    products with P = permutation_matrix(3n + r), equals the nine
+    stride-3 blocks laid out as one matrix."""
     hankel_matrix = hankel.hankel_matrix
     if p < 0 or n < 1:
         raise ValueError("need p >= 0 and n >= 1")
@@ -689,7 +697,8 @@ def verify_structure_by_matrix(p: int, n: int) -> hankel.StructureReport:
         for r in range(3):
             name = f"block-form-{kind}-r{r}"
             h = hankel_matrix(kind, p, 3 * n + r)
-            if not np.array_equal(hankel.conjugate_by_permutation(h), block_layout(kind, r)):
+            perm = permutation_matrix(3 * n + r)
+            if not np.array_equal(perm.T @ h @ perm, block_layout(kind, r)):
                 return fail(name)
             checked.append(name)
         for q in range(p, p + 5):
@@ -745,6 +754,18 @@ def cantor_number_by_fractions(b: int, terms: int) -> RationalInterval:
     cantor_term, plus the geometric tail b/(b-1) * b**-terms."""
     partial = sum((Fraction(cantor_term(k), b ** k) for k in range(terms)), Fraction(0))
     return RationalInterval(partial, partial + Fraction(b, b - 1) / Fraction(b) ** terms)
+
+
+def eta_sum_by_horner(b: int, depth: int) -> RationalInterval:
+    """The lhs of pade.eta_identity_check as its own Horner sum of
+    diff_run over depth + 3 terms, as a Fraction, plus twice the
+    geometric tail b/(b-1) * b**-(depth + 3)."""
+    cut = depth + 3
+    numerator = 0
+    for term in sequences.diff_run(0, cut).tolist():
+        numerator = numerator * b + term
+    partial = Fraction(numerator, b ** (cut - 1))
+    return RationalInterval(partial, partial + 2 * Fraction(b, b - 1) / Fraction(b) ** cut)
 
 
 def exponent_interval_by_iv(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, float]:

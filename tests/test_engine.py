@@ -146,6 +146,20 @@ def test_replays_refuse_windows_over_the_order_cap_before_any_elimination(monkey
             replay(2, 167, 0)
 
 
+def test_structure_window_over_the_order_cap_refuses_before_any_work(monkeypatch):
+    # verify_structure(p, 167) would build order 3 * 167 + 2 = 503 only
+    # after every lower n had eliminated its matrices, 32 s in all.
+    def no_work(*args):
+        raise AssertionError("verify_structure was called")
+
+    monkeypatch.setattr(checks, "verify_structure", no_work)
+    with pytest.raises(ValueError, match="order 3 \\* n_max \\+ 2 = 503, over the cap of 500"):
+        checks.structure_identities(167, 0)
+    # Order 500 itself is admitted.
+    with pytest.raises(AssertionError, match="verify_structure was called"):
+        checks.structure_identities(166, 0)
+
+
 # Every term of every splitting identity, by (rule key, term index).
 SPLIT_TERMS = [(key, t) for key, rule in sorted(engine.SPLIT_RULES.items())
                for t in range(len(rule))]

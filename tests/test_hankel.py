@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel import hankel
-from cantor_hankel.hankel import (conjugate_by_permutation, det_exact, det_mod3,
-                                  hankel_matrix, hankel_stack, minors_exact_stack,
-                                  minors_mod3_stack, permutation_p, verify_structure)
+from cantor_hankel.hankel import (det_exact, det_mod3, hankel_matrix, hankel_stack,
+                                  minors_exact_stack, minors_mod3_stack, verify_structure)
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (det_mod3_by_full_reduction, det_mod3_stack_by_full_reduction,
                         det_mod3_stack_by_row_swaps, hankel_by_terms, permutation_matrix,
@@ -133,9 +133,7 @@ def test_oracles_leave_their_input_unchanged(m):
     before = m.copy()
     det_mod3(m)
     det_exact(m)
-    conjugated = conjugate_by_permutation(m)
     assert np.array_equal(m, before)
-    assert not np.shares_memory(conjugated, m)
     stack = np.stack([m, m.T, 3 * m, np.eye(len(m), dtype=np.int64)])
     stack_before = stack.copy()
     minors_mod3_stack(stack)
@@ -533,22 +531,29 @@ def test_minors_match_the_stack_order_by_order(kind, n):
 
 
 def test_sorting_permutation():
-    # 1-based column indices, residue 1 block first, then 2, then 0.
-    assert permutation_p(7) == [1, 4, 7, 2, 5, 3, 6]
-    for n in range(1, 12):
-        assert sorted(permutation_p(n)) == list(range(1, n + 1))
+    # 1-based indices of the columns' basis vectors: residue 1 block
+    # first, then 2, then 0.
+    p = permutation_matrix(7)
+    assert [int(p[:, j].argmax()) + 1 for j in range(7)] == [1, 4, 7, 2, 5, 3, 6]
+    for n in range(12):
         p = permutation_matrix(n)
         assert np.array_equal(p.T @ p, np.eye(n, dtype=int))
 
 
 def test_conjugation_by_index_reordering_matches_matmul():
+    # The lemma verify_structure checks its block form by: block (I, J)
+    # of P^t H P is H[I::3, J::3].
     for kind in ("gamma", "delta"):
         for n in range(13):
             p = permutation_matrix(n)
+            edges = np.cumsum([0, (n + 2) // 3, (n + 1) // 3, n // 3])
             for offset in range(4):
                 m = hankel_matrix(kind, offset, n)
-                assert np.array_equal(conjugate_by_permutation(m), p.T @ m @ p), \
-                    (kind, n, offset)
+                conjugated = p.T @ m @ p
+                for I in range(3):
+                    for J in range(3):
+                        block = conjugated[edges[I]:edges[I + 1], edges[J]:edges[J + 1]]
+                        assert np.array_equal(block, m[I::3, J::3]), (kind, n, offset, I, J)
 
 
 def test_structure_report_small():
@@ -585,3 +590,33 @@ def test_structure_reports_match_the_per_matrix_build(monkeypatch, flip):
                for n in (2, 4, 6, 8) for p in range(21)]
     assert all(got == expected for got, expected in reports)
     assert all(got.ok for got, _ in reports) == (flip is None)
+
+
+@pytest.mark.parametrize("p", [2 * 3 ** 40 + 7, 2 * 3 ** 199 + 5])
+def test_structure_at_huge_offsets_takes_memory_bounded_in_n(p):
+    # The runs start at p and near p // 3: one from index 0 would not fit.
+    tracemalloc.start()
+    try:
+        report = verify_structure(p, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == verify_structure_by_matrix(p, 8)
+    assert report.ok
+    assert peak < 1 << 20, peak
+
+
+def test_structure_names_a_misread_block_form(monkeypatch):
+    # Stride-3 views read one term late: only the block form sets them
+    # against slices of a matrix read at stride 1, so it fails first.
+    hankel_view = hankel._hankel
+
+    def late(kind, first, step, n, count=1, runs=None):
+        return hankel_view(kind, first + (step == 3), step, n, count, runs)
+
+    monkeypatch.setattr(hankel, "_hankel", late)
+    report = verify_structure(0, 2)
+    assert not report.ok
+    assert report.failed == "block-form-gamma-r0"
+    assert report.checked == ("difference-split",)
+    assert verify_structure_by_matrix(0, 2).ok

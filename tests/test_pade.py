@@ -14,9 +14,9 @@ from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_PADE_ORDER,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
-from slow_paths import (cantor_number_by_fractions, irrationality_estimates_by_fractions,
-                        pade_by_elimination, pade_value_by_fraction_horner,
-                        verify_pade_error_by_fractions)
+from slow_paths import (cantor_number_by_fractions, eta_sum_by_horner,
+                        irrationality_estimates_by_fractions, pade_by_elimination,
+                        pade_value_by_fraction_horner, verify_pade_error_by_fractions)
 
 # The module itself: the package rebinds the name pade to the function.
 pade_module = importlib.import_module("cantor_hankel.pade")
@@ -432,6 +432,13 @@ def test_eta_value_base2():
     report = eta_identity_check(2, 30)
     assert report.lhs.lo <= pinned <= report.lhs.hi
     assert report.rhs.lo <= pinned <= report.rhs.hi
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 2 ** 32])
+@pytest.mark.parametrize("depth", [3, 4, 30, 60, 200, MAX_ETA_DEPTH])
+def test_eta_sum_equals_its_own_horner_sum(b, depth):
+    # The lhs read through _XiEnclosures over d, (lo + 2)/m at the top.
+    assert eta_identity_check(b, depth).lhs == eta_sum_by_horner(b, depth)
 
 
 def test_eta_validation():
