@@ -104,6 +104,13 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
     return CheckResult(name, True, f"1 <= n <= {n_max}, 0 <= p <= {p_max}, both families")
 
 
+# The most verify_structure calls, n_max * (p_max + 1), of one structure
+# sweep.  Each takes about 1.2 ms at n = 1, 2 ms at n = 4 and 23 ms at
+# n = 80 on a 2-core VM, so (1, 1999) takes about 2.4 s and (4, 499)
+# 2.9 s; (4, 4), the window in use, is 20 calls.
+STRUCTURE_CALL_CAP = 2000
+
+
 def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     name = "structure-identities"
     _need("structure", "n_max", n_max, 1)
@@ -112,6 +119,10 @@ def structure_identities(n_max: int = 5, p_max: int = 5) -> CheckResult:
     if 3 * n_max + 2 > MAX_HANKEL_ORDER:
         raise ValueError(f"the structure window reaches order 3 * n_max + 2 = "
                          f"{3 * n_max + 2}, over the cap of {MAX_HANKEL_ORDER}")
+    calls = n_max * (p_max + 1)
+    if calls > STRUCTURE_CALL_CAP:
+        raise ValueError(f"the structure window takes {calls} verify_structure calls, "
+                         f"over the cap of {STRUCTURE_CALL_CAP}")
     for n in range(1, n_max + 1):
         for p in range(p_max + 1):
             report = verify_structure(p, n)

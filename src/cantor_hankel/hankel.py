@@ -2,8 +2,9 @@
 
 Everything here is computed directly from matrix entries: fraction-free
 elimination over the integers for exact determinants, on int64 while a
-bound proves the products fit and on Python ints after, and Gaussian
-elimination over GF(3) for the fast residue path.  Each comes one matrix
+bound proves the products or, by exact division modulo 2**64, the
+quotients fit and on Python ints otherwise, and Gaussian elimination
+over GF(3) for the fast residue path.  Each comes one matrix
 at a time (det_exact, det_mod3) or as every leading minor of a whole
 stack at once (minors_exact_stack, minors_mod3_stack).  No recurrence
 from the rest of the package is used, which is what makes these
@@ -36,6 +37,7 @@ n alone, whatever p is.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -47,10 +49,10 @@ from .sequences import cantor_run, diff_run
 # Largest order of any matrix built here, a bound on the cubic
 # elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
 # numpy 2.4), at offsets up to 27, det_mod3 takes 0.03-0.05 s and
-# det_exact 2-5 s, most of the latter on Python ints once the minors
-# outgrow int64.  The package's own callers reach it: verify --oracle
-# admits orders up to this cap, and verify_pade_error(200) eliminates
-# order 201.
+# det_exact 2.5-4.5 s, most of the latter on Python ints: the minors
+# themselves outgrow int64, and about 350 of the 499 steps run there.
+# The package's own callers reach it: verify --oracle admits orders up
+# to this cap, and verify_pade_error(200) eliminates order 201.
 MAX_HANKEL_ORDER = 500
 
 # Largest order the GF(3) oracles eliminate on int16.  They start from
@@ -143,11 +145,63 @@ def _residues(m, ndim: int) -> np.ndarray:
 
 
 def _peak(block: np.ndarray) -> int:
-    """The largest |entry| of an int64 block, as a Python int.
+    """The largest |entry| of an int64 or object block, as a Python int.
 
     Exact at -2**63 too, whose negation does not fit int64.
     """
     return max(int(block.max()), -int(block.min()))
+
+
+# The kinds of det_exact's steps, cheapest first, which index its counts.
+_FLOOR, _TWO_ADIC, _PYTHON = range(3)
+
+
+def _step_kind(bound: int, peak: int, prev: int) -> int:
+    """The cheapest exact kind of the next Bareiss step.
+
+    peak bounds the |entries| of the block, the pivot's too, so that the
+    step's products are at most bound = peak * (|pivot| + peak) and its
+    quotients at most bound // |prev|, prev the previous pivot.  _FLOOR,
+    the int64 floor division, needs bound < 2**63 and prev to fit int64.
+    _TWO_ADIC, the wrapping int64 step of _two_adic_step, needs the
+    entries to fit int64 and the quotients to fit 62 - e bits, with 2**e
+    the largest power of 2 dividing prev.
+    """
+    if bound < 1 << 63 and abs(prev) < 1 << 63:
+        return _FLOOR
+    e = (prev & -prev).bit_length() - 1
+    # e = 63 for prev = -2**63, which no quotient bound admits.
+    if peak < 1 << 63 and e <= 62 and bound // abs(prev) < 1 << (62 - e):
+        return _TWO_ADIC
+    return _PYTHON
+
+
+def _two_adic_step(block: np.ndarray, pivot: int, prev: int) -> np.ndarray:
+    """The Bareiss step (block[1:, 1:] * pivot - col (x) row) // prev of
+    an int64 block on products that may wrap, as _step_kind admits it.
+
+    Write prev = 2**e * o with o odd.  The wrapped difference is the
+    quotient q times prev modulo 2**64, so times the inverse of o modulo
+    2**64 it is q * 2**e modulo 2**64, which is q * 2**e itself as
+    |q| < 2**(62 - e), and an arithmetic shift by e leaves q (Jebelean's
+    exact division; multiplying first needs no sign extension).
+    """
+    e = (prev & -prev).bit_length() - 1
+    inverse = pow(prev >> e, -1, 1 << 64)
+    out = block[1:, 1:] * pivot
+    out -= block[1:, :1] * block[:1, 1:]
+    out *= inverse - (1 << 64) if inverse >> 63 else inverse
+    out >>= e
+    return out
+
+
+@functools.cache
+def _logger():
+    # Imported here, as in engine, kernel and pade: logging adds to
+    # importing the package.  Cached, as getLogger takes a lock and
+    # would cost about 1 us of a 30 us order-5 elimination.
+    import logging
+    return logging.getLogger(__name__)
 
 
 def det_exact(m) -> int:
@@ -161,44 +215,70 @@ def det_exact(m) -> int:
 
     The blocks are int64 while a bound peak on |entry|, kept in Python
     ints, proves the next step's products fit: peak * (|pivot| + peak)
-    < 2**63.  After a step peak is that product over |previous pivot|;
-    it is measured afresh from the block only when the check fails, as
+    < 2**63.  After a step peak is that product over |previous pivot|.
+    Only when the check fails is peak measured afresh from the block, as
     a reduction at every step would cost more than the step itself at
-    small orders.  Once the measured peak fails too, the rest of the
-    elimination runs on Python ints.  For the order-150 Hankel matrices
-    of c and d at offsets below 243 that happens at step 43 to 131, or
-    never where a zero column ends the elimination first, so most of
-    the n**3 / 3 work is int64.  Object and uint64 input, which may not
-    fit int64, run on Python ints from the first step.
+    small orders, and the step then takes the cheapest exact kind the
+    measured peak admits (_step_kind): the same int64 step, a wrapping
+    int64 step with exact division modulo 2**64 while the quotients fit
+    (_two_adic_step), or a step on Python ints.  A block of Python ints
+    is measured before each step and returns to int64 once its peak
+    admits an int64 step, as the minors may shrink again after a peak.
+    For the order-150 Hankel matrices of c and d at offsets below 243,
+    the products outgrow int64 at step 43 to 131 (counting from 0) where
+    no zero column ends the elimination first, but no entry reaches 2**62
+    before step 105, and at most 49 of the 149 steps run on Python ints.
+    Object and uint64 input, which may not fit int64, run on Python ints
+    throughout.  One DEBUG record per call gives the count of steps of
+    each kind.
     """
     a = _square(m)
     if len(a) == 0:
         return 1
-    on_int64 = np.can_cast(a.dtype, np.int64)
-    block = a.astype(np.int64 if on_int64 else object)
-    peak = _peak(block) if on_int64 else 0
+    narrow = np.can_cast(a.dtype, np.int64)  # its blocks may be int64
+    wide = not narrow  # the block holds Python ints
+    block = a.astype(object if wide else np.int64)
+    peak = _peak(block) if narrow else 0
+    steps = [0, 0, 0]  # by kind
     sign = 1
     prev = 1
     while len(block) > 1:
         if block[0, 0] == 0:
             below = np.flatnonzero(block[:, 0])
             if below.size == 0:
-                return 0
+                sign = 0  # a zero column: the determinant is 0
+                break
             i = int(below[0])
             block[[0, i]] = block[[i, 0]]
             sign = -sign
         pivot = int(block[0, 0])
-        if on_int64:
-            bound = peak * (abs(pivot) + peak)
-            if bound >= 1 << 63:
+        bound = peak * (abs(pivot) + peak)
+        if wide or bound >= 1 << 63:
+            # Past the tracked bound, or on Python ints: measure peak,
+            # and take the cheapest kind the measured peak admits.
+            kind = _PYTHON
+            if narrow:
                 peak = _peak(block)
                 bound = peak * (abs(pivot) + peak)
-                if bound >= 1 << 63:
-                    on_int64 = False
-                    block = block.astype(object)
-            peak = bound // abs(prev)
+                kind = _step_kind(bound, peak, prev)
+            if wide != (kind == _PYTHON):
+                wide = not wide
+                block = block.astype(object if wide else np.int64)
+            steps[kind] += 1
+            if kind == _TWO_ADIC:
+                block = _two_adic_step(block, pivot, prev)
+                peak, prev = bound // abs(prev), pivot
+                continue
+        # An int64 floor step, or one on Python ints.  An int64 block's
+        # previous pivot fits int64, so the check above admits the floor
+        # step, the hot path at small orders, on its own.
         block = (block[1:, 1:] * pivot - block[1:, :1] * block[:1, 1:]) // prev
+        peak = bound // abs(prev)
         prev = pivot
+    # Every step of neither other kind was an int64 floor step.
+    steps[_FLOOR] = len(a) - len(block) - steps[_TWO_ADIC] - steps[_PYTHON]
+    _logger().debug("det_exact order %d: %d int64 floor, %d int64 2-adic, %d Python-int steps",
+                    len(a), *steps)
     return sign * int(block[0, 0])
 
 
@@ -301,10 +381,11 @@ def minors_exact_stack(a) -> np.ndarray:
     it is (-1) ** inversions times the pivot.  A matrix with no pivot in
     a column has every later minor 0 and leaves the pass.
 
-    The pass runs on int64 while det_exact's bound, taken over the whole
-    stack, proves the products fit: peak * (max |pivot| + peak) < 2**63,
-    then divided by the least |previous pivot|.  After that it runs on
-    Python ints.  Object and uint64 input run on Python ints throughout.
+    The pass runs on int64 while a bound peak on |entry|, taken over the
+    whole stack, proves the products fit: peak * (max |pivot| + peak) <
+    2**63, then divided by the least |previous pivot|.  After that it
+    runs on Python ints for good.  Object and uint64 input run on Python
+    ints throughout.
     """
     a = _square(a, 3)
     s, n = a.shape[:2]

@@ -160,6 +160,26 @@ def test_structure_window_over_the_order_cap_refuses_before_any_work(monkeypatch
         checks.structure_identities(166, 0)
 
 
+def test_structure_window_over_the_call_cap_refuses_before_any_work(monkeypatch):
+    # (1, 10**7) would make 10**7 verify_structure calls, about three hours.
+    def no_work(*args):
+        raise AssertionError("verify_structure was called")
+
+    monkeypatch.setattr(checks, "verify_structure", no_work)
+    for n_max, p_max in ((1, 10 ** 7), (1, checks.STRUCTURE_CALL_CAP), (166, 12)):
+        calls = n_max * (p_max + 1)
+        with pytest.raises(ValueError, match=f"takes {calls} verify_structure calls, over "
+                                             f"the cap of {checks.STRUCTURE_CALL_CAP}"):
+            checks.structure_identities(n_max, p_max)
+    with pytest.raises(AssertionError, match="verify_structure was called"):
+        checks.structure_identities(1, checks.STRUCTURE_CALL_CAP - 1)
+    monkeypatch.undo()
+    # verify's window is far under the cap.
+    window = dict(checks.VERIFY_GROUPS["structure"])["structure_identities"]
+    assert window == (4, 4)
+    assert checks.structure_identities(*window).ok
+
+
 # Every term of every splitting identity, by (rule key, term index).
 SPLIT_TERMS = [(key, t) for key, rule in sorted(engine.SPLIT_RULES.items())
                for t in range(len(rule))]

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import re
 import tracemalloc
 from fractions import Fraction
@@ -210,8 +211,9 @@ def test_exact_determinants_digest():
 
 
 # The same lines for p in HIGH_DIGEST_OFFSETS and 61 <= n <= 150, where
-# the elimination leaves int64 part way, at step 48 to 131 for these
-# offsets (every determinant at p = 6560 is 0, found on int64).
+# the products outgrow int64 part way, at step 48 to 131 (counting from
+# 0) at order 150 for these offsets, and 13 to 36 of its 149 steps run
+# on Python ints (every determinant at p = 6560 is 0, found on int64).
 # Computed with the row-by-row Python-int elimination that the block
 # elimination replaced.
 HIGH_DIGEST_OFFSETS = (0, 1, 5, 27, 6560)
@@ -228,7 +230,7 @@ def test_exact_determinants_digest_past_int64():
 
 
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
-@pytest.mark.parametrize("p", [0, 27])
+@pytest.mark.parametrize("p", [0, 5, 27])
 def test_int64_blocks_match_python_int_elimination(kind, p):
     # Object input is eliminated on Python ints from the first step: one
     # minors_exact_stack pass gives orders 1-149, and det_exact itself
@@ -312,6 +314,85 @@ def test_bareiss_at_the_int64_edges(m):
     expected = _cofactor_det(entries)
     assert det_exact(m) == expected
     assert det_exact(m.astype(object)) == expected
+
+
+@st.composite
+def st_two_adic(draw):
+    """Matrices [[P, 0], [c, C]], or their transposes, whose elimination
+    takes wrapping int64 steps: from the first step on, each block is P
+    times the block one step earlier in the elimination of C, so with |P|
+    large enough the products pass 2**63 while the quotients, P times
+    C's, stay under 2**62.
+
+    P is +-2**k times an odd number, of bits bits in all: either near,
+    with k <= 20 and 20 <= bits <= 50 - k, where with |C| <= 9 the
+    products pass 2**63 at some step and the quotients mostly fit 62 - k
+    bits, or with any k up to 62 and any size.  Or P is one of +-2**62
+    and -2**63.  c, which no block after the first reads, takes any int64
+    entry.
+    """
+    n = draw(st.integers(2, 6))
+    form = draw(st.sampled_from(["near", "any", "edge"]))
+    if form == "edge":
+        pivot = draw(st.sampled_from([2 ** 62, -2 ** 62, -2 ** 63]))
+    else:
+        k = draw(st.integers(0, 20 if form == "near" else 62))
+        bits = draw(st.integers(max(k + 1, 20), 50 - k) if form == "near"
+                    else st.integers(k + 1, 63))
+        odd = 2 * draw(st.integers(2 ** (bits - k - 1) // 2, (2 ** (bits - k) - 1) // 2)) + 1
+        pivot = draw(st.sampled_from([1, -1])) * odd << k
+    m = np.zeros((n, n), np.int64)
+    m[0, 0] = pivot
+    m[1:, 0] = draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))
+    small = draw(st.lists(st.integers(-9, 9), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+    m[1:, 1:] = np.array(small, np.int64).reshape(n - 1, n - 1)
+    return m.T.copy() if draw(st.booleans()) else m
+
+
+# Two matrices whose last step follows a pivot past int64 (2**64 + 1)
+# or at its end (-2**63), on a block that fits int64 again: the floor
+# step may not divide by the first, and the second's e = 63 leaves the
+# wrapping step no quotient bits.  And one whose elimination takes a
+# wrapping step at e = 6.
+_PAST_INT64_PIVOT = np.array([[1, 2 ** 62, 0, 0], [-4, 1, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
+_INT64_END_PIVOT = np.array([[1, 0, 0, 0], [0, -2 ** 63, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
+_WRAPPING = np.array([[-(2 ** 31 + 1) << 6, 0, 0], [-2 ** 63, 3, -5], [7, 2, 9]])
+
+
+@given(st_two_adic())
+@example(_PAST_INT64_PIVOT)
+@example(_INT64_END_PIVOT)
+@example(_WRAPPING)
+@settings(max_examples=300, deadline=None)
+def test_wrapping_steps_match_python_ints_and_cofactors(m):
+    expected = det_exact(m.astype(object))
+    assert det_exact(m) == expected
+    assert _cofactor_det([[int(x) for x in row] for row in m.tolist()]) == expected
+
+
+def _step_counts(caplog, m) -> tuple[int, int, int]:
+    """det_exact's count of int64 floor, int64 2-adic and Python-int steps."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cantor_hankel.hankel"):
+        det_exact(m)
+    [record] = [r for r in caplog.records if r.name == "cantor_hankel.hankel"]
+    return record.args[1:]
+
+
+def test_wrapping_examples_take_the_steps_they_are_for(caplog):
+    assert _step_counts(caplog, _WRAPPING) == (0, 1, 1)
+    assert _step_counts(caplog, _PAST_INT64_PIVOT)[1] == 1
+    assert _step_counts(caplog, _INT64_END_PIVOT)[2] == 3
+    assert _step_counts(caplog, _WRAPPING.astype(object)) == (0, 0, 2)
+
+
+def test_python_int_steps_stay_few(caplog):
+    # The minors of delta p = 0 fit int64 far longer than their products:
+    # 36 of the 149 steps run on Python ints, against 101 when the first
+    # step past the product bound left int64 for good.
+    floor, two_adic, python = _step_counts(caplog, hankel_matrix("delta", 0, 150))
+    assert floor + two_adic + python == 149
+    assert python <= 50
 
 
 @given(st_small_matrix)
