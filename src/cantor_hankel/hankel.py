@@ -1,12 +1,12 @@
 """Exact Hankel matrices of c and d, and brute-force determinant oracles.
 
 Everything here is computed directly from matrix entries: fraction-free
-elimination over the integers for exact determinants, on int64 while a
-bound proves the products or, by exact division modulo 2**64, the
-quotients fit and on Python ints otherwise, and Gaussian elimination
-over GF(3) for the fast residue path.  Each comes one matrix
-at a time (det_exact, det_mod3) or as every leading minor of a whole
-stack at once (minors_exact_stack, minors_mod3_stack).  No recurrence
+elimination over the integers for exact determinants, on int64 with
+exact division modulo 2**64 while a bound proves the quotients fit and
+on Python ints otherwise, and Gaussian elimination over GF(3) for the
+fast residue path.  Each comes one matrix at a time (det_exact,
+det_mod3) or as every leading minor of a whole stack at once
+(minors_exact_stack, minors_mod3_stack).  No recurrence
 from the rest of the package is used, which is what makes these
 functions usable as oracles against those recurrences.
 
@@ -152,49 +152,6 @@ def _peak(block: np.ndarray) -> int:
     return max(int(block.max()), -int(block.min()))
 
 
-# The kinds of det_exact's steps, cheapest first, which index its counts.
-_FLOOR, _TWO_ADIC, _PYTHON = range(3)
-
-
-def _step_kind(bound: int, peak: int, prev: int) -> int:
-    """The cheapest exact kind of the next Bareiss step.
-
-    peak bounds the |entries| of the block, the pivot's too, so that the
-    step's products are at most bound = peak * (|pivot| + peak) and its
-    quotients at most bound // |prev|, prev the previous pivot.  _FLOOR,
-    the int64 floor division, needs bound < 2**63 and prev to fit int64.
-    _TWO_ADIC, the wrapping int64 step of _two_adic_step, needs the
-    entries to fit int64 and the quotients to fit 62 - e bits, with 2**e
-    the largest power of 2 dividing prev.
-    """
-    if bound < 1 << 63 and abs(prev) < 1 << 63:
-        return _FLOOR
-    e = (prev & -prev).bit_length() - 1
-    # e = 63 for prev = -2**63, which no quotient bound admits.
-    if peak < 1 << 63 and e <= 62 and bound // abs(prev) < 1 << (62 - e):
-        return _TWO_ADIC
-    return _PYTHON
-
-
-def _two_adic_step(block: np.ndarray, pivot: int, prev: int) -> np.ndarray:
-    """The Bareiss step (block[1:, 1:] * pivot - col (x) row) // prev of
-    an int64 block on products that may wrap, as _step_kind admits it.
-
-    Write prev = 2**e * o with o odd.  The wrapped difference is the
-    quotient q times prev modulo 2**64, so times the inverse of o modulo
-    2**64 it is q * 2**e modulo 2**64, which is q * 2**e itself as
-    |q| < 2**(62 - e), and an arithmetic shift by e leaves q (Jebelean's
-    exact division; multiplying first needs no sign extension).
-    """
-    e = (prev & -prev).bit_length() - 1
-    inverse = pow(prev >> e, -1, 1 << 64)
-    out = block[1:, 1:] * pivot
-    out -= block[1:, :1] * block[:1, 1:]
-    out *= inverse - (1 << 64) if inverse >> 63 else inverse
-    out >>= e
-    return out
-
-
 @functools.cache
 def _logger():
     # Imported here, as in engine, kernel and pade: logging adds to
@@ -209,28 +166,30 @@ def det_exact(m) -> int:
 
     Each step replaces the trailing block by the next, one row and one
     column smaller: new = block[1:, 1:] * pivot - block[1:, 0] (x)
-    block[0, 1:], divided exactly by the previous pivot.  Every entry
-    of every block is a minor of the input, so the divisions are exact
-    and sizes stay polynomially bounded.
+    block[0, 1:], divided exactly by the previous pivot prev.  Every
+    entry of every block is a minor of the input, so the divisions are
+    exact and sizes stay polynomially bounded.
 
-    The blocks are int64 while a bound peak on |entry|, kept in Python
-    ints, proves the next step's products fit: peak * (|pivot| + peak)
-    < 2**63.  After a step peak is that product over |previous pivot|.
+    A step runs on int64 or on Python ints.  Write prev = 2**e * odd,
+    odd odd.  On int64 the products may wrap, but the wrapped difference
+    is the quotient q times prev modulo 2**64, so times the inverse of
+    odd modulo 2**64 it is q * 2**e modulo 2**64, which is q * 2**e
+    itself while |q| * 2**e < 2**63, and an arithmetic shift right by e
+    leaves q (Jebelean's exact division).  A bound peak on |entry|, kept
+    in Python ints, gives |q * prev| <= bound = peak * (|pivot| + peak),
+    so the int64 step is taken while bound < |odd| * 2**63; for prev = 1
+    that says the products fit.  After a step peak is bound // |prev|.
     Only when the check fails is peak measured afresh from the block, as
     a reduction at every step would cost more than the step itself at
-    small orders, and the step then takes the cheapest exact kind the
-    measured peak admits (_step_kind): the same int64 step, a wrapping
-    int64 step with exact division modulo 2**64 while the quotients fit
-    (_two_adic_step), or a step on Python ints.  A block of Python ints
-    is measured before each step and returns to int64 once its peak
-    admits an int64 step, as the minors may shrink again after a peak.
-    For the order-150 Hankel matrices of c and d at offsets below 243,
-    the products outgrow int64 at step 43 to 131 (counting from 0) where
-    no zero column ends the elimination first, but no entry reaches 2**62
-    before step 105, and at most 49 of the 149 steps run on Python ints.
-    Object and uint64 input, which may not fit int64, run on Python ints
-    throughout.  One DEBUG record per call gives the count of steps of
-    each kind.
+    small orders.  A block of Python ints is measured before each step
+    and returns to int64 once its entries fit and the measured peak
+    passes the check, as the minors may shrink again after a peak.  For
+    e >= 63 the check admits only zero quotients, whose wrapped
+    difference is 0, and so is its shift.  For the order-150 Hankel
+    matrices of c and d at offsets below 243, at most 48 of the 149
+    steps run on Python ints.  Object and uint64 input, which may not
+    fit int64, run on Python ints throughout.  One DEBUG record per call
+    gives the count of int64 and of Python-int steps.
     """
     a = _square(m)
     if len(a) == 0:
@@ -239,7 +198,7 @@ def det_exact(m) -> int:
     wide = not narrow  # the block holds Python ints
     block = a.astype(object if wide else np.int64)
     peak = _peak(block) if narrow else 0
-    steps = [0, 0, 0]  # by kind
+    python_steps = 0
     sign = 1
     prev = 1
     while len(block) > 1:
@@ -252,33 +211,36 @@ def det_exact(m) -> int:
             block[[0, i]] = block[[i, 0]]
             sign = -sign
         pivot = int(block[0, 0])
+        e = (prev & -prev).bit_length() - 1
+        odd = prev >> e
+        limit = abs(odd) << 63
         bound = peak * (abs(pivot) + peak)
-        if wide or bound >= 1 << 63:
+        if wide or bound >= limit:
             # Past the tracked bound, or on Python ints: measure peak,
-            # and take the cheapest kind the measured peak admits.
-            kind = _PYTHON
+            # and step on int64 if the measured peak admits it.
             if narrow:
                 peak = _peak(block)
                 bound = peak * (abs(pivot) + peak)
-                kind = _step_kind(bound, peak, prev)
-            if wide != (kind == _PYTHON):
+            if wide == (narrow and peak < 1 << 63 and bound < limit):
                 wide = not wide
                 block = block.astype(object if wide else np.int64)
-            steps[kind] += 1
-            if kind == _TWO_ADIC:
-                block = _two_adic_step(block, pivot, prev)
-                peak, prev = bound // abs(prev), pivot
-                continue
-        # An int64 floor step, or one on Python ints.  An int64 block's
-        # previous pivot fits int64, so the check above admits the floor
-        # step, the hot path at small orders, on its own.
-        block = (block[1:, 1:] * pivot - block[1:, :1] * block[:1, 1:]) // prev
+        out = block[1:, 1:] * pivot
+        out -= block[1:, :1] * block[:1, 1:]
+        if wide:
+            python_steps += 1
+            out //= prev
+        else:
+            if odd != 1:
+                inverse = pow(odd, -1, 1 << 64)
+                out *= inverse - (1 << 64) if inverse >> 63 else inverse
+            if e:
+                out >>= e
+        block = out
         peak = bound // abs(prev)
         prev = pivot
-    # Every step of neither other kind was an int64 floor step.
-    steps[_FLOOR] = len(a) - len(block) - steps[_TWO_ADIC] - steps[_PYTHON]
-    _logger().debug("det_exact order %d: %d int64 floor, %d int64 2-adic, %d Python-int steps",
-                    len(a), *steps)
+    steps = len(a) - len(block)
+    _logger().debug("det_exact order %d: %d int64, %d Python-int steps",
+                    len(a), steps - python_steps, python_steps)
     return sign * int(block[0, 0])
 
 

@@ -25,12 +25,14 @@ from .sequences import cantor_run, diff_run
 # Fallback ceiling for the adaptive tail-depth search.
 MAX_TAIL_DEPTH = 1 << 20
 
-# Resource guards, checked before any work.  Times on a 2-core VM:
-# pade(200) 0.02 s, verify_pade_error(200) 0.26 s (0.24 s of it its
-# order-200 and order-201 det_exact calls),
-# verify_functional_equation(10**6) 0.3 s, and at b = 2**32
-# irrationality_estimates(b, 100) 0.04 s and eta_identity_check(b, 10**4)
-# 1.2-1.5 s; both grow with the digits of b, eta past a minute at 10**100.
+# Resource guards, checked before any work.  First calls in a fresh
+# process on a 2-core VM, five runs each: pade(200) 0.02-0.03 s,
+# verify_pade_error(200) 0.11-0.16 s (0.07-0.12 s of it its order-200
+# and order-201 det_exact calls), verify_functional_equation(10**6)
+# 0.30-0.40 s, and at b = 2**32 irrationality_estimates(b, 100)
+# 0.07-0.12 s (importing mpmath included) and eta_identity_check(b,
+# 10**4) 1.5-2.1 s; both grow with the digits of b, eta past two
+# minutes at 10**100.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6

@@ -212,7 +212,7 @@ def test_exact_determinants_digest():
 
 # The same lines for p in HIGH_DIGEST_OFFSETS and 61 <= n <= 150, where
 # the products outgrow int64 part way, at step 48 to 131 (counting from
-# 0) at order 150 for these offsets, and 13 to 36 of its 149 steps run
+# 0) at order 150 for these offsets, and 13 to 34 of its 149 steps run
 # on Python ints (every determinant at p = 6560 is 0, found on int64).
 # Computed with the row-by-row Python-int elimination that the block
 # elimination replaced.
@@ -321,15 +321,15 @@ def st_two_adic(draw):
     """Matrices [[P, 0], [c, C]], or their transposes, whose elimination
     takes wrapping int64 steps: from the first step on, each block is P
     times the block one step earlier in the elimination of C, so with |P|
-    large enough the products pass 2**63 while the quotients, P times
-    C's, stay under 2**62.
+    large enough the products pass 2**63 while each quotient, P times
+    one of C's, times the 2**k in P stays under it.
 
     P is +-2**k times an odd number, of bits bits in all: either near,
     with k <= 20 and 20 <= bits <= 50 - k, where with |C| <= 9 the
-    products pass 2**63 at some step and the quotients mostly fit 62 - k
-    bits, or with any k up to 62 and any size.  Or P is one of +-2**62
-    and -2**63.  c, which no block after the first reads, takes any int64
-    entry.
+    products pass 2**63 at some step and the quotients times 2**k mostly
+    fit 63 bits, or with any k up to 62 and any size.  Or P is one of
+    +-2**62 and -2**63.  c, which no block after the first reads, takes
+    any int64 entry.
     """
     n = draw(st.integers(2, 6))
     form = draw(st.sampled_from(["near", "any", "edge"]))
@@ -349,20 +349,36 @@ def st_two_adic(draw):
     return m.T.copy() if draw(st.booleans()) else m
 
 
-# Two matrices whose last step follows a pivot past int64 (2**64 + 1)
-# or at its end (-2**63), on a block that fits int64 again: the floor
-# step may not divide by the first, and the second's e = 63 leaves the
-# wrapping step no quotient bits.  And one whose elimination takes a
-# wrapping step at e = 6.
+# Matrices whose int64 steps sit at the edges of the check bound <
+# |odd| * 2**63, with prev = 2**e * odd the previous pivot.  The last
+# step of the first three follows a Python-int pivot on a block that fits
+# int64 again: 2**64 + 1 (odd past int64), -2**63 (e = 63) and 2**65
+# (e = 65, a shift past 63 bits); their quotients are 0.  _WRAPPING takes
+# a wrapping step at e = 6.  _TOP_BIT's last quotient is 2**62 + 2, at
+# e = 0: the bound, 2 * P**2 with P = 2**61 + 1, is under P * 2**63.
+# _BOUND_AT_THE_LIMIT has both bounds at exactly 2**63 with prev = 1 and
+# then 2**31, and its last quotient times 2**31 is 2**63, which wraps.
+# _WIDE_ENTRIES's last block has an entry 2**64 + 1 whose quotients fit:
+# its previous pivot is 2**124 + 1, so the bound passes while the block
+# cannot narrow.
 _PAST_INT64_PIVOT = np.array([[1, 2 ** 62, 0, 0], [-4, 1, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
 _INT64_END_PIVOT = np.array([[1, 0, 0, 0], [0, -2 ** 63, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
+_SHIFT_PAST_63 = np.array([[1, 2 ** 62, 0, 0], [-8, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
 _WRAPPING = np.array([[-(2 ** 31 + 1) << 6, 0, 0], [-2 ** 63, 3, -5], [7, 2, 9]])
+_TOP_BIT = np.array([[2 ** 61 + 1, 0, 0], [5, 1, 1], [-7, -1, 1]])
+_BOUND_AT_THE_LIMIT = np.array([[2 ** 31, 0, 0], [0, 1, 1], [0, -1, 1]])
+_WIDE_ENTRIES = np.array([[1, 2 ** 62, 0, 0], [-2 ** 62, 1, 2 ** 62 - 4, 1],
+                          [0, 2 ** 62, 1, 0], [0, 1, 0, 0]])
 
 
 @given(st_two_adic())
 @example(_PAST_INT64_PIVOT)
 @example(_INT64_END_PIVOT)
+@example(_SHIFT_PAST_63)
 @example(_WRAPPING)
+@example(_TOP_BIT)
+@example(_BOUND_AT_THE_LIMIT)
+@example(_WIDE_ENTRIES)
 @settings(max_examples=300, deadline=None)
 def test_wrapping_steps_match_python_ints_and_cofactors(m):
     expected = det_exact(m.astype(object))
@@ -370,8 +386,8 @@ def test_wrapping_steps_match_python_ints_and_cofactors(m):
     assert _cofactor_det([[int(x) for x in row] for row in m.tolist()]) == expected
 
 
-def _step_counts(caplog, m) -> tuple[int, int, int]:
-    """det_exact's count of int64 floor, int64 2-adic and Python-int steps."""
+def _step_counts(caplog, m) -> tuple[int, int]:
+    """det_exact's count of int64 and of Python-int steps."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cantor_hankel.hankel"):
         det_exact(m)
@@ -380,18 +396,22 @@ def _step_counts(caplog, m) -> tuple[int, int, int]:
 
 
 def test_wrapping_examples_take_the_steps_they_are_for(caplog):
-    assert _step_counts(caplog, _WRAPPING) == (0, 1, 1)
-    assert _step_counts(caplog, _PAST_INT64_PIVOT)[1] == 1
-    assert _step_counts(caplog, _INT64_END_PIVOT)[2] == 3
-    assert _step_counts(caplog, _WRAPPING.astype(object)) == (0, 0, 2)
+    assert _step_counts(caplog, _PAST_INT64_PIVOT) == (1, 2)
+    assert _step_counts(caplog, _INT64_END_PIVOT) == (1, 2)
+    assert _step_counts(caplog, _SHIFT_PAST_63) == (1, 2)
+    assert _step_counts(caplog, _WRAPPING) == (1, 1)
+    assert _step_counts(caplog, _WRAPPING.astype(object)) == (0, 2)
+    assert _step_counts(caplog, _TOP_BIT) == (1, 1)
+    assert _step_counts(caplog, _BOUND_AT_THE_LIMIT) == (0, 2)
+    assert _step_counts(caplog, _WIDE_ENTRIES) == (0, 3)
 
 
 def test_python_int_steps_stay_few(caplog):
     # The minors of delta p = 0 fit int64 far longer than their products:
-    # 36 of the 149 steps run on Python ints, against 101 when the first
+    # 34 of the 149 steps run on Python ints, against 101 when the first
     # step past the product bound left int64 for good.
-    floor, two_adic, python = _step_counts(caplog, hankel_matrix("delta", 0, 150))
-    assert floor + two_adic + python == 149
+    int64, python = _step_counts(caplog, hankel_matrix("delta", 0, 150))
+    assert int64 + python == 149
     assert python <= 50
 
 
