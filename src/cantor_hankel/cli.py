@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--mod3", action="store_true")
     p.set_defaults(func=_cmd_det)
 
-    p = sub.add_parser("cell", help="one mod-3 determinant from the recurrences")
+    p = sub.add_parser("cell", help="one mod-3 determinant from the minimal automaton")
     p.add_argument("--kind", choices=("gamma", "delta"), default="gamma")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=int, required=True)

@@ -2,9 +2,9 @@
 
 gamma_mod3(n, p) and delta_mod3(n, p) return the determinants of the
 order-n, offset-p Hankel matrices of c and d reduced mod 3, computed
-without any elimination: both n and p are split into base-3 quotient
-and remainder and the eighteen splitting identities of SPLIT_RULES
-rewrite the cell in terms of cells with quotient indices.  Rows n in
+without any elimination.  Both n and p are split into base-3 quotient
+and remainder, and the eighteen splitting identities of SPLIT_RULES
+rewrite a cell in terms of cells with quotient indices.  Rows n in
 {-1, 0, 1} anchor the recursion:
 
 * gamma at n = 0 is 2 for p = 0 and 1 otherwise (the n = 0 value is a
@@ -14,8 +14,14 @@ rewrite the cell in terms of cells with quotient indices.  Rows n in
   is 1 for every p;
 * row n = 1 is the sequence itself: c_p, respectively d_p.
 
-Each recursive call reduces n except for finitely many small cells, so
-evaluation costs O(log n + log p) new cells on top of the memo.
+The table is therefore 3-automatic: kernel.build_dfao builds its
+automaton from the identities, with 1632 states from each start, and
+kernel.minimise cuts each to 60.  Those two minimal automata are
+checked in as data (_minimal), and a cell walks the one of its kind
+over the base-3 digits of n and p, least significant first: O(log n +
+log p) steps, with no memo behind them.  Row -1 of delta is read from
+_anchor.  The recursion itself, memoised (_CELLS), serves only the
+smallest rectangles of tables().
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
@@ -30,6 +36,8 @@ split rows 0 and 1 like any other, so rows -1, 0 and 1 have one
 definition, _anchor, read at the few cells of the smallest rectangles:
 the engine reads c only through sequences.cantor_term, and the hankel
 oracles' matrices, built from the vectorised runs of c, check it.
+tables() never reads the automata, so checks.dfao_grid can put it on
+trial against kernel.build_dfao.
 """
 
 from __future__ import annotations
@@ -47,11 +55,13 @@ from .sequences import cantor_term, diff_term
 # accidentally huge tables.
 DEFAULT_GRID_CELL_CAP = 4_000_000
 
-# Base-3 digits allowed in n and in p.  The scalar recursion spends three
-# stack frames per digit (the memo wrapper, the cell and split_value): a
-# cold cell at 200 digits needs a recursion limit of 606 to 609, and the
-# recursion overflows Python's default limit of 1000 frames between 330
-# and 340 digits, so 200 leaves room for the callers.
+# Base-3 digits allowed in n and in p.  A cell walks one automaton step
+# per digit, but the recursion behind the smallest rectangles of
+# tables() spends three stack frames per digit (the memo wrapper, the
+# cell and split_value): a cold one-cell table at 200 digits needs a
+# recursion limit of 606 to 609, and the recursion overflows Python's
+# default limit of 1000 frames between 330 and 340 digits, so 200
+# leaves room for the callers.
 MAX_INDEX_DIGITS = 200
 _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 
@@ -206,13 +216,51 @@ def split_value(rule: Rule, n: int, p: int,
 # lru_cache makes the memo; its locking is enough for concurrent use and
 # the values are pure, so racing duplicate computations are harmless.
 @lru_cache(maxsize=None)
+def _gamma_split(n: int, p: int) -> int:
+    """Gamma mod 3 at (n >= 0, p >= 0) by the splitting identities."""
+    return (_anchor("G", n, p) if n <= 1
+            else split_value(SPLIT_RULES[n % 3, p % 3, "G"], n, p, _CELLS) % 3)
+
+
+@lru_cache(maxsize=None)
+def _delta_split(n: int, p: int) -> int:
+    """Delta mod 3 at (n >= -1, p >= 0) by the splitting identities."""
+    return (_anchor("D", n, p) if n <= 1
+            else split_value(SPLIT_RULES[n % 3, p % 3, "D"], n, p, _CELLS) % 3)
+
+
+# The recursion's cells, keyed by stream as split_value reads them: the
+# cells tables() reads, never the automata.
+_CELLS = {"G": _gamma_split, "D": _delta_split}
+
+# The minimal automata by kind, loaded by the first cell, so importing
+# the engine does not read them.
+_AUTOMATA: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _walk(kind: str, n: int, p: int) -> int:
+    """The minimal automaton of kind at (n >= 0, p >= 0); see _minimal."""
+    if not _AUTOMATA:
+        from ._minimal import AUTOMATA
+        _AUTOMATA.update(AUTOMATA)
+    outputs, transitions = _AUTOMATA[kind]
+    state = 0
+    while n or p:
+        state = transitions[9 * state + 3 * (n % 3) + p % 3]
+        n //= 3
+        p //= 3
+    return outputs[state]
+
+
+# The cells need no memo, but bench/run.py reads cache_info() of both,
+# so each keeps an lru_cache until the benchmark stops reading it.
+@lru_cache(maxsize=None)
 def gamma_mod3(n: int, p: int) -> int:
     """Determinant mod 3 of the order-n Hankel matrix of c at offset p."""
     if n < 0 or p < 0:
         raise ValueError("need n >= 0 and p >= 0")
     _check_digits(n, p)
-    return (_anchor("G", n, p) if n <= 1
-            else split_value(SPLIT_RULES[n % 3, p % 3, "G"], n, p, _CELLS) % 3)
+    return _walk("gamma", n, p)
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +272,7 @@ def delta_mod3(n: int, p: int) -> int:
     if n < -1 or p < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n, p)
-    return (_anchor("D", n, p) if n <= 1
-            else split_value(SPLIT_RULES[n % 3, p % 3, "D"], n, p, _CELLS) % 3)
-
-
-# The scalar engine's cells, keyed by stream as split_value reads them.
-_CELLS = {"G": gamma_mod3, "D": delta_mod3}
+    return _anchor("D", n, p) if n < 0 else _walk("delta", n, p)
 
 
 # The printed columns: one period of each column stream at p = 0 and
@@ -373,7 +416,8 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     from the rectangle one level down (see _split_level), and row -1 is
     filled from _anchor; rectangles of at most _CELLWISE_AREA cells are
     read cell by cell: rows n <= 1 from _anchor, rows n >= 2 from the
-    memoised scalar engine.  Gamma's row -1 holds 0.
+    memoised recursion _CELLS, never from the automata.  Gamma's row -1
+    holds 0.
 
     Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
     identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
@@ -567,6 +611,8 @@ def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
 
 
 def clear_caches() -> None:
-    """Drop both memo tables (mainly for benchmarks and leak hunting)."""
-    gamma_mod3.cache_clear()
-    delta_mod3.cache_clear()
+    """Drop every memo of the engine (mainly for benchmarks and leak
+    hunting): those of gamma_mod3 and delta_mod3, and those of the
+    recursion tables() reads, _gamma_split and _delta_split."""
+    for memo in (gamma_mod3, delta_mod3, _gamma_split, _delta_split):
+        memo.cache_clear()

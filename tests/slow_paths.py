@@ -28,10 +28,13 @@ pade_module = importlib.import_module("cantor_hankel.pade")
 
 
 def generator_value(gen: kernel.Generator, n: int, p: int) -> int:
-    """One generator S[a,b]J at (n, p), read through the scalar engine."""
+    """One generator S[a,b]J at (n, p), read through the engine's recursion."""
     sym, a, b = gen
     if sym == "F":
         return 1 if (n + a) % 2 == 0 else 2
+    if sym == "G" and n + a < 0:
+        # The recursion's anchor holds a placeholder 0 there.
+        raise ValueError("need n >= 0 and p >= 0: gamma has no row -1")
     return engine._CELLS[sym](n + a, p + b)
 
 
@@ -48,8 +51,8 @@ def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
     array with one row per state and one column per point.
 
     The per-point evaluator that kernel.evaluate_states replaced: each
-    generator that occurs in some state is read through the scalar
-    engine once per point, then every monomial is evaluated on the
+    generator that occurs in some state is read through the engine's
+    recursion once per point, then every monomial is evaluated on the
     packed masks, 0 where one of its generators is 0, else its
     coefficient times 2 to the parity of its first powers equal to 2.
     """
@@ -385,7 +388,7 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
     mod 3 at once, every factor a contiguous slice of the rectangle one
     level down.  Rows n <= 1 are anchor_rows, and rows n >= 2 of
     rectangles of at most engine._CELLWISE_AREA cells are read cell by
-    cell through the scalar engine."""
+    cell through the engine's recursion."""
 
     def level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
         width = p_hi - p_lo + 1

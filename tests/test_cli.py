@@ -383,7 +383,8 @@ def test_hostile_kernel_arguments(capsys, start, cap):
 def test_hostile_dfao_eval_arguments(capsys, start, n, p):
     code, out = _run_hostile(capsys, ["dfao-eval", "--start", start, "-n", n, "-p", p])
     if code == 0:
-        value = engine.gamma_mod3 if start == "gamma" else engine.delta_mod3
+        # The engine's recursion: its cells walk the minimal automata.
+        value = engine._CELLS["G" if start == "gamma" else "D"]
         assert out == f"{value(int(n), int(p))}\n", (start, n, p)
 
 
@@ -897,6 +898,22 @@ def test_oracle_and_closed_form_checks_read_no_engine_cell(monkeypatch):
         assert all(result.ok for result in checks.run_group(group)), group
 
 
+def test_tables_and_every_check_group_never_walk_the_minimal_automata(monkeypatch):
+    # dfao-grid puts tables() on trial against the automata, so tables()
+    # may not read the minimal automata the cells walk, and no check may
+    # read a cell.
+    def no_walk(*args):
+        raise AssertionError("a cell or the minimal automaton was read")
+
+    for name in ("gamma_mod3", "delta_mod3", "_walk"):
+        monkeypatch.setattr(engine, name, no_walk)
+    # Cell-by-cell rectangles, among them one cell at 151 digits, and a split one.
+    for n_lo, n_hi, p_lo, p_hi in ((-1, 3, 0, 1), (2, 2, 3 ** 150, 3 ** 150), (1, 40, 0, 39)):
+        engine.tables(n_lo, n_hi, p_lo, p_hi)
+    for group in checks.VERIFY_GROUPS:
+        assert all(result.ok for result in checks.run_group(group)), group
+
+
 @pytest.mark.parametrize("n_max", [2_000_001, 10 ** 9])
 def test_closed_form_check_over_the_cell_cap_refuses_before_any_cell(monkeypatch, n_max):
     # Two cells per row: more than half the cell cap in rows is refused.
@@ -989,8 +1006,9 @@ def test_dfao_check_over_the_cell_cap_refuses_before_any_closure(monkeypatch):
 def test_dfao_check_reads_the_engine_as_one_table():
     engine.clear_caches()
     assert checks.dfao_grid().ok
-    # A scalar read per cell would leave about 13,000 memo entries.
-    memo = engine.gamma_mod3.cache_info().currsize + engine.delta_mod3.cache_info().currsize
+    # A recursion read per cell, the cells tables() reads, would leave
+    # about 13,000 memo entries.
+    memo = sum(cell.cache_info().currsize for cell in engine._CELLS.values())
     assert memo < 100
 
 

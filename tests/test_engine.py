@@ -264,7 +264,8 @@ def test_column_window_refuses_a_p_over_the_digit_cap(monkeypatch, p):
 
 
 def _assert_tables_match_scalar(n_lo, n_hi, p_lo, p_hi):
-    """tables() against the scalar engine, cell by cell; gamma's row -1 is 0."""
+    """tables() against the cells, which walk the minimal automata, cell by
+    cell; gamma's row -1 is 0."""
     gamma, delta = engine.tables(n_lo, n_hi, p_lo, p_hi)
     assert gamma.shape == delta.shape == (n_hi - n_lo + 1, p_hi - p_lo + 1)
     for n in range(n_lo, n_hi + 1):
@@ -487,8 +488,9 @@ def test_grid_leaves_the_memo_small():
     for n_hi, p_hi, kind in ((2, 99_999, "gamma"), (1000, 999, "delta")):
         engine.clear_caches()
         rows = engine.grid(1, n_hi, 0, p_hi, kind)
-        assert engine.gamma_mod3.cache_info().currsize < 5000, (n_hi, p_hi)
-        assert engine.delta_mod3.cache_info().currsize < 5000, (n_hi, p_hi)
+        # The memo of the recursion the smallest rectangles read.
+        for cell in engine._CELLS.values():
+            assert cell.cache_info().currsize < 5000, (n_hi, p_hi)
         value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
         rng = random.Random(10)
         for _ in range(300):
@@ -611,11 +613,11 @@ def test_lattices_refuse_witnesses_off_the_lattice():
 def test_kernel_soundness_leaves_the_memo_small():
     engine.clear_caches()
     assert checks.kernel_soundness(20).ok
-    # Only the smallest rectangles of tables() are read cell by cell:
-    # 18 gamma and 20 delta cells (1012 when the kernel evaluator read
-    # every generator through the memo).
-    assert engine.gamma_mod3.cache_info().currsize <= 18
-    assert engine.delta_mod3.cache_info().currsize <= 20
+    # Only the smallest rectangles of tables() are read cell by cell,
+    # through the recursion: 18 gamma and 20 delta cells (1012 when the
+    # kernel evaluator read every generator through the memo).
+    assert engine._CELLS["G"].cache_info().currsize <= 18
+    assert engine._CELLS["D"].cache_info().currsize <= 20
 
 
 def test_lattice_sweep_peak_memory():
@@ -680,3 +682,67 @@ def test_clear_caches_keeps_values():
     before = engine.gamma_mod3(50, 7)
     engine.clear_caches()
     assert engine.gamma_mod3(50, 7) == before
+
+
+def test_clear_caches_empties_every_memo():
+    engine.gamma_mod3(50, 7), engine.delta_mod3(50, 7), engine.tables(50, 51, 7, 8)
+    engine.clear_caches()
+    memos = (engine.gamma_mod3, engine.delta_mod3, *engine._CELLS.values())
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
+
+
+# Suffixes (u, v) read after a digit pair: (0, 0) ends the word there,
+# the others make the walk read the pair and go on.
+SUFFIXES = [(0, 0), (1, 0), (0, 2), (2, 1), (4, 7)]
+
+
+@pytest.mark.parametrize("kind, stream", [("gamma", "G"), ("delta", "D")],
+                         ids=["gamma", "delta"])
+def test_walk_matches_the_recursion_at_every_transition(kind, stream):
+    # A shortest word (m digit pairs, read as r and s) to each state of
+    # the minimal automaton, then each digit pair (i, j) and suffix: the
+    # cell (r + 3**m * (i + 3u), s + 3**m * (j + 3v)).
+    from cantor_hankel._minimal import AUTOMATA
+    outputs, transitions = AUTOMATA[kind]
+    words, queue = {0: (0, 0, 0)}, [0]
+    # The loop also visits the states appended while it runs.
+    for state in queue:
+        m, r, s = words[state]
+        for d in range(9):
+            target = transitions[9 * state + d]
+            if target not in words:
+                words[target] = (m + 1, r + 3 ** m * (d // 3), s + 3 ** m * (d % 3))
+                queue.append(target)
+    assert len(words) == len(outputs) == 60
+    walk, recursion = getattr(engine, f"{kind}_mod3"), engine._CELLS[stream]
+    for state, (m, r, s) in words.items():
+        for i, j in itertools.product(range(3), repeat=2):
+            for u, v in SUFFIXES:
+                n, p = r + 3 ** m * (i + 3 * u), s + 3 ** m * (j + 3 * v)
+                assert walk(n, p) == recursion(n, p), (kind, state, i, j, u, v)
+
+
+def _seeded_index(rng, digits, weights):
+    """An index of digits base-3 digits, each drawn with weights for 0, 1
+    and 2 (the leading one nonzero)."""
+    value = rng.choices((1, 2), weights[1:])[0]
+    for _ in range(digits - 1):
+        value = 3 * value + rng.choices((0, 1, 2), weights)[0]
+    return value
+
+
+def test_walk_matches_the_recursion_on_a_seeded_sample():
+    # Every digit count up to the cap, the digits drawn uniformly, mostly
+    # 0, or from {0, 2} as in the support of c; the other index is as long
+    # or shorter, down to 0.
+    rng = random.Random(40)
+    for digits in range(1, engine.MAX_INDEX_DIGITS + 1):
+        for weights in ((1, 1, 1), (4, 1, 1), (1, 0, 1)):
+            other = rng.randint(0, digits)
+            n = _seeded_index(rng, digits, weights)
+            p = _seeded_index(rng, other, weights) if other else 0
+            if rng.random() < 0.5:
+                n, p = p, n
+            for kind, stream in (("gamma", "G"), ("delta", "D")):
+                assert getattr(engine, f"{kind}_mod3")(n, p) == engine._CELLS[stream](n, p), \
+                    (kind, n, p)

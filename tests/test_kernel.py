@@ -115,7 +115,7 @@ def test_rows_sum_like_terms_and_compare_by_bytes(polys):
 
 
 def test_single_digit_steps_match_engine():
-    for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
+    for start, base in ((GAMMA, engine._CELLS["G"]), (DELTA, engine._CELLS["D"])):
         stepped = step_all([start])
         want = [[base(3 * n + i, 3 * p + j) for n, p in window_points(5)]
                 for i, j in DIGIT_PAIRS]
@@ -141,7 +141,7 @@ def test_every_generator_split_matches_engine():
 def test_two_digit_chains_match_engine():
     # T acts least significant digit first: chaining (i1,j1) then (i2,j2)
     # reads the subsequence at (9n + 3*i2 + i1, 9p + 3*j2 + j1).
-    for start, base in ((GAMMA, engine.gamma_mod3), (DELTA, engine.delta_mod3)):
+    for start, base in ((GAMMA, engine._CELLS["G"]), (DELTA, engine._CELLS["D"])):
         chains = list(itertools.product(range(3), repeat=4))
         chained = step_all(step_all([start]))
         want = [[base(9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1) for n, p in window_points(2)]
@@ -188,7 +188,7 @@ def test_closure_witnesses_sample():
     closure = kernel_closure("gamma")
     # Every 40th state; the acceptance sweep covers all of them.
     got = evaluate_states(closure.states[::40], 2).tolist()
-    want = [[engine.gamma_mod3(3 ** m * n + r, 3 ** m * p + s) for n, p in window_points(2)]
+    want = [[engine._CELLS["G"](3 ** m * n + r, 3 ** m * p + s) for n, p in window_points(2)]
             for m, r, s in closure.witnesses[::40]]
     assert got == want
 
@@ -336,10 +336,10 @@ def test_lattices_and_state_values_over_the_cell_cap_refuse_before_any_table(mon
 SWAPPED_STATE = {"gamma": 28, "delta": 19}
 
 
-@pytest.mark.parametrize("start, base", [("gamma", engine.gamma_mod3),
-                                         ("delta", engine.delta_mod3)],
+@pytest.mark.parametrize("start, stream", [("gamma", "G"), ("delta", "D")],
                          ids=["gamma", "delta"])
-def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, base):
+def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, stream):
+    base = engine._CELLS[stream]
     real = kernel.kernel_closure
     closure = real(start)
     states = list(closure.states)
@@ -512,19 +512,21 @@ def test_closure_cap_enforced():
         kernel_closure("omega")
 
 
+# The automata against the engine's recursion, not its cells: the cells
+# walk the minimal automata, which these tables rebuild.
 def test_dfao_against_engine_window():
     dfao = build_dfao("gamma")
-    assert dfao.outputs[dfao.start] == engine.gamma_mod3(0, 0)
+    assert dfao.outputs[dfao.start] == engine._CELLS["G"](0, 0)
     for n in range(31):
         for p in range(31):
-            assert dfao.evaluate(n, p) == engine.gamma_mod3(n, p)
+            assert dfao.evaluate(n, p) == engine._CELLS["G"](n, p)
 
 
 def test_dfao_delta_start():
     dfao = build_dfao("delta")
     for n in range(16):
         for p in range(16):
-            assert dfao.evaluate(n, p) == engine.delta_mod3(n, p)
+            assert dfao.evaluate(n, p) == engine._CELLS["D"](n, p)
 
 
 # SHA-256 of the table export, pinned so that any change to the splitting
@@ -539,6 +541,61 @@ TABLE_DIGESTS = {
 def test_table_export_digest(start):
     table = export_dfao(build_dfao(start), "table")
     assert hashlib.sha256(table.encode()).hexdigest() == TABLE_DIGESTS[start]
+
+
+MINIMAL_STATES = 60
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_minimise_cuts_the_closure_automaton_to_60_states(start):
+    dfao = build_dfao(start)
+    minimal = kernel.minimise(dfao)
+    assert (dfao.n_states, minimal.n_states) == (CLOSURE_STATES, MINIMAL_STATES)
+    assert kernel.minimise(minimal) == minimal
+    n, p = np.meshgrid(np.arange(82), np.arange(82), indexing="ij")
+    assert np.array_equal(minimal.evaluate(n, p), dfao.evaluate(n, p))
+
+
+# States 1 and 2 have one output and step to each other, so they merge;
+# state 3 is unreachable.  Renumbered breadth first from the start.
+MERGEABLE_DFAO = kernel.Dfao2D(0, (0, 1, 1, 2), ((0, 1, 2, 0, 2, 1, 0, 1, 2),
+                                                 (2,) * 9, (1,) * 9, (0,) * 9))
+MERGED_DFAO = kernel.Dfao2D(0, (0, 1), ((0, 1, 1, 0, 1, 1, 0, 1, 1), (1,) * 9))
+
+
+def test_minimise_merges_equivalent_states_by_hand():
+    assert kernel.minimise(MERGEABLE_DFAO) == MERGED_DFAO
+    # The same automaton with its states renamed 0 -> 3 -> 1 -> 2 -> 0,
+    # so the start is 3: the same canonical table.
+    renamed = kernel.Dfao2D(3, (1, 2, 1, 0), ((2,) * 9, (3,) * 9, (0,) * 9,
+                                              (3, 2, 0, 3, 0, 2, 3, 2, 0)))
+    assert kernel.minimise(renamed) == MERGED_DFAO
+    # Outputs that differ keep states apart, however alike their rows.
+    apart = kernel.Dfao2D(0, (0, 1, 2, 2), MERGEABLE_DFAO.transitions)
+    assert kernel.minimise(apart).n_states == 3
+
+
+def minimal_literal(kind: str, dfao: kernel.Dfao2D) -> str:
+    """The entry of kind in cantor_hankel._minimal.AUTOMATA, as source
+    text: the outputs 20 to a line, then the transitions one state to a
+    line."""
+    def wrapped(values, width):
+        lines = [", ".join(map(str, values[k:k + width])) for k in range(0, len(values), width)]
+        return "(" + ",\n         ".join(lines) + ")"
+
+    transitions = [t for row in dfao.transitions for t in row]
+    return (f'    "{kind}": (\n        {wrapped(dfao.outputs, 20)},\n'
+            f'        {wrapped(transitions, 9)},\n    ),\n')
+
+
+@pytest.mark.parametrize("start", ["gamma", "delta"])
+def test_checked_in_minimal_automata_rebuild(start):
+    # The data the cells walk, against the automaton minimised afresh.
+    from cantor_hankel._minimal import AUTOMATA
+    minimal = kernel.minimise(build_dfao(start))
+    outputs, transitions = AUTOMATA[start]
+    assert (outputs, transitions) == (minimal.outputs, sum(minimal.transitions, ())), \
+        "paste into src/cantor_hankel/_minimal.py:\n" + minimal_literal(start, minimal)
 
 
 def test_export_table_round_trip():
@@ -588,15 +645,15 @@ def test_projected_row_automaton():
     for n in (0, 1, 4, 9, 27):
         row = project_row(dfao, n)
         for p in range(41):
-            assert row.evaluate(p) == engine.gamma_mod3(n, p)
+            assert row.evaluate(p) == engine._CELLS["G"](n, p)
 
 
-@pytest.mark.parametrize("start, base", [("gamma", engine.gamma_mod3),
-                                         ("delta", engine.delta_mod3)],
+@pytest.mark.parametrize("start, stream", [("gamma", "G"), ("delta", "D")],
                          ids=["gamma", "delta"])
-def test_projected_row_from_parsed_export(start, base):
+def test_projected_row_from_parsed_export(start, stream):
     # A parsed export carries no symbolic states: the projection runs on
     # the automaton alone.
+    base = engine._CELLS[stream]
     parsed = parse_dfao_table(export_dfao(build_dfao(start), "table"))
     for n in (0, 1, 2, 5, 13, 40, 81, 100, 242):
         row = project_row(parsed, n)
@@ -634,7 +691,7 @@ def test_projected_row_caps_the_digits_of_n():
     dfao = build_dfao("gamma")
     n = 3 ** engine.MAX_INDEX_DIGITS - 1
     row = project_row(dfao, n)
-    assert [row.evaluate(p) for p in range(4)] == [engine.gamma_mod3(n, p) for p in range(4)]
+    assert [row.evaluate(p) for p in range(4)] == [engine._CELLS["G"](n, p) for p in range(4)]
     reads = []
     recorded = dataclasses.replace(dfao, transitions=_RecordedRows(dfao.transitions, reads))
     assert project_row(recorded, 5) == project_row(dfao, 5) and reads
