@@ -283,8 +283,10 @@ def _cmd_irr(args: argparse.Namespace) -> int:
 
 def _cmd_eta(args: argparse.Namespace) -> int:
     report = eta_identity_check(args.b, args.depth)
-    print(f"lhs [{float(report.lhs.lo):.12f}, {float(report.lhs.hi):.12f}]")
-    print(f"rhs [{float(report.rhs.lo):.12f}, {float(report.rhs.hi):.12f}]")
+    # Integer true division rounds correctly, as float of the reduced
+    # Fraction does.
+    for name, (lo, hi, den) in (("lhs", report.lhs), ("rhs", report.rhs)):
+        print(f"{name} [{lo / den:.12f}, {hi / den:.12f}]")
     print("ok" if report.ok else "FAIL")
     return 0 if report.ok else 1
 

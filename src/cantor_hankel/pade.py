@@ -4,11 +4,13 @@ certificates for how well their values approximate the Cantor numbers.
 Every approximant comes from one J-fraction pass, _j_fraction.
 Everything rational is exact, a fractions.Fraction or an integer
 polynomial standing for a rational multiple of itself; the distances
-behind the irrationality windows are integers over one common
-denominator.  The only floating point in the module is the final
-log-quotient enclosure, computed on raw mpmath.libmp interval tuples
-with every endpoint rounded outward, the reported floats included, so
-the exponent windows are genuine enclosures.
+behind the irrationality windows and both sides of the eta check are
+integers over common denominators, and the sums of digit runs behind
+them are taken by binary splitting.  The only floating point in the
+module is the final log-quotient enclosure: the mpmath.libmp steps
+behind its two reported endpoints, each rounded outward as mpmath's
+interval arithmetic rounds it, the reported floats included, so the
+exponent windows are genuine enclosures.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .hankel import det_exact, hankel_matrix
 from .sequences import cantor_run, diff_run
@@ -26,13 +28,15 @@ from .sequences import cantor_run, diff_run
 MAX_TAIL_DEPTH = 1 << 20
 
 # Resource guards, checked before any work.  First calls in a fresh
-# process on a 2-core VM, five runs each: pade(200) 0.02-0.03 s,
-# verify_pade_error(200) 0.11-0.16 s (0.07-0.12 s of it its order-200
+# process on a 2-core VM, five runs each: pade(200) 0.014-0.021 s,
+# verify_pade_error(200) 0.08-0.13 s (0.07-0.10 s of it its order-200
 # and order-201 det_exact calls), verify_functional_equation(10**6)
-# 0.30-0.40 s, and at b = 2**32 irrationality_estimates(b, 100)
-# 0.07-0.12 s (importing mpmath included) and eta_identity_check(b,
-# 10**4) 1.5-2.1 s; both grow with the digits of b, eta past two
-# minutes at 10**100.
+# 0.24-0.29 s, and at b = 2**32 irrationality_estimates(b, 100)
+# 0.06-0.08 s (importing mpmath included), eta_identity_check(b, 10**4)
+# 0.014-0.026 s and cantor_number(b, 10**4) 0.43-0.61 s, nearly all of
+# it the gcds of its two Fractions.  All three grow with the digits of
+# b: at 10**100 (three runs each, the base cap lifted) irr took
+# 0.85-1.03 s, eta 5.7-8.4 s and cantor_number 40-42 s.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6
@@ -92,20 +96,15 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _normalised(order: int, p: list, q: list) -> PadeApproximant:
+def _normalised(order: int, p: list[int], q: list[int]) -> PadeApproximant:
     """The approximant P/Q as integer polynomials of content 1 with a
     positive leading denominator coefficient.
 
-    p and q are the coefficients of r*P and r*Q for one rational r != 0,
-    as Fractions or ints.
+    p and q are the integer coefficients of r*P and r*Q for one r != 0.
     """
-    scale = lcm(*(x.denominator for x in p + q))
-    p_int = [int(x * scale) for x in p]
-    q_int = [int(x * scale) for x in q]
-    content = gcd(*p_int, *q_int)
-    p_int = [x // content for x in p_int]
-    q_int = [x // content for x in q_int]
-    q_trimmed = _trim(q_int)
+    content = gcd(*p, *q)
+    p_int = [x // content for x in p]
+    q_trimmed = _trim([x // content for x in q])
     if q_trimmed[-1] < 0:
         p_int = [-x for x in p_int]
         q_trimmed = tuple(-x for x in q_trimmed)
@@ -293,6 +292,25 @@ def _check_base(b: int) -> None:
         raise ValueError(f"base b = {b} is over the cap of {MAX_BASE}")
 
 
+def _split_sum(terms: list[int], b: int) -> int:
+    """The sum of terms[k] * b**(len(terms) - 1 - k), by binary splitting.
+
+    Each level joins neighbouring chunks of equal width w as
+    high * b**w + low, with one power per level; an odd count takes a
+    zero chunk in front, which adds nothing.  So each level costs about
+    one multiplication of the full size, where Horner's rule multiplies
+    the whole sum so far by b once per term, quadratic in the count.
+    """
+    sums, power = terms, b
+    while len(sums) > 1:
+        if len(sums) % 2:
+            sums = [0, *sums]
+        sums = [high * power + low for high, low in zip(sums[::2], sums[1::2])]
+        if len(sums) > 1:
+            power *= power
+    return sums[0]
+
+
 class _XiEnclosures:
     """Integer enclosures of sum of u_k b^-k from one growing run of u:
     c (xi) by default, read through cantor_run when called, or the terms
@@ -304,9 +322,10 @@ class _XiEnclosures:
     u_k b**(D-1-k), so the lower end is the partial sum and the upper
     end adds top times the whole geometric tail b**(1-D) / (b-1).
     Enclosures at growing depth are nested.  N grows with the deepest
-    depth read, by Horner's rule over the new terms only.  A shallower
-    N_D is its leading base-b digits only while every term is below b,
-    which d_k = 2 breaks at b = 2: eta reads d at one depth only.
+    depth read: the new terms' split sum is added to N shifted past
+    them.  A shallower N_D is its leading base-b digits only while
+    every term is below b, which d_k = 2 breaks at b = 2: eta reads d
+    at one depth only.
     """
 
     def __init__(self, b: int, run: Callable | None = None) -> None:
@@ -318,10 +337,10 @@ class _XiEnclosures:
     def __call__(self, depth: int) -> tuple[int, int]:
         b = self.b
         if depth > self._depth:
-            numerator = self._numerator
-            for term in (self._run or cantor_run)(self._depth, depth - self._depth).tolist():
-                numerator = numerator * b + term
-            self._depth, self._numerator = depth, numerator
+            count = depth - self._depth
+            terms = (self._run or cantor_run)(self._depth, count).tolist()
+            self._numerator = self._numerator * b ** count + _split_sum(terms, b)
+            self._depth = depth
         numerator = self._numerator
         if depth < self._depth:
             numerator //= b ** (self._depth - depth)
@@ -333,11 +352,12 @@ def cantor_number(b: int, terms: int) -> RationalInterval:
 
     The lower end is the exact partial sum; the upper end adds the full
     geometric tail bound, so enclosures at growing depth are nested.
-    Its Horner sum is quadratic in terms, so more than MAX_ETA_DEPTH
-    terms, far more than eta reads, are refused before any is read.
+    Both ends are Fractions in lowest terms, and their gcds grow
+    quadratically with terms times the digits of b, so a base over
+    MAX_BASE or more than MAX_ETA_DEPTH terms is refused before any
+    term is read.
     """
-    if b < 2:
-        raise ValueError("base must be at least 2")
+    _check_base(b)
     if terms < 1:
         raise ValueError("need at least one term")
     if terms > MAX_ETA_DEPTH:
@@ -350,28 +370,40 @@ def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, f
     """Enclosure of -log(distance)/log(q) over the distance interval.
 
     Outward-rounded interval logs at doubling precision until the
-    window is narrower than 0.01.  Each step is the libmp primitive
-    that mpmath's iv context would call at the same precision, so the
-    endpoints carry the same bits; the low end is rounded down to a
+    window is narrower than 0.01.  Only the two reported endpoints are
+    computed: the low end from the upper log of d_hi, the high end from
+    the lower log of d_lo, each divided by the end of log q that
+    mpmath's interval division picks by its sign.  Each step is the
+    libmp primitive and rounding mode that mpi_div, mpi_log and mpi_neg
+    apply to that endpoint at the same precision, so the endpoints carry
+    the bits of mpmath's iv context; the low end is rounded down to a
     float and the high end up.
     """
     # Imported here: mpmath adds tens of milliseconds to importing the
     # package, and only irr reads it.
-    from mpmath.libmp import (from_int, mpi_div, mpi_log, mpi_neg, round_ceiling,
+    from mpmath.libmp import (from_int, mpf_div, mpf_log, mpf_neg, mpf_sign, round_ceiling,
                               round_floor, to_float)
 
-    def log_of(x: Fraction | int, prec: int):
-        u, v = x.numerator, x.denominator
-        return mpi_log(mpi_div((from_int(u, prec, round_floor), from_int(u, prec, round_ceiling)),
-                               (from_int(v, prec, round_floor), from_int(v, prec, round_ceiling)),
-                               prec), prec)
+    def log_of(x: Fraction, prec: int, rnd: str):
+        # u/v rounded the way of rnd from its ends rounded the way of rnd
+        # (u) and against it (v), as mpi_div rounds a positive quotient.
+        against = round_ceiling if rnd == round_floor else round_floor
+        ratio = mpf_div(from_int(x.numerator, prec, rnd),
+                        from_int(x.denominator, prec, against), prec, rnd)
+        return mpf_log(ratio, prec, rnd)
 
     prec = 64
     while True:
-        log_q = log_of(q, prec)
-        lo = to_float(mpi_div(mpi_neg(log_of(d_hi, prec), prec), log_q, prec)[0],
+        # log q down and up: q/1 at prec bits is exact.
+        log_q = (mpf_log(from_int(q, prec, round_floor), prec, round_floor),
+                 mpf_log(from_int(q, prec, round_ceiling), prec, round_ceiling))
+        top = mpf_neg(log_of(d_hi, prec, round_ceiling), prec, round_floor)
+        bottom = mpf_neg(log_of(d_lo, prec, round_floor), prec, round_ceiling)
+        # A nonnegative low end over the larger log q, a positive high
+        # end over the smaller one: mpi_div's three numerator-sign cases.
+        lo = to_float(mpf_div(top, log_q[mpf_sign(top) >= 0], prec, round_floor),
                       rnd=round_floor)
-        hi = to_float(mpi_div(mpi_neg(log_of(d_lo, prec), prec), log_q, prec)[1],
+        hi = to_float(mpf_div(bottom, log_q[mpf_sign(bottom) <= 0], prec, round_ceiling),
                       rnd=round_ceiling)
         if hi - lo < 0.01:
             return lo, hi
@@ -461,17 +493,19 @@ class EtaReport:
     of d into copies of c gives
 
         eta = 2 xi + (1/b) * b**3 * (xi - 1) + (1/b**2) * xi
-            = (2 + b**2 + 1/b**2) xi - b**2,    xi = xi_{c, b**3},
+            = ((b**2 + 1)**2 xi - b**4) / b**2,    xi = xi_{c, b**3},
 
     the b**3 factor coming from reindexing sum c_{n+1} (b**3)**-n.
     lhs encloses eta from its truncated sum, rhs the right-hand side
-    from a truncated xi.  ok requires the enclosures to overlap and
-    their combined width to stay below b**(2 - depth)."""
+    from a truncated xi.  Each is (lo, hi, den), the closed interval
+    [lo/den, hi/den] of integers over one positive denominator, not
+    reduced.  ok requires the enclosures to overlap and their combined
+    width to stay below b**(2 - depth)."""
 
     b: int
     depth: int
-    lhs: RationalInterval
-    rhs: RationalInterval
+    lhs: tuple[int, int, int]
+    rhs: tuple[int, int, int]
     ok: bool
 
 
@@ -485,11 +519,12 @@ def eta_identity_check(b: int, depth: int) -> EtaReport:
     # the b**(2 - depth) budget; at exactly depth terms the d-side tail
     # bound alone already equals the budget when b = 2.
     lo, m = _XiEnclosures(b, diff_run)(depth + 3)
-    lhs = RationalInterval(Fraction(lo, m), Fraction(lo + 2, m))
-    xi = cantor_number(b ** 3, depth // 3 + 3)
-    factor = 2 + Fraction(b) ** 2 + Fraction(1, b) ** 2
-    shift = Fraction(b) ** 2
-    rhs = RationalInterval(factor * xi.lo - shift, factor * xi.hi - shift)
-    tolerance = Fraction(1, b) ** (depth - 2)
-    ok = lhs.overlaps(rhs) and lhs.width + rhs.width < tolerance
-    return EtaReport(b, depth, lhs, rhs, ok)
+    xi_lo, xi_m = _XiEnclosures(b ** 3)(depth // 3 + 3)
+    factor, square = (b * b + 1) ** 2, b * b
+    shift, den = square * square * xi_m, square * xi_m
+    rhs_lo, rhs_hi = factor * xi_lo - shift, factor * (xi_lo + 1) - shift
+    # Both tests cross-multiplied over m * den; the widths are 2/m and
+    # factor/den.
+    overlap = lo * den <= rhs_hi * m and rhs_lo * m <= (lo + 2) * den
+    narrow = (2 * den + factor * m) * b ** (depth - 2) < m * den
+    return EtaReport(b, depth, (lo, lo + 2, m), (rhs_lo, rhs_hi, den), overlap and narrow)

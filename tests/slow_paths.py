@@ -12,6 +12,7 @@ import importlib
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import numpy as np
 
@@ -498,7 +499,10 @@ def pade_by_elimination(order: int) -> PadeApproximant:
     q = [Fraction(1)] + tail
     p = [sum((q[j] * c[k - j] for j in range(min(k, order) + 1)), Fraction(0))
          for k in range(order)]
-    return pade_module._normalised(order, p, q)
+    # Scaled by the lcm of every denominator to the integers _normalised takes.
+    scale = lcm(*(x.denominator for x in p + q))
+    return pade_module._normalised(order, [int(x * scale) for x in p],
+                                   [int(x * scale) for x in q])
 
 
 def pade_value_by_fraction_horner(approximant: PadeApproximant, x: Fraction) -> Fraction:
@@ -759,13 +763,16 @@ def cantor_number_by_fractions(b: int, terms: int) -> RationalInterval:
     return RationalInterval(partial, partial + Fraction(b, b - 1) / Fraction(b) ** terms)
 
 
-def eta_sum_by_horner(b: int, depth: int) -> RationalInterval:
-    """The lhs of pade.eta_identity_check as its own Horner sum of
-    diff_run over depth + 3 terms, as a Fraction, plus twice the
-    geometric tail b/(b-1) * b**-(depth + 3)."""
+def eta_sum_by_horner(b: int, depth: int,
+                      run: Callable[[int, int], np.ndarray] = sequences.diff_run
+                      ) -> RationalInterval:
+    """The lhs of pade.eta_identity_check as its own Horner sum of the
+    first depth + 3 terms of run (diff_run by default), one term at a
+    time, as a Fraction, plus twice the geometric tail
+    b/(b-1) * b**-(depth + 3)."""
     cut = depth + 3
     numerator = 0
-    for term in sequences.diff_run(0, cut).tolist():
+    for term in run(0, cut).tolist():
         numerator = numerator * b + term
     partial = Fraction(numerator, b ** (cut - 1))
     return RationalInterval(partial, partial + 2 * Fraction(b, b - 1) / Fraction(b) ** cut)

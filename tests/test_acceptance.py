@@ -114,7 +114,7 @@ def test_criterion_09_irrationality_and_eta():
         print(f"ok   exponent intervals b={b}: final three inside [1.8, 2.4]")
     for b in (2, 3):
         report = eta_identity_check(b, 60)
-        assert report.ok, (b, float(report.lhs.lo), float(report.rhs.lo))
+        assert report.ok, (b, report.lhs[0] / report.lhs[2], report.rhs[0] / report.rhs[2])
         print(f"ok   eta enclosures overlap at depth 60 for b={b}")
 
 

@@ -725,6 +725,35 @@ def test_eta(capsys):
     assert out.splitlines()[-1] == "ok"
 
 
+# `eta` stdout, pinned when both enclosures were reduced Fractions and
+# the sums Horner loops; the sides now stay integers over their own
+# denominators, whose true division rounds as float() of the Fraction did.
+ETA_OUTPUTS = {
+    ("2", "30"):
+        "lhs [2.347680464387, 2.347680464853]\n"
+        "rhs [2.347680464387, 2.347680464400]\n"
+        "ok\n",
+    ("10", "12"):
+        "lhs [2.010102010000, 2.010102010000]\n"
+        "rhs [2.010102010000, 2.010102010000]\n"
+        "ok\n",
+    ("3", "1000"):
+        "lhs [2.126352718858, 2.126352718858]\n"
+        "rhs [2.126352718858, 2.126352718858]\n"
+        "ok\n",
+    ("4294967296", "10000"):
+        "lhs [2.000000000000, 2.000000000000]\n"
+        "rhs [2.000000000000, 2.000000000000]\n"
+        "ok\n",
+}
+
+
+@pytest.mark.parametrize("b, depth", sorted(ETA_OUTPUTS),
+                         ids=[f"{b}-{depth}" for b, depth in sorted(ETA_OUTPUTS)])
+def test_eta_output_is_pinned(capsys, b, depth):
+    assert run(capsys, "eta", "-b", b, "--depth", depth) == (0, ETA_OUTPUTS[b, depth])
+
+
 def test_verify_oracle_selection(capsys):
     code, out = run(capsys, "verify", "--oracle", "--n-max", "6", "--p-max", "6")
     assert code == 0

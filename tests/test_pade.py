@@ -2,8 +2,9 @@ import importlib
 import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel import cli
@@ -14,8 +15,10 @@ from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_PADE_ORDER,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
+from cantor_hankel.sequences import diff_run
 from slow_paths import (cantor_number_by_fractions, eta_sum_by_horner,
-                        irrationality_estimates_by_fractions, pade_by_elimination,
+                        exponent_interval_by_iv, irrationality_estimates_by_fractions,
+                        pade_by_elimination,
                         pade_value_by_fraction_horner, verify_pade_error_by_fractions)
 
 # The module itself: the package rebinds the name pade to the function.
@@ -317,6 +320,16 @@ def test_cantor_number_over_the_term_cap_refuses_before_any_term(monkeypatch, te
         cantor_number(2, terms)
 
 
+@pytest.mark.parametrize("b", [MAX_BASE + 1, 10 ** 1000])
+def test_cantor_number_over_the_base_cap_refuses_before_any_term(monkeypatch, b):
+    def no_work(*args):
+        raise AssertionError("a term of c was read")
+
+    monkeypatch.setattr(pade_module, "cantor_run", no_work)
+    with pytest.raises(ValueError, match=f"base b = {b} is over the cap of {MAX_BASE}"):
+        cantor_number(b, 4)
+
+
 def test_cantor_number_at_the_term_cap_is_admitted():
     enclosure = cantor_number(2, MAX_ETA_DEPTH)
     assert enclosure.width == Fraction(1, 2 ** (MAX_ETA_DEPTH - 1))
@@ -417,12 +430,82 @@ def test_exponent_windows_enclose_the_log_quotient(monkeypatch, b, max_order):
             assert exponent(d_lo, q) <= mp.mpf(hi)
 
 
+def _interval(ends):
+    """An EtaReport side, (lo, hi, den), as a RationalInterval."""
+    lo, hi, den = ends
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+@given(st.integers(min_value=2, max_value=2 ** 40),
+       st.lists(st.integers(min_value=0, max_value=2 ** 40), max_size=300),
+       st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_split_sums_equal_the_horner_sum(b, drawn, depths):
+    # Runs of base-b digits, except at b = 2, where terms of 2 are drawn
+    # too, as d has them, padded with the top term past every depth;
+    # each depth read fresh and all of them in ascending order from one
+    # growing run.
+    top = 2 if b == 2 else b - 1
+    terms = np.array([t % (top + 1) for t in drawn] + [top] * 300, dtype=object)
+
+    def run(start, count):
+        return terms[start:start + count]
+
+    depths = sorted(depths)
+    growing = pade_module._XiEnclosures(b, run)
+    for depth in depths:
+        reference = eta_sum_by_horner(b, depth - 3, run)
+        for lo, m in (pade_module._XiEnclosures(b, run)(depth), growing(depth)):
+            assert RationalInterval(Fraction(lo, m), Fraction(lo + 2, m)) == reference
+
+
+@st.composite
+def _distance_windows(draw):
+    """(d_lo, d_hi, q) with d_hi / d_lo at most 1 + 10**-3, as irr admits,
+    d below 1, around 1 or above it, and q of 1 to 70 bits."""
+    scale = draw(st.integers(min_value=10 ** 6, max_value=2 ** 200))
+    around = draw(st.sampled_from(["below", "around", "above"]))
+    if around == "below":
+        d_lo = Fraction(draw(st.integers(min_value=1, max_value=scale)), scale ** 2)
+    elif around == "around":
+        d_lo = Fraction(scale - draw(st.integers(min_value=0, max_value=scale // 2000)), scale)
+    else:
+        d_lo = Fraction(draw(st.integers(min_value=scale, max_value=scale ** 2)), scale)
+    widen = Fraction(draw(st.integers(min_value=0, max_value=1000)),
+                     draw(st.sampled_from([10 ** 6, 10 ** 9, 10 ** 30])))
+    bits = draw(st.integers(min_value=2, max_value=70))
+    q = draw(st.integers(min_value=2 ** (bits - 1), max_value=2 ** bits))
+    return d_lo, d_lo * (1 + widen), q
+
+
+def _window(numerator, denominator, widen, q):
+    d_lo = Fraction(numerator, denominator)
+    return d_lo, d_lo * (1 + Fraction(widen, 10 ** 6)), q
+
+
+@given(_distance_windows())
+# Where the low or the high end, of either sign, rounds to another float
+# when divided by the other end of log q: drawn windows reach such a
+# float boundary about once in two thousand.
+@example(_window(3338743, 8580467, 967, 93552141))
+@example(_window(31807494, 157637, 675, 15482))
+@example(_window(1598177, 2873097, 528, 10879020617960524))
+@example(_window(1698871302, 2079497, 804, 571356500237158797))
+@settings(max_examples=300, deadline=None)
+def test_exponent_interval_equals_the_iv_context(window):
+    # Both endpoints float for float, in all three numerator-sign cases
+    # of mpi_div: -log(d) positive, straddling 0 and negative.
+    d_lo, d_hi, q = window
+    assert pade_module._exponent_interval(d_lo, d_hi, q) == exponent_interval_by_iv(d_lo, d_hi, q)
+
+
 def test_eta_identity_intervals():
     for b in (2, 3):
         report = eta_identity_check(b, 30)
         assert report.ok
-        assert report.lhs.overlaps(report.rhs)
-        combined = report.lhs.width + report.rhs.width
+        lhs, rhs = _interval(report.lhs), _interval(report.rhs)
+        assert lhs.overlaps(rhs)
+        combined = lhs.width + rhs.width
         assert combined < Fraction(1, b) ** 28
 
 
@@ -430,15 +513,71 @@ def test_eta_value_base2():
     # 2.347680464395 sits strictly inside both depth-30 enclosures.
     pinned = Fraction(2347680464395, 10 ** 12)
     report = eta_identity_check(2, 30)
-    assert report.lhs.lo <= pinned <= report.lhs.hi
-    assert report.rhs.lo <= pinned <= report.rhs.hi
+    for side in (report.lhs, report.rhs):
+        assert _interval(side).lo <= pinned <= _interval(side).hi
+
+
+def _fraction_eta_check(b, depth, run=diff_run):
+    """eta_identity_check's sides and verdict in Fractions.  The lhs is
+    the Horner sum of run; the rhs is built from the enclosure of xi at
+    b**3 that cantor_number would return, read through _XiEnclosures
+    since b**3 may exceed MAX_BASE."""
+    lo, m = pade_module._XiEnclosures(b ** 3)(depth // 3 + 3)
+    xi = RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
+    factor = 2 + Fraction(b) ** 2 + Fraction(1, b) ** 2
+    rhs = RationalInterval(factor * xi.lo - b ** 2, factor * xi.hi - b ** 2)
+    lhs = eta_sum_by_horner(b, depth, run)
+    ok = lhs.overlaps(rhs) and lhs.width + rhs.width < Fraction(1, b) ** (depth - 2)
+    return lhs, rhs, ok
+
+
+def _assert_report_equals(report, lhs, rhs, ok):
+    # Cross-multiplied, so neither side of the report is reduced.
+    for (lo, hi, den), fractions in ((report.lhs, lhs), (report.rhs, rhs)):
+        for end, fraction in ((lo, fractions.lo), (hi, fractions.hi)):
+            assert end * fraction.denominator == fraction.numerator * den
+    assert report.ok == ok
 
 
 @pytest.mark.parametrize("b", [2, 3, 10, 2 ** 32])
 @pytest.mark.parametrize("depth", [3, 4, 30, 60, 200, MAX_ETA_DEPTH])
 def test_eta_sum_equals_its_own_horner_sum(b, depth):
-    # The lhs read through _XiEnclosures over d, (lo + 2)/m at the top.
-    assert eta_identity_check(b, depth).lhs == eta_sum_by_horner(b, depth)
+    # The lhs split-summed through _XiEnclosures over d, (lo + 2)/m at
+    # the top; the rhs and the verdict on integers over their own
+    # denominators.
+    _assert_report_equals(eta_identity_check(b, depth), *_fraction_eta_check(b, depth))
+
+
+@pytest.mark.parametrize("b, depth", [(2, 3), (2, 30), (3, 31), (10, 12), (2 ** 32, 200)])
+def test_eta_verdict_equals_the_fraction_verdict_on_bent_runs(monkeypatch, b, depth):
+    # One d term moved by 1: at term 0 (d_0 = 2) the lhs moves a whole
+    # unit above or below the rhs, near the cut it may or may not stay
+    # on it.
+    verdicts = []
+    for index, shift in ((0, 1), (0, -1), (depth // 2, 1), (depth + 2, 1)):
+        def bent(start, count, index=index, shift=shift):
+            terms = diff_run(start, count).copy()
+            if start <= index < start + count:
+                terms[index - start] += shift
+            return terms
+
+        monkeypatch.setattr(pade_module, "diff_run", bent)
+        report = eta_identity_check(b, depth)
+        _assert_report_equals(report, *_fraction_eta_check(b, depth, bent))
+        verdicts.append(report.ok)
+    assert verdicts[:2] == [False, False]
+
+
+@pytest.mark.parametrize("b, depth", [(2, 30), (3, 31), (2 ** 32, 200)])
+def test_eta_verdict_fails_on_a_wide_enclosure(monkeypatch, b, depth):
+    # The d sum cut at half the depth still encloses eta, so only the
+    # width test can fail it.
+    enclose = pade_module._XiEnclosures.__call__
+    monkeypatch.setattr(pade_module._XiEnclosures, "__call__",
+                        lambda self, d: enclose(self, d // 2 if self._run else d))
+    report = eta_identity_check(b, depth)
+    assert _interval(report.lhs).overlaps(_interval(report.rhs))
+    assert not report.ok
 
 
 def test_eta_validation():
@@ -452,8 +591,10 @@ def test_base_cap_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the base check")
 
-    monkeypatch.setattr(pade_module, "pade_diagonal", no_work)
-    monkeypatch.setattr(pade_module, "cantor_number", no_work)
+    # Everything irr and eta read: the approximants, the two runs and
+    # the enclosures of xi and eta.
+    for name in ("pade_diagonal", "cantor_run", "diff_run", "_XiEnclosures"):
+        monkeypatch.setattr(pade_module, name, no_work)
     named = f"base b = {MAX_BASE + 1} is over the cap of {MAX_BASE}"
     with pytest.raises(ValueError, match=named):
         irrationality_estimates(MAX_BASE + 1, 3)
