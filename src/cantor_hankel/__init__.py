@@ -10,8 +10,8 @@ into approximation bounds, and `checks` replays every identity with
 the oracle on one side.
 """
 
-from .engine import (clear_caches, closed_form_p0, closed_form_p1,
-                     column_period, delta_mod3, gamma_mod3, grid)
+from .engine import (closed_form_p0, closed_form_p1, column_period,
+                     delta_mod3, gamma_mod3, grid)
 from .hankel import (StructureReport, det_exact, det_mod3, hankel_matrix,
                      hankel_stack, minors_exact_stack, minors_mod3_stack,
                      verify_structure)
@@ -19,10 +19,9 @@ from .kernel import (Closure, Dfao1D, Dfao2D, KernelExpr, build_dfao,
                      export_dfao, kernel_closure, parse_dfao_table,
                      project_row)
 from .pade import (ApproximationExponent, EtaReport, PadeApproximant,
-                   PadeErrorReport, RationalInterval, cantor_number,
-                   eta_identity_check, irrationality_estimates, pade,
-                   pade_diagonal, verify_functional_equation,
-                   verify_pade_error)
+                   PadeErrorReport, eta_identity_check,
+                   irrationality_estimates, pade, pade_diagonal,
+                   verify_functional_equation, verify_pade_error)
 from .sequences import (cantor_run, cantor_term, cantor_via_automaton,
                         diff_run, diff_term, sequence_slice, substitution_word)
 from .series import (PeriodicSeries, RationalForm, assemble_delta2,
@@ -34,16 +33,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproximationExponent", "Closure", "Dfao1D", "Dfao2D", "EtaReport",
     "KernelExpr", "PadeApproximant", "PadeErrorReport", "PeriodicSeries",
-    "RationalForm", "RationalInterval", "StructureReport", "assemble_delta2",
-    "assemble_gamma2", "build_dfao", "cantor_number", "cantor_run",
-    "cantor_term", "cantor_via_automaton", "clear_caches", "closed_form_p0",
-    "closed_form_p1", "column_period", "delta_mod3", "det_exact", "det_mod3",
-    "diff_run", "diff_term", "eta_identity_check", "export_dfao", "gamma_mod3",
-    "grid", "hankel_matrix", "hankel_stack", "interleave3",
-    "irrationality_estimates", "kernel_closure", "minors_exact_stack",
-    "minors_mod3_stack", "pade", "pade_diagonal", "parse_dfao_table",
-    "project_row", "sequence_slice", "series_delta", "series_gamma",
-    "substitution_word", "verify_functional_equation", "verify_pade_error",
-    "verify_structure",
+    "RationalForm", "StructureReport", "assemble_delta2", "assemble_gamma2",
+    "build_dfao", "cantor_run", "cantor_term", "cantor_via_automaton",
+    "closed_form_p0", "closed_form_p1", "column_period", "delta_mod3",
+    "det_exact", "det_mod3", "diff_run", "diff_term", "eta_identity_check",
+    "export_dfao", "gamma_mod3", "grid", "hankel_matrix", "hankel_stack",
+    "interleave3", "irrationality_estimates", "kernel_closure",
+    "minors_exact_stack", "minors_mod3_stack", "pade", "pade_diagonal",
+    "parse_dfao_table", "project_row", "sequence_slice", "series_delta",
+    "series_gamma", "substitution_word", "verify_functional_equation",
+    "verify_pade_error", "verify_structure",
     "__version__",
 ]

@@ -20,8 +20,9 @@ kernel.minimise cuts each to 60.  Those two minimal automata are
 checked in as data (_minimal), and a cell walks the one of its kind
 over the base-3 digits of n and p, least significant first: O(log n +
 log p) steps, with no memo behind them.  Row -1 of delta is read from
-_anchor.  The recursion itself, memoised (_CELLS), serves only the
-smallest rectangles of tables().
+_anchor.  The recursion itself serves only the smallest rectangles of
+tables(), with a memo that lives for one call: the engine keeps no
+cell between calls.
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
@@ -57,11 +58,11 @@ DEFAULT_GRID_CELL_CAP = 4_000_000
 
 # Base-3 digits allowed in n and in p.  A cell walks one automaton step
 # per digit, but the recursion behind the smallest rectangles of
-# tables() spends three stack frames per digit (the memo wrapper, the
-# cell and split_value): a cold one-cell table at 200 digits needs a
-# recursion limit of 606 to 609, and the recursion overflows Python's
-# default limit of 1000 frames between 330 and 340 digits, so 200
-# leaves room for the callers.
+# tables() spends two stack frames per digit (the cell and split_value):
+# a one-cell or 3 x 3 table at 200 digits needs a recursion limit of 410
+# in a fresh process (CPython 3.11), and the recursion overflows
+# Python's default limit of 1000 frames at 496 digits, so 200 leaves
+# room for the callers.
 MAX_INDEX_DIGITS = 200
 _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 
@@ -197,7 +198,10 @@ def split_value(rule: Rule, n: int, p: int,
 
     reads maps "G" and "D" to the values each factor reads at
     (n // 3 + a, p // 3 + b).  A term is dropped at its first zero
-    factor, so the cells behind its other factors are never read.
+    factor, so the cells behind its other factors are never read.  The
+    smallest rectangles of tables() recurse through it, their reads
+    calling back into a memo of the one call; the splitting replays of
+    checks feed it oracle values.
     """
     m, q = n // 3, p // 3
     total = 0
@@ -212,26 +216,6 @@ def split_value(rule: Rule, n: int, p: int,
             total += term
     return total
 
-
-# lru_cache makes the memo; its locking is enough for concurrent use and
-# the values are pure, so racing duplicate computations are harmless.
-@lru_cache(maxsize=None)
-def _gamma_split(n: int, p: int) -> int:
-    """Gamma mod 3 at (n >= 0, p >= 0) by the splitting identities."""
-    return (_anchor("G", n, p) if n <= 1
-            else split_value(SPLIT_RULES[n % 3, p % 3, "G"], n, p, _CELLS) % 3)
-
-
-@lru_cache(maxsize=None)
-def _delta_split(n: int, p: int) -> int:
-    """Delta mod 3 at (n >= -1, p >= 0) by the splitting identities."""
-    return (_anchor("D", n, p) if n <= 1
-            else split_value(SPLIT_RULES[n % 3, p % 3, "D"], n, p, _CELLS) % 3)
-
-
-# The recursion's cells, keyed by stream as split_value reads them: the
-# cells tables() reads, never the automata.
-_CELLS = {"G": _gamma_split, "D": _delta_split}
 
 # The minimal automata by kind, loaded by the first cell, so importing
 # the engine does not read them.
@@ -312,10 +296,27 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
     if (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
         return _split_level(n_lo, n_hi, p_lo, p_hi)
+    # Cell by cell, by the recursion over SPLIT_RULES, memoised for this
+    # call only: one memo per stream, keyed (n, p).
+    def cells(stream: str) -> Callable[[int, int], int]:
+        memo: dict[tuple[int, int], int] = {}
+
+        def value(n: int, p: int) -> int:
+            if n <= 1:
+                return _anchor(stream, n, p)
+            key = n, p
+            if key not in memo:
+                memo[key] = split_value(SPLIT_RULES[n % 3, p % 3, stream], n, p, reads) % 3
+            return memo[key]
+        return value
+
+    reads = {stream: cells(stream) for stream in "GD"}
     out = tuple(np.empty((n_hi - n_lo + 1, width), np.int8) for _ in KINDS)
-    for table, (stream, value) in zip(out, _CELLS.items()):
-        table[:] = [[_anchor(stream, n, p) if n <= 1 else value(n, p)
-                     for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
+    for table, value in zip(out, reads.values()):
+        table[:] = [[value(n, p) for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
+    # The cells and reads refer to each other: clearing reads frees the
+    # memos now, not at the next garbage collection.
+    reads.clear()
     return out
 
 
@@ -415,9 +416,9 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     up to two more rows and columns on each side.  Rows n >= 0 are split
     from the rectangle one level down (see _split_level), and row -1 is
     filled from _anchor; rectangles of at most _CELLWISE_AREA cells are
-    read cell by cell: rows n <= 1 from _anchor, rows n >= 2 from the
-    memoised recursion _CELLS, never from the automata.  Gamma's row -1
-    holds 0.
+    read cell by cell: rows n <= 1 from _anchor, rows n >= 2 by the
+    recursion split_value over SPLIT_RULES, memoised for the call only,
+    never from the automata.  Gamma's row -1 holds 0.
 
     Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
     identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
@@ -608,11 +609,3 @@ def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
         raise ValueError(f"need k_hint >= 0, got {k_hint}")
     window, candidate = column_window(kind, p, 1, k_hint)
     return len(minimal_period(tuple(window[:candidate])))
-
-
-def clear_caches() -> None:
-    """Drop every memo of the engine (mainly for benchmarks and leak
-    hunting): those of gamma_mod3 and delta_mod3, and those of the
-    recursion tables() reads, _gamma_split and _delta_split."""
-    for memo in (gamma_mod3, delta_mod3, _gamma_split, _delta_split):
-        memo.cache_clear()

@@ -32,11 +32,10 @@ MAX_TAIL_DEPTH = 1 << 20
 # verify_pade_error(200) 0.08-0.13 s (0.07-0.10 s of it its order-200
 # and order-201 det_exact calls), verify_functional_equation(10**6)
 # 0.24-0.29 s, and at b = 2**32 irrationality_estimates(b, 100)
-# 0.06-0.08 s (importing mpmath included), eta_identity_check(b, 10**4)
-# 0.014-0.026 s and cantor_number(b, 10**4) 0.43-0.61 s, nearly all of
-# it the gcds of its two Fractions.  All three grow with the digits of
-# b: at 10**100 (three runs each, the base cap lifted) irr took
-# 0.85-1.03 s, eta 5.7-8.4 s and cantor_number 40-42 s.
+# 0.06-0.08 s (importing mpmath included) and eta_identity_check(b,
+# 10**4) 0.014-0.026 s.  Both grow with the digits of b: at 10**100
+# (three runs each, the base cap lifted) irr took 0.85-1.03 s and eta
+# 5.7-8.4 s.
 MAX_PADE_ORDER = 200
 MAX_IRR_ORDER = 100
 MAX_FEQ_DEGREE = 10 ** 6
@@ -266,25 +265,6 @@ def verify_functional_equation(degree: int) -> FunctionalEquationReport:
     return FunctionalEquationReport(degree, first is None, first)
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """Closed interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def overlaps(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-
 def _check_base(b: int) -> None:
     if b < 2:
         raise ValueError("base must be at least 2")
@@ -345,25 +325,6 @@ class _XiEnclosures:
         if depth < self._depth:
             numerator //= b ** (self._depth - depth)
         return (b - 1) * numerator, (b - 1) * b ** (depth - 1)
-
-
-def cantor_number(b: int, terms: int) -> RationalInterval:
-    """Enclosure of xi = sum of c_k b^-k from the first terms terms.
-
-    The lower end is the exact partial sum; the upper end adds the full
-    geometric tail bound, so enclosures at growing depth are nested.
-    Both ends are Fractions in lowest terms, and their gcds grow
-    quadratically with terms times the digits of b, so a base over
-    MAX_BASE or more than MAX_ETA_DEPTH terms is refused before any
-    term is read.
-    """
-    _check_base(b)
-    if terms < 1:
-        raise ValueError("need at least one term")
-    if terms > MAX_ETA_DEPTH:
-        raise ValueError(f"terms {terms} is over the cap of {MAX_ETA_DEPTH}")
-    lo, m = _XiEnclosures(b)(terms)
-    return RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
 
 
 def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, float]:

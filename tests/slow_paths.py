@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import importlib
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import lcm
 
 import numpy as np
@@ -20,23 +21,46 @@ from cantor_hankel import cli, engine, hankel, kernel, sequences
 from cantor_hankel.hankel import MAX_HANKEL_ORDER, _square, det_exact
 from cantor_hankel.kernel import (_DIGIT_PAIRS, _G_BITS, _GENERATORS, _LOW, _ONE, _WIDTH,
                                   Packed, _mono_product, _reduce, _split_generator)
-from cantor_hankel.pade import (ApproximationExponent, PadeApproximant, PadeErrorReport,
-                                RationalInterval)
+from cantor_hankel.pade import ApproximationExponent, PadeApproximant, PadeErrorReport
 from cantor_hankel.sequences import cantor_term, diff_term
 
 # The module itself: the package rebinds the name pade to the function.
 pade_module = importlib.import_module("cantor_hankel.pade")
 
 
+@cache
+def split_cell(stream: str, n: int, p: int) -> int:
+    """The stream "G" (gamma) or "D" (delta) mod 3 at (n, p) by the
+    splitting identities alone: rows n <= 1 from engine._anchor, the
+    others through engine.split_value over SPLIT_RULES, memoised for the
+    whole test process.  It never walks the minimal automata that the
+    cells walk, so the tests can hold those to it."""
+    if n <= 1:
+        return engine._anchor(stream, n, p)
+    return engine.split_value(engine.SPLIT_RULES[n % 3, p % 3, stream], n, p, _SPLIT_READS) % 3
+
+
+_SPLIT_READS = {stream: partial(split_cell, stream) for stream in "GD"}
+
+
+def split_value_calls(monkeypatch) -> list[tuple]:
+    """The list of engine.split_value calls made from here on, one entry
+    each: the cells that tables() computes one by one, each stored once
+    in the memo of its call."""
+    calls, real = [], engine.split_value
+    monkeypatch.setattr(engine, "split_value", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def generator_value(gen: kernel.Generator, n: int, p: int) -> int:
-    """One generator S[a,b]J at (n, p), read through the engine's recursion."""
+    """One generator S[a,b]J at (n, p), read through split_cell."""
     sym, a, b = gen
     if sym == "F":
         return 1 if (n + a) % 2 == 0 else 2
     if sym == "G" and n + a < 0:
         # The recursion's anchor holds a placeholder 0 there.
         raise ValueError("need n >= 0 and p >= 0: gamma has no row -1")
-    return engine._CELLS[sym](n + a, p + b)
+    return split_cell(sym, n + a, p + b)
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -52,10 +76,10 @@ def evaluate_states_at_points(states: Sequence[kernel.KernelExpr],
     array with one row per state and one column per point.
 
     The per-point evaluator that kernel.evaluate_states replaced: each
-    generator that occurs in some state is read through the engine's
-    recursion once per point, then every monomial is evaluated on the
-    packed masks, 0 where one of its generators is 0, else its
-    coefficient times 2 to the parity of its first powers equal to 2.
+    generator that occurs in some state is read through split_cell once
+    per point, then every monomial is evaluated on the packed masks, 0
+    where one of its generators is 0, else its coefficient times 2 to
+    the parity of its first powers equal to 2.
     """
     owner = np.repeat(np.arange(len(states)), [len(s.poly) for s in states])
     keys = [key for s in states for key, _ in s.poly]
@@ -389,7 +413,7 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
     mod 3 at once, every factor a contiguous slice of the rectangle one
     level down.  Rows n <= 1 are anchor_rows, and rows n >= 2 of
     rectangles of at most engine._CELLWISE_AREA cells are read cell by
-    cell through the engine's recursion."""
+    cell through split_cell."""
 
     def level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
         width = p_hi - p_lo + 1
@@ -401,9 +425,9 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
         if r_lo > n_hi:
             return out
         if (n_hi - n_lo + 1) * width <= engine._CELLWISE_AREA:
-            for stream, value in engine._CELLS.items():
-                out[stream][r_lo - n_lo:] = [[value(n, p) for p in range(p_lo, p_hi + 1)]
-                                             for n in range(r_lo, n_hi + 1)]
+            for stream, rows in out.items():
+                rows[r_lo - n_lo:] = [[split_cell(stream, n, p) for p in range(p_lo, p_hi + 1)]
+                                      for n in range(r_lo, n_hi + 1)]
             return out
         m_lo, q_lo = r_lo // 3 - 1, p_lo // 3
         below = {}
@@ -756,8 +780,28 @@ def verify_pade_error_by_fractions(order: int) -> PadeErrorReport:
     return PadeErrorReport(order, ok, first_mismatch, error[2 * order], expected)
 
 
+@dataclass(frozen=True)
+class RationalInterval:
+    """Closed interval with exact rational endpoints."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError("empty interval")
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def overlaps(self, other: "RationalInterval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+
 def cantor_number_by_fractions(b: int, terms: int) -> RationalInterval:
-    """pade.cantor_number as a Fraction partial sum, term by term through
+    """The enclosure of xi = sum of c_k b^-k that pade._XiEnclosures reads
+    at depth terms, as a Fraction partial sum, term by term through
     cantor_term, plus the geometric tail b/(b-1) * b**-terms."""
     partial = sum((Fraction(cantor_term(k), b ** k) for k in range(terms)), Fraction(0))
     return RationalInterval(partial, partial + Fraction(b, b - 1) / Fraction(b) ** terms)

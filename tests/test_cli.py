@@ -22,7 +22,7 @@ from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
 from cantor_hankel.kernel import build_dfao, parse_dfao_table
 from cantor_hankel.sequences import MAX_SLICE_COUNT, diff_term, sequence_slice
-from slow_paths import grid_text_by_cells, hankel_by_terms
+from slow_paths import grid_text_by_cells, hankel_by_terms, split_cell, split_value_calls
 
 EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt"
 
@@ -383,9 +383,10 @@ def test_hostile_kernel_arguments(capsys, start, cap):
 def test_hostile_dfao_eval_arguments(capsys, start, n, p):
     code, out = _run_hostile(capsys, ["dfao-eval", "--start", start, "-n", n, "-p", p])
     if code == 0:
-        # The engine's recursion: its cells walk the minimal automata.
-        value = engine._CELLS["G" if start == "gamma" else "D"]
-        assert out == f"{value(int(n), int(p))}\n", (start, n, p)
+        # Held to the splitting recursion, not to the engine's cells,
+        # which walk the minimal automata too.
+        value = split_cell("G" if start == "gamma" else "D", int(n), int(p))
+        assert out == f"{value}\n", (start, n, p)
 
 
 @given(kind=st.sampled_from(["gamma", "delta", "omega"]), n_max=HOSTILE_ARG, p_max=HOSTILE_ARG,
@@ -1032,13 +1033,12 @@ def test_dfao_check_over_the_cell_cap_refuses_before_any_closure(monkeypatch):
         checks.dfao_grid(2001, 1999)
 
 
-def test_dfao_check_reads_the_engine_as_one_table():
-    engine.clear_caches()
+def test_dfao_check_reads_the_engine_as_one_table(monkeypatch):
+    calls = split_value_calls(monkeypatch)
     assert checks.dfao_grid().ok
-    # A recursion read per cell, the cells tables() reads, would leave
-    # about 13,000 memo entries.
-    memo = sum(cell.cache_info().currsize for cell in engine._CELLS.values())
-    assert memo < 100
+    # One table computes 52 cells one by one, at its smallest rectangle;
+    # a recursion read per cell would compute about 13,000.
+    assert len(calls) <= 60
 
 
 def test_dfao_check_names_the_first_cell_of_a_flipped_output(monkeypatch):
@@ -1231,15 +1231,34 @@ def test_caps_refuse_before_any_work(argv, named):
 
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
 def test_cell_just_under_the_digit_cap_returns_a_value(kind):
-    # A fresh process, so the scalar recursion runs cold to its full depth:
-    # three frames per base-3 digit need a recursion limit of about 608
-    # at 200 digits, and one more frame per digit would need about 808.
+    # A fresh process under a recursion limit of 700: a cell walks the
+    # minimal automaton in a loop, so its stack depth does not grow with
+    # the digits (test_tables_at_the_digit_cap_fit_the_recursion_limit
+    # holds the recursion behind the smallest tables to its depth).
     largest = str(3 ** engine.MAX_INDEX_DIGITS - 1)
     code = ("import sys; from cantor_hankel import cli; sys.setrecursionlimit(700); "
             "raise SystemExit(cli.main(sys.argv[1:]))")
     done = _run_cli(["cell", "--kind", kind, "-n", largest, "-p", largest], ["-c", code])
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout in ("0\n", "1\n", "2\n")
+
+
+def test_tables_at_the_digit_cap_fit_the_recursion_limit():
+    # The recursion behind the smallest rectangles of tables() spends two
+    # frames per base-3 digit: one cell and a 3 x 3 table at 200 digits
+    # need a recursion limit of 410 in a fresh process, so 460 leaves 50
+    # frames; a third frame per digit (a module memo's wrapper) needs 612.
+    largest = 3 ** engine.MAX_INDEX_DIGITS - 1
+    code = ("import sys; from cantor_hankel import engine; "
+            "sys.setrecursionlimit(460); n = int(sys.argv[1]); "
+            "print([t.tolist() for t in engine.tables(n, n, n, n) + "
+            "engine.tables(n - 2, n, n - 2, n)])")
+    done = _run_cli([str(largest)], ["-c", code])
+    assert (done.returncode, done.stderr) == (0, "")
+    cells = [[[cell(n, p) for p in range(largest - k, largest + 1)]
+              for n in range(largest - k, largest + 1)]
+             for k in (0, 2) for cell in (engine.gamma_mod3, engine.delta_mod3)]
+    assert done.stdout == f"{cells}\n"
 
 
 def _run_cli(argv, entry=("-m", "cantor_hankel.cli")):

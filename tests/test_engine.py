@@ -1,3 +1,4 @@
+import gc
 import itertools
 import logging
 import random
@@ -10,7 +11,7 @@ from cantor_hankel import checks, engine, hankel, kernel
 from cantor_hankel.hankel import det_mod3, hankel_matrix, hankel_stack, minors_mod3_stack
 from cantor_hankel.sequences import cantor_term, diff_term
 from slow_paths import (lattices_by_memo, lattices_by_rule_groups, oracle_reads_by_matrix,
-                        tables_by_rule_passes)
+                        split_cell, split_value_calls, tables_by_rule_passes)
 
 
 def test_gamma_base_cases():
@@ -108,7 +109,7 @@ def test_splitting_replays_read_no_engine_cell(monkeypatch):
 
     monkeypatch.setattr(engine, "gamma_mod3", no_cell)
     monkeypatch.setattr(engine, "delta_mod3", no_cell)
-    monkeypatch.setattr(engine, "_CELLS", {"G": no_cell, "D": no_cell})
+    monkeypatch.setattr(engine, "tables", no_cell)
     assert checks.splitting_exact().ok
     assert checks.splitting_mod3().ok
 
@@ -295,7 +296,6 @@ def _random_rectangles(seed):
 
 def test_tables_match_the_cold_scalar_engine():
     for n_lo, p_lo, height, width in _random_rectangles(2024):
-        engine.clear_caches()
         _assert_tables_match_scalar(n_lo, n_lo + height - 1, p_lo, p_lo + width - 1)
 
 
@@ -484,13 +484,14 @@ def test_tables_match_elimination_over_the_oracle_window():
                 assert np.array_equal(table[n - 1], minors[:, n - 1]), (kind, n, p_max)
 
 
-def test_grid_leaves_the_memo_small():
+def test_grid_leaves_the_memo_small(monkeypatch):
     for n_hi, p_hi, kind in ((2, 99_999, "gamma"), (1000, 999, "delta")):
-        engine.clear_caches()
+        calls = split_value_calls(monkeypatch)
         rows = engine.grid(1, n_hi, 0, p_hi, kind)
-        # The memo of the recursion the smallest rectangles read.
-        for cell in engine._CELLS.values():
-            assert cell.cache_info().currsize < 5000, (n_hi, p_hi)
+        monkeypatch.undo()
+        # Only the smallest rectangle is read cell by cell: 14 and 18
+        # cells.
+        assert len(calls) <= 20, (n_hi, p_hi)
         value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
         rng = random.Random(10)
         for _ in range(300):
@@ -610,14 +611,13 @@ def test_lattices_refuse_witnesses_off_the_lattice():
         engine.witness_lattices({"gamma": [(engine.MAX_INDEX_DIGITS, 0, 0)]}, 1)
 
 
-def test_kernel_soundness_leaves_the_memo_small():
-    engine.clear_caches()
+def test_kernel_soundness_leaves_the_memo_small(monkeypatch):
+    calls = split_value_calls(monkeypatch)
     assert checks.kernel_soundness(20).ok
     # Only the smallest rectangles of tables() are read cell by cell,
-    # through the recursion: 18 gamma and 20 delta cells (1012 when the
-    # kernel evaluator read every generator through the memo).
-    assert engine._CELLS["G"].cache_info().currsize <= 18
-    assert engine._CELLS["D"].cache_info().currsize <= 20
+    # through the recursion: 96 cells (1012 distinct cells when the
+    # kernel evaluator read every generator through a module memo).
+    assert len(calls) <= 100
 
 
 def test_lattice_sweep_peak_memory():
@@ -678,17 +678,26 @@ def test_grid_shape_and_cap(monkeypatch):
         engine.grid(2, 1, 0, 0)
 
 
-def test_clear_caches_keeps_values():
-    before = engine.gamma_mod3(50, 7)
-    engine.clear_caches()
-    assert engine.gamma_mod3(50, 7) == before
-
-
-def test_clear_caches_empties_every_memo():
-    engine.gamma_mod3(50, 7), engine.delta_mod3(50, 7), engine.tables(50, 51, 7, 8)
-    engine.clear_caches()
-    memos = (engine.gamma_mod3, engine.delta_mod3, *engine._CELLS.values())
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
+def test_tables_keep_no_state_between_calls():
+    # 100 distinct 3 x 3 tables at 200 digits, each read cell by cell by
+    # the recursion: a memo kept between calls retained 6.4 MB of them.
+    rng = random.Random(43)
+    corners = [(rng.randrange(3 ** 199, 3 ** 200 - 2), rng.randrange(3 ** 199, 3 ** 200 - 2))
+               for _ in range(101)]
+    # One table first, so that what every call allocates once is not counted.
+    (n, p), *corners = corners
+    engine.tables(n, n + 2, p, p + 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n, p in corners:
+            engine.tables(n, n + 2, p, p + 2)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000
 
 
 # Suffixes (u, v) read after a digit pair: (0, 0) ends the word there,
@@ -714,12 +723,12 @@ def test_walk_matches_the_recursion_at_every_transition(kind, stream):
                 words[target] = (m + 1, r + 3 ** m * (d // 3), s + 3 ** m * (d % 3))
                 queue.append(target)
     assert len(words) == len(outputs) == 60
-    walk, recursion = getattr(engine, f"{kind}_mod3"), engine._CELLS[stream]
+    walk = getattr(engine, f"{kind}_mod3")
     for state, (m, r, s) in words.items():
         for i, j in itertools.product(range(3), repeat=2):
             for u, v in SUFFIXES:
                 n, p = r + 3 ** m * (i + 3 * u), s + 3 ** m * (j + 3 * v)
-                assert walk(n, p) == recursion(n, p), (kind, state, i, j, u, v)
+                assert walk(n, p) == split_cell(stream, n, p), (kind, state, i, j, u, v)
 
 
 def _seeded_index(rng, digits, weights):
@@ -744,5 +753,5 @@ def test_walk_matches_the_recursion_on_a_seeded_sample():
             if rng.random() < 0.5:
                 n, p = p, n
             for kind, stream in (("gamma", "G"), ("delta", "D")):
-                assert getattr(engine, f"{kind}_mod3")(n, p) == engine._CELLS[stream](n, p), \
+                assert getattr(engine, f"{kind}_mod3")(n, p) == split_cell(stream, n, p), \
                     (kind, n, p)

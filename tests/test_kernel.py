@@ -16,9 +16,10 @@ from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, build_dfao,
                                   evaluate_states, export_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
+import slow_paths
 from slow_paths import (closure_by_monomial_chains, closure_by_part_memo,
-                        evaluate_states_at_points, generator_value, walk_by_cells,
-                        window_points)
+                        evaluate_states_at_points, generator_value, split_cell,
+                        walk_by_cells, window_points)
 
 CLOSURE_STATES = 1632
 
@@ -115,9 +116,9 @@ def test_rows_sum_like_terms_and_compare_by_bytes(polys):
 
 
 def test_single_digit_steps_match_engine():
-    for start, base in ((GAMMA, engine._CELLS["G"]), (DELTA, engine._CELLS["D"])):
+    for start, stream in ((GAMMA, "G"), (DELTA, "D")):
         stepped = step_all([start])
-        want = [[base(3 * n + i, 3 * p + j) for n, p in window_points(5)]
+        want = [[split_cell(stream, 3 * n + i, 3 * p + j) for n, p in window_points(5)]
                 for i, j in DIGIT_PAIRS]
         assert evaluate_states(stepped, 5).tolist() == want
 
@@ -141,10 +142,11 @@ def test_every_generator_split_matches_engine():
 def test_two_digit_chains_match_engine():
     # T acts least significant digit first: chaining (i1,j1) then (i2,j2)
     # reads the subsequence at (9n + 3*i2 + i1, 9p + 3*j2 + j1).
-    for start, base in ((GAMMA, engine._CELLS["G"]), (DELTA, engine._CELLS["D"])):
+    for start, stream in ((GAMMA, "G"), (DELTA, "D")):
         chains = list(itertools.product(range(3), repeat=4))
         chained = step_all(step_all([start]))
-        want = [[base(9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1) for n, p in window_points(2)]
+        want = [[split_cell(stream, 9 * n + 3 * i2 + i1, 9 * p + 3 * j2 + j1)
+                 for n, p in window_points(2)]
                 for i1, j1, i2, j2 in chains]
         assert evaluate_states(chained, 2).tolist() == want
 
@@ -188,7 +190,7 @@ def test_closure_witnesses_sample():
     closure = kernel_closure("gamma")
     # Every 40th state; the acceptance sweep covers all of them.
     got = evaluate_states(closure.states[::40], 2).tolist()
-    want = [[engine._CELLS["G"](3 ** m * n + r, 3 ** m * p + s) for n, p in window_points(2)]
+    want = [[split_cell("G", 3 ** m * n + r, 3 ** m * p + s) for n, p in window_points(2)]
             for m, r, s in closure.witnesses[::40]]
     assert got == want
 
@@ -339,7 +341,6 @@ SWAPPED_STATE = {"gamma": 28, "delta": 19}
 @pytest.mark.parametrize("start, stream", [("gamma", "G"), ("delta", "D")],
                          ids=["gamma", "delta"])
 def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, stream):
-    base = engine._CELLS[stream]
     real = kernel.kernel_closure
     closure = real(start)
     states = list(closure.states)
@@ -356,7 +357,8 @@ def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, stream):
         f"{start} state with witness ({m},{r},{s}) disagrees at n={n} p={p}"
         for state, (m, r, s) in zip(states, closure.witnesses)
         for n in range(window + 1) for p in range(window + 1)
-        if _reference_evaluate(state, n, p) != base(3 ** m * n + r, 3 ** m * p + s))
+        if _reference_evaluate(state, n, p)
+        != split_cell(stream, 3 ** m * n + r, 3 ** m * p + s))
     expected = next(mismatches)
     result = checks.kernel_soundness(window)
     assert not result.ok
@@ -377,8 +379,7 @@ def test_kernel_soundness_fails_on_a_flipped_compiled_sign(monkeypatch):
     window = 8
     table = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
     with monkeypatch.context() as edited:
-        edited.setattr(engine, "_CELLS",
-                       {sym: lambda n, p, t=t: int(t[n + 1, p]) for sym, t in table.items()})
+        edited.setattr(slow_paths, "split_cell", lambda sym, n, p: int(table[sym][n + 1, p]))
         states = {start: evaluate_states_at_points(kernel_closure(start).states,
                                                    window_points(window))
                   for start in engine.KINDS}
@@ -512,21 +513,22 @@ def test_closure_cap_enforced():
         kernel_closure("omega")
 
 
-# The automata against the engine's recursion, not its cells: the cells
-# walk the minimal automata, which these tables rebuild.
+# The automata against the splitting recursion split_cell, not the
+# engine's cells: the cells walk the minimal automata, which these
+# tables rebuild.
 def test_dfao_against_engine_window():
     dfao = build_dfao("gamma")
-    assert dfao.outputs[dfao.start] == engine._CELLS["G"](0, 0)
+    assert dfao.outputs[dfao.start] == split_cell("G", 0, 0)
     for n in range(31):
         for p in range(31):
-            assert dfao.evaluate(n, p) == engine._CELLS["G"](n, p)
+            assert dfao.evaluate(n, p) == split_cell("G", n, p)
 
 
 def test_dfao_delta_start():
     dfao = build_dfao("delta")
     for n in range(16):
         for p in range(16):
-            assert dfao.evaluate(n, p) == engine._CELLS["D"](n, p)
+            assert dfao.evaluate(n, p) == split_cell("D", n, p)
 
 
 # SHA-256 of the table export, pinned so that any change to the splitting
@@ -645,7 +647,7 @@ def test_projected_row_automaton():
     for n in (0, 1, 4, 9, 27):
         row = project_row(dfao, n)
         for p in range(41):
-            assert row.evaluate(p) == engine._CELLS["G"](n, p)
+            assert row.evaluate(p) == split_cell("G", n, p)
 
 
 @pytest.mark.parametrize("start, stream", [("gamma", "G"), ("delta", "D")],
@@ -653,12 +655,11 @@ def test_projected_row_automaton():
 def test_projected_row_from_parsed_export(start, stream):
     # A parsed export carries no symbolic states: the projection runs on
     # the automaton alone.
-    base = engine._CELLS[stream]
     parsed = parse_dfao_table(export_dfao(build_dfao(start), "table"))
     for n in (0, 1, 2, 5, 13, 40, 81, 100, 242):
         row = project_row(parsed, n)
         for p in range(41):
-            assert row.evaluate(p) == base(n, p), (start, n, p)
+            assert row.evaluate(p) == split_cell(stream, n, p), (start, n, p)
 
 
 def test_projected_row_digest():
@@ -691,7 +692,7 @@ def test_projected_row_caps_the_digits_of_n():
     dfao = build_dfao("gamma")
     n = 3 ** engine.MAX_INDEX_DIGITS - 1
     row = project_row(dfao, n)
-    assert [row.evaluate(p) for p in range(4)] == [engine._CELLS["G"](n, p) for p in range(4)]
+    assert [row.evaluate(p) for p in range(4)] == [split_cell("G", n, p) for p in range(4)]
     reads = []
     recorded = dataclasses.replace(dfao, transitions=_RecordedRows(dfao.transitions, reads))
     assert project_row(recorded, 5) == project_row(dfao, 5) and reads

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from cantor_hankel import cli
 from cantor_hankel.hankel import det_exact, hankel_matrix
 from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_PADE_ORDER,
-                                PadeApproximant, RationalInterval, _j_fraction,
-                                cantor_coefficients, cantor_number,
+                                PadeApproximant, _j_fraction,
+                                cantor_coefficients,
                                 eta_identity_check, irrationality_estimates,
                                 pade, pade_diagonal,
                                 verify_functional_equation, verify_pade_error)
 from cantor_hankel.sequences import diff_run
-from slow_paths import (cantor_number_by_fractions, eta_sum_by_horner,
+from slow_paths import (RationalInterval, cantor_number_by_fractions, eta_sum_by_horner,
                         exponent_interval_by_iv, irrationality_estimates_by_fractions,
                         pade_by_elimination,
                         pade_value_by_fraction_horner, verify_pade_error_by_fractions)
@@ -286,55 +286,27 @@ def test_interval_helpers():
         RationalInterval(Fraction(2), Fraction(1))
 
 
+def _xi_enclosure(b, depth, growing=None):
+    """The enclosure of xi that _XiEnclosures reads at depth, fresh or
+    from growing, as a RationalInterval."""
+    lo, m = (growing or pade_module._XiEnclosures(b))(depth)
+    return RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
+
+
 def test_cantor_number_literals():
-    enc = cantor_number(2, 3)
-    assert (enc.lo, enc.hi) == (Fraction(5, 4), Fraction(3, 2))
-    assert cantor_number(2, 1).lo == 1
-    assert cantor_number(2, 1).hi == 2
-    assert cantor_number(10, 9).lo == Fraction(101000101, 10 ** 8)
+    assert _xi_enclosure(2, 3) == RationalInterval(Fraction(5, 4), Fraction(3, 2))
+    assert _xi_enclosure(2, 1) == RationalInterval(Fraction(1), Fraction(2))
+    assert _xi_enclosure(10, 9).lo == Fraction(101000101, 10 ** 8)
 
 
 @given(st.integers(min_value=2, max_value=12),
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=60)
 def test_cantor_number_enclosures_are_nested(b, terms):
-    outer = cantor_number(b, terms)
-    inner = cantor_number(b, terms + 1)
+    growing = pade_module._XiEnclosures(b)
+    outer, inner = _xi_enclosure(b, terms, growing), _xi_enclosure(b, terms + 1, growing)
     assert outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
-def test_cantor_number_validation():
-    with pytest.raises(ValueError):
-        cantor_number(1, 5)
-    with pytest.raises(ValueError):
-        cantor_number(2, 0)
-
-
-@pytest.mark.parametrize("terms", [MAX_ETA_DEPTH + 1, 2 ** 20, 10 ** 30])
-def test_cantor_number_over_the_term_cap_refuses_before_any_term(monkeypatch, terms):
-    def no_work(*args):
-        raise AssertionError("a term of c was read")
-
-    monkeypatch.setattr(pade_module, "cantor_run", no_work)
-    with pytest.raises(ValueError, match=f"terms {terms} is over the cap of {MAX_ETA_DEPTH}"):
-        cantor_number(2, terms)
-
-
-@pytest.mark.parametrize("b", [MAX_BASE + 1, 10 ** 1000])
-def test_cantor_number_over_the_base_cap_refuses_before_any_term(monkeypatch, b):
-    def no_work(*args):
-        raise AssertionError("a term of c was read")
-
-    monkeypatch.setattr(pade_module, "cantor_run", no_work)
-    with pytest.raises(ValueError, match=f"base b = {b} is over the cap of {MAX_BASE}"):
-        cantor_number(b, 4)
-
-
-def test_cantor_number_at_the_term_cap_is_admitted():
-    enclosure = cantor_number(2, MAX_ETA_DEPTH)
-    assert enclosure.width == Fraction(1, 2 ** (MAX_ETA_DEPTH - 1))
-    outer = cantor_number(2, 100)
-    assert outer.lo <= enclosure.lo and enclosure.hi <= outer.hi
+    assert (outer, inner) == (_xi_enclosure(b, terms), _xi_enclosure(b, terms + 1))
 
 
 def test_irrationality_estimates_base2():
@@ -392,14 +364,10 @@ def test_xi_enclosures_read_by_irr_equal_cantor_number(monkeypatch, b):
 
     monkeypatch.setattr(pade_module._XiEnclosures, "__call__", recording)
     irrationality_estimates(b, 60)
-    # cantor_number builds enclosures of its own, unrecorded.
-    monkeypatch.undo()
     assert len({depth for depth, _, _ in read}) > 50
     for depth, lo, m in read:
         enclosure = RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
-        assert enclosure == cantor_number(b, depth)
-    for depth, _, _ in read[::10]:
-        assert cantor_number(b, depth) == cantor_number_by_fractions(b, depth)
+        assert enclosure == cantor_number_by_fractions(b, depth)
 
 
 @pytest.mark.parametrize("b, max_order", [(2, 100), (3, 60), (2 ** 32, 100)])
@@ -520,8 +488,7 @@ def test_eta_value_base2():
 def _fraction_eta_check(b, depth, run=diff_run):
     """eta_identity_check's sides and verdict in Fractions.  The lhs is
     the Horner sum of run; the rhs is built from the enclosure of xi at
-    b**3 that cantor_number would return, read through _XiEnclosures
-    since b**3 may exceed MAX_BASE."""
+    b**3 that _XiEnclosures reads."""
     lo, m = pade_module._XiEnclosures(b ** 3)(depth // 3 + 3)
     xi = RationalInterval(Fraction(lo, m), Fraction(lo + 1, m))
     factor = 2 + Fraction(b) ** 2 + Fraction(1, b) ** 2
