@@ -59,6 +59,14 @@ STACK_OVERHEAD = 64
 ORACLE_WORK_CAP = 3_000_000_000
 
 
+def _stacks(kind: str, n_max: int, p_max: int) -> Iterator[np.ndarray]:
+    """The order-n_max Hankel matrices of kind at offsets 0..p_max, in
+    offset order, as stacks of at most STACK_ENTRIES entries' worth."""
+    chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
+    for p in range(0, p_max + 1, chunk):
+        yield hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p))
+
+
 def _need(window: str, bound: str, value: int, least: int) -> None:
     """Refuse an empty window: it would pass without comparing anything."""
     if value < least:
@@ -89,11 +97,10 @@ def oracle_equivalence(n_max: int = 40, p_max: int = 81) -> CheckResult:
             f"the oracle window takes {work} units of elimination work, over the "
             f"cap of {ORACLE_WORK_CAP}")
     got = np.stack(engine.tables(1, n_max, 0, p_max), axis=-1)  # [n - 1, p, kind]
-    chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
     # Column n - 1 of the minors: the order-n determinants at every offset.
     expected = np.stack([np.concatenate([
-        minors_mod3_stack(hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p)))
-        for p in range(0, p_max + 1, chunk)]).T for kind in engine.KINDS], axis=-1)
+        minors_mod3_stack(stack) for stack in _stacks(kind, n_max, p_max)]).T
+        for kind in engine.KINDS], axis=-1)
     wrong = np.argwhere(got != expected)
     if wrong.size:
         n, p, k = wrong[0]
@@ -149,10 +156,8 @@ def _oracle_reads(exact: bool, windows: Mapping[str, tuple[int, int]]
     reads = {}
     for sym, (n_max, p_max) in windows.items():
         kind = engine.KINDS["GD".index(sym)]
-        chunk = max(1, STACK_ENTRIES // (n_max * n_max + STACK_OVERHEAD))
-        rows = [[1, *row] for p in range(0, p_max + 1, chunk)
-                for row in minors_exact_stack(
-                    hankel_stack(kind, p, n_max, min(chunk, p_max + 1 - p))).tolist()]
+        rows = [[1, *row] for stack in _stacks(kind, n_max, p_max)
+                for row in minors_exact_stack(stack).tolist()]
         if not exact:
             rows = [[x % 3 for x in row] for row in rows]
         reads[sym] = lambda n, p, rows=rows: rows[p][n]

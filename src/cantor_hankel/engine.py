@@ -237,8 +237,14 @@ def _walk(kind: str, n: int, p: int) -> int:
 
 
 # The cells need no memo, but bench/run.py reads cache_info() of both,
-# so each keeps an lru_cache until the benchmark stops reading it.
-@lru_cache(maxsize=None)
+# so each keeps an lru_cache until the benchmark stops reading it.  Its
+# size is fixed, so memory stays bounded however many distinct cells a
+# process reads, and stays above the 1,597 entries a seed-7 `tables`
+# benchmark run leaves, so that run evicts nothing and its counts hold.
+CELL_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=CELL_MEMO_SIZE)
 def gamma_mod3(n: int, p: int) -> int:
     """Determinant mod 3 of the order-n Hankel matrix of c at offset p."""
     if n < 0 or p < 0:
@@ -247,7 +253,7 @@ def gamma_mod3(n: int, p: int) -> int:
     return _walk("gamma", n, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CELL_MEMO_SIZE)
 def delta_mod3(n: int, p: int) -> int:
     """Determinant mod 3 of the order-n Hankel matrix of d at offset p.
 

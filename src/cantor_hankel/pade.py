@@ -479,13 +479,23 @@ def eta_identity_check(b: int, depth: int) -> EtaReport:
     # A few terms beyond depth keep the combined width strictly below
     # the b**(2 - depth) budget; at exactly depth terms the d-side tail
     # bound alone already equals the budget when b = 2.
-    lo, m = _XiEnclosures(b, diff_run)(depth + 3)
-    xi_lo, xi_m = _XiEnclosures(b ** 3)(depth // 3 + 3)
+    eta, xi = _XiEnclosures(b, diff_run), _XiEnclosures(b ** 3)
+    lo, m = eta(depth + 3)
+    xi_lo, xi_m = xi(depth // 3 + 3)
     factor, square = (b * b + 1) ** 2, b * b
     shift, den = square * square * xi_m, square * xi_m
     rhs_lo, rhs_hi = factor * xi_lo - shift, factor * (xi_lo + 1) - shift
     # Both tests cross-multiplied over m * den; the widths are 2/m and
-    # factor/den.
-    overlap = lo * den <= rhs_hi * m and rhs_lo * m <= (lo + 2) * den
-    narrow = (2 * den + factor * m) * b ** (depth - 2) < m * den
+    # factor/den.  m = (b - 1) b**e_m and den = (b**3 - 1) b**e_den, the
+    # powers read from the depths the enclosures were taken at, share
+    # b**k, so each test runs on the cofactors m_k and den_k: at these
+    # depths both are small, and no two full-size integers are multiplied.
+    e_m, e_den = eta._depth - 1, 3 * xi._depth - 1
+    k = min(e_m, e_den)
+    m_k, den_k = (b - 1) * b ** (e_m - k), (b ** 3 - 1) * b ** (e_den - k)
+    overlap = lo * den_k <= rhs_hi * m_k and rhs_lo * m_k <= (lo + 2) * den_k
+    # The width test (2 den + factor m) b**(depth - 2) < m den over b**(k + j).
+    j = min(k, depth - 2)
+    narrow = ((2 * den_k + factor * m_k) * b ** (depth - 2 - j)
+              < m_k * den_k * b ** (k - j))
     return EtaReport(b, depth, (lo, lo + 2, m), (rhs_lo, rhs_hi, den), overlap and narrow)

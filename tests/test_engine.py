@@ -700,6 +700,15 @@ def test_tables_keep_no_state_between_calls():
     assert retained < 500_000
 
 
+def test_cell_memo_stays_within_its_size():
+    # Three times the memo's size in distinct cells of each kind; an
+    # unbounded memo kept every one of them.
+    for cell in (engine.gamma_mod3, engine.delta_mod3):
+        for p in range(3 * engine.CELL_MEMO_SIZE):
+            cell(5, p)
+        assert cell.cache_info().currsize <= engine.CELL_MEMO_SIZE
+
+
 # Suffixes (u, v) read after a digit pair: (0, 0) ends the word there,
 # the others make the walk read the pair and go on.
 SUFFIXES = [(0, 0), (1, 0), (0, 2), (2, 1), (4, 7)]
