@@ -59,27 +59,27 @@ def checks_ok(*calls: str) -> tuple[str, ...]:
 ROWS = [
     *step("Installed console script",
           """The kernel evaluator slices numpy tables, so the verify report is pinned on the numpy
-          floor too.  bash here runs with pipefail, so a failing verify fails the step even when
-          its output matches.""",
+          floor too.  The harness checks the exit code itself, so a failing verify fails the row
+          even when its output matches.""",
           ("cantor-hankel verify", VERIFY)),
     *step("Kernel and automaton checks alone",
           """The kernel closure and both automata against the lattice engine, which gathers by the
           compiled splitting identities while the closure reads SPLIT_RULES: about 0.3-0.4 s cold
-          on a 2-core VM. bash runs with pipefail, so hitting the timeout fails the step.""",
+          on a 2-core VM. The harness kills the child at the timeout and fails the row.""",
           ("cantor-hankel verify --kernel --dfao", KERNEL_DFAO), timeout=5),
     *step("Automaton grid at the cell cap",
           """checks.dfao_grid over the largest window the table cap admits, 2000 x 2000 cells,
           walked in blocks of engine._GATHER_BYTES // 8 cells: about 2 s and 51 MB peak RSS on a
           2-core VM (seven runs, 35 MB of it imports and closures), against 352 MB when every cell
-          was walked at once.  80 MB leaves room for other Python and numpy builds; bash runs with
-          pipefail, so hitting the timeout fails the step.""",
+          was walked at once.  80 MB leaves room for other Python and numpy builds; the harness
+          kills the child at the timeout and fails the row.""",
           (checks_ok("dfao_grid(2000, 1999)"), b""), timeout=20, rss_mb=80),
     *step("Structure sweep at the call cap",
           """checks.structure_identities over the largest window at n = 1 that
           checks.STRUCTURE_CALL_CAP admits, 2000 verify_structure calls: 1.9-2.6 s and 30.4-30.6 MB
           peak RSS on a 2-core VM (seven runs, imports included, 0.2 s of the time).  20 s leaves
-          room for a slower runner; 40 MB leaves 9 MB for other Python and numpy builds.  bash runs
-          with pipefail, so hitting the timeout fails the step.""",
+          room for a slower runner; 40 MB leaves 9 MB for other Python and numpy builds.  The
+          harness kills the child at the timeout and fails the row.""",
           (checks_ok("structure_identities(1, 1999)"), b""), timeout=20, rss_mb=40),
     *step("Oracle sweep over the acceptance window",
           """Two stacked eliminations of order 40 per family, whose leading minors give every
@@ -88,16 +88,16 @@ ROWS = [
            b"ok   oracle-equivalence: 1 <= n <= 40, 0 <= p <= 81, both families\n")),
     *step("Deep oracle sweep at one offset",
           """One order-277 matrix per family gives every order's determinant: about 0.35 s on a
-          2-core VM, against 3.4 s eliminating every order on its own.  bash runs with pipefail, so
-          hitting the timeout fails the step.""",
+          2-core VM, against 3.4 s eliminating every order on its own.  The harness kills the child
+          at the timeout and fails the row.""",
           ("cantor-hankel verify --oracle --n-max 277 --p-max 0",
            b"ok   oracle-equivalence: 1 <= n <= 277, 0 <= p <= 0, both families\n"), timeout=10),
     *step("Deep splitting replays",
           """Both replays at (2, 20, 40): left sides up to order 62 at offsets up to 122, which
-          takes hankel.minors_exact_stack from int64 to numpy object arrays of Python ints part
-          way, whose arithmetic differs between numpy 1.x and 2.x.  About 0.15-0.2 s each on a
-          2-core VM, against 1.5-2.4 s eliminating each read matrix on its own; hitting the timeout
-          fails the step.""",
+          takes hankel.minors_exact_stack from int64 to numpy object arrays of Python ints and
+          back part way (1 and 24 of the 206 steps), whose arithmetic differs between numpy 1.x
+          and 2.x.  About 0.1-0.13 s each on a 2-core VM, against 1.5-2.4 s eliminating each read
+          matrix on its own; the harness kills the child at the timeout and fails the row.""",
           (checks_ok("splitting_exact(2, 20, 40)", "splitting_mod3(2, 20, 40)"), b""),
           timeout=30),
     *step("Oracle sweep over the cell cap",
@@ -161,7 +161,7 @@ ROWS = [
           499 steps, det_exact takes 127 and 151 on int64 and 372 and 348 on Python ints.  In six
           runs of each on a 2-core VM they took 3.4-5.0 s (delta) and 2.8-4.2 s (gamma), at
           39.6-43.0 MB peak RSS (30 MB of it imports).  20 s leaves room for a slower runner; 52 MB
-          leaves 9 MB for other Python and numpy builds. Hitting the timeout fails the step.""",
+          leaves 9 MB for other Python and numpy builds. Hitting the timeout fails the row.""",
           ("cantor-hankel det --kind delta -p 0 -n 500 --exact",
            "5ffe7fea55970934eed14dcb9e0d557f05e50023fc0e630ef75257dec4479f3c"),
           ("cantor-hankel det --kind gamma -p 1 -n 500 --exact",
@@ -183,14 +183,14 @@ ROWS = [
     *step("Short wide grid digest",
           """Two rows at the 4,000,000-cell cap, built by blocked gathers like any other table,
           each level keeping only the residue classes of its rows: about 0.1 s here. Reading rows n
-          >= 2 cell by cell through the scalar memo took about 9 s and 680 MB; bash runs with
-          pipefail, so hitting the timeout fails the step.""",
+          >= 2 cell by cell through the scalar memo took about 9 s and 680 MB; the harness kills
+          the child at the timeout and fails the row.""",
           ("cantor-hankel grid --n-max 2 --p-max 1999999 --format csv",
            "8903c10d388f2bbd30fa808da45a9f752f5aedc0b0f1c53195236557beff3e14"), timeout=5),
     *step("Tall grid at the cell cap",
           """Two columns of 2,000,000 rows, the tallest table the cap admits, built in the one
-          row-major layout of every level; the digest is the printed columns at n mod 4.  bash runs
-          with pipefail, so hitting the timeout fails the step.""",
+          row-major layout of every level; the digest is the printed columns at n mod 4.  The
+          harness kills the child at the timeout and fails the row.""",
           ("cantor-hankel grid --n-max 2000000 --p-max 1 --format csv",
            "bc75c2558561f311eedb505c84ae2aa58263bb48acae2a7450a57923058b4db9"), timeout=5),
     *step("Row-1 wide grid digest",
@@ -199,7 +199,7 @@ ROWS = [
           run of c.  The console script runs in a fresh child process, whose peak RSS was 64.0-64.1
           MB in seven runs on a 2-core VM (30.3 MB of it imports); a level built without
           engine._residues took 80 MB, so 72 MB catches that and leaves 8 MB for other Python and
-          numpy builds.  Hitting the 5 s timeout fails the step.""",
+          numpy builds.  Hitting the 5 s timeout fails the row.""",
           ("cantor-hankel grid --n-max 1 --p-max 3999999 --format csv",
            "f7f9f048fe679fdf73f14dc8f5d67e6cfcac076181640d3112d24cdc7209a6a3"),
           timeout=5, rss_mb=72),
@@ -212,8 +212,8 @@ ROWS = [
           """b = 2**32 (pade.MAX_BASE) at the order cap (pade.MAX_IRR_ORDER), 0.05-0.09 s in
           process on a 2-core VM (the first call in each of five fresh processes, mpmath imported
           before).  The window highs are rounded up to floats, so rows 13 and 21 print 2.164063 and
-          2.101563 where a truncated high printed 2.164062 and 2.101562. bash runs with pipefail,
-          so hitting the timeout fails the step.""",
+          2.101563 where a truncated high printed 2.164062 and 2.101562. The harness kills the
+          child at the timeout and fails the row.""",
           ("cantor-hankel irr -b 4294967296 --n-max 100",
            "40ccb6e2df61f92abd8f401593b0a056df5dae9cb4cb8a436801cb477fc5ddeb"), timeout=10),
     *step("Pade approximant digest",

@@ -46,7 +46,7 @@ class CheckResult:
 # minors), which dominates at small orders.  In the sweep each entry is
 # an int16 residue, and a step peaks at about 390 KiB at every order up
 # to 362 on a 64-bit build; in a replay it is an int64, or a Python int
-# once the minors outgrow int64.
+# while the minors outgrow int64.
 STACK_ENTRIES = 1 << 17
 STACK_OVERHEAD = 64
 

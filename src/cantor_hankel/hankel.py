@@ -1,14 +1,14 @@
 """Exact Hankel matrices of c and d, and brute-force determinant oracles.
 
 Everything here is computed directly from matrix entries: fraction-free
-elimination over the integers for exact determinants, on int64 with
-exact division modulo 2**64 while a bound proves the quotients fit and
-on Python ints otherwise, and Gaussian elimination over GF(3) for the
-fast residue path.  Each comes one matrix at a time (det_exact,
-det_mod3) or as every leading minor of a whole stack at once
-(minors_exact_stack, minors_mod3_stack).  No recurrence
-from the rest of the package is used, which is what makes these
-functions usable as oracles against those recurrences.
+elimination over the integers for exact determinants, whose one step
+runs on int64 with exact division modulo 2**64 while a bound proves the
+quotients fit and on Python ints otherwise, and Gaussian elimination
+over GF(3) for the fast residue path.  Each comes one matrix at a time
+(det_exact, det_mod3) or as every leading minor of a whole stack at
+once (minors_exact_stack, minors_mod3_stack).  No recurrence from the
+rest of the package is used, which is what makes these functions usable
+as oracles against those recurrences.
 
 Terms come from sequences.cantor_run and diff_run, while the engine
 reads c only through sequences.cantor_term, so the oracle sweep
@@ -48,9 +48,9 @@ from .sequences import cantor_run, diff_run
 
 # Largest order of any matrix built here, a bound on the cubic
 # elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
-# numpy 2.4), at offsets up to 27, det_mod3 takes 0.03-0.05 s and
-# det_exact 2.5-4.5 s, most of the latter on Python ints: the minors
-# themselves outgrow int64, and about 350 of the 499 steps run there.
+# numpy 2.4), at offsets up to 27, det_mod3 takes 0.02-0.04 s and
+# det_exact 1.1-2.2 s, most of the latter on Python ints: the minors
+# themselves outgrow int64, and 303 to 372 of the 499 steps run there.
 # The package's own callers reach it: verify --oracle admits orders up
 # to this cap, and verify_pade_error(200) eliminates order 201.
 MAX_HANKEL_ORDER = 500
@@ -161,6 +161,49 @@ def _logger():
     return logging.getLogger(__name__)
 
 
+def _two_adic(prev: int) -> tuple[int, int, int]:
+    """(odd, e, inverse) with prev = 2**e * odd, odd odd, and inverse the
+    int64 that is odd's inverse modulo 2**64.
+
+    An int64 step whose products wrap leaves q * prev modulo 2**64 for
+    the quotient q.  Times inverse that is q * 2**e modulo 2**64, which is
+    q * 2**e itself while |q| * 2**e < 2**63, and a shift right by e
+    leaves q (Jebelean's exact division).  For e >= 63 only q = 0 passes.
+    """
+    e = (prev & -prev).bit_length() - 1
+    odd = prev >> e
+    inverse = pow(odd, -1, 1 << 64) if odd != 1 else 1
+    return odd, e, inverse - (inverse >> 63 << 64)
+
+
+def _admit(block: np.ndarray, peak: int, top: int, least_odd: int, narrow: bool,
+           wide: bool) -> tuple[np.ndarray, int, bool]:
+    """(block, bound, wide) for the next Bareiss step: wide if it runs on
+    Python ints, and block cast to match.
+
+    With peak a bound on |entry| and top on |pivot|, each quotient times
+    its previous pivot is at most bound = peak * (top + peak), and the
+    int64 step is taken while bound < least_odd * 2**63, least_odd the
+    least |odd| of _two_adic over the previous pivots.  Only when that
+    fails, or the block holds Python ints, is peak measured afresh, as a
+    reduction at every step would cost more than the step itself at small
+    orders; the block returns to int64 once the measured peak passes, as
+    the minors may shrink again.  A block that may not fit int64 (not
+    narrow) stays on Python ints.  After a step peak is bound // the
+    least |prev|.
+    """
+    limit = least_odd << 63
+    bound = peak * (top + peak)
+    if wide or bound >= limit:
+        if narrow:  # peak >= top: at 2 * top**2 >= limit no peak passes
+            peak = _peak(block) if 2 * top * top < limit else top
+            bound = peak * (top + peak)
+        if wide == (narrow and peak < 1 << 63 and bound < limit):
+            wide = not wide
+            block = block.astype(object if wide else np.int64)
+    return block, bound, wide
+
+
 def det_exact(m) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
@@ -170,26 +213,11 @@ def det_exact(m) -> int:
     entry of every block is a minor of the input, so the divisions are
     exact and sizes stay polynomially bounded.
 
-    A step runs on int64 or on Python ints.  Write prev = 2**e * odd,
-    odd odd.  On int64 the products may wrap, but the wrapped difference
-    is the quotient q times prev modulo 2**64, so times the inverse of
-    odd modulo 2**64 it is q * 2**e modulo 2**64, which is q * 2**e
-    itself while |q| * 2**e < 2**63, and an arithmetic shift right by e
-    leaves q (Jebelean's exact division).  A bound peak on |entry|, kept
-    in Python ints, gives |q * prev| <= bound = peak * (|pivot| + peak),
-    so the int64 step is taken while bound < |odd| * 2**63; for prev = 1
-    that says the products fit.  After a step peak is bound // |prev|.
-    Only when the check fails is peak measured afresh from the block, as
-    a reduction at every step would cost more than the step itself at
-    small orders.  A block of Python ints is measured before each step
-    and returns to int64 once its entries fit and the measured peak
-    passes the check, as the minors may shrink again after a peak.  For
-    e >= 63 the check admits only zero quotients, whose wrapped
-    difference is 0, and so is its shift.  For the order-150 Hankel
-    matrices of c and d at offsets below 243, at most 48 of the 149
-    steps run on Python ints.  Object and uint64 input, which may not
-    fit int64, run on Python ints throughout.  One DEBUG record per call
-    gives the count of int64 and of Python-int steps.
+    A step runs on int64 by _two_adic's exact division while _admit
+    admits it, and on Python ints otherwise; object and uint64 input run
+    on Python ints throughout.  For the order-150 Hankel matrices of c
+    and d at offsets below 243, at most 48 of the 149 steps run on
+    Python ints.  One DEBUG record per call counts each kind of step.
     """
     a = _square(m)
     if len(a) == 0:
@@ -211,19 +239,8 @@ def det_exact(m) -> int:
             block[[0, i]] = block[[i, 0]]
             sign = -sign
         pivot = int(block[0, 0])
-        e = (prev & -prev).bit_length() - 1
-        odd = prev >> e
-        limit = abs(odd) << 63
-        bound = peak * (abs(pivot) + peak)
-        if wide or bound >= limit:
-            # Past the tracked bound, or on Python ints: measure peak,
-            # and step on int64 if the measured peak admits it.
-            if narrow:
-                peak = _peak(block)
-                bound = peak * (abs(pivot) + peak)
-            if wide == (narrow and peak < 1 << 63 and bound < limit):
-                wide = not wide
-                block = block.astype(object if wide else np.int64)
+        odd, e, inverse = _two_adic(prev)
+        block, bound, wide = _admit(block, peak, abs(pivot), abs(odd), narrow, wide)
         out = block[1:, 1:] * pivot
         out -= block[1:, :1] * block[:1, 1:]
         if wide:
@@ -231,8 +248,7 @@ def det_exact(m) -> int:
             out //= prev
         else:
             if odd != 1:
-                inverse = pow(odd, -1, 1 << 64)
-                out *= inverse - (1 << 64) if inverse >> 63 else inverse
+                out *= inverse
             if e:
                 out >>= e
         block = out
@@ -343,55 +359,56 @@ def minors_exact_stack(a) -> np.ndarray:
     it is (-1) ** inversions times the pivot.  A matrix with no pivot in
     a column has every later minor 0 and leaves the pass.
 
-    The pass runs on int64 while a bound peak on |entry|, taken over the
-    whole stack, proves the products fit: peak * (max |pivot| + peak) <
-    2**63, then divided by the least |previous pivot|.  After that it
-    runs on Python ints for good.  Object and uint64 input run on Python
-    ints throughout.
+    Each step is det_exact's, admitted by one _admit bound over the whole
+    stack (the largest |pivot|, the least odd part of a previous pivot),
+    and one DEBUG record per call counts each kind of step.
     """
     a = _square(a, 3)
     s, n = a.shape[:2]
     out = np.zeros((s, n), object)
     if a.size == 0:
         return out
-    on_int64 = np.can_cast(a.dtype, np.int64)
-    a = a.astype(np.int64 if on_int64 else object)
-    peak = _peak(a) if on_int64 else 0
+    narrow = np.can_cast(a.dtype, np.int64)  # its stacks may be int64
+    wide = not narrow  # the stack holds Python ints
+    a = a.astype(object if wide else np.int64)
+    peak = _peak(a) if narrow else 0
+    python_steps = 0
     live = np.arange(s)  # the input matrix held in each row of a
     pivots = np.zeros((s, n), np.intp)  # the pivot row of each column so far
-    odd = np.zeros(s, bool)  # the parity of the pivot rows' inversions
-    prev = np.ones(s, a.dtype)
+    flip = np.zeros(s, bool)  # the parity of the pivot rows' inversions
+    prev = np.ones(s, object)
     for k in range(n):
         col = a[:, :, 0]  # a keeps only columns k and on
         top = (col != 0).argmax(axis=1)
         pivot = col[np.arange(len(top)), top]
         keep = np.flatnonzero(pivot)
         if keep.size == 0:
-            return out
+            break
         if keep.size < len(pivot):  # every later minor of these is 0
-            a, live, pivots, odd, prev = a[keep], live[keep], pivots[keep], odd[keep], prev[keep]
-            col, top, pivot = col[keep], top[keep], pivot[keep]
+            a, live, pivots, flip, prev = a[keep], live[keep], pivots[keep], flip[keep], prev[keep]
+            top, pivot = top[keep], pivot[keep]
         pivots[:, k] = top
-        odd ^= (pivots[:, :k] > top[:, None]).sum(axis=1) % 2 == 1
+        flip ^= (pivots[:, :k] > top[:, None]).sum(axis=1) % 2 == 1
         leading = pivots[:, :k + 1].max(axis=1) <= k
-        out[live, k] = np.where(leading, np.where(odd, -pivot, pivot), 0)
+        out[live, k] = np.where(leading, np.where(flip, -pivot, pivot), 0)
         if k + 1 == n:
-            return out
-        if on_int64:
-            bound = peak * (_peak(pivot) + peak)
-            if bound >= 1 << 63:
-                peak = _peak(a)
-                bound = peak * (_peak(pivot) + peak)
-                if bound >= 1 << 63:
-                    on_int64 = False
-                    a, col, pivot, prev = (x.astype(object) for x in (a, col, pivot, prev))
-            peak = bound // int(np.abs(prev).min())
-        row = a[np.arange(len(top)), top, 1:]
+            break
+        odd, e, inverse = zip(*map(_two_adic, prev.tolist()))
+        a, bound, wide = _admit(a, peak, _peak(pivot), min(map(abs, odd)), narrow, wide)
+        col, row = a[:, :, 0], a[np.arange(len(top)), top]  # row[:, 0] is pivot
         a = a[:, :, 1:]
-        a *= pivot[:, None, None]
-        a -= col[:, :, None] * row[:, None]
-        a //= prev[:, None, None]
-        prev = pivot
+        a *= row[:, :1, None]
+        a -= col[:, :, None] * row[:, None, 1:]
+        if wide:
+            python_steps += 1
+            a //= prev[:, None, None]
+        else:
+            a *= np.array(inverse)[:, None, None]
+            a >>= np.array(e)[:, None, None]
+        peak = bound // np.abs(prev).min()
+        prev = row[:, 0].astype(object)
+    _logger().debug("minors_exact_stack order %d: %d int64, %d Python-int steps",
+                    n, k - python_steps, python_steps)
     return out
 
 
