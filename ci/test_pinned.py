@@ -203,6 +203,17 @@ ROWS = [
           ("cantor-hankel grid --n-max 1 --p-max 3999999 --format csv",
            "f7f9f048fe679fdf73f14dc8f5d67e6cfcac076181640d3112d24cdc7209a6a3"),
           timeout=5, rss_mb=72),
+    *step("Column period at the scan cap",
+          """p = 3^11 = 177147 is the largest column engine.column_window scans without k_hint:
+          three candidate periods of 12 * 3^10 rows, 2,125,764 cells of one kind, whose minimal
+          period is the candidate itself.  In seven fresh children on a 2-core VM each kind took
+          0.30-0.38 s at 61.1-61.3 MB peak RSS (30 MB of it imports), against 0.41-0.59 s and
+          63.1-63.3 MB when both kinds were split at the top level and every divisor of the
+          window was tried.  5 s leaves room for a slower runner; 70 MB leaves 8.7 MB for other
+          Python and numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel period --kind gamma -p 177147", b"708588\n"),
+          ("cantor-hankel period --kind delta -p 177147", b"708588\n"),
+          timeout=5, rss_mb=70),
     *step("Irrationality table digest",
           """irr reads every order from one J-fraction pass; its bytes are pinned
           (tests/test_cli.py holds this and three more irr digests).""",

@@ -177,7 +177,7 @@ def _grid_json(table: np.ndarray, kind: str) -> Iterator[str]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    table = engine.tables(1, args.n_max, 0, args.p_max)[engine.KINDS.index(args.kind)]
+    table = engine._table(args.kind, 1, args.n_max, 0, args.p_max)
     if args.format == "json":
         blocks = _grid_json(table, args.kind)
     else:

@@ -21,12 +21,17 @@ checked in as data (_minimal), and a cell walks the one of its kind
 over the base-3 digits of n and p, least significant first: O(log n +
 log p) steps, with no memo behind them.  Row -1 of delta is read from
 _anchor.  The recursion itself serves only the smallest rectangles of
-tables(), with a memo that lives for one call: the engine keeps no
-cell between calls.
+tables(), with a memo that lives for one call, and builds one constant
+at import: _CORNER, rows -1 .. 14 by columns 0 .. 4 of both streams,
+where the levels of every table near the origin end.  The engine keeps
+no other cell between calls.
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
 third as wide and as tall one level down, and no cell is memoised.
+Every level below the top needs both streams, since each identity
+reads both; the top level fills only the streams its caller reads, so
+grid() and column_window() split one.
 SPLIT_RULES is compiled once, at import, into index arrays
 (CompiledRules), so each level reads every factor of every identity
 with one gather over windows of the level below, in blocks of bounded
@@ -58,7 +63,8 @@ DEFAULT_GRID_CELL_CAP = 4_000_000
 
 # Base-3 digits allowed in n and in p.  A cell walks one automaton step
 # per digit, but the recursion behind the smallest rectangles of
-# tables() spends two stack frames per digit (the cell and split_value):
+# tables() spends two stack frames per digit (the cell and split_value)
+# until it reaches row 1 or _CORNER, which a large p never reaches:
 # a one-cell or 3 x 3 table at 200 digits needs a recursion limit of 410
 # in a fresh process (CPython 3.11), and the recursion overflows
 # Python's default limit of 1000 frames at 496 digits, so 200 leaves
@@ -69,8 +75,10 @@ _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 # The table kinds in the order tables() returns them.
 KINDS = ("gamma", "delta")
 
-# Rectangles of at most this many cells, and no others, are read cell by
-# cell: below it the array work of a level costs more than the cells.
+# Rectangles of at most this many cells outside _CORNER, and no others,
+# are read cell by cell: below it the array work of a level costs more
+# than the cells.  A rectangle inside _CORNER, of up to 80 cells, is a
+# copy of its cells.
 _CELLWISE_AREA = 32
 
 # The factors one block of a tables() level gathers at once, one byte
@@ -295,35 +303,62 @@ def _kind_index(kind: str) -> int:
     return KINDS.index(kind)
 
 
-def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and delta over a rectangle, two int8 arrays; see tables()."""
-    width = p_hi - p_lo + 1
-    # A level down is about a third as tall and as wide, and rows
-    # [-1, 3] x columns [0, 1] (10 cells) map to themselves: it ends.
-    if (n_hi - n_lo + 1) * width > _CELLWISE_AREA:
-        return _split_level(n_lo, n_hi, p_lo, p_hi)
-    # Cell by cell, by the recursion over SPLIT_RULES, memoised for this
-    # call only: one memo per stream, keyed (n, p).
-    def cells(stream: str) -> Callable[[int, int], int]:
+def _cells(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
+           corner: np.ndarray | None) -> np.ndarray:
+    """The streams "GD"[streams] over a rectangle, read cell by cell: one
+    int8 array indexed [stream, n - n_lo, p - p_lo].
+
+    Rows n <= 1 come from _anchor, the cells of corner (if given, rows
+    -1 .. _CORNER_ROWS - 1 by columns 0 .. _CORNER_COLS - 1 of both
+    streams) from it, and the others from the recursion split_value over
+    SPLIT_RULES, memoised for this call only: one memo per stream, keyed
+    (n, p).
+    """
+    def cells(s: int, stream: str) -> Callable[[int, int], int]:
         memo: dict[tuple[int, int], int] = {}
 
         def value(n: int, p: int) -> int:
             if n <= 1:
                 return _anchor(stream, n, p)
+            if corner is not None and n < _CORNER_ROWS and p < _CORNER_COLS:
+                return int(corner[s, n + 1, p])
             key = n, p
             if key not in memo:
                 memo[key] = split_value(SPLIT_RULES[n % 3, p % 3, stream], n, p, reads) % 3
             return memo[key]
         return value
 
-    reads = {stream: cells(stream) for stream in "GD"}
-    out = tuple(np.empty((n_hi - n_lo + 1, width), np.int8) for _ in KINDS)
-    for table, value in zip(out, reads.values()):
-        table[:] = [[value(n, p) for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
+    reads = {stream: cells(s, stream) for s, stream in enumerate("GD")}
+    out = np.array([[[value(n, p) for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
+                    for value in list(reads.values())[streams]], np.int8)
     # The cells and reads refer to each other: clearing reads frees the
     # memos now, not at the next garbage collection.
     reads.clear()
     return out
+
+
+# The corner where the levels of every table near the origin end: rows
+# -1 .. 14 by columns 0 .. 1 for a column scan and rows -1 .. 4 by
+# columns 0 .. 3 for a square.  Rows -1 .. _CORNER_ROWS - 1 by columns
+# 0 .. _CORNER_COLS - 1 of both streams, read once by the recursion at
+# import (about 130 split_value calls) and read-only after.
+_CORNER_ROWS, _CORNER_COLS = 15, 5
+_CORNER = _cells(-1, _CORNER_ROWS - 1, 0, _CORNER_COLS - 1, slice(0, 2), None)
+_CORNER.flags.writeable = False
+
+
+def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
+           streams: slice = slice(0, 2)) -> tuple[np.ndarray, ...]:
+    """The kinds KINDS[streams] over a rectangle, one int8 array each;
+    see tables()."""
+    # A level down is about a third as tall and as wide, and rows
+    # [-1, 3] x columns [0, 1] map to themselves: it ends, in the corner
+    # or at a rectangle of at most _CELLWISE_AREA cells.
+    if n_hi < _CORNER_ROWS and p_hi < _CORNER_COLS:
+        return tuple(_CORNER[streams, n_lo + 1:n_hi + 2, p_lo:p_hi + 1].copy())
+    if (n_hi - n_lo + 1) * (p_hi - p_lo + 1) > _CELLWISE_AREA:
+        return _split_level(n_lo, n_hi, p_lo, p_hi, streams)
+    return tuple(_cells(n_lo, n_hi, p_lo, p_hi, streams, _CORNER))
 
 
 def _residues(lo: int, hi: int) -> slice:
@@ -355,24 +390,27 @@ def _mod3(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and delta over a rectangle, split by _COMPILED_RULES from the
-    rectangle one level down, rows max(n_lo, 0) // 3 - 1 .. n_hi // 3 + 2
-    by columns p_lo // 3 .. p_hi // 3 + 1.  Rows 0 and 1 are split too
-    (see tables()); row -1, if asked for, is filled from _anchor.
+def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
+                 streams: slice) -> tuple[np.ndarray, ...]:
+    """The kinds KINDS[streams] over a rectangle, split by _COMPILED_RULES
+    from both kinds over the rectangle one level down, rows
+    max(n_lo, 0) // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 ..
+    p_hi // 3 + 1.  Rows 0 and 1 are split too (see tables()); row -1,
+    if asked for, is filled from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
     quotient cell (m, q).  Blocks of quotient cells, at most
-    _GATHER_BYTES factors each, gather every factor of the rules whose i
-    and j occur in the rectangle at once, and fill the cells (3m + i,
-    3q + j) of those i and j over each quotient cell.  The tables hold
+    _GATHER_BYTES factors each, gather every factor of the rules of the
+    streams asked for whose i and j occur in the rectangle at once, and
+    fill the cells (3m + i, 3q + j) of those i and j over each quotient
+    cell.  The tables hold
     just those cells (and row n = -1 if asked for), so at most two rows
     and two columns past each side of the rectangle, a view of them.
     """
     m_lo, q_lo = max(n_lo, 0) // 3 - 1, p_lo // 3
     below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1)
-    at = (slice(None), _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
+    at = (streams, _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
     plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
     planes = np.empty((5,) + below[0].shape, np.int8)
@@ -383,7 +421,7 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     # Row n = -1, if asked for, precedes the quotient rows.
     extra = int(n_lo < 0)
     ka, kb = plane.shape[1:3]
-    full = tuple(np.empty((extra + rows * ka, cols * kb), np.int8) for _ in KINDS)
+    full = tuple(np.empty((extra + rows * ka, cols * kb), np.int8) for _ in plane)
     # The quotient rows of each table, axes (m, residue i, q, residue j).
     quotients = tuple(table[extra:].reshape(rows, ka, cols, kb) for table in full)
     # The (4, 2) windows, built directly: sliding_window_view costs as much as a small level.
@@ -408,7 +446,7 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray
     out = tuple(table[n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1] for table in full)
     if extra:
         # Row n = -1 is 0 past column p = 0.
-        for table, stream in zip(out, "GD"):
+        for table, stream in zip(out, "GD"[streams]):
             table[0] = 0
             table[0, 0] = _anchor(stream, -1, p_lo)
     return out
@@ -421,28 +459,44 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     KINDS; they share no memory, and each may be a view of a table with
     up to two more rows and columns on each side.  Rows n >= 0 are split
     from the rectangle one level down (see _split_level), and row -1 is
-    filled from _anchor; rectangles of at most _CELLWISE_AREA cells are
-    read cell by cell: rows n <= 1 from _anchor, rows n >= 2 by the
-    recursion split_value over SPLIT_RULES, memoised for the call only,
-    never from the automata.  Gamma's row -1 holds 0.
+    filled from _anchor.  A rectangle inside _CORNER is a copy of its
+    cells; other rectangles of at most _CELLWISE_AREA cells are read
+    cell by cell: rows n <= 1 from _anchor, the cells of _CORNER from
+    it, the others by the recursion split_value over SPLIT_RULES,
+    memoised for the call only, never from the automata.  Gamma's row
+    -1 holds 0.
 
     Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
     identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
     from rows -1 .. 1 at columns q and q + 1, whatever c_q .. c_(q+3)
     are (tests/test_engine.py checks every pattern).  So by induction
-    over the levels, from the cell-by-cell rectangles up, rows -1 .. 1
-    of every level are those of _anchor.
+    over the levels, from the corner and the cell-by-cell rectangles up,
+    rows -1 .. 1 of every level are those of _anchor.
 
     A rectangle of more than DEFAULT_GRID_CELL_CAP cells is refused
     before any cell is computed.
     """
+    _check_rectangle(n_lo, n_hi, p_lo, p_hi)
+    return _level(n_lo, n_hi, p_lo, p_hi)
+
+
+def _check_rectangle(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> None:
     if n_hi < n_lo or p_hi < p_lo:
         raise ValueError("empty table range")
     _check_cells("table", (n_hi - n_lo + 1) * (p_hi - p_lo + 1))
     if n_lo < -1 or p_lo < 0:
         raise ValueError("need n >= -1 and p >= 0")
     _check_digits(n_hi, p_hi)
-    return _level(n_lo, n_hi, p_lo, p_hi)
+
+
+def _table(kind: str, n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> np.ndarray:
+    """tables()[KINDS.index(kind)], with only that kind split at the top
+    level, refused as tables() refuses; gamma has no row -1."""
+    index = _kind_index(kind)
+    if kind == "gamma" and n_lo < 0:
+        raise ValueError("need n >= 0 and p >= 0")
+    _check_rectangle(n_lo, n_hi, p_lo, p_hi)
+    return _level(n_lo, n_hi, p_lo, p_hi, slice(index, index + 1))[0]
 
 
 def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
@@ -558,20 +612,38 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
 
 
 def grid(n_lo: int, n_hi: int, p_lo: int, p_hi: int, kind: str = "gamma") -> list[list[int]]:
-    """Rectangular table of mod-3 values, rows n_lo..n_hi, columns p_lo..p_hi."""
-    index = _kind_index(kind)
-    if kind == "gamma" and n_lo < 0:
-        raise ValueError("need n >= 0 and p >= 0")
-    return tables(n_lo, n_hi, p_lo, p_hi)[index].tolist()
+    """Rectangular table of mod-3 values, rows n_lo..n_hi, columns p_lo..p_hi.
+
+    The rows of tables()[KINDS.index(kind)]; only that kind is split at
+    the top level.
+    """
+    return _table(kind, n_lo, n_hi, p_lo, p_hi).tolist()
 
 
 def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The shortest prefix of coeffs whose repetition is coeffs."""
-    n = len(coeffs)
-    for t in range(1, n + 1):
-        if n % t == 0 and coeffs == coeffs[:t] * (n // t):
-            return coeffs[:t]
-    raise AssertionError("unreachable: the full tuple is its own period")
+    """The shortest prefix of coeffs whose repetition is coeffs.
+
+    The repetitions of coeffs by divisors of n = len(coeffs) are those by
+    the multiples of the shortest one, d: two of them, by t and u, make
+    one by gcd(t, u), since t + u - gcd(t, u) <= n.  So from t = n, each
+    prime q of n divides t while coeffs is still a repetition by t / q,
+    and the exponent of q in t falls to its exponent in d.  While coeffs
+    repeats coeffs[:t], it repeats its prefix of length s | t if and
+    only if coeffs[:t] does, that is if coeffs[s:t] == coeffs[:t - s]:
+    one compare of at most t entries per step, O(n) in all.
+    """
+    n = t = len(coeffs)
+    rest, q = n, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while t % q == 0 and coeffs[t // q:t] == coeffs[:t - t // q]:
+                t //= q
+        q += 1
+    return coeffs[:t]
 
 
 def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
@@ -579,14 +651,15 @@ def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[
 
     The candidate period is 12 * 3**k, k the least exponent with
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
-    window.  Returns the window and the candidate once the window
-    repeats with it; failure there would falsify the periodicity bound
-    and raises.  A p of more than MAX_INDEX_DIGITS base-3 digits, a
+    window.  The window is the column of tables() with only that kind
+    split at the top level.  Returns the window and the candidate once
+    the window repeats with it; failure there would falsify the
+    periodicity bound and raises.  A p of more than MAX_INDEX_DIGITS base-3 digits, a
     window of more than DEFAULT_GRID_CELL_CAP cells, or a k past the
     cap's bit length, is refused before any cell or larger power is
     computed, so without k_hint the largest p scanned is 3**11.
     """
-    index = _kind_index(kind)
+    _kind_index(kind)
     _check_digits(0, p)
     k, k_max = k_hint, DEFAULT_GRID_CELL_CAP.bit_length()
     while k < k_max and p > 3 ** (k + 1):
@@ -596,7 +669,7 @@ def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[
         raise ValueError(
             f"column p = {p} needs a scan of more than {DEFAULT_GRID_CELL_CAP} "
             "cells, over the cap")
-    window = tables(first, first + 3 * candidate - 1, p, p)[index][:, 0]
+    window = _table(kind, first, first + 3 * candidate - 1, p, p)[:, 0]
     if not np.array_equal(window[:2 * candidate], window[candidate:]):
         raise RuntimeError(
             f"column {p} is not {candidate}-periodic on the scanned window")

@@ -453,6 +453,17 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
     return out["G"], out["D"]
 
 
+def minimal_period_by_divisors(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """engine.minimal_period as it searched before the prime steps: each
+    divisor t of len(coeffs) in increasing order, the first whose
+    t-prefix repeated is coeffs."""
+    n = len(coeffs)
+    for t in range(1, n + 1):
+        if n % t == 0 and coeffs == coeffs[:t] * (n // t):
+            return coeffs[:t]
+    raise AssertionError("unreachable: the full tuple is its own period")
+
+
 def substitution_word_by_joins(k: int) -> str:
     """The k-th iterate of the substitution on "a", one string join of
     letter images per iteration: what sequences.substitution_word's

@@ -1036,8 +1036,9 @@ def test_dfao_check_over_the_cell_cap_refuses_before_any_closure(monkeypatch):
 def test_dfao_check_reads_the_engine_as_one_table(monkeypatch):
     calls = split_value_calls(monkeypatch)
     assert checks.dfao_grid().ok
-    # One table computes 52 cells one by one, at its smallest rectangle;
-    # a recursion read per cell would compute about 13,000.
+    # One table, whose smallest rectangle lies in the corner built at
+    # import, computes no cell one by one (52 before the corner); a
+    # recursion read per cell would compute about 13,000.
     assert len(calls) <= 60
 
 

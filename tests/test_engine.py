@@ -1,17 +1,19 @@
 import gc
 import itertools
 import logging
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cantor_hankel import checks, engine, hankel, kernel
+from cantor_hankel import checks, engine, hankel, kernel, series
 from cantor_hankel.hankel import det_mod3, hankel_matrix, hankel_stack, minors_mod3_stack
 from cantor_hankel.sequences import cantor_term, diff_term
-from slow_paths import (lattices_by_memo, lattices_by_rule_groups, oracle_reads_by_matrix,
-                        split_cell, split_value_calls, tables_by_rule_passes)
+from slow_paths import (lattices_by_memo, lattices_by_rule_groups, minimal_period_by_divisors,
+                        oracle_reads_by_matrix, split_cell, split_value_calls,
+                        tables_by_rule_passes)
 
 
 def test_gamma_base_cases():
@@ -226,10 +228,42 @@ def test_column_period_is_a_period():
             assert engine.gamma_mod3(n, p) == engine.gamma_mod3(n + t, p)
 
 
+def _period_words(seed):
+    """Words for the period search: length 1, prime lengths, and every
+    length 2**a * 3**b up to 12 * 3**10, each as a repetition of a random
+    word of a random proper divisor length, all zero, random (aperiodic
+    but for chance), and a repetition with one coefficient flipped."""
+    rng = np.random.default_rng(seed)
+
+    def word(n):
+        return tuple(rng.integers(0, 3, n).tolist())
+
+    words = [(0,), (2,)]
+    lengths = [2, 3, 5, 7, 11, 101, 7919] + [2 ** a * 3 ** b for a in range(3)
+                                               for b in range(12) if 2 ** a * 3 ** b > 1]
+    for n in lengths:
+        divisors = [d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)]
+        d = int(rng.choice([d for d in divisors if d < n]))
+        periodic = word(d) * (n // d)
+        flipped = list(periodic)
+        i = int(rng.integers(n))
+        flipped[i] = (flipped[i] + int(rng.integers(1, 3))) % 3
+        words += [periodic, (0,) * n, word(n), tuple(flipped)]
+    return words
+
+
+def test_minimal_period_matches_the_divisor_search():
+    words = _period_words(46)
+    assert max(map(len, words)) == 12 * 3 ** 10
+    for word in words:
+        assert engine.minimal_period(word) == minimal_period_by_divisors(word), len(word)
+
+
 def test_column_window_refuses_before_computing_a_cell(monkeypatch):
-    def tables(*args, **kwargs):
+    # The table builder, engine._level, stands in for every cell.
+    def level(*args, **kwargs):
         raise AssertionError("a cell was computed")
-    monkeypatch.setattr(engine, "tables", tables)
+    monkeypatch.setattr(engine, "_level", level)
     with pytest.raises(ValueError, match="p = 177148"):
         engine.column_window("gamma", 3 ** 11 + 1, 0)
     with pytest.raises(ValueError, match=f"p = {3 ** 40}"):
@@ -251,12 +285,13 @@ def test_column_window_refuses_before_computing_a_cell(monkeypatch):
 def test_column_window_refuses_a_p_over_the_digit_cap(monkeypatch, p):
     # Checked before the scan cap, whose message prints p: 10**5000 has
     # too many decimal digits to print at all.
-    def tables(*args, **kwargs):
+    def level(*args, **kwargs):
         raise AssertionError("a cell was computed")
-    monkeypatch.setattr(engine, "tables", tables)
+    monkeypatch.setattr(engine, "_level", level)
     message = f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits, over the cap"
     for scan in (lambda: engine.column_window("gamma", p, 0),
-                 lambda: engine.column_period(p, 0, "delta")):
+                 lambda: engine.column_period(p, 0, "delta"),
+                 lambda: series.series_delta(p)):
         with pytest.raises(ValueError) as refused:
             scan()
         assert str(refused.value) == message
@@ -348,13 +383,74 @@ def test_tables_match_the_rule_passes():
         _assert_tables_match_rule_passes(*rectangle)
 
 
+# Rectangles read in blocks of seven quotient cells (_GATHER_BYTES = 7 * 108).
+BLOCK_RECTANGLES = ((-1, 60, 0, 60), (1, 300, 4, 9), (5, 11, 3 ** 12, 3 ** 12 + 200),
+                    (0, 400, 3 ** 30, 3 ** 30))
+
+
 def test_tables_match_the_rule_passes_block_by_block(monkeypatch):
     # Blocks of seven quotient cells: every level of these rectangles is
     # split into many blocks along both axes, wide and tall.
     monkeypatch.setattr(engine, "_GATHER_BYTES", 7 * 108)
-    for rectangle in ((-1, 60, 0, 60), (1, 300, 4, 9), (5, 11, 3 ** 12, 3 ** 12 + 200),
-                      (0, 400, 3 ** 30, 3 ** 30)):
+    for rectangle in BLOCK_RECTANGLES:
         _assert_tables_match_rule_passes(*rectangle)
+
+
+def test_corner_matches_the_recursion_and_elimination():
+    # Rows -1 .. 14 by columns 0 .. 4 of both streams, read-only.
+    corner = engine._CORNER
+    assert corner.shape == (2, 16, 5) and corner.dtype == np.int8
+    assert not corner.flags.writeable
+    for (s, row, p), value in np.ndenumerate(corner):
+        stream, n = "GD"[s], row - 1
+        want = engine._anchor(stream, n, p) if n <= 1 else split_cell(stream, n, p)
+        assert value == want, (stream, n, p)
+        if n >= 1:
+            matrix = hankel_matrix(engine.KINDS[s], p, n)
+            assert value == det_mod3(matrix), (stream, n, p)
+
+
+def test_tables_inside_the_corner_are_writable_copies():
+    for n_lo, n_hi, p_lo, p_hi in ((-1, 14, 0, 4), (1, 5, 0, 2), (3, 3, 4, 4)):
+        tables = engine.tables(n_lo, n_hi, p_lo, p_hi)
+        for s, table in enumerate(tables):
+            assert np.array_equal(table, engine._CORNER[s, n_lo + 1:n_hi + 2, p_lo:p_hi + 1])
+            assert table.flags.writeable and not np.shares_memory(table, engine._CORNER)
+        assert not np.shares_memory(*tables)
+
+
+def test_table_reads_near_the_origin_compute_no_cell(monkeypatch):
+    # Their levels end in the corner, built once at import: each call
+    # read the corner cell by cell, 52 or 24 split_value calls, before.
+    calls = split_value_calls(monkeypatch)
+    engine.tables(1, 300, 0, 299)
+    engine.column_period(300)
+    series.series_delta(400)
+    assert calls == []
+
+
+def _one_kind_matches_tables(n_lo, n_hi, p_lo, p_hi):
+    """Each kind split alone at the top level against tables()."""
+    both = engine.tables(n_lo, n_hi, p_lo, p_hi)
+    for k, kind in enumerate(engine.KINDS):
+        one = engine._level(n_lo, n_hi, p_lo, p_hi, slice(k, k + 1))
+        assert len(one) == 1 and one[0].dtype == np.int8, kind
+        assert np.array_equal(one[0], both[k]), (kind, n_lo, n_hi, p_lo, p_hi)
+        if n_lo >= 0 or kind == "delta":
+            assert np.array_equal(engine._table(kind, n_lo, n_hi, p_lo, p_hi), both[k])
+
+
+def test_one_kind_tables_match_both_kinds():
+    for rectangle in _rule_pass_rectangles(28):
+        _one_kind_matches_tables(*rectangle)
+    for n_lo, p_lo, height, width in _random_rectangles(2024):
+        _one_kind_matches_tables(n_lo, n_lo + height - 1, p_lo, p_lo + width - 1)
+
+
+def test_one_kind_tables_match_both_kinds_block_by_block(monkeypatch):
+    monkeypatch.setattr(engine, "_GATHER_BYTES", 7 * 108)
+    for rectangle in BLOCK_RECTANGLES:
+        _one_kind_matches_tables(*rectangle)
 
 
 def test_compiled_rules_decode_to_split_rules():
@@ -398,6 +494,11 @@ def test_an_edited_rule_changes_the_table(monkeypatch):
     # 2 * 1 * 1 + 1 * 1 = 0 mod 3 in place of c_0 = 1.
     assert (gamma[0, 0], want_gamma[0, 0], engine.gamma_mod3(1, 0)) == (0, 1, 1)
     assert not np.array_equal(delta, want_delta)
+    # One kind split alone reads the edit where tables() does.
+    for kind, edited, want in (("gamma", gamma, want_gamma), ("delta", delta, want_delta)):
+        one = engine._table(kind, 1, 60, 0, 60)
+        assert np.array_equal(one, edited), kind
+        assert np.array_equal(one != want, edited != want), kind
 
 
 def _boundary_rule_misses(rules):
@@ -489,8 +590,8 @@ def test_grid_leaves_the_memo_small(monkeypatch):
         calls = split_value_calls(monkeypatch)
         rows = engine.grid(1, n_hi, 0, p_hi, kind)
         monkeypatch.undo()
-        # Only the smallest rectangle is read cell by cell: 14 and 18
-        # cells.
+        # Only the smallest rectangle is read cell by cell: 4 cells, and
+        # none where the levels end in the corner.
         assert len(calls) <= 20, (n_hi, p_hi)
         value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
         rng = random.Random(10)
@@ -615,8 +716,10 @@ def test_kernel_soundness_leaves_the_memo_small(monkeypatch):
     calls = split_value_calls(monkeypatch)
     assert checks.kernel_soundness(20).ok
     # Only the smallest rectangles of tables() are read cell by cell,
-    # through the recursion: 96 cells (1012 distinct cells when the
-    # kernel evaluator read every generator through a module memo).
+    # through the recursion: none, as they lie in the corner (96 cells
+    # before the corner was built once at import, 1012 distinct cells
+    # when the kernel evaluator read every generator through a module
+    # memo).
     assert len(calls) <= 100
 
 
