@@ -204,16 +204,29 @@ ROWS = [
            "f7f9f048fe679fdf73f14dc8f5d67e6cfcac076181640d3112d24cdc7209a6a3"),
           timeout=5, rss_mb=72),
     *step("Column period at the scan cap",
-          """p = 3^11 = 177147 is the largest column engine.column_window scans without k_hint:
+          """p = 3^11 = 177147 is the largest column engine.column scans without k_hint:
           three candidate periods of 12 * 3^10 rows, 2,125,764 cells of one kind, whose minimal
           period is the candidate itself.  In seven fresh children on a 2-core VM each kind took
-          0.30-0.38 s at 61.1-61.3 MB peak RSS (30 MB of it imports), against 0.41-0.59 s and
-          63.1-63.3 MB when both kinds were split at the top level and every divisor of the
-          window was tried.  5 s leaves room for a slower runner; 70 MB leaves 8.7 MB for other
-          Python and numpy builds.  Hitting the timeout fails the row.""",
+          0.23-0.29 s at 47.1-47.4 MB peak RSS (30 MB of it imports), against 0.24-0.30 s and
+          61.2-61.5 MB when the scan returned all three periods as Python ints, and 63.1-63.3 MB
+          when both kinds were split at the top level.  5 s leaves room for a slower runner;
+          70 MB leaves room for other Python and numpy builds.  Hitting the timeout fails the
+          row.""",
           ("cantor-hankel period --kind gamma -p 177147", b"708588\n"),
           ("cantor-hankel period --kind delta -p 177147", b"708588\n"),
           timeout=5, rss_mb=70),
+    *step("Column series at the scan cap",
+          """The largest column series admits, p = 3^11 = 177147: one minimal period of 708,588
+          coefficients, 1,417,176 bytes of output; the digests were taken when the scan returned
+          all three periods as Python ints.  In seven fresh children of each kind on a 2-core VM
+          it took 0.37-0.46 s at 90.5-90.6 MB peak RSS (30 MB of it imports; the comma-joined
+          output is most of the rest).  5 s leaves room for a slower runner; 100 MB leaves 9 MB
+          for other Python and numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel series --kind gamma -p 177147 --format coeffs",
+           "8ab75986fff5603896c746149258982693ea7ff8049b3522c96ec56f462cf7cc"),
+          ("cantor-hankel series --kind delta -p 177147 --format coeffs",
+           "0b7d6651a020ea63e1c8efd090f1307df0f87be9d45d3a4adf187528a8458bd5"),
+          timeout=5, rss_mb=100),
     *step("Irrationality table digest",
           """irr reads every order from one J-fraction pass; its bytes are pinned
           (tests/test_cli.py holds this and three more irr digests).""",

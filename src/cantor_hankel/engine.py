@@ -31,7 +31,7 @@ level at a time: a rectangle is rebuilt from the rectangle about a
 third as wide and as tall one level down, and no cell is memoised.
 Every level below the top needs both streams, since each identity
 reads both; the top level fills only the streams its caller reads, so
-grid() and column_window() split one.
+grid() and column() split one.
 SPLIT_RULES is compiled once, at import, into index arrays
 (CompiledRules), so each level reads every factor of every identity
 with one gather over windows of the level below, in blocks of bounded
@@ -646,19 +646,23 @@ def minimal_period(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:t]
 
 
-def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[int], int]:
-    """Column p of a table kind read over three candidate periods from n = first.
+def column(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[int, ...]:
+    """One minimal period of column p of a table kind, read from n = first.
 
     The candidate period is 12 * 3**k, k the least exponent with
     p <= 3**(k+1), raised to k_hint if the caller asks for a wider
-    window.  The window is the column of tables() with only that kind
-    split at the top level.  Returns the window and the candidate once
-    the window repeats with it; failure there would falsify the
-    periodicity bound and raises.  A p of more than MAX_INDEX_DIGITS base-3 digits, a
-    window of more than DEFAULT_GRID_CELL_CAP cells, or a k past the
-    cap's bit length, is refused before any cell or larger power is
-    computed, so without k_hint the largest p scanned is 3**11.
+    window.  The column of tables(), with only that kind split at the
+    top level, is read over three candidate periods; failure to repeat
+    there would falsify the periodicity bound and raises.  A p of more
+    than MAX_INDEX_DIGITS base-3 digits, a window of more than
+    DEFAULT_GRID_CELL_CAP cells, or a k past the cap's bit length, is
+    refused before any cell or larger power is computed, so without
+    k_hint the largest p scanned is 3**11.
     """
+    if p < 0:
+        raise ValueError("need p >= 0")
+    if k_hint < 0:
+        raise ValueError(f"need k_hint >= 0, got {k_hint}")
     _kind_index(kind)
     _check_digits(0, p)
     k, k_max = k_hint, DEFAULT_GRID_CELL_CAP.bit_length()
@@ -673,18 +677,9 @@ def column_window(kind: str, p: int, first: int, k_hint: int = 0) -> tuple[list[
     if not np.array_equal(window[:2 * candidate], window[candidate:]):
         raise RuntimeError(
             f"column {p} is not {candidate}-periodic on the scanned window")
-    return window.tolist(), candidate
+    return minimal_period(tuple(window[:candidate].tolist()))
 
 
 def column_period(p: int, k_hint: int = 0, kind: str = "gamma") -> int:
-    """Minimal period of the column sequence n -> value(n, p), n >= 1.
-
-    The candidate period from column_window is confirmed on three full
-    periods first; the returned minimal period always divides it.
-    """
-    if p < 0:
-        raise ValueError("need p >= 0")
-    if k_hint < 0:
-        raise ValueError(f"need k_hint >= 0, got {k_hint}")
-    window, candidate = column_window(kind, p, 1, k_hint)
-    return len(minimal_period(tuple(window[:candidate])))
+    """Minimal period of the column sequence n -> value(n, p), n >= 1 (see column)."""
+    return len(column(kind, p, 1, k_hint))

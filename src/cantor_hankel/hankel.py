@@ -15,11 +15,11 @@ reads c only through sequences.cantor_term, so the oracle sweep
 cross-checks the two generators of c as well as the recurrences.
 
 Matrices are 2-D int64 numpy arrays; the determinants accept any square
-array-like of integers, of any size, and leave it unchanged.  The GF(3)
-oracles reduce every entry mod 3 exactly before they narrow it to int16
-(int32 past order LAZY_INT16_ORDER), then eliminate with lazy reduction:
-each step reduces only its pivot column and row.  Every oracle refuses a
-non-integer entry.
+array-like of integers, however large, up to order MAX_HANKEL_ORDER,
+and leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
+before they narrow it to int16, then eliminate with lazy reduction: each
+step reduces only its pivot column and row.  Every oracle refuses a
+non-integer entry, and an order over the cap before any work.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
@@ -46,22 +46,20 @@ import numpy as np
 
 from .sequences import cantor_run, diff_run
 
-# Largest order of any matrix built here, a bound on the cubic
-# elimination that follows.  At order 500 on a 2-core VM (Python 3.11,
-# numpy 2.4), at offsets up to 27, det_mod3 takes 0.02-0.04 s and
-# det_exact 1.1-2.2 s, most of the latter on Python ints: the minors
-# themselves outgrow int64, and 303 to 372 of the 499 steps run there.
-# The package's own callers reach it: verify --oracle admits orders up
-# to this cap, and verify_pade_error(200) eliminates order 201.
-MAX_HANKEL_ORDER = 500
-
-# Largest order the GF(3) oracles eliminate on int16.  They start from
+# Largest order of any matrix built or eliminated here, a bound on the
+# cubic elimination.  At order 500 on a 2-core VM (Python 3.11, numpy
+# 2.4), at offsets up to 27, det_mod3 takes 0.02-0.04 s and det_exact
+# 1.1-2.2 s, most of the latter on Python ints: the minors themselves
+# outgrow int64, and 303 to 372 of the 499 steps run there.  The
+# package's own callers reach it: verify --oracle admits orders up to
+# this cap, and verify_pade_error(200) eliminates order 201.
+#
+# It also bounds the GF(3) oracles' int16 blocks.  They start from
 # residues 0..2 and reduce only the pivot column and row at each step,
 # so a step moves an entry of the trailing block by at most a product of
 # three residues, 2 * 2 * 2 = 8.  An order-n matrix takes n - 1 such
-# steps, and 2 + 8 * 4095 < 2**15.  Past this order they use int32,
-# whose bound holds for any order that fits in memory.
-LAZY_INT16_ORDER = 4096
+# steps, and 2 + 8 * 499 < 2**15.
+MAX_HANKEL_ORDER = 500
 
 _RUNS = {"gamma": cantor_run, "delta": diff_run}
 
@@ -81,8 +79,7 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1,
         raise ValueError(f"unknown matrix kind {kind!r}")
     if first < 0 or n < 0 or count < 0:
         raise ValueError("offset, order and count must be nonnegative")
-    if n > MAX_HANKEL_ORDER:
-        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
+    _check_order(n)
     size = max(count + 2 * n - 2, 0)
     if runs is None:
         terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
@@ -114,12 +111,19 @@ def hankel_stack(kind: str, p: int, n: int, count: int) -> np.ndarray:
     return _hankel(kind, p, 1, n, count)
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_HANKEL_ORDER:
+        raise ValueError(f"order n = {n} is over the cap of {MAX_HANKEL_ORDER}")
+
+
 def _square(m, ndim: int = 2) -> np.ndarray:
-    """m as an array of ndim axes, the last two equal, with integer entries."""
+    """m as an array of ndim axes, the last two equal, with integer
+    entries, of order at most MAX_HANKEL_ORDER."""
     a = np.asarray(m)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         what = "square matrix" if ndim == 2 else "stack of square matrices"
         raise ValueError(f"expected a {what}, got shape {a.shape}")
+    _check_order(a.shape[-1])
     if a.dtype == object:
         # Python ints too large for int64, or anything.  Each integer
         # becomes a Python int, so no numpy scalar among them can wrap.
@@ -132,16 +136,14 @@ def _square(m, ndim: int = 2) -> np.ndarray:
 
 
 def _residues(m, ndim: int) -> np.ndarray:
-    """A fresh copy of m reduced mod 3, int16 up to order LAZY_INT16_ORDER
-    and int32 past it.
+    """A fresh int16 copy of m reduced mod 3 (see MAX_HANKEL_ORDER).
 
     The remainder is taken in m's own integer type (Python ints for an
     object array), and only the residues 0, 1, 2 are narrowed: 200
     narrowed to int8 first would wrap to -56, which has another residue.
     """
     a = _square(m, ndim)
-    dtype = np.int16 if a.shape[-1] <= LAZY_INT16_ORDER else np.int32
-    return np.remainder(a, 3, out=np.empty(a.shape, dtype), casting="unsafe")
+    return np.remainder(a, 3, out=np.empty(a.shape, np.int16), casting="unsafe")
 
 
 def _peak(block: np.ndarray) -> int:
@@ -289,7 +291,7 @@ def det_mod3(m) -> int:
                 det = -det
             # Entry j of the column times pivot (its own inverse) clears
             # it, and -2 is 1 mod 3, so the step subtracts or adds
-            # col[j] * row, at most 4, within LAZY_INT16_ORDER's bound.
+            # col[j] * row, at most 4, within MAX_HANKEL_ORDER's bound.
             update = np.multiply.outer(col[1:], row)
             block = a[k + 1:, k + 1:]
             if pivot == 1:
@@ -334,7 +336,7 @@ def minors_mod3_stack(a) -> np.ndarray:
         out[live, k] = np.where(pivots[:, :k + 1].max(axis=1) <= k, det, 0)
         # Rows above the highest pivot have no residue in column k.  The
         # pivot row's factor, pivot * pivot = 1 mod 3, leaves it zero (U).
-        # At most 2 * 2 * 2 = 8 off each entry, in int8: LAZY_INT16_ORDER.
+        # At most 2 * 2 * 2 = 8 off each entry, in int8: MAX_HANKEL_ORDER.
         lo = top.min()
         row = (a[np.arange(len(top)), top, 1:] % 3).astype(np.int8)
         factor = (col[:, lo:] * pivot[:, None]).astype(np.int8)

@@ -70,11 +70,13 @@ def substitution_word(k: int) -> str:
 
     Rejects k whose word would exceed DEFAULT_WORD_CAP; the iterates are
     prefixes of each other, so a capped call never loses information
-    that a smaller k would have produced.
+    that a smaller k would have produced.  A k of at least the cap's bit
+    length is refused before 3**k is computed, since 3**k > 2**k then
+    passes the cap.
     """
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    if 3 ** k > DEFAULT_WORD_CAP:
+    if k >= DEFAULT_WORD_CAP.bit_length() or 3 ** k > DEFAULT_WORD_CAP:
         raise ValueError(f"word of length 3**{k} exceeds the cap {DEFAULT_WORD_CAP}")
     # Each iteration is one gather of the images of the word's byte codes.
     word = np.frombuffer(b"a", dtype=np.uint8)

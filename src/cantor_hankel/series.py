@@ -118,26 +118,19 @@ SIGNS_ODD = PeriodicSeries((2, 1))
 ZERO = PeriodicSeries((0,))
 
 
-def _column(kind: str, p: int) -> PeriodicSeries:
-    if p < 0:
-        raise ValueError("need p >= 0")
-    window, candidate = engine.column_window(kind, p, 0)
-    return PeriodicSeries(tuple(window[:candidate]))
-
-
 def series_gamma(p: int) -> PeriodicSeries:
     """The stream n -> gamma_mod3(n, p), n >= 0, as a periodic series.
 
-    The period bound 12 * 3**k is confirmed on a window of three full
-    candidate periods before trusting it; the constructor then reduces
-    to the minimal period.
+    engine.column confirms the period bound 12 * 3**k on a window of
+    three full candidate periods before it trusts it, and returns the
+    minimal period.
     """
-    return _column("gamma", p)
+    return PeriodicSeries(engine.column("gamma", p, 0))
 
 
 def series_delta(p: int) -> PeriodicSeries:
     """The stream n -> delta_mod3(n, p), n >= 0, as a periodic series."""
-    return _column("delta", p)
+    return PeriodicSeries(engine.column("delta", p, 0))
 
 
 def _reassemble(stream: str, p: int) -> PeriodicSeries:

@@ -626,8 +626,8 @@ def det_mod3_stack_by_row_swaps(a) -> np.ndarray:
     At step k each matrix takes its own pivot row, the first row at or
     below k whose entry in column k is a largest residue, and a matrix
     with no nonzero residue left there is singular, 0.  Each step
-    reduces only the pivot columns and rows (hankel._residues, int16 up
-    to hankel.LAZY_INT16_ORDER).
+    reduces only the pivot columns and rows (hankel._residues, int16 at
+    every order up to hankel.MAX_HANKEL_ORDER).
     """
     a = hankel._residues(a, 3)
     s, n = a.shape[:2]

@@ -259,44 +259,97 @@ def test_minimal_period_matches_the_divisor_search():
         assert engine.minimal_period(word) == minimal_period_by_divisors(word), len(word)
 
 
-def test_column_window_refuses_before_computing_a_cell(monkeypatch):
+def test_column_refuses_before_computing_a_cell(monkeypatch):
     # The table builder, engine._level, stands in for every cell.
     def level(*args, **kwargs):
         raise AssertionError("a cell was computed")
     monkeypatch.setattr(engine, "_level", level)
     with pytest.raises(ValueError, match="p = 177148"):
-        engine.column_window("gamma", 3 ** 11 + 1, 0)
+        engine.column("gamma", 3 ** 11 + 1, 0)
     with pytest.raises(ValueError, match=f"p = {3 ** 40}"):
-        engine.column_window("delta", 3 ** 40, 1)
+        engine.column("delta", 3 ** 40, 1)
     # A large k_hint is refused by the same message, with no power of 3
     # past the cap computed or printed.
     message = (f"column p = 2 needs a scan of more than {engine.DEFAULT_GRID_CELL_CAP} "
                "cells, over the cap")
     for k_hint in (11, 22, 3000, 10 ** 4, 3 * 10 ** 6):
         with pytest.raises(ValueError) as refused:
-            engine.column_window("gamma", 2, 1, k_hint)
+            engine.column("gamma", 2, 1, k_hint)
         assert str(refused.value) == message, k_hint
     with pytest.raises(ValueError, match="^column p = 1 needs a scan of more than"):
         engine.column_period(1, 3 * 10 ** 6)
 
 
+def test_column_refusals_come_in_order(monkeypatch):
+    # p, then k_hint, then the kind, then the digit cap, then the scan cap.
+    def level(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+    monkeypatch.setattr(engine, "_level", level)
+    for scan, message in ((lambda: engine.column("theta", -1, 0, -1), "need p >= 0"),
+                          (lambda: series.series_gamma(-1), "need p >= 0"),
+                          (lambda: engine.column_period(-1, -1, "theta"), "need p >= 0"),
+                          (lambda: engine.column("theta", 3 ** 300, 0, -1),
+                           "need k_hint >= 0, got -1"),
+                          (lambda: engine.column_period(3 ** 300, 0, "theta"),
+                           "unknown matrix kind 'theta'"),
+                          (lambda: engine.column("delta", 3 ** 300, 1, 3 * 10 ** 6),
+                           f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits, over the cap")):
+        with pytest.raises(ValueError) as refused:
+            scan()
+        assert str(refused.value) == message
+
 @pytest.mark.parametrize("p", [3 ** 200, 3 ** 300, 10 ** 5000],
                          ids=["3^200", "3^300", "10^5000"])
-def test_column_window_refuses_a_p_over_the_digit_cap(monkeypatch, p):
+def test_column_refuses_a_p_over_the_digit_cap(monkeypatch, p):
     # Checked before the scan cap, whose message prints p: 10**5000 has
     # too many decimal digits to print at all.
     def level(*args, **kwargs):
         raise AssertionError("a cell was computed")
     monkeypatch.setattr(engine, "_level", level)
     message = f"p has more than {engine.MAX_INDEX_DIGITS} base-3 digits, over the cap"
-    for scan in (lambda: engine.column_window("gamma", p, 0),
+    for scan in (lambda: engine.column("gamma", p, 0),
                  lambda: engine.column_period(p, 0, "delta"),
                  lambda: series.series_delta(p)):
         with pytest.raises(ValueError) as refused:
             scan()
         assert str(refused.value) == message
     with pytest.raises(ValueError, match=f"^column p = {3 ** 200 - 1} needs a scan"):
-        engine.column_window("gamma", 3 ** 200 - 1, 0)
+        engine.column("gamma", 3 ** 200 - 1, 0)
+
+
+def _candidate(p):
+    """12 * 3**k, k the least exponent with p <= 3**(k+1)."""
+    k = 0
+    while p > 3 ** (k + 1):
+        k += 1
+    return 12 * 3 ** k
+
+
+def test_column_is_the_minimal_period_of_the_first_candidate_period():
+    for first in (0, 1):
+        tables = engine.tables(first, first + _candidate(200) - 1, 0, 200)
+        for kind, table in zip(engine.KINDS, tables):
+            for p in range(201):
+                expected = engine.minimal_period(tuple(table[:_candidate(p), p].tolist()))
+                assert engine.column(kind, p, first) == expected, (kind, p, first)
+
+
+def test_column_reads_serve_period_and_series():
+    for kind, build in (("gamma", series.series_gamma), ("delta", series.series_delta)):
+        for p in range(82):
+            assert build(p).coeffs == engine.column(kind, p, 0), (kind, p)
+            assert engine.column_period(p, 0, kind) == len(engine.column(kind, p, 1)), (kind, p)
+
+
+def test_column_scan_at_the_cap_keeps_one_period_of_python_ints():
+    # The three-period window as a list of Python ints took 28.8 MB.
+    tracemalloc.start()
+    try:
+        assert engine.column_period(3 ** 11) == 12 * 3 ** 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def _assert_tables_match_scalar(n_lo, n_hi, p_lo, p_hi):

@@ -183,9 +183,11 @@ def test_oracles_reduce_integers_of_any_size_exactly():
         assert minors_mod3_stack(np.array([[[200]]], dtype=dtype)).tolist() == [[2]]
 
 
-@pytest.mark.parametrize("oracle", [det_exact, det_mod3, lambda m: minors_mod3_stack([m]),
-                                    lambda m: minors_exact_stack([m])],
-                         ids=["det_exact", "det_mod3", "minors_mod3_stack", "minors_exact_stack"])
+ORACLES = [det_exact, det_mod3, lambda m: minors_mod3_stack([m]), lambda m: minors_exact_stack([m])]
+ORACLE_IDS = ["det_exact", "det_mod3", "minors_mod3_stack", "minors_exact_stack"]
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
 @pytest.mark.parametrize("m", [[[1.5, 1], [1, 1]], [[2.0, 1], [1, 1]],
                                [[Fraction(1, 2), 1], [1, 1]], [[2 ** 70, 0.5], [1, 1]]],
                          ids=["float", "integral-float", "fraction", "big-int-and-float"])
@@ -514,22 +516,33 @@ def test_lazy_reduction_matches_full_reduction_at_high_orders(kind, n):
         assert stacked[p] == det_mod3(m) == det_mod3_by_full_reduction(m), (kind, n, p)
 
 
-def test_int32_past_the_int16_order(monkeypatch):
-    # The bound of the comment at LAZY_INT16_ORDER.
-    assert 2 + 8 * (hankel.LAZY_INT16_ORDER - 1) <= np.iinfo(np.int16).max
-    m = hankel_matrix("delta", 2, 8)
-    assert hankel._residues(m, 2).dtype == np.int16
-    monkeypatch.setattr(hankel, "LAZY_INT16_ORDER", 3)
-    assert hankel._residues(m, 2).dtype == np.int32
-    assert hankel._residues(m[:3, :3], 2).dtype == np.int16
-    for kind in ("gamma", "delta"):
-        minors = minors_mod3_stack(hankel_stack(kind, 0, 30, 13))
-        for n in range(1, 31):
-            stack = hankel_stack(kind, 0, n, 13)
-            expected = det_mod3_stack_by_full_reduction(stack).tolist()
-            assert det_mod3_stack_by_row_swaps(stack).tolist() == expected, (kind, n)
-            assert minors[:, n - 1].tolist() == expected, (kind, n)
-            assert [det_mod3(m) for m in stack] == expected, (kind, n)
+def test_int16_holds_every_lazy_step_up_to_the_order_cap():
+    # The bound of the comment at MAX_HANKEL_ORDER.
+    assert 2 + 8 * (hankel.MAX_HANKEL_ORDER - 1) <= np.iinfo(np.int16).max
+    assert hankel._residues(hankel_matrix("delta", 2, 8), 2).dtype == np.int16
+
+
+class _Untouchable(int):
+    """An integer entry that fails the test when it is converted or
+    reduced: the first work any oracle does on an object matrix."""
+
+    def _touched(self, *args):
+        raise AssertionError("an entry was read")
+
+    __int__ = __index__ = __mod__ = __rmod__ = __mul__ = __rmul__ = _touched
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
+def test_oracles_refuse_an_order_over_the_cap_before_any_work(oracle):
+    # An order-1500 det_exact ran past 15 s before this refusal.
+    for n in (hankel.MAX_HANKEL_ORDER + 1, 1500):
+        message = f"order n = {n} is over the cap of {hankel.MAX_HANKEL_ORDER}"
+        untouchable = np.empty((n, n), object)
+        untouchable.fill(_Untouchable(1))
+        for m in (untouchable, np.eye(n, dtype=np.int64)):
+            with pytest.raises(ValueError) as refused:
+                oracle(m)
+            assert str(refused.value) == message
 
 
 # Stacks of s n x n matrices of one dtype, followed by members whose

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +83,39 @@ def test_substitution_word_cap(monkeypatch):
     assert len(substitution_word(4)) == 81
     with pytest.raises(ValueError, match="word of length 3\\*\\*5 exceeds the cap 81"):
         substitution_word(5)
+
+
+class _Exponent(int):
+    """An iteration count that fails the test when 3 is raised to it."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base} ** {int(self)} was computed")
+
+
+# SHA-256 of substitution_word(16), the longest word under DEFAULT_WORD_CAP,
+# taken when the cap was checked by computing 3 ** k for every k.
+CAP_WORD_DIGEST = "afab05aab59e158edde8df11c8c04aea30842dbcf4810f94d07ddc34f078bc56"
+
+
+def test_substitution_word_refuses_a_huge_k_before_the_power(monkeypatch):
+    # 3 ** (10 ** 12) ran past 60 s before the refusal.
+    for k in (10 ** 12, 10 ** 100, DEFAULT_WORD_CAP.bit_length()):
+        with pytest.raises(ValueError) as refused:
+            substitution_word(_Exponent(k))
+        assert str(refused.value) == f"word of length 3**{k} exceeds the cap {DEFAULT_WORD_CAP}"
+    monkeypatch.setattr(sequences, "DEFAULT_WORD_CAP", 3 ** 4)
+    for k in range(5, 12):
+        with pytest.raises(ValueError, match=f"^word of length 3\\*\\*{k} exceeds the cap 81$"):
+            substitution_word(k)
+
+
+def test_every_admitted_word_is_the_same():
+    word = substitution_word(16)
+    assert 3 ** 16 <= DEFAULT_WORD_CAP < 3 ** 17
+    assert hashlib.sha256(word.encode()).hexdigest() == CAP_WORD_DIGEST
+    for k in range(16):
+        prefix = substitution_word(k)
+        assert len(prefix) == 3 ** k and word.startswith(prefix), k
 
 
 def test_sequence_slice():
