@@ -180,6 +180,16 @@ ROWS = [
           per-cell formatter it replaced.""",
           ("cantor-hankel grid --n-max 1000 --p-max 999 --format csv",
            "9fdadd334544818fe10de69a915a1bba2a4fa9167cd72ce869253fc423785b80")),
+    *step("Grid digest across the corner's edge",
+          """The first level of this table, rows -1 .. 407 by columns 0 .. 135, just overshoots
+          engine._CORNER (rows -1 .. 404 by columns 0 .. 134) on both sides, so it is split once
+          more and ends in the corner; the digest was taken when the corner was rows -1 .. 14 by
+          columns 0 .. 4.  In seven fresh children on a 2-core VM it took 0.42-0.49 s at
+          32.8-32.9 MB peak RSS (30 MB of it imports).  5 s leaves room for a slower runner; 42 MB
+          leaves 9 MB for other Python and numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel grid --n-max 1215 --p-max 404 --format csv",
+           "f2eae4d3a56a296d1173091a1d8508475cc7ccbc0905cac600392720ce3a8589"),
+          timeout=5, rss_mb=42),
     *step("Short wide grid digest",
           """Two rows at the 4,000,000-cell cap, built by blocked gathers like any other table,
           each level keeping only the residue classes of its rows: about 0.1 s here. Reading rows n
@@ -217,16 +227,17 @@ ROWS = [
           timeout=5, rss_mb=70),
     *step("Column series at the scan cap",
           """The largest column series admits, p = 3^11 = 177147: one minimal period of 708,588
-          coefficients, 1,417,176 bytes of output; the digests were taken when the scan returned
-          all three periods as Python ints.  In seven fresh children of each kind on a 2-core VM
-          it took 0.37-0.46 s at 90.5-90.6 MB peak RSS (30 MB of it imports; the comma-joined
-          output is most of the rest).  5 s leaves room for a slower runner; 100 MB leaves 9 MB
-          for other Python and numpy builds.  Hitting the timeout fails the row.""",
+          coefficients, 1,417,176 bytes of output, written by the csv row formatter of grid; the
+          digests were taken when the scan returned all three periods as Python ints and the
+          output was one comma-joined string.  In seven fresh children of each kind on a 2-core VM
+          it took 0.53-0.78 s at 47.3-47.5 MB peak RSS (30 MB of it imports), against 90.5-90.7 MB
+          with the joined string.  5 s leaves room for a slower runner; 56 MB leaves 8.5 MB for
+          other Python and numpy builds.  Hitting the timeout fails the row.""",
           ("cantor-hankel series --kind gamma -p 177147 --format coeffs",
            "8ab75986fff5603896c746149258982693ea7ff8049b3522c96ec56f462cf7cc"),
           ("cantor-hankel series --kind delta -p 177147 --format coeffs",
            "0b7d6651a020ea63e1c8efd090f1307df0f87be9d45d3a4adf187528a8458bd5"),
-          timeout=5, rss_mb=100),
+          timeout=5, rss_mb=56),
     *step("Irrationality table digest",
           """irr reads every order from one J-fraction pass; its bytes are pinned
           (tests/test_cli.py holds this and three more irr digests).""",

@@ -196,8 +196,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
     built = series.series_gamma(args.p) if args.kind == "gamma" else series.series_delta(args.p)
     if args.format == "rational":
         print(built.to_rational())
-    else:
-        print(",".join(str(c) for c in built.coeffs))
+        return 0
+    # One csv row, written as `grid` writes its tables: no Python string a coefficient.
+    for text in _grid_text(np.array(built.coeffs, np.int8)[None], "csv"):
+        sys.stdout.write(text)
     return 0
 
 

@@ -21,10 +21,11 @@ checked in as data (_minimal), and a cell walks the one of its kind
 over the base-3 digits of n and p, least significant first: O(log n +
 log p) steps, with no memo behind them.  Row -1 of delta is read from
 _anchor.  The recursion itself serves only the smallest rectangles of
-tables(), with a memo that lives for one call, and builds one constant
-at import: _CORNER, rows -1 .. 14 by columns 0 .. 4 of both streams,
-where the levels of every table near the origin end.  The engine keeps
-no other cell between calls.
+tables(), with a memo that lives for one call.  One constant is built
+at import by the table levels themselves, ending in that recursion:
+_CORNER, rows -1 .. 404 by columns 0 .. 134 of both streams, where the
+levels of every table near the origin end.  The engine keeps no other
+cell between calls.
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
@@ -77,8 +78,8 @@ KINDS = ("gamma", "delta")
 
 # Rectangles of at most this many cells outside _CORNER, and no others,
 # are read cell by cell: below it the array work of a level costs more
-# than the cells.  A rectangle inside _CORNER, of up to 80 cells, is a
-# copy of its cells.
+# than the cells.  A rectangle inside _CORNER, of up to 54,810 cells, is
+# a copy of its cells.
 _CELLWISE_AREA = 32
 
 # The factors one block of a tables() level gathers at once, one byte
@@ -308,19 +309,20 @@ def _cells(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
     """The streams "GD"[streams] over a rectangle, read cell by cell: one
     int8 array indexed [stream, n - n_lo, p - p_lo].
 
-    Rows n <= 1 come from _anchor, the cells of corner (if given, rows
-    -1 .. _CORNER_ROWS - 1 by columns 0 .. _CORNER_COLS - 1 of both
-    streams) from it, and the others from the recursion split_value over
-    SPLIT_RULES, memoised for this call only: one memo per stream, keyed
-    (n, p).
+    Rows n <= 1 come from _anchor, the cells of corner (if given, both
+    streams over rows -1 onward and columns 0 onward, as _CORNER) from
+    it, and the others from the recursion split_value over SPLIT_RULES,
+    memoised for this call only: one memo per stream, keyed (n, p).
     """
+    rows, cols = (0, 0) if corner is None else corner.shape[1:]
+
     def cells(s: int, stream: str) -> Callable[[int, int], int]:
         memo: dict[tuple[int, int], int] = {}
 
         def value(n: int, p: int) -> int:
             if n <= 1:
                 return _anchor(stream, n, p)
-            if corner is not None and n < _CORNER_ROWS and p < _CORNER_COLS:
+            if n + 1 < rows and p < cols:
                 return int(corner[s, n + 1, p])
             key = n, p
             if key not in memo:
@@ -337,28 +339,19 @@ def _cells(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
     return out
 
 
-# The corner where the levels of every table near the origin end: rows
-# -1 .. 14 by columns 0 .. 1 for a column scan and rows -1 .. 4 by
-# columns 0 .. 3 for a square.  Rows -1 .. _CORNER_ROWS - 1 by columns
-# 0 .. _CORNER_COLS - 1 of both streams, read once by the recursion at
-# import (about 130 split_value calls) and read-only after.
-_CORNER_ROWS, _CORNER_COLS = 15, 5
-_CORNER = _cells(-1, _CORNER_ROWS - 1, 0, _CORNER_COLS - 1, slice(0, 2), None)
-_CORNER.flags.writeable = False
-
-
-def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
-           streams: slice = slice(0, 2)) -> tuple[np.ndarray, ...]:
-    """The kinds KINDS[streams] over a rectangle, one int8 array each;
-    see tables()."""
+def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
+           corner: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The kinds KINDS[streams] over a rectangle, one int8 array each,
+    its levels ending in corner (see _cells) where they reach it; see
+    tables()."""
     # A level down is about a third as tall and as wide, and rows
     # [-1, 3] x columns [0, 1] map to themselves: it ends, in the corner
     # or at a rectangle of at most _CELLWISE_AREA cells.
-    if n_hi < _CORNER_ROWS and p_hi < _CORNER_COLS:
-        return tuple(_CORNER[streams, n_lo + 1:n_hi + 2, p_lo:p_hi + 1].copy())
+    if corner is not None and n_hi + 1 < corner.shape[1] and p_hi < corner.shape[2]:
+        return tuple(corner[streams, n_lo + 1:n_hi + 2, p_lo:p_hi + 1].copy())
     if (n_hi - n_lo + 1) * (p_hi - p_lo + 1) > _CELLWISE_AREA:
-        return _split_level(n_lo, n_hi, p_lo, p_hi, streams)
-    return tuple(_cells(n_lo, n_hi, p_lo, p_hi, streams, _CORNER))
+        return _split_level(n_lo, n_hi, p_lo, p_hi, streams, corner)
+    return tuple(_cells(n_lo, n_hi, p_lo, p_hi, streams, corner))
 
 
 def _residues(lo: int, hi: int) -> slice:
@@ -390,8 +383,8 @@ def _mod3(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
-                 streams: slice) -> tuple[np.ndarray, ...]:
+def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
+                 corner: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """The kinds KINDS[streams] over a rectangle, split by _COMPILED_RULES
     from both kinds over the rectangle one level down, rows
     max(n_lo, 0) // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 ..
@@ -409,7 +402,7 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     and two columns past each side of the rectangle, a view of them.
     """
     m_lo, q_lo = max(n_lo, 0) // 3 - 1, p_lo // 3
-    below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1)
+    below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1, slice(0, 2), corner)
     at = (streams, _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
     plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
@@ -452,6 +445,28 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int,
     return out
 
 
+# The corner where the levels of every table near the origin end: both
+# streams over rows -1 .. 404 by columns 0 .. 134, 109,620 bytes.  A
+# level down maps rows -1 .. n to -1 .. n // 3 + 2 and columns 0 .. p to
+# 0 .. p // 3 + 1, and the corner's 405 rows n >= 0 and 135 columns are
+# 3**3 times the 15 and 5 of the corner the recursion built before, so
+# a read from the origin ends its levels three levels sooner:
+# `grid --n-max 300` after one level, a 1000 x 1000 grid after two, a
+# column scan at p = 400 after three, checks.dfao_grid's 96 x 128
+# window at none.  Three times as tall and as wide would take 985 KB
+# and 5-8 ms at import.
+def _build_corner() -> np.ndarray:
+    """Both streams over rows -1 .. 404 by columns 0 .. 134, indexed
+    [stream, n + 1, p] and read-only: the levels with no corner to end
+    in, bottoming out in the recursion of _cells."""
+    corner = np.stack(_level(-1, 404, 0, 134, slice(0, 2), None))
+    corner.flags.writeable = False
+    return corner
+
+
+_CORNER = _build_corner()
+
+
 def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma and delta mod 3 over rows n_lo..n_hi and columns p_lo..p_hi.
 
@@ -477,7 +492,7 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     before any cell is computed.
     """
     _check_rectangle(n_lo, n_hi, p_lo, p_hi)
-    return _level(n_lo, n_hi, p_lo, p_hi)
+    return _level(n_lo, n_hi, p_lo, p_hi, slice(0, 2), _CORNER)
 
 
 def _check_rectangle(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> None:
@@ -496,7 +511,7 @@ def _table(kind: str, n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> np.ndarray:
     if kind == "gamma" and n_lo < 0:
         raise ValueError("need n >= 0 and p >= 0")
     _check_rectangle(n_lo, n_hi, p_lo, p_hi)
-    return _level(n_lo, n_hi, p_lo, p_hi, slice(index, index + 1))[0]
+    return _level(n_lo, n_hi, p_lo, p_hi, slice(index, index + 1), _CORNER)[0]
 
 
 def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],

@@ -15,6 +15,7 @@ exponent windows are genuine enclosures.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -327,6 +328,18 @@ class _XiEnclosures:
         return (b - 1) * numerator, (b - 1) * b ** (depth - 1)
 
 
+@functools.cache
+def _libmp() -> tuple:
+    """The mpmath.libmp names _exponent_interval reads, in the order it
+    unpacks them."""
+    # Imported here: mpmath adds tens of milliseconds to importing the
+    # package, and only irr reads it.  Cached, as an import statement
+    # reruns the import machinery at every call.
+    from mpmath.libmp import (from_int, mpf_div, mpf_log, mpf_neg, mpf_sign, round_ceiling,
+                              round_floor, to_float)
+    return from_int, mpf_div, mpf_log, mpf_neg, mpf_sign, round_ceiling, round_floor, to_float
+
+
 def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, float]:
     """Enclosure of -log(distance)/log(q) over the distance interval.
 
@@ -340,10 +353,8 @@ def _exponent_interval(d_lo: Fraction, d_hi: Fraction, q: int) -> tuple[float, f
     the bits of mpmath's iv context; the low end is rounded down to a
     float and the high end up.
     """
-    # Imported here: mpmath adds tens of milliseconds to importing the
-    # package, and only irr reads it.
-    from mpmath.libmp import (from_int, mpf_div, mpf_log, mpf_neg, mpf_sign, round_ceiling,
-                              round_floor, to_float)
+    (from_int, mpf_div, mpf_log, mpf_neg, mpf_sign, round_ceiling, round_floor,
+     to_float) = _libmp()
 
     def log_of(x: Fraction, prec: int, rnd: str):
         # u/v rounded the way of rnd from its ends rounded the way of rnd

@@ -30,7 +30,11 @@ class PeriodicSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a periodic stream needs at least one coefficient")
-        if any(c not in (0, 1, 2) for c in self.coeffs):
+        try:
+            residues = set(self.coeffs) <= {0, 1, 2}
+        except TypeError:  # an unhashable coefficient is no residue either
+            residues = False
+        if not residues:
             raise ValueError("coefficients must be mod-3 residues")
         object.__setattr__(self, "coeffs", engine.minimal_period(tuple(self.coeffs)))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cantor_hankel
-from cantor_hankel import checks, cli, engine, kernel, sequences
+from cantor_hankel import checks, cli, engine, kernel, sequences, series
 from cantor_hankel.hankel import MAX_HANKEL_ORDER, det_exact, det_mod3
 from cantor_hankel.pade import (MAX_BASE, MAX_ETA_DEPTH, MAX_FEQ_DEGREE,
                                 MAX_IRR_ORDER, MAX_PADE_ORDER)
@@ -247,6 +247,11 @@ def test_series_coeffs(capsys):
     code, out = run(capsys, "series", "--kind", "delta", "-p", "2",
                     "--format", "coeffs")
     assert (code, out) == (0, "1,1,1,1,0,0,2,2,2,2,0,0\n")
+    # Written by the csv row formatter, as the comma-joined coefficients.
+    for kind, build in (("gamma", series.series_gamma), ("delta", series.series_delta)):
+        for p in (0, 1, 5, 400, 3 ** 8):
+            code, out = run(capsys, "series", "--kind", kind, "-p", str(p), "--format", "coeffs")
+            assert (code, out) == (0, ",".join(map(str, build(p).coeffs)) + "\n"), (kind, p)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "delta"])
@@ -1036,10 +1041,11 @@ def test_dfao_check_over_the_cell_cap_refuses_before_any_closure(monkeypatch):
 def test_dfao_check_reads_the_engine_as_one_table(monkeypatch):
     calls = split_value_calls(monkeypatch)
     assert checks.dfao_grid().ok
-    # One table, whose smallest rectangle lies in the corner built at
-    # import, computes no cell one by one (52 before the corner); a
-    # recursion read per cell would compute about 13,000.
-    assert len(calls) <= 60
+    # One table, rows 1 .. 96 by columns 0 .. 127, a copy of the cells
+    # of the corner built at import: it computes no cell one by one (52
+    # before the corner, when its levels ended there); a recursion read
+    # per cell would compute about 13,000.
+    assert calls == []
 
 
 def test_dfao_check_names_the_first_cell_of_a_flipped_output(monkeypatch):

@@ -450,17 +450,19 @@ def test_tables_match_the_rule_passes_block_by_block(monkeypatch):
 
 
 def test_corner_matches_the_recursion_and_elimination():
-    # Rows -1 .. 14 by columns 0 .. 4 of both streams, read-only.
+    # Rows -1 .. 404 by columns 0 .. 134 of both streams, read-only.
     corner = engine._CORNER
-    assert corner.shape == (2, 16, 5) and corner.dtype == np.int8
+    assert corner.shape == (2, 406, 135) and corner.dtype == np.int8
     assert not corner.flags.writeable
-    for (s, row, p), value in np.ndenumerate(corner):
+    for s, want in enumerate(tables_by_rule_passes(-1, 404, 0, 134)):
+        assert np.array_equal(corner[s], want), "GD"[s]
+    for s, kind in enumerate(engine.KINDS):
+        minors = minors_mod3_stack(hankel_stack(kind, 0, 40, 135))
+        assert np.array_equal(corner[s, 2:42], minors.T), kind
+    for (s, row, p), value in np.ndenumerate(corner[:, :16, :5]):
         stream, n = "GD"[s], row - 1
         want = engine._anchor(stream, n, p) if n <= 1 else split_cell(stream, n, p)
         assert value == want, (stream, n, p)
-        if n >= 1:
-            matrix = hankel_matrix(engine.KINDS[s], p, n)
-            assert value == det_mod3(matrix), (stream, n, p)
 
 
 def test_tables_inside_the_corner_are_writable_copies():
@@ -482,11 +484,44 @@ def test_table_reads_near_the_origin_compute_no_cell(monkeypatch):
     assert calls == []
 
 
+def test_reads_from_the_origin_end_their_levels_in_the_corner(monkeypatch):
+    # Split levels per read, against 5, 6, 6 and 4 when the corner was
+    # rows -1 .. 14 by columns 0 .. 4.
+    calls, real = [], engine._split_level
+    monkeypatch.setattr(engine, "_split_level", lambda *args: calls.append(args) or real(*args))
+    for read, levels in ((lambda kind: engine._table(kind, 1, 300, 0, 299), 1),
+                         (lambda kind: engine._table(kind, 1, 1000, 0, 999), 2),
+                         (lambda kind: engine.column(kind, 400, 1), 3),
+                         (lambda kind: engine.tables(1, 96, 0, 127), 0)):
+        for kind in engine.KINDS:
+            calls.clear()
+            read(kind)
+            assert len(calls) == levels, (kind, levels)
+
+
+def _corner_edge_rectangles():
+    """Rectangles ending on either side of the corner's last row and
+    column, and reads whose first level lands just outside it."""
+    out = [(n_lo, n_hi, p_lo, p_hi) for n_hi in (403, 404, 405) for p_hi in (133, 134, 135)
+           for n_lo, p_lo in ((-1, 0), (n_hi - 2, p_hi - 4))]
+    # One level down, rows -1 .. n // 3 + 2 by columns 0 .. p // 3 + 1:
+    # rows up to 405 or columns up to 135 for these.
+    out += [(1, 1209, 0, 30), (0, 30, 0, 402), (1, 1209, 0, 402), (-1, 1208, 0, 401),
+            (1203, 1209, 398, 402), (1, 1215, 0, 404)]
+    return out
+
+
+def test_tables_across_the_corner_edges_match_the_rule_passes():
+    for rectangle in _corner_edge_rectangles():
+        _assert_tables_match_rule_passes(*rectangle)
+        _one_kind_matches_tables(*rectangle)
+
+
 def _one_kind_matches_tables(n_lo, n_hi, p_lo, p_hi):
     """Each kind split alone at the top level against tables()."""
     both = engine.tables(n_lo, n_hi, p_lo, p_hi)
     for k, kind in enumerate(engine.KINDS):
-        one = engine._level(n_lo, n_hi, p_lo, p_hi, slice(k, k + 1))
+        one = engine._level(n_lo, n_hi, p_lo, p_hi, slice(k, k + 1), engine._CORNER)
         assert len(one) == 1 and one[0].dtype == np.int8, kind
         assert np.array_equal(one[0], both[k]), (kind, n_lo, n_hi, p_lo, p_hi)
         if n_lo >= 0 or kind == "delta":
@@ -541,8 +576,15 @@ def test_an_edited_rule_changes_the_table(monkeypatch):
     # read by tables() alone: the cell-by-cell path keeps the true rules.
     rules = _flip_second_term(engine.SPLIT_RULES, (1, 0, "G"))
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.compile_rules(rules))
-    gamma, delta = engine.tables(1, 60, 0, 60)
     want_gamma, want_delta = tables_by_rule_passes(1, 60, 0, 60)
+    # The corner was built at import by the true rules: until it is
+    # rebuilt, a table inside it reads no edit, and one past it does.
+    gamma, delta = engine.tables(1, 60, 0, 60)
+    assert np.array_equal(gamma, want_gamma) and np.array_equal(delta, want_delta)
+    past = engine.tables(1, 405, 0, 60)
+    assert not np.array_equal(past[0], tables_by_rule_passes(1, 405, 0, 60)[0])
+    monkeypatch.setattr(engine, "_CORNER", engine._build_corner())
+    gamma, delta = engine.tables(1, 60, 0, 60)
     # Row n = 1 is split by the rules too: at p = 0 the edited rule reads
     # 2 * 1 * 1 + 1 * 1 = 0 mod 3 in place of c_0 = 1.
     assert (gamma[0, 0], want_gamma[0, 0], engine.gamma_mod3(1, 0)) == (0, 1, 1)

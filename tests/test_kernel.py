@@ -372,10 +372,11 @@ def test_kernel_soundness_fails_on_a_flipped_compiled_sign(monkeypatch):
     weight = weight.copy()
     weight[0, 1, 0, 1] = 3 - weight[0, 1, 0, 1]
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.CompiledRules(plane, row, col, weight))
-    # Both sides read the edit: the closure states are evaluated on the
-    # rows -1 .. window + 2 of one table, which it reaches from row n = 1
-    # up.  The report is the first mismatch of the per-point evaluator,
-    # reading its generators from that table, against the lattices.
+    # The closure states are evaluated on rows -1 .. window + 2 of one
+    # table, a copy of the corner built at import by the true rules; the
+    # lattices read the edit at every level above it.  The report is the
+    # first mismatch of the per-point evaluator, reading its generators
+    # from that table, against the lattices.
     window = 8
     table = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
     with monkeypatch.context() as edited:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,16 @@ def test_construction_rejects_bad_input():
         PeriodicSeries((0, 3))
     with pytest.raises(ValueError):
         PeriodicSeries((0, -1))
+
+
+def test_construction_refuses_and_accepts_coefficients_as_a_residue_test():
+    # An unhashable coefficient is refused with the same ValueError.
+    for bad in (3, -1, 1.5, "1", [1]):
+        with pytest.raises(ValueError, match="^coefficients must be mod-3 residues$"):
+            PeriodicSeries((0, bad, 2))
+    for good in (True, np.int8(1)):
+        built = PeriodicSeries((good, 0, 2, good, 0, 2))
+        assert built.coeffs == (1, 0, 2) and built.coeffs[0] is good
 
 
 def test_indexing_and_prefix():
