@@ -256,18 +256,59 @@ ROWS = [
           (tests/test_cli.py holds this and three more pade digests).""",
           ("cantor-hankel pade -n 200",
            "2f02539dc767f3e8017ee91ee6220fe9243f750e1b0513b9512538b867b6b82d")),
+    *step("Functional equation at the degree cap",
+          """feq at pade.MAX_FEQ_DEGREE reads 10^6 + 1 coefficients of c in one run.  In fourteen
+          fresh children on a 2-core VM it took 0.36-0.59 s at 54.3-54.5 MB peak RSS (30 MB of it
+          imports).  5 s leaves room for a slower runner; 63 MB leaves 8 MB for other Python and
+          numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel feq --deg 1000000",
+           "45be4420ef6d21fcc41b3d5c28305aed23ae7305d710fb37629aff001861bdf8"),
+          timeout=5, rss_mb=63),
+    *step("Eta identity at the depth and base caps",
+          """eta at pade.MAX_ETA_DEPTH with b = 2^32 - 1, just under pade.MAX_BASE: 10,003 terms
+          of d against a truncated xi in base b^3.  In fourteen fresh children on a 2-core VM it
+          took 0.25-0.47 s at 31.0-31.1 MB peak RSS (30 MB of it imports).  5 s leaves room for a
+          slower runner; 40 MB leaves 9 MB for other Python and numpy builds.  Hitting the timeout
+          fails the row.""",
+          ("cantor-hankel eta -b 4294967295 --depth 10000",
+           "069c5eee86d214b768ec9c997341bd0bbf80d3700c1c5a2e21e5e9f832753b10"),
+          timeout=5, rss_mb=40),
+    *step("Sequence slice at the count cap",
+          """seq at sequences.MAX_SLICE_COUNT: 10^6 terms of c, 2,000,000 bytes of output.  In
+          fourteen fresh children on a 2-core VM it took 0.20-0.38 s at 33.4-33.6 MB peak RSS
+          (30 MB of it imports).  5 s leaves room for a slower runner; 42 MB leaves 8 MB for other
+          Python and numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel seq --kind c --count 1000000",
+           "e8f4cd74b0d57aee5e5f4083eaf40d0a7c8c2a76fe484e334d054bc14559d048"),
+          timeout=5, rss_mb=42),
 ]
+
+
+# Forks row's command (argv[2:]) and waits for it, writing its peak RSS
+# in KiB to the descriptor argv[1] and exiting with its exit code.  On
+# Linux a process forked from this harness would count the harness's own
+# peak RSS, which grows with the output of the rows it has read; this
+# fresh interpreter holds about 10 MB.
+LAUNCHER = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execvp(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), b"%d" % usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))"""
 
 
 def run(row: Row) -> tuple[float, float]:
     """Run row's command in a fresh child; fail, naming the row, unless it
     ends within the timeout with the row's exit code and stdout and a peak
     RSS under the bound.  Returns the wall time in s and the peak in MB:
-    the child's own, from os.wait4, as RUSAGE_CHILDREN keeps the largest
-    of every child this process has reaped."""
+    the command's own, from os.wait4 in LAUNCHER."""
     start = time.monotonic()
-    child = subprocess.Popen(row.argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                             start_new_session=True)
+    peak_in, peak_out = os.pipe()
+    child = subprocess.Popen((sys.executable, "-c", LAUNCHER, str(peak_out), *row.argv),
+                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                             start_new_session=True, pass_fds=(peak_out,))
+    os.close(peak_out)
     # The whole session, so that no grandchild keeps stdout open.
     timer = threading.Timer(row.timeout, os.killpg, (child.pid, signal.SIGKILL))
     timer.start()
@@ -275,9 +316,10 @@ def run(row: Row) -> tuple[float, float]:
         out = child.stdout.read()
     timer.cancel()
     timer.join()  # a kill under way lands before the child is reaped
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = code = os.waitstatus_to_exitcode(status)
-    wall, peak_mb = time.monotonic() - start, usage.ru_maxrss / 1024
+    code = child.wait()
+    with open(peak_in, "rb") as peak:
+        peak_mb = int(peak.read() or 0) / 1024
+    wall = time.monotonic() - start
     assert wall < row.timeout, f"{row.name}: timed out after {row.timeout} s"
     assert code == row.code, f"{row.name}: exit {code}, expected {row.code}"
     got = out if isinstance(row.expect, bytes) else hashlib.sha256(out).hexdigest()

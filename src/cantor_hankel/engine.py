@@ -20,12 +20,10 @@ kernel.minimise cuts each to 60.  Those two minimal automata are
 checked in as data (_minimal), and a cell walks the one of its kind
 over the base-3 digits of n and p, least significant first: O(log n +
 log p) steps, with no memo behind them.  Row -1 of delta is read from
-_anchor.  The recursion itself serves only the smallest rectangles of
-tables(), with a memo that lives for one call.  One constant is built
-at import by the table levels themselves, ending in that recursion:
-_CORNER, rows -1 .. 404 by columns 0 .. 134 of both streams, where the
-levels of every table near the origin end.  The engine keeps no other
-cell between calls.
+_anchor.  One constant is built at import by the table levels
+themselves: _CORNER, rows -1 .. 404 by columns 0 .. 134 of both
+streams, where the levels of every table end.  The engine keeps no
+other cell between calls.
 
 tables() builds whole rectangles of both streams the same way, one
 level at a time: a rectangle is rebuilt from the rectangle about a
@@ -40,9 +38,10 @@ size.  witness_lattices() gathers by the same compiled rules for the
 lattices (3**m n + r, 3**m p + s) that kernel closure states stand for,
 a whole level of them from the stack one level down per block.  Both
 split rows 0 and 1 like any other, so rows -1, 0 and 1 have one
-definition, _anchor, read at the few cells of the smallest rectangles:
+definition, _anchor, read only to seed the corner and fill row -1:
 the engine reads c only through sequences.cantor_term, and the hankel
 oracles' matrices, built from the vectorised runs of c, check it.
+Tables read the identities only through _COMPILED_RULES.
 tables() never reads the automata, so checks.dfao_grid can put it on
 trial against kernel.build_dfao.
 """
@@ -63,24 +62,14 @@ from .sequences import cantor_term, diff_term
 DEFAULT_GRID_CELL_CAP = 4_000_000
 
 # Base-3 digits allowed in n and in p.  A cell walks one automaton step
-# per digit, but the recursion behind the smallest rectangles of
-# tables() spends two stack frames per digit (the cell and split_value)
-# until it reaches row 1 or _CORNER, which a large p never reaches:
-# a one-cell or 3 x 3 table at 200 digits needs a recursion limit of 410
-# in a fresh process (CPython 3.11), and the recursion overflows
-# Python's default limit of 1000 frames at 496 digits, so 200 leaves
-# room for the callers.
+# per digit and a table read splits one level per digit, both in loops,
+# so the cap bounds the time of one read, not the stack: a one-cell
+# table at 200 digits splits 200 levels in 7-9 ms on a 2-core VM.
 MAX_INDEX_DIGITS = 200
 _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 
 # The table kinds in the order tables() returns them.
 KINDS = ("gamma", "delta")
-
-# Rectangles of at most this many cells outside _CORNER, and no others,
-# are read cell by cell: below it the array work of a level costs more
-# than the cells.  A rectangle inside _CORNER, of up to 54,810 cells, is
-# a copy of its cells.
-_CELLWISE_AREA = 32
 
 # The factors one block of a tables() level gathers at once, one byte
 # each: a block of quotient cells then peaks at under 1 MiB of
@@ -208,9 +197,8 @@ def split_value(rule: Rule, n: int, p: int,
     reads maps "G" and "D" to the values each factor reads at
     (n // 3 + a, p // 3 + b).  A term is dropped at its first zero
     factor, so the cells behind its other factors are never read.  The
-    smallest rectangles of tables() recurse through it, their reads
-    calling back into a memo of the one call; the splitting replays of
-    checks feed it oracle values.
+    splitting replays of checks feed it oracle values; tables() never
+    calls it, and reads the identities through _COMPILED_RULES instead.
     """
     m, q = n // 3, p // 3
     total = 0
@@ -304,54 +292,25 @@ def _kind_index(kind: str) -> int:
     return KINDS.index(kind)
 
 
-def _cells(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
-           corner: np.ndarray | None) -> np.ndarray:
-    """The streams "GD"[streams] over a rectangle, read cell by cell: one
-    int8 array indexed [stream, n - n_lo, p - p_lo].
-
-    Rows n <= 1 come from _anchor, the cells of corner (if given, both
-    streams over rows -1 onward and columns 0 onward, as _CORNER) from
-    it, and the others from the recursion split_value over SPLIT_RULES,
-    memoised for this call only: one memo per stream, keyed (n, p).
-    """
-    rows, cols = (0, 0) if corner is None else corner.shape[1:]
-
-    def cells(s: int, stream: str) -> Callable[[int, int], int]:
-        memo: dict[tuple[int, int], int] = {}
-
-        def value(n: int, p: int) -> int:
-            if n <= 1:
-                return _anchor(stream, n, p)
-            if n + 1 < rows and p < cols:
-                return int(corner[s, n + 1, p])
-            key = n, p
-            if key not in memo:
-                memo[key] = split_value(SPLIT_RULES[n % 3, p % 3, stream], n, p, reads) % 3
-            return memo[key]
-        return value
-
-    reads = {stream: cells(s, stream) for s, stream in enumerate("GD")}
-    out = np.array([[[value(n, p) for p in range(p_lo, p_hi + 1)] for n in range(n_lo, n_hi + 1)]
-                    for value in list(reads.values())[streams]], np.int8)
-    # The cells and reads refer to each other: clearing reads frees the
-    # memos now, not at the next garbage collection.
-    reads.clear()
-    return out
+def _down(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[int, int, int, int]:
+    """The rectangle one level down, which _split_level reads."""
+    return max(n_lo, 0) // 3 - 1, n_hi // 3 + 2, p_lo // 3, p_hi // 3 + 1
 
 
 def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
-           corner: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """The kinds KINDS[streams] over a rectangle, one int8 array each,
-    its levels ending in corner (see _cells) where they reach it; see
-    tables()."""
-    # A level down is about a third as tall and as wide, and rows
-    # [-1, 3] x columns [0, 1] map to themselves: it ends, in the corner
-    # or at a rectangle of at most _CELLWISE_AREA cells.
-    if corner is not None and n_hi + 1 < corner.shape[1] and p_hi < corner.shape[2]:
-        return tuple(corner[streams, n_lo + 1:n_hi + 2, p_lo:p_hi + 1].copy())
-    if (n_hi - n_lo + 1) * (p_hi - p_lo + 1) > _CELLWISE_AREA:
-        return _split_level(n_lo, n_hi, p_lo, p_hi, streams, corner)
-    return tuple(_cells(n_lo, n_hi, p_lo, p_hi, streams, corner))
+           corner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kinds KINDS[streams] over a rectangle, one int8 array each, its
+    levels ending in corner (both kinds, indexed as _CORNER); see tables()."""
+    # A level down is about a third as tall and as wide, and rows [-1, 3] x
+    # columns [0, 1] map to themselves: the walk ends in any corner holding them.
+    rectangles = []
+    while n_hi + 1 >= corner.shape[1] or p_hi >= corner.shape[2]:
+        rectangles.append((n_lo, n_hi, p_lo, p_hi))
+        n_lo, n_hi, p_lo, p_hi = _down(n_lo, n_hi, p_lo, p_hi)
+    below = corner[:, n_lo + 1:n_hi + 2, p_lo:p_hi + 1]
+    if not rectangles:
+        return tuple(below[streams].copy())
+    return _split_up(rectangles[::-1], streams, below)
 
 
 def _residues(lo: int, hi: int) -> slice:
@@ -383,13 +342,30 @@ def _mod3(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _split_up(rectangles: Sequence[tuple[int, int, int, int]], streams: slice,
+              below: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The kinds KINDS[streams] over the last of rectangles, each _down of
+    the next, split level by level from below, both kinds over _down of
+    the first; the levels before the last split both kinds."""
+    for k, rectangle in enumerate(rectangles, 1 - len(rectangles)):
+        planes = np.empty((5,) + below[0].shape, np.int8)
+        planes[0:4:2] = below
+        # Dropped before the squares and ones are written, and the planes
+        # once split: one level and one level's planes are held at most.
+        del below
+        np.not_equal(planes[0:4:2], 0, out=planes[1:4:2].view(bool))
+        planes[4] = 1
+        below = _split_level(*rectangle, streams if k == 0 else slice(0, 2), planes)
+        del planes
+    return below
+
+
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
-                 corner: np.ndarray | None) -> tuple[np.ndarray, ...]:
+                 planes: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kinds KINDS[streams] over a rectangle, split by _COMPILED_RULES
-    from both kinds over the rectangle one level down, rows
-    max(n_lo, 0) // 3 - 1 .. n_hi // 3 + 2 by columns p_lo // 3 ..
-    p_hi // 3 + 1.  Rows 0 and 1 are split too (see tables()); row -1,
-    if asked for, is filled from _anchor.
+    from planes, the _FACTOR_PLANES and ones over _down(n_lo, n_hi, p_lo,
+    p_hi).  Rows 0 and 1 are split too (see tables()); row -1, if asked
+    for, is filled from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
@@ -397,20 +373,14 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
     _GATHER_BYTES factors each, gather every factor of the rules of the
     streams asked for whose i and j occur in the rectangle at once, and
     fill the cells (3m + i, 3q + j) of those i and j over each quotient
-    cell.  The tables hold
-    just those cells (and row n = -1 if asked for), so at most two rows
-    and two columns past each side of the rectangle, a view of them.
+    cell.  The tables hold just those cells (and row n = -1 if asked
+    for), so at most two rows and two columns past each side of the
+    rectangle, a view of them.
     """
-    m_lo, q_lo = max(n_lo, 0) // 3 - 1, p_lo // 3
-    below = _level(m_lo, n_hi // 3 + 2, q_lo, p_hi // 3 + 1, slice(0, 2), corner)
+    m_lo, _, q_lo, _ = _down(n_lo, n_hi, p_lo, p_hi)
     at = (streams, _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
     plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
-    planes = np.empty((5,) + below[0].shape, np.int8)
-    planes[0:4:2] = below
-    del below
-    np.not_equal(planes[0:4:2], 0, out=planes[1:4:2].view(bool))
-    planes[4] = 1
     # Row n = -1, if asked for, precedes the quotient rows.
     extra = int(n_lo < 0)
     ka, kb = plane.shape[1:3]
@@ -445,21 +415,27 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
     return out
 
 
-# The corner where the levels of every table near the origin end: both
-# streams over rows -1 .. 404 by columns 0 .. 134, 109,620 bytes.  A
-# level down maps rows -1 .. n to -1 .. n // 3 + 2 and columns 0 .. p to
-# 0 .. p // 3 + 1, and the corner's 405 rows n >= 0 and 135 columns are
-# 3**3 times the 15 and 5 of the corner the recursion built before, so
-# a read from the origin ends its levels three levels sooner:
-# `grid --n-max 300` after one level, a 1000 x 1000 grid after two, a
-# column scan at p = 400 after three, checks.dfao_grid's 96 x 128
-# window at none.  Three times as tall and as wide would take 985 KB
-# and 5-8 ms at import.
+# The corner where the levels of every table end: both streams over
+# rows -1 .. 404 by columns 0 .. 134, 109,620 bytes, built in about 1 ms.
+# `grid --n-max 300` ends in it after one level, a 1000 x 1000 grid after
+# two, a column scan at p = 400 after three, checks.dfao_grid's 96 x 128
+# window at none.  Three times as tall and as wide would take 985 KB and
+# about 3 ms.  Its own levels end in a seed, rows -1 .. 3 by columns
+# 0 .. 1, which one level maps onto itself: rows 2 and 3 read rows <= 2,
+# so from _anchor's rows -1 .. 1 and zeros below, two passes reach the
+# fixed point; a fixed count of three cannot loop on an edited rule.
+def _seed() -> np.ndarray:
+    """Both streams over rows -1 .. 3 by columns 0 .. 1, indexed as
+    _CORNER: the fixed point of one level, split from _anchor."""
+    seed = np.zeros((2, 5, 2), np.int8)
+    seed[:, :3] = [[[_anchor(s, n, p) for p in (0, 1)] for n in (-1, 0, 1)] for s in "GD"]
+    return np.stack(_split_up([(-1, 3, 0, 1)] * 3, slice(0, 2), seed))
+
+
 def _build_corner() -> np.ndarray:
     """Both streams over rows -1 .. 404 by columns 0 .. 134, indexed
-    [stream, n + 1, p] and read-only: the levels with no corner to end
-    in, bottoming out in the recursion of _cells."""
-    corner = np.stack(_level(-1, 404, 0, 134, slice(0, 2), None))
+    [stream, n + 1, p] and read-only: the levels ending in _seed()."""
+    corner = np.stack(_level(-1, 404, 0, 134, slice(0, 2), _seed()))
     corner.flags.writeable = False
     return corner
 
@@ -475,18 +451,17 @@ def tables(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> tuple[np.ndarray, np.n
     up to two more rows and columns on each side.  Rows n >= 0 are split
     from the rectangle one level down (see _split_level), and row -1 is
     filled from _anchor.  A rectangle inside _CORNER is a copy of its
-    cells; other rectangles of at most _CELLWISE_AREA cells are read
-    cell by cell: rows n <= 1 from _anchor, the cells of _CORNER from
-    it, the others by the recursion split_value over SPLIT_RULES,
-    memoised for the call only, never from the automata.  Gamma's row
-    -1 holds 0.
+    cells; every other rectangle is walked down, one level per loop
+    step, until one lies in _CORNER, then split back up level by level:
+    never cell by cell, never from the automata, and with no recursion.
+    Gamma's row -1 holds 0.
 
     Rows 0 and 1 need no anchor fill: read at m = 0, the twelve
     identities with i in {0, 1} rebuild them at columns 3q .. 3q + 2
     from rows -1 .. 1 at columns q and q + 1, whatever c_q .. c_(q+3)
     are (tests/test_engine.py checks every pattern).  So by induction
-    over the levels, from the corner and the cell-by-cell rectangles up,
-    rows -1 .. 1 of every level are those of _anchor.
+    over the levels, from the seed of _CORNER up, rows -1 .. 1 of every
+    level are those of _anchor.
 
     A rectangle of more than DEFAULT_GRID_CELL_CAP cells is refused
     before any cell is computed.

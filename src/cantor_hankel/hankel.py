@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import cantor_run, diff_run
+from .sequences import MAX_RUN_COUNT, cantor_run, diff_run
 
 # Largest order of any matrix built or eliminated here, a bound on the
 # cubic elimination.  At order 500 on a 2-core VM (Python 3.11, numpy
@@ -74,6 +74,7 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1,
     entry (o, i, j) reads term o + i + j.  runs, if given, maps each kind
     to an int64 run of its terms that reaches every term read, and the
     view is then one of that run, with first counted from its start.
+    More than sequences.MAX_RUN_COUNT terms are refused before any is read.
     """
     if kind not in _RUNS:
         raise ValueError(f"unknown matrix kind {kind!r}")
@@ -81,6 +82,8 @@ def _hankel(kind: str, first: int, step: int, n: int, count: int = 1,
         raise ValueError("offset, order and count must be nonnegative")
     _check_order(n)
     size = max(count + 2 * n - 2, 0)
+    if size > MAX_RUN_COUNT:
+        raise ValueError(f"count + 2n - 2 = {size} terms is over the cap of {MAX_RUN_COUNT}")
     if runs is None:
         terms = _RUNS[kind](first, step * size)[::step].astype(np.int64)
         first, step = 0, 1  # terms holds just the terms read, in order

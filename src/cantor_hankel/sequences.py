@@ -39,6 +39,14 @@ DEFAULT_WORD_CAP = 3 ** 16
 # 8 MB (9 MB at peak) built in about 0.01 s on a 2-core VM.
 MAX_SLICE_COUNT = 10 ** 6
 
+# Resource guard for cantor_run and diff_run, checked before any term:
+# 2**21 terms, twice the deepest internal read, pade's tail enclosures at
+# MAX_TAIL_DEPTH = 2**20 terms (feq reads 10**6 + 1 coefficients and
+# sequence_run 10**6 terms of d, 10**6 + 2 of c).  hankel._hankel refuses
+# its count + 2n - 2 terms by it too.  A run at the cap is 2 MiB of int8
+# and takes about 2 ms.
+MAX_RUN_COUNT = 1 << 21
+
 
 def cantor_term(n: int) -> int:
     """c_n via the index recurrence c_3n = c_n, c_3n+1 = 0, c_3n+2 = c_n.
@@ -101,8 +109,20 @@ def cantor_run(start: int, count: int) -> np.ndarray:
     c_p = c_hi * c_lo, c_lo read from _CANTOR_BLOCK and the c_hi a run
     about B times shorter.  A loop takes such levels until at most two
     terms are left, read by cantor_term, and expands them back, so start
-    may have any number of digits.
+    may have any number of digits.  A count over MAX_RUN_COUNT is
+    refused before any term.
     """
+    _check_run_count(count)
+    return _cantor_run(start, count)
+
+
+def _check_run_count(count: int) -> None:
+    if count > MAX_RUN_COUNT:
+        raise ValueError(f"count {count} is over the cap of {MAX_RUN_COUNT}")
+
+
+def _cantor_run(start: int, count: int) -> np.ndarray:
+    """cantor_run without its cap."""
     block = len(_CANTOR_BLOCK)
     levels = []
     while count > 2:
@@ -116,8 +136,10 @@ def cantor_run(start: int, count: int) -> np.ndarray:
 
 
 def diff_run(start: int, count: int) -> np.ndarray:
-    """d_p = c_p + c_(p+2) for p = start .. start + count - 1, as int8."""
-    run = cantor_run(start, count + 2)
+    """d_p = c_p + c_(p+2) for p = start .. start + count - 1, as int8,
+    refused as cantor_run refuses."""
+    _check_run_count(count)
+    run = _cantor_run(start, count + 2)
     return run[:-2] + run[2:]
 
 

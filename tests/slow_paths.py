@@ -412,8 +412,10 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
     entry of SPLIT_RULES, filling the rows n = i and the columns p = j
     mod 3 at once, every factor a contiguous slice of the rectangle one
     level down.  Rows n <= 1 are anchor_rows, and rows n >= 2 of
-    rectangles of at most engine._CELLWISE_AREA cells are read cell by
-    cell through split_cell."""
+    rectangles of at most 32 cells are read cell by cell through
+    split_cell, as the engine once read them.  Its levels end there, not
+    in engine._CORNER, so it shares no seed or corner with the engine."""
+    cellwise_area = 32
 
     def level(n_lo: int, n_hi: int, p_lo: int, p_hi: int) -> dict[str, np.ndarray]:
         width = p_hi - p_lo + 1
@@ -424,7 +426,7 @@ def tables_by_rule_passes(n_lo: int, n_hi: int, p_lo: int,
         r_lo = max(n_lo, 2)
         if r_lo > n_hi:
             return out
-        if (n_hi - n_lo + 1) * width <= engine._CELLWISE_AREA:
+        if (n_hi - n_lo + 1) * width <= cellwise_area:
             for stream, rows in out.items():
                 rows[r_lo - n_lo:] = [[split_cell(stream, n, p) for p in range(p_lo, p_hi + 1)]
                                       for n in range(r_lo, n_hi + 1)]

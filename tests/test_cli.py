@@ -1240,8 +1240,8 @@ def test_caps_refuse_before_any_work(argv, named):
 def test_cell_just_under_the_digit_cap_returns_a_value(kind):
     # A fresh process under a recursion limit of 700: a cell walks the
     # minimal automaton in a loop, so its stack depth does not grow with
-    # the digits (test_tables_at_the_digit_cap_fit_the_recursion_limit
-    # holds the recursion behind the smallest tables to its depth).
+    # the digits, as a table's does not
+    # (test_tables_at_the_digit_cap_fit_the_recursion_limit).
     largest = str(3 ** engine.MAX_INDEX_DIGITS - 1)
     code = ("import sys; from cantor_hankel import cli; sys.setrecursionlimit(700); "
             "raise SystemExit(cli.main(sys.argv[1:]))")
@@ -1251,13 +1251,13 @@ def test_cell_just_under_the_digit_cap_returns_a_value(kind):
 
 
 def test_tables_at_the_digit_cap_fit_the_recursion_limit():
-    # The recursion behind the smallest rectangles of tables() spends two
-    # frames per base-3 digit: one cell and a 3 x 3 table at 200 digits
-    # need a recursion limit of 410 in a fresh process, so 460 leaves 50
-    # frames; a third frame per digit (a module memo's wrapper) needs 612.
+    # tables() walks its levels down and splits them back up in loops,
+    # so one cell and a 3 x 3 table at 200 digits fit a recursion limit
+    # of 100 in a fresh process, well under the 200 levels they split; a
+    # recursion of a frame or more per level would not.
     largest = 3 ** engine.MAX_INDEX_DIGITS - 1
     code = ("import sys; from cantor_hankel import engine; "
-            "sys.setrecursionlimit(460); n = int(sys.argv[1]); "
+            "sys.setrecursionlimit(100); n = int(sys.argv[1]); "
             "print([t.tolist() for t in engine.tables(n, n, n, n) + "
             "engine.tables(n - 2, n, n - 2, n)])")
     done = _run_cli([str(largest)], ["-c", code])

@@ -402,7 +402,8 @@ def test_tables_match_the_scalar_engine_from_the_boundary_rows():
 
 def _rule_pass_rectangles(seed):
     """(n_lo, n_hi, p_lo, p_hi) for the compiled levels against the rule
-    passes: the boundary rows, either side of _CELLWISE_AREA, single rows
+    passes: the boundary rows, either side of the 32 cells below which
+    the rule passes read cell by cell, single rows
     and columns, offsets past 2**63 and near 3**200, and widths of more
     than one block of quotient columns."""
     rng = random.Random(seed)
@@ -482,6 +483,33 @@ def test_table_reads_near_the_origin_compute_no_cell(monkeypatch):
     engine.column_period(300)
     series.series_delta(400)
     assert calls == []
+
+
+def test_table_reads_far_from_the_origin_compute_no_cell(monkeypatch):
+    # Their levels are split down to the corner too, one loop step a
+    # level: no rectangle, however small or far from the origin, is read
+    # cell by cell through split_value.
+    calls = split_value_calls(monkeypatch)
+    far, at_13 = 3 ** 199, 3 ** 12 + 5
+    engine.tables(far, far + 2, far, far + 2)
+    engine.tables(at_13, at_13 + 9, at_13 + 7, at_13 + 16)
+    for kind in engine.KINDS:
+        engine._table(kind, far + 1, far + 4, at_13, at_13 + 3)
+    assert calls == []
+
+
+def test_the_corner_seed_is_a_fixed_point_of_one_level():
+    # Rows -1 .. 3 by columns 0 .. 1 of both streams: _anchor on rows
+    # -1 .. 1 and the splitting identities on rows 2 and 3, which one
+    # more level split from the seed leaves as they are.
+    seed = engine._seed()
+    assert seed.shape == (2, 5, 2) and seed.dtype == np.int8
+    for (s, row, p), value in np.ndenumerate(seed):
+        stream, n = "GD"[s], row - 1
+        want = engine._anchor(stream, n, p) if n <= 1 else split_cell(stream, n, p)
+        assert value == want, (stream, n, p)
+    again = engine._split_up([(-1, 3, 0, 1)], slice(0, 2), seed)
+    assert np.array_equal(np.stack(again), seed)
 
 
 def test_reads_from_the_origin_end_their_levels_in_the_corner(monkeypatch):
@@ -573,7 +601,7 @@ def _flip_second_term(rules, key):
 
 def test_an_edited_rule_changes_the_table(monkeypatch):
     # The second term of (1, 0, "G") with its sign flipped, compiled and
-    # read by tables() alone: the cell-by-cell path keeps the true rules.
+    # read by tables(), whose levels read the rules only compiled.
     rules = _flip_second_term(engine.SPLIT_RULES, (1, 0, "G"))
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.compile_rules(rules))
     want_gamma, want_delta = tables_by_rule_passes(1, 60, 0, 60)
@@ -685,9 +713,8 @@ def test_grid_leaves_the_memo_small(monkeypatch):
         calls = split_value_calls(monkeypatch)
         rows = engine.grid(1, n_hi, 0, p_hi, kind)
         monkeypatch.undo()
-        # Only the smallest rectangle is read cell by cell: 4 cells, and
-        # none where the levels end in the corner.
-        assert len(calls) <= 20, (n_hi, p_hi)
+        # No rectangle is read cell by cell: the levels end in the corner.
+        assert calls == [], (n_hi, p_hi)
         value = engine.gamma_mod3 if kind == "gamma" else engine.delta_mod3
         rng = random.Random(10)
         for _ in range(300):
@@ -810,12 +837,10 @@ def test_lattices_refuse_witnesses_off_the_lattice():
 def test_kernel_soundness_leaves_the_memo_small(monkeypatch):
     calls = split_value_calls(monkeypatch)
     assert checks.kernel_soundness(20).ok
-    # Only the smallest rectangles of tables() are read cell by cell,
-    # through the recursion: none, as they lie in the corner (96 cells
-    # before the corner was built once at import, 1012 distinct cells
-    # when the kernel evaluator read every generator through a module
-    # memo).
-    assert len(calls) <= 100
+    # No rectangle of tables() is read cell by cell (96 cells before the
+    # corner was built once at import, 1012 distinct cells when the
+    # kernel evaluator read every generator through a module memo).
+    assert calls == []
 
 
 def test_lattice_sweep_peak_memory():

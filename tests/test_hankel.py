@@ -126,6 +126,26 @@ def test_stack_builder_refuses_what_the_matrix_builder_refuses():
         hankel_stack("gamma", 0, 501, 1)
 
 
+def test_stacks_at_the_run_cap_answer_and_past_it_are_refused(monkeypatch):
+    # count + 2n - 2 terms: the largest admitted stack at order 500 reads
+    # MAX_RUN_COUNT of them, and one more is refused before any is read.
+    cap, n = hankel.MAX_RUN_COUNT, hankel.MAX_HANKEL_ORDER
+    stack = hankel_stack("delta", 3, n, cap - 2 * n + 2)
+    assert stack.shape == (cap - 2 * n + 2, n, n)
+    assert stack[-1, -1, -1] == diff_term(3 + cap - 1)
+
+    def no_term(*args):
+        raise AssertionError("a term was read")
+    for kind in hankel._RUNS:
+        monkeypatch.setitem(hankel._RUNS, kind, no_term)
+    for kind, n, count in (("delta", n, cap - 2 * n + 3), ("gamma", 1, cap + 1),
+                           ("gamma", 3, 10 ** 12)):
+        with pytest.raises(ValueError) as refused:
+            hankel_stack(kind, 0, n, count)
+        size = count + 2 * n - 2
+        assert str(refused.value) == f"count + 2n - 2 = {size} terms is over the cap of {cap}"
+
+
 @pytest.mark.parametrize("m", [hankel_matrix("gamma", 1, 7),
                                5 * hankel_matrix("delta", 1, 7) - 4],
                          ids=["hankel", "residues-off-0-1-2"])

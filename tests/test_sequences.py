@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantor_hankel import sequences
-from cantor_hankel.sequences import (DEFAULT_WORD_CAP, cantor_run, cantor_term,
-                                     cantor_via_automaton, diff_run, diff_term,
+from cantor_hankel.sequences import (DEFAULT_WORD_CAP, MAX_RUN_COUNT, cantor_run,
+                                     cantor_term, cantor_via_automaton, diff_run, diff_term,
                                      sequence_slice, substitution_word)
 from slow_paths import substitution_word_by_joins
 
@@ -163,6 +163,31 @@ def test_runs_refuse_a_negative_start():
     for run in (cantor_run, diff_run):
         with pytest.raises(ValueError, match="nonnegative"):
             run(-1, 3)
+
+
+def test_runs_at_the_count_cap_answer():
+    # The largest internal read, pade's tail enclosure at 2**20 terms,
+    # fits under the cap.
+    assert MAX_RUN_COUNT >= 2 ** 20
+    start = 2 * 3 ** 40 + 7
+    run, diff = cantor_run(start, MAX_RUN_COUNT), diff_run(start, MAX_RUN_COUNT)
+    assert run.shape == diff.shape == (MAX_RUN_COUNT,)
+    assert run.any() and not run.all()
+    for k in list(range(5)) + list(range(MAX_RUN_COUNT - 5, MAX_RUN_COUNT)) + [3 ** 13, 12345]:
+        assert run[k] == cantor_term(start + k) and diff[k] == diff_term(start + k), k
+
+
+def test_runs_over_the_count_cap_are_refused_before_any_term(monkeypatch):
+    # cantor_run(0, 10**12) reached 3.97 GB before a MemoryError.
+    def no_term(*args):
+        raise AssertionError("a term was computed")
+    monkeypatch.setattr(sequences, "cantor_term", no_term)
+    monkeypatch.setattr(sequences, "_cantor_run", no_term)
+    for run in (cantor_run, diff_run):
+        for count in (MAX_RUN_COUNT + 1, 10 ** 12):
+            with pytest.raises(ValueError) as refused:
+                run(5, count)
+            assert str(refused.value) == f"count {count} is over the cap of {MAX_RUN_COUNT}"
 
 
 def test_slice_far_from_0():
