@@ -156,6 +156,14 @@ ROWS = [
           with lazily reduced int16 blocks; both values agree with det_exact mod 3.""",
           ("cantor-hankel det --kind gamma -p 5 -n 500 --mod3", b"1\n"),
           ("cantor-hankel det --kind delta -p 2 -n 500 --mod3", b"2\n")),
+    *step("Order-500 mod-3 determinants at p = 0",
+          """det --mod3 at hankel.MAX_HANKEL_ORDER, both kinds; the values are the printed columns
+          at n mod 4.  In seven fresh children of each kind on a 2-core VM they took 0.24-0.37 s at
+          34.1-34.6 MB peak RSS (30 MB of it imports).  5 s leaves room for a slower runner; 43 MB
+          leaves 8 MB for other Python and numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel det --mod3 -n 500 -p 0", b"2\n"),
+          ("cantor-hankel det --kind delta --mod3 -n 500 -p 0", b"1\n"),
+          timeout=5, rss_mb=43),
     *step("Exact order-500 determinants",
           """The widest exact determinants the CLI builds, each in a fresh child process.  Of the
           499 steps, det_exact takes 127 and 151 on int64 and 372 and 348 on Python ints.  In six
@@ -171,8 +179,8 @@ ROWS = [
           """The grid command formats its int8 table through one fixed-width byte lookup and writes
           it in blocks of whole rows; its bytes are pinned (tests/test_cli.py holds all eight
           kind/format digests). The table levels gather int8 factor planes through strided window
-          views and reduce them mod 3 in place with engine._mod3, mixing int8 arrays with Python
-          ints, whose promotion rules differ between numpy 1.x and 2.x.""",
+          views and reduce them mod 3 in place with engine._apply_rules, mixing int8 arrays with
+          Python ints, whose promotion rules differ between numpy 1.x and 2.x.""",
           ("cantor-hankel grid --n-max 300 --p-max 299 --format ppm",
            "bcbaffb6a31f5536fcf4c765fbb1f5ea73d2a4545fabdb9875c7a910e71c9294")),
     *step("Rendered 1000x1000 grid digest",
@@ -190,6 +198,16 @@ ROWS = [
           ("cantor-hankel grid --n-max 1215 --p-max 404 --format csv",
            "f2eae4d3a56a296d1173091a1d8508475cc7ccbc0905cac600392720ce3a8589"),
           timeout=5, rss_mb=42),
+    *step("Grid at the cell cap",
+          """The square table at engine.DEFAULT_GRID_CELL_CAP, 2000 x 2000 cells as ascii; the
+          digest was taken before the table levels and the witness lattices shared one factor
+          stack and one rule applier.  In seven fresh children on a 2-core VM it took 0.23-0.34 s
+          at 37.2-37.4 MB peak RSS (30 MB of it imports).  5 s leaves room for a slower runner;
+          46 MB leaves 8.5 MB for other Python and numpy builds.  Hitting the timeout fails the
+          row.""",
+          ("cantor-hankel grid --n-max 2000 --p-max 1999",
+           "a1912e411370634e88f1ece521bc180343a97bbbb23b396572da6875dabf2ed2"),
+          timeout=5, rss_mb=46),
     *step("Short wide grid digest",
           """Two rows at the 4,000,000-cell cap, built by blocked gathers like any other table,
           each level keeping only the residue classes of its rows: about 0.1 s here. Reading rows n

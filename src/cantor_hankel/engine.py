@@ -32,13 +32,14 @@ Every level below the top needs both streams, since each identity
 reads both; the top level fills only the streams its caller reads, so
 grid() and column() split one.
 SPLIT_RULES is compiled once, at import, into index arrays
-(CompiledRules), so each level reads every factor of every identity
-with one gather over windows of the level below, in blocks of bounded
-size.  witness_lattices() gathers by the same compiled rules for the
-lattices (3**m n + r, 3**m p + s) that kernel closure states stand for,
-a whole level of them from the stack one level down per block.  Both
-split rows 0 and 1 like any other, so rows -1, 0 and 1 have one
-definition, _anchor, read only to seed the corner and fill row -1:
+(CompiledRules).  Each level gathers every factor of every identity
+over windows of the level below, in blocks of bounded size;
+witness_lattices() takes them for the lattices (3**m n + r, 3**m p + s)
+that kernel closure states stand for, a whole level of them per block.
+Both gather from one _factor_stack of the level below and apply the
+rules by one _apply_rules.  Both split rows 0 and 1 like any other, so
+rows -1, 0 and 1 have one definition, _anchor, read only to seed the
+corner and fill row -1:
 the engine reads c only through sequences.cantor_term, and the hankel
 oracles' matrices, built from the vectorised runs of c, check it.
 Tables read the identities only through _COMPILED_RULES.
@@ -117,9 +118,10 @@ SPLIT_RULES: dict[tuple[int, int, str], Rule] = {
 
 
 # The factor planes a compiled rule reads, keyed (stream, exponent), in
-# the order _split_level stacks them; plane 4 is all ones and pads short
-# terms.  The squares are x != 0, since x**2 = [x != 0] mod 3.
-_FACTOR_PLANES = {("G", 1): 0, ("G", 2): 1, ("D", 1): 2, ("D", 2): 3}
+# the order _factor_stack stacks a table level's two streams; plane 4 is
+# all ones and pads short terms.  So plane % 2 is the stream and plane // 2
+# the block of any stack: values, squares (x != 0), ones.
+_FACTOR_PLANES = {("G", 1): 0, ("D", 1): 1, ("G", 2): 2, ("D", 2): 3}
 _ONES_PLANE = 4
 
 
@@ -128,12 +130,12 @@ class CompiledRules(NamedTuple):
     (2 streams, 3 i, 3 j, 2 terms, 3 factors): rule (i, j, stream) sits
     at ["GD".index(stream), i, j].
 
-    Factor f of term t reads the plane plane[..., t, f] (of
-    _FACTOR_PLANES, or the ones plane when the term has fewer factors)
-    at row shift row[..., t, f] = a + 1 and column shift col[..., t, f]
-    = b.  weight[..., t] is the term's sign (-1)**shift as 1 or 2 mod 3,
-    and 0 for a missing term; its two trailing axes of length 1
-    broadcast over a block of quotient cells.
+    Factor f of term t reads plane plane[..., t, f] of a _factor_stack
+    (of _FACTOR_PLANES, or the ones plane when the term has fewer
+    factors) at row shift row[..., t, f] = a + 1 and column shift
+    col[..., t, f] = b.  _apply_rules sums the terms: weight[..., t] is
+    the term's sign (-1)**shift as 1 or 2 mod 3, and 0 for a missing
+    term; its two trailing axes of length 1 broadcast over a block.
     """
 
     plane: np.ndarray
@@ -308,9 +310,14 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
         rectangles.append((n_lo, n_hi, p_lo, p_hi))
         n_lo, n_hi, p_lo, p_hi = _down(n_lo, n_hi, p_lo, p_hi)
     below = corner[:, n_lo + 1:n_hi + 2, p_lo:p_hi + 1]
-    if not rectangles:
-        return tuple(below[streams].copy())
-    return _split_up(rectangles[::-1], streams, below)
+    for k in range(len(rectangles) - 1, -1, -1):
+        planes = _factor_stack(below)
+        # Dropped before the split, and the planes once split: one level
+        # and one level's planes are held at most.
+        del below
+        below = _split_level(*rectangles[k], streams if k == 0 else slice(0, 2), planes)
+        del planes
+    return below if rectangles else tuple(below[streams].copy())
 
 
 def _residues(lo: int, hi: int) -> slice:
@@ -322,50 +329,43 @@ def _residues(lo: int, hi: int) -> slice:
     return slice(a, b + 1, max(b - a, 1))
 
 
-def _rule_sums(factors: np.ndarray, weight: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The terms of the compiled rules summed, before the sign of m: factors
-    has axes (..., term, factor, x, y) and weight (..., term, 1, 1), as
-    in CompiledRules.  Products of at most 8, weighted by the term signs
-    as 1 or 2 (-1 mod 3): every sum lies in [0, 32]."""
+def _factor_stack(values: Sequence[np.ndarray]) -> np.ndarray:
+    """The k int8 arrays values, then their squares (x != 0), then one
+    plane of ones, as one int8 stack: the planes the compiled rules
+    gather from.  A table level's stack has k = 2, its two streams."""
+    k = len(values)
+    stack = np.empty((2 * k + 1,) + values[0].shape, np.int8)
+    stack[:k] = values
+    np.not_equal(stack[:k], 0, out=stack[k:-1].view(bool))
+    stack[-1] = 1
+    return stack
+
+
+def _apply_rules(factors: np.ndarray, weight: np.ndarray, odd: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The compiled rules applied, mod 3: factors has axes (..., term,
+    factor, x, y) and weight (..., term, 1, 1), as in CompiledRules, and
+    the rows x of parity odd take the sign -1 of an odd quotient row.
+    Products of at most 8, weighted by the term signs as 1 or 2 (-1 mod
+    3) and summed: at most 32, doubled on the flipped rows: at most 64.
+    Reduced in place as x - 3 * (x // 3), several times faster than %."""
     terms = factors[..., 0, :, :] * factors[..., 1, :, :]
     terms *= factors[..., 2, :, :]
     terms *= weight
-    return np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=out)
-
-
-def _mod3(x: np.ndarray) -> np.ndarray:
-    """x >= 0 mod 3 in place, as x - 3 * (x // 3): several times faster than %."""
-    third = x // 3
+    total = np.add(terms[..., 0, :, :], terms[..., 1, :, :], out=out)
+    total[..., odd::2, :] *= 2
+    third = total // 3
     third *= 3
-    x -= third
-    return x
-
-
-def _split_up(rectangles: Sequence[tuple[int, int, int, int]], streams: slice,
-              below: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The kinds KINDS[streams] over the last of rectangles, each _down of
-    the next, split level by level from below, both kinds over _down of
-    the first; the levels before the last split both kinds."""
-    for k, rectangle in enumerate(rectangles, 1 - len(rectangles)):
-        planes = np.empty((5,) + below[0].shape, np.int8)
-        planes[0:4:2] = below
-        # Dropped before the squares and ones are written, and the planes
-        # once split: one level and one level's planes are held at most.
-        del below
-        np.not_equal(planes[0:4:2], 0, out=planes[1:4:2].view(bool))
-        planes[4] = 1
-        below = _split_level(*rectangle, streams if k == 0 else slice(0, 2), planes)
-        del planes
-    return below
+    total -= third
+    return total
 
 
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
                  planes: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kinds KINDS[streams] over a rectangle, split by _COMPILED_RULES
-    from planes, the _FACTOR_PLANES and ones over _down(n_lo, n_hi, p_lo,
-    p_hi).  Rows 0 and 1 are split too (see tables()); row -1, if asked
-    for, is filled from _anchor.
+    from planes, the _factor_stack of both kinds over _down(n_lo, n_hi,
+    p_lo, p_hi).  Rows 0 and 1 are split too (see tables()); row -1, if
+    asked for, is filled from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
@@ -395,10 +395,7 @@ def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
     for u in range(0, rows, block_rows):
         for v in range(0, cols, block_cols):
             block = windows[:, u:u + block_rows, v:v + block_cols]
-            total = _rule_sums(block[plane, :, :, row, col], weight)
-            # Times 2, -1 mod 3, on the cells of odd quotient row m: at most 64.
-            total[..., (m_lo + u) % 2::2, :] *= 2
-            _mod3(total)
+            total = _apply_rules(block[plane, :, :, row, col], weight, (m_lo + u) % 2)
             # Axes (stream, residue i, residue j, m, q) of total to the quotients.
             for table, cells in zip(quotients, total):
                 for k in range(kb):
@@ -429,7 +426,9 @@ def _seed() -> np.ndarray:
     _CORNER: the fixed point of one level, split from _anchor."""
     seed = np.zeros((2, 5, 2), np.int8)
     seed[:, :3] = [[[_anchor(s, n, p) for p in (0, 1)] for n in (-1, 0, 1)] for s in "GD"]
-    return np.stack(_split_up([(-1, 3, 0, 1)] * 3, slice(0, 2), seed))
+    for _ in range(3):
+        seed = _split_level(-1, 3, 0, 1, slice(0, 2), _factor_stack(seed))
+    return np.stack(seed)
 
 
 def _build_corner() -> np.ndarray:
@@ -512,10 +511,11 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
     collected top down by one np.unique over its witnesses and the
     factors _COMPILED_RULES names one level up, whose inverse is their
     gather index.  Bottom up, the level above gathers in blocks of at
-    most _GATHER_BYTES factors from one int8 stack of each level's
-    values, their squares (x != 0) and ones, dropped once read.  An
-    output of more than DEFAULT_GRID_CELL_CAP cells, witnesses times
-    (window + 1)**2, is refused before any work.
+    most _GATHER_BYTES factors from the _factor_stack of the level
+    below, dropped once read, and _apply_rules applies them, with
+    (-1)**(r // 3) folded into the term weights and (-1)**n on the odd
+    rows n.  An output of more than DEFAULT_GRID_CELL_CAP cells,
+    witnesses times (window + 1)**2, is refused before any work.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
@@ -547,9 +547,9 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
         built += len(keys)
         ends = np.cumsum([0] + [len(part) for part in parts])
         if m < top:
-            # Rows of the stack below: values, squares, then ones.
+            # Rows of the _factor_stack below: values, squares, then ones.
             index = np.full(plane.shape, 2 * len(keys), np.int32)
-            index[real] = inverse[ends[-1]:] + len(keys) * (plane[real] % 2)
+            index[real] = inverse[ends[-1]:] + len(keys) * (plane[real] // 2)
             levels[m + 1] += (index,)
         levels[m] = ([(kind, np.flatnonzero(at == m), inverse[lo:hi])
                       for (kind, at, _), lo, hi in zip(wanted, ends, ends[1:])],)
@@ -563,35 +563,28 @@ def witness_lattices(witnesses: dict[str, Sequence[tuple[int, int, int]]],
                                      for table in _COMPILED_RULES)
         real = plane != _ONES_PLANE
         carried = (((q[:, None, None] + shift) * spans[m - 1] + s[:, None, None] // 3 + col) * 2
-                   + plane // 2)[real]
-        levels[m] += (weight, (q % 2).astype(np.int8))
+                   + plane % 2)[real]
+        # The sign (-1)**q, folded into the term weights: 1 and 2 swap.
+        levels[m] += (weight * (1 + q % 2).astype(np.int8)[:, None, None, None] % 3,)
 
     out = {kind: np.empty((len(at), size * size), np.int8) for kind, at, _ in wanted}
     base = np.lib.stride_tricks.sliding_window_view(
         np.stack(tables(-1, window + 3, 0, window + 3)), (size, size), axis=(1, 2))
     values = base[stream, row, s]
-    # Row n has the sign of (-1)**(n + r // 3): signs[r // 3 % 2] doubles.
-    signs = np.ones((2, size, size), np.int8)
-    signs[0, 1::2] = signs[1, ::2] = 2
     block = max(1, _GATHER_BYTES // (_COMPILED_RULES.plane[0, 0, 0].size * size * size))
     for m in range(top + 1):
         (picks, *rest), levels[m] = levels[m], ()
         if m:
-            weight, odd, index = rest
+            weight, index = rest
             values = np.empty((len(index), size, size), np.int8)
             for lo in range(0, len(index), block):
-                total = _rule_sums(np.take(below, index[lo:lo + block], axis=0),
-                                   weight[lo:lo + block], values[lo:lo + block])
-                # Doubled on the flipped rows: at most 64.
-                total *= np.take(signs, odd[lo:lo + block], axis=0)
-                _mod3(total)
-            del below, total
+                # The sign (-1)**n falls on the odd rows n.
+                _apply_rules(np.take(below, index[lo:lo + block], axis=0),
+                             weight[lo:lo + block], 1, values[lo:lo + block])
+            del below
         for kind, rows, at in picks:
             out[kind][rows] = values[at].reshape(len(at), size * size)
-        below = np.empty((2 * len(values) + 1, size, size), np.int8)
-        below[:len(values)] = values
-        np.not_equal(values, 0, out=below[len(values):-1].view(bool))
-        below[-1] = 1
+        below = _factor_stack(values)
         del values
     # Imported here, as in kernel: only a sweep writes a record.
     import logging

@@ -19,7 +19,8 @@ array-like of integers, however large, up to order MAX_HANKEL_ORDER,
 and leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
 before they narrow it to int16, then eliminate with lazy reduction: each
 step reduces only its pivot column and row.  Every oracle refuses a
-non-integer entry, and an order over the cap before any work.
+non-integer entry, and an order over the cap before any work; the stack
+oracles also refuse a stack of more than MAX_STACK_ENTRIES entries.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
@@ -60,6 +61,19 @@ from .sequences import MAX_RUN_COUNT, cantor_run, diff_run
 # three residues, 2 * 2 * 2 = 8.  An order-n matrix takes n - 1 such
 # steps, and 2 + 8 * 499 < 2**15.
 MAX_HANKEL_ORDER = 500
+
+# Most entries, s * n * n, of one stack minors_mod3_stack or
+# minors_exact_stack eliminates; a larger one is refused before any entry
+# is read.  The package's own stacks stay far below it: checks eliminates
+# stacks of at most max(checks.STACK_ENTRIES, 500**2) = 250,000 entries,
+# and kernel.evaluate_states (w + 3) * (w + 2)**2 at window w, 127,500 at
+# w = 48, the largest window the cell cap admits for one closure.  The
+# largest stack the tests eliminate, 6 x 500 x 500 = 1,500,000 entries,
+# fits with a third to spare.  At the cap, 8 x 500 x 500 on a 2-core VM,
+# the GF(3) pass takes about 0.3 s, 6 MB traced, and the exact pass 26.5 s
+# at 82 MB peak RSS, on Python ints; a (10**5, 100, 100) stack took 5.5 s
+# and 3.0 GB over GF(3) before this cap.
+MAX_STACK_ENTRIES = 2_000_000
 
 _RUNS = {"gamma": cantor_run, "delta": diff_run}
 
@@ -127,6 +141,9 @@ def _square(m, ndim: int = 2) -> np.ndarray:
         what = "square matrix" if ndim == 2 else "stack of square matrices"
         raise ValueError(f"expected a {what}, got shape {a.shape}")
     _check_order(a.shape[-1])
+    # One matrix within the order cap has at most 500**2 entries, under it.
+    if a.size > MAX_STACK_ENTRIES:
+        raise ValueError(f"a stack of {a.size} entries is over the cap of {MAX_STACK_ENTRIES}")
     if a.dtype == object:
         # Python ints too large for int64, or anything.  Each integer
         # becomes a Python int, so no numpy scalar among them can wrap.

@@ -27,7 +27,8 @@ monomial * 4 + coefficient in one int64, the nine images of each
 monomial are rows of one store of part images, a monomial being the
 product of its G part and its D/F part, and the successors of a chunk
 of states are one gather of image rows reduced by one sort.
-evaluate_states reads states over a window of points through two int8
+evaluate_states reads states over a window of points, from generator
+values eliminated over GF(3) rather than split, through two int8
 matrix products of the distinct monomials' bits with the generators'
 zero and -1 masks: both closures at window 8 take about 7-10 ms on a
 2-core VM.
@@ -51,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from . import engine
+from .hankel import hankel_stack, minors_mod3_stack
 
 Generator = tuple[str, int, int]
 Monomial = tuple[tuple[Generator, int], ...]
@@ -356,23 +358,39 @@ class _Stepper:
         return _collect(targets, images >> 2, coeffs, 9 * len(states))
 
 
+def _generator_base(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and delta mod 3 over rows -1 .. window + 2 and columns
+    0 .. window + 2, indexed [n + 1, p] as engine.tables would give
+    them, read without the splitting identities: rows -1 and 0 from
+    engine._anchor, rows 1 .. window + 2 the leading minors of one
+    eliminated stack per kind, the order-(window + 2) Hankel matrices
+    at offsets 0 .. window + 2."""
+    columns = range(window + 3)
+    return tuple(np.concatenate((
+        np.array([[engine._anchor(sym, n, p) for p in columns] for n in (-1, 0)], np.int8),
+        minors_mod3_stack(hankel_stack(kind, 0, window + 2, window + 3)).T))
+        for sym, kind in zip("GD", engine.KINDS))
+
+
 def evaluate_states(states: Sequence[KernelExpr], window: int) -> np.ndarray:
     """Values mod 3 of every state at every point (n, p), n and p in
     0..window, as an int8 array with one row per state and one column
     per point, n-major: the layout of engine.witness_lattices.
 
-    Each G or D generator that occurs in some state is a slice of one
-    engine.tables rectangle over rows -1 .. window + 2 and columns
-    0 .. window + 2, and F is read off the parity of n.  A monomial
-    vanishes where one of its generators is 0; elsewhere a square is 1
-    and a first power is 1 or 2 = -1, so the monomial is 2 to the
-    parity of its first powers equal to 2.  Both counts are int8 matrix
-    products of the distinct monomials' key bits with the generators'
-    masks, exact since they are at most 26.  A state sums its terms one
-    position at a time.  Gamma has no row -1, so a state that reads
-    S[-1,b]G is refused.  So is an output of more than
+    Each G or D generator that occurs in some state is a slice of the
+    _generator_base of the window, read from elimination and not from
+    engine.tables, so the states stand against the compiled rules that
+    the lattices and tables apply; F is read off the parity of n.  A
+    monomial vanishes where one of its generators is 0; elsewhere a
+    square is 1 and a first power is 1 or 2 = -1, so the monomial is 2
+    to the parity of its first powers equal to 2.  Both counts are int8
+    matrix products of the distinct monomials' key bits with the
+    generators' masks, exact since they are at most 26.  A state sums
+    its terms one position at a time.  Gamma has no row -1, so a state
+    that reads S[-1,b]G is refused.  So is an output of more than
     engine.DEFAULT_GRID_CELL_CAP cells, states times (window + 1)**2,
-    before any work.
+    before any work, and a window whose eliminated stack is over
+    hankel.MAX_STACK_ENTRIES (window 124 and up), before any elimination.
     """
     if window < 0:
         raise ValueError(f"need window >= 0, got {window}")
@@ -386,7 +404,7 @@ def evaluate_states(states: Sequence[KernelExpr], window: int) -> np.ndarray:
     first = bits[:, :_WIDTH]
     present = first | bits[:, _WIDTH:]
     size = window + 1
-    base = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
+    base = dict(zip("GD", _generator_base(window)))
     # Each generator's values at the points, n-major; 1 where none occurs.
     values = np.ones((_WIDTH, size * size), dtype=np.int8)
     for k in np.flatnonzero(present.any(axis=0)).tolist():

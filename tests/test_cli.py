@@ -1159,6 +1159,25 @@ def test_verify_reports_aperiodic_column(capsys, monkeypatch):
     ]
 
 
+def test_verify_reports_aperiodic_printed_column(capsys, monkeypatch):
+    # A printed column that is not 12-periodic fails the series check by
+    # name, and the groups after it still run.
+    real = engine.column
+
+    def broken(kind, p, first, k_hint=0):
+        if (kind, p) == ("delta", 0):
+            raise RuntimeError("column 0 is not 12-periodic on the scanned window")
+        return real(kind, p, first, k_hint)
+
+    monkeypatch.setattr(engine, "column", broken)
+    code, out = run(capsys, "verify", "--series", "--feq")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL series-identities: column 0 is not 12-periodic on the scanned window",
+        "ok   functional-equation: through degree 600",
+    ]
+
+
 def test_verify_reports_a_missing_approximant(capsys, monkeypatch):
     # With c_1 flipped to 1, H_2 = c_0 c_2 - c_1^2 = 0, so the J-fraction
     # stops at order 2: the check fails by name instead of raising.

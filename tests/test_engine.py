@@ -508,7 +508,7 @@ def test_the_corner_seed_is_a_fixed_point_of_one_level():
         stream, n = "GD"[s], row - 1
         want = engine._anchor(stream, n, p) if n <= 1 else split_cell(stream, n, p)
         assert value == want, (stream, n, p)
-    again = engine._split_up([(-1, 3, 0, 1)], slice(0, 2), seed)
+    again = engine._split_level(-1, 3, 0, 1, slice(0, 2), engine._factor_stack(seed))
     assert np.array_equal(np.stack(again), seed)
 
 
@@ -902,8 +902,9 @@ def test_grid_shape_and_cap(monkeypatch):
 
 
 def test_tables_keep_no_state_between_calls():
-    # 100 distinct 3 x 3 tables at 200 digits, each read cell by cell by
-    # the recursion: a memo kept between calls retained 6.4 MB of them.
+    # 100 distinct 3 x 3 tables at 200 digits, each split level by level
+    # from the corner, about 200 levels: a memo kept between calls, when
+    # tables were read cell by cell, retained 6.4 MB of them.
     rng = random.Random(43)
     corners = [(rng.randrange(3 ** 199, 3 ** 200 - 2), rng.randrange(3 ** 199, 3 ** 200 - 2))
                for _ in range(101)]

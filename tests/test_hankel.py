@@ -565,6 +565,31 @@ def test_oracles_refuse_an_order_over_the_cap_before_any_work(oracle):
             assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("oracle", [minors_mod3_stack, minors_exact_stack], ids=ORACLE_IDS[2:])
+def test_stack_oracles_refuse_a_stack_over_the_cap_before_any_work(oracle):
+    # A (10**5, 100, 100) stack took 5.5 s and 3.0 GB before this refusal.
+    cap = hankel.MAX_STACK_ENTRIES
+    for shape in ((cap + 1, 1, 1), (9, 500, 500), (10 ** 5, 100, 100)):
+        message = f"a stack of {np.prod(shape)} entries is over the cap of {cap}"
+        untouchable = np.broadcast_to(np.array(_Untouchable(1), object), shape)
+        for stack in (untouchable, np.broadcast_to(np.int8(1), shape)):
+            with pytest.raises(ValueError) as refused:
+                oracle(stack)
+            assert str(refused.value) == message
+
+
+def test_stack_oracles_answer_at_the_cap():
+    # 8 x 500 x 500 entries, the cap itself: about 0.3 s over GF(3).
+    assert 8 * 500 ** 2 == hankel.MAX_STACK_ENTRIES
+    minors = minors_mod3_stack(hankel_stack("delta", 0, 500, 8))
+    assert [minors[p, -1] for p in (0, 7)] == [det_mod3(hankel_matrix("delta", p, 500))
+                                               for p in (0, 7)]
+    # The exact pass over that stack runs on Python ints for about 26 s;
+    # 800 identities of order 50 stay on int64.
+    identities = np.broadcast_to(np.eye(50, dtype=np.int64), (800, 50, 50))
+    assert minors_exact_stack(identities).tolist() == [[1] * 50] * 800
+
+
 # Stacks of s n x n matrices of one dtype, followed by members whose
 # leading minors vanish in other ways: each matrix made upper
 # unitriangular with its rows in one drawn order, invertible but with a

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantor_hankel import checks, engine, kernel
+from cantor_hankel import checks, engine, hankel, kernel
 from cantor_hankel.kernel import (DELTA, GAMMA, KernelExpr, build_dfao,
                                   evaluate_states, export_dfao,
                                   generator_expr, kernel_closure,
                                   parse_dfao_table, project_row)
-import slow_paths
 from slow_paths import (closure_by_monomial_chains, closure_by_part_memo,
                         evaluate_states_at_points, generator_value, split_cell,
                         walk_by_cells, window_points)
@@ -297,6 +296,32 @@ def test_window_evaluation_refuses_gamma_row_minus_one():
     assert evaluate_states([generator_expr("D", -1, 0)], 1).tolist() == [[1, 0, 1, 1]]
 
 
+def test_generator_base_is_the_table_read_by_elimination():
+    # Rows -1 and 0 of engine._anchor and rows 1 .. window + 2 of one
+    # minors_mod3_stack pass per kind equal the table the compiled rules
+    # build, at every window up to the one verify checks.
+    for window in range(9):
+        table = engine.tables(-1, window + 2, 0, window + 2)
+        for kind, got, want in zip(engine.KINDS, kernel._generator_base(window), table):
+            assert got.dtype == np.int8 and np.array_equal(got, want), (kind, window)
+
+
+def test_state_values_past_the_stack_cap_refuse_before_any_elimination():
+    # One state admits windows up to the cell cap, but its base at window
+    # 124 is a stack of 127 * 126**2 entries, over hankel.MAX_STACK_ENTRIES.
+    assert 126 * 125 ** 2 <= hankel.MAX_STACK_ENTRIES < 127 * 126 ** 2
+    assert evaluate_states([GAMMA], 123).shape == (1, 124 ** 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"stack of {127 * 126 ** 2} entries is over the cap"):
+            evaluate_states([GAMMA], 124)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stack's int16 residues alone would take 4 MB.
+    assert peak < 512 * 1024, peak
+
+
 def test_lattices_and_state_values_over_the_cell_cap_refuse_before_any_table(monkeypatch):
     # Output cells are witnesses (or states) times (window + 1)**2: both
     # closures' witnesses admit window 34 and one closure's states 48.
@@ -311,6 +336,8 @@ def test_lattices_and_state_values_over_the_cell_cap_refuse_before_any_table(mon
         raise TableRead
 
     monkeypatch.setattr(engine, "tables", no_table)
+    # The states read their generators from elimination, not from tables.
+    monkeypatch.setattr(kernel, "minors_mod3_stack", no_table)
     cap = engine.DEFAULT_GRID_CELL_CAP
     tracemalloc.start()
     try:
@@ -324,7 +351,8 @@ def test_lattices_and_state_values_over_the_cell_cap_refuse_before_any_table(mon
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
-    # The windows in use and the largest admitted ones reach the table.
+    # The windows in use and the largest admitted ones reach the table
+    # or the elimination.
     for window in (0, 8, 14, 20, 34):
         with pytest.raises(TableRead):
             engine.witness_lattices(witnesses, window)
@@ -367,23 +395,23 @@ def test_kernel_soundness_reports_first_mismatch(monkeypatch, start, stream):
 
 def test_kernel_soundness_fails_on_a_flipped_compiled_sign(monkeypatch):
     # The second term of (1, 0, "G") with its sign flipped in the table
-    # the lattices and tables gather by; the kernel keeps SPLIT_RULES.
+    # the lattices and tables gather by, and the corner rebuilt under it;
+    # the kernel keeps SPLIT_RULES.
     plane, row, col, weight = engine._COMPILED_RULES
     weight = weight.copy()
     weight[0, 1, 0, 1] = 3 - weight[0, 1, 0, 1]
     monkeypatch.setattr(engine, "_COMPILED_RULES", engine.CompiledRules(plane, row, col, weight))
-    # The closure states are evaluated on rows -1 .. window + 2 of one
-    # table, a copy of the corner built at import by the true rules; the
-    # lattices read the edit at every level above it.  The report is the
-    # first mismatch of the per-point evaluator, reading its generators
-    # from that table, against the lattices.
+    monkeypatch.setattr(engine, "_CORNER", engine._build_corner())
+    # The closure states are evaluated on generators eliminated from the
+    # Hankel matrices, which no edit of the rules reaches; the lattices
+    # read the edit at every level, the corner's included.  The report is
+    # the first mismatch of the per-point evaluator, reading its
+    # generators by the splitting recursion over SPLIT_RULES, against the
+    # lattices.
     window = 8
-    table = dict(zip("GD", engine.tables(-1, window + 2, 0, window + 2)))
-    with monkeypatch.context() as edited:
-        edited.setattr(slow_paths, "split_cell", lambda sym, n, p: int(table[sym][n + 1, p]))
-        states = {start: evaluate_states_at_points(kernel_closure(start).states,
-                                                   window_points(window))
-                  for start in engine.KINDS}
+    states = {start: evaluate_states_at_points(kernel_closure(start).states,
+                                               window_points(window))
+              for start in engine.KINDS}
     witnesses = {start: kernel_closure(start).witnesses for start in engine.KINDS}
     lattices = engine.witness_lattices(witnesses, window)
     mismatches = (
