@@ -24,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-VERIFY = (Path(__file__).resolve().parent.parent / "bench" / "expected_verify.txt").read_bytes()
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY = (ROOT / "bench" / "expected_verify.txt").read_bytes()
 KERNEL_DFAO = b"".join(line for line in VERIFY.splitlines(keepends=True)
                        if re.match(rb"ok   (kernel-soundness|dfao-grid):", line))
 JOB_S = 20 * 60
@@ -50,10 +51,33 @@ def step(name: str, note: str, *commands: tuple, **limits) -> list[Row]:
                 **limits) for i, (command, expect) in enumerate(commands)]
 
 
+def snippet(code: str) -> tuple[str, ...]:
+    """code run under this interpreter, with the checkout's src appended to
+    sys.path: after site-packages, so that an installed package wins and a
+    checkout that is not installed still runs."""
+    return (sys.executable, "-c", f"import sys\nsys.path.append({str(ROOT / 'src')!r})\n" + code)
+
+
 def checks_ok(*calls: str) -> tuple[str, ...]:
     """A snippet that fails unless each checks.<call>, in turn, is ok."""
-    return (sys.executable, "-c", "from cantor_hankel import checks\n" + "".join(
+    return snippet("from cantor_hankel import checks\n" + "".join(
         f"result = checks.{call}\nassert result.ok, result.line()\n" for call in calls))
+
+
+# The SHA-256 of engine.tables, both kinds, at seeded offsets: 13-digit
+# rows by columns below 3^6 and by 13-digit columns, in blocks of sides 1,
+# 10, 30 and 120, and 3 x 3 tables at 200 digits, ten of each.
+FAR_TABLES = snippet("""import hashlib, random
+from cantor_hankel import engine
+rng, digest = random.Random(52), hashlib.sha256()
+for _ in range(10):
+    for side, digits in ((1, 13), (10, 13), (30, 13), (120, 13), (3, 200)):
+        n = rng.randrange(3 ** (digits - 1), 3 ** digits - side)
+        for p in (rng.randrange(3 ** 6), rng.randrange(3 ** (digits - 1), 3 ** digits - side)):
+            for table in engine.tables(n, n + side - 1, p, p + side - 1):
+                digest.update(table.tobytes())
+print(digest.hexdigest())
+""")
 
 
 ROWS = [
@@ -198,6 +222,17 @@ ROWS = [
           ("cantor-hankel grid --n-max 1215 --p-max 404 --format csv",
            "f2eae4d3a56a296d1173091a1d8508475cc7ccbc0905cac600392720ce3a8589"),
           timeout=5, rss_mb=42),
+    *step("Table digest far from the origin",
+          """engine.tables of both kinds at seeded 13- and 200-digit offsets (FAR_TABLES), which no
+          CLI command reads: each read splits one level per base-3 digit, and the small levels
+          take one flat gather through a cached plan, mixing int8 and int32 arrays, whose
+          promotion rules differ between numpy 1.x and 2.x.  The digest was taken when every level
+          was built from windows.  In seven fresh children on a 2-core VM it took 0.38-0.53 s at
+          34.3-34.5 MB peak RSS (0.52-0.81 s and 34.3-34.4 MB with windows only; 30 MB of it
+          imports).  5 s leaves room for a slower runner; 43 MB leaves 8.5 MB for other Python and
+          numpy builds.  Hitting the timeout fails the row.""",
+          (FAR_TABLES, b"22379e86c6e5c7f3a1eb54051387dc0d954e87cc8e3bf7cabb8c1d28c35909f3\n"),
+          timeout=5, rss_mb=43),
     *step("Grid at the cell cap",
           """The square table at engine.DEFAULT_GRID_CELL_CAP, 2000 x 2000 cells as ascii; the
           digest was taken before the table levels and the witness lattices shared one factor

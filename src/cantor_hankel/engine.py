@@ -32,14 +32,20 @@ Every level below the top needs both streams, since each identity
 reads both; the top level fills only the streams its caller reads, so
 grid() and column() split one.
 SPLIT_RULES is compiled once, at import, into index arrays
-(CompiledRules).  Each level gathers every factor of every identity
-over windows of the level below, in blocks of bounded size;
-witness_lattices() takes them for the lattices (3**m n + r, 3**m p + s)
-that kernel closure states stand for, a whole level of them per block.
-Both gather from one _factor_stack of the level below and apply the
-rules by one _apply_rules.  Both split rows 0 and 1 like any other, so
-rows -1, 0 and 1 have one definition, _anchor, read only to seed the
-corner and fill row -1:
+(CompiledRules).  A level of more than _FLAT_CELLS quotient cells
+gathers every factor of every identity over windows of the level below,
+in blocks of bounded size, as witness_lattices() gathers them for the
+lattices (3**m n + r, 3**m p + s) that kernel closure states stand for, a
+whole level of them per block.  Both gather from one _factor_stack of the
+level below and apply the rules by one _apply_rules.  A smaller level,
+such as every level of a few-cell read far from the origin, is one
+flat gather from its _factor_stack by a plan that depends only on the
+level's shape (_flat_plan), a few numpy calls however small the level.
+The plans are all that tables() keeps between calls: indices and
+signs, never cells, in a cache of at most _FLAT_PLAN_ENTRIES = 64 plans
+and _FLAT_PLAN_BYTES = 256 KiB.  Every build splits rows 0 and 1 like
+any other, so rows -1, 0 and 1 have one definition, _anchor, read only
+to seed the corner and fill row -1:
 the engine reads c only through sequences.cantor_term, and the hankel
 oracles' matrices, built from the vectorised runs of c, check it.
 Tables read the identities only through _COMPILED_RULES.
@@ -49,7 +55,9 @@ trial against kernel.build_dfao.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from typing import NamedTuple
@@ -65,7 +73,7 @@ DEFAULT_GRID_CELL_CAP = 4_000_000
 # Base-3 digits allowed in n and in p.  A cell walks one automaton step
 # per digit and a table read splits one level per digit, both in loops,
 # so the cap bounds the time of one read, not the stack: a one-cell
-# table at 200 digits splits 200 levels in 7-9 ms on a 2-core VM.
+# table at 200 digits splits 200 levels in 2.9-4.0 ms on a 2-core VM.
 MAX_INDEX_DIGITS = 200
 _INDEX_BOUND = 3 ** MAX_INDEX_DIGITS
 
@@ -76,6 +84,32 @@ KINDS = ("gamma", "delta")
 # each: a block of quotient cells then peaks at under 1 MiB of
 # temporaries, however large the rectangle.
 _GATHER_BYTES = 1 << 19
+
+# Levels of at most this many quotient cells are built by one flat
+# gather through a cached plan (_flat_plan), a few numpy calls whatever
+# the shape.  A plan holds 52 bytes per cell of its level's table (24 of
+# index and 2 of sign per stream), and its time grows with its cells
+# while a windowed build costs about 60 us for any small level: at 64
+# quotient cells a level took 22-30 us flat against 58-75 us windowed
+# (both streams, warm plan, 2-core VM), and the two met near 200-500
+# cells, where one plan would fill the byte bound below.  At 64 cells a
+# plan holds at most 39,936 bytes (1 x 64 quotient cells with row -1:
+# 4 x 192 cells of two streams), so the cache keeps at least six.
+_FLAT_CELLS = 64
+
+# The flat plans by level shape, least recently used first, bounded in
+# entries and in bytes, the nbytes of their arrays.  160 grid blocks of
+# sides 10 to 120 at 13 digits and 80 column scans, as 40 rounds of the
+# `tables` benchmark read them, use 48 plans of 281 KB in all, and 100
+# 3 x 3 tables at 200 digits 52 of 284 KB; under these bounds they miss
+# 45 times in 1,181 levels and 5 times in 19,571.
+_FLAT_PLANS: OrderedDict[tuple[int | None, ...], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_FLAT_PLAN_ENTRIES = 64
+_FLAT_PLAN_BYTES = 1 << 18
+_FLAT_PLAN_LOCK = threading.Lock()
+
+# x mod 3 for every byte x, read at the flat build's sums, 0 .. 32.
+_MOD3 = (np.arange(256) % 3).astype(np.int8)
 
 
 Factor = tuple[str, int, int, int]
@@ -317,7 +351,7 @@ def _level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
         del below
         below = _split_level(*rectangles[k], streams if k == 0 else slice(0, 2), planes)
         del planes
-    return below if rectangles else tuple(below[streams].copy())
+    return tuple(below if rectangles else below[streams].copy())
 
 
 def _residues(lo: int, hi: int) -> slice:
@@ -360,56 +394,135 @@ def _apply_rules(factors: np.ndarray, weight: np.ndarray, odd: int,
     return total
 
 
+def _windows(planes: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (4, 2) windows of planes, a (5, rows + 3, cols + 1) stack, at
+    each quotient cell: axes (plane, m, q, row shift, column shift).  Built
+    directly: sliding_window_view costs as much as a small level."""
+    return np.ndarray((5, rows, cols, 4, 2), planes.dtype, planes,
+                      strides=planes.strides + planes.strides[1:])
+
+
+def _flat_plan(at: tuple[slice, slice, slice], rows: int, cols: int, odd: int,
+               extra: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat build of a level of rows x cols quotient cells, the rows
+    of parity odd among them (counted from 0) those of odd quotient m, and
+    row n = -1 first if extra.  Over the table _split_level slices its
+    output from, the int32 index of every factor into the flattened
+    planes, axes (factor, term, stream, x, y), and the int8 sign of every
+    term, axes (term, stream, x, y): the term weight times the -1 of odd
+    quotient rows, and 0 on row -1.
+
+    Kept in _FLAT_PLANS, which drops the least recently used plans past
+    _FLAT_PLAN_ENTRIES of them or _FLAT_PLAN_BYTES in all; one lock
+    serialises its reads and writes across threads."""
+    streams, i, j = at
+    key = (streams.start, streams.stop, i.start, i.stop, i.step, j.start, j.stop, j.step,
+           rows, cols, odd, extra)
+    with _FLAT_PLAN_LOCK:
+        plan = _FLAT_PLANS.get(key)
+        if plan is not None:
+            _FLAT_PLANS.move_to_end(key)
+            return plan
+    plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
+    kinds, ka, kb = plane.shape[:3]
+    height, width = extra + rows * ka, cols * kb
+    cells = np.arange(5 * (rows + 3) * (cols + 1), dtype=np.int32).reshape(5, rows + 3, cols + 1)
+    # Row n = -1, if asked for, reads plane 0 with sign 0; _split_level fills it.
+    index = np.zeros((3, 2, kinds, height, width), np.int32)
+    sign = np.zeros((2, kinds, height, width), np.int8)
+    # The windowed gather of the cells' own flat indices, axes (stream,
+    # residue i, residue j, term, factor, m, q), in the plan's layout.
+    index[..., extra:, :] = _windows(cells, rows, cols)[plane, :, :, row, col].transpose(
+        4, 3, 0, 5, 1, 6, 2).reshape(3, 2, kinds, rows * ka, width)
+    # The sign (-1)**m, 1 or 2 mod 3, on the quotient rows m of parity odd.
+    flip = np.ones(rows, np.int8)
+    flip[odd::2] = 2
+    terms = (weight[..., 0, 0, None] * flip % 3).transpose(3, 0, 4, 1, 2)[..., None, :]
+    sign[..., extra:, :] = np.broadcast_to(
+        terms, terms.shape[:4] + (cols, kb)).reshape(2, kinds, rows * ka, width)
+    plan = index, sign
+    with _FLAT_PLAN_LOCK:
+        _FLAT_PLANS[key] = plan
+        while (len(_FLAT_PLANS) > _FLAT_PLAN_ENTRIES
+               or sum(a.nbytes + b.nbytes for a, b in _FLAT_PLANS.values()) > _FLAT_PLAN_BYTES):
+            _FLAT_PLANS.popitem(last=False)
+    return plan
+
+
 def _split_level(n_lo: int, n_hi: int, p_lo: int, p_hi: int, streams: slice,
-                 planes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The kinds KINDS[streams] over a rectangle, split by _COMPILED_RULES
-    from planes, the _factor_stack of both kinds over _down(n_lo, n_hi,
-    p_lo, p_hi).  Rows 0 and 1 are split too (see tables()); row -1, if
-    asked for, is filled from _anchor.
+                 planes: np.ndarray) -> np.ndarray:
+    """The kinds KINDS[streams] over a rectangle, one int8 array of axes
+    (kind, n - n_lo, p - p_lo), split by _COMPILED_RULES from planes, the
+    _factor_stack of both kinds over _down(n_lo, n_hi, p_lo, p_hi).  Rows
+    0 and 1 are split too (see tables()); row -1, if asked for, is filled
+    from _anchor.
 
     Cell (3m + i, 3q + j) reads rows m - 1 .. m + 2 and columns q .. q + 1
     of the level below: one (4, 2) window of the factor planes per
-    quotient cell (m, q).  Blocks of quotient cells, at most
-    _GATHER_BYTES factors each, gather every factor of the rules of the
-    streams asked for whose i and j occur in the rectangle at once, and
-    fill the cells (3m + i, 3q + j) of those i and j over each quotient
-    cell.  The tables hold just those cells (and row n = -1 if asked
-    for), so at most two rows and two columns past each side of the
-    rectangle, a view of them.
+    quotient cell (m, q).  The cells (3m + i, 3q + j) of the i and j that
+    occur in the rectangle are filled over each quotient cell.  A level
+    of at most _FLAT_CELLS quotient cells is one short pipeline over the
+    flattened planes: one take by the index of its _flat_plan, two
+    products, one by the plan's sign, one sum of the two terms and one
+    take through _MOD3, already in the table's layout.  The plans are
+    cached between calls, at most _FLAT_PLAN_ENTRIES of them and
+    _FLAT_PLAN_BYTES in all, the least recently used dropped first; a
+    plan built on a miss costs about what a windowed level does.  A
+    larger level gathers every factor of the rules of the streams asked
+    for from the windows at once, in blocks of quotient cells of at most
+    _GATHER_BYTES factors each, and applies them by _apply_rules.  The tables hold
+    just those cells (and row n = -1 if asked for), so at most two rows
+    and two columns past each side of the rectangle, a view of them.
     """
     m_lo, _, q_lo, _ = _down(n_lo, n_hi, p_lo, p_hi)
     at = (streams, _residues(max(n_lo, 0), n_hi), _residues(p_lo, p_hi))
-    plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     rows, cols = n_hi // 3 - m_lo, p_hi // 3 - q_lo + 1
     # Row n = -1, if asked for, precedes the quotient rows.
     extra = int(n_lo < 0)
+    if rows * cols <= _FLAT_CELLS:
+        index, sign = _flat_plan(at, rows, cols, m_lo % 2, extra)
+        factors = planes.take(index)
+        terms = np.multiply(factors[0], factors[1])
+        np.multiply(terms, factors[2], out=terms)
+        np.multiply(terms, sign, out=terms)
+        full = _MOD3.take(np.add(terms[0], terms[1]))
+    else:
+        full = _windowed_level(at, rows, cols, m_lo % 2, extra, planes)
+    # Row n_lo >= 0 and column p_lo are in the first quotient row and column.
+    n0 = 0 if extra else (n_lo % 3 - at[1].start) // at[1].step
+    p0 = (p_lo % 3 - at[2].start) // at[2].step
+    out = full[:, n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1]
+    if extra:
+        # Row n = -1 is 0 past column p = 0.
+        out[:, 0] = 0
+        for table, stream in zip(out, "GD"[streams]):
+            table[0, 0] = _anchor(stream, -1, p_lo)
+    return out
+
+
+def _windowed_level(at: tuple[slice, slice, slice], rows: int, cols: int, odd: int,
+                    extra: int, planes: np.ndarray) -> np.ndarray:
+    """The tables of _split_level for a level of rows x cols quotient cells,
+    gathered from the windows of planes in blocks of at most _GATHER_BYTES
+    factors; odd and extra are as for _flat_plan, and row -1 is left for
+    _split_level to fill."""
+    plane, row, col, weight = (index[at] for index in _COMPILED_RULES)
     ka, kb = plane.shape[1:3]
-    full = tuple(np.empty((extra + rows * ka, cols * kb), np.int8) for _ in plane)
+    full = np.empty((len(plane), extra + rows * ka, cols * kb), np.int8)
     # The quotient rows of each table, axes (m, residue i, q, residue j).
     quotients = tuple(table[extra:].reshape(rows, ka, cols, kb) for table in full)
-    # The (4, 2) windows, built directly: sliding_window_view costs as much as a small level.
-    windows = np.ndarray((5, rows, cols, 4, 2), np.int8, planes,
-                         strides=planes.strides + planes.strides[1:])
+    windows = _windows(planes, rows, cols)
     block_cols = min(cols, max(1, _GATHER_BYTES // plane.size))
     block_rows = max(1, _GATHER_BYTES // (plane.size * block_cols))
     for u in range(0, rows, block_rows):
         for v in range(0, cols, block_cols):
             block = windows[:, u:u + block_rows, v:v + block_cols]
-            total = _apply_rules(block[plane, :, :, row, col], weight, (m_lo + u) % 2)
+            total = _apply_rules(block[plane, :, :, row, col], weight, (odd + u) % 2)
             # Axes (stream, residue i, residue j, m, q) of total to the quotients.
             for table, cells in zip(quotients, total):
                 for k in range(kb):
                     table[u:u + block_rows, :, v:v + block_cols, k] = cells[:, k].swapaxes(0, 1)
-    # Row n_lo >= 0 and column p_lo are in the first quotient row and column.
-    n0 = 0 if extra else (n_lo % 3 - at[1].start) // at[1].step
-    p0 = (p_lo % 3 - at[2].start) // at[2].step
-    out = tuple(table[n0:n0 + n_hi - n_lo + 1, p0:p0 + p_hi - p_lo + 1] for table in full)
-    if extra:
-        # Row n = -1 is 0 past column p = 0.
-        for table, stream in zip(out, "GD"[streams]):
-            table[0] = 0
-            table[0, 0] = _anchor(stream, -1, p_lo)
-    return out
+    return full
 
 
 # The corner where the levels of every table end: both streams over
@@ -428,7 +541,7 @@ def _seed() -> np.ndarray:
     seed[:, :3] = [[[_anchor(s, n, p) for p in (0, 1)] for n in (-1, 0, 1)] for s in "GD"]
     for _ in range(3):
         seed = _split_level(-1, 3, 0, 1, slice(0, 2), _factor_stack(seed))
-    return np.stack(seed)
+    return seed.copy()
 
 
 def _build_corner() -> np.ndarray:

@@ -3,6 +3,8 @@ import itertools
 import logging
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -677,9 +679,104 @@ def test_compile_rules_refuses_rules_outside_the_windows():
 
 
 def test_tables_return_two_unshared_arrays():
-    for rectangle in ((1, 5, 0, 9), (-1, 60, 0, 60), (1, 300, 7, 7), (2, 3, 0, 5000)):
+    # The last three end in flat levels, both streams in one array.
+    far = 3 ** 12 + 5
+    for rectangle in ((1, 5, 0, 9), (-1, 60, 0, 60), (1, 300, 7, 7), (2, 3, 0, 5000),
+                      (far, far + 9, far + 7, far + 16), (-1, 1, 3 ** 20, 3 ** 20 + 2),
+                      (far, far, 3 ** 199, 3 ** 199)):
         gamma, delta = engine.tables(*rectangle)
         assert not np.shares_memory(gamma, delta), rectangle
+
+
+def _plan_key(at, *shape):
+    """A flat level's key, (streams, row residues, column residues) as
+    three slices and (rows, columns, parity, row -1) as ints, as a tuple."""
+    return tuple(x for part in at for x in (part.start, part.stop, part.step)) + shape
+
+
+def _flat_level_keys():
+    """{_plan_key: (n_lo, n_hi, p_lo, p_hi, streams)} for every level the
+    flat build admits: its streams, the residues of its rows and of its
+    columns, its quotient rows and columns (at most engine._FLAT_CELLS
+    quotient cells), the parity of its first quotient row and whether it
+    holds row -1.  Each rectangle lies one level above engine._CORNER, so
+    its top level is its only split level."""
+    # n_lo in -1 .. 5 meets every row residue and both parities of the
+    # first quotient row; columns from p = 135 lie past the corner's.
+    rows, cols = {}, {}
+    for n_lo in range(-1, 6):
+        m_lo = max(n_lo, 0) // 3 - 1
+        for n_hi in itertools.takewhile(lambda n: n // 3 - m_lo <= engine._FLAT_CELLS,
+                                        itertools.count(n_lo)):
+            rows.setdefault((_plan_key([engine._residues(max(n_lo, 0), n_hi)]),
+                             n_hi // 3 - m_lo, m_lo % 2, int(n_lo < 0)), (n_lo, n_hi))
+    for p_lo in (135, 136, 137):
+        for p_hi in itertools.takewhile(lambda p: p // 3 - 45 < engine._FLAT_CELLS,
+                                        itertools.count(p_lo)):
+            cols.setdefault((_plan_key([engine._residues(p_lo, p_hi)]), p_hi // 3 - 44),
+                            (p_lo, p_hi))
+    keys = {}
+    for (row_residues, m, odd, extra), n_range in rows.items():
+        for (col_residues, q), p_range in cols.items():
+            if m * q <= engine._FLAT_CELLS:
+                for streams in (slice(0, 2), slice(0, 1), slice(1, 2)):
+                    key = _plan_key([streams]) + row_residues + col_residues + (m, q, odd, extra)
+                    keys[key] = (*n_range, *p_range, streams)
+    return keys
+
+
+def test_flat_levels_match_the_windowed_levels_and_the_rule_passes(monkeypatch):
+    # Every key: each streams slice, each residue slice of rows and of
+    # columns, both parities of the first quotient row, with and without
+    # row -1, and every quotient shape of at most _FLAT_CELLS cells, with
+    # no quotient row when row -1 is the whole rectangle.
+    keys = _flat_level_keys()
+    cap = engine._FLAT_CELLS
+    assert {key[-4:-2] for key in keys} == {
+        (m, q) for m in range(cap + 1) for q in range(1, cap + 1) if m * q <= cap}
+    assert {key[-2:] for key in keys} == {(0, 0), (1, 0), (1, 1)}
+    seen, real = set(), engine._flat_plan
+    monkeypatch.setattr(engine, "_flat_plan",
+                        lambda at, *shape: seen.add(_plan_key(at, *shape)) or real(at, *shape))
+    wanted = {}
+    for key, (n_lo, n_hi, p_lo, p_hi, streams) in keys.items():
+        rectangle = (n_lo, n_hi, p_lo, p_hi)
+        if rectangle not in wanted:
+            wanted[rectangle] = np.stack(tables_by_rule_passes(*rectangle))
+            assert not np.shares_memory(*engine.tables(*rectangle)), rectangle
+        flat = np.stack(engine._level(*rectangle, streams, engine._CORNER))
+        with monkeypatch.context() as windowed:
+            windowed.setattr(engine, "_FLAT_CELLS", 0)
+            slow = np.stack(engine._level(*rectangle, streams, engine._CORNER))
+        assert np.array_equal(flat, wanted[rectangle][streams]), key
+        assert np.array_equal(slow, wanted[rectangle][streams]), key
+    assert seen == set(keys)
+
+
+def test_flat_plans_stay_within_their_bounds(monkeypatch):
+    # 1,600 seeded reads, one or both kinds, from row -1 to 200 digits,
+    # build far more plans than the cache keeps; at no point does it hold
+    # more than its stated entries and bytes.
+    assert (engine._FLAT_PLAN_ENTRIES, engine._FLAT_PLAN_BYTES) == (64, 1 << 18)
+    built, real = set(), engine._flat_plan
+    monkeypatch.setattr(engine, "_flat_plan",
+                        lambda at, *shape: built.add(_plan_key(at, *shape)) or real(at, *shape))
+    engine._FLAT_PLANS.clear()
+    rng = random.Random(52)
+    for i in range(1600):
+        top = 3 ** rng.choice((2, 5, 9, 13, 13, 13, 20, 40, 200))
+        n_lo = rng.choice((-1, 0, rng.randrange(top)))
+        p_lo = rng.randrange(top)
+        n_hi = min(n_lo + rng.randint(0, 40), 3 ** 200 - 1)
+        p_hi = min(p_lo + rng.randint(0, 40), 3 ** 200 - 1)
+        if i % 3 or n_lo < 0:
+            engine.tables(n_lo, n_hi, p_lo, p_hi)
+        else:
+            engine._table(engine.KINDS[i % 2], n_lo, n_hi, p_lo, p_hi)
+        assert len(engine._FLAT_PLANS) <= engine._FLAT_PLAN_ENTRIES
+        assert sum(index.nbytes + sign.nbytes
+                   for index, sign in engine._FLAT_PLANS.values()) <= engine._FLAT_PLAN_BYTES
+    assert len(built) > 4 * engine._FLAT_PLAN_ENTRIES
 
 
 def test_tables_peak_memory_stays_near_the_output():
@@ -899,6 +996,44 @@ def test_grid_shape_and_cap(monkeypatch):
         engine.grid(1, 100, 0, 100)
     with pytest.raises(ValueError):
         engine.grid(2, 1, 0, 0)
+
+
+def test_flat_plans_serve_concurrent_reads(monkeypatch):
+    # Four threads read small tables far from the origin through a plan
+    # cache of four entries, switching every microsecond: every table
+    # equals its single-threaded read, and the cache stays within bounds.
+    rng = random.Random(53)
+    rectangles = []
+    for _ in range(60):
+        n, p = rng.randrange(3 ** 12, 3 ** 13), rng.randrange(3 ** 6)
+        side = rng.randint(1, 12)
+        rectangles.append((n, n + side, p, p + side))
+    want = [np.stack(engine.tables(*rectangle)) for rectangle in rectangles]
+    monkeypatch.setattr(engine, "_FLAT_PLAN_ENTRIES", 4)
+    engine._FLAT_PLANS.clear()
+    errors = []
+
+    def reader(order):
+        try:
+            for k in order:
+                assert np.array_equal(np.stack(engine.tables(*rectangles[k])), want[k]), k
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(rng.sample(range(60), 60),))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(engine._FLAT_PLANS) <= 4
 
 
 def test_tables_keep_no_state_between_calls():
