@@ -80,6 +80,19 @@ print(digest.hexdigest())
 """)
 
 
+# det_mod3 of a seeded dense order-500 matrix with no zero residue, its
+# slowest input: every row below the pivot takes a sum at every step.  The
+# value is held to minors_mod3_stack before it is printed.
+DENSE_MOD3 = snippet("""import numpy as np
+from cantor_hankel.hankel import det_mod3, minors_mod3_stack
+rng = np.random.default_rng(500)
+m = rng.integers(1, 3, (500, 500)) + 3 * rng.integers(-4, 4, (500, 500))
+value = det_mod3(m)
+assert value == minors_mod3_stack([m])[0, -1]
+print(value)
+""")
+
+
 ROWS = [
     *step("Installed console script",
           """The kernel evaluator slices numpy tables, so the verify report is pinned on the numpy
@@ -177,17 +190,27 @@ ROWS = [
            "636693b6bd62871d17777c0637bb7ab147024f10e6e6d2bfa2d29d2ca8141168")),
     *step("Order-500 mod-3 determinants",
           """The widest matrices the CLI builds (hankel.MAX_HANKEL_ORDER), eliminated over GF(3)
-          with lazily reduced int16 blocks; both values agree with det_exact mod 3.""",
+          on bit-sliced rows, two Python ints per row; both values agree with det_exact mod 3.""",
           ("cantor-hankel det --kind gamma -p 5 -n 500 --mod3", b"1\n"),
           ("cantor-hankel det --kind delta -p 2 -n 500 --mod3", b"2\n")),
     *step("Order-500 mod-3 determinants at p = 0",
           """det --mod3 at hankel.MAX_HANKEL_ORDER, both kinds; the values are the printed columns
-          at n mod 4.  In seven fresh children of each kind on a 2-core VM they took 0.24-0.37 s at
-          34.1-34.6 MB peak RSS (30 MB of it imports).  5 s leaves room for a slower runner; 43 MB
-          leaves 8 MB for other Python and numpy builds.  Hitting the timeout fails the row.""",
+          at n mod 4.  In seven fresh children of each kind on a 2-core VM they took 0.28-0.39 s at
+          33.6-33.9 MB peak RSS (30 MB of it imports; 0.24-0.37 s and 34.1-34.6 MB with the int16
+          loop det_mod3 replaced).  5 s leaves room for a slower runner; 43 MB leaves 9 MB for
+          other Python and numpy builds.  Hitting the timeout fails the row.""",
           ("cantor-hankel det --mod3 -n 500 -p 0", b"2\n"),
           ("cantor-hankel det --kind delta --mod3 -n 500 -p 0", b"1\n"),
           timeout=5, rss_mb=43),
+    *step("Dense order-500 mod-3 determinant",
+          """DENSE_MOD3: det_mod3 on bit-sliced rows at hankel.MAX_HANKEL_ORDER, on the input it is
+          slowest on, no zero residue, whose elimination takes a Python-level sum per row and step
+          (no CLI command builds such a matrix): about 0.05 s in process against 0.03 s for the
+          int16 loop it replaced.  In seven fresh children on a 2-core VM the row took 0.33-0.51 s
+          at 40.7-40.9 MB peak RSS (30 MB of it imports).  5 s leaves room for a slower runner;
+          49 MB leaves 8 MB for other Python and numpy builds.  Hitting the timeout fails the
+          row.""",
+          (DENSE_MOD3, b"1\n"), timeout=5, rss_mb=49),
     *step("Exact order-500 determinants",
           """The widest exact determinants the CLI builds, each in a fresh child process.  Of the
           499 steps, det_exact takes 127 and 151 on int64 and 372 and 348 on Python ints.  In six
@@ -293,22 +316,32 @@ ROWS = [
           timeout=5, rss_mb=56),
     *step("Irrationality table digest",
           """irr reads every order from one J-fraction pass; its bytes are pinned
-          (tests/test_cli.py holds this and three more irr digests).""",
+          (tests/test_cli.py holds this and three more irr digests).  In seven fresh children on
+          a 2-core VM it took 0.30-0.45 s at 33.8-33.9 MB peak RSS (30 MB of it imports); 42 MB
+          leaves 8 MB for other Python, numpy and mpmath builds.""",
           ("cantor-hankel irr -b 2 --n-max 100",
-           "4380f3b66da645570e071e31aa042e1c35410f0e4b247f928fa0923d1c467c05")),
+           "4380f3b66da645570e071e31aa042e1c35410f0e4b247f928fa0923d1c467c05"), rss_mb=42),
     *step("Irrationality table at the base cap",
           """b = 2**32 (pade.MAX_BASE) at the order cap (pade.MAX_IRR_ORDER), 0.05-0.09 s in
           process on a 2-core VM (the first call in each of five fresh processes, mpmath imported
           before).  The window highs are rounded up to floats, so rows 13 and 21 print 2.164063 and
-          2.101563 where a truncated high printed 2.164062 and 2.101562. The harness kills the
+          2.101563 where a truncated high printed 2.164062 and 2.101562.  In seven fresh children
+          on a 2-core VM the row took 0.31-0.34 s at 33.8-34.0 MB peak RSS (30 MB of it imports);
+          42 MB leaves 8 MB for other Python, numpy and mpmath builds.  The harness kills the
           child at the timeout and fails the row.""",
           ("cantor-hankel irr -b 4294967296 --n-max 100",
-           "40ccb6e2df61f92abd8f401593b0a056df5dae9cb4cb8a436801cb477fc5ddeb"), timeout=10),
+           "40ccb6e2df61f92abd8f401593b0a056df5dae9cb4cb8a436801cb477fc5ddeb"),
+          timeout=10, rss_mb=42),
     *step("Pade approximant digest",
-          """pade reads the last entry of one J-fraction pass; its bytes are pinned
-          (tests/test_cli.py holds this and three more pade digests).""",
-          ("cantor-hankel pade -n 200",
-           "2f02539dc767f3e8017ee91ee6220fe9243f750e1b0513b9512538b867b6b82d")),
+          """pade reads the last entry of one J-fraction pass, and --verify checks its error law
+          to degree 400; the first three lines hash to 2f02539d..., the digest of pade -n 200
+          alone (tests/test_cli.py holds that and three more pade digests).  In seven fresh
+          children on a 2-core VM it took 0.35-0.50 s at 32.0-32.2 MB peak RSS (30 MB of it
+          imports).  5 s leaves room for a slower runner; 41 MB leaves 9 MB for other Python and
+          numpy builds.  Hitting the timeout fails the row.""",
+          ("cantor-hankel pade -n 200 --verify",
+           "a7ec819cf34aebe90c7a4b3737589350d04b6be2651bcbc2f571d18f5822daa0"),
+          timeout=5, rss_mb=41),
     *step("Functional equation at the degree cap",
           """feq at pade.MAX_FEQ_DEGREE reads 10^6 + 1 coefficients of c in one run.  In fourteen
           fresh children on a 2-core VM it took 0.36-0.59 s at 54.3-54.5 MB peak RSS (30 MB of it

@@ -17,10 +17,12 @@ cross-checks the two generators of c as well as the recurrences.
 Matrices are 2-D int64 numpy arrays; the determinants accept any square
 array-like of integers, however large, up to order MAX_HANKEL_ORDER,
 and leave it unchanged.  The GF(3) oracles reduce every entry mod 3 exactly
-before they narrow it to int16, then eliminate with lazy reduction: each
-step reduces only its pivot column and row.  Every oracle refuses a
-non-integer entry, and an order over the cap before any work; the stack
-oracles also refuse a stack of more than MAX_STACK_ENTRIES entries.
+before they narrow it to int16.  det_mod3 then packs each row into two
+Python ints, one bit per entry, and eliminates on them; minors_mod3_stack
+eliminates on int16 with lazy reduction, each step reducing only its
+pivot column and row.  Every oracle refuses a non-integer entry, and an
+order over the cap before any work; the stack oracles also refuse a
+stack of more than MAX_STACK_ENTRIES entries.
 
 Matrix families, with u one of c, d and all indices starting at 1:
 
@@ -49,13 +51,14 @@ from .sequences import MAX_RUN_COUNT, cantor_run, diff_run
 
 # Largest order of any matrix built or eliminated here, a bound on the
 # cubic elimination.  At order 500 on a 2-core VM (Python 3.11, numpy
-# 2.4), at offsets up to 27, det_mod3 takes 0.02-0.04 s and det_exact
-# 1.1-2.2 s, most of the latter on Python ints: the minors themselves
-# outgrow int64, and 303 to 372 of the 499 steps run there.  The
-# package's own callers reach it: verify --oracle admits orders up to
-# this cap, and verify_pade_error(200) eliminates order 201.
+# 2.4), at offsets up to 27, det_mod3 takes 0.02-0.03 s on Hankel
+# matrices (0.04-0.05 s on dense residues) and det_exact 1.1-2.2 s, most
+# of the latter on Python ints: the minors themselves outgrow int64, and
+# 303 to 372 of the 499 steps run there.  The package's own callers
+# reach it: verify --oracle admits orders up to this cap, and
+# verify_pade_error(200) eliminates order 201.
 #
-# It also bounds the GF(3) oracles' int16 blocks.  They start from
+# It also bounds minors_mod3_stack's int16 blocks.  They start from
 # residues 0..2 and reduce only the pivot column and row at each step,
 # so a step moves an entry of the trailing block by at most a product of
 # three residues, 2 * 2 * 2 = 8.  An order-n matrix takes n - 1 such
@@ -283,41 +286,47 @@ def det_exact(m) -> int:
 
 
 def det_mod3(m) -> int:
-    """Determinant mod 3 by Gaussian elimination over GF(3).
+    """Determinant mod 3 by Gaussian elimination over GF(3) on bit-sliced
+    rows (Boothby and Bradshaw).
 
-    Uses numpy row operations on integer representatives of the
-    residues (see _residues), reduced lazily: each step reduces only
-    the pivot column and the pivot row, and updates the trailing block
-    without reducing it.  Every nonzero residue is its own inverse in
-    GF(3), so no inverse table is needed.
+    Each row of residues (see _residues) is held as two Python ints, its
+    slices: bit j of the first is set where entry j is 1, and of the
+    second where it is 2.  At step k the first row at or below k with
+    bit k set is the pivot row, swapped up with a sign flip.  A pivot of
+    2 is folded into the sign by swapping the pivot row's slices, which
+    negates the row.  Every later row with bit k set then takes away the
+    pivot row (an entry of 1) or adds it (an entry of 2, as -2 is 1 mod
+    3), one GF(3) sum of seven bitwise operations over the whole row.
     """
     a = _residues(m, 2)
     n = len(a)
+    packed = np.packbits(np.concatenate([a == 1, a == 2]), axis=1, bitorder="little")
+    flat, width = packed.tobytes(), packed.shape[1]
+    rows = [int.from_bytes(flat[i * width:(i + 1) * width], "little") for i in range(2 * n)]
+    ones, twos = rows[:n], rows[n:]
     det = 1
     for k in range(n):
-        col = a[k:, k] % 3
-        i = int(col.argmax())
-        pivot = int(col[i])
-        if pivot == 0:
-            return 0
-        det = det * pivot % 3
-        if k + 1 < n:
-            row = a[k + i, k + 1:] % 3
-            if i:
-                # Row k takes the pivot row's place; only its trailing
-                # part is read again.
-                a[k + i, k + 1:] = a[k, k + 1:]
-                col[i] = col[0]
-                det = -det
-            # Entry j of the column times pivot (its own inverse) clears
-            # it, and -2 is 1 mod 3, so the step subtracts or adds
-            # col[j] * row, at most 4, within MAX_HANKEL_ORDER's bound.
-            update = np.multiply.outer(col[1:], row)
-            block = a[k + 1:, k + 1:]
-            if pivot == 1:
-                block -= update
-            else:
-                block += update
+        bit = 1 << k
+        for i in range(k, n):
+            if (ones[i] | twos[i]) & bit:
+                break
+        else:
+            return 0  # a zero column
+        pu, pv = ones[i], twos[i]
+        if i != k:
+            # Row k moves to row i; rows k + 1 .. i, it among them, have
+            # no bit k, so the sums start after row i.
+            ones[i], twos[i], det = ones[k], twos[k], -det
+        if pv & bit:
+            pu, pv, det = pv, pu, -det
+        for j in range(i + 1, n):
+            u, v = ones[j], twos[j]
+            if u & bit:  # row j minus the pivot row
+                t = (u | pu) ^ (v | pv)
+                ones[j], twos[j] = (v | pu) ^ t, (u | pv) ^ t
+            elif v & bit:  # row j plus the pivot row
+                t = (u | pv) ^ (v | pu)
+                ones[j], twos[j] = (v | pv) ^ t, (u | pu) ^ t
     return det % 3
 
 

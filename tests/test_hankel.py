@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import logging
 import re
 import tracemalloc
@@ -537,9 +538,109 @@ def test_lazy_reduction_matches_full_reduction_at_high_orders(kind, n):
 
 
 def test_int16_holds_every_lazy_step_up_to_the_order_cap():
-    # The bound of the comment at MAX_HANKEL_ORDER.
+    # The bound of the comment at MAX_HANKEL_ORDER, which minors_mod3_stack's
+    # blocks rely on.
     assert 2 + 8 * (hankel.MAX_HANKEL_ORDER - 1) <= np.iinfo(np.int16).max
-    assert hankel._residues(hankel_matrix("delta", 2, 8), 2).dtype == np.int16
+    assert hankel._residues(hankel_stack("delta", 2, 8, 2), 3).dtype == np.int16
+
+
+def _seeded_kinds(rng, n):
+    """Seeded order-n matrices of every dtype _square admits: bool, int8
+    with -128, int64 over its whole range, uint64 up to 2**64 - 1, and
+    Python ints of both signs past 2**64."""
+    small = rng.integers(-9, 10, (n, n))
+    int8 = rng.integers(-128, 128, (n, n), dtype=np.int8)
+    int8.flat[::3] = -128
+    uint64 = rng.integers(0, 2 ** 64, (n, n), dtype=np.uint64, endpoint=False)
+    uint64.flat[::4] = 2 ** 64 - 1
+    wide = small.astype(object) * (2 ** 66 + 5) - rng.integers(0, 3, (n, n)).astype(object)
+    return [rng.integers(0, 2, (n, n)).astype(bool), int8,
+            rng.integers(-2 ** 63, 2 ** 63, (n, n), dtype=np.int64), uint64, wide]
+
+
+def _det_mod3_cases() -> list[np.ndarray]:
+    """Matrices that det_mod3 is held to the full reduction on.
+
+    Seeded dense ones at every order 0..70, across the byte boundaries of
+    its row packing at 8, 16, ... and 64, one with random residues and
+    one with no zero residue each; every input dtype at orders 1..9 and
+    65; pivots of 2 (twice a unit matrix, and a dense matrix with 2 at
+    its corner); a row swap after a zero pivot (the reversed unit matrix,
+    and a dense matrix with 0 at its corner); and a dense matrix with its
+    column c zeroed, for each c of orders 9 and 65.
+    """
+    rng = np.random.default_rng(53)
+    cases = []
+    for n in range(71):
+        cases += [rng.integers(0, 3, (n, n)) - 3 * rng.integers(0, 4, (n, n)),
+                  rng.integers(1, 3, (n, n)) + 3 * rng.integers(0, 4, (n, n))]
+    for n in (*range(1, 10), 65):
+        cases += _seeded_kinds(rng, n)
+    for n in (1, 2, 9, 65):
+        corner = [rng.integers(1, 3, (n, n)) for _ in range(2)]
+        corner[0][0, 0], corner[1][0, 0] = 2, 0
+        cases += [2 * np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)[::-1], *corner]
+    for n in (9, 65):
+        for c in range(n):
+            m = rng.integers(1, 3, (n, n))
+            m[:, c] = 3 * c
+            cases.append(m)
+    return cases
+
+
+def _hold_to_full_reduction(det):
+    for m in _det_mod3_cases():
+        assert det(m) == det_mod3_by_full_reduction(m), (m.dtype, m.tolist())
+
+
+def test_bit_sliced_elimination_matches_full_reduction():
+    _hold_to_full_reduction(det_mod3)
+
+
+def test_bit_sliced_elimination_reduces_every_dtype_exactly():
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        for m in _seeded_kinds(rng, n):
+            assert det_mod3(m) == det_exact(m) % 3, (m.dtype, m.tolist())
+
+
+def test_bit_sliced_sum_on_every_residue_pair():
+    # After a pivot p at (0, 0), entry (1, 1) becomes x - (r / p) * y: the
+    # sum of residue x and pivot-row residue y, taken away for r / p = 1
+    # and added for r / p = 2, at each of the nine pairs (x, y).
+    for p, r, x, y in np.ndindex(3, 3, 3, 3):
+        if p:
+            assert det_mod3([[p, y], [r, x]]) == (p * x - r * y) % 3, (p, r, x, y)
+
+
+# Edits of det_mod3's source, each breaking one part of the bit-sliced
+# step; each must fail _hold_to_full_reduction.
+DET_MOD3_MUTANTS = {
+    "swap-sign-dropped": ("ones[k], twos[k], -det", "ones[k], twos[k], det"),
+    "pivot-2-sign-dropped": ("pv, pu, -det", "pv, pu, det"),
+    "sum-slices-exchanged": ("(v | pu) ^ t, (u | pv) ^ t", "(u | pv) ^ t, (v | pu) ^ t"),
+}
+
+
+@pytest.mark.parametrize("mutant", DET_MOD3_MUTANTS)
+def test_bit_sliced_mutants_fail(mutant):
+    old, new = DET_MOD3_MUTANTS[mutant]
+    source = inspect.getsource(hankel.det_mod3)
+    assert source.count(old) == 1
+    namespace = dict(vars(hankel))
+    exec(source.replace(old, new), namespace)
+    with pytest.raises(AssertionError):
+        _hold_to_full_reduction(namespace["det_mod3"])
+
+
+@pytest.mark.parametrize("n", [150, 300, 500])
+def test_bit_sliced_elimination_matches_the_stack_on_dense_matrices(n):
+    # Dense input is det_mod3's slowest: every row takes a sum at every
+    # step.  The second matrix has no zero residue.
+    rng = np.random.default_rng(n)
+    stack = np.stack([rng.integers(0, 3, (n, n)), rng.integers(1, 3, (n, n))])
+    stack += 3 * rng.integers(-4, 4, stack.shape)
+    assert [det_mod3(m) for m in stack] == minors_mod3_stack(stack)[:, -1].tolist()
 
 
 class _Untouchable(int):
